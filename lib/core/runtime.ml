@@ -76,13 +76,30 @@ type t = {
                                   in hand (the LRU-eviction callback) *)
   mutable cls_scratch : Classifier.classification array;
       (* per-burst classification scratch, grown to the largest burst seen *)
-  mutable rule_scratch : Sb_mat.Global_mat.rule option array;
+  mutable rule_scratch : Sb_mat.Global_mat.rule array;
       (* per-burst pre-resolved rules (the prescan's pipelined Global MAT
          probes), validated against the MAT generation at execution *)
   mutable fault_listener : (string -> unit) option;
       (* notified after every locally-recorded fault — how a sharded
          runtime broadcasts NF health changes to its sibling shards *)
+  (* The burst path's one-entry last-flow rule memo, reset per burst. *)
+  mutable memo_fid : int;
+  mutable memo_gen : int;
+  mutable memo_rule : Sb_mat.Global_mat.rule;
+  (* Quiet fast-path profiles [Classifier; GlobalMAT] with their platform
+     costs, keyed by the physical identity of the (interned) GlobalMAT
+     stage, filled round-robin. *)
+  profile_stages : Sb_sim.Cost_profile.stage array;
+  profiles : Sb_sim.Cost_profile.t array;
+  profile_latency : int array;
+  profile_service : int array;
+  mutable profile_next : int;
 }
+
+let profile_memo_size = 8
+
+(* Never matches: the Global MAT's stages are its own values. *)
+let no_stage = Sb_sim.Cost_profile.stage "GlobalMAT" []
 
 (* A Failed NF invalidates every consolidated rule embedding its closures:
    tear the whole fast path down (flows re-record under the failure
@@ -212,6 +229,14 @@ let create cfg chain =
       cls_scratch = [||];
       rule_scratch = [||];
       fault_listener = None;
+      memo_fid = -1;
+      memo_gen = -1;
+      memo_rule = Sb_mat.Global_mat.no_rule;
+      profile_stages = Array.make profile_memo_size no_stage;
+      profiles = Array.make profile_memo_size [];
+      profile_latency = Array.make profile_memo_size 0;
+      profile_service = Array.make profile_memo_size 0;
+      profile_next = 0;
     }
   in
   if Sb_obs.Sink.armed cfg.obs then begin
@@ -468,8 +493,9 @@ let touch t cls now =
   | Some timeout, Some wheel ->
       (* Fire due timers first: if the arriving flow itself idled out, the
          wheel tears it down here and the packet re-records below like a
-         fresh flow. *)
-      expire_idle_flows t wheel timeout now;
+         fresh flow.  Most arrivals share the previous one's tick, where
+         advancing is a no-op: skip it and the callback it would build. *)
+      if Sb_flow.Timer_wheel.behind wheel ~now then expire_idle_flows t wheel timeout now;
       let live = t.live in
       let s = Sb_flow.Live_table.probe live cls.Classifier.fid in
       if s < 0 then record_arrival t wheel timeout cls now
@@ -486,10 +512,25 @@ let touch t cls now =
       end
       else Sb_flow.Live_table.set_last_seen_at live s now
 
+(* Can [touch] at [now] expire a flow — forget a conntrack entry the burst
+   prescan may already have read?  Only if the wheel has an entry due by
+   [now]; or a flow armed or refreshed since [since] (the prescan
+   segment's earliest arrival) has idled a full timeout by then; or the
+   arriving flow's own last-seen stamp is that stale (expiry on arrival,
+   which the wheel's tick quantisation can leave to [touch]). *)
+let touch_may_expire t wheel timeout fid now ~since =
+  now - since > timeout
+  || Sb_flow.Timer_wheel.due wheel ~now
+  ||
+  let s = Sb_flow.Live_table.probe t.live fid in
+  s >= 0 && now - Sb_flow.Live_table.last_seen_at t.live s > timeout
+
 (* Forwarded packets pay the metadata detach at egress; a dropped packet's
    descriptor is simply released.  One preallocated item, threaded into the
-   Global MAT's stage assembly instead of appended after the fact. *)
-let detach_item = Sb_sim.Cost_profile.Serial Sb_sim.Cycles.meta_detach
+   Global MAT's stage assembly instead of appended after the fact — and
+   already wrapped for the optional argument, which would otherwise box a
+   [Some] per packet. *)
+let detach_item = Some (Sb_sim.Cost_profile.Serial Sb_sim.Cycles.meta_detach)
 
 (* Containment of a fast-path fault: count it, quarantine the flow's
    consolidated state (Global MAT rule, Local MAT records, events,
@@ -511,94 +552,158 @@ let contain_fast_path t cls classifier_stage inj_faults ~nf ~now =
   in
   (classifier_stage, stage, inj_faults + 1)
 
+(* Every well-formed packet pays the same classifier cycles, so its stage
+   is one shared value. *)
+let well_formed_classifier_stage =
+  Sb_sim.Cost_profile.serial_stage "Classifier" Sb_sim.Cycles.classifier
+
+let classifier_stage_of cls =
+  if cls.Classifier.cycles = Sb_sim.Cycles.classifier then well_formed_classifier_stage
+  else Sb_sim.Cost_profile.serial_stage "Classifier" cls.Classifier.cycles
+
+(* What the fault injector drew for one fast-path packet. *)
+type injection = {
+  injected : int;
+  corrupts : int;
+  stalls : int;
+  raised : string option;  (* the first NF whose draw was a raise *)
+}
+
+let no_injection = { injected = 0; corrupts = 0; stalls = 0; raised = None }
+
+(* Mirror the slow path's per-NF injector consultation — one draw per NF
+   per packet — so a fault schedule is path-independent.  Only called
+   while the supervisor is active, so a fault-free run never pays for the
+   refs and closure. *)
+let draw_injections t =
+  let corrupts = ref 0 and stalls = ref 0 and raised = ref None in
+  let injected = ref 0 in
+  Array.iter
+    (fun name ->
+      match Sb_fault.Supervisor.draw t.sup ~nf:name with
+      | None -> ()
+      | Some kind -> (
+          incr injected;
+          note_fault t ~nf:name;
+          match kind with
+          | Sb_fault.Injector.Raise ->
+              Sb_fault.Supervisor.record_contained t.sup;
+              if !raised = None then raised := Some name
+          | Sb_fault.Injector.Corrupt_verdict ->
+              Sb_fault.Supervisor.record_corrupted t.sup;
+              incr corrupts
+          | Sb_fault.Injector.Stall ->
+              Sb_fault.Supervisor.record_stalled t.sup;
+              incr stalls))
+    t.nf_names;
+  { injected = !injected; corrupts = !corrupts; stalls = !stalls; raised = !raised }
+
+let rec profile_slot stages stage i =
+  if i = profile_memo_size then -1
+  else if Array.unsafe_get stages i == stage then i
+  else profile_slot stages stage (i + 1)
+
+(* The output of a quiet fast-path packet whose profile is exactly
+   [well_formed_classifier_stage; stage]: the list and its platform costs come
+   from the memo, so the packet allocates only its output record. *)
+let finish_fast t verdict packet stage events_fired faults =
+  let i =
+    match profile_slot t.profile_stages stage 0 with
+    | -1 ->
+        let i = t.profile_next in
+        t.profile_next <- (i + 1) land (profile_memo_size - 1);
+        let profile = [ well_formed_classifier_stage; stage ] in
+        let latency, service = Sb_sim.Platform.latency_and_service t.cfg.platform profile in
+        t.profile_stages.(i) <- stage;
+        t.profiles.(i) <- profile;
+        t.profile_latency.(i) <- latency;
+        t.profile_service.(i) <- service;
+        i
+    | i -> i
+  in
+  {
+    verdict;
+    packet;
+    profile = Array.unsafe_get t.profiles i;
+    path = Fast_path;
+    latency_cycles = Array.unsafe_get t.profile_latency i;
+    service_cycles = Array.unsafe_get t.profile_service i;
+    events_fired;
+    faults;
+  }
+
 (* The body shared by the per-packet and burst paths: [cls] has been
-   classified (and [touch]ed) by the caller, and [rule_opt] is the Global
-   MAT resolution — a plain [find] per packet, or the burst loop's
-   last-flow memo. *)
-let process_with_rule t packet cls rule_opt =
+   classified (and [touch]ed) by the caller, and [rule] is the Global MAT
+   resolution — a plain [lookup] per packet, or the burst loop's last-flow
+   memo — with [Global_mat.no_rule] sending the packet down the slow
+   path. *)
+let process_with_rule t packet cls rule =
   let now = packet.Sb_packet.Packet.ingress_cycle in
   let fid = cls.Classifier.fid in
-  let classifier_stage = Sb_sim.Cost_profile.serial_stage "Classifier" cls.Classifier.cycles in
-  match rule_opt with
-  | Some rule -> (
-      (* Mirror the slow path's per-NF injector consultation — one draw per
-         NF per packet — so a fault schedule is path-independent. *)
-      let corrupts = ref 0 and stalls = ref 0 and raised = ref None in
-      let injected = ref 0 in
-      if Sb_fault.Supervisor.active t.sup then
-        Array.iter
-          (fun name ->
-            match Sb_fault.Supervisor.draw t.sup ~nf:name with
-            | None -> ()
-            | Some kind -> (
-                incr injected;
-                note_fault t ~nf:name;
-                match kind with
-                | Sb_fault.Injector.Raise ->
-                    Sb_fault.Supervisor.record_contained t.sup;
-                    if !raised = None then raised := Some name
-                | Sb_fault.Injector.Corrupt_verdict ->
-                    Sb_fault.Supervisor.record_corrupted t.sup;
-                    incr corrupts
-                | Sb_fault.Injector.Stall ->
-                    Sb_fault.Supervisor.record_stalled t.sup;
-                    incr stalls))
-          t.nf_names;
-      let n_injected = !injected in
-      match !raised with
-      | Some nf ->
-          (* The injected crash aborts the rule execution: drop the packet
-             and quarantine the flow (its next packet re-records). *)
-          Sb_fault.Supervisor.record_faulted_packet t.sup;
-          cleanup t cls;
-          Sb_fault.Supervisor.record_quarantine t.sup;
-          if Sb_obs.Sink.armed t.cfg.obs then
-            obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now) ~detail:nf
-              Sb_obs.Timeline.Quarantined;
-          let stage =
-            Sb_sim.Cost_profile.serial_stage "GlobalMAT"
-              (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain)
-          in
-          finish t Sb_mat.Header_action.Dropped packet [ classifier_stage; stage ]
-            Fast_path 0 n_injected
-      | None -> (
-          match
-            Sb_mat.Global_mat.execute_rule ~egress_item:detach_item t.global
-              (Chain.events t.chain) (Chain.local_mats t.chain) fid rule packet
-          with
-          | exception exn ->
-              (* An organic fast-path fault — a raising state function or
-                 event update — attributed to its NF when known. *)
-              let nf =
-                match exn with
-                | Sb_fault.Fault.Nf_fault (nf, _, _) -> nf
-                | _ -> "GlobalMAT"
-              in
-              let classifier_stage, stage, faults =
-                contain_fast_path t cls classifier_stage n_injected ~nf ~now
-              in
-              finish t Sb_mat.Header_action.Dropped packet [ classifier_stage; stage ]
-                Fast_path 0 faults
-          | result ->
-              let verdict =
-                if !corrupts land 1 = 1 then flip_verdict result.Sb_mat.Global_mat.verdict
-                else result.Sb_mat.Global_mat.verdict
-              in
-              if !corrupts > 0 then Sb_fault.Supervisor.record_faulted_packet t.sup;
-              let stages =
-                [ classifier_stage; result.Sb_mat.Global_mat.stage ]
-                @
-                if !stalls > 0 then
-                  [
-                    Sb_sim.Cost_profile.serial_stage "InjectedStall"
-                      (!stalls * Sb_fault.Supervisor.stall_cycles t.sup);
-                  ]
-                else []
-              in
-              if cls.Classifier.final then cleanup t cls;
-              finish t verdict packet stages Fast_path
-                result.Sb_mat.Global_mat.events_fired n_injected))
-  | None -> begin
+  let classifier_stage = classifier_stage_of cls in
+  if rule != Sb_mat.Global_mat.no_rule then (
+    let inj =
+      if Sb_fault.Supervisor.active t.sup then draw_injections t else no_injection
+    in
+    let n_injected = inj.injected in
+    match inj.raised with
+    | Some nf ->
+        (* The injected crash aborts the rule execution: drop the packet
+           and quarantine the flow (its next packet re-records). *)
+        Sb_fault.Supervisor.record_faulted_packet t.sup;
+        cleanup t cls;
+        Sb_fault.Supervisor.record_quarantine t.sup;
+        if Sb_obs.Sink.armed t.cfg.obs then
+          obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now) ~detail:nf
+            Sb_obs.Timeline.Quarantined;
+        let stage =
+          Sb_sim.Cost_profile.serial_stage "GlobalMAT"
+            (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain)
+        in
+        finish t Sb_mat.Header_action.Dropped packet [ classifier_stage; stage ]
+          Fast_path 0 n_injected
+    | None -> (
+        match
+          Sb_mat.Global_mat.execute_rule ?egress_item:detach_item t.global
+            (Chain.events t.chain) (Chain.local_mats t.chain) fid rule packet
+        with
+        | exception exn ->
+            (* An organic fast-path fault — a raising state function or
+               event update — attributed to its NF when known. *)
+            let nf =
+              match exn with
+              | Sb_fault.Fault.Nf_fault (nf, _, _) -> nf
+              | _ -> "GlobalMAT"
+            in
+            let classifier_stage, stage, faults =
+              contain_fast_path t cls classifier_stage n_injected ~nf ~now
+            in
+            finish t Sb_mat.Header_action.Dropped packet [ classifier_stage; stage ]
+              Fast_path 0 faults
+        | result ->
+            let verdict =
+              if inj.corrupts land 1 = 1 then flip_verdict result.Sb_mat.Global_mat.verdict
+              else result.Sb_mat.Global_mat.verdict
+            in
+            if inj.corrupts > 0 then Sb_fault.Supervisor.record_faulted_packet t.sup;
+            if cls.Classifier.final then cleanup t cls;
+            let stage = result.Sb_mat.Global_mat.stage in
+            let events_fired = result.Sb_mat.Global_mat.events_fired in
+            if inj.stalls > 0 then
+              finish t verdict packet
+                [
+                  classifier_stage;
+                  stage;
+                  Sb_sim.Cost_profile.serial_stage "InjectedStall"
+                    (inj.stalls * Sb_fault.Supervisor.stall_cycles t.sup);
+                ]
+                Fast_path events_fired n_injected
+            else if classifier_stage == well_formed_classifier_stage then
+              finish_fast t verdict packet stage events_fired n_injected
+            else
+              finish t verdict packet [ classifier_stage; stage ] Fast_path events_fired
+                n_injected))
+  else begin
     (* Slow path; the flow's establishing packet also records — unless an
        NF opted out of consolidation (§IV-A3) or the fault layer no longer
        trusts the chain (a Degraded NF, or a Failed one pinned to the slow
@@ -647,8 +752,7 @@ let process_with_rule t packet cls rule_opt =
    NF, never touches conntrack or the liveness tables, and cannot perturb
    the burst path's rule memo. *)
 let process_malformed t packet cls =
-  let classifier_stage = Sb_sim.Cost_profile.serial_stage "Classifier" cls.Classifier.cycles in
-  finish t Sb_mat.Header_action.Dropped packet [ classifier_stage ] Slow_path 0 0
+  finish t Sb_mat.Header_action.Dropped packet [ classifier_stage_of cls ] Slow_path 0 0
 
 let process_speedybox t packet =
   let now = packet.Sb_packet.Packet.ingress_cycle in
@@ -656,7 +760,7 @@ let process_speedybox t packet =
   if cls.Classifier.malformed then process_malformed t packet cls
   else begin
     touch t cls now;
-    process_with_rule t packet cls (Sb_mat.Global_mat.find t.global cls.Classifier.fid)
+    process_with_rule t packet cls (Sb_mat.Global_mat.lookup t.global cls.Classifier.fid)
   end
 
 (* Everything observability learns per packet derives from the [output]
@@ -728,21 +832,39 @@ let default_burst = 32
 let ensure_cls_scratch t n =
   if Array.length t.cls_scratch < n then begin
     t.cls_scratch <- Array.init n (fun _ -> Classifier.scratch ());
-    t.rule_scratch <- Array.make n None
+    t.rule_scratch <- Array.make n Sb_mat.Global_mat.no_rule
   end;
   t.cls_scratch
+
+(* The burst's Global MAT resolution through the last-flow memo. *)
+let resolve t fid gen =
+  if fid = t.memo_fid && gen = t.memo_gen then t.memo_rule
+  else begin
+    let r = Sb_mat.Global_mat.lookup t.global fid in
+    if r != Sb_mat.Global_mat.no_rule then begin
+      t.memo_fid <- fid;
+      t.memo_gen <- gen;
+      t.memo_rule <- r
+    end
+    else t.memo_fid <- -1;
+    r
+  end
 
 (* Process [packets.(off .. off+len-1)] as one burst, calling [emit k out]
    for each packet in order ([k] relative to [off]).
 
    The burst is classified ahead of execution — amortizing tuple
    extraction, FID hashing and conntrack probes over the batch — with one
-   restriction: a FIN/RST ([final]) classification ends the prescan,
-   because its execution tears down the flow's conntrack entry and a
-   same-flow packet classified beyond it would read state the per-packet
-   order has already erased (a retained [Closing] where a fresh flow would
-   re-establish).  Every other mid-burst state change (fault quarantine,
-   idle expiry) yields the same classification either way.
+   restriction: a packet whose execution can erase conntrack state ends
+   the prescan segment, because a packet classified beyond it would read
+   state the per-packet order has already erased.  Two such packets are
+   known in advance: a FIN/RST ([final]), which tears its flow down (a
+   retained [Closing] where a fresh flow would re-establish), and, with
+   idle expiry on, a packet whose [touch] can fire the timer wheel into
+   expiring a flow ([touch_may_expire]).  A fault quarantine cannot
+   be foreseen and is not covered: a same-flow SYN or SYN-ACK observed
+   beyond the faulting packet classifies against the pre-quarantine
+   state, where per-packet order sees a fresh flow.
 
    Prescan phase one ([Classifier.prepare_into], the whole burst) is a
    pure function of the packet bytes — tuple, one FNV hash, FID — and
@@ -783,41 +905,39 @@ let process_burst_into t packets ~off ~len:n emit =
           if track_live then Sb_flow.Live_table.prefetch t.live cls.Classifier.fid
         end
       done;
-      let memo_fid = ref (-1) and memo_rule = ref None and memo_gen = ref (-1) in
-      let resolve fid gen =
-        if fid = !memo_fid && gen = !memo_gen then !memo_rule
-        else begin
-          let r = Sb_mat.Global_mat.find t.global fid in
-          (match r with
-          | Some _ ->
-              memo_fid := fid;
-              memo_gen := gen;
-              memo_rule := r
-          | None -> memo_fid := -1);
-          r
-        end
-      in
+      t.memo_fid <- -1;
       let i = ref 0 in
       while !i < n do
         (* Phase two: conntrack observation up to (and including) the first
-           FIN/RST — its execution tears down the flow's conntrack entry,
-           so a same-flow packet observed beyond it would read state the
-           per-packet order has already erased — plus the pipelined rule
+           packet whose execution can erase conntrack state — a FIN/RST,
+           which tears its flow down, or a packet whose [touch] can expire
+           a flow — since a packet observed beyond it would read state the
+           per-packet order has already erased; plus the pipelined rule
            pre-probe.  Nothing executes during this phase, so the MAT
            generation is constant across the segment. *)
         let gen = Sb_mat.Global_mat.generation t.global in
         let j = ref !i in
         let stop = ref false in
+        let since = ref max_int in
         while (not !stop) && !j < n do
           let cls = Array.unsafe_get cls_arr !j in
-          if cls.Classifier.malformed then Array.unsafe_set rule_arr !j None
+          if cls.Classifier.malformed then
+            Array.unsafe_set rule_arr !j Sb_mat.Global_mat.no_rule
           else begin
-            Classifier.observe_into t.classifier packets.(off + !j) cls;
+            let packet = packets.(off + !j) in
+            Classifier.observe_into t.classifier packet cls;
             if cls.Classifier.final then stop := true;
-            let r = resolve cls.Classifier.fid gen in
+            (match (t.wheel, t.cfg.idle_timeout_cycles) with
+            | Some wheel, Some timeout ->
+                let now = packet.Sb_packet.Packet.ingress_cycle in
+                if now < !since then since := now;
+                if touch_may_expire t wheel timeout cls.Classifier.fid now ~since:!since then
+                  stop := true
+            | _ -> ());
+            let r = resolve t cls.Classifier.fid gen in
             Array.unsafe_set rule_arr !j r;
             (* Start the rule record's own line fill for the executor. *)
-            match r with Some rule -> Sb_flow.Prefetch.value rule | None -> ()
+            if r != Sb_mat.Global_mat.no_rule then Sb_flow.Prefetch.value r
           end;
           incr j
         done;
@@ -829,12 +949,12 @@ let process_burst_into t packets ~off ~len:n emit =
             else begin
               touch t cls packet.Sb_packet.Packet.ingress_cycle;
               let gen_now = Sb_mat.Global_mat.generation t.global in
+              let pre = Array.unsafe_get rule_arr k in
               let rule =
-                match Array.unsafe_get rule_arr k with
-                | Some _ as r when gen_now = gen -> r
-                | Some _ | None -> resolve cls.Classifier.fid gen_now
+                if pre != Sb_mat.Global_mat.no_rule && gen_now = gen then pre
+                else resolve t cls.Classifier.fid gen_now
               in
-              Array.unsafe_set rule_arr k None;
+              Array.unsafe_set rule_arr k Sb_mat.Global_mat.no_rule;
               process_with_rule t packet cls rule
             end
           in
@@ -914,13 +1034,23 @@ module Acc = struct
       stage_cycles = Hashtbl.create 16;
     }
 
+  (* [Hashtbl.find] returns the binding itself — no option to allocate on
+     the hit every packet after a label's first takes. *)
   let stage_stats acc label =
-    match Hashtbl.find_opt acc.stage_cycles label with
-    | Some s -> s
-    | None ->
+    match Hashtbl.find acc.stage_cycles label with
+    | s -> s
+    | exception Not_found ->
         let s = Sb_sim.Stats.create () in
         Hashtbl.replace acc.stage_cycles label s;
         s
+
+  let rec add_stages acc = function
+    | [] -> ()
+    | (stage : Sb_sim.Cost_profile.stage) :: rest ->
+        Sb_sim.Stats.add_int
+          (stage_stats acc stage.Sb_sim.Cost_profile.label)
+          (Sb_sim.Cost_profile.stage_cycles stage);
+        add_stages acc rest
 
   let consume acc original out =
     acc.count <- acc.count + 1;
@@ -932,14 +1062,11 @@ module Acc = struct
     | Fast_path -> acc.fast <- acc.fast + 1);
     acc.fired <- acc.fired + out.events_fired;
     if out.faults > 0 then acc.faulted <- acc.faulted + 1;
-    List.iter
-      (fun stage ->
-        Sb_sim.Stats.add_int
-          (stage_stats acc stage.Sb_sim.Cost_profile.label)
-          (Sb_sim.Cost_profile.stage_cycles stage))
-      out.profile;
-    let us = Sb_sim.Cycles.to_microseconds out.latency_cycles in
-    Sb_sim.Stats.add acc.latency_us us;
+    add_stages acc out.profile;
+    (* [Cycles.to_microseconds], spelled out: a float returned from (or
+       passed to) another module is boxed, and this runs per packet. *)
+    let us = float_of_int out.latency_cycles /. Sb_sim.Cycles.cycles_per_us in
+    Sb_sim.Stats.add_ratio acc.latency_us out.latency_cycles Sb_sim.Cycles.cycles_per_us;
     Sb_sim.Stats.add_int acc.cycles_per_packet out.latency_cycles;
     Sb_sim.Stats.add_int acc.service out.service_cycles;
     (* The flow-time bucket keys by the FID as classified, falling back to
@@ -952,7 +1079,12 @@ module Acc = struct
         | Some tuple -> Sb_flow.Fid.of_tuple ~bits:acc.fid_bits tuple
         | None -> no_flow_fid
     in
-    Sb_flow.Flow_table.update acc.flow_time_us key ~default:0. (fun sum -> sum +. us)
+    let s = Sb_flow.Flow_table.find_slot acc.flow_time_us key in
+    if s >= 0 then begin
+      let times = Sb_flow.Flow_table.values acc.flow_time_us in
+      Array.unsafe_set times s (Array.unsafe_get times s +. us)
+    end
+    else Sb_flow.Flow_table.set acc.flow_time_us key (0. +. us)
 
   let absorb dst src =
     dst.count <- dst.count + src.count;

@@ -135,6 +135,10 @@ type output = {
   verdict : Sb_mat.Header_action.verdict;
   packet : Sb_packet.Packet.t;  (** the processed packet (final bytes) *)
   profile : Sb_sim.Cost_profile.t;
+      (** immutable, and not necessarily fresh: quiet fast-path packets
+          whose costs agree share one physical profile value (interned
+          stages, memoised two-stage list), so never compare profiles with
+          [==] to tell packets apart *)
   path : path;
   latency_cycles : int;  (** end-to-end under the configured platform *)
   service_cycles : int;  (** per-packet cycles at the throughput bottleneck *)
@@ -167,15 +171,24 @@ val process_burst : t -> Sb_packet.Packet.t array -> output array
     pipelines DPDK-style.  A pure prepare pass over the whole burst
     parses, hashes and FIDs every packet and prefetches the conntrack,
     Global MAT and liveness slots the later passes will probe; an observe
-    pass advances conntrack and pre-resolves each packet's rule (a FIN/RST
-    classification ends this pass, since executing it tears down conntrack
-    state later same-flow packets would re-read); execution then uses each
-    pre-resolved rule after re-validating it against
+    pass advances conntrack and pre-resolves each packet's rule; execution
+    then uses each pre-resolved rule after re-validating it against
     {!Sb_mat.Global_mat.generation} (a pre-resolved miss is always
     re-probed — an earlier slow-path packet may have installed a rule
     without a generation bump).  Consecutive packets of one flow share a
     one-entry last-flow memo, so they cost a single Global MAT lookup;
-    in-place event rewrites update the resolved rule record directly. *)
+    in-place event rewrites update the resolved rule record directly.
+
+    The observe pass stops after any packet whose execution can erase
+    conntrack state that later packets would otherwise have read: a
+    FIN/RST classification, or — with idle expiry on — a packet whose
+    liveness touch can expire a flow (an entry due on the timer wheel by
+    its arrival, an arrival a full timeout after the pass's earliest one,
+    or its own flow already idle past the timeout).  Outputs then match
+    {!process_packet} in sequence.  A fault quarantine cannot be foreseen:
+    a same-flow SYN or SYN-ACK observed beyond the faulting packet is
+    classified against the pre-quarantine state, where per-packet order
+    sees a fresh flow. *)
 
 val process_burst_into :
   t -> Sb_packet.Packet.t array -> off:int -> len:int -> (int -> output -> unit) -> unit

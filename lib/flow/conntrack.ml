@@ -18,32 +18,61 @@ let create () = Tuple_map.create 1024
 
 let prefetch t hash = Tuple_map.prefetch t hash
 
+(* Verdicts are immutable and range over 4 states x 2 x 2 flags, so all 16
+   are built once and observation hands out a shared one instead of
+   allocating a record per packet. *)
+let state_index = function Syn_sent -> 0 | Syn_received -> 1 | Established -> 2 | Closing -> 3
+
+let verdicts =
+  Array.init 16 (fun i ->
+      {
+        state = [| Syn_sent; Syn_received; Established; Closing |].(i lsr 2);
+        established_now = i land 2 <> 0;
+        final = i land 1 <> 0;
+      })
+
+let verdict state ~established_now ~final =
+  Array.unsafe_get verdicts
+    ((state_index state lsl 2)
+    lor (if established_now then 2 else 0)
+    lor if final then 1 else 0)
+
+let fin_bit = 0x01
+
+let syn_bit = 0x02
+
+let rst_bit = 0x04
+
+let ack_bit = 0x10
+
 (* The 13-byte tuple is hashed exactly once per observation ([observe_h]
    lets the classifier share the hash it computed for the FID, so the
    packet's whole admission costs one FNV pass); the steady-state path then
-   does a single [find_opt_h] and no [replace] when the state would not
-   change (the common case — an established flow's mid-stream segment). *)
+   does a single slot probe and no [replace] when the state would not
+   change (the common case — an established flow's mid-stream segment).
+   Flags are read as the raw byte, so observing allocates nothing. *)
 let observe_h t ~hash key p =
+  let s = Tuple_map.find_slot_h t ~hash key in
+  let fresh = s < 0 in
   match Packet.proto p with
   | Packet.Udp ->
-      let found = Tuple_map.find_opt_h t ~hash key in
-      if found <> Some Established then Tuple_map.replace_h t ~hash key Established;
-      { state = Established; established_now = found = None; final = false }
+      if fresh || Tuple_map.value_at t s <> Established then
+        Tuple_map.replace_h t ~hash key Established;
+      verdict Established ~established_now:fresh ~final:false
   | Packet.Tcp ->
-      let flags = Packet.tcp_flags p in
-      let found = Tuple_map.find_opt_h t ~hash key in
-      let fresh = found = None in
-      let prev = Option.value found ~default:Closing in
+      let flags = Packet.tcp_flag_bits p in
+      let syn = flags land syn_bit <> 0 and ack = flags land ack_bit <> 0 in
+      let final = flags land (fin_bit lor rst_bit) <> 0 in
+      let prev = if fresh then Closing else Tuple_map.value_at t s in
       let next =
-        if flags.Tcp.Flags.rst then Closing
-        else if flags.Tcp.Flags.fin then Closing
-        else if flags.Tcp.Flags.syn && flags.Tcp.Flags.ack then
+        if final then Closing
+        else if syn && ack then
           (* A SYN-ACK retransmitted after the handshake completed must not
              regress the connection to mid-handshake. *)
           match prev with
           | Established when not fresh -> Established
           | Syn_sent | Syn_received | Established | Closing -> Syn_received
-        else if flags.Tcp.Flags.syn then
+        else if syn then
           (* A retransmitted SYN never downgrades progress: an established
              flow stays established (its consolidated rule stays valid),
              and a mid-handshake flow holds its position. *)
@@ -59,13 +88,11 @@ let observe_h t ~hash key p =
           | Established -> Established
           | Closing -> if fresh then Established else Closing
       in
-      if found <> Some next then Tuple_map.replace_h t ~hash key next;
-      {
-        state = next;
-        established_now =
-          next = Established && (fresh || prev = Syn_sent || prev = Syn_received);
-        final = flags.Tcp.Flags.fin || flags.Tcp.Flags.rst;
-      }
+      if fresh || prev <> next then Tuple_map.replace_h t ~hash key next;
+      verdict next
+        ~established_now:
+          (next = Established && (fresh || prev = Syn_sent || prev = Syn_received))
+        ~final
 
 let observe t key p = observe_h t ~hash:(Five_tuple.hash key) key p
 

@@ -2,7 +2,7 @@ type t = int
 
 let default_bits = 20
 
-let of_hash ?(bits = default_bits) h =
+let of_hash ~bits h =
   if bits < 1 || bits > 30 then invalid_arg "Fid.of_hash: bits out of range";
   (* Fold the high bits in so narrow FIDs still see the whole hash. *)
   (h lxor (h lsr 30)) land ((1 lsl bits) - 1)

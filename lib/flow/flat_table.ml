@@ -40,15 +40,32 @@ let slot_of_key mask key =
 
 let length t = t.size
 
+(* Every probe loop below is a top-level tail-recursive function taking
+   what it reads as arguments: a local [let rec] over [keys]/[mask]/[key]
+   would be a closure, heap-allocated on each call of a per-packet
+   lookup. *)
+
+(* The slot holding [key], or [-1 - s] where [s] is the free slot that ends
+   its probe window. *)
+let rec slot_from keys mask key i =
+  let k = Array.unsafe_get keys i in
+  if k = key then i
+  else if k = empty_key then -1 - i
+  else slot_from keys mask key ((i + 1) land mask)
+
+let slot t key = slot_from t.keys t.mask key (slot_of_key t.mask key)
+
 let find t key =
-  let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then Some (Array.unsafe_get t.vals i)
-    else if k = empty_key then None
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of_key mask key)
+  let s = slot t key in
+  if s >= 0 then Some (Array.unsafe_get t.vals s) else None
+
+let find_slot t key =
+  let s = slot t key in
+  if s < 0 then -1 else s
+
+let value_at t s = Array.unsafe_get t.vals s
+
+let values t = t.vals
 
 (* Start the cache-line fill for [key]'s probe window: its ideal slot in
    the key lane, plus the value cell that a hit will read.  Purely a hint —
@@ -74,22 +91,10 @@ let find_batch t keys ~off ~len out =
   done
 
 let find_exn t key =
-  let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then Array.unsafe_get t.vals i
-    else if k = empty_key then raise Not_found
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of_key mask key)
+  let s = slot t key in
+  if s >= 0 then Array.unsafe_get t.vals s else raise Not_found
 
-let mem t key =
-  let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then true else if k = empty_key then false else probe ((i + 1) land mask)
-  in
-  probe (slot_of_key mask key)
+let mem t key = slot t key >= 0
 
 (* The value array springs into existence at the first insert, using that
    first value as the filler for the not-yet-occupied slots — a legitimate
@@ -104,14 +109,9 @@ let ensure_vals t v =
 
 (* Insert a key known to be absent, with no growth check (used by [grow]). *)
 let insert_fresh keys vals mask key v =
-  let rec probe i =
-    if Array.unsafe_get keys i = empty_key then begin
-      keys.(i) <- key;
-      vals.(i) <- v
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of_key mask key)
+  let i = -1 - slot_from keys mask key (slot_of_key mask key) in
+  keys.(i) <- key;
+  vals.(i) <- v
 
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
@@ -142,18 +142,14 @@ let set t key v =
   if key = empty_key then invalid_arg "Flat_table.set: reserved key";
   maybe_grow t;
   ensure_vals t v;
-  let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then t.vals.(i) <- v
-    else if k = empty_key then begin
-      keys.(i) <- key;
-      t.vals.(i) <- v;
-      t.size <- t.size + 1
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of_key mask key)
+  let s = slot t key in
+  if s >= 0 then t.vals.(s) <- v
+  else begin
+    let i = -1 - s in
+    t.keys.(i) <- key;
+    t.vals.(i) <- v;
+    t.size <- t.size + 1
+  end
 
 (* The single-lookup read-modify-write the double-hash
    [find_opt]-then-[replace] idiom collapses into: one probe finds either
@@ -161,54 +157,44 @@ let set t key v =
 let update t key ~default f =
   if key = empty_key then invalid_arg "Flat_table.update: reserved key";
   maybe_grow t;
-  let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then t.vals.(i) <- f (Array.unsafe_get t.vals i)
-    else if k = empty_key then begin
-      let v = f default in
-      ensure_vals t v;
-      keys.(i) <- key;
-      t.vals.(i) <- v;
-      t.size <- t.size + 1
+  let s = slot t key in
+  if s >= 0 then t.vals.(s) <- f (Array.unsafe_get t.vals s)
+  else begin
+    let i = -1 - s in
+    let v = f default in
+    ensure_vals t v;
+    t.keys.(i) <- key;
+    t.vals.(i) <- v;
+    t.size <- t.size + 1
+  end
+
+(* Backward-shift deletion: scan the cluster past the hole; an entry whose
+   ideal slot does not lie (cyclically) between the hole and its current
+   position can fill the hole, which then moves forward.  The cluster ends
+   at the first empty slot. *)
+let rec shift t keys mask hole j =
+  let j = (j + 1) land mask in
+  let k = Array.unsafe_get keys j in
+  if k = empty_key then begin
+    keys.(hole) <- empty_key;
+    (match t.filler with Some f -> t.vals.(hole) <- f | None -> ());
+    t.size <- t.size - 1
+  end
+  else begin
+    let ideal = slot_of_key mask k in
+    let stays = if hole <= j then ideal > hole && ideal <= j else ideal > hole || ideal <= j in
+    if stays then shift t keys mask hole j
+    else begin
+      keys.(hole) <- k;
+      t.vals.(hole) <- t.vals.(j);
+      shift t keys mask j j
     end
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of_key mask key)
+  end
 
 let remove t key =
   if key <> empty_key then begin
-    let keys = t.keys and mask = t.mask in
-    (* Backward-shift deletion: scan the cluster past the hole; an entry
-       whose ideal slot does not lie (cyclically) between the hole and its
-       current position can fill the hole, which then moves forward.  The
-       cluster ends at the first empty slot. *)
-    let rec shift hole j =
-      let j = (j + 1) land mask in
-      let k = Array.unsafe_get keys j in
-      if k = empty_key then begin
-        keys.(hole) <- empty_key;
-        (match t.filler with Some f -> t.vals.(hole) <- f | None -> ());
-        t.size <- t.size - 1
-      end
-      else begin
-        let ideal = slot_of_key mask k in
-        let stays =
-          if hole <= j then ideal > hole && ideal <= j else ideal > hole || ideal <= j
-        in
-        if stays then shift hole j
-        else begin
-          keys.(hole) <- k;
-          t.vals.(hole) <- t.vals.(j);
-          shift j j
-        end
-      end
-    in
-    let rec probe i =
-      let k = Array.unsafe_get keys i in
-      if k = key then shift i i else if k = empty_key then () else probe ((i + 1) land mask)
-    in
-    probe (slot_of_key mask key)
+    let s = slot t key in
+    if s >= 0 then shift t t.keys t.mask s s
   end
 
 let clear t =

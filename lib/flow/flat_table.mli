@@ -21,6 +21,20 @@ val find : 'a t -> int -> 'a option
 val find_exn : 'a t -> int -> 'a
 val mem : 'a t -> int -> bool
 
+val find_slot : 'a t -> int -> int
+(** [find_slot t key] is the slot holding [key]'s binding, or [-1] when
+    unbound — the option-free lookup for per-packet code.  A slot is valid
+    until the next insert or removal. *)
+
+val value_at : 'a t -> int -> 'a
+(** The value in a slot {!find_slot} returned. *)
+
+val values : 'a t -> 'a array
+(** The slot-indexed value lane itself, valid until the next insert or
+    removal (growth replaces it).  For a [float t] it is a flat float
+    array, so a caller can update a {!find_slot} slot in place without
+    boxing the float across a function boundary. *)
+
 val prefetch : 'a t -> int -> unit
 (** [prefetch t key] hints that [key]'s probe window (ideal slot in the
     key lane, matching value cell) is about to be probed.  Semantically a

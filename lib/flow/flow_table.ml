@@ -18,6 +18,12 @@ let find_exn = Flat_table.find_exn
 
 let mem = Flat_table.mem
 
+let find_slot = Flat_table.find_slot
+
+let value_at = Flat_table.value_at
+
+let values = Flat_table.values
+
 let set = Flat_table.set
 
 let update = Flat_table.update

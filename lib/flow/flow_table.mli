@@ -22,6 +22,15 @@ val find_exn : 'a t -> Fid.t -> 'a
 
 val mem : 'a t -> Fid.t -> bool
 
+val find_slot : 'a t -> Fid.t -> int
+(** The fid's slot, or [-1] when absent: the option-free lookup; see
+    {!Flat_table.find_slot}. *)
+
+val value_at : 'a t -> int -> 'a
+
+val values : 'a t -> 'a array
+(** The slot-indexed value lane; see {!Flat_table.values}. *)
+
 val set : 'a t -> Fid.t -> 'a -> unit
 (** Inserts or replaces. *)
 

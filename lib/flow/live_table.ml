@@ -44,15 +44,21 @@ let prefetch t fid =
   Prefetch.field t.fids s;
   Prefetch.field t.last_seen s
 
+let rec probe_from fids mask fid i =
+  let k = Array.unsafe_get fids i in
+  if k = fid then i
+  else if k = empty_key then -1 - i
+  else probe_from fids mask fid ((i + 1) land mask)
+
+(* The slot holding [fid], or [-1 - s] of the free slot ending its probe
+   window.  Top-level, so the per-packet touch allocates no closure. *)
+let slot t fid = probe_from t.fids t.mask fid (slot_of_key t.mask fid)
+
 (* The slot holding [fid], or [-1] when absent.  Slots are invalidated by
    any insert or remove; callers use them immediately. *)
 let probe t fid =
-  let fids = t.fids and mask = t.mask in
-  let rec go i =
-    let k = Array.unsafe_get fids i in
-    if k = fid then i else if k = empty_key then -1 else go ((i + 1) land mask)
-  in
-  go (slot_of_key mask fid)
+  let s = slot t fid in
+  if s < 0 then -1 else s
 
 let last_seen_at t s = Array.unsafe_get t.last_seen s
 let epoch_at t s = Array.unsafe_get t.epochs s
@@ -60,17 +66,12 @@ let set_last_seen_at t s now = Array.unsafe_set t.last_seen s now
 let tuple_at t s = Five_tuple.of_packed t.keys.(2 * s) t.keys.((2 * s) + 1)
 
 let insert_fresh fids last_seen epochs keys mask fid seen epoch k1 k2 =
-  let rec go i =
-    if Array.unsafe_get fids i = empty_key then begin
-      fids.(i) <- fid;
-      last_seen.(i) <- seen;
-      epochs.(i) <- epoch;
-      keys.(2 * i) <- k1;
-      keys.((2 * i) + 1) <- k2
-    end
-    else go ((i + 1) land mask)
-  in
-  go (slot_of_key mask fid)
+  let i = -1 - probe_from fids mask fid (slot_of_key mask fid) in
+  fids.(i) <- fid;
+  last_seen.(i) <- seen;
+  epochs.(i) <- epoch;
+  keys.(2 * i) <- k1;
+  keys.((2 * i) + 1) <- k2
 
 let grow t =
   let old_fids = t.fids
@@ -103,62 +104,50 @@ let maybe_grow t = if (t.size + 1) * 4 > (t.mask + 1) * 3 then grow t
 let set t fid ~last_seen ~epoch ~tuple =
   if fid = empty_key then invalid_arg "Live_table.set: reserved key";
   maybe_grow t;
-  let fids = t.fids and mask = t.mask in
-  let rec go i =
-    let k = Array.unsafe_get fids i in
-    if k = fid then begin
-      t.last_seen.(i) <- last_seen;
-      t.epochs.(i) <- epoch;
-      t.keys.(2 * i) <- Five_tuple.pack1 tuple;
-      t.keys.((2 * i) + 1) <- Five_tuple.pack2 tuple
+  let s = slot t fid in
+  let i =
+    if s >= 0 then s
+    else begin
+      let i = -1 - s in
+      t.fids.(i) <- fid;
+      t.size <- t.size + 1;
+      i
     end
-    else if k = empty_key then begin
-      fids.(i) <- fid;
-      t.last_seen.(i) <- last_seen;
-      t.epochs.(i) <- epoch;
-      t.keys.(2 * i) <- Five_tuple.pack1 tuple;
-      t.keys.((2 * i) + 1) <- Five_tuple.pack2 tuple;
-      t.size <- t.size + 1
-    end
-    else go ((i + 1) land mask)
   in
-  go (slot_of_key mask fid)
+  t.last_seen.(i) <- last_seen;
+  t.epochs.(i) <- epoch;
+  t.keys.(2 * i) <- Five_tuple.pack1 tuple;
+  t.keys.((2 * i) + 1) <- Five_tuple.pack2 tuple
+
+(* Backward-shift deletion over all four lanes, as in
+   {!Flat_table.remove}. *)
+let rec shift t fids mask hole j =
+  let j = (j + 1) land mask in
+  let k = Array.unsafe_get fids j in
+  if k = empty_key then begin
+    fids.(hole) <- empty_key;
+    t.keys.(2 * hole) <- 0;
+    t.keys.((2 * hole) + 1) <- 0;
+    t.size <- t.size - 1
+  end
+  else begin
+    let ideal = slot_of_key mask k in
+    let stays = if hole <= j then ideal > hole && ideal <= j else ideal > hole || ideal <= j in
+    if stays then shift t fids mask hole j
+    else begin
+      fids.(hole) <- k;
+      t.last_seen.(hole) <- t.last_seen.(j);
+      t.epochs.(hole) <- t.epochs.(j);
+      t.keys.(2 * hole) <- t.keys.(2 * j);
+      t.keys.((2 * hole) + 1) <- t.keys.((2 * j) + 1);
+      shift t fids mask j j
+    end
+  end
 
 let remove t fid =
   if fid <> empty_key then begin
-    let fids = t.fids and mask = t.mask in
-    (* Backward-shift deletion over all four lanes, as in
-       {!Flat_table.remove}. *)
-    let rec shift hole j =
-      let j = (j + 1) land mask in
-      let k = Array.unsafe_get fids j in
-      if k = empty_key then begin
-        fids.(hole) <- empty_key;
-        t.keys.(2 * hole) <- 0;
-        t.keys.((2 * hole) + 1) <- 0;
-        t.size <- t.size - 1
-      end
-      else begin
-        let ideal = slot_of_key mask k in
-        let stays =
-          if hole <= j then ideal > hole && ideal <= j else ideal > hole || ideal <= j
-        in
-        if stays then shift hole j
-        else begin
-          fids.(hole) <- k;
-          t.last_seen.(hole) <- t.last_seen.(j);
-          t.epochs.(hole) <- t.epochs.(j);
-          t.keys.(2 * hole) <- t.keys.(2 * j);
-          t.keys.((2 * hole) + 1) <- t.keys.((2 * j) + 1);
-          shift j j
-        end
-      end
-    in
-    let rec probe i =
-      let k = Array.unsafe_get fids i in
-      if k = fid then shift i i else if k = empty_key then () else probe ((i + 1) land mask)
-    in
-    probe (slot_of_key mask fid)
+    let s = slot t fid in
+    if s >= 0 then shift t t.fids t.mask s s
   end
 
 let clear t =

@@ -44,5 +44,13 @@ val advance : t -> now:int -> (Fid.t -> int -> action) -> unit
     entries; re-arming the fired entry goes through the [Rearm] return
     instead.  Clocks never move backwards: an older [now] is a no-op. *)
 
+val behind : t -> now:int -> bool
+(** Whether [advance t ~now] would move the clock at all; when [false] it
+    is a no-op, so a caller can skip building its callback. *)
+
+val due : t -> now:int -> bool
+(** Whether [advance t ~now] would fire or cascade any entry.  [false]
+    guarantees the call hands nothing to its callback. *)
+
 val clear : t -> unit
 (** Drops every armed entry without firing. *)

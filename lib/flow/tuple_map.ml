@@ -46,21 +46,19 @@ let slot_of_hash mask h =
 
 let length t = t.size
 
-(* Returns the slot holding the packed key, or [-1 - slot] of the free slot
-   where it would be inserted — one probe serves lookup and insertion. *)
-let probe_packed t h k1 k2 =
-  let hashes = t.hashes and keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let hi = Array.unsafe_get hashes i in
-    if hi = no_hash then -1 - i
-    else if
-      hi = h
-      && Array.unsafe_get keys (2 * i) = k1
-      && Array.unsafe_get keys ((2 * i) + 1) = k2
-    then i
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of_hash mask h)
+(* The slot holding the packed key, or [-1 - slot] of the free slot where
+   it would be inserted — one probe serves lookup and insertion.  A
+   top-level loop over explicit arguments, not a closure: it runs several
+   times per packet (conntrack, NAT, per-flow NF cells). *)
+let rec probe_from hashes keys mask h k1 k2 i =
+  let hi = Array.unsafe_get hashes i in
+  if hi = no_hash then -1 - i
+  else if
+    hi = h && Array.unsafe_get keys (2 * i) = k1 && Array.unsafe_get keys ((2 * i) + 1) = k2
+  then i
+  else probe_from hashes keys mask h k1 k2 ((i + 1) land mask)
+
+let probe_packed t h k1 k2 = probe_from t.hashes t.keys t.mask h k1 k2 (slot_of_hash t.mask h)
 
 let probe_slot t h key = probe_packed t h (Five_tuple.pack1 key) (Five_tuple.pack2 key)
 
@@ -68,7 +66,17 @@ let find_opt_h t ~hash key =
   let s = probe_slot t hash key in
   if s >= 0 then Some (Array.unsafe_get t.vals s) else None
 
+let find_slot_h t ~hash key =
+  let s = probe_slot t hash key in
+  if s < 0 then -1 else s
+
+let value_at t s = Array.unsafe_get t.vals s
+
 let find_opt t key = find_opt_h t ~hash:(Five_tuple.hash key) key
+
+let find_or t key ~default =
+  let s = probe_slot t (Five_tuple.hash key) key in
+  if s >= 0 then Array.unsafe_get t.vals s else default
 
 let mem t key = probe_slot t (Five_tuple.hash key) key >= 0
 
@@ -83,17 +91,15 @@ let ensure_vals t v =
     t.filler <- Some v
   end
 
+let rec free_from hashes mask i =
+  if Array.unsafe_get hashes i = no_hash then i else free_from hashes mask ((i + 1) land mask)
+
 let insert_fresh hashes keys vals mask h k1 k2 v =
-  let rec probe i =
-    if Array.unsafe_get hashes i = no_hash then begin
-      hashes.(i) <- h;
-      keys.(2 * i) <- k1;
-      keys.((2 * i) + 1) <- k2;
-      vals.(i) <- v
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of_hash mask h)
+  let i = free_from hashes mask (slot_of_hash mask h) in
+  hashes.(i) <- h;
+  keys.(2 * i) <- k1;
+  keys.((2 * i) + 1) <- k2;
+  vals.(i) <- v
 
 let grow t =
   let old_hashes = t.hashes and old_keys = t.keys and old_vals = t.vals in
@@ -157,38 +163,33 @@ let find_or_add t key ~default =
     v
   end
 
+(* Backward-shift deletion, as in {!Flat_table.remove}. *)
+let rec shift t hashes keys mask hole j =
+  let j = (j + 1) land mask in
+  let hj = Array.unsafe_get hashes j in
+  if hj = no_hash then begin
+    hashes.(hole) <- no_hash;
+    keys.(2 * hole) <- 0;
+    keys.((2 * hole) + 1) <- 0;
+    (match t.filler with Some f -> t.vals.(hole) <- f | None -> ());
+    t.size <- t.size - 1
+  end
+  else begin
+    let ideal = slot_of_hash mask hj in
+    let stays = if hole <= j then ideal > hole && ideal <= j else ideal > hole || ideal <= j in
+    if stays then shift t hashes keys mask hole j
+    else begin
+      hashes.(hole) <- hj;
+      keys.(2 * hole) <- keys.(2 * j);
+      keys.((2 * hole) + 1) <- keys.((2 * j) + 1);
+      t.vals.(hole) <- t.vals.(j);
+      shift t hashes keys mask j j
+    end
+  end
+
 let remove_h t ~hash key =
   let s = probe_slot t hash key in
-  if s >= 0 then begin
-    let hashes = t.hashes and keys = t.keys and mask = t.mask in
-    (* Backward-shift deletion, as in {!Flat_table.remove}. *)
-    let rec shift hole j =
-      let j = (j + 1) land mask in
-      let hj = Array.unsafe_get hashes j in
-      if hj = no_hash then begin
-        hashes.(hole) <- no_hash;
-        keys.(2 * hole) <- 0;
-        keys.((2 * hole) + 1) <- 0;
-        (match t.filler with Some f -> t.vals.(hole) <- f | None -> ());
-        t.size <- t.size - 1
-      end
-      else begin
-        let ideal = slot_of_hash mask hj in
-        let stays =
-          if hole <= j then ideal > hole && ideal <= j else ideal > hole || ideal <= j
-        in
-        if stays then shift hole j
-        else begin
-          hashes.(hole) <- hj;
-          keys.(2 * hole) <- keys.(2 * j);
-          keys.((2 * hole) + 1) <- keys.((2 * j) + 1);
-          t.vals.(hole) <- t.vals.(j);
-          shift j j
-        end
-      end
-    in
-    shift s s
-  end
+  if s >= 0 then shift t t.hashes t.keys t.mask s s
 
 let remove t key = remove_h t ~hash:(Five_tuple.hash key) key
 

@@ -22,8 +22,20 @@ val create : int -> 'a t
 
 val find_opt : 'a t -> key -> 'a option
 
+val find_or : 'a t -> key -> default:'a -> 'a
+(** The bound value, or [default] when absent — {!find_opt} without the
+    option, for per-packet code. *)
+
 val find_opt_h : 'a t -> hash:int -> key -> 'a option
 (** [find_opt_h t ~hash:(Five_tuple.hash key) key = find_opt t key]. *)
+
+val find_slot_h : 'a t -> hash:int -> key -> int
+(** The key's slot, or [-1] when absent: the option-free form of
+    {!find_opt_h} for per-packet code.  A slot is valid until the next
+    insert or removal. *)
+
+val value_at : 'a t -> int -> 'a
+(** The value in a slot {!find_slot_h} returned. *)
 
 val prefetch : 'a t -> int -> unit
 (** [prefetch t (Five_tuple.hash key)] hints that [key]'s probe window is

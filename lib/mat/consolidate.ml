@@ -61,34 +61,43 @@ let of_actions actions =
 
 let is_drop t = t.drop
 
-let apply_pops t packet =
-  List.iter
-    (fun h ->
-      match Packet.outer_stack packet with
+(* Top-level loops rather than [List.iter] over a closure capturing
+   [packet]: the fast path runs a transform per packet, and most have no
+   pops or pushes at all. *)
+let rec apply_pops packet = function
+  | [] -> ()
+  | h :: rest ->
+      (match Packet.outer_stack packet with
       | top :: _ when Encap_header.equal top h -> ignore (Packet.decap packet)
       | top :: _ ->
           invalid_arg
             (Format.asprintf "Consolidate.apply: expected outer %a, found %a"
                Encap_header.pp h Encap_header.pp top)
-      | [] -> invalid_arg "Consolidate.apply: pop on packet without outer header")
-    t.pops
+      | [] -> invalid_arg "Consolidate.apply: pop on packet without outer header");
+      apply_pops packet rest
+
+let rec apply_pushes packet = function
+  | [] -> ()
+  | h :: rest ->
+      Packet.encap packet h;
+      apply_pushes packet rest
 
 let apply t packet =
-  apply_pops t packet;
+  apply_pops packet t.pops;
   List.iter (fun (f, v) -> Packet.set_field packet f v) t.sets;
   if t.sets <> [] then Packet.fix_checksums packet;
-  List.iter (fun h -> Packet.encap packet h) t.pushes;
+  apply_pushes packet t.pushes;
   if t.drop then Header_action.Dropped else Header_action.Forwarded
 
 let apply_incremental t packet =
-  apply_pops t packet;
+  apply_pops packet t.pops;
   if t.sets <> [] && not (Packet.apply_sets_incremental packet t.sets) then begin
     (* Stored L4 checksum is zero ("not computed"): only the full re-sum
        reconstructs it, exactly as [apply] would. *)
     List.iter (fun (f, v) -> Packet.set_field packet f v) t.sets;
     Packet.fix_checksums packet
   end;
-  List.iter (fun h -> Packet.encap packet h) t.pushes;
+  apply_pushes packet t.pushes;
   if t.drop then Header_action.Dropped else Header_action.Forwarded
 
 let cost t =

@@ -19,6 +19,7 @@ type event = {
 
 type t = {
   flows : event list ref Sb_flow.Flow_table.t;
+  mutable fired : update list;  (* the last [poll_armed]'s firings *)
   mutable condition_faults : int;
   mutable on_fault : string -> exn -> unit;
   mutable obs : Sb_obs.Sink.t;
@@ -27,6 +28,7 @@ type t = {
 let create () =
   {
     flows = Sb_flow.Flow_table.create ();
+    fired = [];
     condition_faults = 0;
     on_fault = (fun _ _ -> ());
     obs = Sb_obs.Sink.null;
@@ -72,37 +74,52 @@ let armed_list t fid =
 
 let armed_count t fid = List.length (armed_list t fid)
 
-let fire t armed =
-  List.filter_map
-    (fun e ->
-      match e.condition () with
-      | true ->
-          if e.one_shot then e.armed <- false;
-          obs_count t "speedybox_events_fired_total" ~nf:e.update.nf;
-          Some e.update
-      | false -> None
-      | exception exn ->
-          (* A raising condition is a fault of the registering NF, not of
-             the flow: disarm just that event, count it, and keep the
-             flow's other events and its consolidated rule usable. *)
-          e.armed <- false;
-          t.condition_faults <- t.condition_faults + 1;
-          obs_count t "speedybox_event_condition_faults_total" ~nf:e.update.nf;
-          t.on_fault e.update.nf exn;
-          None)
-    armed
+(* One armed event's condition: [Some update] when it fires.  A raising
+   condition is a fault of the registering NF, not of the flow: disarm
+   just that event, count it, and keep the flow's other events and its
+   consolidated rule usable. *)
+let fire_one t e =
+  match e.condition () with
+  | true ->
+      if e.one_shot then e.armed <- false;
+      obs_count t "speedybox_events_fired_total" ~nf:e.update.nf;
+      Some e.update
+  | false -> None
+  | exception exn ->
+      e.armed <- false;
+      t.condition_faults <- t.condition_faults + 1;
+      obs_count t "speedybox_event_condition_faults_total" ~nf:e.update.nf;
+      t.on_fault e.update.nf exn;
+      None
+
+let fire t armed = List.filter_map (fire_one t) armed
 
 let check t fid = fire t (armed_list t fid)
 
-(* The fast path needs both the armed count (for cycle accounting) and the
-   fired updates; one table access serves both, and the common no-events
-   flow costs exactly one lookup. *)
-let poll t fid =
-  match Sb_flow.Flow_table.find t.flows fid with
-  | None -> (0, [])
-  | Some events ->
-      let armed = List.filter (fun e -> e.armed) !events in
-      (List.length armed, fire t armed)
+(* The fast path's poll: one pass over the flow's events that counts the
+   armed ones and evaluates their conditions in order, consing an update
+   only when one fires.  A quiet flow — the steady state — allocates
+   nothing. *)
+let rec poll_events t armed rev_fired = function
+  | [] ->
+      t.fired <- List.rev rev_fired;
+      armed
+  | e :: rest when not e.armed -> poll_events t armed rev_fired rest
+  | e :: rest ->
+      let rev_fired =
+        match fire_one t e with Some u -> u :: rev_fired | None -> rev_fired
+      in
+      poll_events t (armed + 1) rev_fired rest
+
+let poll_armed t fid =
+  let s = Sb_flow.Flow_table.find_slot t.flows fid in
+  if s < 0 then begin
+    t.fired <- [];
+    0
+  end
+  else poll_events t 0 [] !(Sb_flow.Flow_table.value_at t.flows s)
+
+let last_fired t = t.fired
 
 let remove_flow t fid = Sb_flow.Flow_table.remove t.flows fid
 

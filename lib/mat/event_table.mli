@@ -70,12 +70,18 @@ val set_obs : t -> Sb_obs.Sink.t -> unit
 (** Points the table at an observability sink: fired conditions and
     condition faults bump [speedybox_events_fired_total{nf}] and
     [speedybox_event_condition_faults_total{nf}] when the sink is armed
-    with a metrics registry.  The per-packet [poll] on event-free flows
-    touches none of this. *)
+    with a metrics registry.  The per-packet {!poll_armed} on event-free
+    flows touches none of this. *)
 
-val poll : t -> Sb_flow.Fid.t -> int * update list
-(** [poll t fid] is [(armed_count t fid, check t fid)] in a single table
-    access — the fast path's per-packet event probe. *)
+val poll_armed : t -> Sb_flow.Fid.t -> int
+(** The fast path's per-packet event probe: in one table access and one
+    pass, evaluates what {!check} would and returns {!armed_count} as it
+    stood before the pass.  The updates that fired are then
+    {!last_fired}.  Allocates nothing unless a condition fires. *)
+
+val last_fired : t -> update list
+(** The updates the latest {!poll_armed} fired, in registration order
+    ([[]] when none did). *)
 
 val remove_flow : t -> Sb_flow.Fid.t -> unit
 

@@ -14,7 +14,8 @@ type step =
 type cstep =
   | C_transform of {
       c : Consolidate.t;
-      item : Sb_sim.Cost_profile.item;
+      cost : int;
+      item : Sb_sim.Cost_profile.item;  (* [Serial cost], for the list-building path *)
       incr_ok : bool;
           (* no Write-mode batch runs before this transform, so the stored
              L4 checksum still matches the bytes and the RFC 1624
@@ -28,6 +29,9 @@ type program = {
   static_head : int;
       (* the per-packet serial cycles that do not depend on events:
          fast-path lookup + per-source-action walk + base forward *)
+  serial : bool;
+      (* no wave runs two or more batches, so every cost item is [Serial]
+         and the executor can count cycles into the int scratch *)
 }
 
 type rule = {
@@ -68,6 +72,12 @@ let rule_transform_count r = r.program.transforms
    differential tests can prove the two produce bit-identical outputs. *)
 type exec_mode = Compiled | Interpreted
 
+type fast_result = {
+  verdict : Header_action.verdict;
+  stage : Sb_sim.Cost_profile.stage;
+  events_fired : int;
+}
+
 type t = {
   policy : Parallel.policy;
   exec : exec_mode;
@@ -89,6 +99,14 @@ type t = {
   mutable snap : Bytes.t;
   mutable snap_len : int;
   mutable aux : Bytes.t;
+  (* Per-packet cost scratch for serial programs: the head cycles at 0,
+     one entry per code step, then the egress item — grown to the longest
+     program seen. *)
+  mutable cycles : int array;
+  interned : fast_result array;
+      (* direct-mapped cache of quiet fast-path results, keyed by the cycle
+         sequence and verdict: flows whose programs cost the same share one
+         immutable result instead of building a stage per packet *)
   (* Free list of scrubbed rule records: rules churn at flow rate under
      LRU and idle eviction, and recycling the (boxed) record keeps
      steady-state consolidation from allocating one per flow and from
@@ -97,6 +115,18 @@ type t = {
   mutable spare : rule list;
   mutable spare_len : int;
 }
+
+let intern_slots = 64
+
+let gmat_label = "GlobalMAT"
+
+(* Never matches a lookup: every real stage carries at least the head item. *)
+let no_result =
+  {
+    verdict = Header_action.Forwarded;
+    stage = Sb_sim.Cost_profile.stage gmat_label [];
+    events_fired = 0;
+  }
 
 let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
     ?(on_evict = fun _ -> ()) ?(obs = Sb_obs.Sink.null) () =
@@ -124,6 +154,8 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
     snap = Bytes.create 256;
     snap_len = 0;
     aux = Bytes.create 256;
+    cycles = Array.make 8 0;
+    interned = Array.make intern_slots no_result;
     spare = [];
     spare_len = 0;
   }
@@ -140,13 +172,15 @@ let tick t =
 
 let spare_cap = 1024
 
+let empty_program = { code = [||]; transforms = 0; static_head = 0; serial = true }
+
 (* Scrub a dead rule of everything it retains (steps and program embed NF
    closures) and keep the husk for reuse.  Callers must have already
    dropped the fid binding's LRU node — the handle may be reallocated. *)
 let recycle t (r : rule) =
   if t.spare_len < spare_cap then begin
     r.steps <- [];
-    r.program <- { code = [||]; transforms = 0; static_head = 0 };
+    r.program <- empty_program;
     r.overall <- Consolidate.forward;
     r.n_source_actions <- 0;
     t.spare <- r :: t.spare;
@@ -242,13 +276,10 @@ let compile ~n_source_actions steps =
     (function
       | Transform c ->
           incr transforms;
+          let cost = Consolidate.cost c in
           rev_code :=
             C_transform
-              {
-                c;
-                item = Sb_sim.Cost_profile.Serial (Consolidate.cost c);
-                incr_ok = not !payload_written;
-              }
+              { c; cost; item = Sb_sim.Cost_profile.Serial cost; incr_ok = not !payload_written }
             :: !rev_code
       | Waves { batches; plan } ->
           let arr = Array.of_list batches in
@@ -263,9 +294,14 @@ let compile ~n_source_actions steps =
           then payload_written := true)
     steps;
   let transforms = !transforms in
+  let code = Array.of_list (List.rev !rev_code) in
   {
-    code = Array.of_list (List.rev !rev_code);
+    code;
     transforms;
+    serial =
+      Array.for_all
+        (function C_transform _ -> true | C_wave batches -> Array.length batches < 2)
+        code;
     static_head =
       (Sb_sim.Cycles.fast_path_lookup
       + (n_source_actions * Sb_sim.Cycles.fast_path_per_action)
@@ -329,6 +365,23 @@ let consolidate t fid locals =
   List.length locals * Sb_sim.Cycles.global_consolidate_per_nf
 
 let find t fid = Sb_flow.Flow_table.find t.rules fid
+
+(* The answer [lookup] gives on a miss, so per-packet resolution carries
+   no option.  Never installed in a table and never executed; its node
+   belongs to a private list of its own. *)
+let no_rule =
+  {
+    steps = [];
+    program = empty_program;
+    overall = Consolidate.forward;
+    n_source_actions = 0;
+    last_use = 0;
+    node = Sb_flow.Lru.add (Sb_flow.Lru.create ()) (-1);
+  }
+
+let lookup t fid =
+  let s = Sb_flow.Flow_table.find_slot t.rules fid in
+  if s < 0 then no_rule else Sb_flow.Flow_table.value_at t.rules s
 
 (* Burst-prescan hint: start the line fill for the fid's rule-table probe
    window while the prescan still has the rest of the burst to chew on. *)
@@ -408,12 +461,6 @@ let memory_stats (t : t) =
     batches = !batches;
   }
 
-type fast_result = {
-  verdict : Header_action.verdict;
-  stage : Sb_sim.Cost_profile.stage;
-  events_fired : int;
-}
-
 (* ---- Compiled wave execution (zero-allocation snapshot/merge) ---- *)
 
 let region_equal a aoff b boff len =
@@ -476,7 +523,7 @@ let run_program t code packet =
   let rev_items = ref [] in
   for i = 0 to Array.length code - 1 do
     match Array.unsafe_get code i with
-    | C_transform { c; item; incr_ok } ->
+    | C_transform { c; item; incr_ok; _ } ->
         let apply = if incr_ok then Consolidate.apply_incremental else Consolidate.apply in
         (match apply c packet with
         | Header_action.Dropped -> verdict := Header_action.Dropped
@@ -566,9 +613,10 @@ let obs_event_rewrite t ~fid ~nf packet =
   | Some tl -> Sb_obs.Timeline.record tl ~fid ~ts_us ~detail:nf Sb_obs.Timeline.Event_rewrite
   | None -> ()
 
-let execute_rule ?egress_item t events locals fid rule packet =
-  let armed, fired = Event_table.poll events fid in
-  let event_cycles = armed * Sb_sim.Cycles.event_check in
+(* Apply the fired updates in order and return the cycles they cost,
+   re-consolidation included.  A fired event recompiles the flow's program
+   in place, so the caller's [rule] is already the updated record. *)
+let apply_fired t locals fid packet fired =
   let fire_cycles = ref 0 in
   List.iter
     (fun (u : Event_table.update) ->
@@ -596,34 +644,117 @@ let execute_rule ?egress_item t events locals fid rule packet =
       with exn ->
         raise (Sb_fault.Fault.attribute ~nf:u.Event_table.nf ~origin:"event-update" exn))
     fired;
-  (* A fired event recompiles the flow's program in place, so [rule] below
-     is already the updated record — no re-lookup. *)
-  if fired <> [] then fire_cycles := !fire_cycles + consolidate t fid locals;
+  !fire_cycles + consolidate t fid locals
+
+(* Run a serial program (no multi-batch wave), writing each step's cycles
+   to [cycles.(1 + i)] instead of consing profile items. *)
+let run_program_serial code packet cycles =
+  let verdict = ref Header_action.Forwarded in
+  for i = 0 to Array.length code - 1 do
+    let cost =
+      match Array.unsafe_get code i with
+      | C_transform { c; cost; incr_ok; _ } ->
+          let v =
+            if incr_ok then Consolidate.apply_incremental c packet else Consolidate.apply c packet
+          in
+          (match v with
+          | Header_action.Dropped -> verdict := Header_action.Dropped
+          | Header_action.Forwarded -> ());
+          cost
+      | C_wave [||] -> 0
+      | C_wave batches -> State_function.Batch.run (Array.unsafe_get batches 0) packet
+    in
+    Array.unsafe_set cycles (i + 1) cost
+  done;
+  !verdict
+
+let rec hash_cycles cycles n i h =
+  if i = n then h land max_int
+  else hash_cycles cycles n (i + 1) ((h lxor Array.unsafe_get cycles i) * 0x100000001b3)
+
+(* Does [items] read exactly [Serial cycles.(i)], ..., [Serial cycles.(n-1)]? *)
+let rec items_match cycles n i = function
+  | [] -> i = n
+  | Sb_sim.Cost_profile.Serial c :: rest ->
+      i < n && Array.unsafe_get cycles i = c && items_match cycles n (i + 1) rest
+  | Sb_sim.Cost_profile.Parallel _ :: _ -> false
+
+let rec serial_items cycles i acc =
+  if i < 0 then acc
+  else serial_items cycles (i - 1) (Sb_sim.Cost_profile.Serial (Array.unsafe_get cycles i) :: acc)
+
+(* The quiet fast-path result for [cycles.(0 .. n-1)] and [verdict]: the
+   cached one when an earlier packet produced the same, otherwise a fresh
+   one that replaces the slot's occupant.  Results are immutable, so
+   sharing one across packets and flows is safe. *)
+let intern_result t cycles n verdict =
+  let seed = match verdict with Header_action.Forwarded -> 1 | Header_action.Dropped -> 2 in
+  let h = hash_cycles cycles n 0 seed in
+  let slot = (h lxor (h lsr 29)) land (intern_slots - 1) in
+  let r = Array.unsafe_get t.interned slot in
+  if r.verdict = verdict && items_match cycles n 0 r.stage.Sb_sim.Cost_profile.items then r
+  else begin
+    let r =
+      {
+        verdict;
+        stage = Sb_sim.Cost_profile.stage gmat_label (serial_items cycles (n - 1) []);
+        events_fired = 0;
+      }
+    in
+    Array.unsafe_set t.interned slot r;
+    r
+  end
+
+let execute_rule ?egress_item t events locals fid rule packet =
+  let armed = Event_table.poll_armed events fid in
+  let fired = Event_table.last_fired events in
+  let event_cycles = armed * Sb_sim.Cycles.event_check in
+  let fire_cycles = match fired with [] -> 0 | _ -> apply_fired t locals fid packet fired in
+  let events_fired = List.length fired in
   rule.last_use <- tick t;
   Sb_flow.Lru.touch t.lru rule.node;
   let program = rule.program in
-  let verdict, rev_items =
-    match t.exec with
-    | Compiled -> run_program t program.code packet
-    | Interpreted ->
-        let v, rev = run_steps_interp rule packet in
-        (v, rev)
-  in
-  (* Forwarded packets may pay an egress item (e.g. metadata detach); a
-     dropped packet's descriptor is simply released. *)
-  let rev_items =
-    match egress_item with
-    | Some item when verdict = Header_action.Forwarded -> item :: rev_items
-    | Some _ | None -> rev_items
-  in
-  let head =
-    Sb_sim.Cost_profile.Serial (program.static_head + event_cycles + !fire_cycles)
-  in
-  {
-    verdict;
-    stage = Sb_sim.Cost_profile.stage "GlobalMAT" (head :: List.rev rev_items);
-    events_fired = List.length fired;
-  }
+  let head = program.static_head + event_cycles + fire_cycles in
+  match (t.exec, egress_item) with
+  | Compiled, (None | Some (Sb_sim.Cost_profile.Serial _)) when program.serial ->
+      let code = program.code in
+      let len = Array.length code in
+      if Array.length t.cycles < len + 2 then t.cycles <- Array.make (2 * (len + 2)) 0;
+      let cycles = t.cycles in
+      Array.unsafe_set cycles 0 head;
+      let verdict = run_program_serial code packet cycles in
+      (* Forwarded packets may pay an egress item (e.g. metadata detach); a
+         dropped packet's descriptor is simply released. *)
+      let n =
+        match (egress_item, verdict) with
+        | Some (Sb_sim.Cost_profile.Serial c), Header_action.Forwarded ->
+            Array.unsafe_set cycles (len + 1) c;
+            len + 2
+        | (Some _ | None), _ -> len + 1
+      in
+      let r = intern_result t cycles n verdict in
+      if events_fired = 0 then r else { r with events_fired }
+  | (Compiled | Interpreted), _ ->
+      (* Multi-batch waves carry [Parallel] items, and the interpreter is the
+         reference the compiled path is checked against: both build the
+         item list. *)
+      let verdict, rev_items =
+        match t.exec with
+        | Compiled -> run_program t program.code packet
+        | Interpreted -> run_steps_interp rule packet
+      in
+      let rev_items =
+        match egress_item with
+        | Some item when verdict = Header_action.Forwarded -> item :: rev_items
+        | Some _ | None -> rev_items
+      in
+      {
+        verdict;
+        stage =
+          Sb_sim.Cost_profile.stage gmat_label
+            (Sb_sim.Cost_profile.Serial head :: List.rev rev_items);
+        events_fired;
+      }
 
 let execute ?egress_item t events locals fid packet =
   match find t fid with

@@ -92,6 +92,14 @@ val consolidate : t -> Sb_flow.Fid.t -> Local_mat.t list -> int
 
 val find : t -> Sb_flow.Fid.t -> rule option
 
+val no_rule : rule
+(** The sentinel {!lookup} returns for a flow without a rule; compare with
+    [==].  It is never installed and must never be executed. *)
+
+val lookup : t -> Sb_flow.Fid.t -> rule
+(** {!find} without the option: the flow's rule, or {!no_rule}.  The
+    per-packet form. *)
+
 val prefetch : t -> Sb_flow.Fid.t -> unit
 (** [prefetch t fid] hints that [fid]'s rule-table probe window is about
     to be probed (the burst prescan issues one per packet, a burst ahead

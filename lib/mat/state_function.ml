@@ -30,8 +30,14 @@ module Batch = struct
 
   let mode t = t.mode
 
+  (* A top-level loop rather than a fold over a closure capturing
+     [packet]: batches run on every fast-path packet. *)
+  let rec run_fns packet acc = function
+    | [] -> acc
+    | (sf : sf) :: rest -> run_fns packet (acc + Sb_sim.Cycles.sf_invoke + sf.run packet) rest
+
   let run t packet =
-    try List.fold_left (fun acc sf -> acc + Sb_sim.Cycles.sf_invoke + sf.run packet) 0 t.fns
+    try run_fns packet 0 t.fns
     with exn -> raise (Sb_fault.Fault.attribute ~nf:t.nf ~origin:"state-function" exn)
 
   let pp fmt t =

@@ -112,6 +112,16 @@ let track t tuple i =
       e.Store.set <- true;
       Store.add t.conns.(i) 1
 
+(* Stands in for an absent assignment in [tracked_backend]; read-only, never
+   stored in the table. *)
+let untracked = { Store.x = 0; y = 0; set = false }
+
+(* The tracked backend index, or [-1]: [tracked] without the options, for
+   the reroute condition every fast-path packet of the flow evaluates. *)
+let tracked_backend t tuple =
+  let e = Store.flow_find_or t.assignments tuple ~default:untracked in
+  if e.Store.set then e.Store.x else -1
+
 let untrack t tuple =
   match Store.flow_find t.assignments tuple with
   | Some e ->
@@ -246,9 +256,9 @@ let process t ctx packet =
        comes back. *)
     Speedybox.Api.register_event ctx ~one_shot:false
       ~condition:(fun () ->
-        match tracked t tuple with
-        | Some i -> not (t.backends.(i).alive)
-        | None -> Array.exists (fun b -> b.alive) t.backends)
+        let i = tracked_backend t tuple in
+        if i >= 0 then not t.backends.(i).alive
+        else Array.exists (fun b -> b.alive) t.backends)
       ~new_actions:(reroute_actions t tuple)
       ~update_fn:(fun () -> ignore (current_backend t tuple))
       ()

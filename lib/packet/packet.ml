@@ -155,6 +155,91 @@ let set_field t field value =
    matched the packet bytes beforehand.  Returns [false] without touching
    the packet when the stored L4 checksum is zero (UDP's "not computed"
    convention), where only a full recompute can reconstruct the sum. *)
+(* Both running checksums ride in one int — L4 in bits 16..31, IPv4 in
+   bits 0..15 — so the fold over the set list is a top-level loop with no
+   refs and no closures, allocating nothing per packet. *)
+let fix_l4 both ~old_word ~new_word =
+  (Checksum.incremental ~old_checksum:(both lsr 16) ~old_word ~new_word lsl 16)
+  lor (both land 0xffff)
+
+let fix_ip both ~old_word ~new_word =
+  both land lnot 0xffff
+  lor Checksum.incremental ~old_checksum:(both land 0xffff) ~old_word ~new_word
+
+(* A 32-bit rewrite as its two 16-bit halves (RFC 1624 per word), into
+   both sums: addresses sit in the IPv4 header and the L4 pseudo-header.
+   [old_hi]/[old_lo] are read straight from the buffer as ints. *)
+let fix_addr both ~old_hi ~old_lo (a : Ipv4_addr.t) =
+  let new_hi = Int32.to_int (Int32.shift_right_logical a 16)
+  and new_lo = Int32.to_int a land 0xffff in
+  let both = fix_l4 both ~old_word:old_hi ~new_word:new_hi in
+  let both = fix_l4 both ~old_word:old_lo ~new_word:new_lo in
+  let both = fix_ip both ~old_word:old_hi ~new_word:new_hi in
+  fix_ip both ~old_word:old_lo ~new_word:new_lo
+
+let rec apply_sets_from buf pr l2 l3 l4 both = function
+  | [] -> both
+  | (field, value) :: rest ->
+      if not (Field.value_compatible field value) then
+        invalid_arg
+          (Format.asprintf "Packet.set_field: value %a incompatible with field %a"
+             Field.pp_value value Field.pp field);
+      let both =
+        match (field, value) with
+        | Field.Src_ip, Field.Ip a ->
+            let old_hi = Bytes_codec.get_u16 buf (l3 + 12)
+            and old_lo = Bytes_codec.get_u16 buf (l3 + 14) in
+            Ipv4.set_src buf l3 a;
+            fix_addr both ~old_hi ~old_lo a
+        | Field.Dst_ip, Field.Ip a ->
+            let old_hi = Bytes_codec.get_u16 buf (l3 + 16)
+            and old_lo = Bytes_codec.get_u16 buf (l3 + 18) in
+            Ipv4.set_dst buf l3 a;
+            fix_addr both ~old_hi ~old_lo a
+        | Field.Src_port, Field.Port p -> (
+            match pr with
+            | Tcp ->
+                let old_word = Tcp.get_src_port buf l4 in
+                Tcp.set_src_port buf l4 p;
+                fix_l4 both ~old_word ~new_word:p
+            | Udp ->
+                let old_word = Udp.get_src_port buf l4 in
+                Udp.set_src_port buf l4 p;
+                fix_l4 both ~old_word ~new_word:p)
+        | Field.Dst_port, Field.Port p -> (
+            match pr with
+            | Tcp ->
+                let old_word = Tcp.get_dst_port buf l4 in
+                Tcp.set_dst_port buf l4 p;
+                fix_l4 both ~old_word ~new_word:p
+            | Udp ->
+                let old_word = Udp.get_dst_port buf l4 in
+                Udp.set_dst_port buf l4 p;
+                fix_l4 both ~old_word ~new_word:p)
+        (* TTL and TOS are outside the pseudo-header (no L4 delta) but
+           inside the IPv4 header; each shares its 16-bit word with a
+           neighbouring byte.  MACs touch no checksum at all. *)
+        | Field.Ttl, Field.Int v ->
+            let old_word = Bytes_codec.get_u16 buf (l3 + 8) in
+            Ipv4.set_ttl buf l3 v;
+            fix_ip both ~old_word ~new_word:(Bytes_codec.get_u16 buf (l3 + 8))
+        | Field.Tos, Field.Int v ->
+            let old_word = Bytes_codec.get_u16 buf l3 in
+            Ipv4.set_tos buf l3 v;
+            fix_ip both ~old_word ~new_word:(Bytes_codec.get_u16 buf l3)
+        | Field.Src_mac, Field.Mac m ->
+            Ethernet.set_src buf l2 m;
+            both
+        | Field.Dst_mac, Field.Mac m ->
+            Ethernet.set_dst buf l2 m;
+            both
+        | ( ( Field.Src_ip | Field.Dst_ip | Field.Src_port | Field.Dst_port | Field.Ttl
+            | Field.Tos | Field.Src_mac | Field.Dst_mac ),
+            _ ) ->
+            assert false
+      in
+      apply_sets_from buf pr l2 l3 l4 both rest
+
 let apply_sets_incremental t sets =
   let l2 = l2_offset t in
   let l3 = l2 + Ethernet.header_size in
@@ -167,67 +252,10 @@ let apply_sets_incremental t sets =
      computed" — only the full re-sum can build it from scratch. *)
   if stored = 0 || stored_ip = 0 then false
   else begin
-    let csum = ref stored in
-    let ipc = ref stored_ip in
-    let upd16 ~old_word ~new_word =
-      csum := Checksum.incremental ~old_checksum:!csum ~old_word ~new_word
-    and upd32 ~old_word ~new_word =
-      csum := Checksum.incremental32 ~old_checksum:!csum ~old_word ~new_word
-    and ip16 ~old_word ~new_word =
-      ipc := Checksum.incremental ~old_checksum:!ipc ~old_word ~new_word
-    and ip32 ~old_word ~new_word =
-      ipc := Checksum.incremental32 ~old_checksum:!ipc ~old_word ~new_word
-    in
-    List.iter
-      (fun (field, value) ->
-        if not (Field.value_compatible field value) then
-          invalid_arg
-            (Format.asprintf "Packet.set_field: value %a incompatible with field %a"
-               Field.pp_value value Field.pp field);
-        match (field, value) with
-        | Field.Src_ip, Field.Ip a ->
-            (* Addresses sit in the IPv4 header and the L4 pseudo-header. *)
-            let old = Ipv4.get_src t.buf l3 in
-            upd32 ~old_word:old ~new_word:a;
-            ip32 ~old_word:old ~new_word:a;
-            Ipv4.set_src t.buf l3 a
-        | Field.Dst_ip, Field.Ip a ->
-            let old = Ipv4.get_dst t.buf l3 in
-            upd32 ~old_word:old ~new_word:a;
-            ip32 ~old_word:old ~new_word:a;
-            Ipv4.set_dst t.buf l3 a
-        | Field.Src_port, Field.Port p ->
-            upd16
-              ~old_word:
-                (match pr with Tcp -> Tcp.get_src_port t.buf l4 | Udp -> Udp.get_src_port t.buf l4)
-              ~new_word:p;
-            (match pr with Tcp -> Tcp.set_src_port t.buf l4 p | Udp -> Udp.set_src_port t.buf l4 p)
-        | Field.Dst_port, Field.Port p ->
-            upd16
-              ~old_word:
-                (match pr with Tcp -> Tcp.get_dst_port t.buf l4 | Udp -> Udp.get_dst_port t.buf l4)
-              ~new_word:p;
-            (match pr with Tcp -> Tcp.set_dst_port t.buf l4 p | Udp -> Udp.set_dst_port t.buf l4 p)
-        (* TTL and TOS are outside the pseudo-header (no L4 delta) but
-           inside the IPv4 header; each shares its 16-bit word with a
-           neighbouring byte.  MACs touch no checksum at all. *)
-        | Field.Ttl, Field.Int v ->
-            let old_word = Bytes_codec.get_u16 t.buf (l3 + 8) in
-            Ipv4.set_ttl t.buf l3 v;
-            ip16 ~old_word ~new_word:(Bytes_codec.get_u16 t.buf (l3 + 8))
-        | Field.Tos, Field.Int v ->
-            let old_word = Bytes_codec.get_u16 t.buf l3 in
-            Ipv4.set_tos t.buf l3 v;
-            ip16 ~old_word ~new_word:(Bytes_codec.get_u16 t.buf l3)
-        | Field.Src_mac, Field.Mac m -> Ethernet.set_src t.buf l2 m
-        | Field.Dst_mac, Field.Mac m -> Ethernet.set_dst t.buf l2 m
-        | ( ( Field.Src_ip | Field.Dst_ip | Field.Src_port | Field.Dst_port | Field.Ttl
-            | Field.Tos | Field.Src_mac | Field.Dst_mac ),
-            _ ) ->
-            assert false)
-      sets;
-    Bytes_codec.set_u16 t.buf csum_off (if !csum = 0 then 0xffff else !csum);
-    Bytes_codec.set_u16 t.buf (l3 + 10) (if !ipc = 0 then 0xffff else !ipc);
+    let both = apply_sets_from t.buf pr l2 l3 l4 ((stored lsl 16) lor stored_ip) sets in
+    let csum = both lsr 16 and ipc = both land 0xffff in
+    Bytes_codec.set_u16 t.buf csum_off (if csum = 0 then 0xffff else csum);
+    Bytes_codec.set_u16 t.buf (l3 + 10) (if ipc = 0 then 0xffff else ipc);
     true
   end
 
@@ -248,6 +276,11 @@ let ttl t = Ipv4.get_ttl t.buf (l3_offset t)
 let tcp_flags t =
   match proto t with
   | Tcp -> Tcp.get_flags t.buf (l4_offset t)
+  | Udp -> invalid_arg "Packet.tcp_flags: UDP packet"
+
+let tcp_flag_bits t =
+  match proto t with
+  | Tcp -> Tcp.get_flag_bits t.buf (l4_offset t)
   | Udp -> invalid_arg "Packet.tcp_flags: UDP packet"
 
 let payload_length t = t.len - payload_offset t

@@ -104,6 +104,10 @@ val ttl : t -> int
 val tcp_flags : t -> Tcp.Flags.t
 (** @raise Invalid_argument on UDP packets. *)
 
+val tcp_flag_bits : t -> int
+(** The raw flags byte (see {!Tcp.get_flag_bits}); allocation-free.
+    @raise Invalid_argument on UDP packets. *)
+
 (** {1 Payload} *)
 
 val payload_length : t -> int

@@ -62,7 +62,9 @@ let set_dst_port buf off v = Bytes_codec.set_u16 buf (off + 2) v
 
 let get_seq buf off = Bytes_codec.get_u32 buf (off + 4)
 
-let get_flags buf off = Flags.of_int (Bytes_codec.get_u8 buf (off + 13))
+let get_flag_bits buf off = Bytes_codec.get_u8 buf (off + 13)
+
+let get_flags buf off = Flags.of_int (get_flag_bits buf off)
 
 let set_flags buf off f = Bytes_codec.set_u8 buf (off + 13) (Flags.to_int f)
 

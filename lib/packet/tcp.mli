@@ -36,6 +36,11 @@ val set_src_port : bytes -> int -> int -> unit
 val get_dst_port : bytes -> int -> int
 val set_dst_port : bytes -> int -> int -> unit
 val get_flags : bytes -> int -> Flags.t
+
+val get_flag_bits : bytes -> int -> int
+(** The raw flags byte ([FIN] = 0x01, [SYN] = 0x02, [RST] = 0x04, [PSH] =
+    0x08, [ACK] = 0x10, [URG] = 0x20), without building a {!Flags.t}. *)
+
 val set_flags : bytes -> int -> Flags.t -> unit
 val get_seq : bytes -> int -> int32
 

@@ -6,7 +6,9 @@
 
 let frequency_ghz = 2.0
 
-let to_microseconds cycles = float_of_int cycles /. (frequency_ghz *. 1000.)
+let cycles_per_us = frequency_ghz *. 1000.
+
+let to_microseconds cycles = float_of_int cycles /. cycles_per_us
 
 let rate_mpps service_cycles =
   if service_cycles <= 0 then infinity else frequency_ghz *. 1000. /. float_of_int service_cycles

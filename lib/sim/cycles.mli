@@ -13,8 +13,11 @@
 val frequency_ghz : float
 (** 2.0, the paper's CPU frequency. *)
 
+val cycles_per_us : float
+(** [frequency_ghz *. 1000.]: cycles in one microsecond. *)
+
 val to_microseconds : int -> float
-(** [to_microseconds cycles] at {!frequency_ghz}. *)
+(** [to_microseconds cycles] at {!frequency_ghz}: [cycles /. cycles_per_us]. *)
 
 val rate_mpps : int -> float
 (** [rate_mpps service_cycles] is the packet rate a core sustains when each

@@ -7,13 +7,16 @@
    differential tests that compare accumulators sample-for-sample. *)
 let reservoir_cap = 1 lsl 16
 
+(* The exact aggregates live in an all-float record, which OCaml stores
+   flat: updating them writes raw doubles.  As mutable float fields of [t]
+   (a mixed record) every update would box a fresh float. *)
+type agg = { mutable sum : float; mutable lo : float; mutable hi : float }
+
 type t = {
   mutable data : float array;
   mutable len : int;  (* filled reservoir slots, <= reservoir_cap *)
   mutable seen : int;  (* samples offered over the accumulator's life *)
-  mutable sum : float;
-  mutable lo : float;
-  mutable hi : float;
+  agg : agg;
   mutable sorted : bool;
   mutable rng : int;  (* xorshift state for replacement draws *)
 }
@@ -23,9 +26,7 @@ let create () =
     data = Array.make 64 0.;
     len = 0;
     seen = 0;
-    sum = 0.;
-    lo = infinity;
-    hi = neg_infinity;
+    agg = { sum = 0.; lo = infinity; hi = neg_infinity };
     sorted = true;
     rng = 0x9e3779b9;
   }
@@ -40,22 +41,25 @@ let draw t bound =
   t.rng <- x land max_int;
   t.rng mod bound
 
-let store t x =
-  if t.len = Array.length t.data then begin
-    let bigger = Array.make (min reservoir_cap (2 * t.len)) 0. in
-    Array.blit t.data 0 bigger 0 t.len;
-    t.data <- bigger
-  end;
-  t.data.(t.len) <- x;
-  t.len <- t.len + 1;
-  t.sorted <- false
+let grow t =
+  let bigger = Array.make (min reservoir_cap (2 * t.len)) 0. in
+  Array.blit t.data 0 bigger 0 t.len;
+  t.data <- bigger
 
-let add t x =
+(* Inlined into every caller, so the sample reaches the float array and
+   the aggregates without ever being boxed. *)
+let[@inline] add t x =
   t.seen <- t.seen + 1;
-  t.sum <- t.sum +. x;
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x;
-  if t.len < reservoir_cap then store t x
+  let a = t.agg in
+  a.sum <- a.sum +. x;
+  if x < a.lo then a.lo <- x;
+  if x > a.hi then a.hi <- x;
+  if t.len < reservoir_cap then begin
+    if t.len = Array.length t.data then grow t;
+    Array.unsafe_set t.data t.len x;
+    t.len <- t.len + 1;
+    t.sorted <- false
+  end
   else begin
     let j = draw t t.seen in
     if j < reservoir_cap then begin
@@ -65,6 +69,8 @@ let add t x =
   end
 
 let add_int t x = add t (float_of_int x)
+
+let add_ratio t n d = add t (float_of_int n /. d)
 
 let count t = t.seen
 
@@ -76,11 +82,11 @@ let ensure_sorted t =
     t.sorted <- true
   end
 
-let mean t = if t.seen = 0 then nan else t.sum /. float_of_int t.seen
+let mean t = if t.seen = 0 then nan else t.agg.sum /. float_of_int t.seen
 
-let min_value t = if t.seen = 0 then nan else t.lo
+let min_value t = if t.seen = 0 then nan else t.agg.lo
 
-let max_value t = if t.seen = 0 then nan else t.hi
+let max_value t = if t.seen = 0 then nan else t.agg.hi
 
 let percentile t p =
   if t.len = 0 then nan
@@ -106,9 +112,10 @@ let median t = percentile t 50.
    which keeps the reservoir a fair-enough mixture without re-weighting. *)
 let absorb dst src =
   dst.seen <- dst.seen + src.seen;
-  dst.sum <- dst.sum +. src.sum;
-  if src.lo < dst.lo then dst.lo <- src.lo;
-  if src.hi > dst.hi then dst.hi <- src.hi;
+  let d = dst.agg and s = src.agg in
+  d.sum <- d.sum +. s.sum;
+  if s.lo < d.lo then d.lo <- s.lo;
+  if s.hi > d.hi then d.hi <- s.hi;
   if src.len > 0 then begin
     let fits = min src.len (reservoir_cap - dst.len) in
     if fits > 0 then begin

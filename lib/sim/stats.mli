@@ -15,6 +15,11 @@ val add : t -> float -> unit
 
 val add_int : t -> int -> unit
 
+val add_ratio : t -> int -> float -> unit
+(** [add_ratio t n d] is [add t (float_of_int n /. d)], with the quotient
+    formed here: a float computed by the caller is boxed on its way in,
+    while [n] and a preallocated [d] are not. *)
+
 val absorb : t -> t -> unit
 (** [absorb dst src] adds every sample of [src] to [dst] (leaving [src]
     untouched) — how per-shard accumulators merge into a run total. *)

@@ -181,6 +181,8 @@ let flow_entry fc tuple = Tuple_map.find_or_add fc.entries tuple ~default:fresh_
 
 let flow_find fc tuple = Tuple_map.find_opt fc.entries tuple
 
+let flow_find_or fc tuple ~default = Tuple_map.find_or fc.entries tuple ~default
+
 let flow_remove fc tuple = Tuple_map.remove fc.entries tuple
 
 let flow_replace fc tuple e = Tuple_map.replace fc.entries tuple e

@@ -109,6 +109,10 @@ val flow_entry : flow_cell -> Sb_flow.Five_tuple.t -> entry
 
 val flow_find : flow_cell -> Sb_flow.Five_tuple.t -> entry option
 
+val flow_find_or : flow_cell -> Sb_flow.Five_tuple.t -> default:entry -> entry
+(** The flow's entry, or [default] when it has none: {!flow_find} without
+    the option, for per-packet code (event conditions). *)
+
 val flow_remove : flow_cell -> Sb_flow.Five_tuple.t -> unit
 
 val flow_replace : flow_cell -> Sb_flow.Five_tuple.t -> entry -> unit

@@ -354,6 +354,78 @@ let test_differential_fin_midburst () =
         (observe_run ~chain_spec:"mazunat,monitor" ~burst trace))
     [ 8; 32 ]
 
+(* Regression: idle expiry firing mid-burst.  The prescan used to observe
+   conntrack for a whole segment before any liveness [touch]; when a touch
+   fired the timer wheel, expiry could forget a flow whose later packet
+   was already observed.  These two flows share FID 119999 in the
+   seed-16 DCN population (the edge-churn benchmark pass where the
+   divergence surfaced); replayed three times under a 2526-cycle timeout,
+   packet 1 of the second replay took the slow path in burst mode and the
+   fast path per packet. *)
+let test_expiry_midburst_replay () =
+  let flows =
+    Sb_trace.Workload.dcn_flows
+      {
+        Sb_trace.Workload.seed = 16;
+        n_flows = 20_000;
+        mean_flow_packets = 2.;
+        payload_len = (16, 128);
+        udp_fraction = 0.1;
+        malicious_fraction = 0.;
+        tokens = [];
+      }
+  in
+  let wanted =
+    [ Test_util.tuple ~src:"10.119.20.63" ~dst:"192.168.1.22" ~sport:38555 ~dport:110 ();
+      Test_util.tuple ~src:"10.243.62.254" ~dst:"192.168.1.21" ~sport:51366 ~dport:80 () ]
+  in
+  let packets =
+    flows
+    |> List.filter (fun f ->
+           List.exists (Sb_flow.Five_tuple.equal f.Sb_trace.Workload.tuple) wanted)
+    |> List.map (fun f ->
+           Sb_trace.Workload.packets_of_flow { f with Sb_trace.Workload.close = Stay_open })
+    |> Sb_trace.Workload.interleave (Sb_trace.Rng.create 17)
+    |> Sb_trace.Workload.with_poisson_times ~seed:16 ~rate_mpps:1.0
+    |> Array.of_list
+  in
+  Alcotest.(check int) "the two flows' packets" 11 (Array.length packets);
+  List.iter
+    (fun t -> Alcotest.(check int) "shared fid" 119999 (Sb_flow.Fid.of_tuple t))
+    wanted;
+  let shift = packets.(Array.length packets - 1).Packet.ingress_cycle + 2000 in
+  let make () =
+    Speedybox.Runtime.create
+      (Speedybox.Runtime.config ~idle_timeout_cycles:2526 ())
+      (build_chain "statefulfw,monitor,dosguard:200,gateway")
+  in
+  let by_burst = make () and by_packet = make () in
+  for pass = 0 to 2 do
+    let load p =
+      let c = Packet.copy p in
+      c.Packet.ingress_cycle <- c.Packet.ingress_cycle + (pass * shift);
+      c
+    in
+    let outs = Speedybox.Runtime.process_burst by_burst (Array.map load packets) in
+    Array.iteri
+      (fun k p ->
+        let b = outs.(k) and o = Speedybox.Runtime.process_packet by_packet (load p) in
+        let what = Printf.sprintf "pass %d packet %d" pass k in
+        Alcotest.(check bool)
+          (what ^ " path") true
+          (b.Speedybox.Runtime.path = o.Speedybox.Runtime.path);
+        Alcotest.(check bool)
+          (what ^ " verdict") true
+          (b.Speedybox.Runtime.verdict = o.Speedybox.Runtime.verdict);
+        Alcotest.(check bool)
+          (what ^ " bytes") true
+          (Packet.equal_wire b.Speedybox.Runtime.packet o.Speedybox.Runtime.packet))
+      packets
+  done;
+  Alcotest.(check string) "state digests"
+    (Speedybox.Chain.state_digest (Speedybox.Runtime.chain by_packet))
+    (Speedybox.Chain.state_digest (Speedybox.Runtime.chain by_burst))
+
 let test_process_burst_array () =
   let chain = build_chain "mazunat,monitor" in
   let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) chain in
@@ -415,6 +487,7 @@ let suite =
     Alcotest.test_case "process_burst array API" `Quick test_process_burst_array;
     Alcotest.test_case "non-TCP/UDP buckets under sentinel fid" `Quick test_non_tcp_udp_sentinel;
     Alcotest.test_case "burst < 1 rejected" `Quick test_run_trace_rejects_bad_burst;
+    Alcotest.test_case "burst = per-packet (expiry mid-burst)" `Quick test_expiry_midburst_replay;
   ]
   @ Test_util.qcheck_cases
       [

@@ -4,17 +4,24 @@
    [Global_mat] executes consolidated rules either as the flat compiled
    program (the production path) or by walking the source [step list]
    exactly as the pre-compilation executor did ([Interpreted]).  The two
-   must be indistinguishable: same verdicts, same wire bytes, same cycle
-   totals, same fired events, same final NF state — on every chain the
-   registry can compose and under eviction, expiry and mid-stream
-   events. *)
+   must be indistinguishable: same verdicts, same wire bytes, same cost
+   profiles stage by stage and item by item, same fired events, same final
+   NF state — on every chain the registry can compose and under eviction,
+   expiry, mid-stream events and injected faults.  The compiled path
+   counts serial programs into an int scratch and interns the resulting
+   stage; multi-batch waves, fired events and faults take the
+   list-building fallbacks, and both must match the interpreter. *)
 
-let run_pair ?idle_timeout_cycles ?max_rules build_chain trace =
+let pp_profile p = Format.asprintf "%a" Sb_sim.Cost_profile.pp p
+
+let run_pair ?idle_timeout_cycles ?max_rules ?make_injector ?(on_outputs = fun _ _ -> ())
+    build_chain trace =
   let make fastpath =
     let chain = build_chain () in
+    let injector = Option.map (fun f -> f ()) make_injector in
     let rt =
       Speedybox.Runtime.create
-        (Speedybox.Runtime.config ?idle_timeout_cycles ?max_rules ~fastpath ())
+        (Speedybox.Runtime.config ?idle_timeout_cycles ?max_rules ?injector ~fastpath ())
         chain
     in
     (chain, rt)
@@ -43,7 +50,14 @@ let run_pair ?idle_timeout_cycles ?max_rules build_chain trace =
       if out_i.Speedybox.Runtime.service_cycles <> out_c.Speedybox.Runtime.service_cycles
       then differ "service cycles";
       if out_i.Speedybox.Runtime.events_fired <> out_c.Speedybox.Runtime.events_fired then
-        differ "events fired")
+        differ "events fired";
+      if out_i.Speedybox.Runtime.profile <> out_c.Speedybox.Runtime.profile then
+        differ
+          (Printf.sprintf "profile (%s vs %s)"
+             (pp_profile out_i.Speedybox.Runtime.profile)
+             (pp_profile out_c.Speedybox.Runtime.profile));
+      if out_i.Speedybox.Runtime.faults <> out_c.Speedybox.Runtime.faults then differ "faults";
+      on_outputs out_i out_c)
     trace;
   let digest_i = Speedybox.Chain.state_digest chain_i in
   let digest_c = Speedybox.Chain.state_digest chain_c in
@@ -105,6 +119,7 @@ let test_maglev_event () =
   let lb_c, chain_c, rt_c = make Sb_mat.Global_mat.Compiled in
   let trace = List.init 12 (fun i -> Test_util.udp_packet ~payload:(string_of_int i) ()) in
   let tuple = Test_util.tuple ~proto:17 ~dport:53 () in
+  let fired = ref 0 in
   List.iteri
     (fun i p ->
       if i = 6 then begin
@@ -113,6 +128,7 @@ let test_maglev_event () =
       end;
       let out_i = Speedybox.Runtime.process_packet rt_i (Sb_packet.Packet.copy p) in
       let out_c = Speedybox.Runtime.process_packet rt_c (Sb_packet.Packet.copy p) in
+      if out_c.Speedybox.Runtime.events_fired > 0 then incr fired;
       Alcotest.(check bool)
         (Printf.sprintf "packet %d identical" i)
         true
@@ -120,8 +136,13 @@ let test_maglev_event () =
         && out_i.Speedybox.Runtime.latency_cycles = out_c.Speedybox.Runtime.latency_cycles
         && out_i.Speedybox.Runtime.events_fired = out_c.Speedybox.Runtime.events_fired
         && Sb_packet.Packet.equal_wire out_i.Speedybox.Runtime.packet
-             out_c.Speedybox.Runtime.packet))
+             out_c.Speedybox.Runtime.packet);
+      Alcotest.(check string)
+        (Printf.sprintf "packet %d profile" i)
+        (pp_profile out_i.Speedybox.Runtime.profile)
+        (pp_profile out_c.Speedybox.Runtime.profile))
     trace;
+  Alcotest.(check bool) "an event fired on the fast path" true (!fired > 0);
   Alcotest.(check string) "state digests equal"
     (Speedybox.Chain.state_digest chain_i)
     (Speedybox.Chain.state_digest chain_c)
@@ -155,6 +176,66 @@ let test_idle_expiry () =
   in
   check_identical "idle expiry"
     (run_pair ~idle_timeout_cycles:100_000 build_chain trace)
+
+let registry name =
+  match Sb_experiments.Chain_registry.build name with
+  | Ok build -> build
+  | Error msg -> Alcotest.fail msg
+
+let dcn_trace ~seed =
+  Sb_trace.Workload.dcn_trace
+    {
+      Sb_trace.Workload.seed;
+      n_flows = 20;
+      mean_flow_packets = 8.;
+      payload_len = (16, 256);
+      udp_fraction = 0.2;
+      malicious_fraction = 0.;
+      tokens = [];
+    }
+
+let has_parallel_item (out : Speedybox.Runtime.output) =
+  List.exists
+    (fun (st : Sb_sim.Cost_profile.stage) ->
+      List.exists
+        (function Sb_sim.Cost_profile.Parallel _ -> true | Sb_sim.Cost_profile.Serial _ -> false)
+        st.Sb_sim.Cost_profile.items)
+    out.Speedybox.Runtime.profile
+
+(* The paper's Chain 2 puts Snort (payload READ) and Monitor (IGNORE) in
+   one two-batch wave: its fast path carries a [Parallel] item, the
+   compiled executor's list-building fallback. *)
+let test_parallel_wave_profiles () =
+  let parallel = ref 0 in
+  let on_outputs _ (out_c : Speedybox.Runtime.output) =
+    if out_c.Speedybox.Runtime.path = Speedybox.Runtime.Fast_path && has_parallel_item out_c
+    then incr parallel
+  in
+  check_identical "chain2" (run_pair ~on_outputs (registry "chain2") (dcn_trace ~seed:4));
+  Alcotest.(check bool) "fast-path packets ran a two-batch wave" true (!parallel > 0)
+
+(* Injected corrupt-verdict and stall faults on the fast path: flipped
+   verdicts and the extra [InjectedStall] stage must agree too. *)
+let test_injected_fault_profiles () =
+  let make_injector () =
+    let inj = Sb_fault.Injector.create ~stall_cycles:7_000 ~seed:9 () in
+    Sb_fault.Injector.set_rate inj ~nf:"monitor" Sb_fault.Injector.Stall 0.05;
+    Sb_fault.Injector.set_rate inj ~nf:"mazunat" Sb_fault.Injector.Corrupt_verdict 0.03;
+    inj
+  in
+  let stalled = ref 0 in
+  let on_outputs _ (out_c : Speedybox.Runtime.output) =
+    if
+      out_c.Speedybox.Runtime.path = Speedybox.Runtime.Fast_path
+      && List.exists
+           (fun (st : Sb_sim.Cost_profile.stage) ->
+             String.equal st.Sb_sim.Cost_profile.label "InjectedStall")
+           out_c.Speedybox.Runtime.profile
+    then incr stalled
+  in
+  check_identical "chain1 under injected faults"
+    (run_pair ~make_injector ~on_outputs (registry "chain1") (dcn_trace ~seed:6));
+  Alcotest.(check bool) "a fast-path packet stalled" true (!stalled > 0)
 
 (* Randomized chain compositions from the registry, including payload-
    writing and dropping NFs, events and malicious payloads. *)
@@ -227,5 +308,7 @@ let suite =
     Alcotest.test_case "maglev event differential" `Quick test_maglev_event;
     Alcotest.test_case "lru churn differential" `Quick test_lru_churn;
     Alcotest.test_case "idle expiry differential" `Quick test_idle_expiry;
+    Alcotest.test_case "two-batch wave profiles" `Quick test_parallel_wave_profiles;
+    Alcotest.test_case "injected fault profiles" `Quick test_injected_fault_profiles;
   ]
   @ Test_util.qcheck_cases [ prop_random_chains_identical; prop_random_churn_identical ]
