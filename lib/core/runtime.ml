@@ -86,20 +86,27 @@ type t = {
   mutable memo_fid : int;
   mutable memo_gen : int;
   mutable memo_rule : Sb_mat.Global_mat.rule;
-  (* Quiet fast-path profiles [Classifier; GlobalMAT] with their platform
-     costs, keyed by the physical identity of the (interned) GlobalMAT
-     stage, filled round-robin. *)
-  profile_stages : Sb_sim.Cost_profile.stage array;
-  profiles : Sb_sim.Cost_profile.t array;
-  profile_latency : int array;
-  profile_service : int array;
+  profiles : profile_memo array;
+      (* quiet fast-path profiles, keyed by the physical identity of the
+         shared GlobalMAT stage, filled round-robin *)
   mutable profile_next : int;
 }
 
-let profile_memo_size = 8
+(* One two-stage profile [Classifier; GlobalMAT] with its platform costs. *)
+and profile_memo = {
+  stage : Sb_sim.Cost_profile.stage;
+  profile : Sb_sim.Cost_profile.t;
+  latency : int;
+  service : int;
+}
+
+(* Only [shared] stages reach the memo, and the benchmark's chains have
+   one per table, so a few entries suffice; the scan is linear. *)
+let profile_memo_size = 4
 
 (* Never matches: the Global MAT's stages are its own values. *)
-let no_stage = Sb_sim.Cost_profile.stage "GlobalMAT" []
+let no_profile =
+  { stage = Sb_sim.Cost_profile.stage "GlobalMAT" []; profile = []; latency = 0; service = 0 }
 
 (* A Failed NF invalidates every consolidated rule embedding its closures:
    tear the whole fast path down (flows re-record under the failure
@@ -232,10 +239,7 @@ let create cfg chain =
       memo_fid = -1;
       memo_gen = -1;
       memo_rule = Sb_mat.Global_mat.no_rule;
-      profile_stages = Array.make profile_memo_size no_stage;
-      profiles = Array.make profile_memo_size [];
-      profile_latency = Array.make profile_memo_size 0;
-      profile_service = Array.make profile_memo_size 0;
+      profiles = Array.make profile_memo_size no_profile;
       profile_next = 0;
     }
   in
@@ -598,36 +602,36 @@ let draw_injections t =
     t.nf_names;
   { injected = !injected; corrupts = !corrupts; stalls = !stalls; raised = !raised }
 
-let rec profile_slot stages stage i =
-  if i = profile_memo_size then -1
-  else if Array.unsafe_get stages i == stage then i
-  else profile_slot stages stage (i + 1)
+let rec profile_find memo stage i =
+  if i = profile_memo_size then no_profile
+  else
+    let m = Array.unsafe_get memo i in
+    if m.stage == stage then m else profile_find memo stage (i + 1)
 
 (* The output of a quiet fast-path packet whose profile is exactly
-   [well_formed_classifier_stage; stage]: the list and its platform costs come
-   from the memo, so the packet allocates only its output record. *)
+   [well_formed_classifier_stage; stage], for a [shared] stage: the list
+   and its platform costs come from the memo, so the packet allocates only
+   its output record. *)
 let finish_fast t verdict packet stage events_fired faults =
-  let i =
-    match profile_slot t.profile_stages stage 0 with
-    | -1 ->
-        let i = t.profile_next in
-        t.profile_next <- (i + 1) land (profile_memo_size - 1);
-        let profile = [ well_formed_classifier_stage; stage ] in
-        let latency, service = Sb_sim.Platform.latency_and_service t.cfg.platform profile in
-        t.profile_stages.(i) <- stage;
-        t.profiles.(i) <- profile;
-        t.profile_latency.(i) <- latency;
-        t.profile_service.(i) <- service;
-        i
-    | i -> i
+  let m =
+    let m = profile_find t.profiles stage 0 in
+    if m != no_profile then m
+    else begin
+      let profile = [ well_formed_classifier_stage; stage ] in
+      let latency, service = Sb_sim.Platform.latency_and_service t.cfg.platform profile in
+      let m = { stage; profile; latency; service } in
+      t.profiles.(t.profile_next) <- m;
+      t.profile_next <- (t.profile_next + 1) land (profile_memo_size - 1);
+      m
+    end
   in
   {
     verdict;
     packet;
-    profile = Array.unsafe_get t.profiles i;
+    profile = m.profile;
     path = Fast_path;
-    latency_cycles = Array.unsafe_get t.profile_latency i;
-    service_cycles = Array.unsafe_get t.profile_service i;
+    latency_cycles = m.latency;
+    service_cycles = m.service;
     events_fired;
     faults;
   }
@@ -698,7 +702,10 @@ let process_with_rule t packet cls rule =
                     (inj.stalls * Sb_fault.Supervisor.stall_cycles t.sup);
                 ]
                 Fast_path events_fired n_injected
-            else if classifier_stage == well_formed_classifier_stage then
+            else if
+              result.Sb_mat.Global_mat.shared
+              && classifier_stage == well_formed_classifier_stage
+            then
               finish_fast t verdict packet stage events_fired n_injected
             else
               finish t verdict packet [ classifier_stage; stage ] Fast_path events_fired

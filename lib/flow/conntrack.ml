@@ -37,14 +37,6 @@ let verdict state ~established_now ~final =
     lor (if established_now then 2 else 0)
     lor if final then 1 else 0)
 
-let fin_bit = 0x01
-
-let syn_bit = 0x02
-
-let rst_bit = 0x04
-
-let ack_bit = 0x10
-
 (* The 13-byte tuple is hashed exactly once per observation ([observe_h]
    lets the classifier share the hash it computed for the FID, so the
    packet's whole admission costs one FNV pass); the steady-state path then
@@ -61,8 +53,8 @@ let observe_h t ~hash key p =
       verdict Established ~established_now:fresh ~final:false
   | Packet.Tcp ->
       let flags = Packet.tcp_flag_bits p in
-      let syn = flags land syn_bit <> 0 and ack = flags land ack_bit <> 0 in
-      let final = flags land (fin_bit lor rst_bit) <> 0 in
+      let syn = flags land Tcp.syn_bit <> 0 and ack = flags land Tcp.ack_bit <> 0 in
+      let final = flags land (Tcp.fin_bit lor Tcp.rst_bit) <> 0 in
       let prev = if fresh then Closing else Tuple_map.value_at t s in
       let next =
         if final then Closing

@@ -9,13 +9,12 @@ type step =
 (* The compiled form: a flat instruction array the per-packet executor
    walks with no list traversal, no plan indexing and no cost recomputation.
    Each wave group is pre-resolved into one [C_wave] per wave, the plan's
-   indices already applied; each transform carries its cost item built once
-   at consolidation time. *)
+   indices already applied; each transform carries its cycle cost computed
+   once at consolidation time. *)
 type cstep =
   | C_transform of {
       c : Consolidate.t;
       cost : int;
-      item : Sb_sim.Cost_profile.item;  (* [Serial cost], for the list-building path *)
       incr_ok : bool;
           (* no Write-mode batch runs before this transform, so the stored
              L4 checksum still matches the bytes and the RFC 1624
@@ -76,6 +75,7 @@ type fast_result = {
   verdict : Header_action.verdict;
   stage : Sb_sim.Cost_profile.stage;
   events_fired : int;
+  shared : bool;
 }
 
 type t = {
@@ -116,7 +116,13 @@ type t = {
   mutable spare_len : int;
 }
 
-let intern_slots = 64
+(* A chain whose fast path does no payload-dependent work has a handful of
+   quiet cost sequences: measured on the benchmark's chains, one per table.
+   Sixteen slots keep a few apart (verdicts, armed-event counts).  A chain
+   whose costs follow the payload (Snort) has thousands and misses at any
+   size this table could afford; a miss costs a hash and a slot write on
+   top of the allocation it would have made anyway. *)
+let intern_slots = 16
 
 let gmat_label = "GlobalMAT"
 
@@ -126,6 +132,7 @@ let no_result =
     verdict = Header_action.Forwarded;
     stage = Sb_sim.Cost_profile.stage gmat_label [];
     events_fired = 0;
+    shared = false;
   }
 
 let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
@@ -267,7 +274,7 @@ let build_steps policy per_nf =
 (* Flatten the step list into the executable program.  This is the one-time
    slow-path work that buys the per-packet savings: plan indices resolve to
    batch arrays here (killing the per-packet [List.nth]), and each
-   transform's cycle cost becomes a preallocated profile item. *)
+   transform's cycle cost is computed once. *)
 let compile ~n_source_actions steps =
   let rev_code = ref [] in
   let transforms = ref 0 in
@@ -277,10 +284,7 @@ let compile ~n_source_actions steps =
       | Transform c ->
           incr transforms;
           let cost = Consolidate.cost c in
-          rev_code :=
-            C_transform
-              { c; cost; item = Sb_sim.Cost_profile.Serial cost; incr_ok = not !payload_written }
-            :: !rev_code
+          rev_code := C_transform { c; cost; incr_ok = not !payload_written } :: !rev_code
       | Waves { batches; plan } ->
           let arr = Array.of_list batches in
           List.iter
@@ -367,8 +371,10 @@ let consolidate t fid locals =
 let find t fid = Sb_flow.Flow_table.find t.rules fid
 
 (* The answer [lookup] gives on a miss, so per-packet resolution carries
-   no option.  Never installed in a table and never executed; its node
-   belongs to a private list of its own. *)
+   no option.  Never installed in a table.  Its node is a handle allocated
+   from a throwaway list, and handles are plain ints, so it names a live
+   slot in any real table's LRU: [execute_rule] refuses the sentinel rather
+   than touch that slot. *)
 let no_rule =
   {
     steps = [];
@@ -523,12 +529,12 @@ let run_program t code packet =
   let rev_items = ref [] in
   for i = 0 to Array.length code - 1 do
     match Array.unsafe_get code i with
-    | C_transform { c; item; incr_ok; _ } ->
+    | C_transform { c; cost; incr_ok } ->
         let apply = if incr_ok then Consolidate.apply_incremental else Consolidate.apply in
         (match apply c packet with
         | Header_action.Dropped -> verdict := Header_action.Dropped
         | Header_action.Forwarded -> ());
-        rev_items := item :: !rev_items
+        rev_items := Sb_sim.Cost_profile.Serial cost :: !rev_items
     | C_wave batches -> rev_items := run_wave_compiled t batches packet :: !rev_items
   done;
   (!verdict, !rev_items)
@@ -653,7 +659,7 @@ let run_program_serial code packet cycles =
   for i = 0 to Array.length code - 1 do
     let cost =
       match Array.unsafe_get code i with
-      | C_transform { c; cost; incr_ok; _ } ->
+      | C_transform { c; cost; incr_ok } ->
           let v =
             if incr_ok then Consolidate.apply_incremental c packet else Consolidate.apply c packet
           in
@@ -686,19 +692,28 @@ let rec serial_items cycles i acc =
 (* The quiet fast-path result for [cycles.(0 .. n-1)] and [verdict]: the
    cached one when an earlier packet produced the same, otherwise a fresh
    one that replaces the slot's occupant.  Results are immutable, so
-   sharing one across packets and flows is safe. *)
+   sharing one across packets and flows is safe.  A fresh result is
+   [shared = false]; the first hit swaps in a [shared] copy, so callers
+   that memoise by identity only ever see results that have recurred. *)
 let intern_result t cycles n verdict =
   let seed = match verdict with Header_action.Forwarded -> 1 | Header_action.Dropped -> 2 in
   let h = hash_cycles cycles n 0 seed in
   let slot = (h lxor (h lsr 29)) land (intern_slots - 1) in
   let r = Array.unsafe_get t.interned slot in
-  if r.verdict = verdict && items_match cycles n 0 r.stage.Sb_sim.Cost_profile.items then r
+  if r.verdict = verdict && items_match cycles n 0 r.stage.Sb_sim.Cost_profile.items then
+    if r.shared then r
+    else begin
+      let r = { r with shared = true } in
+      Array.unsafe_set t.interned slot r;
+      r
+    end
   else begin
     let r =
       {
         verdict;
         stage = Sb_sim.Cost_profile.stage gmat_label (serial_items cycles (n - 1) []);
         events_fired = 0;
+        shared = false;
       }
     in
     Array.unsafe_set t.interned slot r;
@@ -706,6 +721,7 @@ let intern_result t cycles n verdict =
   end
 
 let execute_rule ?egress_item t events locals fid rule packet =
+  if rule == no_rule then invalid_arg "Global_mat.execute_rule: no_rule";
   let armed = Event_table.poll_armed events fid in
   let fired = Event_table.last_fired events in
   let event_cycles = armed * Sb_sim.Cycles.event_check in
@@ -754,6 +770,7 @@ let execute_rule ?egress_item t events locals fid rule packet =
           Sb_sim.Cost_profile.stage gmat_label
             (Sb_sim.Cost_profile.Serial head :: List.rev rev_items);
         events_fired;
+        shared = false;
       }
 
 let execute ?egress_item t events locals fid packet =

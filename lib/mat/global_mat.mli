@@ -94,7 +94,8 @@ val find : t -> Sb_flow.Fid.t -> rule option
 
 val no_rule : rule
 (** The sentinel {!lookup} returns for a flow without a rule; compare with
-    [==].  It is never installed and must never be executed. *)
+    [==].  It is never installed; {!execute_rule} raises [Invalid_argument]
+    when handed it. *)
 
 val lookup : t -> Sb_flow.Fid.t -> rule
 (** {!find} without the option: the flow's rule, or {!no_rule}.  The
@@ -153,6 +154,12 @@ type fast_result = {
       (** the Global MAT stage's cost items: lookup, event checks, the
           consolidated header action and one item per state-function wave *)
   events_fired : int;
+  shared : bool;
+      (** [stage] is a cached value that an earlier packet's execution
+          already returned, so later packets are likely to return it again.
+          False for a result built fresh: the first packet with a given
+          cost sequence, and every packet of a multi-batch [Parallel] wave
+          or of [Interpreted] mode. *)
 }
 
 val execute_rule :
@@ -171,7 +178,8 @@ val execute_rule :
     [rule] in place) before the packet is processed, so the update takes
     effect immediately (§III).  [egress_item], when given, is appended to
     the stage's cost items for forwarded packets only (dropped packets
-    release their descriptor without paying egress work). *)
+    release their descriptor without paying egress work).  Raises
+    [Invalid_argument] when [rule] is {!no_rule}. *)
 
 val execute :
   ?egress_item:Sb_sim.Cost_profile.item ->

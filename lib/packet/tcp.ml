@@ -1,5 +1,17 @@
 let header_size = 20
 
+let fin_bit = 0x01
+
+let syn_bit = 0x02
+
+let rst_bit = 0x04
+
+let psh_bit = 0x08
+
+let ack_bit = 0x10
+
+let urg_bit = 0x20
+
 module Flags = struct
   type t = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool; urg : bool }
 
@@ -16,21 +28,21 @@ module Flags = struct
   let rst = { none with rst = true }
 
   let to_int { syn; ack; fin; rst; psh; urg } =
-    (if fin then 0x01 else 0)
-    lor (if syn then 0x02 else 0)
-    lor (if rst then 0x04 else 0)
-    lor (if psh then 0x08 else 0)
-    lor (if ack then 0x10 else 0)
-    lor if urg then 0x20 else 0
+    (if fin then fin_bit else 0)
+    lor (if syn then syn_bit else 0)
+    lor (if rst then rst_bit else 0)
+    lor (if psh then psh_bit else 0)
+    lor (if ack then ack_bit else 0)
+    lor if urg then urg_bit else 0
 
   let of_int v =
     {
-      fin = v land 0x01 <> 0;
-      syn = v land 0x02 <> 0;
-      rst = v land 0x04 <> 0;
-      psh = v land 0x08 <> 0;
-      ack = v land 0x10 <> 0;
-      urg = v land 0x20 <> 0;
+      fin = v land fin_bit <> 0;
+      syn = v land syn_bit <> 0;
+      rst = v land rst_bit <> 0;
+      psh = v land psh_bit <> 0;
+      ack = v land ack_bit <> 0;
+      urg = v land urg_bit <> 0;
     }
 
   let pp fmt t =

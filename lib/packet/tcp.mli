@@ -2,6 +2,15 @@
 
 val header_size : int
 
+(** The control flags' bits in the raw flags byte. *)
+
+val fin_bit : int
+val syn_bit : int
+val rst_bit : int
+val psh_bit : int
+val ack_bit : int
+val urg_bit : int
+
 (** TCP control flags as a record of booleans. *)
 module Flags : sig
   type t = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool; urg : bool }
@@ -38,8 +47,8 @@ val set_dst_port : bytes -> int -> int -> unit
 val get_flags : bytes -> int -> Flags.t
 
 val get_flag_bits : bytes -> int -> int
-(** The raw flags byte ([FIN] = 0x01, [SYN] = 0x02, [RST] = 0x04, [PSH] =
-    0x08, [ACK] = 0x10, [URG] = 0x20), without building a {!Flags.t}. *)
+(** The raw flags byte (bits {!fin_bit} ... {!urg_bit}), without building
+    a {!Flags.t}. *)
 
 val set_flags : bytes -> int -> Flags.t -> unit
 val get_seq : bytes -> int -> int32

@@ -44,7 +44,10 @@ let steady_trace () =
   |> List.filter (fun p ->
          match P.proto p with
          | P.Udp -> true
-         | P.Tcp -> P.tcp_flag_bits p land 0x07 = 0 (* no FIN, SYN or RST *))
+         | P.Tcp ->
+             P.tcp_flag_bits p
+             land Sb_packet.Tcp.(fin_bit lor syn_bit lor rst_bit)
+             = 0)
   |> Array.of_list
 
 type run = {

@@ -239,6 +239,48 @@ let test_execute_runs_batches_and_counts () =
   Alcotest.(check bool) "unknown fid yields none" true
     (Global_mat.execute global events mats 99 p = None)
 
+let test_execute_rule_rejects_no_rule () =
+  let a, _, mats = chain_mats () in
+  Local_mat.add_header_action a 1 Header_action.Forward;
+  let global = Global_mat.create () in
+  ignore (Global_mat.consolidate global 1 mats);
+  let p = Test_util.tcp_packet () in
+  Alcotest.(check bool) "lookup misses to the sentinel" true
+    (Global_mat.lookup global 99 == Global_mat.no_rule);
+  Alcotest.check_raises "sentinel refused"
+    (Invalid_argument "Global_mat.execute_rule: no_rule") (fun () ->
+      ignore
+        (Global_mat.execute_rule global (Event_table.create ()) mats 99 Global_mat.no_rule p))
+
+(* A quiet serial result is fresh on its first packet, swapped for a shared
+   copy on its first recurrence and then handed out as that one value; a
+   multi-batch wave's result is always fresh. *)
+let test_execute_shares_recurring_results () =
+  let a, b, mats = chain_mats () in
+  Local_mat.add_header_action a 1 Header_action.Forward;
+  Local_mat.add_state_function a 1 (sf ~nf:"a" ());
+  Local_mat.add_header_action a 2 Header_action.Forward;
+  Local_mat.add_state_function a 2 (sf ~nf:"a" ~mode:State_function.Read ());
+  Local_mat.add_state_function b 2 (sf ~nf:"b" ());
+  let global = Global_mat.create () in
+  let events = Event_table.create () in
+  ignore (Global_mat.consolidate global 1 [ a ]);
+  ignore (Global_mat.consolidate global 2 mats);
+  let run fid = Option.get (Global_mat.execute global events mats fid (Test_util.tcp_packet ())) in
+  let r1 = run 1 in
+  let r2 = run 1 in
+  let r3 = run 1 in
+  Alcotest.(check bool) "first fresh" false r1.Global_mat.shared;
+  Alcotest.(check bool) "recurrence shared" true r2.Global_mat.shared;
+  Alcotest.(check bool) "then one value" true (r2 == r3);
+  Alcotest.(check bool) "same stage contents" true
+    (r1.Global_mat.stage = r2.Global_mat.stage);
+  Alcotest.(check (list (list int))) "flow 2 runs a two-batch wave" [ [ 0; 1 ] ]
+    (Global_mat.rule_plan (Option.get (Global_mat.find global 2)));
+  let w1 = run 2 and w2 = run 2 in
+  Alcotest.(check bool) "wave results never shared" false
+    (w1.Global_mat.shared || w2.Global_mat.shared || w1 == w2)
+
 let test_execute_event_rewrites_rule () =
   let a, _, mats = chain_mats () in
   let threshold_hit = ref false in
@@ -324,6 +366,8 @@ let suite =
     Alcotest.test_case "consolidation merges locals" `Quick test_consolidation_merges_locals;
     Alcotest.test_case "drop keeps upstream batches" `Quick test_drop_rule_keeps_upstream_batches;
     Alcotest.test_case "execute runs batches" `Quick test_execute_runs_batches_and_counts;
+    Alcotest.test_case "execute_rule refuses no_rule" `Quick test_execute_rule_rejects_no_rule;
+    Alcotest.test_case "recurring results shared" `Quick test_execute_shares_recurring_results;
     Alcotest.test_case "event rewrites rule mid-stream" `Quick test_execute_event_rewrites_rule;
     Alcotest.test_case "wave snapshot semantics" `Quick test_wave_snapshot_semantics;
     Alcotest.test_case "global mat removal" `Quick test_global_mat_removal;
