@@ -93,3 +93,29 @@ let pp fmt t =
   Format.fprintf fmt "%a:%d -> %a:%d/%s" Ipv4_addr.pp t.src_ip t.src_port Ipv4_addr.pp
     t.dst_ip t.dst_port
     (match t.proto with 6 -> "tcp" | 17 -> "udp" | p -> string_of_int p)
+
+(* [pp]'s characters, one at a time: decimal numbers most significant
+   digit first, addresses as dotted quads. *)
+let rec fold_digits f acc n =
+  let acc = if n < 10 then acc else fold_digits f acc (n / 10) in
+  f acc (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let fold_int f acc n =
+  if n < 0 then String.fold_left f acc (string_of_int n) else fold_digits f acc n
+
+let fold_addr f acc a =
+  let x = Int32.to_int a land 0xffff_ffff in
+  let acc = f (fold_digits f acc (x lsr 24)) '.' in
+  let acc = f (fold_digits f acc ((x lsr 16) land 0xff)) '.' in
+  let acc = f (fold_digits f acc ((x lsr 8) land 0xff)) '.' in
+  fold_digits f acc (x land 0xff)
+
+let fold_printed f acc t =
+  let acc = f (fold_addr f acc t.src_ip) ':' in
+  let acc = String.fold_left f (fold_int f acc t.src_port) " -> " in
+  let acc = f (fold_addr f acc t.dst_ip) ':' in
+  let acc = f (fold_int f acc t.dst_port) '/' in
+  match t.proto with
+  | 6 -> String.fold_left f acc "tcp"
+  | 17 -> String.fold_left f acc "udp"
+  | p -> fold_int f acc p

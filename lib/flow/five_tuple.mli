@@ -45,3 +45,8 @@ val of_packed : int -> int -> t
     packed form (used on cold paths such as idle expiry). *)
 
 val pp : Format.formatter -> t -> unit
+
+val fold_printed : ('a -> char -> 'a) -> 'a -> t -> 'a
+(** [fold_printed f acc t] folds [f] over the characters {!pp} prints for
+    [t], left to right, without building the string: a hash of the
+    printed form costs no allocation. *)

@@ -9,55 +9,104 @@ type t = {
 
 let forward = { drop = false; pops = []; pushes = []; sets = [] }
 
-let canonical_sets sets =
-  (* Keep the last write per field, then order main fields before auxiliary
-     ones (the paper applies checksum/TTL/MAC-style fields at the end). *)
-  let last_writes =
-    List.fold_left
-      (fun acc (f, v) -> (f, v) :: List.filter (fun (f', _) -> not (Field.equal f f')) acc)
-      [] sets
-  in
-  let ordered = List.sort (fun (f1, _) (f2, _) -> Field.compare f1 f2) last_writes in
-  let main, aux = List.partition (fun (f, _) -> not (Field.is_auxiliary f)) ordered in
-  main @ aux
+(* Insert one write into a list sorted by field, replacing an earlier
+   write to the same field.  Field order puts the main fields before the
+   auxiliary ones (the paper applies checksum/TTL/MAC-style fields at the
+   end), so sorted order is the canonical order. *)
+let rec insert_set ((f, _) as w) = function
+  | [] -> [ w ]
+  | ((f', _) as w') :: rest ->
+      let c = Field.compare f f' in
+      if c < 0 then w :: w' :: rest
+      else if c = 0 then w :: rest
+      else w' :: insert_set w rest
 
-let of_actions actions =
-  let drop = ref false in
-  let pops = ref [] (* reversed: first pop at head after final rev *) in
-  let pushes = ref [] (* stack: head = top = outermost pending push *) in
-  let sets = ref [] in
-  let consume action =
-    if not !drop then
-      match action with
-      | Header_action.Forward -> ()
-      | Header_action.Drop -> drop := true
-      | Header_action.Modify s -> sets := !sets @ s
-      | Header_action.Encap h -> pushes := h :: !pushes
-      | Header_action.Decap h -> (
-          match !pushes with
-          | top :: rest when Encap_header.equal top h ->
-              (* An encap earlier in the chain cancels this decap. *)
-              pushes := rest
-          | _ :: _ ->
-              invalid_arg
-                (Format.asprintf
-                   "Consolidate.of_actions: decap %a does not match pending encap"
-                   Encap_header.pp h)
-          | [] ->
-              (* Pops a header the packet carried before entering the chain. *)
-              pops := h :: !pops)
+let rec insert_sets acc = function [] -> acc | w :: rest -> insert_sets (insert_set w acc) rest
+
+(* The Modify payloads come newest first: recurse before inserting so
+   later writes replace earlier ones. *)
+let rec canonical_sets = function
+  | [] -> []
+  | s :: older -> insert_sets (canonical_sets older) s
+
+type run = {
+  mutable r_drop : bool;
+  mutable r_pops : Encap_header.t list;  (* reversed: first pop last *)
+  mutable r_pushes : Encap_header.t list;  (* stack: head = outermost pending push *)
+  mutable r_sets : (Field.t * Field.value) list list;  (* Modify payloads, newest first *)
+  mutable below : Encap_header.t list;
+      (* pushes earlier runs left pending, top first: a decap the run
+         cannot cancel itself must match these *)
+}
+
+let run () = { r_drop = false; r_pops = []; r_pushes = []; r_sets = []; below = [] }
+
+let mismatch h =
+  invalid_arg
+    (Format.asprintf "Consolidate.of_actions: decap %a does not match pending encap"
+       Encap_header.pp h)
+
+let add r action =
+  if not r.r_drop then
+    match action with
+    | Header_action.Forward -> ()
+    | Header_action.Drop -> r.r_drop <- true
+    | Header_action.Modify s -> r.r_sets <- s :: r.r_sets
+    | Header_action.Encap h -> r.r_pushes <- h :: r.r_pushes
+    | Header_action.Decap h -> (
+        match r.r_pushes with
+        | top :: rest ->
+            (* An encap earlier in the run cancels this decap. *)
+            if Encap_header.equal top h then r.r_pushes <- rest else mismatch h
+        | [] -> (
+            (* For the run, this pops a header the packet carried on
+               entering it; an earlier run's pending encap cancels it for
+               the chain as a whole. *)
+            r.r_pops <- h :: r.r_pops;
+            match r.below with
+            | top :: rest -> if Encap_header.equal top h then r.below <- rest else mismatch h
+            | [] -> ()))
+
+let run_drops r = r.r_drop
+
+let cut r =
+  let sets = canonical_sets r.r_sets in
+  let t =
+    if (not r.r_drop) && r.r_pops = [] && r.r_pushes = [] && sets = [] then forward
+    else { drop = r.r_drop; pops = List.rev r.r_pops; pushes = List.rev r.r_pushes; sets }
   in
-  List.iter consume actions;
-  (* A dropping rule keeps the transformation accumulated up to the drop:
-     the state functions of upstream NFs must observe the packet as they
-     did on the original path (e.g. a monitor downstream of a NAT counts
-     the rewritten tuple), even though the packet is then discarded. *)
-  {
-    drop = !drop;
-    pops = List.rev !pops;
-    pushes = List.rev !pushes (* push order: first-encapped first *);
-    sets = canonical_sets !sets;
-  }
+  (match r.r_pushes with [] -> () | pushes -> r.below <- pushes @ r.below);
+  r.r_drop <- false;
+  r.r_pops <- [];
+  r.r_pushes <- [];
+  r.r_sets <- [];
+  t
+
+let reset r =
+  ignore (cut r);
+  r.below <- []
+
+(* A dropping rule keeps the transformation accumulated up to the drop:
+   the state functions of upstream NFs must observe the packet as they
+   did on the original path (e.g. a monitor downstream of a NAT counts
+   the rewritten tuple), even though the packet is then discarded. *)
+let of_actions actions =
+  let r = run () in
+  List.iter (add r) actions;
+  cut r
+
+(* Feed [t] back as the actions it stands for: pops, one modify, pushes,
+   then the drop that ends it. *)
+let add_consolidated r t =
+  List.iter (fun h -> add r (Header_action.Decap h)) t.pops;
+  (match t.sets with [] -> () | sets -> add r (Header_action.Modify sets));
+  List.iter (fun h -> add r (Header_action.Encap h)) t.pushes;
+  if t.drop then add r Header_action.Drop
+
+let seq ts =
+  let r = run () in
+  List.iter (add_consolidated r) ts;
+  cut r
 
 let is_drop t = t.drop
 

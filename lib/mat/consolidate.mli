@@ -42,6 +42,44 @@ val forward : t
 (** The consolidation of an empty (or all-[Forward]) action list. *)
 
 val of_actions : Header_action.t list -> t
+(** @raise Invalid_argument when a decap meets a pending encap of a
+    different header. *)
+
+val seq : t list -> t
+(** [seq [c1; ...; cn]] is the consolidation of the [ci]'s actions in
+    order: [of_actions (a1 @ ... @ an)] whenever [ci = of_actions ai] and
+    the concatenation consolidates. *)
+
+(** {2 In-place merging}
+
+    The merge {!of_actions} performs, one action at a time, cut into
+    consecutive runs: the Global MAT walks a flow's Local MAT records once
+    and closes a run wherever a state function sits between header
+    actions.  Encap/decap matching spans runs, so a decap that no encap of
+    its own run cancels must match the encap an earlier run left pending,
+    exactly as in {!of_actions} over the whole chain.  A [Forward] costs
+    nothing and an all-[Forward] run allocates nothing. *)
+
+type run
+
+val run : unit -> run
+(** An empty chain with an open, empty run. *)
+
+val reset : run -> unit
+(** Back to an empty chain, forgetting pending encaps. *)
+
+val add : run -> Header_action.t -> unit
+(** Folds one action into the open run; actions after a [Drop] are
+    ignored.
+    @raise Invalid_argument on a decap/encap mismatch, as {!of_actions}. *)
+
+val run_drops : run -> bool
+(** The open run has met a [Drop]. *)
+
+val cut : run -> t
+(** The consolidation of the open run's actions ({!forward} itself when
+    they amount to nothing), which then starts a new run.  The run's
+    surviving encaps stay pending for the runs after it. *)
 
 val is_drop : t -> bool
 

@@ -1,16 +1,9 @@
 open Sb_packet
 
-(* The fast path of one flow: positional interleaving of merged header
-   transforms and state-function wave groups, in chain order. *)
-type step =
-  | Transform of Consolidate.t
-  | Waves of { batches : State_function.Batch.t list; plan : int list list }
-
-(* The compiled form: a flat instruction array the per-packet executor
-   walks with no list traversal, no plan indexing and no cost recomputation.
-   Each wave group is pre-resolved into one [C_wave] per wave, the plan's
-   indices already applied; each transform carries its cycle cost computed
-   once at consolidation time. *)
+(* The fast path of one flow: a flat instruction array walked in chain
+   order.  A [C_transform] is one merged header-action run with its cycle
+   cost computed once; a [C_wave] is one wave of state-function batches,
+   and consecutive waves form one wave group. *)
 type cstep =
   | C_transform of {
       c : Consolidate.t;
@@ -24,7 +17,6 @@ type cstep =
 
 type program = {
   code : cstep array;
-  transforms : int;  (* non-identity transforms in [code] *)
   static_head : int;
       (* the per-packet serial cycles that do not depend on events:
          fast-path lookup + per-source-action walk + base forward *)
@@ -34,41 +26,66 @@ type program = {
 }
 
 type rule = {
-  mutable steps : step list;  (* source form, kept for introspection/recompile *)
   mutable program : program;
-  mutable overall : Consolidate.t;  (* position-insensitive merge, introspection *)
   mutable n_source_actions : int;
   mutable last_use : int;  (* logical clock, exposed for debugging *)
   mutable node : Sb_flow.Lru.node;  (* position in the eviction order *)
 }
 
-let rule_action r = r.overall
+(* The positional form of a program, for introspection and the reference
+   walker.  Consolidation closes a wave group only to emit a transform, so
+   every maximal run of consecutive waves is one group. *)
+type step = Transform of Consolidate.t | Waves of State_function.Batch.t array list
 
-let rule_batches r =
-  List.concat_map
-    (function Transform _ -> [] | Waves { batches; _ } -> batches)
-    r.steps
+let steps_of_code code =
+  Array.fold_right
+    (fun s steps ->
+      match (s, steps) with
+      | C_wave w, Waves ws :: rest -> Waves (w :: ws) :: rest
+      | C_wave w, _ -> Waves [ w ] :: steps
+      | C_transform { c; _ }, _ -> Transform c :: steps)
+    code []
 
-let rule_plan r =
-  (* Re-index each group's plan into the global batch numbering. *)
-  let _, rev_plans =
+let waves code = List.concat_map (function Waves ws -> ws | Transform _ -> []) (steps_of_code code)
+
+(* Wave [k] covers the next [Array.length w_k] batch indices. *)
+let plan_of_waves ws =
+  let _, rev =
     List.fold_left
-      (fun (offset, acc) step ->
-        match step with
-        | Transform _ -> (offset, acc)
-        | Waves { batches; plan } ->
-            ( offset + List.length batches,
-              List.rev_append (List.map (List.map (fun i -> i + offset)) plan) acc ))
-      (0, []) r.steps
+      (fun (off, acc) w -> (off + Array.length w, List.init (Array.length w) (( + ) off) :: acc))
+      (0, []) ws
   in
-  List.rev rev_plans
+  List.rev rev
 
-let rule_transform_count r = r.program.transforms
+(* The position-insensitive merge of every recorded action: the
+   transforms are the merged runs in chain order and identity runs merge
+   to nothing, so sequencing the transforms is merging the actions. *)
+let rule_action r =
+  Consolidate.seq
+    (List.filter_map
+       (function Transform c -> Some c | Waves _ -> None)
+       (steps_of_code r.program.code))
+
+let rule_batches r = List.concat_map Array.to_list (waves r.program.code)
+
+let rule_plan r = plan_of_waves (waves r.program.code)
+
+let transform_count code =
+  Array.fold_left (fun n s -> match s with C_transform _ -> n + 1 | C_wave _ -> n) 0 code
+
+let rule_transform_count r = transform_count r.program.code
+
+let rule_code r = r.program.code
+
+let rule_static_head r = r.program.static_head
+
+let rule_n_source_actions r = r.n_source_actions
 
 (* How the fast path executes a consolidated rule: [Compiled] (the flat
-   program) is the production path; [Interpreted] walks the source [step
-   list] exactly as the pre-compilation executor did, and exists so the
-   differential tests can prove the two produce bit-identical outputs. *)
+   program) is the production path; [Interpreted] walks the program's
+   positional step list exactly as the pre-compilation executor did, and
+   exists so the differential tests can prove the two produce
+   bit-identical outputs. *)
 type exec_mode = Compiled | Interpreted
 
 type fast_result = {
@@ -114,6 +131,21 @@ type t = {
      flush cannot pin an arbitrarily large arena. *)
   mutable spare : rule list;
   mutable spare_len : int;
+  pass : pass;
+}
+
+(* Scratch state of a consolidation pass, reset by every call.  The code
+   and wave buffers grow to the longest program and widest wave seen. *)
+and pass = {
+  run : Consolidate.run;  (* the header-action run being merged *)
+  mutable code : cstep array;
+  mutable len : int;
+  mutable wave : State_function.Batch.t array;
+  mutable width : int;  (* batches in the open wave; 0 when none is open *)
+  mutable wave_mode : State_function.payload_mode;
+  mutable written : bool;  (* a Write-mode batch precedes the next transform *)
+  mutable all_serial : bool;
+  mutable stopped : bool;  (* a dropping transform ended the program *)
 }
 
 (* A chain whose fast path does no payload-dependent work has a handful of
@@ -134,6 +166,11 @@ let no_result =
     events_fired = 0;
     shared = false;
   }
+
+(* Fillers for the pass buffers' unused slots. *)
+let no_step = C_wave [||]
+
+let no_batch = State_function.Batch.make ~nf:"" []
 
 let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
     ?(on_evict = fun _ -> ()) ?(obs = Sb_obs.Sink.null) () =
@@ -165,6 +202,18 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
     interned = Array.make intern_slots no_result;
     spare = [];
     spare_len = 0;
+    pass =
+      {
+        run = Consolidate.run ();
+        code = Array.make 8 no_step;
+        len = 0;
+        wave = Array.make 4 no_batch;
+        width = 0;
+        wave_mode = State_function.Ignore;
+        written = false;
+        all_serial = true;
+        stopped = false;
+      };
   }
 
 let policy t = t.policy
@@ -179,16 +228,14 @@ let tick t =
 
 let spare_cap = 1024
 
-let empty_program = { code = [||]; transforms = 0; static_head = 0; serial = true }
+let empty_program = { code = [||]; static_head = 0; serial = true }
 
-(* Scrub a dead rule of everything it retains (steps and program embed NF
+(* Scrub a dead rule of everything it retains (the program embeds NF
    closures) and keep the husk for reuse.  Callers must have already
    dropped the fid binding's LRU node — the handle may be reallocated. *)
 let recycle t (r : rule) =
   if t.spare_len < spare_cap then begin
-    r.steps <- [];
     r.program <- empty_program;
-    r.overall <- Consolidate.forward;
     r.n_source_actions <- 0;
     t.spare <- r :: t.spare;
     t.spare_len <- t.spare_len + 1
@@ -209,159 +256,149 @@ let evict_lru t =
       t.generation <- t.generation + 1;
       t.on_evict fid
 
-let is_identity (c : Consolidate.t) =
-  (not c.Consolidate.drop)
-  && c.Consolidate.pops = []
-  && c.Consolidate.pushes = []
-  && c.Consolidate.sets = []
+let refill t r program n_source_actions =
+  r.program <- program;
+  r.n_source_actions <- n_source_actions;
+  r.last_use <- tick t
 
-(* Positional consolidation: contiguous header-action runs merge into one
-   transform each; the state-function batches between non-identity
-   transforms form one wave group (within one NF, header actions are taken
-   to precede its state functions).  Identity transforms are elided so
-   forward-only NFs do not break batch adjacency. *)
-let build_steps policy per_nf =
-  let steps = ref [] in
-  let run = ref [] in
-  let run_has_drop = ref false in
-  let group = ref [] in
-  (* Once a drop transform lands, everything positioned after it is dead
-     code: the original path never reaches those NFs.  (Initial-packet
-     recording stops at the dropper anyway; this matters when an event
-     rewrites an upstream NF's action to drop while downstream records
-     persist.) *)
-  let stopped = ref false in
-  let flush_group () =
-    match !group with
-    | [] -> ()
-    | batches ->
-        let batches = List.rev batches in
-        let plan = Parallel.plan policy (List.map State_function.Batch.mode batches) in
-        steps := Waves { batches; plan } :: !steps;
-        group := []
+(* Bind [fid] to a fresh or recycled rule, making room under the cap. *)
+let install t fid program n_source_actions =
+  (match t.max_rules with
+  | Some cap when Sb_flow.Flow_table.length t.rules >= cap -> evict_lru t
+  | Some _ | None -> ());
+  let node = Sb_flow.Lru.add t.lru fid in
+  let r =
+    match t.spare with
+    | r :: rest ->
+        t.spare <- rest;
+        t.spare_len <- t.spare_len - 1;
+        refill t r program n_source_actions;
+        r.node <- node;
+        r
+    | [] -> { program; n_source_actions; last_use = tick t; node }
   in
-  let flush_run () =
-    let c = Consolidate.of_actions (List.rev !run) in
-    run := [];
-    run_has_drop := false;
-    if not (is_identity c) then begin
-      flush_group ();
-      steps := Transform c :: !steps;
-      if Consolidate.is_drop c then stopped := true
-    end
-  in
-  List.iter
-    (fun (actions, batch) ->
-      if not !stopped then begin
-        List.iter
-          (fun a ->
-            run := a :: !run;
-            if a = Header_action.Drop then run_has_drop := true)
-          actions;
-        (* HAs precede SFs within an NF, so a drop in this NF's own actions
-           also silences its batch. *)
-        if !run_has_drop then flush_run ();
-        if (not !stopped) && batch.State_function.Batch.fns <> [] then begin
-          flush_run ();
-          group := batch :: !group
-        end
-      end)
-    per_nf;
-  if not !stopped then flush_run ();
-  flush_group ();
-  List.rev !steps
+  Sb_flow.Flow_table.set t.rules fid r
 
-(* Flatten the step list into the executable program.  This is the one-time
-   slow-path work that buys the per-packet savings: plan indices resolve to
-   batch arrays here (killing the per-packet [List.nth]), and each
-   transform's cycle cost is computed once. *)
-let compile ~n_source_actions steps =
-  let rev_code = ref [] in
-  let transforms = ref 0 in
-  let payload_written = ref false in
-  List.iter
-    (function
-      | Transform c ->
-          incr transforms;
-          let cost = Consolidate.cost c in
-          rev_code := C_transform { c; cost; incr_ok = not !payload_written } :: !rev_code
-      | Waves { batches; plan } ->
-          let arr = Array.of_list batches in
-          List.iter
-            (fun wave ->
-              rev_code := C_wave (Array.of_list (List.map (Array.get arr) wave)) :: !rev_code)
-            plan;
-          if
-            List.exists
-              (fun b -> State_function.Batch.mode b = State_function.Write)
-              batches
-          then payload_written := true)
-    steps;
-  let transforms = !transforms in
-  let code = Array.of_list (List.rev !rev_code) in
-  {
-    code;
-    transforms;
-    serial =
-      Array.for_all
-        (function C_transform _ -> true | C_wave batches -> Array.length batches < 2)
-        code;
-    static_head =
-      (Sb_sim.Cycles.fast_path_lookup
-      + (n_source_actions * Sb_sim.Cycles.fast_path_per_action)
-      (* Rules with no surviving transform still do one base forward. *)
-      + if transforms = 0 then Sb_sim.Cycles.ha_forward else 0);
-  }
+let unbind t fid r =
+  Sb_flow.Lru.remove t.lru r.node;
+  Sb_flow.Flow_table.remove t.rules fid;
+  recycle t r;
+  t.generation <- t.generation + 1
+
+(* ---- Consolidation: one pass over the Local MAT records ----
+
+   Contiguous header-action runs merge into one transform each; the
+   state-function batches between non-identity transforms form one wave
+   group (within one NF, header actions precede its state functions),
+   split into waves by the greedy Table I rule as each batch arrives.
+   Identity transforms are elided so forward-only NFs do not break batch
+   adjacency.  A [Forward] costs nothing; a program allocates its
+   transforms, its wave arrays and the final copy of the code buffer. *)
+
+let grown buf filler =
+  let b = Array.make (2 * Array.length buf) filler in
+  Array.blit buf 0 b 0 (Array.length buf);
+  b
+
+let emit p step =
+  if p.len = Array.length p.code then p.code <- grown p.code no_step;
+  Array.unsafe_set p.code p.len step;
+  p.len <- p.len + 1
+
+let close_wave p =
+  if p.width > 0 then begin
+    if p.width > 1 then p.all_serial <- false;
+    emit p (C_wave (Array.sub p.wave 0 p.width));
+    Array.fill p.wave 0 p.width no_batch;
+    p.width <- 0
+  end
+
+(* Once a drop transform lands, everything positioned after it is dead
+   code: the original path never reaches those NFs (this matters when an
+   event rewrites an upstream NF's action to drop). *)
+let close_run p =
+  let c = Consolidate.cut p.run in
+  if c != Consolidate.forward then begin
+    close_wave p;
+    emit p (C_transform { c; cost = Consolidate.cost c; incr_ok = not p.written });
+    if Consolidate.is_drop c then p.stopped <- true
+  end
+
+let add_batch policy p (b : State_function.Batch.t) =
+  close_run p;
+  let mode = State_function.Batch.mode b in
+  if p.width > 0 && Parallel.joins policy p.wave_mode mode then
+    p.wave_mode <- Parallel.join_mode p.wave_mode mode
+  else begin
+    close_wave p;
+    p.wave_mode <- mode
+  end;
+  if p.width = Array.length p.wave then p.wave <- grown p.wave no_batch;
+  Array.unsafe_set p.wave p.width b;
+  p.width <- p.width + 1;
+  if mode = State_function.Write then p.written <- true
+
+(* Local MATs store actions newest first: recurse before adding. *)
+let rec add_actions run = function
+  | [] -> ()
+  | a :: older ->
+      add_actions run older;
+      Consolidate.add run a
+
+(* Returns the number of source actions, dead code after a drop included. *)
+let rec add_nfs policy p fid n = function
+  | [] -> n
+  | local :: rest ->
+      let r = Local_mat.lookup local fid in
+      let actions = Local_mat.rev_actions r in
+      if not p.stopped then begin
+        add_actions p.run actions;
+        (* HAs precede SFs within an NF, so a drop in this NF's own
+           actions also silences its batch. *)
+        if Consolidate.run_drops p.run then close_run p;
+        if not p.stopped then
+          match Local_mat.rev_state_functions r with
+          | [] -> ()
+          | sfs ->
+              add_batch policy p
+                (State_function.Batch.make ~nf:(Local_mat.nf_name local) (List.rev sfs))
+      end;
+      add_nfs policy p fid (n + List.length actions) rest
 
 let consolidate t fid locals =
-  let per_nf =
-    List.filter_map
-      (fun local ->
-        match Local_mat.find local fid with
-        | None -> None
-        | Some r ->
-            Some
-              ( Local_mat.rule_actions r,
-                State_function.Batch.make ~nf:(Local_mat.nf_name local)
-                  (Local_mat.rule_state_functions r) ))
-      locals
+  let p = t.pass in
+  Consolidate.reset p.run;
+  p.len <- 0;
+  p.width <- 0;
+  p.written <- false;
+  p.all_serial <- true;
+  p.stopped <- false;
+  let n_source_actions = add_nfs t.policy p fid 0 locals in
+  if not p.stopped then close_run p;
+  close_wave p;
+  let code = Array.sub p.code 0 p.len in
+  Array.fill p.code 0 p.len no_step;
+  let program =
+    {
+      code;
+      serial = p.all_serial;
+      static_head =
+        (Sb_sim.Cycles.fast_path_lookup
+        + (n_source_actions * Sb_sim.Cycles.fast_path_per_action)
+        (* Rules with no surviving transform still do one base forward. *)
+        + if transform_count code = 0 then Sb_sim.Cycles.ha_forward else 0);
+    }
   in
-  let actions = List.concat_map fst per_nf in
-  let n_source_actions = List.length actions in
-  let steps = build_steps t.policy per_nf in
-  let program = compile ~n_source_actions steps in
-  let overall = Consolidate.of_actions actions in
-  (match Sb_flow.Flow_table.find t.rules fid with
-  | Some r ->
-      (* Re-consolidation (event fire, repeated recording): update in
-         place, so an executor holding the rule sees the fresh program
-         without a second table lookup. *)
-      r.steps <- steps;
-      r.program <- program;
-      r.overall <- overall;
-      r.n_source_actions <- n_source_actions;
-      r.last_use <- tick t;
-      Sb_flow.Lru.touch t.lru r.node
-  | None ->
-      (match t.max_rules with
-      | Some cap when Sb_flow.Flow_table.length t.rules >= cap -> evict_lru t
-      | Some _ | None -> ());
-      let node = Sb_flow.Lru.add t.lru fid in
-      let r =
-        match t.spare with
-        | r :: rest ->
-            t.spare <- rest;
-            t.spare_len <- t.spare_len - 1;
-            r.steps <- steps;
-            r.program <- program;
-            r.overall <- overall;
-            r.n_source_actions <- n_source_actions;
-            r.last_use <- tick t;
-            r.node <- node;
-            r
-        | [] -> { steps; program; overall; n_source_actions; last_use = tick t; node }
-      in
-      Sb_flow.Flow_table.set t.rules fid r);
+  let slot = Sb_flow.Flow_table.find_slot t.rules fid in
+  (if slot < 0 then install t fid program n_source_actions
+   else begin
+     (* Re-consolidation (event fire, repeated recording): update in
+        place, so an executor holding the rule sees the fresh program
+        without a second table lookup. *)
+     let r = Sb_flow.Flow_table.value_at t.rules slot in
+     refill t r program n_source_actions;
+     Sb_flow.Lru.touch t.lru r.node
+   end);
   t.consolidations <- t.consolidations + 1;
   (match t.obs_consolidations with
   | Some c -> Sb_obs.Metrics.Counter.incr c
@@ -377,9 +414,7 @@ let find t fid = Sb_flow.Flow_table.find t.rules fid
    than touch that slot. *)
 let no_rule =
   {
-    steps = [];
     program = empty_program;
-    overall = Consolidate.forward;
     n_source_actions = 0;
     last_use = 0;
     node = Sb_flow.Lru.add (Sb_flow.Lru.create ()) (-1);
@@ -396,40 +431,17 @@ let prefetch t fid = Sb_flow.Flow_table.prefetch t.rules fid
 let mem t fid = Sb_flow.Flow_table.mem t.rules fid
 
 let remove_flow t fid =
-  match Sb_flow.Flow_table.find t.rules fid with
-  | None -> ()
-  | Some r ->
-      Sb_flow.Lru.remove t.lru r.node;
-      Sb_flow.Flow_table.remove t.rules fid;
-      recycle t r;
-      t.generation <- t.generation + 1
+  match Sb_flow.Flow_table.find t.rules fid with None -> () | Some r -> unbind t fid r
 
 (* Flow-migration handoff: install a copy of a rule exported from another
    table.  The source record's intrusive LRU node belongs to the source
-   table's recency list, so adoption builds a fresh record (and node) here
-   and leaves the source untouched — the caller tears the source binding
-   down with [remove_flow] afterwards. *)
+   table's recency list, so adoption binds a record (and node) of this
+   table's own and leaves the source untouched — the caller tears the
+   source binding down with [remove_flow] afterwards.  Programs are
+   immutable, so the copy shares the source's. *)
 let adopt t fid (src : rule) =
-  (match Sb_flow.Flow_table.find t.rules fid with
-  | Some r ->
-      Sb_flow.Lru.remove t.lru r.node;
-      Sb_flow.Flow_table.remove t.rules fid;
-      recycle t r;
-      t.generation <- t.generation + 1
-  | None -> ());
-  (match t.max_rules with
-  | Some cap when Sb_flow.Flow_table.length t.rules >= cap -> evict_lru t
-  | Some _ | None -> ());
-  let node = Sb_flow.Lru.add t.lru fid in
-  Sb_flow.Flow_table.set t.rules fid
-    {
-      steps = src.steps;
-      program = src.program;
-      overall = src.overall;
-      n_source_actions = src.n_source_actions;
-      last_use = tick t;
-      node;
-    }
+  remove_flow t fid;
+  install t fid src.program src.n_source_actions
 
 let clear t =
   Sb_flow.Flow_table.clear t.rules;
@@ -456,9 +468,10 @@ let memory_stats (t : t) =
   let field_writes = ref 0 and batches = ref 0 in
   Sb_flow.Flow_table.iter
     (fun _ rule ->
-      Hashtbl.replace keys (Format.asprintf "%a" Consolidate.pp rule.overall) ();
-      field_writes := !field_writes + List.length rule.overall.Consolidate.sets;
-      batches := !batches + List.length (rule_batches rule))
+      let overall = rule_action rule in
+      Hashtbl.replace keys (Format.asprintf "%a" Consolidate.pp overall) ();
+      field_writes := !field_writes + List.length overall.Consolidate.sets;
+      List.iter (fun w -> batches := !batches + Array.length w) (waves rule.program.code))
     t.rules;
   {
     rules = Sb_flow.Flow_table.length t.rules;
@@ -581,17 +594,11 @@ let run_steps_interp rule packet =
             match v with Header_action.Dropped -> v | Header_action.Forwarded -> verdict
           in
           (verdict, Sb_sim.Cost_profile.Serial (Consolidate.cost c) :: rev_items)
-      | Waves { batches; plan } ->
-          let wave_items =
-            List.map
-              (fun wave ->
-                let wave_batches = List.map (fun i -> List.nth batches i) wave in
-                run_wave_interp wave_batches packet)
-              plan
-          in
+      | Waves ws ->
+          let wave_items = List.map (fun w -> run_wave_interp (Array.to_list w) packet) ws in
           (verdict, List.rev_append wave_items rev_items))
     (Header_action.Forwarded, [])
-    rule.steps
+    (steps_of_code rule.program.code)
 
 (* ---- Fast-path entry points ---- *)
 
@@ -630,21 +637,13 @@ let apply_fired t locals fid packet fired =
          that NF's fault and must carry its name out to the supervisor. *)
       try
         Option.iter (fun f -> f ()) u.Event_table.update_fn;
-        let local_of_nf () =
-          List.find_opt (fun l -> Local_mat.nf_name l = u.Event_table.nf) locals
-        in
-        Option.iter
-          (fun make_actions ->
+        (match List.find_opt (fun l -> Local_mat.nf_name l = u.Event_table.nf) locals with
+        | Some local ->
+            Option.iter (fun f -> Local_mat.replace_actions local fid (f ())) u.new_actions;
             Option.iter
-              (fun local -> Local_mat.replace_actions local fid (make_actions ()))
-              (local_of_nf ()))
-          u.Event_table.new_actions;
-        Option.iter
-          (fun make_sfs ->
-            Option.iter
-              (fun local -> Local_mat.replace_state_functions local fid (make_sfs ()))
-              (local_of_nf ()))
-          u.Event_table.new_state_functions;
+              (fun f -> Local_mat.replace_state_functions local fid (f ()))
+              u.new_state_functions
+        | None -> ());
         fire_cycles := !fire_cycles + Sb_sim.Cycles.event_fire;
         if Sb_obs.Sink.armed t.obs then obs_event_rewrite t ~fid ~nf:u.Event_table.nf packet
       with exn ->
@@ -780,12 +779,13 @@ let execute ?egress_item t events locals fid packet =
 
 let pp_step fmt = function
   | Transform c -> Format.fprintf fmt "T(%a)" Consolidate.pp c
-  | Waves { batches; plan } ->
+  | Waves ws ->
+      let batches = List.concat_map Array.to_list ws in
       Format.fprintf fmt "W[%s]%a"
         (String.concat "; " (List.map (Format.asprintf "%a" State_function.Batch.pp) batches))
-        Parallel.pp_plan plan
+        Parallel.pp_plan (plan_of_waves ws)
 
 let pp_rule fmt r =
   Format.fprintf fmt "@[<h>%a@]"
     (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " -> ") pp_step)
-    r.steps
+    (steps_of_code r.program.code)

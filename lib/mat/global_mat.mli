@@ -21,24 +21,51 @@
     under the unsound [Always_parallel] ablation the equivalence tests can
     observe the race.
 
-    At consolidation time the step list is {e compiled} into a flat
-    fast-path program: an instruction array whose wave groups are
-    pre-resolved into batch arrays (plan indices applied once, on the slow
-    path) and whose transforms carry precomputed cost items, so a
-    subsequent packet pays a single rule lookup plus straight-line
-    execution — no list walks, no plan indexing, no per-packet cost
-    recomputation, and no snapshot allocation (wave snapshot/merge reuses
-    grow-only scratch buffers owned by the table).  Event firing
-    reconsolidates and recompiles the flow's program in place, preserving
-    Event Table semantics exactly.  Rule recency is tracked in an intrusive
+    Consolidation is one pass over the flow's Local MAT records in chain
+    order that writes a flat fast-path program directly: an instruction
+    array of merged transforms, each carrying its precomputed cost, and
+    waves pre-resolved into batch arrays.  A subsequent packet pays a
+    single rule lookup plus straight-line execution — no list walks, no
+    plan indexing, no per-packet cost recomputation, and no snapshot
+    allocation (wave snapshot/merge reuses grow-only scratch buffers owned
+    by the table).  The program is the rule: the batches, the wave plan,
+    the printed form and the position-insensitive merge are all derived
+    from it on demand.  Event firing reconsolidates the flow's program in
+    place, preserving Event Table semantics exactly.  Rule recency is tracked in an intrusive
     doubly-linked list ({!Sb_flow.Lru}), making both the per-packet touch
     and the at-capacity eviction O(1). *)
 
 type rule
 
+(** One instruction of a rule's program. *)
+type cstep =
+  | C_transform of {
+      c : Consolidate.t;  (** one merged run of header actions, never the identity *)
+      cost : int;  (** [Consolidate.cost c] *)
+      incr_ok : bool;
+          (** no Write-mode batch runs before it, so the incremental
+              checksum fix-up is exact *)
+    }
+  | C_wave of State_function.Batch.t array
+      (** batches that run as one parallel wave; consecutive waves form
+          one wave group *)
+
+val rule_code : rule -> cstep array
+(** The program the fast path executes, in chain order. *)
+
+val rule_static_head : rule -> int
+(** The per-packet serial cycles that do not depend on events: fast-path
+    lookup, the per-source-action walk and, without a transform, one base
+    forward. *)
+
+val rule_n_source_actions : rule -> int
+(** Header actions the Local MATs held for the flow at consolidation. *)
+
 val rule_action : rule -> Consolidate.t
-(** The position-insensitive merge of every action the rule recorded —
-    introspection only (execution interleaves per-position transforms). *)
+(** The position-insensitive merge of every action the rule recorded
+    ([Consolidate.of_actions] over their concatenation), computed on
+    demand — introspection only (execution interleaves per-position
+    transforms). *)
 
 val rule_batches : rule -> State_function.Batch.t list
 (** Every state-function batch, in chain order. *)
@@ -52,8 +79,9 @@ val rule_transform_count : rule -> int
 (** Number of non-identity transforms the fast path applies. *)
 
 (** How [execute] runs a consolidated rule.  [Compiled] (the default) runs
-    the flat program; [Interpreted] walks the source step list exactly as
-    the pre-compilation executor did.  Both produce bit-identical verdicts,
+    the flat program; [Interpreted] rebuilds the program's positional step
+    list (transforms and wave groups with their plans) and walks it exactly
+    as the pre-compilation executor did.  Both produce bit-identical verdicts,
     packet bytes and cost profiles — the [Interpreted] mode exists as the
     reference the differential tests compare the compiler against. *)
 type exec_mode = Compiled | Interpreted
@@ -88,7 +116,9 @@ val evictions : t -> int
 val consolidate : t -> Sb_flow.Fid.t -> Local_mat.t list -> int
 (** [consolidate t fid locals] (re)builds the flow's consolidated rule from
     the chain's Local MATs (in chain order) and returns the cycle cost of
-    the consolidation work (charged to the initial packet's walk). *)
+    the consolidation work (charged to the initial packet's walk).
+    @raise Invalid_argument when a recorded decap does not match the
+    encap pending before it; the flow's rule is then left as it was. *)
 
 val find : t -> Sb_flow.Fid.t -> rule option
 

@@ -7,6 +7,14 @@ let rule_actions r = List.rev r.rev_actions
 
 let rule_state_functions r = List.rev r.rev_sfs
 
+let rev_actions r = r.rev_actions
+
+let rev_state_functions r = r.rev_sfs
+
+(* Never stored in a table, so never mutated: [rule_for] makes a fresh
+   record for every flow it records. *)
+let empty = { rev_actions = []; rev_sfs = [] }
+
 type t = { nf : string; rules : rule Sb_flow.Flow_table.t }
 
 let create ~nf = { nf; rules = Sb_flow.Flow_table.create () }
@@ -38,6 +46,10 @@ let replace_state_functions t fid sfs =
   r.rev_sfs <- List.rev sfs
 
 let find t fid = Sb_flow.Flow_table.find t.rules fid
+
+let lookup t fid =
+  let s = Sb_flow.Flow_table.find_slot t.rules fid in
+  if s < 0 then empty else Sb_flow.Flow_table.value_at t.rules s
 
 let mem t fid = Sb_flow.Flow_table.mem t.rules fid
 

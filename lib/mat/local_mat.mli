@@ -14,6 +14,12 @@ val rule_actions : rule -> Header_action.t list
 val rule_state_functions : rule -> State_function.t list
 (** State functions in the order the NF added them (the queue of §IV-B). *)
 
+val rev_actions : rule -> Header_action.t list
+(** {!rule_actions} newest first, as stored: no copy. *)
+
+val rev_state_functions : rule -> State_function.t list
+(** {!rule_state_functions} newest first, as stored: no copy. *)
+
 type t
 
 val create : nf:string -> t
@@ -33,6 +39,11 @@ val replace_state_functions : t -> Sb_flow.Fid.t -> State_function.t list -> uni
     flips a flow to drop also stops running its per-packet functions). *)
 
 val find : t -> Sb_flow.Fid.t -> rule option
+
+val lookup : t -> Sb_flow.Fid.t -> rule
+(** {!find} without the option: a flow the NF never recorded reads as a
+    record with no actions and no state functions, which consolidates
+    exactly as an absent one. *)
 
 val mem : t -> Sb_flow.Fid.t -> bool
 

@@ -8,30 +8,31 @@ let compatible m1 m2 =
   | State_function.Read, State_function.Write ->
       false
 
-let plan policy modes =
+(* Whether a batch joins the open wave whose aggregate mode is [wave].
+   [compatible] is monotone in mode priority, so checking against the
+   wave's aggregate mode is checking against every member. *)
+let joins policy wave mode =
   match policy with
-  | Sequential -> List.mapi (fun i _ -> [ i ]) modes
-  | Always_parallel -> (
-      match modes with [] -> [] | _ -> [ List.mapi (fun i _ -> i) modes ])
-  | Table_one ->
-      (* Greedy left-to-right: a batch joins the current wave when it is
-         compatible with all members.  [compatible] is monotone in mode
-         priority, so checking against the wave's aggregate mode suffices. *)
-      let finish wave = List.rev wave in
-      let rec go i wave wave_mode acc = function
-        | [] -> List.rev (if wave = [] then acc else finish wave :: acc)
-        | mode :: rest ->
-            if wave = [] then go (i + 1) [ i ] mode acc rest
-            else if compatible wave_mode mode then
-              let wave_mode =
-                if State_function.mode_priority mode > State_function.mode_priority wave_mode
-                then mode
-                else wave_mode
-              in
-              go (i + 1) (i :: wave) wave_mode acc rest
-            else go (i + 1) [ i ] mode (finish wave :: acc) rest
-      in
-      go 0 [] State_function.Ignore [] modes
+  | Sequential -> false
+  | Always_parallel -> true
+  | Table_one -> compatible wave mode
+
+let join_mode wave mode =
+  if State_function.mode_priority mode > State_function.mode_priority wave then mode else wave
+
+(* Greedy left-to-right: each batch joins the current wave or opens the
+   next one. *)
+let plan policy modes =
+  let finish wave = List.rev wave in
+  let rec go i wave wave_mode acc = function
+    | [] -> List.rev (if wave = [] then acc else finish wave :: acc)
+    | mode :: rest ->
+        if wave = [] then go (i + 1) [ i ] mode acc rest
+        else if joins policy wave_mode mode then
+          go (i + 1) (i :: wave) (join_mode wave_mode mode) acc rest
+        else go (i + 1) [ i ] mode (finish wave :: acc) rest
+  in
+  go 0 [] State_function.Ignore [] modes
 
 let wave_count = List.length
 

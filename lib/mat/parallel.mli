@@ -32,6 +32,17 @@ val plan : policy -> State_function.payload_mode list -> int list list
     and a batch joins the current wave only when compatible with every
     batch already in it. *)
 
+val joins : policy -> State_function.payload_mode -> State_function.payload_mode -> bool
+(** [joins policy wave mode] — does a batch of [mode] join the open wave,
+    whose aggregate mode is [wave]?  {!plan} is this rule applied greedily
+    left to right, so a caller that meets batches one at a time forms the
+    same waves without building the mode list. *)
+
+val join_mode :
+  State_function.payload_mode -> State_function.payload_mode -> State_function.payload_mode
+(** The wave's aggregate mode once a batch of the second mode joins it: the
+    higher-priority of the two. *)
+
 val wave_count : int list list -> int
 
 val pp_plan : Format.formatter -> int list list -> unit

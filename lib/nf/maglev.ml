@@ -34,10 +34,10 @@ let is_prime n =
 
 (* FNV-1a over a string with a salt, for the two name hashes and the flow
    hash the Maglev paper calls h1, h2 and the 5-tuple hash. *)
-let fnv_hash ~salt s =
-  let h = ref (0x1b873593 + salt) in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3fffffff) s;
-  !h
+let fnv_step h c =
+  (h lxor Char.code c) * 0x01000193 land 0x3fffffff
+
+let fnv_hash ~salt s = String.fold_left fnv_step (0x1b873593 + salt) s
 
 let populate_mod_hash table_size backends =
   let alive = ref [] in
@@ -214,8 +214,11 @@ let dump t =
   String.concat "\n"
     ((Printf.sprintf "alive=[%s]" (String.concat "," (alive_backends t))) :: assignments)
 
+(* The 5-tuple hash, streamed over the text [Five_tuple.pp] prints. *)
+let flow_hash tuple = Five_tuple.fold_printed fnv_step (0x1b873593 + 3) tuple
+
 let table_lookup t tuple =
-  let h = fnv_hash ~salt:3 (Format.asprintf "%a" Five_tuple.pp tuple) in
+  let h = flow_hash tuple in
   t.table.(h mod t.table_size)
 
 (* The flow's current backend: the tracked one while it is alive, otherwise

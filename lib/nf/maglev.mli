@@ -67,6 +67,11 @@ val backend_of_flow : t -> Sb_flow.Five_tuple.t -> string option
 (** The tracked assignment, if any (may point at a dead backend until the
     flow's next packet reroutes it). *)
 
+val flow_hash : Sb_flow.Five_tuple.t -> int
+(** The salted FNV-1a flow hash that indexes the lookup table (the Maglev
+    paper's 5-tuple hash), taken over the text {!Sb_flow.Five_tuple.pp}
+    prints. *)
+
 val tracked_flows : t -> int
 
 val backend_conns : t -> string -> int

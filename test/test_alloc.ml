@@ -1,4 +1,4 @@
-(* Allocation budgets of the steady-state fast path.
+(* Allocation budgets of the steady-state fast path and of consolidation.
 
    Minor-heap words allocated per packet are a property of the code, not
    of the machine, so this gate runs under [dune runtest] everywhere.  A
@@ -15,10 +15,18 @@
    What remains in the first figure is the boxed 5-tuple the classifier
    and Monitor each build (a record and two boxed [int32]s, 12 words
    each) and the eight-field output record (9 words), plus a fraction of
-   a word per packet for the emit closure built once per burst.  The
-   burst budget sits under 10% above the measured figure, and
-   [Acc.consume] must not allocate at all; a change that allocates more
-   per packet must pay for it elsewhere or raise the budget on
+   a word per packet for the emit closure built once per burst.
+
+   A third figure covers the slow path: words per [Global_mat.consolidate]
+   call, re-consolidating every recorded flow of the same trace on
+   [chain1] and on the benchmark's edge-churn chain.  What a call
+   allocates is the program itself — each non-identity transform, each
+   wave's batch array, the batch records and the final code array — and
+   nothing per [Forward] action.
+
+   The burst and consolidation budgets sit under 10% above their measured
+   figures, and [Acc.consume] must not allocate at all; a change that
+   allocates more must pay for it elsewhere or raise the budget on
    purpose. *)
 
 open Speedybox
@@ -29,6 +37,17 @@ module P = Sb_packet.Packet
 let burst_budget_words = 36.
 
 let consume_budget_words = 0.
+
+(* The benchmark's edge-churn chain: the registry's [edge] NFs with
+   Gateway last. *)
+let edge_churn_chain = "statefulfw,monitor,dosguard:200,gateway"
+
+(* Measured: 16.19 words per call on the edge-churn chain and 52.02 on
+   [chain1] (the list-staged consolidation this pass replaced: 220.63 and
+   601.02). *)
+let consolidate_edge_budget_words = 17.5
+
+let consolidate_chain1_budget_words = 57.
 
 let steady_trace () =
   Sb_trace.Workload.dcn_trace
@@ -123,9 +142,43 @@ let test_consume_budget () =
     Alcotest.failf "Acc.consume allocates %.3f words/packet, budget %.1f" words
       consume_budget_words
 
+(* Words per [Global_mat.consolidate] call: replay a DCN trace through
+   [chain] so every flow records and consolidates, warm the table's
+   scratch buffers with one pass over the installed rules, then
+   re-consolidate every rule from its Local MAT records. *)
+let consolidate_words chain_name =
+  let build =
+    match Sb_experiments.Chain_registry.build chain_name with
+    | Ok build -> build
+    | Error msg -> Alcotest.fail msg
+  in
+  let chain = build () in
+  let rt = Runtime.create (Runtime.config ()) chain in
+  Array.iter (fun p -> ignore (Runtime.process_packet rt (P.copy p))) (steady_trace ());
+  let gm = Runtime.global_mat rt in
+  let fids = Array.of_list (Sb_mat.Global_mat.fold (fun fid _ acc -> fid :: acc) gm []) in
+  let locals = Chain.local_mats chain in
+  let consolidate_all () =
+    Array.iter (fun fid -> ignore (Sb_mat.Global_mat.consolidate gm fid locals)) fids
+  in
+  consolidate_all ();
+  let w0 = Gc.minor_words () in
+  consolidate_all ();
+  (Gc.minor_words () -. w0) /. float_of_int (Array.length fids)
+
+let check_consolidate_budget chain_name budget () =
+  let words = consolidate_words chain_name in
+  if words > budget then
+    Alcotest.failf "consolidate on %s allocates %.2f words/call, budget %.1f" chain_name words
+      budget
+
 let suite =
   [
     Alcotest.test_case "fast-path allocation budget" `Quick test_fast_path_budget;
     Alcotest.test_case "Acc.consume allocation budget" `Quick test_consume_budget;
+    Alcotest.test_case "consolidate allocation budget (edge-churn chain)" `Quick
+      (check_consolidate_budget edge_churn_chain consolidate_edge_budget_words);
+    Alcotest.test_case "consolidate allocation budget (chain1)" `Quick
+      (check_consolidate_budget "chain1" consolidate_chain1_budget_words);
   ]
 

@@ -260,6 +260,28 @@ let test_failover_equivalence () =
   in
   Test_util.check_equivalent "maglev with failed backend" report
 
+(* The flow hash as table lookup computed it before it streamed the
+   characters: FNV-1a, salt 3, over the printed tuple. *)
+let printed_flow_hash tuple =
+  let h = ref (0x1b873593 + 3) in
+  String.iter
+    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3fffffff)
+    (Format.asprintf "%a" Sb_flow.Five_tuple.pp tuple);
+  !h
+
+let gen_tuple =
+  let open QCheck.Gen in
+  let ip = map Int32.of_int (int_bound 0xffff_ffff) in
+  let port = oneof [ int_bound 0xffff; oneofl [ 0; 9; 10; 99; 100; 65535 ] ] in
+  let* src_ip = ip and* dst_ip = ip and* src_port = port and* dst_port = port in
+  let* proto = oneof [ oneofl [ 6; 17 ]; int_bound 255 ] in
+  return { Sb_flow.Five_tuple.src_ip; dst_ip; src_port; dst_port; proto }
+
+let prop_flow_hash =
+  QCheck.Test.make ~count:2000 ~name:"streamed flow hash = hash of the printed tuple"
+    (QCheck.make gen_tuple ~print:(Format.asprintf "%a" Sb_flow.Five_tuple.pp))
+    (fun tuple -> Sb_nf.Maglev.flow_hash tuple = printed_flow_hash tuple)
+
 let suite =
   [
     Alcotest.test_case "table coverage and balance" `Quick test_table_coverage_and_balance;
@@ -273,3 +295,4 @@ let suite =
     Alcotest.test_case "total failure in original mode" `Quick test_total_failure_original_mode;
     Alcotest.test_case "failover equivalence" `Quick test_failover_equivalence;
   ]
+  @ Test_util.qcheck_cases [ prop_flow_hash ]
