@@ -86,27 +86,15 @@ type t = {
   mutable memo_fid : int;
   mutable memo_gen : int;
   mutable memo_rule : Sb_mat.Global_mat.rule;
-  profiles : profile_memo array;
-      (* quiet fast-path profiles, keyed by the physical identity of the
-         shared GlobalMAT stage, filled round-robin *)
-  mutable profile_next : int;
+  costs : Sb_sim.Cost_vec.t;
+      (* the packet in flight's costs, stage by stage (label ids from
+         [Cost_vec.labels] over [nf_names]); every path writes here and
+         [finish] interns the result *)
+  profiles : Sb_sim.Cost_vec.intern;
+  (* What the last [walk_chain] charged besides its verdict. *)
+  mutable walk_faults : int;
+  mutable walk_contained : bool;  (* a raise was contained: quarantine the flow *)
 }
-
-(* One two-stage profile [Classifier; GlobalMAT] with its platform costs. *)
-and profile_memo = {
-  stage : Sb_sim.Cost_profile.stage;
-  profile : Sb_sim.Cost_profile.t;
-  latency : int;
-  service : int;
-}
-
-(* Only [shared] stages reach the memo, and the benchmark's chains have
-   one per table, so a few entries suffice; the scan is linear. *)
-let profile_memo_size = 4
-
-(* Never matches: the Global MAT's stages are its own values. *)
-let no_profile =
-  { stage = Sb_sim.Cost_profile.stage "GlobalMAT" []; profile = []; latency = 0; service = 0 }
 
 (* A Failed NF invalidates every consolidated rule embedding its closures:
    tear the whole fast path down (flows re-record under the failure
@@ -204,13 +192,15 @@ let create cfg chain =
             h_sojourn = sojourn;
           }
   in
+  let nf_names = Array.of_list (List.map (fun nf -> nf.Nf.name) (Chain.nfs chain)) in
+  let costs = Sb_sim.Cost_vec.create () in
   let t =
     {
       cfg;
       chain;
       global =
         Sb_mat.Global_mat.create ~policy:cfg.policy ?max_rules:cfg.max_rules
-          ~exec:cfg.fastpath ~obs:cfg.obs
+          ~exec:cfg.fastpath ~obs:cfg.obs ~costs
           (* an LRU-evicted flow loses its Local MAT records too, so its next
              packet re-records from scratch *)
           ~on_evict:(fun fid ->
@@ -220,7 +210,7 @@ let create cfg chain =
       classifier =
         Classifier.create ~fid_bits:cfg.fid_bits ~verify_checksums:cfg.verify_checksums ();
       sup = Sb_fault.Supervisor.create ?injector:cfg.injector ~obs:cfg.obs cfg.fault_policy;
-      nf_names = Array.of_list (List.map (fun nf -> nf.Nf.name) (Chain.nfs chain));
+      nf_names;
       live = Sb_flow.Live_table.create ();
       wheel =
         (match cfg.idle_timeout_cycles with
@@ -239,8 +229,10 @@ let create cfg chain =
       memo_fid = -1;
       memo_gen = -1;
       memo_rule = Sb_mat.Global_mat.no_rule;
-      profiles = Array.make profile_memo_size no_profile;
-      profile_next = 0;
+      costs;
+      profiles = Sb_sim.Cost_vec.intern_create cfg.platform (Sb_sim.Cost_vec.labels nf_names);
+      walk_faults = 0;
+      walk_contained = false;
     }
   in
   if Sb_obs.Sink.armed cfg.obs then begin
@@ -293,152 +285,120 @@ let injected_raise t name =
   in
   Sb_fault.Injector.Injected (name, call)
 
-type walk = {
-  w_verdict : Sb_mat.Header_action.verdict;
-  w_stages : Sb_sim.Cost_profile.stage list;
-  w_faults : int;
-  w_contained : bool;  (* a raise was contained mid-walk: quarantine the flow *)
-}
+(* Walk the original chain from NF [i], writing one stage per NF visited
+   and returning the verdict ([t.walk_faults] and [t.walk_contained] carry
+   the rest).  [recording] instruments the walk with Local MAT recording
+   (the SpeedyBox initial-packet traversal); the extra recording cost is
+   charged to each NF's stage.  Every NF call runs under the containment
+   wrapper: a raise (injected or organic) drops the packet, charges the
+   fault to the NF and tells the caller to quarantine the flow's recorded
+   state. *)
+let rec walk t ~recording ~fid packet nfs mats i faults =
+  match (nfs, mats) with
+  | [], [] ->
+      t.walk_faults <- faults;
+      Sb_mat.Header_action.Forwarded
+  | nf :: nfs, mat :: mats -> (
+      let sup = t.sup in
+      let name = nf.Nf.name in
+      let label = Sb_sim.Cost_vec.nf i in
+      let ctx = { Api.fid; local_mat = mat; events = Chain.events t.chain; recording } in
+      let overhead =
+        Sb_sim.Cycles.nf_rx_tx + if recording then Sb_sim.Cycles.local_mat_record else 0
+      in
+      let gate =
+        if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.gate sup ~nf:name
+        else Sb_fault.Supervisor.Run
+      in
+      match gate with
+      | Sb_fault.Supervisor.Bypass_nf ->
+          (* Failed NF elided from the chain: the packet only transits the
+             port; nothing records, so rebuilt fast paths omit the NF. *)
+          if Sb_obs.Sink.armed t.cfg.obs then
+            obs_timeline t ~fid
+              ~ts_us:(Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle)
+              ~detail:name Sb_obs.Timeline.Degraded_bypass;
+          Sb_sim.Cost_vec.serial_stage t.costs label Sb_sim.Cycles.nf_rx_tx;
+          walk t ~recording ~fid packet nfs mats (i + 1) faults
+      | Sb_fault.Supervisor.Drop_packet ->
+          (* Failed NF under Drop_flow: the drop records like an ordinary
+             verdict, so the flow's fast path early-drops. *)
+          Api.localmat_add_ha ctx Sb_mat.Header_action.Drop;
+          Sb_sim.Cost_vec.serial_stage t.costs label
+            (Sb_sim.Cycles.nf_rx_tx + Sb_sim.Cycles.ha_drop);
+          t.walk_faults <- faults;
+          Sb_mat.Header_action.Dropped
+      | Sb_fault.Supervisor.Run -> (
+          let injected =
+            if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.draw sup ~nf:name
+            else None
+          in
+          match
+            match injected with
+            | Some Sb_fault.Injector.Raise -> raise (injected_raise t name)
+            | Some Sb_fault.Injector.Corrupt_verdict | Some Sb_fault.Injector.Stall | None ->
+                nf.Nf.process ctx packet
+          with
+          | exception _exn ->
+              (* Containment: the fault is this NF's, the packet is
+                 dropped, the flow's partial records are quarantined. *)
+              note_fault t ~nf:name;
+              Sb_fault.Supervisor.record_contained sup;
+              Sb_fault.Supervisor.record_faulted_packet sup;
+              Sb_sim.Cost_vec.serial_stage t.costs label (overhead + Sb_sim.Cycles.fault_contain);
+              t.walk_faults <- faults + 1;
+              t.walk_contained <- true;
+              Sb_mat.Header_action.Dropped
+          | result -> (
+              let result, faults =
+                match injected with
+                | Some Sb_fault.Injector.Corrupt_verdict ->
+                    note_fault t ~nf:name;
+                    Sb_fault.Supervisor.record_corrupted sup;
+                    Sb_fault.Supervisor.record_faulted_packet sup;
+                    ({ result with Nf.verdict = flip_verdict result.Nf.verdict }, faults + 1)
+                | Some Sb_fault.Injector.Stall ->
+                    note_fault t ~nf:name;
+                    Sb_fault.Supervisor.record_stalled sup;
+                    ( {
+                        result with
+                        Nf.cycles = result.Nf.cycles + Sb_fault.Supervisor.stall_cycles sup;
+                      },
+                      faults + 1 )
+                | Some Sb_fault.Injector.Raise | None -> (result, faults)
+              in
+              Sb_sim.Cost_vec.serial_stage t.costs label (result.Nf.cycles + overhead);
+              match result.Nf.verdict with
+              | Sb_mat.Header_action.Dropped ->
+                  t.walk_faults <- faults;
+                  Sb_mat.Header_action.Dropped
+              | Sb_mat.Header_action.Forwarded ->
+                  walk t ~recording ~fid packet nfs mats (i + 1) faults)))
+  | _ -> assert false (* nfs and local_mats have equal length *)
 
-(* Walk the original chain.  [recording] instruments the walk with Local
-   MAT recording (the SpeedyBox initial-packet traversal); the extra
-   recording cost is charged to each NF's stage.  Every NF call runs under
-   the containment wrapper: a raise (injected or organic) drops the packet,
-   charges the fault to the NF and tells the caller to quarantine the
-   flow's recorded state. *)
 let walk_chain t ~recording ~fid packet =
-  let sup = t.sup in
-  let nfs = Chain.nfs t.chain in
-  let mats = Chain.local_mats t.chain in
-  let rec go nfs mats stages faults =
-    match (nfs, mats) with
-    | [], [] ->
-        {
-          w_verdict = Sb_mat.Header_action.Forwarded;
-          w_stages = List.rev stages;
-          w_faults = faults;
-          w_contained = false;
-        }
-    | nf :: nfs, mat :: mats -> (
-        let name = nf.Nf.name in
-        let ctx =
-          { Api.fid; local_mat = mat; events = Chain.events t.chain; recording }
-        in
-        let overhead =
-          Sb_sim.Cycles.nf_rx_tx
-          + if recording then Sb_sim.Cycles.local_mat_record else 0
-        in
-        let gate =
-          if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.gate sup ~nf:name
-          else Sb_fault.Supervisor.Run
-        in
-        match gate with
-        | Sb_fault.Supervisor.Bypass_nf ->
-            (* Failed NF elided from the chain: the packet only transits the
-               port; nothing records, so rebuilt fast paths omit the NF. *)
-            if Sb_obs.Sink.armed t.cfg.obs then
-              obs_timeline t ~fid
-                ~ts_us:(Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle)
-                ~detail:name Sb_obs.Timeline.Degraded_bypass;
-            let stage = Sb_sim.Cost_profile.serial_stage name Sb_sim.Cycles.nf_rx_tx in
-            go nfs mats (stage :: stages) faults
-        | Sb_fault.Supervisor.Drop_packet ->
-            (* Failed NF under Drop_flow: the drop records like an ordinary
-               verdict, so the flow's fast path early-drops. *)
-            Api.localmat_add_ha ctx Sb_mat.Header_action.Drop;
-            let stage =
-              Sb_sim.Cost_profile.serial_stage name
-                (Sb_sim.Cycles.nf_rx_tx + Sb_sim.Cycles.ha_drop)
-            in
-            {
-              w_verdict = Sb_mat.Header_action.Dropped;
-              w_stages = List.rev (stage :: stages);
-              w_faults = faults;
-              w_contained = false;
-            }
-        | Sb_fault.Supervisor.Run -> (
-            let injected =
-              if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.draw sup ~nf:name
-              else None
-            in
-            match
-              match injected with
-              | Some Sb_fault.Injector.Raise -> raise (injected_raise t name)
-              | Some Sb_fault.Injector.Corrupt_verdict
-              | Some Sb_fault.Injector.Stall
-              | None ->
-                  nf.Nf.process ctx packet
-            with
-            | exception _exn ->
-                (* Containment: the fault is this NF's, the packet is
-                   dropped, the flow's partial records are quarantined. *)
-                note_fault t ~nf:name;
-                Sb_fault.Supervisor.record_contained sup;
-                Sb_fault.Supervisor.record_faulted_packet sup;
-                let stage =
-                  Sb_sim.Cost_profile.serial_stage name
-                    (overhead + Sb_sim.Cycles.fault_contain)
-                in
-                {
-                  w_verdict = Sb_mat.Header_action.Dropped;
-                  w_stages = List.rev (stage :: stages);
-                  w_faults = faults + 1;
-                  w_contained = true;
-                }
-            | result -> (
-                let result, faults =
-                  match injected with
-                  | Some Sb_fault.Injector.Corrupt_verdict ->
-                      note_fault t ~nf:name;
-                      Sb_fault.Supervisor.record_corrupted sup;
-                      Sb_fault.Supervisor.record_faulted_packet sup;
-                      ( { result with Nf.verdict = flip_verdict result.Nf.verdict },
-                        faults + 1 )
-                  | Some Sb_fault.Injector.Stall ->
-                      note_fault t ~nf:name;
-                      Sb_fault.Supervisor.record_stalled sup;
-                      ( {
-                          result with
-                          Nf.cycles =
-                            result.Nf.cycles + Sb_fault.Supervisor.stall_cycles sup;
-                        },
-                        faults + 1 )
-                  | Some Sb_fault.Injector.Raise | None -> (result, faults)
-                in
-                let stage =
-                  Sb_sim.Cost_profile.serial_stage name (result.Nf.cycles + overhead)
-                in
-                match result.Nf.verdict with
-                | Sb_mat.Header_action.Dropped ->
-                    {
-                      w_verdict = Sb_mat.Header_action.Dropped;
-                      w_stages = List.rev (stage :: stages);
-                      w_faults = faults;
-                      w_contained = false;
-                    }
-                | Sb_mat.Header_action.Forwarded -> go nfs mats (stage :: stages) faults)))
-    | _ -> assert false (* nfs and local_mats have equal length *)
-  in
-  go nfs mats [] 0
+  t.walk_contained <- false;
+  walk t ~recording ~fid packet (Chain.nfs t.chain) (Chain.local_mats t.chain) 0 0
 
-let finish t verdict packet profile path events_fired faults =
-  let latency_cycles, service_cycles =
-    Sb_sim.Platform.latency_and_service t.cfg.platform profile
-  in
+(* The output for the costs in [t.costs]: the interned profile and its
+   platform figures, shared with every earlier packet that cost the same. *)
+let finish t verdict packet path events_fired faults =
+  let e = Sb_sim.Cost_vec.intern t.profiles t.costs in
   {
     verdict;
     packet;
-    profile;
+    profile = e.Sb_sim.Cost_vec.profile;
     path;
-    latency_cycles;
-    service_cycles;
+    latency_cycles = e.Sb_sim.Cost_vec.latency;
+    service_cycles = e.Sb_sim.Cost_vec.service;
     events_fired;
     faults;
   }
 
 let process_original t packet =
-  let w = walk_chain t ~recording:false ~fid:(-1) packet in
-  finish t w.w_verdict packet w.w_stages Slow_path 0 w.w_faults
+  Sb_sim.Cost_vec.reset t.costs;
+  let verdict = walk_chain t ~recording:false ~fid:(-1) packet in
+  finish t verdict packet Slow_path 0 t.walk_faults
 
 let cleanup t cls =
   Chain.remove_flow t.chain cls.Classifier.fid;
@@ -530,18 +490,16 @@ let touch_may_expire t wheel timeout fid now ~since =
   s >= 0 && now - Sb_flow.Live_table.last_seen_at t.live s > timeout
 
 (* Forwarded packets pay the metadata detach at egress; a dropped packet's
-   descriptor is simply released.  One preallocated item, threaded into the
-   Global MAT's stage assembly instead of appended after the fact — and
-   already wrapped for the optional argument, which would otherwise box a
-   [Some] per packet. *)
-let detach_item = Some (Sb_sim.Cost_profile.Serial Sb_sim.Cycles.meta_detach)
+   descriptor is simply released.  Preallocated for the optional argument,
+   which would otherwise box a [Some] per packet. *)
+let detach = Some Sb_sim.Cycles.meta_detach
 
 (* Containment of a fast-path fault: count it, quarantine the flow's
    consolidated state (Global MAT rule, Local MAT records, events,
    classifier mapping) and drop the packet.  The flow's next packet
    re-records from scratch — or runs Original when recording is no longer
    allowed. *)
-let contain_fast_path t cls classifier_stage inj_faults ~nf ~now =
+let contain_fast_path t cls ~nf ~now =
   note_fault t ~nf;
   Sb_fault.Supervisor.record_contained t.sup;
   Sb_fault.Supervisor.record_faulted_packet t.sup;
@@ -550,20 +508,8 @@ let contain_fast_path t cls classifier_stage inj_faults ~nf ~now =
   if Sb_obs.Sink.armed t.cfg.obs then
     obs_timeline t ~fid:cls.Classifier.fid ~ts_us:(Sb_sim.Cycles.to_microseconds now)
       ~detail:nf Sb_obs.Timeline.Quarantined;
-  let stage =
-    Sb_sim.Cost_profile.serial_stage "GlobalMAT"
-      (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain)
-  in
-  (classifier_stage, stage, inj_faults + 1)
-
-(* Every well-formed packet pays the same classifier cycles, so its stage
-   is one shared value. *)
-let well_formed_classifier_stage =
-  Sb_sim.Cost_profile.serial_stage "Classifier" Sb_sim.Cycles.classifier
-
-let classifier_stage_of cls =
-  if cls.Classifier.cycles = Sb_sim.Cycles.classifier then well_formed_classifier_stage
-  else Sb_sim.Cost_profile.serial_stage "Classifier" cls.Classifier.cycles
+  Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.global_mat
+    (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain)
 
 (* What the fault injector drew for one fast-path packet. *)
 type injection = {
@@ -602,40 +548,6 @@ let draw_injections t =
     t.nf_names;
   { injected = !injected; corrupts = !corrupts; stalls = !stalls; raised = !raised }
 
-let rec profile_find memo stage i =
-  if i = profile_memo_size then no_profile
-  else
-    let m = Array.unsafe_get memo i in
-    if m.stage == stage then m else profile_find memo stage (i + 1)
-
-(* The output of a quiet fast-path packet whose profile is exactly
-   [well_formed_classifier_stage; stage], for a [shared] stage: the list
-   and its platform costs come from the memo, so the packet allocates only
-   its output record. *)
-let finish_fast t verdict packet stage events_fired faults =
-  let m =
-    let m = profile_find t.profiles stage 0 in
-    if m != no_profile then m
-    else begin
-      let profile = [ well_formed_classifier_stage; stage ] in
-      let latency, service = Sb_sim.Platform.latency_and_service t.cfg.platform profile in
-      let m = { stage; profile; latency; service } in
-      t.profiles.(t.profile_next) <- m;
-      t.profile_next <- (t.profile_next + 1) land (profile_memo_size - 1);
-      m
-    end
-  in
-  {
-    verdict;
-    packet;
-    profile = m.profile;
-    path = Fast_path;
-    latency_cycles = m.latency;
-    service_cycles = m.service;
-    events_fired;
-    faults;
-  }
-
 (* The body shared by the per-packet and burst paths: [cls] has been
    classified (and [touch]ed) by the caller, and [rule] is the Global MAT
    resolution — a plain [lookup] per packet, or the burst loop's last-flow
@@ -644,7 +556,9 @@ let finish_fast t verdict packet stage events_fired faults =
 let process_with_rule t packet cls rule =
   let now = packet.Sb_packet.Packet.ingress_cycle in
   let fid = cls.Classifier.fid in
-  let classifier_stage = classifier_stage_of cls in
+  let costs = t.costs in
+  Sb_sim.Cost_vec.reset costs;
+  Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.classifier cls.Classifier.cycles;
   if rule != Sb_mat.Global_mat.no_rule then (
     let inj =
       if Sb_fault.Supervisor.active t.sup then draw_injections t else no_injection
@@ -660,56 +574,38 @@ let process_with_rule t packet cls rule =
         if Sb_obs.Sink.armed t.cfg.obs then
           obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now) ~detail:nf
             Sb_obs.Timeline.Quarantined;
-        let stage =
-          Sb_sim.Cost_profile.serial_stage "GlobalMAT"
-            (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain)
-        in
-        finish t Sb_mat.Header_action.Dropped packet [ classifier_stage; stage ]
-          Fast_path 0 n_injected
+        Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.global_mat
+          (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain);
+        finish t Sb_mat.Header_action.Dropped packet Fast_path 0 n_injected
     | None -> (
+        Sb_sim.Cost_vec.mark costs;
         match
-          Sb_mat.Global_mat.execute_rule ?egress_item:detach_item t.global
-            (Chain.events t.chain) (Chain.local_mats t.chain) fid rule packet
+          Sb_mat.Global_mat.execute_rule ?egress:detach t.global (Chain.events t.chain)
+            (Chain.local_mats t.chain) fid rule packet
         with
         | exception exn ->
             (* An organic fast-path fault — a raising state function or
-               event update — attributed to its NF when known. *)
+               event update — attributed to its NF when known.  The
+               half-written GlobalMAT stage gives way to the containment
+               charge. *)
             let nf =
               match exn with
               | Sb_fault.Fault.Nf_fault (nf, _, _) -> nf
               | _ -> "GlobalMAT"
             in
-            let classifier_stage, stage, faults =
-              contain_fast_path t cls classifier_stage n_injected ~nf ~now
-            in
-            finish t Sb_mat.Header_action.Dropped packet [ classifier_stage; stage ]
-              Fast_path 0 faults
-        | result ->
-            let verdict =
-              if inj.corrupts land 1 = 1 then flip_verdict result.Sb_mat.Global_mat.verdict
-              else result.Sb_mat.Global_mat.verdict
-            in
+            Sb_sim.Cost_vec.rewind costs;
+            contain_fast_path t cls ~nf ~now;
+            finish t Sb_mat.Header_action.Dropped packet Fast_path 0 (n_injected + 1)
+        | verdict ->
+            let verdict = if inj.corrupts land 1 = 1 then flip_verdict verdict else verdict in
             if inj.corrupts > 0 then Sb_fault.Supervisor.record_faulted_packet t.sup;
             if cls.Classifier.final then cleanup t cls;
-            let stage = result.Sb_mat.Global_mat.stage in
-            let events_fired = result.Sb_mat.Global_mat.events_fired in
             if inj.stalls > 0 then
-              finish t verdict packet
-                [
-                  classifier_stage;
-                  stage;
-                  Sb_sim.Cost_profile.serial_stage "InjectedStall"
-                    (inj.stalls * Sb_fault.Supervisor.stall_cycles t.sup);
-                ]
-                Fast_path events_fired n_injected
-            else if
-              result.Sb_mat.Global_mat.shared
-              && classifier_stage == well_formed_classifier_stage
-            then
-              finish_fast t verdict packet stage events_fired n_injected
-            else
-              finish t verdict packet [ classifier_stage; stage ] Fast_path events_fired
-                n_injected))
+              Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.injected_stall
+                (inj.stalls * Sb_fault.Supervisor.stall_cycles t.sup);
+            finish t verdict packet Fast_path
+              (Sb_mat.Global_mat.events_fired t.global)
+              n_injected))
   else begin
     (* Slow path; the flow's establishing packet also records — unless an
        NF opted out of consolidation (§IV-A3) or the fault layer no longer
@@ -729,8 +625,9 @@ let process_with_rule t packet cls rule =
       && ((not (Sb_fault.Supervisor.active t.sup))
          || Sb_fault.Supervisor.allow_recording t.sup t.nf_names)
     in
-    let w = walk_chain t ~recording ~fid packet in
-    if w.w_contained then begin
+    let verdict = walk_chain t ~recording ~fid packet in
+    let contained = t.walk_contained in
+    if contained then begin
       (* Quarantine: the walk's partial Local MAT records and events must
          not leak into a rule; the flow's next packet starts fresh. *)
       cleanup t cls;
@@ -739,19 +636,14 @@ let process_with_rule t packet cls rule =
         obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now)
           ~detail:"slow-path walk" Sb_obs.Timeline.Quarantined
     end;
-    let stages =
-      if recording && not w.w_contained then begin
-        let cost =
-          Sb_mat.Global_mat.consolidate t.global fid (Chain.local_mats t.chain)
-        in
-        if Sb_obs.Sink.armed t.cfg.obs then
-          obs_timeline t ~fid ~ts_us:t.obs_now_us Sb_obs.Timeline.Consolidated;
-        w.w_stages @ [ Sb_sim.Cost_profile.serial_stage "Consolidate" cost ]
-      end
-      else w.w_stages
-    in
-    if cls.Classifier.final && not w.w_contained then cleanup t cls;
-    finish t w.w_verdict packet (classifier_stage :: stages) Slow_path 0 w.w_faults
+    if recording && not contained then begin
+      let cost = Sb_mat.Global_mat.consolidate t.global fid (Chain.local_mats t.chain) in
+      if Sb_obs.Sink.armed t.cfg.obs then
+        obs_timeline t ~fid ~ts_us:t.obs_now_us Sb_obs.Timeline.Consolidated;
+      Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.consolidate cost
+    end;
+    if cls.Classifier.final && not contained then cleanup t cls;
+    finish t verdict packet Slow_path 0 t.walk_faults
   end
 
 (* A malformed packet (no 5-tuple, or stale checksums under
@@ -759,7 +651,9 @@ let process_with_rule t packet cls rule =
    NF, never touches conntrack or the liveness tables, and cannot perturb
    the burst path's rule memo. *)
 let process_malformed t packet cls =
-  finish t Sb_mat.Header_action.Dropped packet [ classifier_stage_of cls ] Slow_path 0 0
+  Sb_sim.Cost_vec.reset t.costs;
+  Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.classifier cls.Classifier.cycles;
+  finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
 
 let process_speedybox t packet =
   let now = packet.Sb_packet.Packet.ingress_cycle in
@@ -1132,9 +1026,13 @@ end
 let run_trace ?on_output ?(burst = 1) t packets =
   if burst < 1 then invalid_arg "Runtime.run_trace: burst must be positive";
   let acc = Acc.create ~fid_bits:t.cfg.fid_bits () in
-  let consume original out =
-    Acc.consume acc original out;
-    Option.iter (fun f -> f original out) on_output
+  let consume =
+    match on_output with
+    | None -> Acc.consume acc
+    | Some f ->
+        fun original out ->
+          Acc.consume acc original out;
+          f original out
   in
   (* The trace's packets are never mutated: each is replayed through a copy.
      Without an [on_output] callback nothing can retain the processed

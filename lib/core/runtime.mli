@@ -135,11 +135,11 @@ type output = {
   verdict : Sb_mat.Header_action.verdict;
   packet : Sb_packet.Packet.t;  (** the processed packet (final bytes) *)
   profile : Sb_sim.Cost_profile.t;
-      (** immutable, and not necessarily fresh: once a quiet fast-path
-          cost sequence recurs, the packets that produce it share one
-          physical profile value (interned stages, memoised two-stage
-          list), so never compare profiles with [==] to tell packets
-          apart *)
+      (** shared, not fresh: every path writes the packet's costs into the
+          runtime's cost vector, and {!Sb_sim.Cost_vec.intern} hands back
+          the profile an earlier packet with the same costs already built
+          whenever its slot still holds it.  Never mutate it, and never
+          compare profiles with [==] to tell packets apart *)
   path : path;
   latency_cycles : int;  (** end-to-end under the configured platform *)
   service_cycles : int;  (** per-packet cycles at the throughput bottleneck *)

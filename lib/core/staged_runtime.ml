@@ -67,7 +67,9 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
   let mats = Array.of_list (Chain.local_mats chain) in
   let nf_names = Array.map (fun nf -> nf.Nf.name) nfs in
   let classifier = Classifier.create () in
-  let global = Sb_mat.Global_mat.create ~policy ~obs () in
+  let costs = Sb_sim.Cost_vec.create () in
+  let labels = Sb_sim.Cost_vec.labels nf_names in
+  let global = Sb_mat.Global_mat.create ~policy ~obs ~costs () in
   let sup = Sb_fault.Supervisor.create ?injector ~obs fault_policy in
   if Sb_obs.Sink.armed obs then Sb_mat.Event_table.set_obs (Chain.events chain) obs;
   (* Instruments resolved once up front; per-event recording is then field
@@ -350,6 +352,7 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
                raced ahead); fall back to the original path. *)
             (Sb_sim.Cycles.fast_path_lookup, Next (To_nf 0))
         | Some rule -> (
+            Sb_sim.Cost_vec.reset costs;
             match
               Sb_mat.Global_mat.execute_rule global (Chain.events chain)
                 (Chain.local_mats chain) job.packet.Packet.fid rule job.packet
@@ -361,11 +364,11 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
                   | _ -> "GlobalMAT"
                 in
                 contain job ~nf ~now Sb_sim.Cycles.fast_path_lookup
-            | r ->
-                fired := !fired + r.Sb_mat.Global_mat.events_fired;
-                ( Sb_sim.Cost_profile.stage_cycles r.Sb_mat.Global_mat.stage
+            | verdict ->
+                fired := !fired + Sb_mat.Global_mat.events_fired global;
+                ( Sb_sim.Cost_profile.total_cycles (Sb_sim.Cost_vec.to_profile labels costs)
                   + Sb_sim.Cycles.meta_detach,
-                  Done r.Sb_mat.Global_mat.verdict )))
+                  Done verdict )))
   in
 
   let start_service label state (job, route) ~hop now =

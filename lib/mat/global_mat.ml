@@ -20,9 +20,6 @@ type program = {
   static_head : int;
       (* the per-packet serial cycles that do not depend on events:
          fast-path lookup + per-source-action walk + base forward *)
-  serial : bool;
-      (* no wave runs two or more batches, so every cost item is [Serial]
-         and the executor can count cycles into the int scratch *)
 }
 
 type rule = {
@@ -88,13 +85,6 @@ let rule_n_source_actions r = r.n_source_actions
    bit-identical outputs. *)
 type exec_mode = Compiled | Interpreted
 
-type fast_result = {
-  verdict : Header_action.verdict;
-  stage : Sb_sim.Cost_profile.stage;
-  events_fired : int;
-  shared : bool;
-}
-
 type t = {
   policy : Parallel.policy;
   exec : exec_mode;
@@ -116,14 +106,10 @@ type t = {
   mutable snap : Bytes.t;
   mutable snap_len : int;
   mutable aux : Bytes.t;
-  (* Per-packet cost scratch for serial programs: the head cycles at 0,
-     one entry per code step, then the egress item — grown to the longest
-     program seen. *)
-  mutable cycles : int array;
-  interned : fast_result array;
-      (* direct-mapped cache of quiet fast-path results, keyed by the cycle
-         sequence and verdict: flows whose programs cost the same share one
-         immutable result instead of building a stage per packet *)
+  costs : Sb_sim.Cost_vec.t;
+      (* where [execute_rule] writes the GlobalMAT stage: the owning
+         runtime's per-packet cost vector *)
+  mutable fired : int;  (* events fired by the last [execute_rule] *)
   (* Free list of scrubbed rule records: rules churn at flow rate under
      LRU and idle eviction, and recycling the (boxed) record keeps
      steady-state consolidation from allocating one per flow and from
@@ -144,28 +130,8 @@ and pass = {
   mutable width : int;  (* batches in the open wave; 0 when none is open *)
   mutable wave_mode : State_function.payload_mode;
   mutable written : bool;  (* a Write-mode batch precedes the next transform *)
-  mutable all_serial : bool;
   mutable stopped : bool;  (* a dropping transform ended the program *)
 }
-
-(* A chain whose fast path does no payload-dependent work has a handful of
-   quiet cost sequences: measured on the benchmark's chains, one per table.
-   Sixteen slots keep a few apart (verdicts, armed-event counts).  A chain
-   whose costs follow the payload (Snort) has thousands and misses at any
-   size this table could afford; a miss costs a hash and a slot write on
-   top of the allocation it would have made anyway. *)
-let intern_slots = 16
-
-let gmat_label = "GlobalMAT"
-
-(* Never matches a lookup: every real stage carries at least the head item. *)
-let no_result =
-  {
-    verdict = Header_action.Forwarded;
-    stage = Sb_sim.Cost_profile.stage gmat_label [];
-    events_fired = 0;
-    shared = false;
-  }
 
 (* Fillers for the pass buffers' unused slots. *)
 let no_step = C_wave [||]
@@ -173,7 +139,7 @@ let no_step = C_wave [||]
 let no_batch = State_function.Batch.make ~nf:"" []
 
 let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
-    ?(on_evict = fun _ -> ()) ?(obs = Sb_obs.Sink.null) () =
+    ?(on_evict = fun _ -> ()) ?(obs = Sb_obs.Sink.null) ?(costs = Sb_sim.Cost_vec.create ()) () =
   (match max_rules with
   | Some n when n < 1 -> invalid_arg "Global_mat.create: max_rules must be positive"
   | Some _ | None -> ());
@@ -198,8 +164,8 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
     snap = Bytes.create 256;
     snap_len = 0;
     aux = Bytes.create 256;
-    cycles = Array.make 8 0;
-    interned = Array.make intern_slots no_result;
+    costs;
+    fired = 0;
     spare = [];
     spare_len = 0;
     pass =
@@ -211,7 +177,6 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
         width = 0;
         wave_mode = State_function.Ignore;
         written = false;
-        all_serial = true;
         stopped = false;
       };
   }
@@ -228,7 +193,7 @@ let tick t =
 
 let spare_cap = 1024
 
-let empty_program = { code = [||]; static_head = 0; serial = true }
+let empty_program = { code = [||]; static_head = 0 }
 
 (* Scrub a dead rule of everything it retains (the program embeds NF
    closures) and keep the husk for reuse.  Callers must have already
@@ -307,7 +272,6 @@ let emit p step =
 
 let close_wave p =
   if p.width > 0 then begin
-    if p.width > 1 then p.all_serial <- false;
     emit p (C_wave (Array.sub p.wave 0 p.width));
     Array.fill p.wave 0 p.width no_batch;
     p.width <- 0
@@ -371,7 +335,6 @@ let consolidate t fid locals =
   p.len <- 0;
   p.width <- 0;
   p.written <- false;
-  p.all_serial <- true;
   p.stopped <- false;
   let n_source_actions = add_nfs t.policy p fid 0 locals in
   if not p.stopped then close_run p;
@@ -381,7 +344,6 @@ let consolidate t fid locals =
   let program =
     {
       code;
-      serial = p.all_serial;
       static_head =
         (Sb_sim.Cycles.fast_path_lookup
         + (n_source_actions * Sb_sim.Cycles.fast_path_per_action)
@@ -496,13 +458,14 @@ let ensure_capacity buf len =
    payload as of wave start; payload writes merge back, later batches
    winning, which is a deterministic model of the race parallel cores
    would exhibit.  The snapshot and the merge candidate live in [t]'s
-   grow-only scratch buffers, so steady-state execution allocates only the
-   cost list it returns. *)
+   grow-only scratch buffers, and the wave's cost item goes straight into
+   the cost vector, so steady-state execution allocates nothing. *)
 let run_wave_compiled t batches packet =
   match Array.length batches with
-  | 0 -> Sb_sim.Cost_profile.Serial 0
-  | 1 -> Sb_sim.Cost_profile.Serial (State_function.Batch.run batches.(0) packet)
+  | 0 -> Sb_sim.Cost_vec.serial t.costs 0
+  | 1 -> Sb_sim.Cost_vec.serial t.costs (State_function.Batch.run batches.(0) packet)
   | n ->
+      Sb_sim.Cost_vec.parallel t.costs n;
       let off = Packet.payload_offset packet in
       let snap_len = packet.Packet.len - off in
       t.snap <- ensure_capacity t.snap snap_len;
@@ -510,7 +473,6 @@ let run_wave_compiled t batches packet =
       Bytes.blit packet.Packet.buf off t.snap 0 snap_len;
       let merged = ref false in
       let merged_len = ref 0 in
-      let rev_costs = ref [] in
       for k = 0 to n - 1 do
         (* Restore the wave-start payload for this batch. *)
         let off = Packet.payload_offset packet in
@@ -525,32 +487,31 @@ let run_wave_compiled t batches packet =
           merged := true;
           merged_len := len'
         end;
-        rev_costs := cost :: !rev_costs
+        Sb_sim.Cost_vec.cost t.costs cost
       done;
       let off = Packet.payload_offset packet in
       if !merged then Bytes.blit t.aux 0 packet.Packet.buf off !merged_len
-      else Bytes.blit t.snap 0 packet.Packet.buf off snap_len;
-      Sb_sim.Cost_profile.Parallel (List.rev !rev_costs)
+      else Bytes.blit t.snap 0 packet.Packet.buf off snap_len
 
-(* Execute the compiled program in chain position order, accumulating the
-   profile items in reverse (the caller conses the egress item and head on
-   and reverses once).  A dropping transform is always the last code entry
+(* Execute the compiled program in chain position order, writing one cost
+   item per step.  A dropping transform is always the last code entry
    (recording stops at the dropping NF), so state recorded upstream of the
    drop still runs. *)
 let run_program t code packet =
   let verdict = ref Header_action.Forwarded in
-  let rev_items = ref [] in
   for i = 0 to Array.length code - 1 do
     match Array.unsafe_get code i with
     | C_transform { c; cost; incr_ok } ->
-        let apply = if incr_ok then Consolidate.apply_incremental else Consolidate.apply in
-        (match apply c packet with
+        let v =
+          if incr_ok then Consolidate.apply_incremental c packet else Consolidate.apply c packet
+        in
+        (match v with
         | Header_action.Dropped -> verdict := Header_action.Dropped
         | Header_action.Forwarded -> ());
-        rev_items := Sb_sim.Cost_profile.Serial cost :: !rev_items
-    | C_wave batches -> rev_items := run_wave_compiled t batches packet :: !rev_items
+        Sb_sim.Cost_vec.serial t.costs cost
+    | C_wave batches -> run_wave_compiled t batches packet
   done;
-  (!verdict, !rev_items)
+  !verdict
 
 (* ---- Reference interpreter (the pre-compilation executor) ---- *)
 
@@ -562,10 +523,10 @@ let restore_payload packet saved =
   let off = Packet.payload_offset packet in
   Bytes.blit saved 0 packet.Packet.buf off (Bytes.length saved)
 
-let run_wave_interp batches packet =
+let run_wave_interp t batches packet =
   match batches with
-  | [] -> Sb_sim.Cost_profile.Serial 0
-  | [ batch ] -> Sb_sim.Cost_profile.Serial (State_function.Batch.run batch packet)
+  | [] -> Sb_sim.Cost_vec.serial t.costs 0
+  | [ batch ] -> Sb_sim.Cost_vec.serial t.costs (State_function.Batch.run batch packet)
   | _ ->
       let snapshot = payload_region packet in
       let merged = ref None in
@@ -582,22 +543,21 @@ let run_wave_interp batches packet =
       (match !merged with
       | Some final -> restore_payload packet final
       | None -> restore_payload packet snapshot);
-      Sb_sim.Cost_profile.Parallel costs
+      Sb_sim.Cost_vec.parallel t.costs (List.length costs);
+      List.iter (Sb_sim.Cost_vec.cost t.costs) costs
 
-let run_steps_interp rule packet =
+let run_steps_interp t rule packet =
   List.fold_left
-    (fun (verdict, rev_items) step ->
+    (fun verdict step ->
       match step with
       | Transform c ->
           let v = Consolidate.apply c packet in
-          let verdict =
-            match v with Header_action.Dropped -> v | Header_action.Forwarded -> verdict
-          in
-          (verdict, Sb_sim.Cost_profile.Serial (Consolidate.cost c) :: rev_items)
+          Sb_sim.Cost_vec.serial t.costs (Consolidate.cost c);
+          (match v with Header_action.Dropped -> v | Header_action.Forwarded -> verdict)
       | Waves ws ->
-          let wave_items = List.map (fun w -> run_wave_interp (Array.to_list w) packet) ws in
-          (verdict, List.rev_append wave_items rev_items))
-    (Header_action.Forwarded, [])
+          List.iter (fun w -> run_wave_interp t (Array.to_list w) packet) ws;
+          verdict)
+    Header_action.Forwarded
     (steps_of_code rule.program.code)
 
 (* ---- Fast-path entry points ---- *)
@@ -651,131 +611,41 @@ let apply_fired t locals fid packet fired =
     fired;
   !fire_cycles + consolidate t fid locals
 
-(* Run a serial program (no multi-batch wave), writing each step's cycles
-   to [cycles.(1 + i)] instead of consing profile items. *)
-let run_program_serial code packet cycles =
-  let verdict = ref Header_action.Forwarded in
-  for i = 0 to Array.length code - 1 do
-    let cost =
-      match Array.unsafe_get code i with
-      | C_transform { c; cost; incr_ok } ->
-          let v =
-            if incr_ok then Consolidate.apply_incremental c packet else Consolidate.apply c packet
-          in
-          (match v with
-          | Header_action.Dropped -> verdict := Header_action.Dropped
-          | Header_action.Forwarded -> ());
-          cost
-      | C_wave [||] -> 0
-      | C_wave batches -> State_function.Batch.run (Array.unsafe_get batches 0) packet
-    in
-    Array.unsafe_set cycles (i + 1) cost
-  done;
-  !verdict
-
-let rec hash_cycles cycles n i h =
-  if i = n then h land max_int
-  else hash_cycles cycles n (i + 1) ((h lxor Array.unsafe_get cycles i) * 0x100000001b3)
-
-(* Does [items] read exactly [Serial cycles.(i)], ..., [Serial cycles.(n-1)]? *)
-let rec items_match cycles n i = function
-  | [] -> i = n
-  | Sb_sim.Cost_profile.Serial c :: rest ->
-      i < n && Array.unsafe_get cycles i = c && items_match cycles n (i + 1) rest
-  | Sb_sim.Cost_profile.Parallel _ :: _ -> false
-
-let rec serial_items cycles i acc =
-  if i < 0 then acc
-  else serial_items cycles (i - 1) (Sb_sim.Cost_profile.Serial (Array.unsafe_get cycles i) :: acc)
-
-(* The quiet fast-path result for [cycles.(0 .. n-1)] and [verdict]: the
-   cached one when an earlier packet produced the same, otherwise a fresh
-   one that replaces the slot's occupant.  Results are immutable, so
-   sharing one across packets and flows is safe.  A fresh result is
-   [shared = false]; the first hit swaps in a [shared] copy, so callers
-   that memoise by identity only ever see results that have recurred. *)
-let intern_result t cycles n verdict =
-  let seed = match verdict with Header_action.Forwarded -> 1 | Header_action.Dropped -> 2 in
-  let h = hash_cycles cycles n 0 seed in
-  let slot = (h lxor (h lsr 29)) land (intern_slots - 1) in
-  let r = Array.unsafe_get t.interned slot in
-  if r.verdict = verdict && items_match cycles n 0 r.stage.Sb_sim.Cost_profile.items then
-    if r.shared then r
-    else begin
-      let r = { r with shared = true } in
-      Array.unsafe_set t.interned slot r;
-      r
-    end
-  else begin
-    let r =
-      {
-        verdict;
-        stage = Sb_sim.Cost_profile.stage gmat_label (serial_items cycles (n - 1) []);
-        events_fired = 0;
-        shared = false;
-      }
-    in
-    Array.unsafe_set t.interned slot r;
-    r
-  end
-
-let execute_rule ?egress_item t events locals fid rule packet =
+let execute_rule ?egress t events locals fid rule packet =
   if rule == no_rule then invalid_arg "Global_mat.execute_rule: no_rule";
   let armed = Event_table.poll_armed events fid in
   let fired = Event_table.last_fired events in
   let event_cycles = armed * Sb_sim.Cycles.event_check in
   let fire_cycles = match fired with [] -> 0 | _ -> apply_fired t locals fid packet fired in
-  let events_fired = List.length fired in
+  t.fired <- List.length fired;
   rule.last_use <- tick t;
   Sb_flow.Lru.touch t.lru rule.node;
   let program = rule.program in
-  let head = program.static_head + event_cycles + fire_cycles in
-  match (t.exec, egress_item) with
-  | Compiled, (None | Some (Sb_sim.Cost_profile.Serial _)) when program.serial ->
-      let code = program.code in
-      let len = Array.length code in
-      if Array.length t.cycles < len + 2 then t.cycles <- Array.make (2 * (len + 2)) 0;
-      let cycles = t.cycles in
-      Array.unsafe_set cycles 0 head;
-      let verdict = run_program_serial code packet cycles in
-      (* Forwarded packets may pay an egress item (e.g. metadata detach); a
-         dropped packet's descriptor is simply released. *)
-      let n =
-        match (egress_item, verdict) with
-        | Some (Sb_sim.Cost_profile.Serial c), Header_action.Forwarded ->
-            Array.unsafe_set cycles (len + 1) c;
-            len + 2
-        | (Some _ | None), _ -> len + 1
-      in
-      let r = intern_result t cycles n verdict in
-      if events_fired = 0 then r else { r with events_fired }
-  | (Compiled | Interpreted), _ ->
-      (* Multi-batch waves carry [Parallel] items, and the interpreter is the
-         reference the compiled path is checked against: both build the
-         item list. *)
-      let verdict, rev_items =
-        match t.exec with
-        | Compiled -> run_program t program.code packet
-        | Interpreted -> run_steps_interp rule packet
-      in
-      let rev_items =
-        match egress_item with
-        | Some item when verdict = Header_action.Forwarded -> item :: rev_items
-        | Some _ | None -> rev_items
-      in
-      {
-        verdict;
-        stage =
-          Sb_sim.Cost_profile.stage gmat_label
-            (Sb_sim.Cost_profile.Serial head :: List.rev rev_items);
-        events_fired;
-        shared = false;
-      }
+  Sb_sim.Cost_vec.rewind t.costs;
+  Sb_sim.Cost_vec.stage t.costs Sb_sim.Cost_vec.global_mat;
+  Sb_sim.Cost_vec.serial t.costs (program.static_head + event_cycles + fire_cycles);
+  let verdict =
+    match t.exec with
+    | Compiled -> run_program t program.code packet
+    | Interpreted -> run_steps_interp t rule packet
+  in
+  (* Forwarded packets may pay an egress item (e.g. metadata detach); a
+     dropped packet's descriptor is simply released. *)
+  (match (egress, verdict) with
+  | Some c, Header_action.Forwarded -> Sb_sim.Cost_vec.serial t.costs c
+  | (Some _ | None), _ -> ());
+  verdict
 
-let execute ?egress_item t events locals fid packet =
+let events_fired t = t.fired
+
+let costs t = t.costs
+
+let execute ?egress t events locals fid packet =
   match find t fid with
   | None -> None
-  | Some rule -> Some (execute_rule ?egress_item t events locals fid rule packet)
+  | Some rule ->
+      Sb_sim.Cost_vec.reset t.costs;
+      Some (execute_rule ?egress t events locals fid rule packet)
 
 let pp_step fmt = function
   | Transform c -> Format.fprintf fmt "T(%a)" Consolidate.pp c

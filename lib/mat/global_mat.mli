@@ -82,7 +82,7 @@ val rule_transform_count : rule -> int
     the flat program; [Interpreted] rebuilds the program's positional step
     list (transforms and wave groups with their plans) and walks it exactly
     as the pre-compilation executor did.  Both produce bit-identical verdicts,
-    packet bytes and cost profiles — the [Interpreted] mode exists as the
+    packet bytes and cost vectors — the [Interpreted] mode exists as the
     reference the differential tests compare the compiler against. *)
 type exec_mode = Compiled | Interpreted
 
@@ -94,6 +94,7 @@ val create :
   ?exec:exec_mode ->
   ?on_evict:(Sb_flow.Fid.t -> unit) ->
   ?obs:Sb_obs.Sink.t ->
+  ?costs:Sb_sim.Cost_vec.t ->
   unit ->
   t
 (** [max_rules] caps the consolidated-rule table (unbounded by default):
@@ -104,6 +105,8 @@ val create :
     [speedybox_consolidations_total] and, on Event Table firings,
     [speedybox_event_rewrites_total{nf}] plus an ["event-rewrite"] trace
     span and a flow-timeline entry; nothing is recorded per packet.
+    [costs] is the vector {!execute_rule} writes each packet's GlobalMAT
+    stage into — the owning runtime's (a fresh one by default).
     @raise Invalid_argument when [max_rules < 1]. *)
 
 val policy : t -> Parallel.policy
@@ -177,49 +180,49 @@ type memory_stats = {
 
 val memory_stats : t -> memory_stats
 
-(** Result of a fast-path execution. *)
-type fast_result = {
-  verdict : Header_action.verdict;
-  stage : Sb_sim.Cost_profile.stage;
-      (** the Global MAT stage's cost items: lookup, event checks, the
-          consolidated header action and one item per state-function wave *)
-  events_fired : int;
-  shared : bool;
-      (** [stage] is a cached value that an earlier packet's execution
-          already returned, so later packets are likely to return it again.
-          False for a result built fresh: the first packet with a given
-          cost sequence, and every packet of a multi-batch [Parallel] wave
-          or of [Interpreted] mode. *)
-}
-
 val execute_rule :
-  ?egress_item:Sb_sim.Cost_profile.item ->
+  ?egress:int ->
   t ->
   Event_table.t ->
   Local_mat.t list ->
   Sb_flow.Fid.t ->
   rule ->
   Sb_packet.Packet.t ->
-  fast_result
+  Header_action.verdict
 (** [execute_rule t events locals fid rule p] processes a subsequent packet
     on the fast path using an already-looked-up [rule], so a caller that
     routed on {!find} pays exactly one table access per packet.  Fired
     events rewrite the Local MATs and trigger re-consolidation (updating
     [rule] in place) before the packet is processed, so the update takes
-    effect immediately (§III).  [egress_item], when given, is appended to
-    the stage's cost items for forwarded packets only (dropped packets
-    release their descriptor without paying egress work).  Raises
-    [Invalid_argument] when [rule] is {!no_rule}. *)
+    effect immediately (§III).
+
+    The packet's GlobalMAT stage is written to {!costs} after its mark
+    ({!Sb_sim.Cost_vec.rewind} first, so repeated calls replace the stage
+    rather than grow the vector): the head item (lookup, per-action walk,
+    event checks and firings), one item per program step — a merged
+    transform's cost, or a wave's, [Parallel] when it runs two or more
+    batches — and, for forwarded packets only, [Serial egress] (dropped
+    packets release their descriptor without paying egress work).  If the
+    execution raises, the stage may be partly written.  Returns the
+    verdict; {!events_fired} gives the firings.  Raises [Invalid_argument]
+    when [rule] is {!no_rule}. *)
+
+val events_fired : t -> int
+(** Event Table updates the last {!execute_rule} applied. *)
+
+val costs : t -> Sb_sim.Cost_vec.t
+(** The cost vector {!execute_rule} writes into. *)
 
 val execute :
-  ?egress_item:Sb_sim.Cost_profile.item ->
+  ?egress:int ->
   t ->
   Event_table.t ->
   Local_mat.t list ->
   Sb_flow.Fid.t ->
   Sb_packet.Packet.t ->
-  fast_result option
-(** [execute t events locals fid p] is {!find} followed by {!execute_rule};
-    [None] when the flow has no consolidated rule yet. *)
+  Header_action.verdict option
+(** [execute t events locals fid p] resets {!costs}, then is {!find}
+    followed by {!execute_rule}; [None] when the flow has no consolidated
+    rule yet. *)
 
 val pp_rule : Format.formatter -> rule -> unit

@@ -17,17 +17,25 @@
    each) and the eight-field output record (9 words), plus a fraction of
    a word per packet for the emit closure built once per burst.
 
-   A third figure covers the slow path: words per [Global_mat.consolidate]
-   call, re-consolidating every recorded flow of the same trace on
-   [chain1] and on the benchmark's edge-churn chain.  What a call
+   The benchmark's edge-churn chain gets the same two figures for its
+   fast path, where every packet runs the Monitor + DoS guard two-batch
+   wave (a [Parallel] cost item), plus words per packet of a slow-path
+   only trace: each flow's SYN walks the chain and its first data packet
+   records and consolidates.  Every path writes its costs into the
+   runtime's int cost vector and shares an interned profile, so none of
+   these figures contains a cost-profile list.
+
+   A further figure covers consolidation alone: words per
+   [Global_mat.consolidate] call, re-consolidating every recorded flow of
+   the same trace on [chain1] and on the edge-churn chain.  What a call
    allocates is the program itself — each non-identity transform, each
    wave's batch array, the batch records and the final code array — and
    nothing per [Forward] action.
 
-   The burst and consolidation budgets sit under 10% above their measured
-   figures, and [Acc.consume] must not allocate at all; a change that
-   allocates more must pay for it elsewhere or raise the budget on
-   purpose. *)
+   The burst, slow-path and consolidation budgets sit under 10% above
+   their measured figures, and [Acc.consume] must not allocate at all; a
+   change that allocates more must pay for it elsewhere or raise the
+   budget on purpose. *)
 
 open Speedybox
 module P = Sb_packet.Packet
@@ -37,6 +45,14 @@ module P = Sb_packet.Packet
 let burst_budget_words = 36.
 
 let consume_budget_words = 0.
+
+(* Measured on the edge-churn chain: 57.19 words per two-batch-wave
+   fast-path packet (122.19 when each packet built its cost-profile
+   lists) and 226.60 per slow-path packet, half SYN walks and half
+   recording walks with their consolidation (299.36 before). *)
+let wave_budget_words = 62.
+
+let slow_budget_words = 245.
 
 (* The benchmark's edge-churn chain: the registry's [edge] NFs with
    Gateway last. *)
@@ -69,21 +85,61 @@ let steady_trace () =
              = 0)
   |> Array.of_list
 
+(* The edge-churn chain's steady state: 300 port-80 TCP flows of 8 data
+   packets each.  Replayed with their SYNs, every flow is accepted by the
+   firewall and consolidated; replayed without them, every packet takes
+   the fast path through the Monitor + DoS guard two-batch wave (three
+   replays stay under the guard's 200-packet cap). *)
+let edge_trace ~syn =
+  Sb_trace.Workload.fixed_trace ~seed:21 ~n_flows:300 ~packets_per_flow:8 ~payload_len:64 ()
+  |> List.filter (fun p ->
+         let flags = P.tcp_flag_bits p in
+         flags land Sb_packet.Tcp.(fin_bit lor rst_bit) = 0
+         && (syn || flags land Sb_packet.Tcp.syn_bit = 0))
+  |> Array.of_list
+
+(* Slow path only: 600 DCN-style flows (edge-churn's 16-128 B payloads)
+   that each send a SYN — a plain walk — and one data packet, which
+   records and consolidates.  Flows whose FID an earlier flow took are
+   left out, so no packet reaches a rule. *)
+let slow_trace () =
+  let fids = Hashtbl.create 1024 in
+  Sb_trace.Workload.dcn_flows
+    {
+      Sb_trace.Workload.seed = 21;
+      n_flows = 600;
+      mean_flow_packets = 2.;
+      payload_len = (16, 128);
+      udp_fraction = 0.;
+      malicious_fraction = 0.;
+      tokens = [];
+    }
+  |> List.filter (fun (f : Sb_trace.Workload.flow) ->
+         let fid = Sb_flow.Fid.of_tuple f.Sb_trace.Workload.tuple in
+         (not (Hashtbl.mem fids fid)) && (Hashtbl.replace fids fid (); true))
+  |> List.concat_map (fun (f : Sb_trace.Workload.flow) ->
+         Sb_trace.Workload.packets_of_flow
+           (Sb_trace.Workload.make_flow ~close:Sb_trace.Workload.Stay_open
+              ~tuple:f.Sb_trace.Workload.tuple
+              ~payloads:[| f.Sb_trace.Workload.payloads.(0) |]
+              ()))
+  |> Array.of_list
+
 type run = {
   packets : P.t array;
   rt : Runtime.t;
   pool : P.t array;
 }
 
-let setup () =
-  let build =
-    match Sb_experiments.Chain_registry.build "chain1" with
-    | Ok build -> build
-    | Error msg -> Alcotest.fail msg
-  in
+let build chain_name =
+  match Sb_experiments.Chain_registry.build chain_name with
+  | Ok build -> build ()
+  | Error msg -> Alcotest.fail msg
+
+let setup ?(chain = "chain1") ?(packets = steady_trace ()) () =
   {
-    packets = steady_trace ();
-    rt = Runtime.create (Runtime.config ()) (build ());
+    packets;
+    rt = Runtime.create (Runtime.config ()) (build chain);
     pool = Array.init Runtime.default_burst (fun _ -> P.scratch ());
   }
 
@@ -120,8 +176,46 @@ let test_fast_path_budget () =
     Alcotest.failf "fast path allocates %.2f words/packet, budget %.1f" words
       burst_budget_words
 
-let test_consume_budget () =
-  let r = setup () in
+(* The edge-churn chain warmed with SYNs, then replayed without them. *)
+let edge_setup () =
+  let r = setup ~chain:edge_churn_chain ~packets:(edge_trace ~syn:true) () in
+  ignore (replay r (fun _ _ -> ()));
+  { r with packets = edge_trace ~syn:false }
+
+let test_wave_fast_path_budget () =
+  let r = edge_setup () in
+  let waves = ref 0 in
+  ignore
+    (replay r (fun _ out ->
+         if out.Runtime.path = Runtime.Fast_path && Test_util.has_parallel_item out then
+           incr waves));
+  Alcotest.(check int) "every packet runs the two-batch wave" (Array.length r.packets) !waves;
+  let words = per_packet r (replay r (fun _ _ -> ())) in
+  if words > wave_budget_words then
+    Alcotest.failf "wave fast path allocates %.2f words/packet, budget %.1f" words
+      wave_budget_words
+
+let test_slow_path_budget () =
+  let r = setup ~chain:edge_churn_chain ~packets:(slow_trace ()) () in
+  let fast = ref 0 and consolidated = ref 0 in
+  let words =
+    per_packet r
+      (replay r (fun _ out ->
+           if out.Runtime.path = Runtime.Fast_path then incr fast;
+           if
+             List.exists
+               (fun (st : Sb_sim.Cost_profile.stage) ->
+                 String.equal st.Sb_sim.Cost_profile.label "Consolidate")
+               out.Runtime.profile
+           then incr consolidated))
+  in
+  Alcotest.(check int) "no packet reaches a rule" 0 !fast;
+  Alcotest.(check bool) "data packets record" true (!consolidated > 0);
+  if words > slow_budget_words then
+    Alcotest.failf "slow path allocates %.2f words/packet, budget %.1f" words
+      slow_budget_words
+
+let check_consume_budget r () =
   ignore (replay r (fun _ _ -> ()));
   let outs = Array.make (Array.length r.packets) None in
   ignore (replay r (fun k out -> outs.(k) <- Some out));
@@ -142,17 +236,16 @@ let test_consume_budget () =
     Alcotest.failf "Acc.consume allocates %.3f words/packet, budget %.1f" words
       consume_budget_words
 
+let test_consume_budget () = check_consume_budget (setup ()) ()
+
+let test_consume_wave_budget () = check_consume_budget (edge_setup ()) ()
+
 (* Words per [Global_mat.consolidate] call: replay a DCN trace through
    [chain] so every flow records and consolidates, warm the table's
    scratch buffers with one pass over the installed rules, then
    re-consolidate every rule from its Local MAT records. *)
 let consolidate_words chain_name =
-  let build =
-    match Sb_experiments.Chain_registry.build chain_name with
-    | Ok build -> build
-    | Error msg -> Alcotest.fail msg
-  in
-  let chain = build () in
+  let chain = build chain_name in
   let rt = Runtime.create (Runtime.config ()) chain in
   Array.iter (fun p -> ignore (Runtime.process_packet rt (P.copy p))) (steady_trace ());
   let gm = Runtime.global_mat rt in
@@ -176,6 +269,9 @@ let suite =
   [
     Alcotest.test_case "fast-path allocation budget" `Quick test_fast_path_budget;
     Alcotest.test_case "Acc.consume allocation budget" `Quick test_consume_budget;
+    Alcotest.test_case "Acc.consume budget (waves)" `Quick test_consume_wave_budget;
+    Alcotest.test_case "wave fast-path budget" `Quick test_wave_fast_path_budget;
+    Alcotest.test_case "slow-path allocation budget" `Quick test_slow_path_budget;
     Alcotest.test_case "consolidate allocation budget (edge-churn chain)" `Quick
       (check_consolidate_budget edge_churn_chain consolidate_edge_budget_words);
     Alcotest.test_case "consolidate allocation budget (chain1)" `Quick

@@ -7,10 +7,11 @@
    must be indistinguishable: same verdicts, same wire bytes, same cost
    profiles stage by stage and item by item, same fired events, same final
    NF state — on every chain the registry can compose and under eviction,
-   expiry, mid-stream events and injected faults.  The compiled path
-   counts serial programs into an int scratch and interns the resulting
-   stage; multi-batch waves, fired events and faults take the
-   list-building fallbacks, and both must match the interpreter. *)
+   expiry, mid-stream events and injected faults.  Both modes write the
+   GlobalMAT stage into the runtime's cost vector and the runtime interns
+   the whole vector, so the profiles compared here are the decoded
+   vectors: serial steps, multi-batch waves, fired events and faults
+   must all encode the same. *)
 
 let pp_profile p = Format.asprintf "%a" Sb_sim.Cost_profile.pp p
 
@@ -194,21 +195,14 @@ let dcn_trace ~seed =
       tokens = [];
     }
 
-let has_parallel_item (out : Speedybox.Runtime.output) =
-  List.exists
-    (fun (st : Sb_sim.Cost_profile.stage) ->
-      List.exists
-        (function Sb_sim.Cost_profile.Parallel _ -> true | Sb_sim.Cost_profile.Serial _ -> false)
-        st.Sb_sim.Cost_profile.items)
-    out.Speedybox.Runtime.profile
-
 (* The paper's Chain 2 puts Snort (payload READ) and Monitor (IGNORE) in
-   one two-batch wave: its fast path carries a [Parallel] item, the
-   compiled executor's list-building fallback. *)
+   one two-batch wave: its fast path carries a [Parallel] item. *)
 let test_parallel_wave_profiles () =
   let parallel = ref 0 in
   let on_outputs _ (out_c : Speedybox.Runtime.output) =
-    if out_c.Speedybox.Runtime.path = Speedybox.Runtime.Fast_path && has_parallel_item out_c
+    if
+      out_c.Speedybox.Runtime.path = Speedybox.Runtime.Fast_path
+      && Test_util.has_parallel_item out_c
     then incr parallel
   in
   check_identical "chain2" (run_pair ~on_outputs (registry "chain2") (dcn_trace ~seed:4));

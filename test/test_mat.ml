@@ -230,12 +230,11 @@ let test_execute_runs_batches_and_counts () =
   ignore (Global_mat.consolidate global 1 mats);
   let p = Test_util.tcp_packet () in
   p.Sb_packet.Packet.fid <- 1;
-  let result = Option.get (Global_mat.execute global events mats 1 p) in
-  Alcotest.(check bool) "forwarded" true
-    (result.Global_mat.verdict = Header_action.Forwarded);
+  let verdict = Option.get (Global_mat.execute global events mats 1 p) in
+  Alcotest.(check bool) "forwarded" true (verdict = Header_action.Forwarded);
   Alcotest.(check int) "sf a ran" 1 !counter_a;
   Alcotest.(check int) "sf b ran" 1 !counter_b;
-  Alcotest.(check int) "no events" 0 result.Global_mat.events_fired;
+  Alcotest.(check int) "no events" 0 (Global_mat.events_fired global);
   Alcotest.(check bool) "unknown fid yields none" true
     (Global_mat.execute global events mats 99 p = None)
 
@@ -252,10 +251,10 @@ let test_execute_rule_rejects_no_rule () =
       ignore
         (Global_mat.execute_rule global (Event_table.create ()) mats 99 Global_mat.no_rule p))
 
-(* A quiet serial result is fresh on its first packet, swapped for a shared
-   copy on its first recurrence and then handed out as that one value; a
-   multi-batch wave's result is always fresh. *)
-let test_execute_shares_recurring_results () =
+(* [execute] writes the packet's GlobalMAT stage into the table's cost
+   vector: the head, one item per step — [Serial] for a one-batch wave,
+   [Parallel] for a two-batch one — and the egress item when forwarded. *)
+let test_execute_writes_stage () =
   let a, b, mats = chain_mats () in
   Local_mat.add_header_action a 1 Header_action.Forward;
   Local_mat.add_state_function a 1 (sf ~nf:"a" ());
@@ -266,20 +265,22 @@ let test_execute_shares_recurring_results () =
   let events = Event_table.create () in
   ignore (Global_mat.consolidate global 1 [ a ]);
   ignore (Global_mat.consolidate global 2 mats);
-  let run fid = Option.get (Global_mat.execute global events mats fid (Test_util.tcp_packet ())) in
-  let r1 = run 1 in
-  let r2 = run 1 in
-  let r3 = run 1 in
-  Alcotest.(check bool) "first fresh" false r1.Global_mat.shared;
-  Alcotest.(check bool) "recurrence shared" true r2.Global_mat.shared;
-  Alcotest.(check bool) "then one value" true (r2 == r3);
-  Alcotest.(check bool) "same stage contents" true
-    (r1.Global_mat.stage = r2.Global_mat.stage);
   Alcotest.(check (list (list int))) "flow 2 runs a two-batch wave" [ [ 0; 1 ] ]
     (Global_mat.rule_plan (Option.get (Global_mat.find global 2)));
-  let w1 = run 2 and w2 = run 2 in
-  Alcotest.(check bool) "wave results never shared" false
-    (w1.Global_mat.shared || w2.Global_mat.shared || w1 == w2)
+  let stage fid =
+    ignore (Global_mat.execute ~egress:7 global events mats fid (Test_util.tcp_packet ()));
+    Format.asprintf "%a" Sb_sim.Cost_profile.pp
+      (Sb_sim.Cost_vec.to_profile (Sb_sim.Cost_vec.labels [||]) (Global_mat.costs global))
+  in
+  let head = Sb_sim.Cycles.(fast_path_lookup + fast_path_per_action + ha_forward) in
+  let batch = 10 + Sb_sim.Cycles.sf_invoke in
+  Alcotest.(check string) "serial wave"
+    (Printf.sprintf "GlobalMAT:%d+%d+7" head batch)
+    (stage 1);
+  Alcotest.(check string) "repeat writes the same stage" (stage 1) (stage 1);
+  Alcotest.(check string) "two-batch wave"
+    (Printf.sprintf "GlobalMAT:%d+par[%d,%d]+7" head batch batch)
+    (stage 2)
 
 let test_execute_event_rewrites_rule () =
   let a, _, mats = chain_mats () in
@@ -293,18 +294,16 @@ let test_execute_event_rewrites_rule () =
     ();
   ignore (Global_mat.consolidate global 1 mats);
   let p = Test_util.tcp_packet () in
-  let r1 = Option.get (Global_mat.execute global events mats 1 p) in
-  Alcotest.(check bool) "forwards before event" true
-    (r1.Global_mat.verdict = Header_action.Forwarded);
+  let v1 = Option.get (Global_mat.execute global events mats 1 p) in
+  Alcotest.(check bool) "forwards before event" true (v1 = Header_action.Forwarded);
   threshold_hit := true;
-  let r2 = Option.get (Global_mat.execute global events mats 1 (Test_util.tcp_packet ())) in
-  Alcotest.(check int) "event fired" 1 r2.Global_mat.events_fired;
-  Alcotest.(check bool) "drops immediately on firing packet" true
-    (r2.Global_mat.verdict = Header_action.Dropped);
+  let v2 = Option.get (Global_mat.execute global events mats 1 (Test_util.tcp_packet ())) in
+  Alcotest.(check int) "event fired" 1 (Global_mat.events_fired global);
+  Alcotest.(check bool) "drops immediately on firing packet" true (v2 = Header_action.Dropped);
   Alcotest.(check int) "re-consolidated" 2 (Global_mat.consolidation_count global);
-  let r3 = Option.get (Global_mat.execute global events mats 1 (Test_util.tcp_packet ())) in
-  Alcotest.(check bool) "keeps dropping" true (r3.Global_mat.verdict = Header_action.Dropped);
-  Alcotest.(check int) "one-shot does not refire" 0 r3.Global_mat.events_fired
+  let v3 = Option.get (Global_mat.execute global events mats 1 (Test_util.tcp_packet ())) in
+  Alcotest.(check bool) "keeps dropping" true (v3 = Header_action.Dropped);
+  Alcotest.(check int) "one-shot does not refire" 0 (Global_mat.events_fired global)
 
 let test_wave_snapshot_semantics () =
   (* A WRITE batch and a READ batch forced into one wave (unsound policy):
@@ -367,7 +366,7 @@ let suite =
     Alcotest.test_case "drop keeps upstream batches" `Quick test_drop_rule_keeps_upstream_batches;
     Alcotest.test_case "execute runs batches" `Quick test_execute_runs_batches_and_counts;
     Alcotest.test_case "execute_rule refuses no_rule" `Quick test_execute_rule_rejects_no_rule;
-    Alcotest.test_case "recurring results shared" `Quick test_execute_shares_recurring_results;
+    Alcotest.test_case "execute writes the stage" `Quick test_execute_writes_stage;
     Alcotest.test_case "event rewrites rule mid-stream" `Quick test_execute_event_rewrites_rule;
     Alcotest.test_case "wave snapshot semantics" `Quick test_wave_snapshot_semantics;
     Alcotest.test_case "global mat removal" `Quick test_global_mat_removal;

@@ -152,6 +152,41 @@ let test_run_trace_does_not_mutate_inputs () =
     (fun p original -> Alcotest.(check string) "input frames intact" original (Packet.wire p))
     packets originals
 
+(* Once a cost vector recurs, its packets share one physical profile: a
+   flow's fast-path packets on chain1 (serial items) and on the edge-churn
+   chain (a two-batch [Parallel] wave), and a second flow that costs the
+   same reuses the first one's value. *)
+let test_recurring_profile_shared () =
+  List.iter
+    (fun spec ->
+      let build =
+        match Sb_experiments.Chain_registry.build spec with
+        | Ok build -> build
+        | Error msg -> Alcotest.fail msg
+      in
+      let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) (build ()) in
+      let flows =
+        Sb_trace.Workload.fixed_flows ~n_flows:2 ~packets_per_flow:6 ~payload_len:64 ()
+      in
+      let fast = ref [] in
+      List.iter
+        (fun flow ->
+          List.iter
+            (fun p ->
+              let out = Speedybox.Runtime.process_packet rt p in
+              if out.Speedybox.Runtime.path = Speedybox.Runtime.Fast_path then
+                fast := out.Speedybox.Runtime.profile :: !fast)
+            (Sb_trace.Workload.packets_of_flow
+               { flow with Sb_trace.Workload.close = Sb_trace.Workload.Stay_open }))
+        flows;
+      match !fast with
+      | [] -> Alcotest.failf "%s: no fast-path packet" spec
+      | last :: _ as all ->
+          Alcotest.(check int) (spec ^ ": fast-path packets") 10 (List.length all);
+          Alcotest.(check bool) (spec ^ ": one physical profile") true
+            (List.for_all (fun p -> p == last) all))
+    [ "chain1"; "statefulfw,monitor,dosguard:200,gateway" ]
+
 let suite =
   [
     Alcotest.test_case "classifier phases" `Quick test_classifier_phases;
@@ -165,4 +200,5 @@ let suite =
     Alcotest.test_case "profile stages" `Quick test_profiles_have_expected_stages;
     Alcotest.test_case "udp first packet records" `Quick test_udp_first_packet_records;
     Alcotest.test_case "inputs not mutated" `Quick test_run_trace_does_not_mutate_inputs;
+    Alcotest.test_case "recurring profile shared" `Quick test_recurring_profile_shared;
   ]

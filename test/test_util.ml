@@ -45,3 +45,12 @@ let check_equivalent name report =
     (Speedybox.Equivalence.equivalent report)
 
 let qcheck_cases tests = List.map QCheck_alcotest.to_alcotest tests
+
+(* Does the output's profile carry a [Parallel] item (a multi-batch wave)? *)
+let has_parallel_item (out : Speedybox.Runtime.output) =
+  List.exists
+    (fun (st : Sb_sim.Cost_profile.stage) ->
+      List.exists
+        (function Sb_sim.Cost_profile.Parallel _ -> true | Sb_sim.Cost_profile.Serial _ -> false)
+        st.Sb_sim.Cost_profile.items)
+    out.Speedybox.Runtime.profile
