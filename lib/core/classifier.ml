@@ -93,11 +93,6 @@ let classify_into t packet cls =
   prepare_into t packet cls;
   if not cls.malformed then observe_into t packet cls
 
-let classify t packet =
-  let cls = scratch () in
-  classify_into t packet cls;
-  cls
-
 let export_flow t tuple = Sb_flow.Conntrack.state t.conntrack tuple
 
 let adopt_flow t tuple st = Sb_flow.Conntrack.adopt t.conntrack tuple st

@@ -27,9 +27,8 @@ type classification = {
           NF; [fid] is [-1] and conntrack was not touched *)
   mutable cycles : int;  (** classifier work for this packet *)
 }
-(** Fields are mutable so the burst path can classify into reusable
-    scratch records ({!classify_into}); {!classify} still returns a fresh
-    record per call. *)
+(** Fields are mutable: callers classify into reusable scratch records
+    ({!classify_into}), so classification allocates no record. *)
 
 type t
 
@@ -45,17 +44,14 @@ val fid_bits : t -> int
 val rejected : t -> int
 (** Packets marked [malformed] by this classifier so far. *)
 
-val classify : t -> Sb_packet.Packet.t -> classification
-(** Assigns the FID (writing it into the packet metadata) and advances the
-    flow's connection state. *)
-
 val scratch : unit -> classification
 (** A blank classification for use with {!classify_into}. *)
 
 val classify_into : t -> Sb_packet.Packet.t -> classification -> unit
-(** Like {!classify} but fills a caller-owned scratch record in place —
-    the burst path's allocation-free variant.  Equivalent to
-    {!prepare_into} followed (when not malformed) by {!observe_into}. *)
+(** Assigns the FID (writing it into the packet metadata) and advances the
+    flow's connection state, filling a caller-owned scratch record in
+    place.  Equivalent to {!prepare_into} followed (when not malformed) by
+    {!observe_into}. *)
 
 val prepare_into : t -> Sb_packet.Packet.t -> classification -> unit
 (** Phase one of classification, a pure function of the packet bytes:

@@ -58,12 +58,26 @@ type instruments = {
          split child (carries a shard index) *)
 }
 
+type path = Slow_path | Fast_path
+
+type output = {
+  verdict : Sb_mat.Header_action.verdict;
+  packet : Sb_packet.Packet.t;
+  profile : Sb_sim.Cost_profile.t;
+  path : path;
+  latency_cycles : int;
+  service_cycles : int;
+  events_fired : int;
+  faults : int;
+}
+
 type t = {
   cfg : config;
   chain : Chain.t;
   global : Sb_mat.Global_mat.t;
   classifier : Classifier.t;
   sup : Sb_fault.Supervisor.t;
+  step : Nf_step.t;  (* the NF call and fault handling, shared with [Staged_runtime] *)
   nf_names : string array;
   live : Sb_flow.Live_table.t;
       (* idle-expiry bookkeeping, SoA: the per-packet liveness touch is
@@ -79,9 +93,6 @@ type t = {
   mutable rule_scratch : Sb_mat.Global_mat.rule array;
       (* per-burst pre-resolved rules (the prescan's pipelined Global MAT
          probes), validated against the MAT generation at execution *)
-  mutable fault_listener : (string -> unit) option;
-      (* notified after every locally-recorded fault — how a sharded
-         runtime broadcasts NF health changes to its sibling shards *)
   (* The burst path's one-entry last-flow rule memo, reset per burst. *)
   mutable memo_fid : int;
   mutable memo_gen : int;
@@ -94,36 +105,20 @@ type t = {
   (* What the last [walk_chain] charged besides its verdict. *)
   mutable walk_faults : int;
   mutable walk_contained : bool;  (* a raise was contained: quarantine the flow *)
+  (* [process_packet]'s burst of one: the packet slot, and the emit that
+     stores the packet's output, both built once. *)
+  one : Sb_packet.Packet.t array;
+  one_out : output ref;
+  one_emit : int -> output -> unit;
 }
 
-(* A Failed NF invalidates every consolidated rule embedding its closures:
-   tear the whole fast path down (flows re-record under the failure
-   policy).  Local MAT records and events go with each rule so no stale
-   per-NF state survives the failure. *)
-let flush_fast_state t =
-  let fids = Sb_mat.Global_mat.fold (fun fid _ acc -> fid :: acc) t.global [] in
-  List.iter
-    (fun fid ->
-      Chain.remove_flow t.chain fid;
-      Sb_mat.Global_mat.remove_flow t.global fid)
-    fids
-
-let note_fault t ~nf =
-  (match Sb_fault.Supervisor.record_fault t.sup ~nf with
-  | Sb_fault.Health.To_failed -> flush_fast_state t
-  | Sb_fault.Health.To_degraded | Sb_fault.Health.No_change -> ());
-  match t.fault_listener with Some f -> f nf | None -> ()
-
-let set_fault_listener t f = t.fault_listener <- Some f
+let set_fault_listener t f = Nf_step.set_listener t.step f
 
 (* A fault another shard recorded (and already counted): keep this
-   runtime's view of the NF's health in lock-step, including the fast-path
-   flush when the NF crosses into [Failed], without re-emitting metrics or
-   re-notifying the listener (which would echo the broadcast forever). *)
-let absorb_remote_fault t ~nf =
-  match Sb_fault.Supervisor.absorb_fault t.sup ~nf with
-  | Sb_fault.Health.To_failed -> flush_fast_state t
-  | Sb_fault.Health.To_degraded | Sb_fault.Health.No_change -> ()
+   runtime's view of the NF's health in lock-step without re-emitting
+   metrics or re-notifying the listener (which would echo the broadcast
+   forever). *)
+let absorb_remote_fault t ~nf = Nf_step.absorb_remote_fault t.step ~nf
 
 (* Flow-timeline hook.  Callers on the per-packet path guard with
    [Sb_obs.Sink.armed] first; every call site is on the slow path or a
@@ -194,22 +189,40 @@ let create cfg chain =
   in
   let nf_names = Array.of_list (List.map (fun nf -> nf.Nf.name) (Chain.nfs chain)) in
   let costs = Sb_sim.Cost_vec.create () in
+  let global =
+    Sb_mat.Global_mat.create ~policy:cfg.policy ?max_rules:cfg.max_rules ~exec:cfg.fastpath
+      ~obs:cfg.obs ~costs
+      (* an LRU-evicted flow loses its Local MAT records too, so its next
+         packet re-records from scratch *)
+      ~on_evict:(fun fid ->
+        Chain.remove_flow chain fid;
+        !evict_hook fid)
+      ()
+  in
+  let sup = Sb_fault.Supervisor.create ?injector:cfg.injector ~obs:cfg.obs cfg.fault_policy in
+  let one = [| Sb_packet.Packet.scratch () |] in
+  let one_out =
+    ref
+      {
+        verdict = Sb_mat.Header_action.Forwarded;
+        packet = one.(0);
+        profile = [];
+        path = Slow_path;
+        latency_cycles = 0;
+        service_cycles = 0;
+        events_fired = 0;
+        faults = 0;
+      }
+  in
   let t =
     {
       cfg;
       chain;
-      global =
-        Sb_mat.Global_mat.create ~policy:cfg.policy ?max_rules:cfg.max_rules
-          ~exec:cfg.fastpath ~obs:cfg.obs ~costs
-          (* an LRU-evicted flow loses its Local MAT records too, so its next
-             packet re-records from scratch *)
-          ~on_evict:(fun fid ->
-            Chain.remove_flow chain fid;
-            !evict_hook fid)
-          ();
+      global;
       classifier =
         Classifier.create ~fid_bits:cfg.fid_bits ~verify_checksums:cfg.verify_checksums ();
-      sup = Sb_fault.Supervisor.create ?injector:cfg.injector ~obs:cfg.obs cfg.fault_policy;
+      sup;
+      step = Nf_step.create sup chain global;
       nf_names;
       live = Sb_flow.Live_table.create ();
       wheel =
@@ -225,7 +238,6 @@ let create cfg chain =
       obs_now_us = 0.;
       cls_scratch = [||];
       rule_scratch = [||];
-      fault_listener = None;
       memo_fid = -1;
       memo_gen = -1;
       memo_rule = Sb_mat.Global_mat.no_rule;
@@ -233,17 +245,15 @@ let create cfg chain =
       profiles = Sb_sim.Cost_vec.intern_create cfg.platform (Sb_sim.Cost_vec.labels nf_names);
       walk_faults = 0;
       walk_contained = false;
+      one;
+      one_out;
+      one_emit = (fun _ out -> one_out := out);
     }
   in
   if Sb_obs.Sink.armed cfg.obs then begin
     Sb_mat.Event_table.set_obs (Chain.events chain) cfg.obs;
     evict_hook := fun fid -> obs_timeline t ~fid ~ts_us:t.obs_now_us Sb_obs.Timeline.Evicted
   end;
-  (* Raising event conditions are contained inside the Event Table; route
-     them here so they still advance the registering NF's health. *)
-  Sb_mat.Event_table.set_fault_hook (Chain.events chain) (fun nf _exn ->
-      Sb_fault.Supervisor.record_contained t.sup;
-      note_fault t ~nf);
   t
 
 let chain t = t.chain
@@ -260,120 +270,40 @@ let expired_flows t = t.expired
 
 let rejected_malformed t = Classifier.rejected t.classifier
 
-type path = Slow_path | Fast_path
-
-type output = {
-  verdict : Sb_mat.Header_action.verdict;
-  packet : Sb_packet.Packet.t;
-  profile : Sb_sim.Cost_profile.t;
-  path : path;
-  latency_cycles : int;
-  service_cycles : int;
-  events_fired : int;
-  faults : int;
-}
-
 let flip_verdict = function
   | Sb_mat.Header_action.Forwarded -> Sb_mat.Header_action.Dropped
   | Sb_mat.Header_action.Dropped -> Sb_mat.Header_action.Forwarded
 
-let injected_raise t name =
-  let call =
-    match Sb_fault.Supervisor.injector t.sup with
-    | Some inj -> Sb_fault.Injector.calls inj ~nf:name
-    | None -> 0
-  in
-  Sb_fault.Injector.Injected (name, call)
-
 (* Walk the original chain from NF [i], writing one stage per NF visited
    and returning the verdict ([t.walk_faults] and [t.walk_contained] carry
-   the rest).  [recording] instruments the walk with Local MAT recording
-   (the SpeedyBox initial-packet traversal); the extra recording cost is
-   charged to each NF's stage.  Every NF call runs under the containment
-   wrapper: a raise (injected or organic) drops the packet, charges the
-   fault to the NF and tells the caller to quarantine the flow's recorded
-   state. *)
+   the rest).  [recording] instruments the walk with Local MAT recording;
+   a contained raise drops the packet and tells the caller to quarantine
+   the flow's recorded state. *)
 let rec walk t ~recording ~fid packet nfs mats i faults =
   match (nfs, mats) with
   | [], [] ->
       t.walk_faults <- faults;
       Sb_mat.Header_action.Forwarded
-  | nf :: nfs, mat :: mats -> (
-      let sup = t.sup in
-      let name = nf.Nf.name in
-      let label = Sb_sim.Cost_vec.nf i in
-      let ctx = { Api.fid; local_mat = mat; events = Chain.events t.chain; recording } in
-      let overhead =
-        Sb_sim.Cycles.nf_rx_tx + if recording then Sb_sim.Cycles.local_mat_record else 0
-      in
-      let gate =
-        if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.gate sup ~nf:name
-        else Sb_fault.Supervisor.Run
-      in
-      match gate with
-      | Sb_fault.Supervisor.Bypass_nf ->
-          (* Failed NF elided from the chain: the packet only transits the
-             port; nothing records, so rebuilt fast paths omit the NF. *)
+  | nf :: nfs, local_mat :: mats -> (
+      let step = t.step in
+      let outcome = Nf_step.run step nf ~fid ~local_mat ~recording packet in
+      let faults = if Nf_step.faulted step then faults + 1 else faults in
+      Sb_sim.Cost_vec.serial_stage t.costs (Sb_sim.Cost_vec.nf i) (Nf_step.cycles step);
+      match outcome with
+      | Nf_step.Forwarded -> walk t ~recording ~fid packet nfs mats (i + 1) faults
+      | Nf_step.Bypassed ->
           if Sb_obs.Sink.armed t.cfg.obs then
             obs_timeline t ~fid
               ~ts_us:(Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle)
-              ~detail:name Sb_obs.Timeline.Degraded_bypass;
-          Sb_sim.Cost_vec.serial_stage t.costs label Sb_sim.Cycles.nf_rx_tx;
+              ~detail:nf.Nf.name Sb_obs.Timeline.Degraded_bypass;
           walk t ~recording ~fid packet nfs mats (i + 1) faults
-      | Sb_fault.Supervisor.Drop_packet ->
-          (* Failed NF under Drop_flow: the drop records like an ordinary
-             verdict, so the flow's fast path early-drops. *)
-          Api.localmat_add_ha ctx Sb_mat.Header_action.Drop;
-          Sb_sim.Cost_vec.serial_stage t.costs label
-            (Sb_sim.Cycles.nf_rx_tx + Sb_sim.Cycles.ha_drop);
+      | Nf_step.Dropped ->
           t.walk_faults <- faults;
           Sb_mat.Header_action.Dropped
-      | Sb_fault.Supervisor.Run -> (
-          let injected =
-            if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.draw sup ~nf:name
-            else None
-          in
-          match
-            match injected with
-            | Some Sb_fault.Injector.Raise -> raise (injected_raise t name)
-            | Some Sb_fault.Injector.Corrupt_verdict | Some Sb_fault.Injector.Stall | None ->
-                nf.Nf.process ctx packet
-          with
-          | exception _exn ->
-              (* Containment: the fault is this NF's, the packet is
-                 dropped, the flow's partial records are quarantined. *)
-              note_fault t ~nf:name;
-              Sb_fault.Supervisor.record_contained sup;
-              Sb_fault.Supervisor.record_faulted_packet sup;
-              Sb_sim.Cost_vec.serial_stage t.costs label (overhead + Sb_sim.Cycles.fault_contain);
-              t.walk_faults <- faults + 1;
-              t.walk_contained <- true;
-              Sb_mat.Header_action.Dropped
-          | result -> (
-              let result, faults =
-                match injected with
-                | Some Sb_fault.Injector.Corrupt_verdict ->
-                    note_fault t ~nf:name;
-                    Sb_fault.Supervisor.record_corrupted sup;
-                    Sb_fault.Supervisor.record_faulted_packet sup;
-                    ({ result with Nf.verdict = flip_verdict result.Nf.verdict }, faults + 1)
-                | Some Sb_fault.Injector.Stall ->
-                    note_fault t ~nf:name;
-                    Sb_fault.Supervisor.record_stalled sup;
-                    ( {
-                        result with
-                        Nf.cycles = result.Nf.cycles + Sb_fault.Supervisor.stall_cycles sup;
-                      },
-                      faults + 1 )
-                | Some Sb_fault.Injector.Raise | None -> (result, faults)
-              in
-              Sb_sim.Cost_vec.serial_stage t.costs label (result.Nf.cycles + overhead);
-              match result.Nf.verdict with
-              | Sb_mat.Header_action.Dropped ->
-                  t.walk_faults <- faults;
-                  Sb_mat.Header_action.Dropped
-              | Sb_mat.Header_action.Forwarded ->
-                  walk t ~recording ~fid packet nfs mats (i + 1) faults)))
+      | Nf_step.Contained ->
+          t.walk_faults <- faults;
+          t.walk_contained <- true;
+          Sb_mat.Header_action.Dropped)
   | _ -> assert false (* nfs and local_mats have equal length *)
 
 let walk_chain t ~recording ~fid packet =
@@ -494,22 +424,24 @@ let touch_may_expire t wheel timeout fid now ~since =
    which would otherwise box a [Some] per packet. *)
 let detach = Some Sb_sim.Cycles.meta_detach
 
-(* Containment of a fast-path fault: count it, quarantine the flow's
-   consolidated state (Global MAT rule, Local MAT records, events,
-   classifier mapping) and drop the packet.  The flow's next packet
-   re-records from scratch — or runs Original when recording is no longer
-   allowed. *)
-let contain_fast_path t cls ~nf ~now =
-  note_fault t ~nf;
-  Sb_fault.Supervisor.record_contained t.sup;
-  Sb_fault.Supervisor.record_faulted_packet t.sup;
+(* Quarantine after a contained fault: the flow's consolidated state
+   (Global MAT rule, Local MAT records, events, classifier mapping) goes,
+   so its next packet re-records from scratch — or runs Original when
+   recording is no longer allowed. *)
+let quarantine t cls ~detail ~now =
   cleanup t cls;
   Sb_fault.Supervisor.record_quarantine t.sup;
   if Sb_obs.Sink.armed t.cfg.obs then
-    obs_timeline t ~fid:cls.Classifier.fid ~ts_us:(Sb_sim.Cycles.to_microseconds now)
-      ~detail:nf Sb_obs.Timeline.Quarantined;
+    obs_timeline t ~fid:cls.Classifier.fid ~ts_us:(Sb_sim.Cycles.to_microseconds now) ~detail
+      Sb_obs.Timeline.Quarantined
+
+(* A fast-path packet whose rule execution faulted drops, charged the
+   lookup and the containment in place of the GlobalMAT stage. *)
+let drop_fast_path_fault t packet cls ~nf ~now faults =
+  quarantine t cls ~detail:nf ~now;
   Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.global_mat
-    (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain)
+    (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain);
+  finish t Sb_mat.Header_action.Dropped packet Fast_path 0 faults
 
 (* What the fault injector drew for one fast-path packet. *)
 type injection = {
@@ -534,7 +466,7 @@ let draw_injections t =
       | None -> ()
       | Some kind -> (
           incr injected;
-          note_fault t ~nf:name;
+          Nf_step.note_fault t.step ~nf:name;
           match kind with
           | Sb_fault.Injector.Raise ->
               Sb_fault.Supervisor.record_contained t.sup;
@@ -548,11 +480,9 @@ let draw_injections t =
     t.nf_names;
   { injected = !injected; corrupts = !corrupts; stalls = !stalls; raised = !raised }
 
-(* The body shared by the per-packet and burst paths: [cls] has been
-   classified (and [touch]ed) by the caller, and [rule] is the Global MAT
-   resolution — a plain [lookup] per packet, or the burst loop's last-flow
-   memo — with [Global_mat.no_rule] sending the packet down the slow
-   path. *)
+(* One packet's execution: [cls] has been classified (and [touch]ed) by
+   the burst loop, and [rule] is its Global MAT resolution, with
+   [Global_mat.no_rule] sending the packet down the slow path. *)
 let process_with_rule t packet cls rule =
   let now = packet.Sb_packet.Packet.ingress_cycle in
   let fid = cls.Classifier.fid in
@@ -566,17 +496,9 @@ let process_with_rule t packet cls rule =
     let n_injected = inj.injected in
     match inj.raised with
     | Some nf ->
-        (* The injected crash aborts the rule execution: drop the packet
-           and quarantine the flow (its next packet re-records). *)
+        (* The injected crash aborts the rule execution. *)
         Sb_fault.Supervisor.record_faulted_packet t.sup;
-        cleanup t cls;
-        Sb_fault.Supervisor.record_quarantine t.sup;
-        if Sb_obs.Sink.armed t.cfg.obs then
-          obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now) ~detail:nf
-            Sb_obs.Timeline.Quarantined;
-        Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.global_mat
-          (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain);
-        finish t Sb_mat.Header_action.Dropped packet Fast_path 0 n_injected
+        drop_fast_path_fault t packet cls ~nf ~now n_injected
     | None -> (
         Sb_sim.Cost_vec.mark costs;
         match
@@ -594,8 +516,8 @@ let process_with_rule t packet cls rule =
               | _ -> "GlobalMAT"
             in
             Sb_sim.Cost_vec.rewind costs;
-            contain_fast_path t cls ~nf ~now;
-            finish t Sb_mat.Header_action.Dropped packet Fast_path 0 (n_injected + 1)
+            Nf_step.contain t.step ~nf;
+            drop_fast_path_fault t packet cls ~nf ~now (n_injected + 1)
         | verdict ->
             let verdict = if inj.corrupts land 1 = 1 then flip_verdict verdict else verdict in
             if inj.corrupts > 0 then Sb_fault.Supervisor.record_faulted_packet t.sup;
@@ -627,15 +549,9 @@ let process_with_rule t packet cls rule =
     in
     let verdict = walk_chain t ~recording ~fid packet in
     let contained = t.walk_contained in
-    if contained then begin
-      (* Quarantine: the walk's partial Local MAT records and events must
-         not leak into a rule; the flow's next packet starts fresh. *)
-      cleanup t cls;
-      Sb_fault.Supervisor.record_quarantine t.sup;
-      if Sb_obs.Sink.armed t.cfg.obs then
-        obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now)
-          ~detail:"slow-path walk" Sb_obs.Timeline.Quarantined
-    end;
+    (* The walk's partial Local MAT records and events must not leak into
+       a rule. *)
+    if contained then quarantine t cls ~detail:"slow-path walk" ~now;
     if recording && not contained then begin
       let cost = Sb_mat.Global_mat.consolidate t.global fid (Chain.local_mats t.chain) in
       if Sb_obs.Sink.armed t.cfg.obs then
@@ -654,15 +570,6 @@ let process_malformed t packet cls =
   Sb_sim.Cost_vec.reset t.costs;
   Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.classifier cls.Classifier.cycles;
   finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
-
-let process_speedybox t packet =
-  let now = packet.Sb_packet.Packet.ingress_cycle in
-  let cls = Classifier.classify t.classifier packet in
-  if cls.Classifier.malformed then process_malformed t packet cls
-  else begin
-    touch t cls now;
-    process_with_rule t packet cls (Sb_mat.Global_mat.lookup t.global cls.Classifier.fid)
-  end
 
 (* Everything observability learns per packet derives from the [output]
    the executor produced anyway, so one armed-sink branch after processing
@@ -716,15 +623,6 @@ let instrument t packet out =
           ts := !ts +. dur)
         out.profile
   | Some _ | None -> ()
-
-let process_packet t packet =
-  let out =
-    match t.cfg.mode with
-    | Original -> process_original t packet
-    | Speedybox -> process_speedybox t packet
-  in
-  if Sb_obs.Sink.armed t.cfg.obs then instrument t packet out;
-  out
 
 (* ---- Burst processing ---- *)
 
@@ -864,6 +762,13 @@ let process_burst_into t packets ~off ~len:n emit =
         done;
         i := !j
       done
+
+(* A burst of one: its prescan covers only the packet it executes, so this
+   is exactly per-packet order. *)
+let process_packet t packet =
+  t.one.(0) <- packet;
+  process_burst_into t t.one ~off:0 ~len:1 t.one_emit;
+  !(t.one_out)
 
 let process_burst t packets =
   let n = Array.length packets in
@@ -1023,14 +928,73 @@ module Acc = struct
     }
 end
 
+(* End-of-run table occupancy, as gauges: once per run, not per packet.
+   [whole_run] adds the figures of the run rather than of this runtime
+   (the non-flow time bucket and the state store), which a sharded run
+   writes on one shard only, or the merge would multiply them. *)
+let record_run_gauges t ~whole_run (result : run_result) =
+  match Sb_obs.Sink.metrics t.cfg.obs with
+  | None -> ()
+  | Some m ->
+      let chain_label = ("chain", Chain.name t.chain) in
+      let g name help v =
+        Sb_obs.Metrics.Gauge.set
+          (Sb_obs.Metrics.gauge m ~help ~labels:[ chain_label ] name)
+          v
+      in
+      g "speedybox_rules_installed" "Consolidated rules in the Global MAT"
+        (float_of_int (Sb_mat.Global_mat.flow_count t.global));
+      g "speedybox_events_armed" "Event Table conditions currently armed"
+        (float_of_int (Sb_mat.Event_table.total_armed (Chain.events t.chain)));
+      g "speedybox_state_global_events_armed"
+        "Armed Event Table conditions reading global-scope state"
+        (float_of_int (Sb_mat.Event_table.total_global_armed (Chain.events t.chain)));
+      if whole_run then begin
+        (match Sb_flow.Flow_table.find result.flow_time_us no_flow_fid with
+        | Some us ->
+            g "speedybox_non_flow_time_us"
+              "Processing time spent on packets with no 5-tuple (non-TCP/UDP)" us
+        | None -> ());
+        (* State-store surface: declared cells per scope, merge rounds run
+           (delta-folded, so repeated reports never double-count), and the
+           distribution of merged global cell values. *)
+        let counts = Sb_state.Store.cell_counts t.cfg.state in
+        let gs scope v =
+          Sb_obs.Metrics.Gauge.set
+            (Sb_obs.Metrics.gauge m ~help:"Declared state-store cells by scope"
+               ~labels:[ chain_label; ("scope", scope) ]
+               "speedybox_state_cells")
+            (float_of_int v)
+        in
+        gs "per-flow" counts.Sb_state.Store.per_flow;
+        gs "per-shard" counts.Sb_state.Store.per_shard;
+        gs "global" counts.Sb_state.Store.global;
+        Sb_obs.Metrics.Counter.add
+          (Sb_obs.Metrics.counter m ~help:"Cross-shard state merge rounds run"
+             ~labels:[ chain_label ] "speedybox_state_merge_rounds_total")
+          (Sb_state.Store.merge_rounds_delta t.cfg.state);
+        let h_global =
+          Sb_obs.Metrics.histogram m ~help:"Merged values of global-scope state cells"
+            ~labels:[ chain_label; ("scope", "global") ]
+            "speedybox_state_cell_value"
+        in
+        List.iter
+          (fun (_, _, v) -> Sb_obs.Histogram.observe_int h_global v)
+          (Sb_state.Store.merged_values t.cfg.state)
+      end
+
 let run_trace ?on_output ?(burst = 1) t packets =
   if burst < 1 then invalid_arg "Runtime.run_trace: burst must be positive";
   let acc = Acc.create ~fid_bits:t.cfg.fid_bits () in
-  let consume =
+  let originals = Array.of_list packets in
+  let total = Array.length originals in
+  let base = ref 0 in
+  let emit =
     match on_output with
-    | None -> Acc.consume acc
+    | None -> fun k out -> Acc.consume acc originals.(!base + k) out
     | Some f ->
-        fun original out ->
+        fun k out ->
+          let original = originals.(!base + k) in
           Acc.consume acc original out;
           f original out
   in
@@ -1038,92 +1002,24 @@ let run_trace ?on_output ?(burst = 1) t packets =
      Without an [on_output] callback nothing can retain the processed
      packet, so the copies live in reusable scratch buffers; with one, the
      callback may keep [out.packet] (tests do), so copies stay fresh. *)
-  (if burst = 1 then
-     match on_output with
-     | None ->
-         let scratch = Sb_packet.Packet.scratch () in
-         List.iter
-           (fun original ->
-             Sb_packet.Packet.copy_into ~src:original ~dst:scratch;
-             consume original (process_packet t scratch))
-           packets
-     | Some _ ->
-         List.iter
-           (fun original -> consume original (process_packet t (Sb_packet.Packet.copy original)))
-           packets
-   else begin
-     let originals = Array.of_list packets in
-     let total = Array.length originals in
-     let pool =
-       if on_output = None then Array.init (min burst total) (fun _ -> Sb_packet.Packet.scratch ())
-       else [||]
-     in
-     let i = ref 0 in
-     while !i < total do
-       let n = min burst (total - !i) in
-       let seg =
-         if on_output = None then begin
-           for k = 0 to n - 1 do
-             Sb_packet.Packet.copy_into ~src:originals.(!i + k) ~dst:pool.(k)
-           done;
-           pool
-         end
-         else Array.init n (fun k -> Sb_packet.Packet.copy originals.(!i + k))
-       in
-       let base = !i in
-       process_burst_into t seg ~off:0 ~len:n (fun k out -> consume originals.(base + k) out);
-       i := !i + n
-     done
-   end);
-  (* End-of-run table occupancy (and the sentinel non-flow time bucket),
-     as gauges — once per run, not per packet. *)
-  (match Sb_obs.Sink.metrics t.cfg.obs with
-  | Some m ->
-      let g name help v =
-        Sb_obs.Metrics.Gauge.set
-          (Sb_obs.Metrics.gauge m ~help ~labels:[ ("chain", Chain.name t.chain) ] name)
-          v
-      in
-      g "speedybox_rules_installed" "Consolidated rules in the Global MAT"
-        (float_of_int (Sb_mat.Global_mat.flow_count t.global));
-      g "speedybox_events_armed" "Event Table conditions currently armed"
-        (float_of_int (Sb_mat.Event_table.total_armed (Chain.events t.chain)));
-      (match Sb_flow.Flow_table.find acc.Acc.flow_time_us no_flow_fid with
-      | Some us ->
-          g "speedybox_non_flow_time_us"
-            "Processing time spent on packets with no 5-tuple (non-TCP/UDP)" us
-      | None -> ());
-      (* State-store surface: declared cells per scope, merge rounds run
-         (delta-folded, so repeated reports never double-count), armed
-         global-state conditions, and the distribution of merged global
-         cell values. *)
-      let counts = Sb_state.Store.cell_counts t.cfg.state in
-      let gs scope help v =
-        Sb_obs.Metrics.Gauge.set
-          (Sb_obs.Metrics.gauge m ~help
-             ~labels:[ ("chain", Chain.name t.chain); ("scope", scope) ]
-             "speedybox_state_cells")
-          (float_of_int v)
-      in
-      let cells_help = "Declared state-store cells by scope" in
-      gs "per-flow" cells_help counts.Sb_state.Store.per_flow;
-      gs "per-shard" cells_help counts.Sb_state.Store.per_shard;
-      gs "global" cells_help counts.Sb_state.Store.global;
-      Sb_obs.Metrics.Counter.add
-        (Sb_obs.Metrics.counter m ~help:"Cross-shard state merge rounds run"
-           ~labels:[ ("chain", Chain.name t.chain) ]
-           "speedybox_state_merge_rounds_total")
-        (Sb_state.Store.merge_rounds_delta t.cfg.state);
-      g "speedybox_state_global_events_armed"
-        "Armed Event Table conditions reading global-scope state"
-        (float_of_int (Sb_mat.Event_table.total_global_armed (Chain.events t.chain)));
-      let h_global =
-        Sb_obs.Metrics.histogram m ~help:"Merged values of global-scope state cells"
-          ~labels:[ ("chain", Chain.name t.chain); ("scope", "global") ]
-          "speedybox_state_cell_value"
-      in
-      List.iter
-        (fun (_, _, v) -> Sb_obs.Histogram.observe_int h_global v)
-        (Sb_state.Store.merged_values t.cfg.state)
-  | None -> ());
-  Acc.result acc
+  let pool =
+    if on_output = None then Array.init (min burst total) (fun _ -> Sb_packet.Packet.scratch ())
+    else [||]
+  in
+  while !base < total do
+    let n = min burst (total - !base) in
+    let seg =
+      if on_output = None then begin
+        for k = 0 to n - 1 do
+          Sb_packet.Packet.copy_into ~src:originals.(!base + k) ~dst:pool.(k)
+        done;
+        pool
+      end
+      else Array.init n (fun k -> Sb_packet.Packet.copy originals.(!base + k))
+    in
+    process_burst_into t seg ~off:0 ~len:n emit;
+    base := !base + n
+  done;
+  let result = Acc.result acc in
+  record_run_gauges t ~whole_run:true result;
+  result

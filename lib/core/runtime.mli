@@ -151,10 +151,14 @@ type output = {
 }
 
 val process_packet : t -> Sb_packet.Packet.t -> output
-(** Processes one packet (mutating it).  In [Original] mode every packet
+(** Processes one packet (mutating it) as a burst of one through
+    {!process_burst_into}: the prescan covers only the packet it executes,
+    so there is no other per-packet path.  In [Original] mode every packet
     walks the chain; in [Speedybox] mode the classifier routes it to the
     slow path (recording when it is the flow's initial packet) or to the
-    Global MAT fast path, and FIN/RST tears the flow's rules down.
+    Global MAT fast path, and FIN/RST tears the flow's rules down.  The
+    call allocates no closure and no classification record: the one-slot
+    burst and its emit belong to the runtime.
 
     Faults never propagate out: any raise from an NF [process] call, a
     recorded state function, or an event update is contained — the packet
@@ -168,7 +172,8 @@ val default_burst : int
 
 val process_burst : t -> Sb_packet.Packet.t array -> output array
 (** Processes a burst of packets (mutating them), semantically identical
-    to {!process_packet} in sequence but cheaper per packet — the burst
+    to {!process_packet} (a burst of one) in sequence but cheaper per
+    packet — the burst
     pipelines DPDK-style.  A pure prepare pass over the whole burst
     parses, hashes and FIDs every packet and prefetches the conntrack,
     Global MAT and liveness slots the later passes will probe; an observe
@@ -261,9 +266,21 @@ val run_trace :
   run_result
 (** Runs the packets in order; [on_output original_input output] fires per
     packet (the first argument is the packet as submitted, before chain
-    modifications — the runtime processes a private copy).  [burst]
-    (default 1) batches the trace through {!process_burst} in chunks of
-    that size; results are identical, processing is cheaper per packet.
+    modifications — the runtime processes a private copy).  One replay
+    loop feeds the trace through {!process_burst_into} in chunks of
+    [burst] packets; the default, 1, is per-packet dispatch as a burst of
+    one.  Results are identical at every size, processing is cheaper per
+    packet at larger ones.
     Without [on_output] the private copies live in reusable scratch
-    buffers, so the replay loop allocates no packet per iteration.
+    buffers, so the replay loop allocates no packet per iteration.  With
+    a metrics registry on the sink, ends with
+    [record_run_gauges ~whole_run:true].
     @raise Invalid_argument when [burst < 1]. *)
+
+val record_run_gauges : t -> whole_run:bool -> run_result -> unit
+(** Writes the end-of-run gauges into the sink's metrics registry (a no-op
+    without one): this runtime's installed rules, armed events and armed
+    global-state events, and with [whole_run] the run's figures too, the
+    non-flow time bucket of [result] and the state store's cell counts,
+    merge rounds and merged global values.  A sharded run calls it once
+    per shard, with [whole_run] on one shard only. *)

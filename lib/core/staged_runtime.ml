@@ -71,6 +71,8 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
   let labels = Sb_sim.Cost_vec.labels nf_names in
   let global = Sb_mat.Global_mat.create ~policy ~obs ~costs () in
   let sup = Sb_fault.Supervisor.create ?injector ~obs fault_policy in
+  let step = Nf_step.create sup chain global in
+  let cls = Classifier.scratch () in
   if Sb_obs.Sink.armed obs then Sb_mat.Event_table.set_obs (Chain.events chain) obs;
   (* Instruments resolved once up front; per-event recording is then field
      updates only (see {!Runtime}). *)
@@ -170,31 +172,9 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
       job.tuple
   in
 
-  (* A Failed NF invalidates every consolidated rule embedding its
-     closures; tear the whole fast path down so flows re-record under the
-     failure policy. *)
-  let flush_fast_state () =
-    let fids = Sb_mat.Global_mat.fold (fun fid _ acc -> fid :: acc) global [] in
-    List.iter
-      (fun fid ->
-        Chain.remove_flow chain fid;
-        Sb_mat.Global_mat.remove_flow global fid)
-      fids
-  in
-  let note_fault ~nf =
-    match Sb_fault.Supervisor.record_fault sup ~nf with
-    | Sb_fault.Health.To_failed -> flush_fast_state ()
-    | Sb_fault.Health.To_degraded | Sb_fault.Health.No_change -> ()
-  in
-  Sb_mat.Event_table.set_fault_hook (Chain.events chain) (fun nf _exn ->
-      Sb_fault.Supervisor.record_contained sup;
-      note_fault ~nf);
-  (* Containment inside a stage: the fault is charged, the job's flow state
-     quarantined and the packet leaves the chain dropped. *)
-  let contain job ~nf ~now cycles =
-    note_fault ~nf;
-    Sb_fault.Supervisor.record_contained sup;
-    Sb_fault.Supervisor.record_faulted_packet sup;
+  (* Containment inside a stage, once the fault is charged: the job's flow
+     state is quarantined and the packet leaves the chain dropped. *)
+  let quarantine job ~nf ~now cycles =
     stop_recording job;
     flow_cleanup job;
     Sb_fault.Supervisor.record_quarantine sup;
@@ -207,7 +187,7 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
       | Some _ | None -> ()
     end;
     job.cleanup_after <- false;
-    (cycles + Sb_sim.Cycles.fault_contain, Done Sb_mat.Header_action.Dropped)
+    (cycles, Done Sb_mat.Header_action.Dropped)
   in
 
   let finish job at verdict =
@@ -240,7 +220,7 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
   let serve job route now =
     match route with
     | To_classifier ->
-        let cls = Classifier.classify classifier job.packet in
+        Classifier.classify_into classifier job.packet cls;
         if cls.Classifier.malformed then
           (* Rejected at admission: no tuple, no conntrack state, no NF —
              the packet leaves the classifier stage dropped. *)
@@ -271,80 +251,25 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
           end
         end
     | To_nf i -> (
-        let name = nfs.(i).Nf.name in
-        let ctx =
-          {
-            Api.fid = job.packet.Packet.fid;
-            local_mat = mats.(i);
-            events = Chain.events chain;
-            recording = job.recording;
-          }
-        in
-        let overhead =
-          Sb_sim.Cycles.nf_rx_tx
-          + if job.recording then Sb_sim.Cycles.local_mat_record else 0
-        in
         let finish_walk cycles verdict =
           if job.recording then (cycles + consolidate_cost, Done_after_consolidate verdict)
           else (cycles, Done verdict)
         in
-        let gate =
-          if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.gate sup ~nf:name
-          else Sb_fault.Supervisor.Run
+        let nf = nfs.(i) in
+        let outcome =
+          Nf_step.run step nf ~fid:job.packet.Packet.fid ~local_mat:mats.(i)
+            ~recording:job.recording job.packet
         in
-        match gate with
-        | Sb_fault.Supervisor.Bypass_nf ->
-            (* Failed NF elided: the packet only transits the stage's port;
-               nothing records. *)
-            if i + 1 < Array.length nfs then (Sb_sim.Cycles.nf_rx_tx, Next (To_nf (i + 1)))
-            else finish_walk Sb_sim.Cycles.nf_rx_tx Sb_mat.Header_action.Forwarded
-        | Sb_fault.Supervisor.Drop_packet ->
-            (* Failed NF under Drop_flow: record the drop like an ordinary
-               verdict so the flow's fast path early-drops. *)
-            Api.localmat_add_ha ctx Sb_mat.Header_action.Drop;
-            finish_walk
-              (Sb_sim.Cycles.nf_rx_tx + Sb_sim.Cycles.ha_drop)
-              Sb_mat.Header_action.Dropped
-        | Sb_fault.Supervisor.Run -> (
-            let injected =
-              if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.draw sup ~nf:name
-              else None
-            in
-            match
-              match injected with
-              | Some Sb_fault.Injector.Raise -> raise (Sb_fault.Injector.Injected (name, 0))
-              | _ -> nfs.(i).Nf.process ctx job.packet
-            with
-            | exception _exn -> contain job ~nf:name ~now overhead
-            | r -> (
-                let r =
-                  match injected with
-                  | Some Sb_fault.Injector.Corrupt_verdict ->
-                      note_fault ~nf:name;
-                      Sb_fault.Supervisor.record_corrupted sup;
-                      Sb_fault.Supervisor.record_faulted_packet sup;
-                      {
-                        r with
-                        Nf.verdict =
-                          (match r.Nf.verdict with
-                          | Sb_mat.Header_action.Forwarded -> Sb_mat.Header_action.Dropped
-                          | Sb_mat.Header_action.Dropped -> Sb_mat.Header_action.Forwarded);
-                      }
-                  | Some Sb_fault.Injector.Stall ->
-                      note_fault ~nf:name;
-                      Sb_fault.Supervisor.record_stalled sup;
-                      { r with Nf.cycles = r.Nf.cycles + Sb_fault.Supervisor.stall_cycles sup }
-                  | _ -> r
-                in
-                match r.Nf.verdict with
-                | Sb_mat.Header_action.Dropped ->
-                    (* The walk ends here; a recording walk still
-                       consolidates so subsequent packets early-drop. *)
-                    finish_walk (r.Nf.cycles + overhead) Sb_mat.Header_action.Dropped
-                | Sb_mat.Header_action.Forwarded ->
-                    if i + 1 < Array.length nfs then
-                      (r.Nf.cycles + overhead, Next (To_nf (i + 1)))
-                    else finish_walk (r.Nf.cycles + overhead) Sb_mat.Header_action.Forwarded)))
+        let cycles = Nf_step.cycles step in
+        match outcome with
+        | Nf_step.Forwarded | Nf_step.Bypassed ->
+            if i + 1 < Array.length nfs then (cycles, Next (To_nf (i + 1)))
+            else finish_walk cycles Sb_mat.Header_action.Forwarded
+        | Nf_step.Dropped ->
+            (* The walk ends here; a recording walk still consolidates so
+               subsequent packets early-drop. *)
+            finish_walk cycles Sb_mat.Header_action.Dropped
+        | Nf_step.Contained -> quarantine job ~nf:nf.Nf.name ~now cycles)
     | To_global_mat -> (
         match Sb_mat.Global_mat.find global job.packet.Packet.fid with
         | None ->
@@ -363,7 +288,9 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
                   | Sb_fault.Fault.Nf_fault (nf, _, _) -> nf
                   | _ -> "GlobalMAT"
                 in
-                contain job ~nf ~now Sb_sim.Cycles.fast_path_lookup
+                Nf_step.contain step ~nf;
+                quarantine job ~nf ~now
+                  (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain)
             | verdict ->
                 fired := !fired + Sb_mat.Global_mat.events_fired global;
                 ( Sb_sim.Cost_profile.total_cycles (Sb_sim.Cost_vec.to_profile labels costs)
@@ -474,7 +401,13 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
   List.iteri
     (fun submit_idx original ->
       let packet = Packet.copy original in
-      let flow_key = Sb_flow.Fid.of_tuple (Sb_flow.Five_tuple.of_packet original) in
+      (* A packet with no 5-tuple keys under the runtime's non-flow
+         sentinel; its classifier stage rejects it as malformed. *)
+      let flow_key =
+        match Sb_flow.Five_tuple.of_packet_opt original with
+        | Some tuple -> Sb_flow.Fid.of_tuple tuple
+        | None -> Runtime.no_flow_fid
+      in
       let job =
         {
           packet;

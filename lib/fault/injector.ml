@@ -10,8 +10,6 @@ let kind_of_string = function
   | "stall" -> Some Stall
   | _ -> None
 
-exception Injected of string * int
-
 (* SplitMix64, one independent stream per NF name: the schedule an NF sees
    depends only on the seed, its name and its own call sequence — not on
    how calls to different NFs interleave — so a recorded fault schedule

@@ -9,7 +9,8 @@
     The executors consult [draw] once per NF invocation (both the slow-path
     walk and the fast-path rule execution count as one invocation per NF):
 
-    - {!Raise} — the NF invocation raises {!Injected} instead of running;
+    - {!Raise} — the NF invocation is contained like a raising NF instead
+      of running;
     - {!Corrupt_verdict} — the NF runs but its verdict is flipped;
     - {!Stall} — the NF runs but charges an extra {!stall_cycles}.
 
@@ -23,10 +24,6 @@ val pp_kind : Format.formatter -> kind -> unit
 
 val kind_of_string : string -> kind option
 (** ["raise"], ["corrupt"] / ["corrupt-verdict"], ["stall"]. *)
-
-exception Injected of string * int
-(** [Injected (nf, call)] — the exception an injected {!Raise} surfaces as
-    (the containment layer treats it exactly like an organic NF crash). *)
 
 type t
 

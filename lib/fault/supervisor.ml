@@ -38,8 +38,6 @@ let obs_count t name labels =
 
 let health t = t.health
 
-let injector t = t.injector
-
 let active t = t.active
 
 let draw t ~nf =

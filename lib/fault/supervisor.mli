@@ -26,8 +26,6 @@ val create : ?injector:Injector.t -> ?obs:Sb_obs.Sink.t -> Health.policy -> t
 
 val health : t -> Health.t
 
-val injector : t -> Injector.t option
-
 val active : t -> bool
 (** True once an injector is attached or any fault has been recorded. *)
 

@@ -305,8 +305,8 @@ let rebalance t =
    [shard] label; the run-level gauges an unsharded run_trace would set
    become per-shard contributions under the same (chain-labelled) series,
    summed by the merge — so a merged sharded export totals exactly what the
-   unsharded run reports.  The sentinel non-flow bucket is a whole-run
-   figure and lands on child 0. *)
+   unsharded run reports.  The whole-run figures (the non-flow bucket and
+   the state store) land on child 0. *)
 let finish_obs t (result : Runtime.run_result) =
   let flows = ownership_counts t in
   Array.iteri
@@ -334,57 +334,7 @@ let finish_obs t (result : Runtime.run_result) =
             g "speedybox_state_flow_entries"
               "Live per-flow state-store entries on this shard"
               (Sb_state.Store.flow_entries (Sb_state.Store.replica st i));
-          let run_level name help v =
-            Sb_obs.Metrics.Gauge.set
-              (Sb_obs.Metrics.gauge m ~help ~labels:[ chain_label ] name)
-              v
-          in
-          run_level "speedybox_rules_installed" "Consolidated rules in the Global MAT"
-            (float_of_int (Sb_mat.Global_mat.flow_count (Runtime.global_mat rt)));
-          run_level "speedybox_events_armed" "Event Table conditions currently armed"
-            (float_of_int
-               (Sb_mat.Event_table.total_armed (Chain.events (Runtime.chain rt))));
-          run_level "speedybox_state_global_events_armed"
-            "Armed Event Table conditions reading global-scope state"
-            (float_of_int
-               (Sb_mat.Event_table.total_global_armed (Chain.events (Runtime.chain rt))));
-          if i = 0 then begin
-            (match
-               Sb_flow.Flow_table.find result.Runtime.flow_time_us Runtime.no_flow_fid
-             with
-            | Some us ->
-                run_level "speedybox_non_flow_time_us"
-                  "Processing time spent on packets with no 5-tuple (non-TCP/UDP)" us
-            | None -> ());
-            (* Store-wide state figures are whole-run, like the non-flow
-               bucket: one contribution on child 0, or the merge would
-               multiply them by the shard count. *)
-            let st = t.cfg.Runtime.state in
-            let counts = Sb_state.Store.cell_counts st in
-            let gs scope v =
-              Sb_obs.Metrics.Gauge.set
-                (Sb_obs.Metrics.gauge m ~help:"Declared state-store cells by scope"
-                   ~labels:[ chain_label; ("scope", scope) ]
-                   "speedybox_state_cells")
-                (float_of_int v)
-            in
-            gs "per-flow" counts.Sb_state.Store.per_flow;
-            gs "per-shard" counts.Sb_state.Store.per_shard;
-            gs "global" counts.Sb_state.Store.global;
-            Sb_obs.Metrics.Counter.add
-              (Sb_obs.Metrics.counter m ~help:"Cross-shard state merge rounds run"
-                 ~labels:[ chain_label ] "speedybox_state_merge_rounds_total")
-              (Sb_state.Store.merge_rounds_delta st);
-            let h_global =
-              Sb_obs.Metrics.histogram m
-                ~help:"Merged values of global-scope state cells"
-                ~labels:[ chain_label; ("scope", "global") ]
-                "speedybox_state_cell_value"
-            in
-            List.iter
-              (fun (_, _, v) -> Sb_obs.Histogram.observe_int h_global v)
-              (Sb_state.Store.merged_values st)
-          end)
+          Runtime.record_run_gauges rt ~whole_run:(i = 0) result)
     t.runtimes
 
 let run_trace ?on_output ?(burst = Runtime.default_burst) t packets =

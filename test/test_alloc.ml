@@ -5,11 +5,14 @@
    warmed [chain1] (MazuNAT, Maglev, Monitor, IPFilter) replays a DCN
    trace with its SYN, FIN and RST packets removed, so every flow is
    established by its first data packet and stays so, and every packet of
-   the measured replay takes the Global MAT fast path.  Two figures are gated:
+   the measured replay takes the Global MAT fast path.  Three figures are
+   gated:
 
    - words per packet through [Runtime.process_burst_into] at burst 32
      with a no-op emit: classifier, conntrack, event poll, compiled
      program, state functions, profile and output record;
+   - words per packet through [Runtime.process_packet], a burst of one,
+     under the same budget;
    - words per [Runtime.Acc.consume] call over those packets' outputs.
 
    What remains in the first figure is the boxed 5-tuple the classifier
@@ -40,8 +43,9 @@
 open Speedybox
 module P = Sb_packet.Packet
 
-(* Measured: 33.19 words per fast-path packet and 0 per consume (OCaml
-   5.1, no flambda, dev profile). *)
+(* Measured: 33.19 words per fast-path packet through bursts of 32, 33.00
+   through [process_packet] (41.00 when it built a classification record
+   per call), and 0 per consume (OCaml 5.1, no flambda, dev profile). *)
 let burst_budget_words = 36.
 
 let consume_budget_words = 0.
@@ -164,6 +168,31 @@ let replay r emit =
 
 let per_packet r words = words /. float_of_int (Array.length r.packets)
 
+(* One replay through [process_packet], a packet per call; returns the
+   minor words allocated inside those calls only. *)
+let replay_per_packet r =
+  let words = ref 0. in
+  Array.iter
+    (fun p ->
+      P.copy_into ~src:p ~dst:r.pool.(0);
+      let w0 = Gc.minor_words () in
+      let out = Runtime.process_packet r.rt r.pool.(0) in
+      words := !words +. (Gc.minor_words () -. w0);
+      if out.Runtime.path = Runtime.Slow_path then
+        Alcotest.fail "warmed packet took the slow path")
+    r.packets;
+  !words
+
+(* Per-packet dispatch is a burst of one, so it holds the burst budget:
+   no classification record, closure or option per call. *)
+let test_per_packet_budget () =
+  let r = setup () in
+  ignore (replay r (fun _ _ -> ()));
+  let words = per_packet r (replay_per_packet r) in
+  if words > burst_budget_words then
+    Alcotest.failf "per-packet dispatch allocates %.2f words/packet, budget %.1f" words
+      burst_budget_words
+
 let test_fast_path_budget () =
   let r = setup () in
   ignore (replay r (fun _ _ -> ()));
@@ -276,5 +305,6 @@ let suite =
       (check_consolidate_budget edge_churn_chain consolidate_edge_budget_words);
     Alcotest.test_case "consolidate allocation budget (chain1)" `Quick
       (check_consolidate_budget "chain1" consolidate_chain1_budget_words);
+    Alcotest.test_case "per-packet allocation budget" `Quick test_per_packet_budget;
   ]
 

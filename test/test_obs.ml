@@ -320,6 +320,51 @@ let test_staged_runtime_obs () =
   Alcotest.(check bool) "stage spans recorded" true
     (Tracer.recorded (Option.get (Sink.tracer obs)) > 0)
 
+let test_degraded_bypass_timeline () =
+  (* Monitor fails on its first call (the SYN) under [Bypass]: later
+     packets only transit its port.  Both executors run the same NF step;
+     the runtime logs each bypass on the flow's timeline and the staged
+     executor logs none. *)
+  let setup () =
+    let inj = Sb_fault.Injector.create ~seed:3 () in
+    Sb_fault.Injector.script inj ~nf:"monitor" ~at:1 Sb_fault.Injector.Raise;
+    ( inj,
+      Sb_fault.Health.policy ~degraded_after:1 ~failed_after:1
+        ~on_failure:Sb_fault.Health.Bypass (),
+      Sink.create ~timeline:true (),
+      Sb_trace.Workload.with_poisson_times ~seed:7 ~rate_mpps:0.5
+        (Test_util.tcp_flow ~fin:false 4) )
+  in
+  let bypasses obs =
+    let tl = Option.get (Sink.timeline obs) in
+    List.concat_map
+      (fun fid ->
+        List.filter_map
+          (fun e ->
+            if e.Timeline.kind = Timeline.Degraded_bypass then Some e.Timeline.detail
+            else None)
+          (Timeline.events tl fid))
+      (Timeline.flows tl)
+  in
+  let injector, fault_policy, obs, trace = setup () in
+  let rt =
+    Speedybox.Runtime.create
+      (Speedybox.Runtime.config ~obs ~injector ~fault_policy ())
+      (nat_monitor_chain ())
+  in
+  let result = Speedybox.Runtime.run_trace rt trace in
+  Alcotest.(check int) "runtime forwards past the failed NF" 4
+    result.Speedybox.Runtime.forwarded;
+  Alcotest.(check bool) "runtime logs the bypass" true
+    (bypasses obs <> [] && List.for_all (String.equal "monitor") (bypasses obs));
+  let injector, fault_policy, obs, trace = setup () in
+  let staged =
+    Speedybox.Staged_runtime.run ~injector ~fault_policy ~obs (nat_monitor_chain ()) trace
+  in
+  Alcotest.(check int) "staged forwards past the failed NF" 4
+    staged.Speedybox.Staged_runtime.forwarded;
+  Alcotest.(check int) "staged logs no bypass" 0 (List.length (bypasses obs))
+
 (* ------------------------------------------------------------------ *)
 (* Report satellites *)
 
@@ -559,4 +604,5 @@ let suite =
       test_empty_merges_export_valid_json;
     Alcotest.test_case "sink split/merge and snapshot cadence" `Quick
       test_sink_split_merge_and_snapshots;
+    Alcotest.test_case "degraded bypass on both executors" `Quick test_degraded_bypass_timeline;
   ]

@@ -6,24 +6,30 @@ let simple_chain () =
 
 let test_classifier_phases () =
   let classifier = Speedybox.Classifier.create () in
+  let classify p =
+    let c = Speedybox.Classifier.scratch () in
+    Speedybox.Classifier.classify_into classifier p c;
+    c
+  in
   let syn = Test_util.tcp_packet ~flags:Tcp.Flags.syn ~payload:"" () in
-  let c1 = Speedybox.Classifier.classify classifier syn in
+  let c1 = classify syn in
   Alcotest.(check bool) "SYN not established" false c1.Speedybox.Classifier.established;
   Alcotest.(check bool) "fid attached" true (syn.Packet.fid >= 0);
   let data = Test_util.tcp_packet () in
-  let c2 = Speedybox.Classifier.classify classifier data in
+  let c2 = classify data in
   Alcotest.(check bool) "data establishes" true c2.Speedybox.Classifier.established;
   Alcotest.(check int) "same fid both directions of time" c1.Speedybox.Classifier.fid
     c2.Speedybox.Classifier.fid;
   let fin = Test_util.tcp_packet ~flags:Tcp.Flags.fin_ack () in
-  let c3 = Speedybox.Classifier.classify classifier fin in
+  let c3 = classify fin in
   Alcotest.(check bool) "FIN is final" true c3.Speedybox.Classifier.final;
   Speedybox.Classifier.forget classifier c3.Speedybox.Classifier.tuple;
   Alcotest.(check int) "forgotten" 0 (Speedybox.Classifier.active_flows classifier)
 
 let test_classifier_fid_width () =
   let classifier = Speedybox.Classifier.create ~fid_bits:8 () in
-  let c = Speedybox.Classifier.classify classifier (Test_util.udp_packet ()) in
+  let c = Speedybox.Classifier.scratch () in
+  Speedybox.Classifier.classify_into classifier (Test_util.udp_packet ()) c;
   Alcotest.(check bool) "narrow fid" true (c.Speedybox.Classifier.fid < 256);
   Alcotest.(check int) "width exposed" 8 (Speedybox.Classifier.fid_bits classifier)
 

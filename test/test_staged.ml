@@ -117,6 +117,18 @@ let test_chain_drops_and_events_still_work () =
   Alcotest.(check int) "rest dropped" 6 staged.Speedybox.Staged_runtime.dropped_by_chain;
   Alcotest.(check int) "event fired once" 1 staged.Speedybox.Staged_runtime.events_fired
 
+let test_non_tcp_udp_drops_at_classifier () =
+  (* A packet with no 5-tuple (IPv4 protocol 1) between two UDP packets:
+     it enters the pipeline like any other, the classifier stage rejects
+     it as malformed, and the packets around it still forward. *)
+  let icmp = Test_util.udp_packet () in
+  Bytes.set icmp.Sb_packet.Packet.buf (Sb_packet.Packet.l3_offset icmp + 9) (Char.chr 1);
+  let trace = timed 20_000 [ Test_util.udp_packet (); icmp; Test_util.udp_packet () ] in
+  let staged = Speedybox.Staged_runtime.run (monitor_chain ()) trace in
+  Alcotest.(check int) "malformed packet dropped" 1
+    staged.Speedybox.Staged_runtime.dropped_by_chain;
+  Alcotest.(check int) "UDP packets forwarded" 2 staged.Speedybox.Staged_runtime.forwarded
+
 let suite =
   [
     Alcotest.test_case "low load matches analytic model" `Quick test_low_load_matches_analytic;
@@ -126,4 +138,6 @@ let suite =
     Alcotest.test_case "fast path overtakes backlog" `Quick test_fast_path_overtakes_backlog;
     Alcotest.test_case "drops and events in the pipeline" `Quick
       test_chain_drops_and_events_still_work;
+    Alcotest.test_case "non-TCP/UDP packet drops at the classifier" `Quick
+      test_non_tcp_udp_drops_at_classifier;
   ]
