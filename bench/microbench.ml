@@ -422,6 +422,45 @@ let impaired_trace_len, test_impaired_fastpath =
            let rt, impaired = Lazy.force state in
            Speedybox.Runtime.run_trace ~burst:burst_size rt impaired)) )
 
+(* Run accounting alone: [Runtime.Acc.consume], the fold [run_trace]
+   applies to every output, over the outputs of a DCN trace (300 flows,
+   16-512 B payloads) run once through [chain1].  Each run folds all of
+   them into one long-lived accumulator, as a long trace does.
+   check_bench.sh divides this by the burst-32 fast path measured in the
+   same run. *)
+let consume_outputs =
+  let chain =
+    match Sb_experiments.Chain_registry.build "chain1" with
+    | Ok build -> build ()
+    | Error m -> failwith m
+  in
+  let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) chain in
+  let trace =
+    Sb_trace.Workload.dcn_trace
+      {
+        Sb_trace.Workload.seed = 21;
+        n_flows = 300;
+        mean_flow_packets = 16.;
+        payload_len = (16, 512);
+        udp_fraction = 0.1;
+        malicious_fraction = 0.;
+        tokens = [];
+      }
+  in
+  let outs = ref [] in
+  ignore
+    (Speedybox.Runtime.run_trace ~burst:burst_size rt trace ~on_output:(fun original out ->
+         outs := (original, out) :: !outs));
+  Array.of_list (List.rev !outs)
+
+let test_acc_consume =
+  let acc = Speedybox.Runtime.Acc.create () in
+  Test.make ~name:"run/acc.consume (chain1 DCN outputs, per packet)"
+    (Staged.stage (fun () ->
+         Array.iter
+           (fun (original, out) -> Speedybox.Runtime.Acc.consume acc original out)
+           consume_outputs))
+
 let test_checksum_full =
   let packet = sample_packet () in
   let l3 = Sb_packet.Packet.l3_offset packet in
@@ -457,6 +496,7 @@ let tests_single_threaded () =
       test_burst_fast_path;
       test_burst_lru_churn;
       test_impaired_fastpath;
+      test_acc_consume;
       test_checksum_full;
       test_checksum_incremental;
       test_shard_unsharded;
@@ -476,6 +516,8 @@ let per_run_packets =
     ("speedybox/runtime/burst lru-churn (64 flows, 32-rule cap, per packet)", burst_size);
     ( "speedybox/runtime/impaired-fastpath burst-32 (reorder+dup+loss, per packet)",
       impaired_trace_len );
+    ( "speedybox/run/acc.consume (chain1 DCN outputs, per packet)",
+      Array.length consume_outputs );
     ("speedybox/shard/unsharded run_trace (64 flows x 32, per packet)", shard_trace_len);
     ("speedybox/shard/deterministic-1 (64 flows x 32, per packet)", shard_trace_len);
     ("speedybox/shard/deterministic-4 (64 flows x 32, per packet)", shard_trace_len);

@@ -153,9 +153,13 @@ let chain_state chain =
 let stage_breakdown (result : Runtime.run_result) =
   let rows =
     Hashtbl.fold
-      (fun label stats acc ->
-        let total = Sb_sim.Stats.mean stats *. float_of_int (Sb_sim.Stats.count stats) in
-        (label, Sb_sim.Stats.count stats, Sb_sim.Stats.mean stats, total) :: acc)
+      (fun label { Runtime.visits; cycles } acc ->
+        (* [mean *. visits] rather than [float cycles]: the two can differ
+           in the last bit, and the printed shares must round as they
+           always have. *)
+        let mean = float_of_int cycles /. float_of_int visits in
+        let total = mean *. float_of_int visits in
+        (label, visits, mean, total) :: acc)
       result.Runtime.stage_cycles []
     (* Descending by total cycles; label breaks ties so the table is
        deterministic regardless of hashtable iteration order. *)

@@ -770,11 +770,16 @@ let process_packet t packet =
   process_burst_into t t.one ~off:0 ~len:1 t.one_emit;
   !(t.one_out)
 
+(* The output array is made from the first output and filled in place:
+   [emit] fires once per packet, in order. *)
 let process_burst t packets =
   let n = Array.length packets in
-  let rev = ref [] in
-  process_burst_into t packets ~off:0 ~len:n (fun _ out -> rev := out :: !rev);
-  Array.of_list (List.rev !rev)
+  let outs = ref [||] in
+  process_burst_into t packets ~off:0 ~len:n (fun k out ->
+      if k = 0 then outs := Array.make n out else Array.unsafe_set !outs k out);
+  !outs
+
+type stage_total = { visits : int; cycles : int }
 
 type run_result = {
   packets : int;
@@ -788,7 +793,7 @@ type run_result = {
   cycles_per_packet : Sb_sim.Stats.t;
   service : Sb_sim.Stats.t;
   flow_time_us : float Sb_flow.Flow_table.t;
-  stage_cycles : (string, Sb_sim.Stats.t) Hashtbl.t;
+  stage_cycles : (string, stage_total) Hashtbl.t;
 }
 
 (* Non-TCP/UDP packets have no 5-tuple; their time buckets under this
@@ -800,13 +805,27 @@ let rate_mpps r =
   if Float.is_nan mean then nan
   else Sb_sim.Cycles.rate_mpps (int_of_float (Float.round mean))
 
+(* A stage label's running totals, updated in place when a tally slot is
+   flushed; [result] copies them out as [stage_total]s. *)
+type label_total = { mutable n : int; mutable sum : int }
+
+(* The slot holding [profile], by physical identity, or -1. *)
+let rec tally_slot profiles profile i used =
+  if i = used then -1
+  else if Array.unsafe_get profiles i == profile then i
+  else tally_slot profiles profile (i + 1) used
+
 (* The run accumulator behind [run_trace], exposed so the sharded
    executors fold their outputs through the exact same code: the
    deterministic executor feeds one accumulator in global order, the
    parallel executor feeds one per shard and [absorb]s them into the run
    total — either way the [run_result] is identical by construction to an
-   unsharded run over the same outputs. *)
+   unsharded run over the same outputs.  Stage totals go through a
+   per-profile tally (see the interface): a packet whose profile holds a
+   slot costs one [==] per slot scanned and one increment. *)
 module Acc = struct
+  let tally_slots = 16
+
   type acc = {
     fid_bits : int;
     mutable count : int;
@@ -820,7 +839,11 @@ module Acc = struct
     cycles_per_packet : Sb_sim.Stats.t;
     service : Sb_sim.Stats.t;
     flow_time_us : float Sb_flow.Flow_table.t;
-    stage_cycles : (string, Sb_sim.Stats.t) Hashtbl.t;
+    profiles : Sb_sim.Cost_profile.t array;  (* tally slots in use: [0, used) *)
+    tallies : int array;  (* packets per slot not yet in [totals] *)
+    mutable used : int;
+    mutable victim : int;  (* round-robin eviction cursor *)
+    totals : (string, label_total) Hashtbl.t;
   }
 
   let create ?(fid_bits = Sb_flow.Fid.default_bits) () =
@@ -837,26 +860,64 @@ module Acc = struct
       cycles_per_packet = Sb_sim.Stats.create ();
       service = Sb_sim.Stats.create ();
       flow_time_us = Sb_flow.Flow_table.create ~initial_size:256 ();
-      stage_cycles = Hashtbl.create 16;
+      profiles = Array.make tally_slots [];
+      tallies = Array.make tally_slots 0;
+      used = 0;
+      victim = 0;
+      totals = Hashtbl.create 16;
     }
 
-  (* [Hashtbl.find] returns the binding itself — no option to allocate on
-     the hit every packet after a label's first takes. *)
-  let stage_stats acc label =
-    match Hashtbl.find acc.stage_cycles label with
-    | s -> s
+  (* [Hashtbl.find] returns the binding itself — no option to allocate
+     once a label has its total. *)
+  let total acc label =
+    match Hashtbl.find acc.totals label with
+    | t -> t
     | exception Not_found ->
-        let s = Sb_sim.Stats.create () in
-        Hashtbl.replace acc.stage_cycles label s;
-        s
+        let t = { n = 0; sum = 0 } in
+        Hashtbl.replace acc.totals label t;
+        t
 
-  let rec add_stages acc = function
+  let rec add_stages acc n = function
     | [] -> ()
     | (stage : Sb_sim.Cost_profile.stage) :: rest ->
-        Sb_sim.Stats.add_int
-          (stage_stats acc stage.Sb_sim.Cost_profile.label)
-          (Sb_sim.Cost_profile.stage_cycles stage);
-        add_stages acc rest
+        let t = total acc stage.Sb_sim.Cost_profile.label in
+        t.n <- t.n + n;
+        t.sum <- t.sum + (n * Sb_sim.Cost_profile.stage_cycles stage);
+        add_stages acc n rest
+
+  (* Expands slot [i]'s count into the per-label totals; the slot keeps
+     its profile, so later packets still hit it. *)
+  let flush acc i =
+    let n = Array.unsafe_get acc.tallies i in
+    if n > 0 then begin
+      add_stages acc n (Array.unsafe_get acc.profiles i);
+      Array.unsafe_set acc.tallies i 0
+    end
+
+  let flush_all acc =
+    for i = 0 to acc.used - 1 do
+      flush acc i
+    done
+
+  let tally acc profile =
+    let i = tally_slot acc.profiles profile 0 acc.used in
+    if i >= 0 then Array.unsafe_set acc.tallies i (Array.unsafe_get acc.tallies i + 1)
+    else begin
+      let i =
+        if acc.used < tally_slots then begin
+          acc.used <- acc.used + 1;
+          acc.used - 1
+        end
+        else begin
+          let v = acc.victim in
+          flush acc v;
+          acc.victim <- (if v + 1 = tally_slots then 0 else v + 1);
+          v
+        end
+      in
+      Array.unsafe_set acc.profiles i profile;
+      Array.unsafe_set acc.tallies i 1
+    end
 
   let consume acc original out =
     acc.count <- acc.count + 1;
@@ -868,7 +929,7 @@ module Acc = struct
     | Fast_path -> acc.fast <- acc.fast + 1);
     acc.fired <- acc.fired + out.events_fired;
     if out.faults > 0 then acc.faulted <- acc.faulted + 1;
-    add_stages acc out.profile;
+    tally acc out.profile;
     (* [Cycles.to_microseconds], spelled out: a float returned from (or
        passed to) another module is boxed, and this runs per packet. *)
     let us = float_of_int out.latency_cycles /. Sb_sim.Cycles.cycles_per_us in
@@ -907,11 +968,20 @@ module Acc = struct
       (fun fid us ->
         Sb_flow.Flow_table.update dst.flow_time_us fid ~default:0. (fun sum -> sum +. us))
       src.flow_time_us;
+    flush_all src;
     Hashtbl.iter
-      (fun label stats -> Sb_sim.Stats.absorb (stage_stats dst label) stats)
-      src.stage_cycles
+      (fun label (t : label_total) ->
+        let d = total dst label in
+        d.n <- d.n + t.n;
+        d.sum <- d.sum + t.sum)
+      src.totals
 
   let result acc =
+    flush_all acc;
+    let stage_cycles = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun label t -> Hashtbl.replace stage_cycles label { visits = t.n; cycles = t.sum })
+      acc.totals;
     {
       packets = acc.count;
       forwarded = acc.forwarded;
@@ -924,7 +994,7 @@ module Acc = struct
       cycles_per_packet = acc.cycles_per_packet;
       service = acc.service;
       flow_time_us = acc.flow_time_us;
-      stage_cycles = acc.stage_cycles;
+      stage_cycles;
     }
 end
 

@@ -205,6 +205,15 @@ val process_burst_into :
     on, exposed for executors (the sharded runtime) that interleave bursts
     across several runtimes. *)
 
+(** A stage label's totals over a run: [visits] packets visited it and
+    spent [cycles] there in all.  Integer sums are exact, so
+    [float cycles /. float visits] is the mean a float accumulator over
+    the same samples gives, bit for bit.  There are no percentiles: the
+    stage breakdown reads only counts and means, and keeping a sample per
+    stage per packet would put a hash lookup and a reservoir write per
+    stage on every packet's accounting. *)
+type stage_total = { visits : int; cycles : int }
+
 (** Aggregate statistics over a trace run. *)
 type run_result = {
   packets : int;
@@ -222,9 +231,10 @@ type run_result = {
           time metric, Fig. 9); packets without a 5-tuple (non-TCP/UDP)
           bucket under the sentinel {!no_flow_fid} — reporting surfaces
           that bucket as a named "non-flow" line, never as a raw FID *)
-  stage_cycles : (string, Sb_sim.Stats.t) Hashtbl.t;
-      (** per-stage-label cycle samples (one per packet that visited the
-          stage) — where the chain's time actually goes *)
+  stage_cycles : (string, stage_total) Hashtbl.t;
+      (** per-stage-label totals — where the chain's time actually goes;
+          a fresh table per {!Acc.result}, with a binding for each label
+          at least one packet visited *)
 }
 
 val no_flow_fid : int
@@ -237,9 +247,22 @@ val rate_mpps : run_result -> float
 (** The accumulator {!run_trace} folds outputs through, exposed so sharded
     executors build their {!run_result} via the identical code: feed one
     accumulator in global order (deterministic executor) or one per shard
-    merged with {!Acc.absorb} (parallel executor). *)
+    merged with {!Acc.absorb} (parallel executor).
+
+    Counters, the three sample sets and the flow-time buckets take every
+    packet as it comes, in order.  Stage totals do not: an accumulator
+    tallies packets per cost profile in a fixed number of slots, keyed by
+    physical identity, and expands a slot's count into per-label totals
+    only when it flushes the slot — when a new profile needs a full
+    tally's slot, and in {!Acc.result} and {!Acc.absorb}.  Identity is a
+    speed key, never a proof of equality: equal profiles in two slots
+    expand to the same totals, so no result depends on sharing. *)
 module Acc : sig
   type acc
+
+  val tally_slots : int
+  (** Profile slots per accumulator: a constant, so its memory is bounded
+      whatever number of distinct profiles a chain produces. *)
 
   val create : ?fid_bits:int -> unit -> acc
   (** [fid_bits] (default {!Sb_flow.Fid.default_bits}) must match the
@@ -251,11 +274,16 @@ module Acc : sig
       flow-time bucket when the chain dropped before classification. *)
 
   val absorb : acc -> acc -> unit
-  (** [absorb dst src] merges [src]'s accumulation into [dst] ([src] is
-      left untouched): counters add, sample sets union, flow-time buckets
-      sum per FID. *)
+  (** [absorb dst src] merges [src]'s accumulation into [dst]: counters
+      add, sample sets union, flow-time buckets sum per FID, stage totals
+      add per label.  It flushes [src]'s tallies first, which changes none
+      of [src]'s results; [src] is otherwise left untouched. *)
 
   val result : acc -> run_result
+  (** Flushes the tallies and returns the run so far.  The sample sets and
+      the flow-time table are the accumulator's own, the stage totals a
+      copy; consuming more and calling [result] again counts nothing
+      twice. *)
 end
 
 val run_trace :

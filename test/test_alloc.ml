@@ -13,7 +13,9 @@
      program, state functions, profile and output record;
    - words per packet through [Runtime.process_packet], a burst of one,
      under the same budget;
-   - words per [Runtime.Acc.consume] call over those packets' outputs.
+   - words per [Runtime.Acc.consume] call over those packets' outputs,
+     and over [ipfilter,snort] outputs, whose payload-dependent costs
+     hold more distinct profiles than the accumulator's tally has slots.
 
    What remains in the first figure is the boxed 5-tuple the classifier
    and Monitor each build (a record and two boxed [int32]s, 12 words
@@ -244,10 +246,16 @@ let test_slow_path_budget () =
     Alcotest.failf "slow path allocates %.2f words/packet, budget %.1f" words
       slow_budget_words
 
-let check_consume_budget r () =
+let check_consume_budget ?(min_profiles = 0) r () =
   ignore (replay r (fun _ _ -> ()));
   let outs = Array.make (Array.length r.packets) None in
   ignore (replay r (fun k out -> outs.(k) <- Some out));
+  let distinct = Hashtbl.create 64 in
+  Array.iter
+    (Option.iter (fun out -> Hashtbl.replace distinct out.Runtime.profile ()))
+    outs;
+  if Hashtbl.length distinct < min_profiles then
+    Alcotest.failf "%d distinct profiles, need %d" (Hashtbl.length distinct) min_profiles;
   let acc = Runtime.Acc.create () in
   let consume_all () =
     for k = 0 to Array.length outs - 1 do
@@ -268,6 +276,16 @@ let check_consume_budget r () =
 let test_consume_budget () = check_consume_budget (setup ()) ()
 
 let test_consume_wave_budget () = check_consume_budget (edge_setup ()) ()
+
+(* Snort's cost follows the payload, so these outputs hold more distinct
+   profiles than the tally has slots and the measured pass runs the
+   eviction flush: a walk of the evicted profile's stages into the
+   per-label totals, which must not allocate either. *)
+let test_consume_flush_budget () =
+  check_consume_budget
+    ~min_profiles:(Runtime.Acc.tally_slots + 1)
+    (setup ~chain:"ipfilter,snort" ())
+    ()
 
 (* Words per [Global_mat.consolidate] call: replay a DCN trace through
    [chain] so every flow records and consolidates, warm the table's
@@ -299,6 +317,7 @@ let suite =
     Alcotest.test_case "fast-path allocation budget" `Quick test_fast_path_budget;
     Alcotest.test_case "Acc.consume allocation budget" `Quick test_consume_budget;
     Alcotest.test_case "Acc.consume budget (waves)" `Quick test_consume_wave_budget;
+    Alcotest.test_case "Acc.consume budget (tally flushes)" `Quick test_consume_flush_budget;
     Alcotest.test_case "wave fast-path budget" `Quick test_wave_fast_path_budget;
     Alcotest.test_case "slow-path allocation budget" `Quick test_slow_path_budget;
     Alcotest.test_case "consolidate allocation budget (edge-churn chain)" `Quick

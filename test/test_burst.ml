@@ -218,7 +218,7 @@ let flow_times result =
 
 let stage_stats result =
   Hashtbl.fold
-    (fun label s acc -> (label, Sb_sim.Stats.count s, Sb_sim.Stats.mean s) :: acc)
+    (fun label { Speedybox.Runtime.visits; cycles } acc -> (label, visits, cycles) :: acc)
     result.Speedybox.Runtime.stage_cycles []
   |> List.sort compare
 

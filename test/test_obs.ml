@@ -235,7 +235,7 @@ let test_runtime_metrics_match_run_result () =
   let tr = Option.get (Sink.tracer obs) in
   let total_stages =
     Hashtbl.fold
-      (fun _ s acc -> acc + Sb_sim.Stats.count s)
+      (fun _ t acc -> acc + t.Speedybox.Runtime.visits)
       result.Speedybox.Runtime.stage_cycles 0
   in
   Alcotest.(check int) "one span per stage" total_stages (Tracer.recorded tr);
@@ -394,14 +394,13 @@ let test_stage_breakdown_deterministic () =
   let result = { (Speedybox.Runtime.run_trace
                     (Speedybox.Runtime.create (Speedybox.Runtime.config ()) (nat_monitor_chain ()))
                     []) with Speedybox.Runtime.packets = 0 } in
-  let add label v =
-    let s = Sb_sim.Stats.create () in
-    Sb_sim.Stats.add s v;
-    Hashtbl.replace result.Speedybox.Runtime.stage_cycles label s
+  let add label cycles =
+    Hashtbl.replace result.Speedybox.Runtime.stage_cycles label
+      { Speedybox.Runtime.visits = 1; cycles }
   in
-  add "zeta" 100.;
-  add "alpha" 100.;
-  add "mid" 100.;
+  add "zeta" 100;
+  add "alpha" 100;
+  add "mid" 100;
   let breakdown = Speedybox.Report.stage_breakdown result in
   let pos needle =
     let rec find i =
