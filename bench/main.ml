@@ -6,9 +6,19 @@
    wall-clock microbenchmarks of the hot operations.  Individual sections
    run via `dune exec bench/main.exe -- <section>`; see `--help`.
 
-   `--json OUT` writes the microbenchmark results to OUT (see
-   Microbench.emit_json for the schema); with no section arguments it runs
-   just the micro section. *)
+   `--json OUT` writes the micro and scale results to OUT (see gate.ml for
+   the schema), checks them against the gate table and exits 1 when a row
+   fails; with no section arguments it runs just the micro section. *)
+
+open Sb_bench
+
+(* Set by a failing gate row; the process exits 1 once every requested
+   section ran. *)
+let gate_failed = ref false
+
+let record path ran results =
+  if Gate.record path ~ran ~cores:(Domain.recommended_domain_count ()) results > 0 then
+    gate_failed := true
 
 let sections json : (string * string * (unit -> unit)) list =
   [
@@ -31,20 +41,20 @@ let sections json : (string * string * (unit -> unit)) list =
       "million-flow idle-expiry load sweep",
       fun () ->
         (* Run standalone with --json (e.g. the CI 10k/100k tiers): the
-           sweep's per-packet figures land in their own file for
-           check_bench.sh's scale-only mode. *)
+           sweep's figures land in their own file, gated by the scale row
+           alone. *)
         let results = Scale_sweep.run () in
-        match json with Some path -> Microbench.emit_json path results | None -> () );
+        Option.iter (fun path -> record path [ Gate.Scale ] results) json );
     ( "micro",
       "Bechamel wall-clock microbenchmarks",
       fun () ->
-        (* When recording JSON the scale sweep rides along so its
-           per-packet figures land in the same file check_bench.sh reads.
-           Microbench.run invokes it only after the micro measurements —
-           the sweep's million-flow heap would otherwise inflate every
-           figure recorded after it. *)
-        let extra = match json with Some _ -> Scale_sweep.run | None -> fun () -> [] in
-        Microbench.run ?json ~extra () );
+        let results = Microbench.run () in
+        (* When recording JSON the scale sweep rides along, after every
+           micro measurement: its million-flow heap would otherwise
+           inflate every figure measured after it. *)
+        Option.iter
+          (fun path -> record path [ Gate.Micro; Gate.Scale ] (results @ Scale_sweep.run ()))
+          json );
   ]
 
 let usage () =
@@ -52,7 +62,7 @@ let usage () =
   print_endline "sections:";
   List.iter (fun (name, descr, _) -> Printf.printf "  %-10s %s\n" name descr) (sections None);
   print_endline "with no arguments, every section runs in order.";
-  print_endline "--json OUT writes microbench results (ns/run) to OUT as JSON."
+  print_endline "--json OUT writes micro/scale results (ns/run) to OUT as JSON and gates them."
 
 let () =
   let rec split_json acc = function
@@ -66,13 +76,13 @@ let () =
   in
   let json, args = split_json [] (List.tl (Array.to_list Sys.argv)) in
   let sections = sections json in
-  match args with
+  (match args with
   | ("-h" | "--help" | "help") :: _ -> usage ()
   | [] -> (
       match json with
       | Some _ ->
           (* A JSON target with no explicit sections means just the
-             microbenchmarks — the only section the file captures. *)
+             micro section, which records the scale sweep too. *)
           List.iter (fun (n, _, run) -> if n = "micro" then run ()) sections
       | None -> List.iter (fun (_, _, run) -> run ()) sections)
   | requested ->
@@ -84,4 +94,5 @@ let () =
               Printf.eprintf "unknown section %S\n" name;
               usage ();
               exit 2)
-        requested
+        requested);
+  if !gate_failed then exit 1

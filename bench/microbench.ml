@@ -7,6 +7,18 @@
 open Bechamel
 open Toolkit
 
+(* A bench: its key in the JSON record, the packets one run processes
+   (its ns/run is divided by [per_run], so every recorded figure is per
+   packet or per operation) and its Bechamel test.  The gate table
+   (gate.ml) names benches through these values, so renaming a bench
+   renames its gates too. *)
+type bench = { key : string; per_run : int; test : Test.t }
+
+let group = "speedybox"
+
+let bench ?(per_run = 1) name fn =
+  { key = group ^ "/" ^ name; per_run; test = Test.make ~name (Staged.stage fn) }
+
 let ip = Sb_packet.Ipv4_addr.of_string
 
 let sample_packet () =
@@ -32,31 +44,31 @@ let consolidation_actions =
     Sb_mat.Header_action.Forward;
   ]
 
-let test_consolidate =
-  Test.make ~name:"consolidate/of_actions (4 actions)"
-    (Staged.stage (fun () -> Sb_mat.Consolidate.of_actions consolidation_actions))
+let consolidate =
+  bench "consolidate/of_actions (4 actions)"
+    (fun () -> Sb_mat.Consolidate.of_actions consolidation_actions)
 
-let test_apply =
+let apply =
   let consolidated = Sb_mat.Consolidate.of_actions consolidation_actions in
   let packet = sample_packet () in
-  Test.make ~name:"consolidate/apply (2 fields + checksums)"
-    (Staged.stage (fun () -> Sb_mat.Consolidate.apply consolidated packet))
+  bench "consolidate/apply (2 fields + checksums)"
+    (fun () -> Sb_mat.Consolidate.apply consolidated packet)
 
-let test_fid =
-  Test.make ~name:"classifier/fid-hash"
-    (Staged.stage (fun () -> Sb_flow.Fid.of_tuple sample_tuple))
+let fid =
+  bench "classifier/fid-hash"
+    (fun () -> Sb_flow.Fid.of_tuple sample_tuple)
 
-let test_aho_corasick =
+let aho_corasick =
   let automaton =
     Sb_nf.Aho_corasick.create
       [ "attack"; "exploit"; "beacon"; "malware"; "inject"; "overflow"; "shell"; "xmas" ]
   in
   let payload = Bytes.make 1400 'a' in
   Bytes.blit_string "exploit" 0 payload 700 7;
-  Test.make ~name:"snort/aho-corasick scan (1400B, 8 patterns)"
-    (Staged.stage (fun () -> Sb_nf.Aho_corasick.scan automaton payload 0 1400))
+  bench "snort/aho-corasick scan (1400B, 8 patterns)"
+    (fun () -> Sb_nf.Aho_corasick.scan automaton payload 0 1400)
 
-let test_fast_path =
+let fast_path =
   (* A pre-recorded NAT+Monitor flow; each run sends one subsequent packet
      through the full SpeedyBox fast path. *)
   let nat = Sb_nf.Mazunat.create ~external_ip:(ip "203.0.113.1") () in
@@ -67,11 +79,10 @@ let test_fast_path =
   let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) chain in
   let warm = sample_packet () in
   let _ = Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm) in
-  Test.make ~name:"runtime/fast-path packet (NAT+Monitor)"
-    (Staged.stage (fun () ->
-         Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm)))
+  bench "runtime/fast-path packet (NAT+Monitor)"
+    (fun () -> Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm))
 
-let test_fast_path_with_event =
+let fast_path_with_event =
   (* Fast path with an armed (never firing) per-flow event: adds the event
      poll and per-check cycles to every packet. *)
   let monitor = Sb_nf.Monitor.create () in
@@ -83,11 +94,10 @@ let test_fast_path_with_event =
   let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) chain in
   let warm = sample_packet () in
   let _ = Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm) in
-  Test.make ~name:"runtime/fast-path packet with armed event (Monitor+DosGuard)"
-    (Staged.stage (fun () ->
-         Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm)))
+  bench "runtime/fast-path packet with armed event (Monitor+DosGuard)"
+    (fun () -> Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm))
 
-let test_fast_path_supervised =
+let fast_path_supervised =
   (* The PR-2 containment wrapper with an armed injector drawing at rate
      0.0: measures the full supervision overhead (per-NF gate + draw + the
      try/with) against the plain fast-path bench above.  The acceptance
@@ -104,16 +114,15 @@ let test_fast_path_supervised =
   let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ~injector ()) chain in
   let warm = sample_packet () in
   let _ = Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm) in
-  Test.make ~name:"runtime/fast-path packet supervised (NAT+Monitor, armed injector)"
-    (Staged.stage (fun () ->
-         Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm)))
+  bench "runtime/fast-path packet supervised (NAT+Monitor, armed injector)"
+    (fun () -> Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm))
 
-let test_fast_path_obs_unarmed =
+let fast_path_obs_unarmed =
   (* The observability acceptance bench: identical to the supervised bench
      (armed injector at rate 0.0) with the default disarmed sink — the
      per-packet cost of having observability hooks compiled in but off.
-     The acceptance bound vs the supervised baseline is 2% (scripts/
-     check_bench.sh enforces 5% against this bench's own baseline). *)
+     The acceptance bound vs the supervised baseline is 2% (the gate
+     enforces 5% against this bench's own baseline). *)
   let nat = Sb_nf.Mazunat.create ~external_ip:(ip "203.0.113.1") () in
   let monitor = Sb_nf.Monitor.create () in
   let chain =
@@ -126,11 +135,10 @@ let test_fast_path_obs_unarmed =
   let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ~injector ()) chain in
   let warm = sample_packet () in
   let _ = Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm) in
-  Test.make ~name:"runtime/fast-path packet obs-unarmed (NAT+Monitor, armed injector)"
-    (Staged.stage (fun () ->
-         Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm)))
+  bench "runtime/fast-path packet obs-unarmed (NAT+Monitor, armed injector)"
+    (fun () -> Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm))
 
-let test_fast_path_obs_armed =
+let fast_path_obs_armed =
   (* All three pillars live: per-packet counters + latency histogram, one
      span per stage into the trace ring, and the timeline armed (quiet on
      the fast path).  What `--metrics-out`/`--trace-out` actually costs. *)
@@ -144,11 +152,10 @@ let test_fast_path_obs_armed =
   let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ~obs ()) chain in
   let warm = sample_packet () in
   let _ = Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm) in
-  Test.make ~name:"runtime/fast-path packet obs-armed (NAT+Monitor, metrics+trace+timeline)"
-    (Staged.stage (fun () ->
-         Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm)))
+  bench "runtime/fast-path packet obs-armed (NAT+Monitor, metrics+trace+timeline)"
+    (fun () -> Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm))
 
-let test_lru_churn =
+let lru_churn =
   (* 64 flows over a 32-rule cap: every arrival misses (its rule was
      evicted 32 flows ago), re-records, and evicts the current coldest —
      the worst case for the rule table's eviction machinery. *)
@@ -168,19 +175,19 @@ let test_lru_churn =
   in
   Array.iter (fun p -> ignore (Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy p))) packets;
   let i = ref 0 in
-  Test.make ~name:"runtime/lru-churn packet (64 flows, 32-rule cap)"
-    (Staged.stage (fun () ->
-         let p = packets.(!i) in
-         i := (!i + 1) land 63;
-         Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy p)))
+  bench "runtime/lru-churn packet (64 flows, 32-rule cap)"
+    (fun () ->
+      let p = packets.(!i) in
+      i := (!i + 1) land 63;
+      Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy p))
 
 (* The burst benches measure one [process_burst] of [burst_size] packets
-   per run; [run] divides their figures by [burst_size] so the JSON and the
-   printed table stay per-packet and directly comparable with the
-   per-packet benches above. *)
+   per run; their [per_run] keeps the JSON and the printed table
+   per-packet and directly comparable with the per-packet benches
+   above. *)
 let burst_size = Speedybox.Runtime.default_burst
 
-let test_burst_fast_path =
+let burst_fast_path =
   (* The burst counterpart of the fast-path bench: 32 subsequent packets
      of one pre-recorded NAT+Monitor flow per run — classification
      prescan, last-flow rule memo, scratch packets refilled in place. *)
@@ -193,14 +200,14 @@ let test_burst_fast_path =
   let warm = sample_packet () in
   let _ = Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy warm) in
   let batch = Array.init burst_size (fun _ -> Sb_packet.Packet.scratch ()) in
-  Test.make ~name:"runtime/burst-32 fast-path (NAT+Monitor, per packet)"
-    (Staged.stage (fun () ->
-         for i = 0 to burst_size - 1 do
-           Sb_packet.Packet.copy_into ~src:warm ~dst:batch.(i)
-         done;
-         Speedybox.Runtime.process_burst rt batch))
+  bench ~per_run:burst_size "runtime/burst-32 fast-path (NAT+Monitor, per packet)"
+    (fun () ->
+      for i = 0 to burst_size - 1 do
+        Sb_packet.Packet.copy_into ~src:warm ~dst:batch.(i)
+      done;
+      Speedybox.Runtime.process_burst rt batch)
 
-let test_burst_lru_churn =
+let burst_lru_churn =
   (* The lru-churn workload in bursts of 32: every packet still misses the
      rule table (its flow was evicted 32 arrivals ago), so this measures
      burst overheads when the memo never hits and eviction churns. *)
@@ -221,13 +228,13 @@ let test_burst_lru_churn =
   Array.iter (fun p -> ignore (Speedybox.Runtime.process_packet rt (Sb_packet.Packet.copy p))) packets;
   let batch = Array.init burst_size (fun _ -> Sb_packet.Packet.scratch ()) in
   let base = ref 0 in
-  Test.make ~name:"runtime/burst lru-churn (64 flows, 32-rule cap, per packet)"
-    (Staged.stage (fun () ->
-         for i = 0 to burst_size - 1 do
-           Sb_packet.Packet.copy_into ~src:packets.(!base + i) ~dst:batch.(i)
-         done;
-         base := (!base + burst_size) land 63;
-         Speedybox.Runtime.process_burst rt batch))
+  bench ~per_run:burst_size "runtime/burst lru-churn (64 flows, 32-rule cap, per packet)"
+    (fun () ->
+      for i = 0 to burst_size - 1 do
+        Sb_packet.Packet.copy_into ~src:packets.(!base + i) ~dst:batch.(i)
+      done;
+      base := (!base + burst_size) land 63;
+      Speedybox.Runtime.process_burst rt batch)
 
 (* ---- sharded runtime benches ----
 
@@ -236,10 +243,9 @@ let test_burst_lru_churn =
    same-flow batches — timed under three executors: the plain runtime, the
    deterministic sharded executor (steering + stretch segmentation overhead)
    and the Domain-parallel executor (ring + merge overhead; real speedup
-   only with spare cores).  scripts/check_bench.sh guards the deterministic
-   overhead always and the parallel speedup when the recording machine had
-   at least 4 cores — which is why [run] records the core count alongside
-   the timings.
+   only with spare cores).  The gate holds the deterministic overhead
+   always and the parallel speedup when the measuring machine has at
+   least 4 cores.
 
    Setup is lazy and the shard benches run last in the suite: once a
    process has spawned its first [Domain], the OCaml runtime stays in
@@ -267,7 +273,7 @@ let shard_chain i =
     ~name:(Printf.sprintf "bench-shard-%d" i)
     [ Sb_nf.Monitor.nf (Sb_nf.Monitor.create ()) ]
 
-let test_shard_unsharded =
+let shard_unsharded =
   let state =
     lazy
       (let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) (shard_chain 0) in
@@ -275,12 +281,12 @@ let test_shard_unsharded =
        ignore (Speedybox.Runtime.run_trace ~burst:burst_size rt trace);
        (rt, trace))
   in
-  Test.make ~name:"shard/unsharded run_trace (64 flows x 32, per packet)"
-    (Staged.stage (fun () ->
-         let rt, trace = Lazy.force state in
-         Speedybox.Runtime.run_trace ~burst:burst_size rt trace))
+  bench ~per_run:shard_trace_len "shard/unsharded run_trace (64 flows x 32, per packet)"
+    (fun () ->
+      let rt, trace = Lazy.force state in
+      Speedybox.Runtime.run_trace ~burst:burst_size rt trace)
 
-let test_shard_deterministic_1 =
+let shard_deterministic_1 =
   (* The framework overhead floor: one shard delegates to the unsharded
      burst path, so this differs from the bench above only by the control
      drain and plan bookkeeping. *)
@@ -291,12 +297,12 @@ let test_shard_deterministic_1 =
        ignore (Sb_shard.Sharded.run_trace ~burst:burst_size sh trace);
        (sh, trace))
   in
-  Test.make ~name:"shard/deterministic-1 (64 flows x 32, per packet)"
-    (Staged.stage (fun () ->
-         let sh, trace = Lazy.force state in
-         Sb_shard.Sharded.run_trace ~burst:burst_size sh trace))
+  bench ~per_run:shard_trace_len "shard/deterministic-1 (64 flows x 32, per packet)"
+    (fun () ->
+      let sh, trace = Lazy.force state in
+      Sb_shard.Sharded.run_trace ~burst:burst_size sh trace)
 
-let test_shard_deterministic_4 =
+let shard_deterministic_4 =
   (* Steering hash + flow directory + stretch segmentation across 4 shards,
      single-threaded: what determinism costs per packet. *)
   let state =
@@ -306,19 +312,19 @@ let test_shard_deterministic_4 =
        ignore (Sb_shard.Sharded.run_trace ~burst:burst_size sh trace);
        (sh, trace))
   in
-  Test.make ~name:"shard/deterministic-4 (64 flows x 32, per packet)"
-    (Staged.stage (fun () ->
-         let sh, trace = Lazy.force state in
-         Sb_shard.Sharded.run_trace ~burst:burst_size sh trace))
+  bench ~per_run:shard_trace_len "shard/deterministic-4 (64 flows x 32, per packet)"
+    (fun () ->
+      let sh, trace = Lazy.force state in
+      Sb_shard.Sharded.run_trace ~burst:burst_size sh trace)
 
-let test_shard_deterministic_4_state =
+let shard_deterministic_4_state =
   (* The state-store tax: the same monitor chain, but with its cells
      declared on a shared 4-shard store — per-flow entries live in the
      replica's tuple map, global counters (packets/bytes/active/max_len)
-     are merged at every same-shard stretch boundary.  check_bench.sh
-     holds this within STATE_OVERHEAD of the plain deterministic-4 bench
-     above: global-scope state must ride the hot path with plain field
-     writes, no locks or atomics. *)
+     are merged at every same-shard stretch boundary.  The gate holds
+     this within 1.10x of the plain deterministic-4 bench above:
+     global-scope state must ride the hot path with plain field writes,
+     no locks or atomics. *)
   let state =
     lazy
       (let store = Sb_state.Store.create ~shards:4 () in
@@ -336,12 +342,12 @@ let test_shard_deterministic_4_state =
        ignore (Sb_shard.Sharded.run_trace ~burst:burst_size sh trace);
        (sh, trace))
   in
-  Test.make ~name:"shard/deterministic-4 state-store (64 flows x 32, per packet)"
-    (Staged.stage (fun () ->
-         let sh, trace = Lazy.force state in
-         Sb_shard.Sharded.run_trace ~burst:burst_size sh trace))
+  bench ~per_run:shard_trace_len "shard/deterministic-4 state-store (64 flows x 32, per packet)"
+    (fun () ->
+      let sh, trace = Lazy.force state in
+      Sb_shard.Sharded.run_trace ~burst:burst_size sh trace)
 
-let test_shard_parallel_4 =
+let shard_parallel_4 =
   (* 4 worker domains spawned per run, each steering its own trace slice
      and exchanging misdirected batches over the SPSC mesh: on a
      single-core box this measures pure overhead; with >= 4 cores it
@@ -356,16 +362,16 @@ let test_shard_parallel_4 =
        ignore (Sb_shard.Parallel_exec.run_trace ~burst:burst_size sh trace);
        (sh, trace))
   in
-  Test.make ~name:"shard/parallel-4 (64 flows x 32, per packet)"
-    (Staged.stage (fun () ->
-         let sh, trace = Lazy.force state in
-         Sb_shard.Parallel_exec.run_trace ~burst:burst_size sh trace))
+  bench ~per_run:shard_trace_len "shard/parallel-4 (64 flows x 32, per packet)"
+    (fun () ->
+      let sh, trace = Lazy.force state in
+      Sb_shard.Parallel_exec.run_trace ~burst:burst_size sh trace)
 
-let test_shard_parallel_4_armed =
+let shard_parallel_4_armed =
   (* The same parallel run with a metrics-armed sink: per-domain child
      registries on the hot path, merge + mesh-telemetry fold at end of
-     run.  check_bench.sh holds this within OBS_PARALLEL_OVERHEAD of the
-     unarmed parallel bench above.  Metrics pillar only — tracing records
+     run.  The gate holds this within 1.10x of the unarmed parallel
+     bench above.  Metrics pillar only — tracing records
      several spans per packet and measures ring capacity, not the armed
      branch. *)
   let state =
@@ -378,19 +384,20 @@ let test_shard_parallel_4_armed =
        ignore (Sb_shard.Parallel_exec.run_trace ~burst:burst_size sh trace);
        (sh, trace))
   in
-  Test.make ~name:"shard/parallel-4 obs-armed (64 flows x 32, per packet)"
-    (Staged.stage (fun () ->
-         let sh, trace = Lazy.force state in
-         Sb_shard.Parallel_exec.run_trace ~burst:burst_size sh trace))
+  bench ~per_run:shard_trace_len "shard/parallel-4 obs-armed (64 flows x 32, per packet)"
+    (fun () ->
+      let sh, trace = Lazy.force state in
+      Sb_shard.Parallel_exec.run_trace ~burst:burst_size sh trace)
 
 (* The robustness bench: the burst fast path fed a deterministically
    impaired trace (moderate reorder + duplication + loss over 64 flows x
    32 packets).  Duplicates exercise the DoS-style dedup window and the
    rule memo under repeated bytes; reordering breaks up same-flow
-   stretches; loss shrinks them.  check_bench.sh guards this against its
-   own baseline, while the unimpaired fast-path benches above guard the
-   "clean traffic pays nothing" half of the acceptance bound. *)
-let impaired_trace_len, test_impaired_fastpath =
+   stretches; loss shrinks them.  The gate holds this against its own
+   baseline and against the clean unsharded run, while the unimpaired
+   fast-path benches above guard the "clean traffic pays nothing" half
+   of the acceptance bound. *)
+let impaired_fastpath =
   let clean =
     List.concat
       (List.init 64 (fun f ->
@@ -416,18 +423,18 @@ let impaired_trace_len, test_impaired_fastpath =
        ignore (Speedybox.Runtime.run_trace ~burst:burst_size rt impaired);
        (rt, impaired))
   in
-  ( List.length impaired,
-    Test.make ~name:"runtime/impaired-fastpath burst-32 (reorder+dup+loss, per packet)"
-      (Staged.stage (fun () ->
-           let rt, impaired = Lazy.force state in
-           Speedybox.Runtime.run_trace ~burst:burst_size rt impaired)) )
+  bench ~per_run:(List.length impaired)
+    "runtime/impaired-fastpath burst-32 (reorder+dup+loss, per packet)"
+    (fun () ->
+      let rt, impaired = Lazy.force state in
+      Speedybox.Runtime.run_trace ~burst:burst_size rt impaired)
 
 (* Run accounting alone: [Runtime.Acc.consume], the fold [run_trace]
    applies to every output, over the outputs of a DCN trace (300 flows,
    16-512 B payloads) run once through [chain1].  Each run folds all of
    them into one long-lived accumulator, as a long trace does.
-   check_bench.sh divides this by the burst-32 fast path measured in the
-   same run. *)
+   The gate divides this by the burst-32 fast path measured in the same
+   run. *)
 let consume_outputs =
   let chain =
     match Sb_experiments.Chain_registry.build "chain1" with
@@ -453,165 +460,63 @@ let consume_outputs =
          outs := (original, out) :: !outs));
   Array.of_list (List.rev !outs)
 
-let test_acc_consume =
+let acc_consume =
   let acc = Speedybox.Runtime.Acc.create () in
-  Test.make ~name:"run/acc.consume (chain1 DCN outputs, per packet)"
-    (Staged.stage (fun () ->
-         Array.iter
-           (fun (original, out) -> Speedybox.Runtime.Acc.consume acc original out)
-           consume_outputs))
+  bench ~per_run:(Array.length consume_outputs) "run/acc.consume (chain1 DCN outputs, per packet)"
+    (fun () ->
+      Array.iter
+        (fun (original, out) -> Speedybox.Runtime.Acc.consume acc original out)
+        consume_outputs)
 
-let test_checksum_full =
+let checksum_full =
   let packet = sample_packet () in
   let l3 = Sb_packet.Packet.l3_offset packet in
-  Test.make ~name:"checksum/full ipv4 header recompute"
-    (Staged.stage (fun () -> Sb_packet.Ipv4.update_checksum packet.Sb_packet.Packet.buf l3))
+  bench "checksum/full ipv4 header recompute"
+    (fun () -> Sb_packet.Ipv4.update_checksum packet.Sb_packet.Packet.buf l3)
 
-let test_checksum_incremental =
+let checksum_incremental =
   (* The RFC 1624 path a NAT takes for one address rewrite. *)
   let old_word = ip "10.0.0.1" in
   let new_word = ip "203.0.113.77" in
-  Test.make ~name:"checksum/rfc1624 incremental (32-bit field)"
-    (Staged.stage (fun () ->
-         Sb_packet.Checksum.incremental32 ~old_checksum:0x1c46 ~old_word ~new_word))
+  bench "checksum/rfc1624 incremental (32-bit field)"
+    (fun () ->
+      Sb_packet.Checksum.incremental32 ~old_checksum:0x1c46 ~old_word ~new_word)
 
 (* Two groups, measured in order: parallel-4 spawns Domains, and once a
    process has spawned its first Domain the OCaml runtime stays in
    multi-domain mode and every later single-threaded measurement reads
    15-50% slow — so everything single-threaded is warmed AND measured
    before the first spawn. *)
-let tests_single_threaded () =
-  Test.make_grouped ~name:"speedybox"
-    [
-      test_consolidate;
-      test_apply;
-      test_fid;
-      test_aho_corasick;
-      test_fast_path;
-      test_fast_path_with_event;
-      test_fast_path_supervised;
-      test_fast_path_obs_unarmed;
-      test_fast_path_obs_armed;
-      test_lru_churn;
-      test_burst_fast_path;
-      test_burst_lru_churn;
-      test_impaired_fastpath;
-      test_acc_consume;
-      test_checksum_full;
-      test_checksum_incremental;
-      test_shard_unsharded;
-      test_shard_deterministic_1;
-      test_shard_deterministic_4;
-      test_shard_deterministic_4_state;
-    ]
-
-let tests_parallel () =
-  Test.make_grouped ~name:"speedybox" [ test_shard_parallel_4; test_shard_parallel_4_armed ]
-
-(* Benches whose run processes more than one packet: their measured ns/run
-   divides by the batch size before printing/recording. *)
-let per_run_packets =
+let single_threaded =
   [
-    ("speedybox/runtime/burst-32 fast-path (NAT+Monitor, per packet)", burst_size);
-    ("speedybox/runtime/burst lru-churn (64 flows, 32-rule cap, per packet)", burst_size);
-    ( "speedybox/runtime/impaired-fastpath burst-32 (reorder+dup+loss, per packet)",
-      impaired_trace_len );
-    ( "speedybox/run/acc.consume (chain1 DCN outputs, per packet)",
-      Array.length consume_outputs );
-    ("speedybox/shard/unsharded run_trace (64 flows x 32, per packet)", shard_trace_len);
-    ("speedybox/shard/deterministic-1 (64 flows x 32, per packet)", shard_trace_len);
-    ("speedybox/shard/deterministic-4 (64 flows x 32, per packet)", shard_trace_len);
-    ("speedybox/shard/deterministic-4 state-store (64 flows x 32, per packet)", shard_trace_len);
-    ("speedybox/shard/parallel-4 (64 flows x 32, per packet)", shard_trace_len);
-    ("speedybox/shard/parallel-4 obs-armed (64 flows x 32, per packet)", shard_trace_len);
+    consolidate;
+    apply;
+    fid;
+    aho_corasick;
+    fast_path;
+    fast_path_with_event;
+    fast_path_supervised;
+    fast_path_obs_unarmed;
+    fast_path_obs_armed;
+    lru_churn;
+    burst_fast_path;
+    burst_lru_churn;
+    impaired_fastpath;
+    acc_consume;
+    checksum_full;
+    checksum_incremental;
+    shard_unsharded;
+    shard_deterministic_1;
+    shard_deterministic_4;
+    shard_deterministic_4_state;
   ]
 
-(* ---- JSON emission (hand-rolled; the build has no JSON library) ----
+let parallel = [ shard_parallel_4; shard_parallel_4_armed ]
 
-   Schema: {"schema": "speedybox-microbench/1",
-            "baseline": {"<bench name>": <ns/run>, ...},
-            "current":  {...}}
-
-   The baseline block is preserved from an existing file so repeated runs
-   keep comparing against the first recorded numbers; benches that did not
-   exist when the baseline was taken enter it at their first measured
-   value. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Line-oriented scan of a previously emitted file: entries inside the
-   "baseline" object are `"name": 12.3,` lines.  Returns [] when the file
-   is missing or laid out differently (the baseline then restarts). *)
-let parse_baseline path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let parse_entry line =
-        let line = String.trim line in
-        let line =
-          if String.length line > 0 && line.[String.length line - 1] = ',' then
-            String.sub line 0 (String.length line - 1)
-          else line
-        in
-        match String.rindex_opt line ':' with
-        | None -> None
-        | Some colon ->
-            let key = String.trim (String.sub line 0 colon) in
-            let value = String.trim (String.sub line (colon + 1) (String.length line - colon - 1)) in
-            if String.length key >= 2 && key.[0] = '"' && key.[String.length key - 1] = '"' then
-              match float_of_string_opt value with
-              | Some v -> Some (String.sub key 1 (String.length key - 2), v)
-              | None -> None
-            else None
-      in
-      let rec in_prelude = function
-        | [] -> []
-        | l :: rest ->
-            if String.trim l = {|"baseline": {|} then in_baseline [] rest else in_prelude rest
-      and in_baseline acc = function
-        | [] -> List.rev acc
-        | l :: rest -> (
-            let t = String.trim l in
-            if t = "}" || t = "}," then List.rev acc
-            else
-              match parse_entry l with
-              | Some kv -> in_baseline (kv :: acc) rest
-              | None -> in_baseline acc rest)
-      in
-      in_prelude (List.rev !lines)
-
-let emit_json path results =
-  let baseline =
-    let kept = parse_baseline path in
-    kept
-    @ List.filter (fun (name, _) -> not (List.mem_assoc name kept)) results
-  in
-  let oc = open_out path in
-  let block kvs =
-    String.concat ",\n"
-      (List.map (fun (k, v) -> Printf.sprintf "    \"%s\": %.1f" (json_escape k) v) kvs)
-  in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"speedybox-microbench/1\",\n  \"baseline\": {\n%s\n  },\n  \"current\": {\n%s\n  }\n}\n"
-    (block baseline) (block results);
-  close_out oc;
-  Printf.printf "  wrote %s (%d benches)\n" path (List.length results)
+(* Not a timing: the core count of the machine that measured, recorded
+   so a reader of the JSON can tell whether the parallel-speedup row
+   gated or skipped. *)
+let cores_key = group ^ "/shard/available-cores"
 
 (* Measurement discipline: one short discarded pass warms code, caches and
    the benches' lazy state, then the full quota runs [reps] times and each
@@ -621,7 +526,8 @@ let emit_json path results =
    checksum from drifting 2x between otherwise identical runs. *)
 let reps = 3
 
-let measure ~ols ~instances ~cfg ~warm_cfg tests =
+let measure ~ols ~instances ~cfg ~warm_cfg benches =
+  let tests = Test.make_grouped ~name:group (List.map (fun b -> b.test) benches) in
   let estimate o =
     match Analyze.OLS.estimates o with Some (t :: _) -> t | Some [] | None -> nan
   in
@@ -644,10 +550,13 @@ let measure ~ols ~instances ~cfg ~warm_cfg tests =
                 | _ -> acc)
               v rest
           in
-          (name, best))
+          let b = List.find (fun b -> String.equal b.key name) benches in
+          (name, best /. float_of_int b.per_run))
         first
 
-let run ?json ?(extra = fun () -> []) () =
+(* Every bench's figure (ns per packet or per operation) by key, sorted,
+   plus the core count. *)
+let run () =
   print_endline
     "\n=== Microbench: wall-clock costs of hot operations (Bechamel, min of 3 runs) ===";
   let ols =
@@ -657,27 +566,12 @@ let run ?json ?(extra = fun () -> []) () =
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
   let warm_cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.05) () in
   let by_name =
-    measure ~ols ~instances ~cfg ~warm_cfg (tests_single_threaded ())
-    @ measure ~ols ~instances ~cfg ~warm_cfg (tests_parallel ())
+    measure ~ols ~instances ~cfg ~warm_cfg single_threaded
+    @ measure ~ols ~instances ~cfg ~warm_cfg parallel
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (name, ns) ->
-           let ns =
-             match List.assoc_opt name per_run_packets with
-             | Some n -> ns /. float_of_int n
-             | None -> ns
-           in
-           (name, ns))
   in
-  (* Not a timing: the parallel-executor speedup guard in check_bench.sh
-     only applies when the machine that recorded the figures had spare
-     cores, so the core count rides along in the same JSON. *)
   let by_name =
-    by_name
-    @ [ ("speedybox/shard/available-cores", float_of_int (Domain.recommended_domain_count ())) ]
+    by_name @ [ (cores_key, float_of_int (Domain.recommended_domain_count ())) ]
   in
   List.iter (fun (name, ns) -> Printf.printf "  %-60s %10.1f ns/run\n" name ns) by_name;
-  (* Extra sections (the scale sweep) run only now, after every micro
-     measurement: the 1M-flow sweep leaves a ~140MB major heap whose GC
-     pressure inflates any figure measured after it. *)
-  let extra = extra () in
-  Option.iter (fun path -> emit_json path (by_name @ extra)) json
+  by_name

@@ -169,6 +169,11 @@ let label flows =
   if flows >= 1_000_000 then Printf.sprintf "%dM" (flows / 1_000_000)
   else Printf.sprintf "%dk" (flows / 1_000)
 
+(* A tier's key in the JSON record: its mean per-packet latency over the
+   stream.  The gate's flatness row names tiers through this function. *)
+let key flows =
+  Printf.sprintf "speedybox/scale/%s-flows idle-expiry stream (ns per packet)" (label flows)
+
 let default_tiers = [ 10_000; 100_000; 1_000_000 ]
 
 (* "10k,100k,1M"-style tier list; unparseable entries are rejected loudly
@@ -212,11 +217,4 @@ let run () =
         o)
       (tiers_of_env ())
   in
-  (* The JSON entries check_bench.sh reads: mean per-packet latency per
-     population, used to assert the cost stays flat as flows grow 100x. *)
-  List.map
-    (fun o ->
-      ( Printf.sprintf "speedybox/scale/%s-flows idle-expiry stream (ns per packet)"
-          (label o.flows),
-        o.ns_per_pkt ))
-    outcomes
+  List.map (fun o -> (key o.flows, o.ns_per_pkt)) outcomes
