@@ -189,8 +189,8 @@ let burst_size = Speedybox.Runtime.default_burst
 
 let burst_fast_path =
   (* The burst counterpart of the fast-path bench: 32 subsequent packets
-     of one pre-recorded NAT+Monitor flow per run — classification
-     prescan, last-flow rule memo, scratch packets refilled in place. *)
+     of one pre-recorded NAT+Monitor flow per run — prefetch prescan,
+     one rule lookup per packet, scratch packets refilled in place. *)
   let nat = Sb_nf.Mazunat.create ~external_ip:(ip "203.0.113.1") () in
   let monitor = Sb_nf.Monitor.create () in
   let chain =
@@ -210,7 +210,7 @@ let burst_fast_path =
 let burst_lru_churn =
   (* The lru-churn workload in bursts of 32: every packet still misses the
      rule table (its flow was evicted 32 arrivals ago), so this measures
-     burst overheads when the memo never hits and eviction churns. *)
+     burst overheads when every lookup misses and eviction churns. *)
   let nat = Sb_nf.Mazunat.create ~external_ip:(ip "203.0.113.1") () in
   let monitor = Sb_nf.Monitor.create () in
   let chain =
@@ -392,7 +392,7 @@ let shard_parallel_4_armed =
 (* The robustness bench: the burst fast path fed a deterministically
    impaired trace (moderate reorder + duplication + loss over 64 flows x
    32 packets).  Duplicates exercise the DoS-style dedup window and the
-   rule memo under repeated bytes; reordering breaks up same-flow
+   rule lookup under repeated bytes; reordering breaks up same-flow
    stretches; loss shrinks them.  The gate holds this against its own
    baseline and against the clean unsharded run, while the unimpaired
    fast-path benches above guard the "clean traffic pays nothing" half

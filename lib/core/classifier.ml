@@ -48,13 +48,13 @@ let reject t cls =
    built fresh: it outlives the packet as a conntrack / liveness key).
 
    Classification is split into two phases so the burst prescan can
-   pipeline lookups DPDK-style.  [prepare_into] is a pure function of the
-   packet bytes: admission checks, tuple extraction, one FNV hash shared
-   by the FID fold and every conntrack operation, and a prefetch hint for
-   the conntrack slot the second phase will probe.  [observe_into]
-   advances the flow's connection state.  Running phase one over a whole
-   burst before any phase two means every conntrack probe lands on a line
-   whose fill started a burst ago.
+   start every packet's line fills early.  [prepare_into] is a pure
+   function of the packet bytes: admission checks, tuple extraction, one
+   FNV hash shared by the FID fold and every conntrack operation, and a
+   prefetch hint for the conntrack slot the second phase will probe.  [observe_into]
+   advances the flow's connection state, per packet and in order.
+   Running phase one over a whole burst first means every conntrack probe
+   lands on a line whose fill started earlier in the burst.
 
    A packet that does not parse to a 5-tuple — or, with
    [verify_checksums], whose checksums are stale — is marked [malformed]

@@ -58,14 +58,16 @@ val prepare_into : t -> Sb_packet.Packet.t -> classification -> unit
     admission checks, tuple extraction, the single per-packet FNV hash,
     the FID (written into the packet metadata) — plus a prefetch hint for
     the conntrack slot {!observe_into} will probe.  Leaves [established]/
-    [final] false; conntrack is not touched.  The burst prescan runs this
-    over the whole burst first, so every later probe lands on a warming
-    cache line. *)
+    [final] false; conntrack is not touched.  The burst loop runs this
+    over the whole burst first (phase one), so every later probe lands on
+    a warming cache line. *)
 
 val observe_into : t -> Sb_packet.Packet.t -> classification -> unit
-(** Phase two: advances the flow's connection state (one conntrack
-    observation reusing [thash]) and fills [established]/[final].  Must
-    only run on a classification {!prepare_into} left non-malformed. *)
+(** Advances the flow's connection state (one conntrack observation
+    reusing [thash]) and fills [established]/[final].  The burst loop runs
+    it per packet, in order, right before that packet executes, so it
+    sees every earlier packet's teardown.  Must only run on a
+    classification {!prepare_into} left non-malformed. *)
 
 val export_flow : t -> Sb_flow.Five_tuple.t -> Sb_flow.Conntrack.state option
 (** The connection state tracked under this (direction-sensitive) tuple,

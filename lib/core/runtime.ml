@@ -90,13 +90,6 @@ type t = {
                                   in hand (the LRU-eviction callback) *)
   mutable cls_scratch : Classifier.classification array;
       (* per-burst classification scratch, grown to the largest burst seen *)
-  mutable rule_scratch : Sb_mat.Global_mat.rule array;
-      (* per-burst pre-resolved rules (the prescan's pipelined Global MAT
-         probes), validated against the MAT generation at execution *)
-  (* The burst path's one-entry last-flow rule memo, reset per burst. *)
-  mutable memo_fid : int;
-  mutable memo_gen : int;
-  mutable memo_rule : Sb_mat.Global_mat.rule;
   costs : Sb_sim.Cost_vec.t;
       (* the packet in flight's costs, stage by stage (label ids from
          [Cost_vec.labels] over [nf_names]); every path writes here and
@@ -237,10 +230,6 @@ let create cfg chain =
       ins;
       obs_now_us = 0.;
       cls_scratch = [||];
-      rule_scratch = [||];
-      memo_fid = -1;
-      memo_gen = -1;
-      memo_rule = Sb_mat.Global_mat.no_rule;
       costs;
       profiles = Sb_sim.Cost_vec.intern_create cfg.platform (Sb_sim.Cost_vec.labels nf_names);
       walk_faults = 0;
@@ -406,19 +395,6 @@ let touch t cls now =
       end
       else Sb_flow.Live_table.set_last_seen_at live s now
 
-(* Can [touch] at [now] expire a flow — forget a conntrack entry the burst
-   prescan may already have read?  Only if the wheel has an entry due by
-   [now]; or a flow armed or refreshed since [since] (the prescan
-   segment's earliest arrival) has idled a full timeout by then; or the
-   arriving flow's own last-seen stamp is that stale (expiry on arrival,
-   which the wheel's tick quantisation can leave to [touch]). *)
-let touch_may_expire t wheel timeout fid now ~since =
-  now - since > timeout
-  || Sb_flow.Timer_wheel.due wheel ~now
-  ||
-  let s = Sb_flow.Live_table.probe t.live fid in
-  s >= 0 && now - Sb_flow.Live_table.last_seen_at t.live s > timeout
-
 (* Forwarded packets pay the metadata detach at egress; a dropped packet's
    descriptor is simply released.  Preallocated for the optional argument,
    which would otherwise box a [Some] per packet. *)
@@ -564,8 +540,7 @@ let process_with_rule t packet cls rule =
 
 (* A malformed packet (no 5-tuple, or stale checksums under
    [verify_checksums]) is rejected at the classifier: it never reaches an
-   NF, never touches conntrack or the liveness tables, and cannot perturb
-   the burst path's rule memo. *)
+   NF and never touches conntrack or the liveness tables. *)
 let process_malformed t packet cls =
   Sb_sim.Cost_vec.reset t.costs;
   Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.classifier cls.Classifier.cycles;
@@ -629,59 +604,21 @@ let instrument t packet out =
 let default_burst = 32
 
 let ensure_cls_scratch t n =
-  if Array.length t.cls_scratch < n then begin
+  if Array.length t.cls_scratch < n then
     t.cls_scratch <- Array.init n (fun _ -> Classifier.scratch ());
-    t.rule_scratch <- Array.make n Sb_mat.Global_mat.no_rule
-  end;
   t.cls_scratch
-
-(* The burst's Global MAT resolution through the last-flow memo. *)
-let resolve t fid gen =
-  if fid = t.memo_fid && gen = t.memo_gen then t.memo_rule
-  else begin
-    let r = Sb_mat.Global_mat.lookup t.global fid in
-    if r != Sb_mat.Global_mat.no_rule then begin
-      t.memo_fid <- fid;
-      t.memo_gen <- gen;
-      t.memo_rule <- r
-    end
-    else t.memo_fid <- -1;
-    r
-  end
 
 (* Process [packets.(off .. off+len-1)] as one burst, calling [emit k out]
    for each packet in order ([k] relative to [off]).
 
-   The burst is classified ahead of execution — amortizing tuple
-   extraction, FID hashing and conntrack probes over the batch — with one
-   restriction: a packet whose execution can erase conntrack state ends
-   the prescan segment, because a packet classified beyond it would read
-   state the per-packet order has already erased.  Two such packets are
-   known in advance: a FIN/RST ([final]), which tears its flow down (a
-   retained [Closing] where a fresh flow would re-establish), and, with
-   idle expiry on, a packet whose [touch] can fire the timer wheel into
-   expiring a flow ([touch_may_expire]).  A fault quarantine cannot
-   be foreseen and is not covered: a same-flow SYN or SYN-ACK observed
-   beyond the faulting packet classifies against the pre-quarantine
-   state, where per-packet order sees a fresh flow.
-
-   Prescan phase one ([Classifier.prepare_into], the whole burst) is a
-   pure function of the packet bytes — tuple, one FNV hash, FID — and
-   issues prefetch hints for the three tables the later passes will probe
-   (conntrack slot, Global MAT rule slot, liveness slot), so the line
-   fills for packet [k]'s probes are in flight while packets [k+1 .. n-1]
-   are still being parsed.  Phase two observes conntrack and pre-resolves
-   each packet's rule on the now-warm slots, hinting the rule record
-   itself for the executor.
-
-   Execution resolves each packet's rule from the pre-probe, guarded two
-   ways: a pre-resolved rule is used only while the MAT's generation is
-   unchanged (any eviction, removal or quarantine bumps it), and an
-   absent rule is always re-probed (an earlier slow-path packet in the
-   segment may have consolidated one without a generation bump).  The
-   one-entry last-flow memo backs both the pre-probe and the re-probe, so
-   consecutive packets of one flow still cost a single lookup.  In-place
-   event rewrites keep resolved rule records current by construction. *)
+   Phase one ([Classifier.prepare_into], the whole burst) is a pure
+   function of the packet bytes — tuple, one FNV hash, FID — and issues
+   prefetch hints for the three tables each packet will probe (conntrack
+   slot, Global MAT rule slot, liveness slot), so the line fills for
+   packet [k]'s probes are in flight while packets [k+1 .. n-1] are still
+   being parsed.  Then each packet in order is observed, touched,
+   resolved and executed — exactly what a burst of one does, so no packet
+   reads state an earlier packet of the burst has yet to write. *)
 let process_burst_into t packets ~off ~len:n emit =
   match t.cfg.mode with
   | Original ->
@@ -693,9 +630,7 @@ let process_burst_into t packets ~off ~len:n emit =
       done
   | Speedybox ->
       let cls_arr = ensure_cls_scratch t n in
-      let rule_arr = t.rule_scratch in
       let track_live = t.wheel <> None in
-      (* Phase one: parse + hash + prefetch for the whole burst. *)
       for k = 0 to n - 1 do
         let cls = Array.unsafe_get cls_arr k in
         Classifier.prepare_into t.classifier packets.(off + k) cls;
@@ -704,67 +639,22 @@ let process_burst_into t packets ~off ~len:n emit =
           if track_live then Sb_flow.Live_table.prefetch t.live cls.Classifier.fid
         end
       done;
-      t.memo_fid <- -1;
-      let i = ref 0 in
-      while !i < n do
-        (* Phase two: conntrack observation up to (and including) the first
-           packet whose execution can erase conntrack state — a FIN/RST,
-           which tears its flow down, or a packet whose [touch] can expire
-           a flow — since a packet observed beyond it would read state the
-           per-packet order has already erased; plus the pipelined rule
-           pre-probe.  Nothing executes during this phase, so the MAT
-           generation is constant across the segment. *)
-        let gen = Sb_mat.Global_mat.generation t.global in
-        let j = ref !i in
-        let stop = ref false in
-        let since = ref max_int in
-        while (not !stop) && !j < n do
-          let cls = Array.unsafe_get cls_arr !j in
-          if cls.Classifier.malformed then
-            Array.unsafe_set rule_arr !j Sb_mat.Global_mat.no_rule
+      for k = 0 to n - 1 do
+        let packet = packets.(off + k) in
+        let cls = Array.unsafe_get cls_arr k in
+        let out =
+          if cls.Classifier.malformed then process_malformed t packet cls
           else begin
-            let packet = packets.(off + !j) in
             Classifier.observe_into t.classifier packet cls;
-            if cls.Classifier.final then stop := true;
-            (match (t.wheel, t.cfg.idle_timeout_cycles) with
-            | Some wheel, Some timeout ->
-                let now = packet.Sb_packet.Packet.ingress_cycle in
-                if now < !since then since := now;
-                if touch_may_expire t wheel timeout cls.Classifier.fid now ~since:!since then
-                  stop := true
-            | _ -> ());
-            let r = resolve t cls.Classifier.fid gen in
-            Array.unsafe_set rule_arr !j r;
-            (* Start the rule record's own line fill for the executor. *)
-            if r != Sb_mat.Global_mat.no_rule then Sb_flow.Prefetch.value r
-          end;
-          incr j
-        done;
-        for k = !i to !j - 1 do
-          let packet = packets.(off + k) in
-          let cls = Array.unsafe_get cls_arr k in
-          let out =
-            if cls.Classifier.malformed then process_malformed t packet cls
-            else begin
-              touch t cls packet.Sb_packet.Packet.ingress_cycle;
-              let gen_now = Sb_mat.Global_mat.generation t.global in
-              let pre = Array.unsafe_get rule_arr k in
-              let rule =
-                if pre != Sb_mat.Global_mat.no_rule && gen_now = gen then pre
-                else resolve t cls.Classifier.fid gen_now
-              in
-              Array.unsafe_set rule_arr k Sb_mat.Global_mat.no_rule;
-              process_with_rule t packet cls rule
-            end
-          in
-          if Sb_obs.Sink.armed t.cfg.obs then instrument t packet out;
-          emit k out
-        done;
-        i := !j
+            touch t cls packet.Sb_packet.Packet.ingress_cycle;
+            process_with_rule t packet cls (Sb_mat.Global_mat.lookup t.global cls.Classifier.fid)
+          end
+        in
+        if Sb_obs.Sink.armed t.cfg.obs then instrument t packet out;
+        emit k out
       done
 
-(* A burst of one: its prescan covers only the packet it executes, so this
-   is exactly per-packet order. *)
+(* A burst of one: the same loop over a one-slot array. *)
 let process_packet t packet =
   t.one.(0) <- packet;
   process_burst_into t t.one ~off:0 ~len:1 t.one_emit;

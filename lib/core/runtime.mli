@@ -152,13 +152,13 @@ type output = {
 
 val process_packet : t -> Sb_packet.Packet.t -> output
 (** Processes one packet (mutating it) as a burst of one through
-    {!process_burst_into}: the prescan covers only the packet it executes,
-    so there is no other per-packet path.  In [Original] mode every packet
-    walks the chain; in [Speedybox] mode the classifier routes it to the
-    slow path (recording when it is the flow's initial packet) or to the
-    Global MAT fast path, and FIN/RST tears the flow's rules down.  The
-    call allocates no closure and no classification record: the one-slot
-    burst and its emit belong to the runtime.
+    {!process_burst_into}; there is no other per-packet path.  In
+    [Original] mode every packet walks the chain; in [Speedybox] mode the
+    classifier routes it to the slow path (recording when it is the flow's
+    initial packet) or to the Global MAT fast path, and FIN/RST tears the
+    flow's rules down.  The call allocates no closure and no
+    classification record: the one-slot burst and its emit belong to the
+    runtime.
 
     Faults never propagate out: any raise from an NF [process] call, a
     recorded state function, or an event update is contained — the packet
@@ -171,30 +171,14 @@ val default_burst : int
 (** The DPDK-style default burst size, 32. *)
 
 val process_burst : t -> Sb_packet.Packet.t array -> output array
-(** Processes a burst of packets (mutating them), semantically identical
-    to {!process_packet} (a burst of one) in sequence but cheaper per
-    packet — the burst
-    pipelines DPDK-style.  A pure prepare pass over the whole burst
-    parses, hashes and FIDs every packet and prefetches the conntrack,
-    Global MAT and liveness slots the later passes will probe; an observe
-    pass advances conntrack and pre-resolves each packet's rule; execution
-    then uses each pre-resolved rule after re-validating it against
-    {!Sb_mat.Global_mat.generation} (a pre-resolved miss is always
-    re-probed — an earlier slow-path packet may have installed a rule
-    without a generation bump).  Consecutive packets of one flow share a
-    one-entry last-flow memo, so they cost a single Global MAT lookup;
-    in-place event rewrites update the resolved rule record directly.
-
-    The observe pass stops after any packet whose execution can erase
-    conntrack state that later packets would otherwise have read: a
-    FIN/RST classification, or — with idle expiry on — a packet whose
-    liveness touch can expire a flow (an entry due on the timer wheel by
-    its arrival, an arrival a full timeout after the pass's earliest one,
-    or its own flow already idle past the timeout).  Outputs then match
-    {!process_packet} in sequence.  A fault quarantine cannot be foreseen:
-    a same-flow SYN or SYN-ACK observed beyond the faulting packet is
-    classified against the pre-quarantine state, where per-packet order
-    sees a fresh flow. *)
+(** Processes a burst of packets (mutating them), identical to
+    {!process_packet} (a burst of one) in sequence.  A prepare pass over
+    the whole burst parses, hashes and FIDs every packet and prefetches
+    the conntrack, Global MAT and liveness slots each packet will probe;
+    it reads no table.  Then each packet in order is observed by
+    conntrack, touched for idle expiry, resolved against the Global MAT
+    and executed, so every packet sees the state all earlier packets
+    left, FIN/RST teardowns, expiries and fault quarantines included. *)
 
 val process_burst_into :
   t -> Sb_packet.Packet.t array -> off:int -> len:int -> (int -> output -> unit) -> unit

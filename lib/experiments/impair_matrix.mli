@@ -8,7 +8,7 @@
     the latency column, so each row also reports how far the scenario
     pushed p50 latency.
 
-    The digests must agree: the burst fast path (rule memo, prescan) and
+    The digests must agree: the burst path (prefetch prescan) and
     the sharded executor make no semantic promises weaker than the
     per-packet slow/fast machinery, impaired or not.  [run] prints the
     matrix and exits nonzero on any divergence, which is how CI consumes

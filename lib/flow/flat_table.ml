@@ -75,21 +75,6 @@ let prefetch t key =
   Prefetch.field t.keys s;
   if Array.length t.vals > 0 then Prefetch.field t.vals s
 
-(* Pipelined batch lookup: pass 1 issues prefetches for every key's probe
-   window, pass 2 probes — by the time slot [k] is probed its line fill
-   has been in flight for the whole remainder of pass 1, which is what
-   flattens the curve when the table outgrows the cache. *)
-let find_batch t keys ~off ~len out =
-  if len < 0 || off < 0 || off + len > Array.length keys then
-    invalid_arg "Flat_table.find_batch: range out of bounds";
-  if len > Array.length out then invalid_arg "Flat_table.find_batch: out too short";
-  for k = 0 to len - 1 do
-    prefetch t (Array.unsafe_get keys (off + k))
-  done;
-  for k = 0 to len - 1 do
-    out.(k) <- find t (Array.unsafe_get keys (off + k))
-  done
-
 let find_exn t key =
   let s = slot t key in
   if s >= 0 then Array.unsafe_get t.vals s else raise Not_found

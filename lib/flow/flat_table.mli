@@ -40,13 +40,6 @@ val prefetch : 'a t -> int -> unit
     key lane, matching value cell) is about to be probed.  Semantically a
     no-op; see {!Prefetch}. *)
 
-val find_batch : 'a t -> int array -> off:int -> len:int -> 'a option array -> unit
-(** [find_batch t keys ~off ~len out] looks up [keys.(off .. off+len-1)],
-    writing [out.(k) <- find t keys.(off+k)] — pipelined DPDK-style: a
-    prefetch pass over every key's destination slot, then a probe pass.
-    Bit-identical to [len] scalar {!find}s.
-    @raise Invalid_argument when the range or [out] is too short. *)
-
 val set : 'a t -> int -> 'a -> unit
 (** Insert or overwrite the binding for a key. *)
 

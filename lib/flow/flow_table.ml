@@ -12,8 +12,6 @@ let find = Flat_table.find
 
 let prefetch = Flat_table.prefetch
 
-let find_batch = Flat_table.find_batch
-
 let find_exn = Flat_table.find_exn
 
 let mem = Flat_table.mem

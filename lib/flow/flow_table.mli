@@ -1,8 +1,7 @@
 (** A generic per-flow table keyed by FID.
 
     Local MATs, the Global MAT and the NFs all keep per-flow state; this
-    module centralises the hash-table plumbing and exposes occupancy
-    statistics used by the memory-vs-FID-width ablation. *)
+    module centralises the hash-table plumbing. *)
 
 type 'a t
 
@@ -13,9 +12,6 @@ val find : 'a t -> Fid.t -> 'a option
 val prefetch : 'a t -> Fid.t -> unit
 (** Hints that the fid's probe window is about to be probed; semantically
     a no-op.  See {!Flat_table.prefetch}. *)
-
-val find_batch : 'a t -> Fid.t array -> off:int -> len:int -> 'a option array -> unit
-(** Pipelined batch lookup; see {!Flat_table.find_batch}. *)
 
 val find_exn : 'a t -> Fid.t -> 'a
 (** @raise Not_found when the FID has no entry. *)

@@ -1,9 +1,9 @@
-(** Software-prefetch hints for the batched lookup pipeline.
+(** Software-prefetch hints for the burst prescan.
 
     The burst prescan computes every packet's hashes up front and uses
-    these hints to start the cache-line fills for the slots the later
-    passes will probe (Global MAT rule lookup, conntrack observe, the
-    liveness touch), DPDK-style.  Hints are semantically no-ops: the real
+    these hints to start the cache-line fills for the slots the
+    per-packet loop will probe (Global MAT rule lookup, conntrack
+    observe, the liveness touch), DPDK-style.  Hints are semantically no-ops: the real
     implementation is a tiny C stub around [__builtin_prefetch], and a
     pure-OCaml no-op fallback is selected at build time with
     [SB_PREFETCH_IMPL=noop] (see lib/flow/dune) so the build works on
@@ -18,7 +18,3 @@ val field : 'a array -> int -> unit
     No bounds check and no memory access — an out-of-range index merely
     wastes the hint.  Works for [int array], [float array] and pointer
     arrays alike (all 8-byte elements). *)
-
-val value : 'a -> unit
-(** [value v] hints that the heap block [v] (e.g. a rule record about to
-    be executed) is about to be read.  A no-op on immediates. *)

@@ -1,8 +1,8 @@
-/* Software-prefetch stubs for the batched lookup pipeline.
+/* Software-prefetch stub for the burst prescan.
  *
- * Both primitives compute an address and issue a non-faulting prefetch
- * hint; neither reads or writes OCaml heap memory, so they are [@@noalloc]
- * externals with no GC interaction.  On compilers without
+ * The primitive computes an address and issues a non-faulting prefetch
+ * hint; it neither reads nor writes OCaml heap memory, so it is a
+ * [@@noalloc] external with no GC interaction.  On compilers without
  * __builtin_prefetch they compile to nothing, matching the pure-OCaml
  * no-op fallback selected at build time (see lib/flow/dune).
  */
@@ -20,14 +20,5 @@
 CAMLprim value sb_prefetch_field(value arr, value i)
 {
   SB_PREFETCH((const char *)arr + Long_val(i) * sizeof(value));
-  return Val_unit;
-}
-
-/* Prefetch the first line of a heap block (e.g. a rule record about to be
- * executed).  Immediates are skipped: their "address" is a tagged int. */
-CAMLprim value sb_prefetch_value(value v)
-{
-  if (Is_block(v))
-    SB_PREFETCH((const char *)v);
   return Val_unit;
 }

@@ -171,13 +171,6 @@ let advance t ~now fire =
 
 let behind t ~now = now asr t.tick_shift > t.now_tick
 
-(* [next_event_tick] answers its limit when nothing happens before it, so
-   asking one tick past the target separates "an event at the target"
-   from "none". *)
-let due t ~now =
-  let target = now asr t.tick_shift in
-  target > t.now_tick && t.count > 0 && next_event_tick t (target + 1) <= target
-
 let clear t =
   Array.iter (fun s -> s.len <- 0) t.wheel;
   t.count <- 0

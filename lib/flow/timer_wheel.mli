@@ -48,9 +48,5 @@ val behind : t -> now:int -> bool
 (** Whether [advance t ~now] would move the clock at all; when [false] it
     is a no-op, so a caller can skip building its callback. *)
 
-val due : t -> now:int -> bool
-(** Whether [advance t ~now] would fire or cascade any entry.  [false]
-    guarantees the call hands nothing to its callback. *)
-
 val clear : t -> unit
 (** Drops every armed entry without firing. *)

@@ -193,23 +193,6 @@ let remove_h t ~hash key =
 
 let remove t key = remove_h t ~hash:(Five_tuple.hash key) key
 
-(* Pipelined batch lookup over caller-supplied keys: one prefetch pass over
-   every key's destination slot, then a probe pass (reusing each hash
-   computed in pass 1).  Bit-identical to [len] scalar [find_opt]s. *)
-let find_batch t keys ~off ~len out =
-  if len < 0 || off < 0 || off + len > Array.length keys then
-    invalid_arg "Tuple_map.find_batch: range out of bounds";
-  if len > Array.length out then invalid_arg "Tuple_map.find_batch: out too short";
-  let hs = Array.make (max len 1) 0 in
-  for k = 0 to len - 1 do
-    let h = Five_tuple.hash (Array.unsafe_get keys (off + k)) in
-    hs.(k) <- h;
-    prefetch t h
-  done;
-  for k = 0 to len - 1 do
-    out.(k) <- find_opt_h t ~hash:hs.(k) (Array.unsafe_get keys (off + k))
-  done
-
 let clear t =
   Array.fill t.hashes 0 (Array.length t.hashes) no_hash;
   Array.fill t.keys 0 (Array.length t.keys) 0;

@@ -41,13 +41,6 @@ val prefetch : 'a t -> int -> unit
 (** [prefetch t (Five_tuple.hash key)] hints that [key]'s probe window is
     about to be probed.  Semantically a no-op; see {!Prefetch}. *)
 
-val find_batch : 'a t -> key array -> off:int -> len:int -> 'a option array -> unit
-(** [find_batch t keys ~off ~len out] writes
-    [out.(k) <- find_opt t keys.(off+k)] for [k < len] — pipelined: a
-    hash+prefetch pass over the whole range, then a probe pass.
-    Bit-identical to [len] scalar {!find_opt}s.
-    @raise Invalid_argument when the range or [out] is too short. *)
-
 val find_or_add : 'a t -> key -> default:(unit -> 'a) -> 'a
 (** Returns the existing binding or inserts [default ()] first — a single
     probe either way. *)

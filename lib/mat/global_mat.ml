@@ -25,7 +25,6 @@ type program = {
 type rule = {
   mutable program : program;
   mutable n_source_actions : int;
-  mutable last_use : int;  (* logical clock, exposed for debugging *)
   mutable node : Sb_flow.Lru.node;  (* position in the eviction order *)
 }
 
@@ -94,13 +93,8 @@ type t = {
   on_evict : Sb_flow.Fid.t -> unit;
   obs : Sb_obs.Sink.t;
   obs_consolidations : Sb_obs.Metrics.Counter.t option;  (* resolved once *)
-  mutable clock : int;
   mutable evicted : int;
   mutable consolidations : int;
-  mutable generation : int;
-      (* bumped whenever a fid→rule binding is dropped (evict/remove/clear);
-         the burst path's last-flow memo is valid only within a generation.
-         In-place reconsolidation keeps the rule record — no bump needed. *)
   (* Grow-only scratch buffers for wave snapshot/merge: reused across
      packets so multi-batch waves allocate nothing per execution. *)
   mutable snap : Bytes.t;
@@ -157,10 +151,8 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
           Sb_obs.Metrics.counter m ~help:"Consolidations performed (initial + event-driven)"
             "speedybox_consolidations_total")
         (Sb_obs.Sink.metrics obs);
-    clock = 0;
     evicted = 0;
     consolidations = 0;
-    generation = 0;
     snap = Bytes.create 256;
     snap_len = 0;
     aux = Bytes.create 256;
@@ -186,10 +178,6 @@ let policy t = t.policy
 let exec_mode t = t.exec
 
 let evictions t = t.evicted
-
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
 
 let spare_cap = 1024
 
@@ -218,13 +206,11 @@ let evict_lru t =
       | None -> ());
       Sb_flow.Flow_table.remove t.rules fid;
       t.evicted <- t.evicted + 1;
-      t.generation <- t.generation + 1;
       t.on_evict fid
 
-let refill t r program n_source_actions =
+let refill r program n_source_actions =
   r.program <- program;
-  r.n_source_actions <- n_source_actions;
-  r.last_use <- tick t
+  r.n_source_actions <- n_source_actions
 
 (* Bind [fid] to a fresh or recycled rule, making room under the cap. *)
 let install t fid program n_source_actions =
@@ -237,18 +223,17 @@ let install t fid program n_source_actions =
     | r :: rest ->
         t.spare <- rest;
         t.spare_len <- t.spare_len - 1;
-        refill t r program n_source_actions;
+        refill r program n_source_actions;
         r.node <- node;
         r
-    | [] -> { program; n_source_actions; last_use = tick t; node }
+    | [] -> { program; n_source_actions; node }
   in
   Sb_flow.Flow_table.set t.rules fid r
 
 let unbind t fid r =
   Sb_flow.Lru.remove t.lru r.node;
   Sb_flow.Flow_table.remove t.rules fid;
-  recycle t r;
-  t.generation <- t.generation + 1
+  recycle t r
 
 (* ---- Consolidation: one pass over the Local MAT records ----
 
@@ -358,7 +343,7 @@ let consolidate t fid locals =
         place, so an executor holding the rule sees the fresh program
         without a second table lookup. *)
      let r = Sb_flow.Flow_table.value_at t.rules slot in
-     refill t r program n_source_actions;
+     refill r program n_source_actions;
      Sb_flow.Lru.touch t.lru r.node
    end);
   t.consolidations <- t.consolidations + 1;
@@ -378,7 +363,6 @@ let no_rule =
   {
     program = empty_program;
     n_source_actions = 0;
-    last_use = 0;
     node = Sb_flow.Lru.add (Sb_flow.Lru.create ()) (-1);
   }
 
@@ -407,10 +391,7 @@ let adopt t fid (src : rule) =
 
 let clear t =
   Sb_flow.Flow_table.clear t.rules;
-  Sb_flow.Lru.clear t.lru;
-  t.generation <- t.generation + 1
-
-let generation t = t.generation
+  Sb_flow.Lru.clear t.lru
 
 let flow_count t = Sb_flow.Flow_table.length t.rules
 
@@ -618,7 +599,6 @@ let execute_rule ?egress t events locals fid rule packet =
   let event_cycles = armed * Sb_sim.Cycles.event_check in
   let fire_cycles = match fired with [] -> 0 | _ -> apply_fired t locals fid packet fired in
   t.fired <- List.length fired;
-  rule.last_use <- tick t;
   Sb_flow.Lru.touch t.lru rule.node;
   let program = rule.program in
   Sb_sim.Cost_vec.rewind t.costs;

@@ -155,13 +155,6 @@ val clear : t -> unit
 
 val flow_count : t -> int
 
-val generation : t -> int
-(** Bumped whenever a fid→rule binding is dropped ({!remove_flow}, LRU
-    eviction, {!clear}).  A cached [(fid, rule)] pair — the burst path's
-    last-flow memo — is valid exactly while the generation is unchanged;
-    in-place reconsolidation (event rewrites) keeps the rule record and
-    does not bump it. *)
-
 val fold : (Sb_flow.Fid.t -> rule -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over the installed rules (unspecified order). *)
 

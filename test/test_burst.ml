@@ -177,7 +177,7 @@ let build_chain spec =
 (* Runs [trace] through a freshly built chain (and, when given, a freshly
    armed injector — runs must not share mutable state) and returns the
    per-packet observations plus everything aggregate. *)
-let observe_run ?arm_injector ~chain_spec ~burst trace =
+let observe_run ?arm_injector ?idle_timeout_cycles ~chain_spec ~burst trace =
   let chain = build_chain chain_spec in
   let injector =
     Option.map
@@ -187,7 +187,9 @@ let observe_run ?arm_injector ~chain_spec ~burst trace =
         inj)
       arm_injector
   in
-  let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ?injector ()) chain in
+  let rt =
+    Speedybox.Runtime.create (Speedybox.Runtime.config ?injector ?idle_timeout_cycles ()) chain
+  in
   let obs = ref [] in
   let result =
     Speedybox.Runtime.run_trace ~burst rt trace ~on_output:(fun _original out ->
@@ -311,7 +313,7 @@ let test_differential_plain () =
 
 let test_differential_events () =
   (* A tight DoS-guard budget fires events that rewrite consolidated rules
-     mid-burst; the memo must pick the rewrites up. *)
+     mid-burst; later packets must execute the rewritten rules. *)
   List.iter
     (fun seed ->
       differential ~chain_spec:"monitor,dosguard:5" ~label:"armed events" (random_trace seed))
@@ -331,6 +333,73 @@ let test_differential_faults () =
       differential ~arm_injector ~chain_spec:"mazunat,monitor" ~label:"injected faults"
         (random_trace seed))
     [ 5; 63 ]
+
+(* Regression: a fault quarantine mid-burst.  Mazunat's fifth call
+   (packet 4, the first incarnation's last data packet) raises, and the
+   quarantine forgets the flow, so the SYN that follows (packet 5) must be
+   observed against a fresh conntrack entry, as per packet. *)
+let test_differential_quarantine_syn () =
+  let trace =
+    Test_util.tcp_flow ~fin:false ~sport:40000 4 @ Test_util.tcp_flow ~fin:false ~sport:40000 3
+  in
+  let arm_injector inj chain =
+    match Speedybox.Chain.nfs chain with
+    | first :: _ ->
+        Sb_fault.Injector.script inj ~nf:first.Speedybox.Nf.name ~at:5 Sb_fault.Injector.Raise
+    | [] -> Alcotest.fail "empty chain"
+  in
+  differential ~arm_injector ~chain_spec:"mazunat,monitor" ~label:"quarantine then SYN" trace
+
+(* Flows that reopen with a SYN, scripted raises at random call indices
+   of random NFs, one random burst size, idle expiry on or off: the burst
+   run must equal the per-packet run. *)
+let prop_burst_faults_reopen =
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 1_000_000) (int_range 2 32) bool
+        (list_size (int_range 0 4) (pair (int_bound 1) (int_range 1 40))))
+  in
+  let print (seed, burst, expiry, raises) =
+    Printf.sprintf "seed=%d burst=%d expiry=%b raises=[%s]" seed burst expiry
+      (String.concat "; " (List.map (fun (nf, at) -> Printf.sprintf "%d@%d" nf at) raises))
+  in
+  QCheck.Test.make ~count:60 ~name:"burst = per-packet (raises, reopening flows)"
+    (QCheck.make ~print gen) (fun (seed, burst, expiry, raises) ->
+      let st = Random.State.make [| seed; 0x5eed |] in
+      (* 2-7 segments, each one of three flows (by source port): a SYN
+         and 0-4 data packets, with or without a closing FIN.  A port seen
+         again reopens its flow with a SYN. *)
+      let trace =
+        List.concat
+          (List.init
+             (2 + Random.State.int st 6)
+             (fun _ ->
+               Test_util.tcp_flow
+                 ~fin:(Random.State.bool st)
+                 ~sport:(40000 + Random.State.int st 3)
+                 (Random.State.int st 5)))
+      in
+      let now = ref 0 in
+      List.iter
+        (fun p ->
+          now := !now + Random.State.int st 1500;
+          p.Packet.ingress_cycle <- !now)
+        trace;
+      let arm_injector inj chain =
+        let nfs = Array.of_list (Speedybox.Chain.nfs chain) in
+        List.iter
+          (fun (k, at) ->
+            Sb_fault.Injector.script inj ~nf:nfs.(k).Speedybox.Nf.name ~at
+              Sb_fault.Injector.Raise)
+          raises
+      in
+      let idle_timeout_cycles = if expiry then Some 2000 else None in
+      let run burst =
+        observe_run ~arm_injector ?idle_timeout_cycles ~chain_spec:"mazunat,monitor" ~burst
+          trace
+      in
+      check_same_run (Printf.sprintf "burst %d" burst) (run 1) (run burst);
+      true)
 
 let test_differential_fin_midburst () =
   (* One burst of 32 covers: flow A consolidating, its FIN tearing the rule
@@ -438,8 +507,8 @@ let test_process_burst_array () =
         "forwarded" true
         (out.Speedybox.Runtime.verdict = Sb_mat.Header_action.Forwarded))
     outputs;
-  (* After the initial slow-path packets the burst must ride the memo onto
-     the fast path. *)
+  (* After the initial slow-path packets the burst must move onto the fast
+     path. *)
   Alcotest.(check bool)
     "tail on fast path" true
     (Array.length outputs > 2
@@ -488,10 +557,13 @@ let suite =
     Alcotest.test_case "non-TCP/UDP buckets under sentinel fid" `Quick test_non_tcp_udp_sentinel;
     Alcotest.test_case "burst < 1 rejected" `Quick test_run_trace_rejects_bad_burst;
     Alcotest.test_case "burst = per-packet (expiry mid-burst)" `Quick test_expiry_midburst_replay;
+    Alcotest.test_case "burst = per-packet (quarantine then SYN)" `Quick
+      test_differential_quarantine_syn;
   ]
   @ Test_util.qcheck_cases
       [
         prop_flat_table_matches_hashtbl;
         prop_flat_table_wraparound;
         prop_tuple_map_matches_hashtbl;
+        prop_burst_faults_reopen;
       ]

@@ -1,7 +1,7 @@
-(* Differential properties for the SoA flow tables (PR 9): the batched /
-   prefetched probe paths must be bit-identical to scalar probes, and the
-   flat layouts must agree with a boxed reference model under arbitrary
-   insert / remove / resize interleavings.
+(* Differential properties for the SoA flow tables: the flat layouts must
+   agree with a boxed reference model under arbitrary insert / remove /
+   resize interleavings, with prefetch hints on arbitrary keys (present or
+   not) mixed in, since a hint must be a semantic no-op.
 
    The tables under test keep no shadow of the reference model — every
    check drives both from the same random op stream and compares final
@@ -57,53 +57,30 @@ let prop_flat_table_model =
   seeded ~name:"Flat_table: random churn agrees with Hashtbl model" ~count:60
     QCheck.Gen.(int_range 50 400) (fun (seed, n) ->
       let st = Random.State.make [| seed; 0xf1a7 |] in
+      (* Prefetched keys come from their own stream (a range wider than
+         the stored keys), so the op stream is the same with or without
+         them. *)
+      let hints = Random.State.make [| seed; 0xba7c |] in
       let t = Flat_table.create ~initial_size:8 () in
       let model = Hashtbl.create 64 in
       for _ = 1 to n do
         let k = Random.State.int st 64 in
-        match Random.State.int st 3 with
+        (match Random.State.int st 3 with
         | 0 | 1 ->
             let v = Random.State.int st 1_000_000 in
             Flat_table.set t k v;
             Hashtbl.replace model k v
         | _ ->
             Flat_table.remove t k;
-            Hashtbl.remove model k
+            Hashtbl.remove model k);
+        Flat_table.prefetch t (Random.State.int hints 128)
       done;
       Flat_table.length t = Hashtbl.length model
       && List.for_all
-           (fun k -> Flat_table.find t k = Hashtbl.find_opt model k)
+           (fun k ->
+             Flat_table.prefetch t k;
+             Flat_table.find t k = Hashtbl.find_opt model k)
            (List.init 64 Fun.id))
-
-let prop_flat_table_batch =
-  seeded ~name:"Flat_table: find_batch bit-identical to scalar find" ~count:60
-    QCheck.Gen.(int_range 1 200) (fun (seed, n) ->
-      let st = Random.State.make [| seed; 0xba7c |] in
-      let t = Flat_table.create ~initial_size:8 () in
-      for _ = 1 to n do
-        let k = Random.State.int st 64 in
-        if Random.State.int st 4 = 0 then Flat_table.remove t k
-        else Flat_table.set t k (Random.State.int st 1_000_000)
-      done;
-      (* Batch windows deliberately misaligned with the query count: a
-         random [len] at a random offset, so cells beyond the window must
-         stay untouched. *)
-      let total = 1 + Random.State.int st 70 in
-      let keys = Array.init total (fun _ -> Random.State.int st 64) in
-      let off = Random.State.int st total in
-      let len = Random.State.int st (total - off + 1) in
-      let out = Array.make total (Some (-1)) in
-      Flat_table.find_batch t keys ~off ~len out;
-      (* Prefetch is a semantic no-op on any key, present or not. *)
-      Array.iter (fun k -> Flat_table.prefetch t k) keys;
-      let ok = ref true in
-      for k = 0 to total - 1 do
-        let expect =
-          if k < len then Flat_table.find t keys.(off + k) else Some (-1)
-        in
-        if out.(k) <> expect then ok := false
-      done;
-      !ok)
 
 (* --- Tuple_map -------------------------------------------------------- *)
 
@@ -111,12 +88,23 @@ let prop_tuple_map_model =
   seeded ~name:"Tuple_map: random churn agrees with Hashtbl model" ~count:60
     QCheck.Gen.(int_range 50 400) (fun (seed, n) ->
       let st = Random.State.make [| seed; 0x70b1 |] in
+      let hints = Random.State.make [| seed; 0x7ba7 |] in
       let t = Tuple_map.create 4 in
       let model = Hashtbl.create 64 in
       let pool = tuple_pool st in
+      (* A hinted key is a pool key or, one time in four, a tuple never
+         stored. *)
+      let hint () =
+        let k =
+          if Random.State.int hints 4 = 0 then random_tuple hints
+          else pool.(Random.State.int hints (Array.length pool))
+        in
+        Tuple_map.prefetch t (Five_tuple.hash k)
+      in
       for _ = 1 to n do
         let k = pool.(Random.State.int st (Array.length pool)) in
         let h = Five_tuple.hash k in
+        hint ();
         match Random.State.int st 6 with
         | 0 | 1 ->
             let v = Random.State.int st 1_000_000 in
@@ -141,39 +129,12 @@ let prop_tuple_map_model =
       Tuple_map.length t = Hashtbl.length model
       && Array.for_all
            (fun k ->
+             hint ();
              let expect = Hashtbl.find_opt model k in
              Tuple_map.find_opt t k = expect
              && Tuple_map.find_opt_h t ~hash:(Five_tuple.hash k) k = expect
              && Tuple_map.mem t k = Option.is_some expect)
            pool)
-
-let prop_tuple_map_batch =
-  seeded ~name:"Tuple_map: find_batch bit-identical to scalar find_opt" ~count:60
-    QCheck.Gen.(int_range 1 200) (fun (seed, n) ->
-      let st = Random.State.make [| seed; 0x7ba7 |] in
-      let t = Tuple_map.create 4 in
-      let pool = tuple_pool st in
-      let pick () = pool.(Random.State.int st (Array.length pool)) in
-      for _ = 1 to n do
-        let k = pick () in
-        if Random.State.int st 4 = 0 then Tuple_map.remove t k
-        else Tuple_map.replace t k (Random.State.int st 1_000_000)
-      done;
-      let total = 1 + Random.State.int st 70 in
-      let keys = Array.init total (fun _ -> pick ()) in
-      let off = Random.State.int st total in
-      let len = Random.State.int st (total - off + 1) in
-      let out = Array.make total (Some (-1)) in
-      Tuple_map.find_batch t keys ~off ~len out;
-      Array.iter (fun k -> Tuple_map.prefetch t (Five_tuple.hash k)) keys;
-      let ok = ref true in
-      for k = 0 to total - 1 do
-        let expect =
-          if k < len then Tuple_map.find_opt t keys.(off + k) else Some (-1)
-        in
-        if out.(k) <> expect then ok := false
-      done;
-      !ok)
 
 (* Backward-shift deletion in a saturated cluster that wraps the table
    end: fill a minimum-size table close to its load limit, delete from the
@@ -305,9 +266,7 @@ let suite =
       [
         prop_pack_roundtrip;
         prop_flat_table_model;
-        prop_flat_table_batch;
         prop_tuple_map_model;
-        prop_tuple_map_batch;
         prop_live_table_model;
         prop_lru_model;
       ]
