@@ -43,7 +43,7 @@ let run platform mode =
 
 let flow_time_percentile result p =
   let stats = Sb_sim.Stats.create () in
-  Sb_flow.Flow_table.iter
+  Sb_flow.Flat_table.iter
     (fun _ us -> Sb_sim.Stats.add stats us)
     result.Speedybox.Runtime.flow_time_us;
   Sb_sim.Stats.percentile stats p

@@ -28,7 +28,7 @@ let flow_time_lines buf (result : Runtime.run_result) =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let flow_stats = Sb_sim.Stats.create () in
   let non_flow = ref None in
-  Sb_flow.Flow_table.iter
+  Sb_flow.Flat_table.iter
     (fun fid us ->
       if fid = Runtime.no_flow_fid then non_flow := Some us
       else Sb_sim.Stats.add flow_stats us)

@@ -682,7 +682,7 @@ type run_result = {
   latency_us : Sb_sim.Stats.t;
   cycles_per_packet : Sb_sim.Stats.t;
   service : Sb_sim.Stats.t;
-  flow_time_us : float Sb_flow.Flow_table.t;
+  flow_time_us : float Sb_flow.Flat_table.t;
   stage_cycles : (string, stage_total) Hashtbl.t;
 }
 
@@ -728,7 +728,7 @@ module Acc = struct
     latency_us : Sb_sim.Stats.t;
     cycles_per_packet : Sb_sim.Stats.t;
     service : Sb_sim.Stats.t;
-    flow_time_us : float Sb_flow.Flow_table.t;
+    flow_time_us : float Sb_flow.Flat_table.t;
     profiles : Sb_sim.Cost_profile.t array;  (* tally slots in use: [0, used) *)
     tallies : int array;  (* packets per slot not yet in [totals] *)
     mutable used : int;
@@ -749,7 +749,7 @@ module Acc = struct
       latency_us = Sb_sim.Stats.create ();
       cycles_per_packet = Sb_sim.Stats.create ();
       service = Sb_sim.Stats.create ();
-      flow_time_us = Sb_flow.Flow_table.create ~initial_size:256 ();
+      flow_time_us = Sb_flow.Flat_table.create ~initial_size:256 ();
       profiles = Array.make tally_slots [];
       tallies = Array.make tally_slots 0;
       used = 0;
@@ -836,12 +836,12 @@ module Acc = struct
         | Some tuple -> Sb_flow.Fid.of_tuple ~bits:acc.fid_bits tuple
         | None -> no_flow_fid
     in
-    let s = Sb_flow.Flow_table.find_slot acc.flow_time_us key in
+    let s = Sb_flow.Flat_table.find_slot acc.flow_time_us key in
     if s >= 0 then begin
-      let times = Sb_flow.Flow_table.values acc.flow_time_us in
+      let times = Sb_flow.Flat_table.values acc.flow_time_us in
       Array.unsafe_set times s (Array.unsafe_get times s +. us)
     end
-    else Sb_flow.Flow_table.set acc.flow_time_us key (0. +. us)
+    else Sb_flow.Flat_table.set acc.flow_time_us key (0. +. us)
 
   let absorb dst src =
     dst.count <- dst.count + src.count;
@@ -854,9 +854,9 @@ module Acc = struct
     Sb_sim.Stats.absorb dst.latency_us src.latency_us;
     Sb_sim.Stats.absorb dst.cycles_per_packet src.cycles_per_packet;
     Sb_sim.Stats.absorb dst.service src.service;
-    Sb_flow.Flow_table.iter
+    Sb_flow.Flat_table.iter
       (fun fid us ->
-        Sb_flow.Flow_table.update dst.flow_time_us fid ~default:0. (fun sum -> sum +. us))
+        Sb_flow.Flat_table.update dst.flow_time_us fid ~default:0. (fun sum -> sum +. us))
       src.flow_time_us;
     flush_all src;
     Hashtbl.iter
@@ -910,7 +910,7 @@ let record_run_gauges t ~whole_run (result : run_result) =
         "Armed Event Table conditions reading global-scope state"
         (float_of_int (Sb_mat.Event_table.total_global_armed (Chain.events t.chain)));
       if whole_run then begin
-        (match Sb_flow.Flow_table.find result.flow_time_us no_flow_fid with
+        (match Sb_flow.Flat_table.find result.flow_time_us no_flow_fid with
         | Some us ->
             g "speedybox_non_flow_time_us"
               "Processing time spent on packets with no 5-tuple (non-TCP/UDP)" us

@@ -210,7 +210,7 @@ type run_result = {
   latency_us : Sb_sim.Stats.t;  (** per-packet processing latency *)
   cycles_per_packet : Sb_sim.Stats.t;  (** per-packet latency cycles *)
   service : Sb_sim.Stats.t;  (** per-packet bottleneck service cycles *)
-  flow_time_us : float Sb_flow.Flow_table.t;
+  flow_time_us : float Sb_flow.Flat_table.t;
       (** per-FID aggregated processing time (the paper's flow processing
           time metric, Fig. 9); packets without a 5-tuple (non-TCP/UDP)
           bucket under the sentinel {!no_flow_fid} — reporting surfaces

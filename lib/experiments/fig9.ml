@@ -68,7 +68,7 @@ type row = {
 
 let flow_time_stats result =
   let stats = Sb_sim.Stats.create () in
-  Sb_flow.Flow_table.iter
+  Sb_flow.Flat_table.iter
     (fun _ us -> Sb_sim.Stats.add stats us)
     result.Speedybox.Runtime.flow_time_us;
   stats

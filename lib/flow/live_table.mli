@@ -1,10 +1,9 @@
 (** The runtime's idle-expiry liveness table, in structure-of-arrays form.
 
     Maps a {!Fid.t} to (last-seen cycle, timer-wheel epoch, packed ingress
-    tuple) stored in parallel int lanes — the per-packet liveness touch is
-    one probe plus one int store, with no boxed record and nothing for the
-    GC to trace.  Same open-addressing geometry as {!Flat_table}
-    (multiplicative hash, linear probe, backward-shift deletion).
+    tuple) stored in the int cells of a {!Flat_table} slot — the per-packet
+    liveness touch is one probe plus one int store, with no boxed record
+    and nothing for the GC to trace.
 
     Reads go through a transient slot returned by {!probe}: any {!set} or
     {!remove} invalidates outstanding slots, so callers probe, read and
@@ -39,4 +38,3 @@ val set : t -> Fid.t -> last_seen:int -> epoch:int -> tuple:Five_tuple.t -> unit
 (** Inserts or overwrites the fid's entry. *)
 
 val remove : t -> Fid.t -> unit
-val clear : t -> unit

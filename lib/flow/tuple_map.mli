@@ -2,8 +2,8 @@
     internally (their original code keys on the tuple it sees, not on the
     SpeedyBox FID).
 
-    Flat structure-of-arrays layout: each slot is a precomputed hash in an
-    int lane plus the tuple packed into two adjacent int cells
+    A view over {!Flat_table}: each slot is the tuple's precomputed hash in
+    the key lane plus the tuple packed into two int cells
     ({!Five_tuple.pack1}/{!Five_tuple.pack2}), probed linearly — a lookup
     compares ints only and never dereferences a tuple record, and the GC
     traces three flat arrays instead of one boxed key per flow.
@@ -58,10 +58,6 @@ val remove : 'a t -> key -> unit
 val remove_h : 'a t -> hash:int -> key -> unit
 (** {!remove} with the key's hash supplied by the caller. *)
 
-val clear : 'a t -> unit
-
 val length : 'a t -> int
-
-val iter : (key -> 'a -> unit) -> 'a t -> unit
 
 val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b

@@ -18,7 +18,7 @@ type event = {
 }
 
 type t = {
-  flows : event list ref Sb_flow.Flow_table.t;
+  flows : event list ref Sb_flow.Flat_table.t;
   mutable fired : update list;  (* the last [poll_armed]'s firings *)
   mutable condition_faults : int;
   mutable on_fault : string -> exn -> unit;
@@ -27,7 +27,7 @@ type t = {
 
 let create () =
   {
-    flows = Sb_flow.Flow_table.create ();
+    flows = Sb_flow.Flat_table.create ();
     fired = [];
     condition_faults = 0;
     on_fault = (fun _ _ -> ());
@@ -63,12 +63,12 @@ let register t ~fid ~nf ?(one_shot = true) ?(global_state = false) ~condition ?n
       armed = true;
     }
   in
-  match Sb_flow.Flow_table.find t.flows fid with
+  match Sb_flow.Flat_table.find t.flows fid with
   | Some events -> events := !events @ [ event ]
-  | None -> Sb_flow.Flow_table.set t.flows fid (ref [ event ])
+  | None -> Sb_flow.Flat_table.set t.flows fid (ref [ event ])
 
 let armed_list t fid =
-  match Sb_flow.Flow_table.find t.flows fid with
+  match Sb_flow.Flat_table.find t.flows fid with
   | None -> []
   | Some events -> List.filter (fun e -> e.armed) !events
 
@@ -112,24 +112,24 @@ let rec poll_events t armed rev_fired = function
       poll_events t (armed + 1) rev_fired rest
 
 let poll_armed t fid =
-  let s = Sb_flow.Flow_table.find_slot t.flows fid in
+  let s = Sb_flow.Flat_table.find_slot t.flows fid in
   if s < 0 then begin
     t.fired <- [];
     0
   end
-  else poll_events t 0 [] !(Sb_flow.Flow_table.value_at t.flows s)
+  else poll_events t 0 [] !(Sb_flow.Flat_table.value_at t.flows s)
 
 let last_fired t = t.fired
 
-let remove_flow t fid = Sb_flow.Flow_table.remove t.flows fid
+let remove_flow t fid = Sb_flow.Flat_table.remove t.flows fid
 
 let total_armed t =
-  Sb_flow.Flow_table.fold
+  Sb_flow.Flat_table.fold
     (fun _ events acc -> acc + List.length (List.filter (fun e -> e.armed) !events))
     t.flows 0
 
 let total_global_armed t =
-  Sb_flow.Flow_table.fold
+  Sb_flow.Flat_table.fold
     (fun _ events acc ->
       acc + List.length (List.filter (fun e -> e.armed && e.global_state) !events))
     t.flows 0

@@ -87,7 +87,7 @@ type exec_mode = Compiled | Interpreted
 type t = {
   policy : Parallel.policy;
   exec : exec_mode;
-  rules : rule Sb_flow.Flow_table.t;
+  rules : rule Sb_flow.Flat_table.t;
   lru : Sb_flow.Lru.t;  (* recency order over [rules], O(1) touch/evict *)
   max_rules : int option;
   on_evict : Sb_flow.Fid.t -> unit;
@@ -140,7 +140,7 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
   {
     policy;
     exec;
-    rules = Sb_flow.Flow_table.create ();
+    rules = Sb_flow.Flat_table.create ();
     lru = Sb_flow.Lru.create ();
     max_rules;
     on_evict;
@@ -201,10 +201,10 @@ let evict_lru t =
   match Sb_flow.Lru.pop_coldest t.lru with
   | None -> ()
   | Some fid ->
-      (match Sb_flow.Flow_table.find t.rules fid with
+      (match Sb_flow.Flat_table.find t.rules fid with
       | Some r -> recycle t r
       | None -> ());
-      Sb_flow.Flow_table.remove t.rules fid;
+      Sb_flow.Flat_table.remove t.rules fid;
       t.evicted <- t.evicted + 1;
       t.on_evict fid
 
@@ -215,7 +215,7 @@ let refill r program n_source_actions =
 (* Bind [fid] to a fresh or recycled rule, making room under the cap. *)
 let install t fid program n_source_actions =
   (match t.max_rules with
-  | Some cap when Sb_flow.Flow_table.length t.rules >= cap -> evict_lru t
+  | Some cap when Sb_flow.Flat_table.length t.rules >= cap -> evict_lru t
   | Some _ | None -> ());
   let node = Sb_flow.Lru.add t.lru fid in
   let r =
@@ -228,11 +228,11 @@ let install t fid program n_source_actions =
         r
     | [] -> { program; n_source_actions; node }
   in
-  Sb_flow.Flow_table.set t.rules fid r
+  Sb_flow.Flat_table.set t.rules fid r
 
 let unbind t fid r =
   Sb_flow.Lru.remove t.lru r.node;
-  Sb_flow.Flow_table.remove t.rules fid;
+  Sb_flow.Flat_table.remove t.rules fid;
   recycle t r
 
 (* ---- Consolidation: one pass over the Local MAT records ----
@@ -336,13 +336,13 @@ let consolidate t fid locals =
         + if transform_count code = 0 then Sb_sim.Cycles.ha_forward else 0);
     }
   in
-  let slot = Sb_flow.Flow_table.find_slot t.rules fid in
+  let slot = Sb_flow.Flat_table.find_slot t.rules fid in
   (if slot < 0 then install t fid program n_source_actions
    else begin
      (* Re-consolidation (event fire, repeated recording): update in
         place, so an executor holding the rule sees the fresh program
         without a second table lookup. *)
-     let r = Sb_flow.Flow_table.value_at t.rules slot in
+     let r = Sb_flow.Flat_table.value_at t.rules slot in
      refill r program n_source_actions;
      Sb_flow.Lru.touch t.lru r.node
    end);
@@ -352,7 +352,7 @@ let consolidate t fid locals =
   | None -> ());
   List.length locals * Sb_sim.Cycles.global_consolidate_per_nf
 
-let find t fid = Sb_flow.Flow_table.find t.rules fid
+let find t fid = Sb_flow.Flat_table.find t.rules fid
 
 (* The answer [lookup] gives on a miss, so per-packet resolution carries
    no option.  Never installed in a table.  Its node is a handle allocated
@@ -367,17 +367,17 @@ let no_rule =
   }
 
 let lookup t fid =
-  let s = Sb_flow.Flow_table.find_slot t.rules fid in
-  if s < 0 then no_rule else Sb_flow.Flow_table.value_at t.rules s
+  let s = Sb_flow.Flat_table.find_slot t.rules fid in
+  if s < 0 then no_rule else Sb_flow.Flat_table.value_at t.rules s
 
 (* Burst-prescan hint: start the line fill for the fid's rule-table probe
    window while the prescan still has the rest of the burst to chew on. *)
-let prefetch t fid = Sb_flow.Flow_table.prefetch t.rules fid
+let prefetch t fid = Sb_flow.Flat_table.prefetch t.rules fid
 
-let mem t fid = Sb_flow.Flow_table.mem t.rules fid
+let mem t fid = Sb_flow.Flat_table.mem t.rules fid
 
 let remove_flow t fid =
-  match Sb_flow.Flow_table.find t.rules fid with None -> () | Some r -> unbind t fid r
+  match Sb_flow.Flat_table.find t.rules fid with None -> () | Some r -> unbind t fid r
 
 (* Flow-migration handoff: install a copy of a rule exported from another
    table.  The source record's intrusive LRU node belongs to the source
@@ -390,12 +390,12 @@ let adopt t fid (src : rule) =
   install t fid src.program src.n_source_actions
 
 let clear t =
-  Sb_flow.Flow_table.clear t.rules;
+  Sb_flow.Flat_table.clear t.rules;
   Sb_flow.Lru.clear t.lru
 
-let flow_count t = Sb_flow.Flow_table.length t.rules
+let flow_count t = Sb_flow.Flat_table.length t.rules
 
-let fold f t init = Sb_flow.Flow_table.fold f t.rules init
+let fold f t init = Sb_flow.Flat_table.fold f t.rules init
 
 let consolidation_count t = t.consolidations
 
@@ -409,7 +409,7 @@ type memory_stats = {
 let memory_stats (t : t) =
   let keys = Hashtbl.create 64 in
   let field_writes = ref 0 and batches = ref 0 in
-  Sb_flow.Flow_table.iter
+  Sb_flow.Flat_table.iter
     (fun _ rule ->
       let overall = rule_action rule in
       Hashtbl.replace keys (Format.asprintf "%a" Consolidate.pp overall) ();
@@ -417,7 +417,7 @@ let memory_stats (t : t) =
       List.iter (fun w -> batches := !batches + Array.length w) (waves rule.program.code))
     t.rules;
   {
-    rules = Sb_flow.Flow_table.length t.rules;
+    rules = Sb_flow.Flat_table.length t.rules;
     distinct_actions = Hashtbl.length keys;
     field_writes = !field_writes;
     batches = !batches;

@@ -15,18 +15,18 @@ let rev_state_functions r = r.rev_sfs
    record for every flow it records. *)
 let empty = { rev_actions = []; rev_sfs = [] }
 
-type t = { nf : string; rules : rule Sb_flow.Flow_table.t }
+type t = { nf : string; rules : rule Sb_flow.Flat_table.t }
 
-let create ~nf = { nf; rules = Sb_flow.Flow_table.create () }
+let create ~nf = { nf; rules = Sb_flow.Flat_table.create () }
 
 let nf_name t = t.nf
 
 let rule_for t fid =
-  match Sb_flow.Flow_table.find t.rules fid with
+  match Sb_flow.Flat_table.find t.rules fid with
   | Some r -> r
   | None ->
       let r = { rev_actions = []; rev_sfs = [] } in
-      Sb_flow.Flow_table.set t.rules fid r;
+      Sb_flow.Flat_table.set t.rules fid r;
       r
 
 let add_header_action t fid action =
@@ -45,19 +45,19 @@ let replace_state_functions t fid sfs =
   let r = rule_for t fid in
   r.rev_sfs <- List.rev sfs
 
-let find t fid = Sb_flow.Flow_table.find t.rules fid
+let find t fid = Sb_flow.Flat_table.find t.rules fid
 
 let lookup t fid =
-  let s = Sb_flow.Flow_table.find_slot t.rules fid in
-  if s < 0 then empty else Sb_flow.Flow_table.value_at t.rules s
+  let s = Sb_flow.Flat_table.find_slot t.rules fid in
+  if s < 0 then empty else Sb_flow.Flat_table.value_at t.rules s
 
-let mem t fid = Sb_flow.Flow_table.mem t.rules fid
+let mem t fid = Sb_flow.Flat_table.mem t.rules fid
 
-let remove_flow t fid = Sb_flow.Flow_table.remove t.rules fid
+let remove_flow t fid = Sb_flow.Flat_table.remove t.rules fid
 
-let clear t = Sb_flow.Flow_table.clear t.rules
+let clear t = Sb_flow.Flat_table.clear t.rules
 
-let flow_count t = Sb_flow.Flow_table.length t.rules
+let flow_count t = Sb_flow.Flat_table.length t.rules
 
 let pp_rule fmt r =
   Format.fprintf fmt "@[<h>HA:[%s] SF:[%s]@]"

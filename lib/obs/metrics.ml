@@ -23,17 +23,11 @@ type instrument =
   | G of Gauge.t
   | H of Histogram.t
 
-(* How a gauge combines when per-shard registries merge (counters always
-   sum, histograms always merge bucket-wise).  Declared at registration;
-   first registration wins. *)
-type merge_kind = Sum | Max
-
 type entry = {
   name : string;
   labels : labels;
   help : string;
   inst : instrument;
-  gmerge : merge_kind;
 }
 
 type t = { tbl : (string, entry) Hashtbl.t }
@@ -75,14 +69,14 @@ let key name labels = name ^ render_labels labels
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
-let get_or_create t ~help ~labels ?(gmerge = Sum) name make =
+let get_or_create t ~help ~labels name make =
   let labels = sort_labels labels in
   let k = key name labels in
   match Hashtbl.find_opt t.tbl k with
   | Some entry -> entry.inst
   | None ->
       let inst = make () in
-      Hashtbl.replace t.tbl k { name; labels; help; inst; gmerge };
+      Hashtbl.replace t.tbl k { name; labels; help; inst };
       inst
 
 let counter t ?(help = "") ?(labels = []) name =
@@ -93,8 +87,8 @@ let counter t ?(help = "") ?(labels = []) name =
         (Printf.sprintf "Metrics.counter: %s already registered as a %s" name
            (kind_name inst))
 
-let gauge t ?(help = "") ?(merge = Sum) ?(labels = []) name =
-  match get_or_create t ~help ~labels ~gmerge:merge name (fun () -> G { Gauge.v = 0. }) with
+let gauge t ?(help = "") ?(labels = []) name =
+  match get_or_create t ~help ~labels name (fun () -> G { Gauge.v = 0. }) with
   | G g -> g
   | inst ->
       invalid_arg
@@ -119,12 +113,12 @@ let sorted_entries t =
          if c <> 0 then c
          else String.compare (render_labels a.labels) (render_labels b.labels))
 
-(* Merge [src] into [dst] by (name, labels): counters add, gauges combine
-   by their declared merge kind, histograms merge bucket-wise.  Instruments
-   missing from [dst] are created with [src]'s help text and merge kind.
-   Iteration follows [src]'s sorted entries, so merging the same registries
-   in the same order always produces the same [dst] — including histogram
-   float sums, bit for bit. *)
+(* Merge [src] into [dst] by (name, labels): counters and gauges add,
+   histograms merge bucket-wise.  Instruments missing from [dst] are
+   created with [src]'s help text.  Iteration follows [src]'s sorted
+   entries, so merging the same registries in the same order always
+   produces the same [dst] — including histogram float sums, bit for
+   bit. *)
 let merge_into dst src =
   List.iter
     (fun e ->
@@ -132,15 +126,8 @@ let merge_into dst src =
       | C c ->
           Counter.add (counter dst ~help:e.help ~labels:e.labels e.name) (Counter.value c)
       | G g ->
-          let d = gauge dst ~help:e.help ~merge:e.gmerge ~labels:e.labels e.name in
-          let merged =
-            (* The merge kind recorded on [dst]'s entry governs (first
-               registration wins), matching what its export groups under. *)
-            match (Hashtbl.find dst.tbl (key e.name (sort_labels e.labels))).gmerge with
-            | Sum -> Gauge.value d +. Gauge.value g
-            | Max -> Float.max (Gauge.value d) (Gauge.value g)
-          in
-          Gauge.set d merged
+          let d = gauge dst ~help:e.help ~labels:e.labels e.name in
+          Gauge.set d (Gauge.value d +. Gauge.value g)
       | H h -> Histogram.merge_into (histogram dst ~help:e.help ~labels:e.labels e.name) h)
     (sorted_entries src)
 

@@ -33,18 +33,11 @@ module Gauge : sig
   val value : t -> float
 end
 
-type merge_kind = Sum | Max
-(** How a gauge combines under {!merge_into} when per-shard registries
-    merge.  Counters always sum and histograms always merge bucket-wise;
-    gauges declare their kind at registration (default [Sum] — occupancy
-    totals add across shards; [Max] for high-water marks).  First
-    registration of a (name, labels) series wins. *)
-
 val create : unit -> t
 
 val counter : t -> ?help:string -> ?labels:labels -> string -> Counter.t
 
-val gauge : t -> ?help:string -> ?merge:merge_kind -> ?labels:labels -> string -> Gauge.t
+val gauge : t -> ?help:string -> ?labels:labels -> string -> Gauge.t
 
 val histogram : t -> ?help:string -> ?labels:labels -> string -> Histogram.t
 
@@ -56,10 +49,10 @@ val clear : t -> unit
 
 val merge_into : t -> t -> unit
 (** [merge_into dst src] folds [src]'s instruments into [dst] by
-    (name, labels), creating missing ones with [src]'s help text and merge
-    kind ([src] is left untouched): counters add, gauges combine by the
-    destination entry's declared {!merge_kind}, histograms merge
-    bucket-wise ({!Histogram.merge_into}).  Iteration follows [src]'s
+    (name, labels), creating missing ones with [src]'s help text ([src] is
+    left untouched): counters and gauges add, histograms merge bucket-wise
+    ({!Histogram.merge_into}).  A per-shard series (a [shard] label, such
+    as a high-water mark) has one contributor, so it keeps its value.  Iteration follows [src]'s
     sorted entries, so merging the same registries in the same order is
     deterministic — bit-identical exports, float sums included.
     @raise Invalid_argument when a (name, labels) series exists in both

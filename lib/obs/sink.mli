@@ -16,10 +16,10 @@
     domain's hot path touches memory only it writes — the single-branch
     contract holds per domain, with no atomics.  After the domains join,
     {!merge} recomputes the parent from the children deterministically:
-    counters sum, gauges combine by their declared {!Metrics.merge_kind},
-    histograms merge bucket-wise, tracer spans interleave by timestamp,
-    timelines concatenate per fid.  Merge clears the parent first, so
-    re-merging after another run never double-counts.
+    counters and gauges sum, histograms merge bucket-wise, tracer spans
+    interleave by timestamp, timelines concatenate per fid.  Merge clears
+    the parent first, so re-merging after another run never
+    double-counts.
 
     {b Snapshots.}  With [snapshot_every] set (and the metrics pillar
     armed), every [N]th {!packet_tick} serialises the sink's registry into

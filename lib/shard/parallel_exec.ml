@@ -334,7 +334,7 @@ let run_trace ?(burst = Runtime.default_burst) t packets =
             Sb_obs.Metrics.Gauge.set
               (Sb_obs.Metrics.gauge m
                  ~help:"Highest occupancy observed across this shard's inbound rings"
-                 ~merge:Sb_obs.Metrics.Max ~labels:shard_labels
+                 ~labels:shard_labels
                  "speedybox_ring_occupancy_highwater")
               (float_of_int !hw)
       done;

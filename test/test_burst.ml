@@ -213,7 +213,7 @@ let observe_run ?arm_injector ?idle_timeout_cycles ~chain_spec ~burst trace =
   (List.rev !obs, result, rt, chain)
 
 let flow_times result =
-  Sb_flow.Flow_table.fold
+  Sb_flow.Flat_table.fold
     (fun fid us acc -> (fid, us) :: acc)
     result.Speedybox.Runtime.flow_time_us []
   |> List.sort compare
@@ -535,7 +535,7 @@ let test_non_tcp_udp_sentinel () =
       Alcotest.(check int) "packets" 2 result.Speedybox.Runtime.packets;
       Alcotest.(check bool)
         "sentinel bucket" true
-        (Sb_flow.Flow_table.mem result.Speedybox.Runtime.flow_time_us (-1)))
+        (Sb_flow.Flat_table.mem result.Speedybox.Runtime.flow_time_us (-1)))
     [ 1; 32 ]
 
 let test_run_trace_rejects_bad_burst () =

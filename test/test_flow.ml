@@ -93,21 +93,21 @@ let test_conntrack_syn_ack_path () =
   Alcotest.(check bool) "then established" true v2.Conntrack.established_now
 
 let test_flow_table () =
-  let table : int Flow_table.t = Flow_table.create () in
-  Alcotest.(check (option int)) "empty find" None (Flow_table.find table 5);
-  Flow_table.set table 5 42;
-  Alcotest.(check (option int)) "set/find" (Some 42) (Flow_table.find table 5);
-  Flow_table.update table 5 ~default:0 (fun v -> v + 1);
-  Alcotest.(check int) "update existing" 43 (Flow_table.find_exn table 5);
-  Flow_table.update table 9 ~default:100 (fun v -> v + 1);
-  Alcotest.(check int) "update absent inserts f default" 101 (Flow_table.find_exn table 9);
-  Alcotest.(check int) "length" 2 (Flow_table.length table);
-  let sum = Flow_table.fold (fun _ v acc -> acc + v) table 0 in
+  let table : int Flat_table.t = Flat_table.create () in
+  Alcotest.(check (option int)) "empty find" None (Flat_table.find table 5);
+  Flat_table.set table 5 42;
+  Alcotest.(check (option int)) "set/find" (Some 42) (Flat_table.find table 5);
+  Flat_table.update table 5 ~default:0 (fun v -> v + 1);
+  Alcotest.(check int) "update existing" 43 (Flat_table.find_exn table 5);
+  Flat_table.update table 9 ~default:100 (fun v -> v + 1);
+  Alcotest.(check int) "update absent inserts f default" 101 (Flat_table.find_exn table 9);
+  Alcotest.(check int) "length" 2 (Flat_table.length table);
+  let sum = Flat_table.fold (fun _ v acc -> acc + v) table 0 in
   Alcotest.(check int) "fold" 144 sum;
-  Flow_table.remove table 5;
-  Alcotest.(check bool) "removed" false (Flow_table.mem table 5);
-  Flow_table.clear table;
-  Alcotest.(check int) "cleared" 0 (Flow_table.length table)
+  Flat_table.remove table 5;
+  Alcotest.(check bool) "removed" false (Flat_table.mem table 5);
+  Flat_table.clear table;
+  Alcotest.(check int) "cleared" 0 (Flat_table.length table)
 
 let test_tuple_map () =
   let m : int Tuple_map.t = Tuple_map.create 8 in

@@ -459,7 +459,6 @@ let test_metrics_merge_kinds () =
     let m = Metrics.create () in
     Metrics.Counter.add (Metrics.counter m ~labels:[ ("shard", "x") ] "pkts_total") (10 * (i + 1));
     Metrics.Gauge.set (Metrics.gauge m "occupancy") (float_of_int (i + 1));
-    Metrics.Gauge.set (Metrics.gauge m ~merge:Metrics.Max "highwater") (float_of_int (5 - i));
     Histogram.observe (Metrics.histogram m "lat_us") (float_of_int (i + 1));
     m
   in
@@ -470,8 +469,6 @@ let test_metrics_merge_kinds () =
     (Metrics.Counter.value (Metrics.counter dst ~labels:[ ("shard", "x") ] "pkts_total"));
   Alcotest.(check (float 1e-9)) "Sum gauges add" 3.0
     (Metrics.Gauge.value (Metrics.gauge dst "occupancy"));
-  Alcotest.(check (float 1e-9)) "Max gauges keep the high-water" 5.0
-    (Metrics.Gauge.value (Metrics.gauge dst ~merge:Metrics.Max "highwater"));
   Alcotest.(check int) "histograms merge bucket-wise" 2
     (Histogram.count (Metrics.histogram dst "lat_us"));
   (* A series existing under different instrument kinds cannot merge. *)

@@ -224,7 +224,7 @@ let test_non_flow_steers_to_shard_zero () =
   in
   Alcotest.(check int) "all processed" 3 result.Speedybox.Runtime.packets;
   Alcotest.(check bool) "sentinel bucket" true
-    (Sb_flow.Flow_table.mem result.Speedybox.Runtime.flow_time_us
+    (Sb_flow.Flat_table.mem result.Speedybox.Runtime.flow_time_us
        Speedybox.Runtime.no_flow_fid)
 
 (* --- steering --- *)

@@ -160,6 +160,38 @@ let test_wraparound_cluster () =
           (Some (k * 3)) (Flat_table.find t k))
     keys
 
+(* Distinct tuples under one key: with the hash cut to two bits, every
+   cluster holds several tuples sharing a key, across several grows.  A
+   rehash or shift that placed entries by key match alone would merge or
+   lose them. *)
+let prop_tuple_map_shared_hash =
+  seeded ~name:"Tuple_map: tuples sharing a hash agree with Hashtbl model" ~count:60
+    QCheck.Gen.(int_range 50 400) (fun (seed, n) ->
+      let st = Random.State.make [| seed; 0x54a4 |] in
+      let t = Tuple_map.create 4 in
+      let model = Hashtbl.create 64 in
+      let pool = tuple_pool st in
+      let hash k = Five_tuple.hash k land 3 in
+      for _ = 1 to n do
+        let k = pool.(Random.State.int st (Array.length pool)) in
+        if Random.State.int st 3 < 2 then begin
+          let v = Random.State.int st 1_000_000 in
+          Tuple_map.replace_h t ~hash:(hash k) k v;
+          Hashtbl.replace model k v
+        end
+        else begin
+          Tuple_map.remove_h t ~hash:(hash k) k;
+          Hashtbl.remove model k
+        end
+      done;
+      let pairs = Tuple_map.fold (fun k v acc -> (k, v) :: acc) t [] in
+      Tuple_map.length t = Hashtbl.length model
+      && Array.for_all
+           (fun k -> Tuple_map.find_opt_h t ~hash:(hash k) k = Hashtbl.find_opt model k)
+           pool
+      && List.length pairs = Hashtbl.length model
+      && List.for_all (fun (k, v) -> Hashtbl.find_opt model k = Some v) pairs)
+
 (* --- Live_table ------------------------------------------------------- *)
 
 let prop_live_table_model =
@@ -269,4 +301,5 @@ let suite =
         prop_tuple_map_model;
         prop_live_table_model;
         prop_lru_model;
+        prop_tuple_map_shared_hash;
       ]
