@@ -10,11 +10,19 @@
 
 type classification = {
   mutable fid : Sb_flow.Fid.t;
-  mutable tuple : Sb_flow.Five_tuple.t;
-      (** the tuple as seen at chain ingress, before any NF rewrites it *)
   mutable thash : int;
-      (** [Five_tuple.hash tuple], computed once in {!prepare_into} and
-          shared by the FID fold and every conntrack operation *)
+      (** the ingress tuple's {!Sb_flow.Five_tuple.hash}, computed once in
+          {!prepare_into} and shared by the FID fold and every conntrack
+          operation *)
+  mutable pack1 : int;
+  mutable pack2 : int;
+      (** the tuple as seen at chain ingress, before any NF rewrites it, in
+          its packed form ({!Sb_flow.Five_tuple.pack1}/[pack2]), read
+          straight from the packet: classification builds no tuple *)
+  mutable tuple : Sb_flow.Five_tuple.t;
+      (** the ingress tuple as a record, built by {!observe_into} for a
+          [final] packet only — the key {!forget} takes once the packet
+          has run.  Any other packet leaves it as it was. *)
   mutable established : bool;
       (** the flow is past its handshake — recording may begin when no
           consolidated rule exists yet *)
@@ -22,9 +30,11 @@ type classification = {
       (** FIN or RST: delete the flow's rules after processing *)
   mutable malformed : bool;
       (** the packet failed admission — no 5-tuple (non-TCP/UDP or a
-          corrupted protocol byte), or stale checksums under
-          [verify_checksums] — and must be rejected before reaching any
-          NF; [fid] is [-1] and conntrack was not touched *)
+          corrupted protocol byte), a frame cut short of its Ethernet,
+          IPv4 and TCP/UDP headers ({!Sb_flow.Five_tuple.admits}), or
+          stale checksums under [verify_checksums] — and must be rejected
+          before reaching any NF; [fid] is [-1] and conntrack was not
+          touched *)
   mutable cycles : int;  (** classifier work for this packet *)
 }
 (** Fields are mutable: callers classify into reusable scratch records
@@ -55,7 +65,8 @@ val classify_into : t -> Sb_packet.Packet.t -> classification -> unit
 
 val prepare_into : t -> Sb_packet.Packet.t -> classification -> unit
 (** Phase one of classification, a pure function of the packet bytes:
-    admission checks, tuple extraction, the single per-packet FNV hash,
+    admission checks (a truncated frame is [malformed] and counted in
+    {!rejected}), the packed key, the single per-packet FNV hash,
     the FID (written into the packet metadata) — plus a prefetch hint for
     the conntrack slot {!observe_into} will probe.  Leaves [established]/
     [final] false; conntrack is not touched.  The burst loop runs this
@@ -82,5 +93,9 @@ val adopt_flow : t -> Sb_flow.Five_tuple.t -> Sb_flow.Conntrack.state -> unit
 val forget : t -> Sb_flow.Five_tuple.t -> unit
 (** Drops connection state for the flow with this ingress tuple (rule
     cleanup after the final packet). *)
+
+val forget_flow : t -> classification -> unit
+(** {!forget} of the classified packet's ingress tuple, by its packed key:
+    rule cleanup, quarantine and expiry-on-arrival build no tuple. *)
 
 val active_flows : t -> int

@@ -314,15 +314,21 @@ let finish t verdict packet path events_fired faults =
     faults;
   }
 
+(* A frame cut short of its headers never reaches an NF: the NFs would
+   read past its end.  It drops at ingress and costs nothing, as no stage
+   ran.  Any other frame walks the chain, a non-TCP/UDP one included. *)
 let process_original t packet =
   Sb_sim.Cost_vec.reset t.costs;
-  let verdict = walk_chain t ~recording:false ~fid:(-1) packet in
-  finish t verdict packet Slow_path 0 t.walk_faults
+  if not (Sb_packet.Packet.headers_fit packet) then
+    finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
+  else
+    let verdict = walk_chain t ~recording:false ~fid:(-1) packet in
+    finish t verdict packet Slow_path 0 t.walk_faults
 
 let cleanup t cls =
   Chain.remove_flow t.chain cls.Classifier.fid;
   Sb_mat.Global_mat.remove_flow t.global cls.Classifier.fid;
-  Classifier.forget t.classifier cls.Classifier.tuple;
+  Classifier.forget_flow t.classifier cls;
   (* Any timer-wheel entry for the flow dangles until it fires, where its
      stale epoch identifies it as dead — O(1) now beats finding it in its
      slot. *)
@@ -366,7 +372,7 @@ let record_arrival t wheel timeout cls now =
   let epoch = t.live_epoch in
   t.live_epoch <- epoch + 1;
   Sb_flow.Live_table.set t.live cls.Classifier.fid ~last_seen:now ~epoch
-    ~tuple:cls.Classifier.tuple;
+    ~pack1:cls.Classifier.pack1 ~pack2:cls.Classifier.pack2;
   Sb_flow.Timer_wheel.add wheel ~key:cls.Classifier.fid ~stamp:epoch
     ~deadline:(now + timeout)
 
@@ -827,14 +833,13 @@ module Acc = struct
     Sb_sim.Stats.add_int acc.cycles_per_packet out.latency_cycles;
     Sb_sim.Stats.add_int acc.service out.service_cycles;
     (* The flow-time bucket keys by the FID as classified, falling back to
-       re-deriving it from the pristine input when the chain dropped the
-       packet before classification stamped it. *)
+       re-deriving it from the pristine input's bytes (no tuple built) when
+       no classifier stamped it: Original mode, or a rejected packet. *)
     let key =
       if out.packet.Sb_packet.Packet.fid >= 0 then out.packet.Sb_packet.Packet.fid
-      else
-        match Sb_flow.Five_tuple.of_packet_opt original with
-        | Some tuple -> Sb_flow.Fid.of_tuple ~bits:acc.fid_bits tuple
-        | None -> no_flow_fid
+      else if Sb_flow.Five_tuple.admits original then
+        Sb_flow.Fid.of_hash ~bits:acc.fid_bits (Sb_flow.Five_tuple.packet_hash original)
+      else no_flow_fid
     in
     let s = Sb_flow.Flat_table.find_slot acc.flow_time_us key in
     if s >= 0 then begin

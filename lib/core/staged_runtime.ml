@@ -226,7 +226,8 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
              the packet leaves the classifier stage dropped. *)
           (cls.Classifier.cycles, Done Sb_mat.Header_action.Dropped)
         else begin
-          job.tuple <- Some cls.Classifier.tuple;
+          job.tuple <-
+            Some (Sb_flow.Five_tuple.of_packed cls.Classifier.pack1 cls.Classifier.pack2);
           job.cleanup_after <- cls.Classifier.final;
           if Sb_mat.Global_mat.mem global cls.Classifier.fid then begin
             incr fast;
@@ -404,9 +405,8 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
       (* A packet with no 5-tuple keys under the runtime's non-flow
          sentinel; its classifier stage rejects it as malformed. *)
       let flow_key =
-        match Sb_flow.Five_tuple.of_packet_opt original with
-        | Some tuple -> Sb_flow.Fid.of_tuple tuple
-        | None -> Runtime.no_flow_fid
+        if Sb_flow.Five_tuple.admits original then Sb_flow.Fid.of_packet original
+        else Runtime.no_flow_fid
       in
       let job =
         {

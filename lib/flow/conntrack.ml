@@ -37,19 +37,20 @@ let verdict state ~established_now ~final =
     lor (if established_now then 2 else 0)
     lor if final then 1 else 0)
 
-(* The 13-byte tuple is hashed exactly once per observation ([observe_h]
-   lets the classifier share the hash it computed for the FID, so the
-   packet's whole admission costs one FNV pass); the steady-state path then
-   does a single slot probe and no [replace] when the state would not
-   change (the common case — an established flow's mid-stream segment).
-   Flags are read as the raw byte, so observing allocates nothing. *)
-let observe_h t ~hash key p =
-  let s = Tuple_map.find_slot_h t ~hash key in
+(* The 13-byte tuple is hashed exactly once per observation
+   ([observe_packed] lets the classifier share the hash it computed for
+   the FID, so the packet's whole admission costs one FNV pass); the
+   steady-state path then does a single slot probe and no [replace] when
+   the state would not change (the common case — an established flow's
+   mid-stream segment).  Flags are read as the raw byte, so observing
+   allocates nothing. *)
+let observe_packed t ~hash k1 k2 p =
+  let s = Tuple_map.find_slot_packed t ~hash k1 k2 in
   let fresh = s < 0 in
   match Packet.proto p with
   | Packet.Udp ->
       if fresh || Tuple_map.value_at t s <> Established then
-        Tuple_map.replace_h t ~hash key Established;
+        Tuple_map.replace_packed t ~hash k1 k2 Established;
       verdict Established ~established_now:fresh ~final:false
   | Packet.Tcp ->
       let flags = Packet.tcp_flag_bits p in
@@ -80,13 +81,15 @@ let observe_h t ~hash key p =
           | Established -> Established
           | Closing -> if fresh then Established else Closing
       in
-      if fresh || prev <> next then Tuple_map.replace_h t ~hash key next;
+      if fresh || prev <> next then Tuple_map.replace_packed t ~hash k1 k2 next;
       verdict next
         ~established_now:
           (next = Established && (fresh || prev = Syn_sent || prev = Syn_received))
         ~final
 
-let observe t key p = observe_h t ~hash:(Five_tuple.hash key) key p
+let observe t key p =
+  let k1 = Five_tuple.pack1 key and k2 = Five_tuple.pack2 key in
+  observe_packed t ~hash:(Five_tuple.hash_packed k1 k2) k1 k2 p
 
 let state t key = Tuple_map.find_opt t key
 
@@ -96,5 +99,7 @@ let state t key = Tuple_map.find_opt t key
 let adopt t key st = Tuple_map.replace t key st
 
 let forget t key = Tuple_map.remove t key
+
+let forget_packed = Tuple_map.remove_packed
 
 let active_flows t = Tuple_map.length t

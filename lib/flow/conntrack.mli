@@ -44,11 +44,11 @@ val observe : t -> Five_tuple.t -> Sb_packet.Packet.t -> verdict
     data after FIN re-establishes as a fresh flow (the entry was removed
     at cleanup). *)
 
-val observe_h : t -> hash:int -> Five_tuple.t -> Sb_packet.Packet.t -> verdict
-(** {!observe} with [hash = Five_tuple.hash key] supplied by the caller —
-    the classifier computes the tuple hash once per packet (for the FID)
-    and shares it here, so admission hashes the 13 wire bytes exactly
-    once. *)
+val observe_packed : t -> hash:int -> int -> int -> Sb_packet.Packet.t -> verdict
+(** {!observe} keyed by the packed tuple and its hash (see {!Tuple_map}):
+    the classifier reads the three ints from the packet once (the hash
+    also makes the FID) and shares them here, so admission hashes the 13
+    wire bytes exactly once and builds no tuple. *)
 
 val prefetch : t -> int -> unit
 (** [prefetch t hash] hints that the flow with this tuple hash is about to
@@ -64,5 +64,8 @@ val adopt : t -> Five_tuple.t -> state -> unit
 
 val forget : t -> Five_tuple.t -> unit
 (** Removes the flow, freeing its state (called on rule cleanup). *)
+
+val forget_packed : t -> hash:int -> int -> int -> unit
+(** {!forget} keyed as {!observe_packed}. *)
 
 val active_flows : t -> int

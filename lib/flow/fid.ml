@@ -11,6 +11,6 @@ let of_tuple ?(bits = default_bits) tuple =
   if bits < 1 || bits > 30 then invalid_arg "Fid.of_tuple: bits out of range";
   of_hash ~bits (Five_tuple.hash tuple)
 
-let of_packet ?bits p = of_tuple ?bits (Five_tuple.of_packet p)
+let of_packet ?(bits = default_bits) p = of_hash ~bits (Five_tuple.packet_hash p)
 
 let pp fmt t = Format.fprintf fmt "fid:%05x" t

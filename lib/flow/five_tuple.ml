@@ -8,31 +8,44 @@ type t = {
   proto : int;
 }
 
+let unsupported proto =
+  invalid_arg (Printf.sprintf "Packet.proto: unsupported protocol %d" proto)
+
 (* Field-by-field [Packet] accessors would re-derive the layout (outer
    stack fold, protocol read) per field; this runs once per packet, so the
-   offsets are computed once and the five reads go straight to the buffer. *)
+   offsets are computed once and the five reads go straight to the buffer.
+   TCP and UDP both open with the source and destination ports, so the
+   port reads need no protocol dispatch. *)
 let of_packet p =
   let buf = p.Packet.buf in
   let l3 = Packet.l3_offset p in
   let l4 = l3 + Ipv4.header_size in
   let proto = Ipv4.get_proto buf l3 in
-  if proto <> 6 && proto <> 17 then
-    invalid_arg (Printf.sprintf "Packet.proto: unsupported protocol %d" proto);
+  if proto <> 6 && proto <> 17 then unsupported proto;
   {
     src_ip = Ipv4.get_src buf l3;
     dst_ip = Ipv4.get_dst buf l3;
-    src_port = (if proto = 6 then Tcp.get_src_port buf l4 else Udp.get_src_port buf l4);
-    dst_port = (if proto = 6 then Tcp.get_dst_port buf l4 else Udp.get_dst_port buf l4);
+    src_port = Tcp.get_src_port buf l4;
+    dst_port = Tcp.get_dst_port buf l4;
     proto;
   }
 
-let of_packet_opt p =
-  let buf = p.Packet.buf in
-  let l3 = Packet.l3_offset p in
-  let proto = Ipv4.get_proto buf l3 in
-  if proto <> 6 && proto <> 17 then None else Some (of_packet p)
+let admits p =
+  Packet.headers_fit p
+  &&
+  let proto = Ipv4.get_proto p.Packet.buf (Packet.l3_offset p) in
+  proto = 6 || proto = 17
 
-let dummy = { src_ip = 0l; dst_ip = 0l; src_port = 0; dst_port = 0; proto = 0 }
+let of_packet_opt p = if admits p then Some (of_packet p) else None
+
+let dummy =
+  {
+    src_ip = Ipv4_addr.of_int 0;
+    dst_ip = Ipv4_addr.of_int 0;
+    src_port = 0;
+    dst_port = 0;
+    proto = 0;
+  }
 
 let reverse t =
   { t with src_ip = t.dst_ip; dst_ip = t.src_ip; src_port = t.dst_port; dst_port = t.src_port }
@@ -52,42 +65,58 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-(* FNV-1a over the 13 wire bytes of the tuple.  The running hash is
-   threaded through plain top-level functions rather than a ref captured by
-   local closures: this runs once per packet, and a closure over a ref is
-   two heap blocks per call. *)
+(* The 104-bit tuple packs into two OCaml ints (56 + 48 bits), which is
+   how the SoA flow tables store keys: two adjacent int-array cells per
+   entry, no boxed record to chase. *)
+let pack1 t = ((t.src_ip :> int) lsl 24) lor (t.src_port lsl 8) lor t.proto
+
+let pack2 t = ((t.dst_ip :> int) lsl 16) lor t.dst_port
+
+let of_packed k1 k2 =
+  {
+    src_ip = Ipv4_addr.of_int (k1 lsr 24);
+    dst_ip = Ipv4_addr.of_int (k2 lsr 16);
+    src_port = (k1 lsr 8) land 0xFFFF;
+    dst_port = k2 land 0xFFFF;
+    proto = k1 land 0xFF;
+  }
+
+(* [pack1]/[pack2] of [of_packet p], read field by field from the packet's
+   current bytes: a few loads, no tuple. *)
+let packet_pack1 p =
+  let buf = p.Packet.buf in
+  let l3 = Packet.l3_offset p in
+  let proto = Ipv4.get_proto buf l3 in
+  if proto <> 6 && proto <> 17 then unsupported proto;
+  ((Ipv4.get_src buf l3 :> int) lsl 24)
+  lor (Tcp.get_src_port buf (l3 + Ipv4.header_size) lsl 8)
+  lor proto
+
+let packet_pack2 p =
+  let buf = p.Packet.buf in
+  let l3 = Packet.l3_offset p in
+  ((Ipv4.get_dst buf l3 :> int) lsl 16) lor Tcp.get_dst_port buf (l3 + Ipv4.header_size)
+
+(* FNV-1a over the 13 wire bytes of the tuple — source address, destination
+   address, source port, destination port, protocol — each taken from its
+   place in the packed pair.  [mix] keeps the low byte of what it is given,
+   so shifting a packed int right selects a byte. *)
 let fnv_prime = 0x100000001b3
 
 let fnv_basis = 0x3bf29ce484222325 (* FNV offset basis truncated to 62 bits *)
 
 let[@inline] mix h byte = (h lxor (byte land 0xff)) * fnv_prime
 
-let mix32 h (v : int32) =
-  let v = Int32.to_int v in
-  mix (mix (mix (mix h (v lsr 24)) (v lsr 16)) (v lsr 8)) v
+let hash_packed k1 k2 =
+  let h = mix (mix (mix (mix fnv_basis (k1 lsr 48)) (k1 lsr 40)) (k1 lsr 32)) (k1 lsr 24) in
+  let h = mix (mix (mix (mix h (k2 lsr 40)) (k2 lsr 32)) (k2 lsr 24)) (k2 lsr 16) in
+  let h = mix (mix h (k1 lsr 16)) (k1 lsr 8) in
+  let h = mix (mix h (k2 lsr 8)) k2 in
+  mix h k1 land max_int
 
-let hash t =
-  let h = mix32 (mix32 fnv_basis t.src_ip) t.dst_ip in
-  let h = mix (mix h (t.src_port lsr 8)) t.src_port in
-  let h = mix (mix h (t.dst_port lsr 8)) t.dst_port in
-  mix h t.proto land max_int
+let hash t = hash_packed (pack1 t) (pack2 t)
 
-(* The 104-bit tuple packs into two OCaml ints (56 + 48 bits), which is
-   how the SoA flow tables store keys: two adjacent int-array cells per
-   entry, no boxed record and no boxed [int32] fields to chase. *)
-let pack1 t =
-  ((Int32.to_int t.src_ip land 0xFFFFFFFF) lsl 24) lor (t.src_port lsl 8) lor t.proto
-
-let pack2 t = ((Int32.to_int t.dst_ip land 0xFFFFFFFF) lsl 16) lor t.dst_port
-
-let of_packed k1 k2 =
-  {
-    src_ip = Int32.of_int (k1 lsr 24);
-    dst_ip = Int32.of_int (k2 lsr 16);
-    src_port = (k1 lsr 8) land 0xFFFF;
-    dst_port = k2 land 0xFFFF;
-    proto = k1 land 0xFF;
-  }
+let packet_hash p = hash_packed (packet_pack1 p) (packet_pack2 p)
 
 let pp fmt t =
   Format.fprintf fmt "%a:%d -> %a:%d/%s" Ipv4_addr.pp t.src_ip t.src_port Ipv4_addr.pp
@@ -103,8 +132,8 @@ let rec fold_digits f acc n =
 let fold_int f acc n =
   if n < 0 then String.fold_left f acc (string_of_int n) else fold_digits f acc n
 
-let fold_addr f acc a =
-  let x = Int32.to_int a land 0xffff_ffff in
+let fold_addr f acc (a : Ipv4_addr.t) =
+  let x = (a :> int) in
   let acc = f (fold_digits f acc (x lsr 24)) '.' in
   let acc = f (fold_digits f acc ((x lsr 16) land 0xff)) '.' in
   let acc = f (fold_digits f acc ((x lsr 8) land 0xff)) '.' in

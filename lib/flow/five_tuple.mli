@@ -1,4 +1,11 @@
-(** The classic 5-tuple flow key: addresses, ports and IP protocol. *)
+(** The classic 5-tuple flow key: addresses, ports and IP protocol.
+
+    Two forms of the key exist.  The record {!t} (six words, the
+    addresses being immediate) is what the slow path, dumps, idle expiry
+    and [remove_flow] hand around.  The packed pair ({!pack1}, {!pack2})
+    with its {!hash} is what flow tables store and probe; the per-packet
+    path reads it straight from the packet's bytes ({!packet_pack1},
+    {!packet_pack2}, {!hash_packed}) and builds no record. *)
 
 type t = {
   src_ip : Sb_packet.Ipv4_addr.t;
@@ -12,8 +19,14 @@ val of_packet : Sb_packet.Packet.t -> t
 (** Reads the current (possibly already rewritten) header fields.
     @raise Invalid_argument on a non-TCP/UDP packet. *)
 
+val admits : Sb_packet.Packet.t -> bool
+(** The frame is TCP or UDP over IPv4 and its [len] covers the outer
+    headers, Ethernet, IPv4 and the whole TCP or UDP header.  Every reader
+    here assumes it of its packet: on a frame cut short they would read
+    past [len].  The classifier rejects any other frame as malformed. *)
+
 val of_packet_opt : Sb_packet.Packet.t -> t option
-(** Like {!of_packet} but [None] on a non-TCP/UDP packet. *)
+(** Like {!of_packet} but [None] on a frame {!admits} refuses. *)
 
 val dummy : t
 (** An all-zero tuple (protocol 0, so never produced by {!of_packet});
@@ -43,6 +56,25 @@ val pack2 : t -> int
 val of_packed : int -> int -> t
 (** [of_packed (pack1 t) (pack2 t) = t] — rebuilds the record from its
     packed form (used on cold paths such as idle expiry). *)
+
+(** {2 Packet-keyed reads}
+
+    The packed key of a packet's {e current} bytes, for per-packet code:
+    [packet_pack1 p = pack1 (of_packet p)], [packet_pack2 p = pack2
+    (of_packet p)] and [hash_packed (pack1 t) (pack2 t) = hash t], with no
+    tuple built.  A flow table probed with these ints finds what a probe
+    with the record finds. *)
+
+val packet_pack1 : Sb_packet.Packet.t -> int
+(** @raise Invalid_argument on a non-TCP/UDP packet, as {!of_packet}. *)
+
+val packet_pack2 : Sb_packet.Packet.t -> int
+
+val hash_packed : int -> int -> int
+(** {!hash} of the tuple with this packed form. *)
+
+val packet_hash : Sb_packet.Packet.t -> int
+(** [packet_hash p = hash (of_packet p)]. *)
 
 val pp : Format.formatter -> t -> unit
 

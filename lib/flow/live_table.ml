@@ -21,12 +21,12 @@ let epoch_at t s = Flat_table.cell t s epoch
 let set_last_seen_at = Flat_table.set_cell0
 let tuple_at t s = Five_tuple.of_packed (Flat_table.cell t s pack1) (Flat_table.cell t s pack2)
 
-let set t fid ~last_seen:seen ~epoch:e ~tuple =
+let set t fid ~last_seen:seen ~epoch:e ~pack1:k1 ~pack2:k2 =
   if fid = Flat_table.empty_key then invalid_arg "Live_table.set: reserved key";
   let s = Flat_table.claim t fid in
   Flat_table.set_cell t s last_seen seen;
   Flat_table.set_cell t s epoch e;
-  Flat_table.set_cell t s pack1 (Five_tuple.pack1 tuple);
-  Flat_table.set_cell t s pack2 (Five_tuple.pack2 tuple)
+  Flat_table.set_cell t s pack1 k1;
+  Flat_table.set_cell t s pack2 k2
 
 let remove = Flat_table.remove

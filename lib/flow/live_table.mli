@@ -34,7 +34,8 @@ val tuple_at : t -> int -> Five_tuple.t
 (** Rebuilds the flow's ingress tuple from its packed lanes (allocates —
     expiry path only). *)
 
-val set : t -> Fid.t -> last_seen:int -> epoch:int -> tuple:Five_tuple.t -> unit
-(** Inserts or overwrites the fid's entry. *)
+val set : t -> Fid.t -> last_seen:int -> epoch:int -> pack1:int -> pack2:int -> unit
+(** Inserts or overwrites the fid's entry; [pack1]/[pack2] are the
+    ingress tuple's {!Five_tuple.pack1}/{!Five_tuple.pack2}. *)
 
 val remove : t -> Fid.t -> unit

@@ -2,7 +2,9 @@
    which lands in [0, max_int], clear of {!Flat_table.empty_key}; cells 0
    and 1 hold {!Five_tuple.pack1}/{!Five_tuple.pack2}.  The packing is
    bijective, so packed equality {e is} tuple equality; a miss never
-   leaves the key lane, and a hit touches one extra line for the cells. *)
+   leaves the key lane, and a hit touches one extra line for the cells.
+   The record-keyed operations pack their tuple and call the packed
+   ones. *)
 
 type key = Five_tuple.t
 
@@ -16,46 +18,47 @@ let value_at = Flat_table.value_at
 
 let prefetch = Flat_table.prefetch
 
-let find_slot_h t ~hash key =
-  Flat_table.find_slot2 t hash (Five_tuple.pack1 key) (Five_tuple.pack2 key)
+let find_slot_packed t ~hash k1 k2 = Flat_table.find_slot2 t hash k1 k2
 
-let find_opt_h t ~hash key =
-  let s = find_slot_h t ~hash key in
-  if s >= 0 then Some (Flat_table.value_at t s) else None
-
-let find_opt t key = find_opt_h t ~hash:(Five_tuple.hash key) key
-
-let find_or t key ~default =
-  let s = find_slot_h t ~hash:(Five_tuple.hash key) key in
-  if s >= 0 then Flat_table.value_at t s else default
-
-let mem t key = find_slot_h t ~hash:(Five_tuple.hash key) key >= 0
-
-let replace_h t ~hash key v =
-  Flat_table.set_value_at t
-    (Flat_table.claim2 t hash (Five_tuple.pack1 key) (Five_tuple.pack2 key))
-    v
-
-let replace t key v = replace_h t ~hash:(Five_tuple.hash key) key v
+let replace_packed t ~hash k1 k2 v = Flat_table.set_value_at t (Flat_table.claim2 t hash k1 k2) v
 
 (* Like every insert, checks growth before the probe, hit or miss (see
    {!Flat_table.reserve}). *)
-let find_or_add t key ~default =
+let find_or_add_packed t ~hash k1 k2 ~default =
   Flat_table.reserve t;
-  let hash = Five_tuple.hash key in
-  let s = find_slot_h t ~hash key in
+  let s = Flat_table.find_slot2 t hash k1 k2 in
   if s >= 0 then Flat_table.value_at t s
   else begin
     let v = default () in
-    replace_h t ~hash key v;
+    replace_packed t ~hash k1 k2 v;
     v
   end
 
-let remove_h t ~hash key =
-  let s = find_slot_h t ~hash key in
+let remove_packed t ~hash k1 k2 =
+  let s = Flat_table.find_slot2 t hash k1 k2 in
   if s >= 0 then Flat_table.remove_at t s
 
-let remove t key = remove_h t ~hash:(Five_tuple.hash key) key
+let find_slot t key =
+  let k1 = Five_tuple.pack1 key and k2 = Five_tuple.pack2 key in
+  Flat_table.find_slot2 t (Five_tuple.hash_packed k1 k2) k1 k2
+
+let find_opt t key =
+  let s = find_slot t key in
+  if s >= 0 then Some (Flat_table.value_at t s) else None
+
+let mem t key = find_slot t key >= 0
+
+let replace t key v =
+  let k1 = Five_tuple.pack1 key and k2 = Five_tuple.pack2 key in
+  replace_packed t ~hash:(Five_tuple.hash_packed k1 k2) k1 k2 v
+
+let find_or_add t key ~default =
+  let k1 = Five_tuple.pack1 key and k2 = Five_tuple.pack2 key in
+  find_or_add_packed t ~hash:(Five_tuple.hash_packed k1 k2) k1 k2 ~default
+
+let remove t key =
+  let k1 = Five_tuple.pack1 key and k2 = Five_tuple.pack2 key in
+  remove_packed t ~hash:(Five_tuple.hash_packed k1 k2) k1 k2
 
 let fold f t init =
   Flat_table.fold_slots

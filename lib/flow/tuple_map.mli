@@ -8,9 +8,13 @@
     compares ints only and never dereferences a tuple record, and the GC
     traces three flat arrays instead of one boxed key per flow.
 
-    The [_h] variants take the key's {!Five_tuple.hash}, letting a caller
-    that already computed it (the classifier hashes each packet's tuple
-    exactly once) skip rehashing the 13 wire bytes per operation. *)
+    The [_packed] operations take the key as its packed pair and its
+    {!Five_tuple.hash}: per-packet code reads all three straight from the
+    packet ({!Five_tuple.packet_pack1}, {!Five_tuple.packet_pack2},
+    {!Five_tuple.hash_packed}), so a probe builds no tuple, and a caller
+    that keeps the ints (the classifier, for conntrack) hashes the 13
+    wire bytes once per packet.  [hash] must be
+    [Five_tuple.hash_packed k1 k2]; nothing checks it. *)
 
 type key = Five_tuple.t
 
@@ -22,20 +26,13 @@ val create : int -> 'a t
 
 val find_opt : 'a t -> key -> 'a option
 
-val find_or : 'a t -> key -> default:'a -> 'a
-(** The bound value, or [default] when absent — {!find_opt} without the
-    option, for per-packet code. *)
-
-val find_opt_h : 'a t -> hash:int -> key -> 'a option
-(** [find_opt_h t ~hash:(Five_tuple.hash key) key = find_opt t key]. *)
-
-val find_slot_h : 'a t -> hash:int -> key -> int
-(** The key's slot, or [-1] when absent: the option-free form of
-    {!find_opt_h} for per-packet code.  A slot is valid until the next
-    insert or removal. *)
+val find_slot_packed : 'a t -> hash:int -> int -> int -> int
+(** [find_slot_packed t ~hash k1 k2] is the slot of the key whose packed
+    pair is [(k1, k2)], or [-1] when absent: the option-free lookup for
+    per-packet code.  A slot is valid until the next insert or removal. *)
 
 val value_at : 'a t -> int -> 'a
-(** The value in a slot {!find_slot_h} returned. *)
+(** The value in a slot {!find_slot_packed} returned. *)
 
 val prefetch : 'a t -> int -> unit
 (** [prefetch t (Five_tuple.hash key)] hints that [key]'s probe window is
@@ -45,18 +42,21 @@ val find_or_add : 'a t -> key -> default:(unit -> 'a) -> 'a
 (** Returns the existing binding or inserts [default ()] first — a single
     probe either way. *)
 
+val find_or_add_packed : 'a t -> hash:int -> int -> int -> default:(unit -> 'a) -> 'a
+(** {!find_or_add} by packed key. *)
+
 val replace : 'a t -> key -> 'a -> unit
 (** Inserts or overwrites. *)
 
-val replace_h : 'a t -> hash:int -> key -> 'a -> unit
-(** {!replace} with the key's hash supplied by the caller. *)
+val replace_packed : 'a t -> hash:int -> int -> int -> 'a -> unit
+(** {!replace} by packed key. *)
 
 val mem : 'a t -> key -> bool
 
 val remove : 'a t -> key -> unit
 
-val remove_h : 'a t -> hash:int -> key -> unit
-(** {!remove} with the key's hash supplied by the caller. *)
+val remove_packed : 'a t -> hash:int -> int -> int -> unit
+(** {!remove} by packed key. *)
 
 val length : 'a t -> int
 

@@ -425,12 +425,14 @@ let memory_stats (t : t) =
 
 (* ---- Compiled wave execution (zero-allocation snapshot/merge) ---- *)
 
-let region_equal a aoff b boff len =
-  let rec go i =
-    i >= len
-    || Bytes.unsafe_get a (aoff + i) = Bytes.unsafe_get b (boff + i) && go (i + 1)
-  in
-  go 0
+(* A top-level loop: a local [go] closing over the five arguments would
+   be a heap closure per call, and this runs per batch of every wave. *)
+let rec region_equal_from a aoff b boff len i =
+  i >= len
+  || Bytes.unsafe_get a (aoff + i) = Bytes.unsafe_get b (boff + i)
+     && region_equal_from a aoff b boff len (i + 1)
+
+let region_equal a aoff b boff len = region_equal_from a aoff b boff len 0
 
 let ensure_capacity buf len =
   if Bytes.length buf >= len then buf else Bytes.create (max len (2 * Bytes.length buf))

@@ -8,7 +8,7 @@ type t = { root : node; all : Ipfilter_rule.t array; mutable nodes : int }
 
 let new_node () = { rules = []; zero = None; one = None }
 
-let bit addr i = Int32.to_int (Int32.shift_right_logical addr (31 - i)) land 1
+let bit (addr : Sb_packet.Ipv4_addr.t) i = ((addr :> int) lsr (31 - i)) land 1
 
 let insert t prefix idx =
   let rec go node depth =

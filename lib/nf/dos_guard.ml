@@ -64,32 +64,32 @@ let counts_packet t packet =
       | Packet.Tcp -> (Packet.tcp_flags packet).Tcp.Flags.syn
       | Packet.Udp -> false)
 
+let count_one t (cell : Store.entry) =
+  cell.Store.x <- cell.Store.x + 1;
+  Store.add t.total 1
+
 (* Shared by the slow path and the recorded fast-path state function, so
    both paths agree on what counts — including the duplicate skip.  The
    duplicate check compares the entry's [y] lane against the packet's
    seq; UDP has no sequence numbers, so UDP duplicates stay
-   indistinguishable from new packets. *)
+   indistinguishable from new packets.  Per packet it allocates nothing:
+   [count_one] is top-level (a local one would be a closure over [t] and
+   [cell]) and the seq is read as an int. *)
 let bump t (cell : Store.entry) packet =
-  let count_one () =
-    cell.Store.x <- cell.Store.x + 1;
-    Store.add t.total 1
-  in
   (if counts_packet t packet then
      match Packet.proto packet with
-     | Packet.Udp -> count_one ()
+     | Packet.Udp -> count_one t cell
      | Packet.Tcp ->
          let seq = Tcp.get_seq packet.Packet.buf (Packet.l4_offset packet) in
-         let seq_i = Int32.to_int seq land 0xFFFFFFFF in
-         if not (cell.Store.set && cell.Store.y = seq_i) then begin
-           count_one ();
-           cell.Store.y <- seq_i;
+         if not (cell.Store.set && cell.Store.y = seq) then begin
+           count_one t cell;
+           cell.Store.y <- seq;
            cell.Store.set <- true
          end);
   Sb_sim.Cycles.monitor_count
 
 let process t ctx packet =
-  let tuple = Five_tuple.of_packet packet in
-  let cell = Store.flow_entry t.flows tuple in
+  let cell = Store.flow_entry_of_packet t.flows packet in
   let base = Sb_sim.Cycles.parse + Sb_sim.Cycles.classify in
   if cell.Store.x >= t.threshold || over_budget t then begin
     (* Over budget: the flow is cut off before any further counting. *)

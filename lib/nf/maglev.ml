@@ -117,9 +117,11 @@ let track t tuple i =
 let untracked = { Store.x = 0; y = 0; set = false }
 
 (* The tracked backend index, or [-1]: [tracked] without the options, for
-   the reroute condition every fast-path packet of the flow evaluates. *)
-let tracked_backend t tuple =
-  let e = Store.flow_find_or t.assignments tuple ~default:untracked in
+   the reroute condition every fast-path packet of the flow evaluates —
+   keyed by the packed tuple and hash the condition captured, so the poll
+   neither builds nor rehashes a tuple. *)
+let tracked_backend t ~hash k1 k2 =
+  let e = Store.flow_find_or_packed t.assignments ~hash k1 k2 ~default:untracked in
   if e.Store.set then e.Store.x else -1
 
 let untrack t tuple =
@@ -253,13 +255,15 @@ let reroute_actions t tuple () =
 
 let process t ctx packet =
   let tuple = Five_tuple.of_packet packet in
+  let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
+  let hash = Five_tuple.hash_packed k1 k2 in
   let register_reroute () =
     (* Recurring: fires when the tracked backend dies, and again (for a
        flow parked on a drop by total backend failure) when any backend
        comes back. *)
     Speedybox.Api.register_event ctx ~one_shot:false
       ~condition:(fun () ->
-        let i = tracked_backend t tuple in
+        let i = tracked_backend t ~hash k1 k2 in
         if i >= 0 then not t.backends.(i).alive
         else Array.exists (fun b -> b.alive) t.backends)
       ~new_actions:(reroute_actions t tuple)

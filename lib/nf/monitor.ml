@@ -59,13 +59,15 @@ let dump t =
   |> List.sort String.compare
   |> String.concat "\n"
 
-(* Keyed per packet, exactly as the original monitor code does: an
-   upstream event (e.g. Maglev rerouting the flow to a new backend) changes
-   the header mid-stream, and the counters must then split across the old
-   and new tuples just as they do on the original path. *)
+(* Keyed per packet by the packet's current bytes, exactly as the original
+   monitor code does: an upstream event (e.g. Maglev rerouting the flow to
+   a new backend) changes the header mid-stream, and the counters must
+   then split across the old and new tuples just as they do on the
+   original path.  So the key cannot be the classifier's ingress key, nor
+   one captured when the state function was recorded; it is read from the
+   rewritten header, as ints, with no tuple built. *)
 let count t packet =
-  let tuple = Five_tuple.of_packet packet in
-  let cell = Store.flow_entry t.flows tuple in
+  let cell = Store.flow_entry_of_packet t.flows packet in
   if not cell.Store.set then begin
     cell.Store.set <- true;
     Store.add t.active 1

@@ -29,15 +29,18 @@ let admit t packet =
   | Packet.Tcp -> if (Packet.tcp_flags packet).Tcp.Flags.syn then Accepted else Rejected
   | Packet.Udp -> if List.mem (Packet.dst_port packet) t.udp_allowed then Accepted else Rejected
 
+(* Keyed by the packet's bytes: the lookup builds no tuple. *)
 let process t ctx packet =
-  let tuple = Five_tuple.of_packet packet in
+  let k1 = Five_tuple.packet_pack1 packet and k2 = Five_tuple.packet_pack2 packet in
+  let hash = Five_tuple.hash_packed k1 k2 in
+  let s = Tuple_map.find_slot_packed t.flows ~hash k1 k2 in
   let verdict, lookup_cycles =
-    match Tuple_map.find_opt t.flows tuple with
-    | Some v -> (v, Sb_sim.Cycles.acl_established)
-    | None ->
-        let v = admit t packet in
-        Tuple_map.replace t.flows tuple v;
-        (v, Sb_sim.Cycles.acl_established + Sb_sim.Cycles.classify)
+    if s >= 0 then (Tuple_map.value_at t.flows s, Sb_sim.Cycles.acl_established)
+    else begin
+      let v = admit t packet in
+      Tuple_map.replace_packed t.flows ~hash k1 k2 v;
+      (v, Sb_sim.Cycles.acl_established + Sb_sim.Cycles.classify)
+    end
   in
   let base = Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + lookup_cycles in
   match verdict with

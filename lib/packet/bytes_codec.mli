@@ -16,11 +16,12 @@ val get_u16 : bytes -> int -> int
 val set_u16 : bytes -> int -> int -> unit
 (** [set_u16 buf off v] writes the low 16 bits of [v] big-endian. *)
 
-val get_u32 : bytes -> int -> int32
-(** [get_u32 buf off] reads a big-endian 32-bit value. *)
+val get_u32 : bytes -> int -> int
+(** [get_u32 buf off] reads a big-endian 32-bit unsigned integer, in
+    [\[0, 2^32)]. *)
 
-val set_u32 : bytes -> int -> int32 -> unit
-(** [set_u32 buf off v] writes [v] big-endian. *)
+val set_u32 : bytes -> int -> int -> unit
+(** [set_u32 buf off v] writes the low 32 bits of [v] big-endian. *)
 
 val blit_string : string -> bytes -> int -> unit
 (** [blit_string s buf off] copies all of [s] into [buf] starting at [off]. *)

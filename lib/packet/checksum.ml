@@ -28,14 +28,14 @@ let incremental ~old_checksum ~old_word ~new_word =
   in
   lnot sum land 0xffff
 
-let incremental32 ~old_checksum ~old_word ~new_word =
-  let hi v = Int32.to_int (Int32.shift_right_logical v 16) in
-  let lo v = Int32.to_int (Int32.logand v 0xffffl) in
+let incremental32 ~old_checksum ~(old_word : Ipv4_addr.t) ~(new_word : Ipv4_addr.t) =
+  let hi (v : Ipv4_addr.t) = (v :> int) lsr 16 in
+  let lo (v : Ipv4_addr.t) = (v :> int) land 0xffff in
   let after_hi = incremental ~old_checksum ~old_word:(hi old_word) ~new_word:(hi new_word) in
   incremental ~old_checksum:after_hi ~old_word:(lo old_word) ~new_word:(lo new_word)
 
 let pseudo_header_sum ~src ~dst ~proto ~l4_len =
-  let hi32 a = Int32.to_int (Int32.shift_right_logical a 16) in
-  let lo32 a = Int32.to_int (Int32.logand a 0xffffl) in
+  let hi32 (a : Ipv4_addr.t) = (a :> int) lsr 16 in
+  let lo32 (a : Ipv4_addr.t) = (a :> int) land 0xffff in
   let sum = hi32 src + lo32 src + hi32 dst + lo32 dst + proto + l4_len in
   fold16 (fold16 sum)

@@ -28,6 +28,6 @@ val incremental : old_checksum:int -> old_word:int -> new_word:int -> int
     ([HC' = ~(~HC + ~m + m')]).  Apply twice for a 32-bit field.  The
     equality with a full recompute is property-tested. *)
 
-val incremental32 : old_checksum:int -> old_word:int32 -> new_word:int32 -> int
+val incremental32 : old_checksum:int -> old_word:Ipv4_addr.t -> new_word:Ipv4_addr.t -> int
 (** [incremental] applied to both halves of a 32-bit field (an IPv4
     address change). *)

@@ -35,9 +35,9 @@ let encode t =
   Bytes_codec.set_u16 buf 2 (body_size t);
   (match t with
   | Auth { spi; seq } ->
-      Bytes_codec.set_u32 buf 4 spi;
-      Bytes_codec.set_u32 buf 8 seq
-  | Tunnel { vni } -> Bytes_codec.set_u32 buf 4 (Int32.of_int (vni land 0xffffff))
+      Bytes_codec.set_u32 buf 4 (Int32.to_int spi);
+      Bytes_codec.set_u32 buf 8 (Int32.to_int seq)
+  | Tunnel { vni } -> Bytes_codec.set_u32 buf 4 (vni land 0xffffff)
   | Custom { tag; body } ->
       Bytes_codec.set_u16 buf 4 (String.length tag);
       Bytes_codec.blit_string tag buf 6;
@@ -49,9 +49,13 @@ let decode buf off =
   let blen = Bytes_codec.get_u16 buf (off + 2) in
   let t =
     if kind = kind_auth then
-      Auth { spi = Bytes_codec.get_u32 buf (off + 4); seq = Bytes_codec.get_u32 buf (off + 8) }
+      Auth
+        {
+          spi = Int32.of_int (Bytes_codec.get_u32 buf (off + 4));
+          seq = Int32.of_int (Bytes_codec.get_u32 buf (off + 8));
+        }
     else if kind = kind_tunnel then
-      Tunnel { vni = Int32.to_int (Bytes_codec.get_u32 buf (off + 4)) land 0xffffff }
+      Tunnel { vni = Bytes_codec.get_u32 buf (off + 4) land 0xffffff }
     else if kind = kind_custom then begin
       let taglen = Bytes_codec.get_u16 buf (off + 4) in
       let tag = Bytes.sub_string buf (off + 6) taglen in

@@ -32,13 +32,13 @@ let get_proto buf off = Bytes_codec.get_u8 buf (off + 9)
 
 let get_checksum buf off = Bytes_codec.get_u16 buf (off + 10)
 
-let get_src buf off = Bytes_codec.get_u32 buf (off + 12)
+let get_src buf off = Ipv4_addr.of_int (Bytes_codec.get_u32 buf (off + 12))
 
-let set_src buf off v = Bytes_codec.set_u32 buf (off + 12) v
+let set_src buf off (v : Ipv4_addr.t) = Bytes_codec.set_u32 buf (off + 12) (v :> int)
 
-let get_dst buf off = Bytes_codec.get_u32 buf (off + 16)
+let get_dst buf off = Ipv4_addr.of_int (Bytes_codec.get_u32 buf (off + 16))
 
-let set_dst buf off v = Bytes_codec.set_u32 buf (off + 16) v
+let set_dst buf off (v : Ipv4_addr.t) = Bytes_codec.set_u32 buf (off + 16) (v :> int)
 
 let parse buf off =
   let vihl = Bytes_codec.get_u8 buf off in

@@ -1,4 +1,8 @@
-type t = int32
+type t = int
+
+let mask32 = 0xffff_ffff
+
+let of_int v = v land mask32
 
 let of_octets a b c d =
   let check x =
@@ -8,9 +12,7 @@ let of_octets a b c d =
   check b;
   check c;
   check d;
-  Int32.logor
-    (Int32.shift_left (Int32.of_int a) 24)
-    (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
+  (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
 let of_string_opt s =
   match String.split_on_char '.' s with
@@ -28,16 +30,14 @@ let of_string s =
   | None -> invalid_arg (Printf.sprintf "Ipv4_addr.of_string: %S" s)
 
 let to_string a =
-  let b = Int32.to_int (Int32.logand a 0xffffffl) in
-  Printf.sprintf "%ld.%d.%d.%d"
-    (Int32.shift_right_logical a 24)
-    ((b lsr 16) land 0xff)
-    ((b lsr 8) land 0xff)
-    (b land 0xff)
+  Printf.sprintf "%d.%d.%d.%d" (a lsr 24) ((a lsr 16) land 0xff) ((a lsr 8) land 0xff)
+    (a land 0xff)
 
-let compare = Int32.unsigned_compare
+(* Addresses lie in [0, 2^32), so signed int order is unsigned address
+   order. *)
+let compare = Int.compare
 
-let equal = Int32.equal
+let equal = Int.equal
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 
@@ -46,12 +46,11 @@ module Prefix = struct
 
   type t = { base : addr; bits : int }
 
-  let mask bits =
-    if bits = 0 then 0l else Int32.shift_left (-1l) (32 - bits)
+  let mask bits = if bits = 0 then 0 else (mask32 lsl (32 - bits)) land mask32
 
   let make base bits =
     if bits < 0 || bits > 32 then invalid_arg "Ipv4_addr.Prefix.make: bits out of range";
-    { base = Int32.logand base (mask bits); bits }
+    { base = base land mask bits; bits }
 
   let of_string s =
     match String.index_opt s '/' with
@@ -65,7 +64,7 @@ module Prefix = struct
         in
         make addr bits
 
-  let matches { base; bits } a = Int32.equal (Int32.logand a (mask bits)) base
+  let matches { base; bits } a = a land mask bits = base
 
   let to_string { base; bits } = Printf.sprintf "%s/%d" (to_string base) bits
 

@@ -1,9 +1,16 @@
 (** IPv4 addresses and CIDR prefixes.
 
-    Addresses are stored as [int32] in host-independent big-endian semantics:
-    ["10.0.0.1"] is [0x0A000001l].  Comparison treats them as unsigned. *)
+    An address is an immediate [int] in [\[0, 2^32)], most significant
+    octet first: ["10.0.0.1"] is [0x0A000001].  Being immediate, an
+    address costs no allocation to read from a packet, store in a record
+    or pass between modules, and a 5-tuple record holding two of
+    them is six words.  The type is private: [(a :> int)] reads the
+    value, and {!of_int} is the only way to make one from an int. *)
 
-type t = int32
+type t = private int
+
+val of_int : int -> t
+(** [of_int v] is the address whose 32 bits are the low 32 bits of [v]. *)
 
 val of_string : string -> t
 (** [of_string "a.b.c.d"] parses a dotted-quad address.
@@ -17,7 +24,7 @@ val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] builds [a.b.c.d]; each octet must be in [0, 255]. *)
 
 val compare : t -> t -> int
-(** Unsigned comparison, so ["128.0.0.1"] sorts after ["1.0.0.1"]. *)
+(** Address order, so ["128.0.0.1"] sorts after ["1.0.0.1"]. *)
 
 val equal : t -> t -> bool
 

@@ -26,6 +26,17 @@ let proto t =
 
 let l4_header_size t = match proto t with Tcp -> Tcp.header_size | Udp -> Udp.header_size
 
+(* The IPv4 header is checked before its protocol byte is read, so a frame
+   cut anywhere is judged without reading past [len]. *)
+let headers_fit t =
+  let l4 = l4_offset t in
+  t.len >= l4
+  &&
+  match Ipv4.get_proto t.buf (l4 - Ipv4.header_size) with
+  | 6 -> t.len >= l4 + Tcp.header_size
+  | 17 -> t.len >= l4 + Udp.header_size
+  | _ -> true
+
 let payload_offset t = l4_offset t + l4_header_size t
 
 let build ~ip_proto ~l4_size ~payload ~ttl ~tos ~src_mac ~dst_mac ~src ~dst write_l4 =
@@ -170,8 +181,7 @@ let fix_ip both ~old_word ~new_word =
    both sums: addresses sit in the IPv4 header and the L4 pseudo-header.
    [old_hi]/[old_lo] are read straight from the buffer as ints. *)
 let fix_addr both ~old_hi ~old_lo (a : Ipv4_addr.t) =
-  let new_hi = Int32.to_int (Int32.shift_right_logical a 16)
-  and new_lo = Int32.to_int a land 0xffff in
+  let new_hi = (a :> int) lsr 16 and new_lo = (a :> int) land 0xffff in
   let both = fix_l4 both ~old_word:old_hi ~new_word:new_hi in
   let both = fix_l4 both ~old_word:old_lo ~new_word:new_lo in
   let both = fix_ip both ~old_word:old_hi ~new_word:new_hi in

@@ -75,6 +75,12 @@ val payload_offset : t -> int
 val proto : t -> proto
 (** @raise Invalid_argument on a non-TCP/UDP IPv4 protocol. *)
 
+val headers_fit : t -> bool
+(** [len] covers the outer headers, Ethernet, IPv4 and, for TCP or UDP,
+    the whole L4 header.  Every field accessor assumes it: on a frame cut
+    shorter they read past [len] (stale bytes of a reused buffer) or
+    raise.  Reads nothing past [len]. *)
+
 (** {1 Field access} *)
 
 val get_field : t -> Field.t -> Field.value

@@ -84,8 +84,8 @@ let parse buf off =
   {
     src_port = get_src_port buf off;
     dst_port = get_dst_port buf off;
-    seq = get_seq buf off;
-    ack = Bytes_codec.get_u32 buf (off + 8);
+    seq = Int32.of_int (get_seq buf off);
+    ack = Int32.of_int (Bytes_codec.get_u32 buf (off + 8));
     flags = get_flags buf off;
     window = Bytes_codec.get_u16 buf (off + 14);
     checksum = Bytes_codec.get_u16 buf (off + 16);
@@ -94,8 +94,8 @@ let parse buf off =
 let write buf off t =
   set_src_port buf off t.src_port;
   set_dst_port buf off t.dst_port;
-  Bytes_codec.set_u32 buf (off + 4) t.seq;
-  Bytes_codec.set_u32 buf (off + 8) t.ack;
+  Bytes_codec.set_u32 buf (off + 4) (Int32.to_int t.seq);
+  Bytes_codec.set_u32 buf (off + 8) (Int32.to_int t.ack);
   Bytes_codec.set_u8 buf (off + 12) 0x50;
   set_flags buf off t.flags;
   Bytes_codec.set_u16 buf (off + 14) t.window;

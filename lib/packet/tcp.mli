@@ -51,7 +51,9 @@ val get_flag_bits : bytes -> int -> int
     a {!Flags.t}. *)
 
 val set_flags : bytes -> int -> Flags.t -> unit
-val get_seq : bytes -> int -> int32
+val get_seq : bytes -> int -> int
+(** The sequence number's 32 bits as an int in [\[0, 2^32)]: the per-packet
+    read, with no boxed [int32].  {!parse} gives the [int32] form. *)
 
 val update_checksum :
   bytes -> int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> l4_len:int -> unit

@@ -181,7 +181,18 @@ let flow_entry fc tuple = Tuple_map.find_or_add fc.entries tuple ~default:fresh_
 
 let flow_find fc tuple = Tuple_map.find_opt fc.entries tuple
 
-let flow_find_or fc tuple ~default = Tuple_map.find_or fc.entries tuple ~default
+(* The packet-keyed forms read the key from the packet's bytes: the
+   per-packet paths build no tuple. *)
+let flow_entry_of_packet fc packet =
+  let k1 = Sb_flow.Five_tuple.packet_pack1 packet
+  and k2 = Sb_flow.Five_tuple.packet_pack2 packet in
+  Tuple_map.find_or_add_packed fc.entries
+    ~hash:(Sb_flow.Five_tuple.hash_packed k1 k2)
+    k1 k2 ~default:fresh_entry
+
+let flow_find_or_packed fc ~hash k1 k2 ~default =
+  let s = Tuple_map.find_slot_packed fc.entries ~hash k1 k2 in
+  if s >= 0 then Tuple_map.value_at fc.entries s else default
 
 let flow_remove fc tuple = Tuple_map.remove fc.entries tuple
 

@@ -109,9 +109,23 @@ val flow_entry : flow_cell -> Sb_flow.Five_tuple.t -> entry
 
 val flow_find : flow_cell -> Sb_flow.Five_tuple.t -> entry option
 
-val flow_find_or : flow_cell -> Sb_flow.Five_tuple.t -> default:entry -> entry
-(** The flow's entry, or [default] when it has none: {!flow_find} without
-    the option, for per-packet code (event conditions). *)
+(** Per-packet code keys its entries without building a tuple:
+    {!flow_entry_of_packet} reads the key from the packet's current
+    bytes, and {!flow_find_or_packed} takes a key packed once and kept
+    as ints — an event condition captures them when its NF registers
+    it.  Both find exactly the entry a tuple-keyed call finds (see
+    {!Sb_flow.Five_tuple.packet_pack1}). *)
+
+val flow_entry_of_packet : flow_cell -> Sb_packet.Packet.t -> entry
+(** [flow_entry fc (Five_tuple.of_packet p)], building no tuple.
+    @raise Invalid_argument on a non-TCP/UDP packet, as
+    {!Sb_flow.Five_tuple.of_packet}. *)
+
+val flow_find_or_packed : flow_cell -> hash:int -> int -> int -> default:entry -> entry
+(** [flow_find_or_packed fc ~hash:(Five_tuple.hash_packed k1 k2) k1 k2
+    ~default] is the entry of the tuple packed as [(k1, k2)], or
+    [default] when it has none: {!flow_find} without the option or the
+    tuple, for the event conditions every fast-path packet polls. *)
 
 val flow_remove : flow_cell -> Sb_flow.Five_tuple.t -> unit
 

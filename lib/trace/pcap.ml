@@ -1,13 +1,12 @@
 open Sb_packet
 
-let magic = 0xa1b2c3d4l
+let magic = 0xa1b2c3d4
 
-let linktype_ethernet = 1l
+let linktype_ethernet = 1
 
 (* Little-endian scalar IO over Buffer / Bytes. *)
 
 let add_u32le buf v =
-  let v = Int32.to_int v land 0xffffffff in
   Buffer.add_char buf (Char.chr (v land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
@@ -31,17 +30,17 @@ let save path packets =
   add_u32le buf magic;
   add_u16le buf 2 (* major *);
   add_u16le buf 4 (* minor *);
-  add_u32le buf 0l (* thiszone *);
-  add_u32le buf 0l (* sigfigs *);
-  add_u32le buf 65535l (* snaplen *);
+  add_u32le buf 0 (* thiszone *);
+  add_u32le buf 0 (* sigfigs *);
+  add_u32le buf 65535 (* snaplen *);
   add_u32le buf linktype_ethernet;
   List.iter
     (fun p ->
       let us = cycles_to_us p.Packet.ingress_cycle in
-      add_u32le buf (Int32.of_int (us / 1_000_000));
-      add_u32le buf (Int32.of_int (us mod 1_000_000));
-      add_u32le buf (Int32.of_int p.Packet.len) (* incl_len *);
-      add_u32le buf (Int32.of_int p.Packet.len) (* orig_len *);
+      add_u32le buf (us / 1_000_000);
+      add_u32le buf (us mod 1_000_000);
+      add_u32le buf p.Packet.len (* incl_len *);
+      add_u32le buf p.Packet.len (* orig_len *);
       Buffer.add_subbytes buf p.Packet.buf 0 p.Packet.len)
     packets;
   let oc = open_out_bin path in
@@ -67,11 +66,11 @@ let load path =
       let data = Bytes.create len in
       really_input ic data 0 len;
       let endian =
-        if read_u32 Le data 0 = 0xa1b2c3d4 then Le
-        else if read_u32 Be data 0 = 0xa1b2c3d4 then Be
+        if read_u32 Le data 0 = magic then Le
+        else if read_u32 Be data 0 = magic then Be
         else invalid_arg "Pcap.load: bad magic"
       in
-      if read_u32 endian data 20 <> 1 then
+      if read_u32 endian data 20 <> linktype_ethernet then
         invalid_arg "Pcap.load: unsupported link type (want Ethernet)";
       let rec go off acc =
         if off = len then List.rev acc

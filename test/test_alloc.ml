@@ -17,14 +17,16 @@
      and over [ipfilter,snort] outputs, whose payload-dependent costs
      hold more distinct profiles than the accumulator's tally has slots.
 
-   What remains in the first figure is the boxed 5-tuple the classifier
-   and Monitor each build (a record and two boxed [int32]s, 12 words
-   each) and the eight-field output record (9 words), plus a fraction of
-   a word per packet for the emit closure built once per burst.
+   What remains in the first figure is the eight-field output record (9
+   words), plus a fraction of a word per packet for the emit closure
+   built once per burst.  No 5-tuple is built: addresses are immediate
+   ints, the classifier keys conntrack and the FID by the packed tuple
+   and its hash read from the packet's bytes, and Monitor keys its
+   per-flow entry the same way, from the rewritten header.
 
-   The benchmark's edge-churn chain gets the same two figures for its
-   fast path, where every packet runs the Monitor + DoS guard two-batch
-   wave (a [Parallel] cost item), plus words per packet of a slow-path
+   The benchmark's edge-churn chain gets the first figure for its fast
+   path, where every packet runs the Monitor + DoS guard two-batch wave
+   (a [Parallel] cost item), plus words per packet of a slow-path
    only trace: each flow's SYN walks the chain and its first data packet
    records and consolidates.  Every path writes its costs into the
    runtime's int cost vector and shares an interned profile, so none of
@@ -37,39 +39,52 @@
    wave's batch array, the batch records and the final code array — and
    nothing per [Forward] action.
 
-   The burst, slow-path and consolidation budgets sit under 10% above
-   their measured figures, and [Acc.consume] must not allocate at all; a
-   change that allocates more must pay for it elsewhere or raise the
-   budget on purpose. *)
+   The wave, slow-path and consolidation budgets sit under 10% above
+   their measured figures, the [chain1] fast path may allocate no more
+   than the output record and a word, and [Acc.consume] must not
+   allocate at all; a change that allocates more must pay for it
+   elsewhere or raise the budget on purpose.
+
+   The figures are measured in the default build profile, release (the
+   root [dune-workspace]), where small functions inline across modules.
+   Under [--profile dev] every module is compiled [-opaque]; the slow
+   path then allocates 8 words more per packet, still inside its budget,
+   and every other figure is the same. *)
 
 open Speedybox
 module P = Sb_packet.Packet
 
-(* Measured: 33.19 words per fast-path packet through bursts of 32, 33.00
-   through [process_packet] (41.00 when it built a classification record
-   per call), and 0 per consume (OCaml 5.1, no flambda, dev profile). *)
-let burst_budget_words = 36.
+(* Measured: 9.19 words per fast-path packet through bursts of 32 and 9.00
+   through [process_packet] (33.19 and 33.00 while the classifier and
+   Monitor each built a 5-tuple with two boxed [int32] addresses; 41.00
+   when [process_packet] also built a classification record per call),
+   and 0 per consume (OCaml 5.1, no flambda, release profile). *)
+let burst_budget_words = 10.
 
 let consume_budget_words = 0.
 
-(* Measured on the edge-churn chain: 57.19 words per two-batch-wave
-   fast-path packet (122.19 when each packet built its cost-profile
-   lists) and 226.60 per slow-path packet, half SYN walks and half
-   recording walks with their consolidation (299.36 before). *)
-let wave_budget_words = 62.
+(* Measured on the edge-churn chain: 9.19 words per two-batch-wave
+   fast-path packet, the output record as on [chain1] (57.19 with boxed
+   addresses, a classifier tuple and two per-packet closures — the
+   wave's byte compare and the DoS guard's counter — and 122.19 when each
+   packet also built its cost-profile lists), and 138.03 per slow-path
+   packet, half SYN walks and half recording walks with their
+   consolidation (211.13 with boxed addresses, 299.36 before that;
+   145.89 under [--profile dev]). *)
+let wave_budget_words = 10.
 
-let slow_budget_words = 245.
+let slow_budget_words = 151.
 
 (* The benchmark's edge-churn chain: the registry's [edge] NFs with
    Gateway last. *)
 let edge_churn_chain = "statefulfw,monitor,dosguard:200,gateway"
 
-(* Measured: 16.19 words per call on the edge-churn chain and 52.02 on
+(* Measured: 14.19 words per call on the edge-churn chain and 50.02 on
    [chain1] (the list-staged consolidation this pass replaced: 220.63 and
    601.02). *)
-let consolidate_edge_budget_words = 17.5
+let consolidate_edge_budget_words = 15.5
 
-let consolidate_chain1_budget_words = 57.
+let consolidate_chain1_budget_words = 55.
 
 let steady_trace () =
   Sb_trace.Workload.dcn_trace

@@ -538,6 +538,105 @@ let test_non_tcp_udp_sentinel () =
         (Sb_flow.Flat_table.mem result.Speedybox.Runtime.flow_time_us (-1)))
     [ 1; 32 ]
 
+(* Frames cut short of their Ethernet, IPv4 and TCP/UDP headers, as a
+   pcap capture may hold them: a chain1 SYN and a UDP datagram each cut
+   to nine lengths, from 0 bytes to one byte short of the end of the L4
+   header, between the packets of a valid flow.  Each cut frame is run
+   twice, once in a buffer of its own length (a header read past [len]
+   raises) and once in the full frame's buffer (a read past [len] sees
+   stale header bytes).  On every executor
+   nothing may escape, every cut frame must drop, and the executors must
+   agree on every output. *)
+let truncated_trace () =
+  let cut p n ~exact =
+    let q = Packet.copy p in
+    if exact then q.Packet.buf <- Bytes.sub q.Packet.buf 0 n;
+    q.Packet.len <- n;
+    q
+  in
+  let syn = Test_util.tcp_packet ~payload:"" ~flags:Tcp.Flags.syn ~sport:41000 () in
+  let udp = Test_util.udp_packet ~sport:41001 () in
+  let cuts p =
+    List.concat_map
+      (fun n -> [ cut p n ~exact:true; cut p n ~exact:false ])
+      [ 0; 10; 13; 14; 30; 33; 34; 40; Packet.l4_offset p + (if p == syn then 19 else 7) ]
+  in
+  let valid = Test_util.tcp_flow 4 in
+  let bad = cuts syn @ cuts udp in
+  (* Interleave: each valid packet is followed by a share of cut frames,
+     the first of them twice. *)
+  let rec mix valid bad =
+    match (valid, bad) with
+    | v :: vs, b1 :: b2 :: b3 :: bs -> v :: b1 :: b2 :: b3 :: Packet.copy b1 :: mix vs bs
+    | v :: vs, bs -> v :: bs @ vs
+    | [], bs -> bs
+  in
+  let trace = mix (valid @ [ Test_util.udp_packet () ]) bad in
+  List.iteri (fun i p -> p.Packet.ingress_cycle <- i * 1000) trace;
+  (trace, List.length (List.filter (fun p -> not (Packet.headers_fit p)) trace))
+
+let test_truncated_frames () =
+  let trace, n_cut = truncated_trace () in
+  Alcotest.(check int) "trace holds cut frames" 42 n_cut;
+  let outputs run =
+    let outs = ref [] in
+    let result =
+      run (fun _original (out : Speedybox.Runtime.output) ->
+          let wire = Packet.wire out.Speedybox.Runtime.packet in
+          outs := (out.Speedybox.Runtime.verdict, wire) :: !outs)
+    in
+    (result, List.rev !outs)
+  in
+  let runtime mode burst =
+    let rt =
+      Speedybox.Runtime.create (Speedybox.Runtime.config ~mode ()) (build_chain "chain1")
+    in
+    let copies = List.map Packet.copy trace in
+    let result, outs =
+      outputs (fun on_output -> Speedybox.Runtime.run_trace ~on_output ~burst rt copies)
+    in
+    (* And through the scratch-buffer replay, which reuses buffers. *)
+    let rt' =
+      Speedybox.Runtime.create (Speedybox.Runtime.config ~mode ()) (build_chain "chain1")
+    in
+    let result' = Speedybox.Runtime.run_trace ~burst rt' (List.map Packet.copy trace) in
+    Alcotest.(check int) "scratch replay forwards the same" result.Speedybox.Runtime.forwarded
+      result'.Speedybox.Runtime.forwarded;
+    (rt, result, outs)
+  in
+  let sp_rt, burst_result, burst_outs = runtime Speedybox.Runtime.Speedybox 32 in
+  let _, per_packet_result, per_packet_outs = runtime Speedybox.Runtime.Speedybox 1 in
+  let _, original_result, original_outs = runtime Speedybox.Runtime.Original 8 in
+  let det_result, det_outs =
+    let sh =
+      Sb_shard.Sharded.create ~shards:2 (Speedybox.Runtime.config ()) (fun _ ->
+          build_chain "chain1")
+    in
+    outputs (fun on_output ->
+        Sb_shard.Sharded.run_trace ~burst:4 sh ~on_output (List.map Packet.copy trace))
+  in
+  let staged = Speedybox.Staged_runtime.run (build_chain "chain1") (List.map Packet.copy trace) in
+  let n = List.length trace in
+  Alcotest.(check int) "every cut frame rejected" n_cut
+    (Speedybox.Runtime.rejected_malformed sp_rt);
+  let forwarded = burst_result.Speedybox.Runtime.forwarded in
+  Alcotest.(check int) "valid packets forwarded" (n - n_cut) forwarded;
+  List.iter
+    (fun (name, (r : Speedybox.Runtime.run_result), outs) ->
+      Alcotest.(check int) (name ^ ": packets") n r.Speedybox.Runtime.packets;
+      Alcotest.(check int) (name ^ ": forwarded") forwarded r.Speedybox.Runtime.forwarded;
+      Alcotest.(check int) (name ^ ": dropped") n_cut r.Speedybox.Runtime.dropped;
+      Alcotest.(check bool) (name ^ ": outputs = burst-32") true (outs = burst_outs))
+    [
+      ("per-packet", per_packet_result, per_packet_outs);
+      ("original", original_result, original_outs);
+      ("det-2", det_result, det_outs);
+    ];
+  Alcotest.(check int) "staged: forwarded" forwarded staged.Speedybox.Staged_runtime.forwarded;
+  Alcotest.(check int) "staged: dropped" n_cut
+    (staged.Speedybox.Staged_runtime.dropped_by_chain
+    + staged.Speedybox.Staged_runtime.dropped_overflow)
+
 let test_run_trace_rejects_bad_burst () =
   let chain = build_chain "mazunat,monitor" in
   let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) chain in
@@ -567,3 +666,4 @@ let suite =
         prop_tuple_map_matches_hashtbl;
         prop_burst_faults_reopen;
       ]
+  @ [ Alcotest.test_case "truncated frames drop on every executor" `Quick test_truncated_frames ]

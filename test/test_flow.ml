@@ -125,6 +125,110 @@ let prop_fid_range =
       let fid = Fid.of_tuple ~bits (Test_util.tuple ~sport ()) in
       fid >= 0 && fid < 1 lsl bits)
 
+(* --- Packet-keyed reads ------------------------------------------------- *)
+
+(* FNV-1a over the 13 wire bytes, field by field: the hash the flow tables
+   and FIDs have always used, written out independently of the packed
+   form [Five_tuple.hash] now goes through. *)
+let reference_hash (t : Five_tuple.t) =
+  let mix h b = (h lxor (b land 0xff)) * 0x100000001b3 in
+  let mix32 h v = mix (mix (mix (mix h (v lsr 24)) (v lsr 16)) (v lsr 8)) v in
+  let h = mix32 (mix32 0x3bf29ce484222325 (t.Five_tuple.src_ip :> int)) (t.dst_ip :> int) in
+  let h = mix (mix h (t.src_port lsr 8)) t.src_port in
+  let h = mix (mix h (t.dst_port lsr 8)) t.dst_port in
+  mix h t.proto land max_int
+
+(* A random TCP or UDP packet over the whole address and port ranges,
+   under up to three outer headers (as VPN encapsulation pushes them). *)
+let gen_packet =
+  let open QCheck.Gen in
+  let addr = map Ipv4_addr.of_int (int_bound 0xffff_ffff) in
+  let port = oneof [ int_bound 0xffff; oneofl [ 0; 80; 0x7fff; 0x8000; 0xffff ] ] in
+  let outer =
+    oneof
+      [
+        map
+          (fun spi -> Encap_header.Auth { spi = Int32.of_int spi; seq = 0l })
+          (int_bound 0xffff_ffff);
+        map (fun vni -> Encap_header.Tunnel { vni }) (int_bound 0xffffff);
+        return (Encap_header.Custom { tag = "t"; body = "outer" });
+      ]
+  in
+  let* src = addr and* dst = addr and* src_port = port and* dst_port = port in
+  let* udp = bool and* payload = string_size ~gen:printable (int_bound 40) in
+  let* outers = list_size (int_bound 3) outer in
+  let p =
+    if udp then Packet.udp ~payload ~src ~dst ~src_port ~dst_port ()
+    else Packet.tcp ~payload ~src ~dst ~src_port ~dst_port ()
+  in
+  List.iter (Packet.encap p) outers;
+  return p
+
+let print_packet p = Format.asprintf "%a" Packet.pp p
+
+let prop_packet_keyed_reads =
+  QCheck.Test.make ~count:500 ~name:"packet-keyed reads = of_packet's pack and hash"
+    (QCheck.make ~print:print_packet gen_packet)
+    (fun p ->
+      let t = Five_tuple.of_packet p in
+      let k1 = Five_tuple.packet_pack1 p and k2 = Five_tuple.packet_pack2 p in
+      Five_tuple.admits p
+      && k1 = Five_tuple.pack1 t
+      && k2 = Five_tuple.pack2 t
+      && Five_tuple.hash_packed k1 k2 = Five_tuple.hash t
+      && Five_tuple.packet_hash p = Five_tuple.hash t
+      && Five_tuple.hash t = reference_hash t
+      && Five_tuple.equal (Five_tuple.of_packed k1 k2) t
+      && Fid.of_packet p = Fid.of_tuple t)
+
+(* The same operation stream through record-keyed and packet-keyed
+   probes: the two maps must hold the same bindings in the same slots, so
+   their folds agree in order too.  Packets come from a small pool of
+   flows so operations revisit keys and the table grows mid-stream. *)
+let prop_tuple_map_packet_probes =
+  let gen =
+    let open QCheck.Gen in
+    let* pool = array_size (int_range 1 12) gen_packet in
+    let* ops = list_size (int_range 1 300) (pair (int_bound 11) (int_bound 3)) in
+    return (pool, ops)
+  in
+  QCheck.Test.make ~count:200 ~name:"Tuple_map: packet probes = tuple probes, fold order included"
+    (QCheck.make
+       ~print:(fun (pool, ops) ->
+         Printf.sprintf "%d packets, %d ops" (Array.length pool) (List.length ops))
+       gen)
+    (fun (pool, ops) ->
+      let by_tuple = Tuple_map.create 4 and by_packet = Tuple_map.create 4 in
+      let agree = ref true in
+      List.iteri
+        (fun i (k, op) ->
+          let p = pool.(k mod Array.length pool) in
+          let t = Five_tuple.of_packet p in
+          let k1 = Five_tuple.packet_pack1 p and k2 = Five_tuple.packet_pack2 p in
+          let hash = Five_tuple.hash_packed k1 k2 in
+          match op with
+          | 0 ->
+              let a = Tuple_map.find_or_add by_tuple t ~default:(fun () -> i) in
+              let b = Tuple_map.find_or_add_packed by_packet ~hash k1 k2 ~default:(fun () -> i) in
+              if a <> b then agree := false
+          | 1 ->
+              Tuple_map.replace by_tuple t i;
+              Tuple_map.replace_packed by_packet ~hash k1 k2 i
+          | 2 ->
+              Tuple_map.remove by_tuple t;
+              Tuple_map.remove_packed by_packet ~hash k1 k2
+          | _ ->
+              let s = Tuple_map.find_slot_packed by_packet ~hash k1 k2 in
+              let found = if s < 0 then None else Some (Tuple_map.value_at by_packet s) in
+              if Tuple_map.find_opt by_tuple t <> found then agree := false)
+        ops;
+      let dump m =
+        Tuple_map.fold (fun t v acc -> (Five_tuple.pack1 t, Five_tuple.pack2 t, v) :: acc) m []
+      in
+      !agree
+      && Tuple_map.length by_tuple = Tuple_map.length by_packet
+      && dump by_tuple = dump by_packet)
+
 let suite =
   [
     Alcotest.test_case "five tuple extraction" `Quick test_five_tuple;
@@ -137,4 +241,5 @@ let suite =
     Alcotest.test_case "flow table" `Quick test_flow_table;
     Alcotest.test_case "tuple map" `Quick test_tuple_map;
   ]
-  @ Test_util.qcheck_cases [ prop_fid_range ]
+  @ Test_util.qcheck_cases
+      [ prop_fid_range; prop_packet_keyed_reads; prop_tuple_map_packet_probes ]

@@ -271,7 +271,7 @@ let printed_flow_hash tuple =
 
 let gen_tuple =
   let open QCheck.Gen in
-  let ip = map Int32.of_int (int_bound 0xffff_ffff) in
+  let ip = map Sb_packet.Ipv4_addr.of_int (int_bound 0xffff_ffff) in
   let port = oneof [ int_bound 0xffff; oneofl [ 0; 9; 10; 99; 100; 65535 ] ] in
   let* src_ip = ip and* dst_ip = ip and* src_port = port and* dst_port = port in
   let* proto = oneof [ oneofl [ 6; 17 ]; int_bound 255 ] in

@@ -8,8 +8,8 @@ let test_bytes_codec () =
   Bytes_codec.set_u16 buf 2 0xbeef;
   Alcotest.(check int) "u16 roundtrip" 0xbeef (Bytes_codec.get_u16 buf 2);
   Alcotest.(check int) "u16 big-endian" 0xbe (Bytes_codec.get_u8 buf 2);
-  Bytes_codec.set_u32 buf 4 0xdeadbeefl;
-  Alcotest.(check int32) "u32 roundtrip" 0xdeadbeefl (Bytes_codec.get_u32 buf 4);
+  Bytes_codec.set_u32 buf 4 0xdeadbeef;
+  Alcotest.(check int) "u32 roundtrip" 0xdeadbeef (Bytes_codec.get_u32 buf 4);
   Bytes_codec.set_u16 buf 8 0x1ffff;
   Alcotest.(check int) "u16 truncates" 0xffff (Bytes_codec.get_u16 buf 8);
   Alcotest.check_raises "out of bounds raises"
@@ -18,14 +18,47 @@ let test_bytes_codec () =
 let test_ipv4_addr () =
   let a = Ipv4_addr.of_string "10.1.2.3" in
   Alcotest.(check string) "roundtrip" "10.1.2.3" (Ipv4_addr.to_string a);
-  Alcotest.(check int32) "value" 0x0A010203l a;
+  Alcotest.(check int) "value" 0x0A010203 (a :> int);
   Alcotest.(check bool) "equal" true (Ipv4_addr.equal a (Ipv4_addr.of_octets 10 1 2 3));
   Alcotest.(check bool)
     "unsigned compare" true
     (Ipv4_addr.compare (Ipv4_addr.of_string "200.0.0.1") (Ipv4_addr.of_string "10.0.0.1") > 0);
-  Alcotest.(check (option int32)) "reject malformed" None (Ipv4_addr.of_string_opt "10.1.2");
-  Alcotest.(check (option int32)) "reject out of range" None (Ipv4_addr.of_string_opt "256.1.2.3");
-  Alcotest.(check (option int32)) "reject junk" None (Ipv4_addr.of_string_opt "a.b.c.d")
+  let parse s = (Ipv4_addr.of_string_opt s :> int option) in
+  Alcotest.(check (option int)) "reject malformed" None (parse "10.1.2");
+  Alcotest.(check (option int)) "reject out of range" None (parse "256.1.2.3");
+  Alcotest.(check (option int)) "reject junk" None (parse "a.b.c.d")
+
+(* Addresses around 2^31, where an [int32] turns negative: order, prefix
+   membership and printing must not notice the sign bit. *)
+let test_ipv4_addr_sign_boundary () =
+  let below = Ipv4_addr.of_string "127.255.255.255"
+  and above = Ipv4_addr.of_string "128.0.0.0"
+  and top = Ipv4_addr.of_string "255.255.255.255" in
+  Alcotest.(check int) "127.255.255.255" 0x7fff_ffff (below :> int);
+  Alcotest.(check int) "128.0.0.0" 0x8000_0000 (above :> int);
+  Alcotest.(check int) "255.255.255.255" 0xffff_ffff (top :> int);
+  List.iter
+    (fun s ->
+      Alcotest.(check string) ("round trip " ^ s) s (Ipv4_addr.to_string (Ipv4_addr.of_string s)))
+    [ "127.255.255.255"; "128.0.0.0"; "255.255.255.255"; "0.0.0.0" ];
+  Alcotest.(check bool) "below < above" true (Ipv4_addr.compare below above < 0);
+  Alcotest.(check bool) "above < top" true (Ipv4_addr.compare above top < 0);
+  Alcotest.(check bool) "top > below" true (Ipv4_addr.compare top below > 0);
+  Alcotest.(check int) "top = top" 0 (Ipv4_addr.compare top (Ipv4_addr.of_octets 255 255 255 255));
+  Alcotest.(check bool) "of_int keeps 32 bits" true
+    (Ipv4_addr.equal above (Ipv4_addr.of_int (0x1_8000_0000)));
+  let matches p a = Ipv4_addr.Prefix.matches (Ipv4_addr.Prefix.of_string p) a in
+  Alcotest.(check bool) "128/1 holds 128.0.0.0" true (matches "128.0.0.0/1" above);
+  Alcotest.(check bool) "128/1 holds 255.255.255.255" true (matches "128.0.0.0/1" top);
+  Alcotest.(check bool) "128/1 lacks 127.255.255.255" false (matches "128.0.0.0/1" below);
+  Alcotest.(check bool) "0/1 holds 127.255.255.255" true (matches "0.0.0.0/1" below);
+  Alcotest.(check bool) "0/1 lacks 128.0.0.0" false (matches "0.0.0.0/1" above);
+  Alcotest.(check bool) "/32 holds itself" true (matches "255.255.255.255/32" top);
+  Alcotest.(check bool) "/32 lacks its neighbour" false
+    (matches "255.255.255.255/32" (Ipv4_addr.of_string "255.255.255.254"));
+  Alcotest.(check bool) "/0 holds all" true (matches "10.0.0.0/0" top);
+  Alcotest.(check string) "prefix base masked" "128.0.0.0/1"
+    (Ipv4_addr.Prefix.to_string (Ipv4_addr.Prefix.of_string "255.1.2.3/1"))
 
 let test_prefix () =
   let p = Ipv4_addr.Prefix.of_string "10.1.0.0/16" in
@@ -180,3 +213,7 @@ let suite =
     Alcotest.test_case "payload mutation" `Quick test_payload_mutation;
   ]
   @ Test_util.qcheck_cases [ prop_field_roundtrip; prop_encap_stack ]
+  @ [
+      Alcotest.test_case "ipv4 addresses at the sign boundary" `Quick
+        test_ipv4_addr_sign_boundary;
+    ]

@@ -33,6 +33,16 @@ let random_tuple st =
     proto = Random.State.int st 256;
   }
 
+(* The packed probes, keyed by a tuple and a caller-chosen hash. *)
+let replace_h t ~hash k v =
+  Tuple_map.replace_packed t ~hash (Five_tuple.pack1 k) (Five_tuple.pack2 k) v
+
+let remove_h t ~hash k = Tuple_map.remove_packed t ~hash (Five_tuple.pack1 k) (Five_tuple.pack2 k)
+
+let find_opt_h t ~hash k =
+  let s = Tuple_map.find_slot_packed t ~hash (Five_tuple.pack1 k) (Five_tuple.pack2 k) in
+  if s >= 0 then Some (Tuple_map.value_at t s) else None
+
 (* A small pool of keys, so op streams revisit them: inserts overwrite,
    removes hit, probe clusters pile up and small initial sizes force
    several grows mid-stream. *)
@@ -112,7 +122,7 @@ let prop_tuple_map_model =
             Hashtbl.replace model k v
         | 2 ->
             let v = Random.State.int st 1_000_000 in
-            Tuple_map.replace_h t ~hash:h k v;
+            replace_h t ~hash:h k v;
             Hashtbl.replace model k v
         | 3 ->
             let v =
@@ -123,7 +133,7 @@ let prop_tuple_map_model =
             Tuple_map.remove t k;
             Hashtbl.remove model k
         | _ ->
-            Tuple_map.remove_h t ~hash:h k;
+            remove_h t ~hash:h k;
             Hashtbl.remove model k
       done;
       Tuple_map.length t = Hashtbl.length model
@@ -132,7 +142,7 @@ let prop_tuple_map_model =
              hint ();
              let expect = Hashtbl.find_opt model k in
              Tuple_map.find_opt t k = expect
-             && Tuple_map.find_opt_h t ~hash:(Five_tuple.hash k) k = expect
+             && find_opt_h t ~hash:(Five_tuple.hash k) k = expect
              && Tuple_map.mem t k = Option.is_some expect)
            pool)
 
@@ -176,18 +186,18 @@ let prop_tuple_map_shared_hash =
         let k = pool.(Random.State.int st (Array.length pool)) in
         if Random.State.int st 3 < 2 then begin
           let v = Random.State.int st 1_000_000 in
-          Tuple_map.replace_h t ~hash:(hash k) k v;
+          replace_h t ~hash:(hash k) k v;
           Hashtbl.replace model k v
         end
         else begin
-          Tuple_map.remove_h t ~hash:(hash k) k;
+          remove_h t ~hash:(hash k) k;
           Hashtbl.remove model k
         end
       done;
       let pairs = Tuple_map.fold (fun k v acc -> (k, v) :: acc) t [] in
       Tuple_map.length t = Hashtbl.length model
       && Array.for_all
-           (fun k -> Tuple_map.find_opt_h t ~hash:(hash k) k = Hashtbl.find_opt model k)
+           (fun k -> find_opt_h t ~hash:(hash k) k = Hashtbl.find_opt model k)
            pool
       && List.length pairs = Hashtbl.length model
       && List.for_all (fun (k, v) -> Hashtbl.find_opt model k = Some v) pairs)
@@ -207,7 +217,8 @@ let prop_live_table_model =
             let last_seen = Random.State.int st 1_000_000 in
             let epoch = Random.State.int st 1000 in
             let tuple = random_tuple st in
-            Live_table.set t fid ~last_seen ~epoch ~tuple;
+            Live_table.set t fid ~last_seen ~epoch ~pack1:(Five_tuple.pack1 tuple)
+              ~pack2:(Five_tuple.pack2 tuple);
             Hashtbl.replace model fid (last_seen, epoch, tuple)
         | 2 -> (
             (* The per-packet touch: bump last_seen through the slot. *)
