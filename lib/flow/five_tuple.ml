@@ -81,6 +81,11 @@ let of_packed k1 k2 =
     proto = k1 land 0xFF;
   }
 
+(* The reverse swaps the address-and-port halves; the protocol stays. *)
+let reverse_pack1 k1 k2 = ((k2 lsr 16) lsl 24) lor ((k2 land 0xFFFF) lsl 8) lor (k1 land 0xFF)
+
+let reverse_pack2 k1 _ = ((k1 lsr 24) lsl 16) lor ((k1 lsr 8) land 0xFFFF)
+
 (* [pack1]/[pack2] of [of_packet p], read field by field from the packet's
    current bytes: a few loads, no tuple. *)
 let packet_pack1 p =

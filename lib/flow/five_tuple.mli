@@ -57,6 +57,12 @@ val of_packed : int -> int -> t
 (** [of_packed (pack1 t) (pack2 t) = t] — rebuilds the record from its
     packed form (used on cold paths such as idle expiry). *)
 
+val reverse_pack1 : int -> int -> int
+(** [reverse_pack1 (pack1 t) (pack2 t) = pack1 (reverse t)]. *)
+
+val reverse_pack2 : int -> int -> int
+(** [reverse_pack2 (pack1 t) (pack2 t) = pack2 (reverse t)]. *)
+
 (** {2 Packet-keyed reads}
 
     The packed key of a packet's {e current} bytes, for per-packet code:

@@ -105,6 +105,8 @@ let find_slot2 t key c0 c1 =
 
 let value_at t s = Array.unsafe_get t.vals s
 
+let key_at t s = Array.unsafe_get t.keys s
+
 let values t = t.vals
 
 let cell t s c = Array.unsafe_get t.cells ((t.width * s) + c)

@@ -103,3 +103,6 @@ val remove_at : 'a t -> int -> unit
 
 val fold_slots : (int -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** Fold over the occupied slots in slot order (the order of {!fold}). *)
+
+val key_at : 'a t -> int -> int
+(** The key of an occupied slot. *)

@@ -39,8 +39,16 @@
    wave's batch array, the batch records and the final code array — and
    nothing per [Forward] action.
 
+   Two more figures cover sharding: words per packet of
+   [Steer.shard_of_packet], and of a whole 2-shard deterministic
+   [Sharded.run_trace] beside a whole unsharded [Runtime.run_trace] of the
+   same trace.  Steering reads the packed key from the packet and builds
+   no tuple; the executor steers each packet once into an int lane and
+   adds nothing per stretch.
+
    The wave, slow-path and consolidation budgets sit under 10% above
-   their measured figures, the [chain1] fast path may allocate no more
+   their measured figures, steering must not allocate, a 2-shard run may
+   allocate 3 words per packet more than an unsharded one, the [chain1] fast path may allocate no more
    than the output record and a word, and [Acc.consume] must not
    allocate at all; a change that allocates more must pay for it
    elsewhere or raise the budget on purpose.
@@ -85,6 +93,17 @@ let edge_churn_chain = "statefulfw,monitor,dosguard:200,gateway"
 let consolidate_edge_budget_words = 15.5
 
 let consolidate_chain1_budget_words = 55.
+
+(* Measured on a 200-flow DCN trace through Monitor at burst 32: 0 words
+   per packet for [Steer.shard_of_packet] (14.00 while it built a tuple
+   option and the reverse tuple), and 15.44 per packet for a whole 2-shard
+   deterministic [run_trace] against 16.39 unsharded — each shard's tables
+   grow for half the flows, which repays the run's 1-word steering lane
+   (82.40 while the executor re-parsed every packet's tuple four or five
+   times into boxed tables). *)
+let steer_budget_words = 0.
+
+let sharded_extra_budget_words = 3.
 
 let steady_trace () =
   Sb_trace.Workload.dcn_trace
@@ -327,6 +346,59 @@ let check_consolidate_budget chain_name budget () =
     Alcotest.failf "consolidate on %s allocates %.2f words/call, budget %.1f" chain_name words
       budget
 
+(* Sharding: the steer itself and the 2-shard deterministic executor
+   against the unsharded one, whole [run_trace] calls on fresh runtimes,
+   over a 200-flow DCN trace through Monitor at burst 32. *)
+let shard_trace () =
+  Sb_trace.Workload.dcn_trace
+    {
+      Sb_trace.Workload.seed = 11;
+      n_flows = 200;
+      mean_flow_packets = 16.;
+      payload_len = (16, 512);
+      udp_fraction = 0.1;
+      malicious_fraction = 0.;
+      tokens = [];
+    }
+
+let run_words run trace =
+  let w0 = Gc.minor_words () in
+  ignore (run trace : Runtime.run_result);
+  (Gc.minor_words () -. w0) /. float_of_int (List.length trace)
+
+let test_steer_budget () =
+  let trace = Array.of_list (shard_trace ()) in
+  let steer () =
+    Array.iter
+      (fun p -> ignore (Sys.opaque_identity (Sb_shard.Steer.shard_of_packet ~shards:2 p)))
+      trace
+  in
+  steer ();
+  let w0 = Gc.minor_words () in
+  steer ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length trace) in
+  if words > steer_budget_words then
+    Alcotest.failf "Steer.shard_of_packet allocates %.2f words/packet, budget %.1f" words
+      steer_budget_words
+
+let test_sharded_budget () =
+  let trace = shard_trace () in
+  let unsharded =
+    run_words
+      (Runtime.run_trace ~burst:32 (Runtime.create (Runtime.config ()) (build "monitor")))
+      trace
+  in
+  let sharded =
+    run_words
+      (Sb_shard.Sharded.run_trace ~burst:32
+         (Sb_shard.Sharded.create ~shards:2 (Runtime.config ()) (fun _ -> build "monitor")))
+      trace
+  in
+  if sharded > unsharded +. sharded_extra_budget_words then
+    Alcotest.failf
+      "2-shard run_trace allocates %.2f words/packet against %.2f unsharded, budget +%.1f"
+      sharded unsharded sharded_extra_budget_words
+
 let suite =
   [
     Alcotest.test_case "fast-path allocation budget" `Quick test_fast_path_budget;
@@ -340,5 +412,7 @@ let suite =
     Alcotest.test_case "consolidate allocation budget (chain1)" `Quick
       (check_consolidate_budget "chain1" consolidate_chain1_budget_words);
     Alcotest.test_case "per-packet allocation budget" `Quick test_per_packet_budget;
+    Alcotest.test_case "steering allocation budget" `Quick test_steer_budget;
+    Alcotest.test_case "2-shard run_trace allocation budget" `Quick test_sharded_budget;
   ]
 

@@ -179,6 +179,8 @@ let prop_packet_keyed_reads =
       && Five_tuple.packet_hash p = Five_tuple.hash t
       && Five_tuple.hash t = reference_hash t
       && Five_tuple.equal (Five_tuple.of_packed k1 k2) t
+      && Five_tuple.reverse_pack1 k1 k2 = Five_tuple.pack1 (Five_tuple.reverse t)
+      && Five_tuple.reverse_pack2 k1 k2 = Five_tuple.pack2 (Five_tuple.reverse t)
       && Fid.of_packet p = Fid.of_tuple t)
 
 (* The same operation stream through record-keyed and packet-keyed
