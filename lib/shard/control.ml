@@ -17,8 +17,6 @@ let create ~shards =
   Array.init shards (fun _ ->
       { lock = Mutex.create (); queue = []; drained = 0; pending = Atomic.make false })
 
-let shards t = Array.length t
-
 let post t ~shard msg =
   let inbox = t.(shard) in
   Mutex.lock inbox.lock;

@@ -28,8 +28,6 @@ type t
 val create : shards:int -> t
 (** @raise Invalid_argument when [shards < 1]. *)
 
-val shards : t -> int
-
 val post : t -> shard:int -> msg -> unit
 (** Enqueue to one shard's inbox. *)
 

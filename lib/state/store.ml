@@ -50,6 +50,8 @@ type replica = {
   shard : int;
   core : core;
   handles : (string, handle) Hashtbl.t;
+  (* The Global-scope handles, in declaration order: all a merge touches. *)
+  mutable shared : handle array;
   flow_cells : (string, flow_cell) Hashtbl.t;
 }
 
@@ -64,7 +66,13 @@ let create ?(shards = 1) () =
     core;
     replicas =
       Array.init shards (fun shard ->
-          { shard; core; handles = Hashtbl.create 16; flow_cells = Hashtbl.create 8 });
+          {
+            shard;
+            core;
+            handles = Hashtbl.create 16;
+            shared = [||];
+            flow_cells = Hashtbl.create 8;
+          });
   }
 
 let shards t = t.core.shards
@@ -76,8 +84,6 @@ let replica t i =
   t.replicas.(i)
 
 let solo () = replica (create ~shards:1 ()) 0
-
-let replica_shard r = r.shard
 
 (* ---- declarations ---- *)
 
@@ -130,6 +136,7 @@ let declare_cell r ~name ~scope kind =
         }
       in
       Hashtbl.replace r.handles name h;
+      if scope = Global then r.shared <- Array.append r.shared [| h |];
       h
 
 let global r ~name kind = declare_cell r ~name ~scope:Global kind
@@ -171,8 +178,6 @@ let live_snap h =
 
 let read_merged h = Kind.value h.hkind (Kind.combine h.hkind (live_snap h) h.others)
 
-let read_local h = Kind.value h.hkind (live_snap h)
-
 (* ---- per-flow operations ---- *)
 
 let fresh_entry () = { x = 0; y = 0; set = false }
@@ -196,8 +201,6 @@ let flow_find_or_packed fc ~hash k1 k2 ~default =
 
 let flow_remove fc tuple = Tuple_map.remove fc.entries tuple
 
-let flow_replace fc tuple e = Tuple_map.replace fc.entries tuple e
-
 let flow_fold f fc acc = Tuple_map.fold f fc.entries acc
 
 let flow_count fc = Tuple_map.length fc.entries
@@ -205,32 +208,38 @@ let flow_count fc = Tuple_map.length fc.entries
 (* ---- merge machinery ---- *)
 
 let publish r =
-  Hashtbl.iter
-    (fun _ h ->
+  Array.iter
+    (fun h ->
       match h.cell with
       | Some c -> Atomic.set c.slots.(h.hshard) (live_snap h)
       | None -> ())
-    r.handles
+    r.shared
 
 let refresh r =
-  Hashtbl.iter
-    (fun _ h ->
+  Array.iter
+    (fun h ->
       match h.cell with
       | Some c ->
           let acc = ref Kind.identity in
-          Array.iteri
-            (fun s slot ->
-              if s <> h.hshard then acc := Kind.combine h.hkind !acc (Atomic.get slot))
-            c.slots;
+          for s = 0 to Array.length c.slots - 1 do
+            if s <> h.hshard then acc := Kind.combine h.hkind !acc (Atomic.get c.slots.(s))
+          done;
           h.others <- !acc
       | None -> ())
-    r.handles
+    r.shared
 
 let flush r = publish r; refresh r
 
 let merge_round t =
   Array.iter publish t.replicas;
   Array.iter refresh t.replicas;
+  t.core.rounds <- t.core.rounds + 1
+
+(* Only [from] ran since the last merge point, so only its slots can have
+   moved, and every other replica's cached view reads that slot. *)
+let hand_off t ~from =
+  publish t.replicas.(from);
+  Array.iter (fun r -> if r.shard <> from then refresh r) t.replicas;
   t.core.rounds <- t.core.rounds + 1
 
 let merge_rounds t = t.core.rounds
@@ -273,15 +282,6 @@ let merged_values t =
         | None -> acc
       else acc)
     t.core.schema []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let per_shard_values (r : replica) =
-  Hashtbl.fold
-    (fun name h acc ->
-      match Hashtbl.find_opt r.core.schema name with
-      | Some { dscope = Per_shard; _ } -> (name, h.hkind, read_local h) :: acc
-      | _ -> acc)
-    r.handles []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 type scope_counts = { per_flow : int; per_shard : int; global : int }

@@ -24,8 +24,9 @@
 
     Read semantics of {!read_merged}: own live contribution combined with
     the other shards' contributions as of the last flush/merge point.
-    Under the deterministic executor (which runs a merge round at every
-    shard switch) and in a solo store this is exact at every packet;
+    Under the deterministic executor (which merges at every shard switch,
+    and once more at the start and end of each run) and in a solo store
+    this is exact at every packet;
     under the Domain-parallel executor it is a locally-consistent bound
     that converges at batch boundaries and is exact after the post-join
     merge. *)
@@ -53,8 +54,6 @@ val solo : unit -> replica
 (** A fresh single-shard store's only replica — the default an NF uses
     when no shared store is supplied, making the store-backed hot path
     semantically identical to the old instance-local fields. *)
-
-val replica_shard : replica -> int
 
 (** {1 Declarations}
 
@@ -101,9 +100,6 @@ val read_merged : handle -> int
 (** Own live contribution combined with the cached view of the other
     shards (see the module header for exactness). *)
 
-val read_local : handle -> int
-(** This shard's contribution alone. *)
-
 val flow_entry : flow_cell -> Sb_flow.Five_tuple.t -> entry
 (** Find-or-create, zeroed ([set = false]). *)
 
@@ -129,8 +125,6 @@ val flow_find_or_packed : flow_cell -> hash:int -> int -> int -> default:entry -
 
 val flow_remove : flow_cell -> Sb_flow.Five_tuple.t -> unit
 
-val flow_replace : flow_cell -> Sb_flow.Five_tuple.t -> entry -> unit
-
 val flow_fold : (Sb_flow.Five_tuple.t -> entry -> 'a -> 'a) -> flow_cell -> 'a -> 'a
 
 val flow_count : flow_cell -> int
@@ -144,9 +138,15 @@ val flush : replica -> unit
     boundaries; safe to run concurrently with other shards' flushes. *)
 
 val merge_round : t -> unit
-(** Publish then refresh every replica — the deterministic executor's
-    stretch-boundary merge and the parallel executor's post-join
+(** Publish then refresh every replica — the round that opens and closes
+    a deterministic run and the parallel executor's post-join
     convergence.  Single-threaded callers only. *)
+
+val hand_off : t -> from:int -> unit
+(** [hand_off t ~from] publishes replica [from] and refreshes every other
+    replica: a {!merge_round} for when only shard [from] ran since the
+    last merge point — the deterministic executor's stretch boundary.
+    Single-threaded callers only. *)
 
 val merge_rounds : t -> int
 
@@ -164,8 +164,6 @@ val merged_values : t -> (string * Kind.t * int) list
 (** Every global cell's merged value, sorted by name — the [Report]
     "global state" section.  Exact without a prior merge round: each
     shard's published slot is joined with its live contribution. *)
-
-val per_shard_values : replica -> (string * Kind.t * int) list
 
 type scope_counts = { per_flow : int; per_shard : int; global : int }
 
