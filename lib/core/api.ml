@@ -1,8 +1,8 @@
 type nf_context = {
-  fid : Sb_flow.Fid.t;
-  local_mat : Sb_mat.Local_mat.t;
+  mutable fid : Sb_flow.Fid.t;
+  mutable local_mat : Sb_mat.Local_mat.t;
   events : Sb_mat.Event_table.t;
-  recording : bool;
+  mutable recording : bool;
 }
 
 let nf_extract_fid (p : Sb_packet.Packet.t) =

@@ -5,16 +5,30 @@
     becomes consolidation-ready.  The calls only {e record} behaviour; they
     never change the NF's own processing, so an instrumented NF behaves
     identically when the framework runs in [Original] mode (where the
-    context has [recording = false] and every call is a no-op). *)
+    context has [recording = false] and every call is a no-op).
+
+    A no-op call still has its arguments evaluated.  A state function, an
+    event's closures or any other value built only to be recorded is
+    therefore allocated on every walk unless its construction is guarded:
+    write [if ctx.Api.recording then Api.localmat_add_sf ctx (...)], so a
+    walk that does not record (a handshake packet, an [Original]-mode
+    packet) builds none of it. *)
 
 type nf_context = {
-  fid : Sb_flow.Fid.t;  (** the classifier-assigned FID of the packet *)
-  local_mat : Sb_mat.Local_mat.t;  (** this NF's Local MAT *)
+  mutable fid : Sb_flow.Fid.t;  (** the classifier-assigned FID of the packet *)
+  mutable local_mat : Sb_mat.Local_mat.t;  (** this NF's Local MAT *)
   events : Sb_mat.Event_table.t;  (** the chain's Event Table *)
-  recording : bool;
+  mutable recording : bool;
       (** true only while the flow's initial packet traverses the chain
           under SpeedyBox *)
 }
+(** One context serves every NF call of an executor: the framework
+    rewrites its fields before each call, so no record is built per call.
+    A context is valid only for the duration of the [process] call it was
+    passed to.  An NF must not retain it — in a closure it records, an
+    event it registers or its own state — because by the next call it
+    describes another NF and another flow.  Read the fields a recorded
+    closure needs into locals first. *)
 
 val nf_extract_fid : Sb_packet.Packet.t -> Sb_flow.Fid.t
 (** [nf_extract_fid p] reads the FID metadata the Packet Classifier

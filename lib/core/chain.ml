@@ -42,13 +42,28 @@ let state_digest t =
   String.concat "\n"
     (List.map (fun nf -> Printf.sprintf "%s: %s" nf.Nf.name (nf.Nf.state_digest ())) t.nfs)
 
-(* [tuple] extends the teardown into the NFs' own per-flow state; only the
-   idle-expiry path passes it — FIN cleanup and rule eviction leave NF
-   state alone (counters outliving their connection is what the original
-   NF code does, and the equivalence checker compares against that). *)
-let remove_flow ?tuple t fid =
-  List.iter (fun mat -> Sb_mat.Local_mat.remove_flow mat fid) t.local_mats;
-  Sb_mat.Event_table.remove_flow t.events fid;
-  match tuple with
-  | Some tu -> List.iter (fun nf -> nf.Nf.remove_flow tu) t.nfs
-  | None -> ()
+(* Top-level loops rather than [List.iter] over closures capturing [fid]
+   and [tuple]: expiry runs these once per idle flow. *)
+let rec remove_records fid = function
+  | [] -> ()
+  | mat :: mats ->
+      Sb_mat.Local_mat.remove_flow mat fid;
+      remove_records fid mats
+
+let rec remove_nf_state tuple = function
+  | [] -> ()
+  | nf :: nfs ->
+      nf.Nf.remove_flow tuple;
+      remove_nf_state tuple nfs
+
+let remove_flow t fid =
+  remove_records fid t.local_mats;
+  Sb_mat.Event_table.remove_flow t.events fid
+
+(* Only idle expiry reaches into the NFs' own per-flow state: FIN cleanup
+   and rule eviction leave it alone (counters outliving their connection
+   is what the original NF code does, and the equivalence checker compares
+   against that). *)
+let expire_flow t fid ~tuple =
+  remove_flow t fid;
+  remove_nf_state tuple t.nfs

@@ -29,8 +29,12 @@ val consolidable : t -> bool
 val state_digest : t -> string
 (** Concatenated per-NF state digests, for equivalence comparison. *)
 
-val remove_flow : ?tuple:Sb_flow.Five_tuple.t -> t -> Sb_flow.Fid.t -> unit
-(** Deletes the flow's record from every Local MAT and the Event Table.
-    With [tuple] (passed only by the idle-expiry path) each NF's
-    {!Nf.t.remove_flow} hook also runs, so conntrack-style per-flow NF
-    state is reclaimed when flows go idle. *)
+val remove_flow : t -> Sb_flow.Fid.t -> unit
+(** Deletes the flow's record from every Local MAT and the Event Table,
+    and leaves the NFs' own state alone (FIN cleanup, quarantine, rule
+    eviction, migration). *)
+
+val expire_flow : t -> Sb_flow.Fid.t -> tuple:Sb_flow.Five_tuple.t -> unit
+(** {!remove_flow}, then each NF's {!Nf.t.remove_flow} hook with the
+    flow's ingress [tuple], so conntrack-style per-flow NF state is
+    reclaimed when a flow goes idle.  Only the idle-expiry path calls it. *)

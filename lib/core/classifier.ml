@@ -111,4 +111,7 @@ let forget t tuple = Sb_flow.Conntrack.forget t.conntrack tuple
 let forget_flow t cls =
   Sb_flow.Conntrack.forget_packed t.conntrack ~hash:cls.thash cls.pack1 cls.pack2
 
+let forget_packed t k1 k2 =
+  Sb_flow.Conntrack.forget_packed t.conntrack ~hash:(Sb_flow.Five_tuple.hash_packed k1 k2) k1 k2
+
 let active_flows t = Sb_flow.Conntrack.active_flows t.conntrack

@@ -98,4 +98,9 @@ val forget_flow : t -> classification -> unit
 (** {!forget} of the classified packet's ingress tuple, by its packed key:
     rule cleanup, quarantine and expiry-on-arrival build no tuple. *)
 
+val forget_packed : t -> int -> int -> unit
+(** [forget_packed t k1 k2] is {!forget} of the tuple packed as
+    [(k1, k2)] ({!Sb_flow.Five_tuple.pack1}/{!Sb_flow.Five_tuple.pack2}):
+    idle expiry forgets by the key its liveness table holds. *)
+
 val active_flows : t -> int

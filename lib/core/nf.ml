@@ -1,4 +1,5 @@
-type result = { verdict : Sb_mat.Header_action.verdict; cycles : int }
+(* [cycles lsl 1], low bit set for a drop. *)
+type result = int
 
 type t = {
   name : string;
@@ -8,9 +9,14 @@ type t = {
   consolidable : bool;
 }
 
-let forwarded cycles = { verdict = Sb_mat.Header_action.Forwarded; cycles }
+let forwarded cycles = cycles lsl 1
 
-let dropped cycles = { verdict = Sb_mat.Header_action.Dropped; cycles }
+let dropped cycles = (cycles lsl 1) lor 1
+
+let verdict r =
+  if r land 1 = 0 then Sb_mat.Header_action.Forwarded else Sb_mat.Header_action.Dropped
+
+let cycles r = r asr 1
 
 let make ~name ?(state_digest = fun () -> "") ?(remove_flow = fun _ -> ())
     ?(consolidable = true) process =

@@ -5,9 +5,15 @@
     — parsing, classification, state updates, header rewriting — and
     returns the verdict together with the cycles the work cost under the
     {!Sb_sim.Cycles} model.  The instrumentation records into the context's
-    Local MAT only while [ctx.recording] is set. *)
+    Local MAT only while [ctx.recording] is set; the context itself is
+    valid only during the call and must not be retained
+    ({!Api.nf_context}). *)
 
-type result = { verdict : Sb_mat.Header_action.verdict; cycles : int }
+type result = private int
+(** A verdict and its cycles, packed into one immediate int so that an NF
+    call allocates no result: [cycles lsl 1] with the low bit set for
+    [Dropped].  Build one with {!forwarded} or {!dropped}; read it with
+    {!verdict} and {!cycles}. *)
 
 type t = {
   name : string;
@@ -34,8 +40,13 @@ type t = {
 }
 
 val forwarded : int -> result
+(** [forwarded cycles]: the NF passed the packet on after [cycles]. *)
 
 val dropped : int -> result
+
+val verdict : result -> Sb_mat.Header_action.verdict
+
+val cycles : result -> int
 
 val make :
   name:string ->

@@ -4,6 +4,7 @@ type t = {
   sup : Sb_fault.Supervisor.t;
   chain : Chain.t;
   global : Sb_mat.Global_mat.t;
+  ctx : Api.nf_context;  (* rewritten before each NF call *)
   mutable listener : (string -> unit) option;
   (* What the last [run] charged besides its outcome. *)
   mutable cycles : int;
@@ -38,7 +39,15 @@ let contain t ~nf =
   Sb_fault.Supervisor.record_faulted_packet t.sup
 
 let create sup chain global =
-  let t = { sup; chain; global; listener = None; cycles = 0; faulted = false } in
+  let ctx =
+    {
+      Api.fid = -1;
+      local_mat = List.hd (Chain.local_mats chain);
+      events = Chain.events chain;
+      recording = false;
+    }
+  in
+  let t = { sup; chain; global; ctx; listener = None; cycles = 0; faulted = false } in
   (* Raising event conditions are contained inside the Event Table; route
      them here so they still advance the registering NF's health. *)
   Sb_mat.Event_table.set_fault_hook (Chain.events chain) (fun nf _exn ->
@@ -64,6 +73,14 @@ let of_verdict = function
   | Sb_mat.Header_action.Forwarded -> Forwarded
   | Sb_mat.Header_action.Dropped -> Dropped
 
+(* The executor's one context, pointed at this call's flow and NF. *)
+let context t ~fid ~local_mat ~recording =
+  let ctx = t.ctx in
+  ctx.Api.fid <- fid;
+  ctx.Api.local_mat <- local_mat;
+  ctx.Api.recording <- recording;
+  ctx
+
 (* One NF call, the same for both executors: the supervisor's gate, the
    injector's draw, [process] under containment, then the corrupt or stall
    adjustment.  [recording] instruments the call with Local MAT recording
@@ -85,9 +102,7 @@ let run t (nf : Nf.t) ~fid ~local_mat ~recording packet =
   | Sb_fault.Supervisor.Drop_packet ->
       (* Failed NF under Drop_flow: the drop records like an ordinary
          verdict, so the flow's fast path early-drops. *)
-      Api.localmat_add_ha
-        { Api.fid; local_mat; events = Chain.events t.chain; recording }
-        Sb_mat.Header_action.Drop;
+      Api.localmat_add_ha (context t ~fid ~local_mat ~recording) Sb_mat.Header_action.Drop;
       t.cycles <- Sb_sim.Cycles.nf_rx_tx + Sb_sim.Cycles.ha_drop;
       Dropped
   | Sb_fault.Supervisor.Run -> (
@@ -100,18 +115,17 @@ let run t (nf : Nf.t) ~fid ~local_mat ~recording packet =
       match injected with
       | Some Sb_fault.Injector.Raise -> contained t name overhead
       | Some Sb_fault.Injector.Corrupt_verdict | Some Sb_fault.Injector.Stall | None -> (
-          let ctx = { Api.fid; local_mat; events = Chain.events t.chain; recording } in
-          match nf.Nf.process ctx packet with
+          match nf.Nf.process (context t ~fid ~local_mat ~recording) packet with
           | exception _exn -> contained t name overhead
           | r -> (
-              t.cycles <- r.Nf.cycles + overhead;
+              t.cycles <- Nf.cycles r + overhead;
               match injected with
               | Some Sb_fault.Injector.Corrupt_verdict ->
                   note_fault t ~nf:name;
                   Sb_fault.Supervisor.record_corrupted sup;
                   Sb_fault.Supervisor.record_faulted_packet sup;
                   t.faulted <- true;
-                  (match r.Nf.verdict with
+                  (match Nf.verdict r with
                   | Sb_mat.Header_action.Forwarded -> Dropped
                   | Sb_mat.Header_action.Dropped -> Forwarded)
               | Some Sb_fault.Injector.Stall ->
@@ -119,5 +133,5 @@ let run t (nf : Nf.t) ~fid ~local_mat ~recording packet =
                   Sb_fault.Supervisor.record_stalled sup;
                   t.cycles <- t.cycles + Sb_fault.Supervisor.stall_cycles sup;
                   t.faulted <- true;
-                  of_verdict r.Nf.verdict
-              | Some Sb_fault.Injector.Raise | None -> of_verdict r.Nf.verdict)))
+                  of_verdict (Nf.verdict r)
+              | Some Sb_fault.Injector.Raise | None -> of_verdict (Nf.verdict r))))

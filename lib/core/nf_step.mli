@@ -24,7 +24,9 @@ val run :
   recording:bool ->
   Sb_packet.Packet.t ->
   outcome
-(** Allocates the NF's context record and nothing beyond the NF's own. *)
+(** Allocates nothing beyond what the NF itself does: the call reuses the
+    executor's one {!Api.nf_context}, and its {!Nf.result} is an
+    immediate int. *)
 
 val cycles : t -> int
 (** What the last {!run} charged, overheads, stall and containment included. *)

@@ -334,10 +334,12 @@ let cleanup t cls =
      slot. *)
   Sb_flow.Live_table.remove t.live cls.Classifier.fid
 
-let expire_flow t fid ~tuple now =
-  Chain.remove_flow ~tuple t.chain fid;
+(* [k1]/[k2] are the flow's packed ingress tuple from [t.live]: conntrack
+   forgets by them, and the tuple is built once, for the NFs' hooks. *)
+let expire_flow t fid k1 k2 now =
+  Chain.expire_flow t.chain fid ~tuple:(Sb_flow.Five_tuple.of_packed k1 k2);
   Sb_mat.Global_mat.remove_flow t.global fid;
-  Classifier.forget t.classifier tuple;
+  Classifier.forget_packed t.classifier k1 k2;
   Sb_flow.Live_table.remove t.live fid;
   t.expired <- t.expired + 1;
   if Sb_obs.Sink.armed t.cfg.obs then
@@ -358,7 +360,10 @@ let expire_idle_flows t wheel timeout now =
       if s >= 0 && Sb_flow.Live_table.epoch_at live s = stamp then begin
         let last_seen = Sb_flow.Live_table.last_seen_at live s in
         if now - last_seen > timeout then begin
-          expire_flow t fid ~tuple:(Sb_flow.Live_table.tuple_at live s) now;
+          expire_flow t fid
+            (Sb_flow.Live_table.pack1_at live s)
+            (Sb_flow.Live_table.pack2_at live s)
+            now;
           Sb_flow.Timer_wheel.Expire
         end
         else Sb_flow.Timer_wheel.Rearm (last_seen + timeout)

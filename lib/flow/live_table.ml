@@ -19,7 +19,8 @@ let probe = Flat_table.find_slot
 let last_seen_at = Flat_table.cell0
 let epoch_at t s = Flat_table.cell t s epoch
 let set_last_seen_at = Flat_table.set_cell0
-let tuple_at t s = Five_tuple.of_packed (Flat_table.cell t s pack1) (Flat_table.cell t s pack2)
+let pack1_at t s = Flat_table.cell t s pack1
+let pack2_at t s = Flat_table.cell t s pack2
 
 let set t fid ~last_seen:seen ~epoch:e ~pack1:k1 ~pack2:k2 =
   if fid = Flat_table.empty_key then invalid_arg "Live_table.set: reserved key";

@@ -30,9 +30,9 @@ val set_last_seen_at : t -> int -> int -> unit
     int-lane store, the only write a packet for an already-tracked flow
     performs here. *)
 
-val tuple_at : t -> int -> Five_tuple.t
-(** Rebuilds the flow's ingress tuple from its packed lanes (allocates —
-    expiry path only). *)
+val pack1_at : t -> int -> int
+val pack2_at : t -> int -> int
+(** The flow's ingress tuple as {!Five_tuple.pack1}/{!Five_tuple.pack2}. *)
 
 val set : t -> Fid.t -> last_seen:int -> epoch:int -> pack1:int -> pack2:int -> unit
 (** Inserts or overwrites the fid's entry; [pack1]/[pack2] are the

@@ -376,8 +376,10 @@ let prefetch t fid = Sb_flow.Flat_table.prefetch t.rules fid
 
 let mem t fid = Sb_flow.Flat_table.mem t.rules fid
 
+(* By slot, not [find]: FIN cleanup and idle expiry build no option. *)
 let remove_flow t fid =
-  match Sb_flow.Flat_table.find t.rules fid with None -> () | Some r -> unbind t fid r
+  let s = Sb_flow.Flat_table.find_slot t.rules fid in
+  if s >= 0 then unbind t fid (Sb_flow.Flat_table.value_at t.rules s)
 
 (* Flow-migration handoff: install a copy of a rule exported from another
    table.  The source record's intrusive LRU node belongs to the source

@@ -16,12 +16,19 @@ let modify1 field value =
 
 type verdict = Forwarded | Dropped
 
+(* A top-level loop, not [List.iter] over a closure capturing [packet]. *)
+let rec set_fields packet = function
+  | [] -> ()
+  | (field, value) :: sets ->
+      Packet.set_field packet field value;
+      set_fields packet sets
+
 let apply t packet =
   match t with
   | Forward -> Forwarded
   | Drop -> Dropped
   | Modify sets ->
-      List.iter (fun (field, value) -> Packet.set_field packet field value) sets;
+      set_fields packet sets;
       Packet.fix_checksums packet;
       Forwarded
   | Encap header ->

@@ -99,27 +99,34 @@ let process t ctx packet =
   else begin
     let count_cycles = bump t cell packet in
     Speedybox.Api.localmat_add_ha ctx Sb_mat.Header_action.Forward;
-    Speedybox.Api.localmat_add_sf ctx
-      (Sb_mat.State_function.make ~nf:t.name ~label:"dos.count"
-         ~mode:Sb_mat.State_function.Ignore
-         (fun pkt -> bump t cell pkt));
-    Speedybox.Api.register_event ctx
-      ~global_state:(t.budget <> None)
-      ~condition:(fun () -> cell.Store.x >= t.threshold || over_budget t)
-      ~new_actions:(fun () -> [ Sb_mat.Header_action.Drop ])
-        (* once the flow is cut off the original NF stops counting too *)
-      ~new_state_functions:(fun () -> [])
-      ();
+    if ctx.Speedybox.Api.recording then begin
+      Speedybox.Api.localmat_add_sf ctx
+        (Sb_mat.State_function.make ~nf:t.name ~label:"dos.count"
+           ~mode:Sb_mat.State_function.Ignore
+           (fun pkt -> bump t cell pkt));
+      Speedybox.Api.register_event ctx
+        ~global_state:(t.budget <> None)
+        ~condition:(fun () -> cell.Store.x >= t.threshold || over_budget t)
+        ~new_actions:(fun () -> [ Sb_mat.Header_action.Drop ])
+          (* once the flow is cut off the original NF stops counting too *)
+        ~new_state_functions:(fun () -> [])
+        ()
+    end;
     Speedybox.Nf.forwarded (base + count_cycles + Sb_sim.Cycles.ha_forward)
   end
+
+(* Idle teardown reclaims counters below the threshold; a flow that earned
+   a block keeps it even through a quiet spell.  Probed by packed key
+   against a sentinel, so an expired flow builds no option. *)
+let remove_flow t tuple =
+  let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
+  let hash = Five_tuple.hash_packed k1 k2 in
+  let e = Store.flow_find_or_packed t.flows ~hash k1 k2 ~default:Store.no_entry in
+  if e != Store.no_entry && e.Store.x < t.threshold then
+    Store.flow_remove_packed t.flows ~hash k1 k2
 
 let nf t =
   Speedybox.Nf.make ~name:t.name
     ~state_digest:(fun () -> dump t)
-      (* Idle teardown reclaims counters below the threshold; a flow that
-         earned a block keeps it even through a quiet spell. *)
-    ~remove_flow:(fun tuple ->
-      match Store.flow_find t.flows tuple with
-      | Some e when e.Store.x < t.threshold -> Store.flow_remove t.flows tuple
-      | Some _ | None -> ())
+    ~remove_flow:(fun tuple -> remove_flow t tuple)
     (fun ctx packet -> process t ctx packet)

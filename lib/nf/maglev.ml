@@ -2,7 +2,9 @@ open Sb_packet
 open Sb_flow
 module Store = Sb_state.Store
 
-type backend = { bname : string; ip : Ipv4_addr.t; mutable alive : bool }
+(* [action] rewrites a flow's destination to the backend's address: built
+   once at [create] and shared by every flow the backend serves. *)
+type backend = { bname : string; mutable alive : bool; action : Sb_mat.Header_action.t }
 
 type algorithm = Consistent | Mod_hash
 
@@ -112,16 +114,12 @@ let track t tuple i =
       e.Store.set <- true;
       Store.add t.conns.(i) 1
 
-(* Stands in for an absent assignment in [tracked_backend]; read-only, never
-   stored in the table. *)
-let untracked = { Store.x = 0; y = 0; set = false }
-
 (* The tracked backend index, or [-1]: [tracked] without the options, for
    the reroute condition every fast-path packet of the flow evaluates —
    keyed by the packed tuple and hash the condition captured, so the poll
    neither builds nor rehashes a tuple. *)
 let tracked_backend t ~hash k1 k2 =
-  let e = Store.flow_find_or_packed t.assignments ~hash k1 k2 ~default:untracked in
+  let e = Store.flow_find_or_packed t.assignments ~hash k1 k2 ~default:Store.no_entry in
   if e.Store.set then e.Store.x else -1
 
 let untrack t tuple =
@@ -144,7 +142,15 @@ let create ?(name = "maglev") ?(table_size = 251) ?(algorithm = Consistent) ?cel
   if List.length (List.sort_uniq String.compare names) <> List.length names then
     invalid_arg "Maglev.create: duplicate backend names";
   let backends =
-    Array.of_list (List.map (fun (bname, ip) -> { bname; ip; alive = true }) backends)
+    Array.of_list
+      (List.map
+         (fun (bname, ip) ->
+           {
+             bname;
+             alive = true;
+             action = Sb_mat.Header_action.Modify [ (Field.Dst_ip, Field.Ip ip) ];
+           })
+         backends)
   in
   let cells = match cells with Some r -> r | None -> Store.solo () in
   let t =
@@ -249,45 +255,44 @@ let current_backend t tuple =
    a plain drop while no backend is alive. *)
 let reroute_actions t tuple () =
   match current_backend t tuple with
-  | Some backend ->
-      [ Sb_mat.Header_action.Modify [ (Field.Dst_ip, Field.Ip backend.ip) ] ]
+  | Some backend -> [ backend.action ]
   | None -> [ Sb_mat.Header_action.Drop ]
+
+(* Recurring: fires when the tracked backend dies, and again (for a flow
+   parked on a drop by total backend failure) when any backend comes back.
+   Runs within [process] and keeps nothing of [ctx]; the condition polls
+   the packed key it captures here. *)
+let register_reroute t ctx tuple =
+  let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
+  let hash = Five_tuple.hash_packed k1 k2 in
+  Speedybox.Api.register_event ctx ~one_shot:false
+    ~condition:(fun () ->
+      let i = tracked_backend t ~hash k1 k2 in
+      if i >= 0 then not t.backends.(i).alive else Array.exists (fun b -> b.alive) t.backends)
+    ~new_actions:(reroute_actions t tuple)
+    ~update_fn:(fun () -> ignore (current_backend t tuple))
+    ()
 
 let process t ctx packet =
   let tuple = Five_tuple.of_packet packet in
-  let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
-  let hash = Five_tuple.hash_packed k1 k2 in
-  let register_reroute () =
-    (* Recurring: fires when the tracked backend dies, and again (for a
-       flow parked on a drop by total backend failure) when any backend
-       comes back. *)
-    Speedybox.Api.register_event ctx ~one_shot:false
-      ~condition:(fun () ->
-        let i = tracked_backend t ~hash k1 k2 in
-        if i >= 0 then not t.backends.(i).alive
-        else Array.exists (fun b -> b.alive) t.backends)
-      ~new_actions:(reroute_actions t tuple)
-      ~update_fn:(fun () -> ignore (current_backend t tuple))
-      ()
-  in
   match current_backend t tuple with
   | None ->
       (* Total backend failure: the flow degrades to a recorded drop — a
          reachability verdict, never an exception out of the datapath. *)
       let action = Sb_mat.Header_action.Drop in
       Speedybox.Api.localmat_add_ha ctx action;
-      register_reroute ();
+      if ctx.Speedybox.Api.recording then register_reroute t ctx tuple;
       Speedybox.Nf.dropped
         (Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + Sb_sim.Cycles.lb_consistent_hash
        + Sb_mat.Header_action.cost action)
   | Some backend ->
-      let action = Sb_mat.Header_action.Modify [ (Field.Dst_ip, Field.Ip backend.ip) ] in
+      let action = backend.action in
       let apply_cost = Sb_mat.Header_action.cost action in
       (match Sb_mat.Header_action.apply action packet with
       | Sb_mat.Header_action.Forwarded -> ()
       | Sb_mat.Header_action.Dropped -> assert false (* modify never drops *));
       Speedybox.Api.localmat_add_ha ctx action;
-      register_reroute ();
+      if ctx.Speedybox.Api.recording then register_reroute t ctx tuple;
       Speedybox.Nf.forwarded
         (Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + Sb_sim.Cycles.lb_consistent_hash
        + apply_cost)

@@ -84,20 +84,27 @@ let count t packet =
 let process t ctx packet =
   let count_cycles = count t packet in
   Speedybox.Api.localmat_add_ha ctx Sb_mat.Header_action.Forward;
-  Speedybox.Api.localmat_add_sf ctx
-    (Sb_mat.State_function.make ~nf:t.name ~label:"monitor.count"
-       ~mode:Sb_mat.State_function.Ignore
-       (fun pkt -> count t pkt));
+  if ctx.Speedybox.Api.recording then
+    Speedybox.Api.localmat_add_sf ctx
+      (Sb_mat.State_function.make ~nf:t.name ~label:"monitor.count"
+         ~mode:Sb_mat.State_function.Ignore
+         (fun pkt -> count t pkt));
   Speedybox.Nf.forwarded
     (Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + count_cycles + Sb_sim.Cycles.ha_forward)
+
+(* Idle expiry, once per expired flow: probed by packed key against a
+   sentinel, so no option is built. *)
+let remove_flow t tuple =
+  let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
+  let hash = Five_tuple.hash_packed k1 k2 in
+  let e = Store.flow_find_or_packed t.flows ~hash k1 k2 ~default:Store.no_entry in
+  if e != Store.no_entry then begin
+    if e.Store.set then Store.sub t.active 1;
+    Store.flow_remove_packed t.flows ~hash k1 k2
+  end
 
 let nf t =
   Speedybox.Nf.make ~name:t.name
     ~state_digest:(fun () -> dump t)
-    ~remove_flow:(fun tuple ->
-      match Store.flow_find t.flows tuple with
-      | Some e ->
-          if e.Store.set then Store.sub t.active 1;
-          Store.flow_remove t.flows tuple
-      | None -> ())
+    ~remove_flow:(fun tuple -> remove_flow t tuple)
     (fun ctx packet -> process t ctx packet)

@@ -166,10 +166,11 @@ let process t ctx packet =
   let preprocess_cycles = Sb_sim.Cycles.snort_preprocess in
   let detect_cycles = detect t flow tuple packet in
   Speedybox.Api.localmat_add_ha ctx Sb_mat.Header_action.Forward;
-  Speedybox.Api.localmat_add_sf ctx
-    (Sb_mat.State_function.make ~nf:t.name ~label:"snort.detect"
-       ~mode:Sb_mat.State_function.Read
-       (fun pkt -> detect t flow tuple pkt));
+  if ctx.Speedybox.Api.recording then
+    Speedybox.Api.localmat_add_sf ctx
+      (Sb_mat.State_function.make ~nf:t.name ~label:"snort.detect"
+         ~mode:Sb_mat.State_function.Read
+         (fun pkt -> detect t flow tuple pkt));
   Speedybox.Nf.forwarded
     (Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + setup_cycles + preprocess_cycles
    + detect_cycles + Sb_sim.Cycles.ha_forward)

@@ -43,9 +43,10 @@ let work t packet =
 
 let process t ctx packet =
   let work_cycles = work t packet in
-  Speedybox.Api.localmat_add_sf ctx
-    (Sb_mat.State_function.make ~nf:t.name ~label:(t.name ^ ".work") ~mode:t.mode
-       (fun pkt -> work t pkt));
+  if ctx.Speedybox.Api.recording then
+    Speedybox.Api.localmat_add_sf ctx
+      (Sb_mat.State_function.make ~nf:t.name ~label:(t.name ^ ".work") ~mode:t.mode
+         (fun pkt -> work t pkt));
   Speedybox.Nf.forwarded (Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + work_cycles)
 
 let nf t =

@@ -195,11 +195,15 @@ let flow_entry_of_packet fc packet =
     ~hash:(Sb_flow.Five_tuple.hash_packed k1 k2)
     k1 k2 ~default:fresh_entry
 
+let no_entry = fresh_entry ()
+
 let flow_find_or_packed fc ~hash k1 k2 ~default =
   let s = Tuple_map.find_slot_packed fc.entries ~hash k1 k2 in
   if s >= 0 then Tuple_map.value_at fc.entries s else default
 
 let flow_remove fc tuple = Tuple_map.remove fc.entries tuple
+
+let flow_remove_packed fc ~hash k1 k2 = Tuple_map.remove_packed fc.entries ~hash k1 k2
 
 let flow_fold f fc acc = Tuple_map.fold f fc.entries acc
 

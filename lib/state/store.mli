@@ -121,9 +121,18 @@ val flow_find_or_packed : flow_cell -> hash:int -> int -> int -> default:entry -
 (** [flow_find_or_packed fc ~hash:(Five_tuple.hash_packed k1 k2) k1 k2
     ~default] is the entry of the tuple packed as [(k1, k2)], or
     [default] when it has none: {!flow_find} without the option or the
-    tuple, for the event conditions every fast-path packet polls. *)
+    tuple, for the event conditions every fast-path packet polls and for
+    idle expiry. *)
+
+val no_entry : entry
+(** A zeroed stand-in for an absent entry, to pass as
+    {!flow_find_or_packed}'s [default] and recognise with [==].  Shared
+    and never stored in a table: read it, never write it. *)
 
 val flow_remove : flow_cell -> Sb_flow.Five_tuple.t -> unit
+
+val flow_remove_packed : flow_cell -> hash:int -> int -> int -> unit
+(** {!flow_remove} by packed key, as {!flow_find_or_packed} takes it. *)
 
 val flow_fold : (Sb_flow.Five_tuple.t -> entry -> 'a -> 'a) -> flow_cell -> 'a -> 'a
 

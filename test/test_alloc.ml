@@ -28,9 +28,21 @@
    path, where every packet runs the Monitor + DoS guard two-batch wave
    (a [Parallel] cost item), plus words per packet of a slow-path
    only trace: each flow's SYN walks the chain and its first data packet
-   records and consolidates.  Every path writes its costs into the
-   runtime's int cost vector and shares an interned profile, so none of
-   these figures contains a cost-profile list.
+   records and consolidates.  That figure is also split in two: the SYN
+   walks alone, which record nothing and so build no state function,
+   event closure or context, and the recording walks alone, after their
+   SYNs.  The same slow-path trace is gated on [chain1] too.  Every path
+   writes its costs into the runtime's int cost vector and shares an
+   interned profile, so none of these figures contains a cost-profile
+   list.
+
+   Idle expiry is gated in words per expired flow: the slow-path trace
+   records every flow under an idle timeout, and one packet far past it
+   expires them all.  An expired flow builds its ingress tuple once, for
+   the NFs' [remove_flow] hooks, and nothing else: conntrack forgets by
+   the packed key the liveness table holds, the chain's teardown loops
+   build no closure, and Monitor and the DoS guard probe their entries
+   with no option.
 
    A further figure covers consolidation alone: words per
    [Global_mat.consolidate] call, re-consolidating every recorded flow of
@@ -46,18 +58,20 @@
    no tuple; the executor steers each packet once into an int lane and
    adds nothing per stretch.
 
-   The wave, slow-path and consolidation budgets sit under 10% above
-   their measured figures, steering must not allocate, a 2-shard run may
-   allocate 3 words per packet more than an unsharded one, the [chain1] fast path may allocate no more
-   than the output record and a word, and [Acc.consume] must not
-   allocate at all; a change that allocates more must pay for it
-   elsewhere or raise the budget on purpose.
+   The wave, slow-path, expiry and consolidation budgets sit under 10%
+   above their measured figures, steering must not allocate, a 2-shard
+   run may allocate 3 words per packet more than an unsharded one, the
+   [chain1] fast path may allocate no more than the output record and a
+   word, and [Acc.consume] must not allocate at all; a change that
+   allocates more must pay for it elsewhere or raise the budget on
+   purpose.
 
    The figures are measured in the default build profile, release (the
    root [dune-workspace]), where small functions inline across modules.
-   Under [--profile dev] every module is compiled [-opaque]; the slow
-   path then allocates 8 words more per packet, still inside its budget,
-   and every other figure is the same. *)
+   Under [--profile dev] every module is compiled [-opaque], and every
+   figure is the same: an NF's result is an immediate int, so nothing
+   boxes across the module boundary (the slow path read 8 words higher
+   there while the result was a record). *)
 
 open Speedybox
 module P = Sb_packet.Packet
@@ -75,13 +89,29 @@ let consume_budget_words = 0.
    fast-path packet, the output record as on [chain1] (57.19 with boxed
    addresses, a classifier tuple and two per-packet closures — the
    wave's byte compare and the DoS guard's counter — and 122.19 when each
-   packet also built its cost-profile lists), and 138.03 per slow-path
+   packet also built its cost-profile lists), and 79.31 per slow-path
    packet, half SYN walks and half recording walks with their
-   consolidation (211.13 with boxed addresses, 299.36 before that;
-   145.89 under [--profile dev]). *)
+   consolidation.  Split: 26.78 per SYN walk — the output record and the
+   per-flow state the NFs keep — and 131.85 per recording walk.  Before
+   one context served every NF call, the NFs guarded their
+   recording-only values and Gateway and Maglev shared one rewrite per
+   server, these read 138.03 (211.13 with boxed addresses, 299.36 before
+   that), 100.69 and 175.38.  [chain1]'s slow path: 159.24 (232.74). *)
 let wave_budget_words = 10.
 
-let slow_budget_words = 151.
+let slow_budget_words = 87.
+
+let syn_walk_budget_words = 29.
+
+let recording_walk_budget_words = 145.
+
+let slow_chain1_budget_words = 175.
+
+(* Measured: 14.58 words per expired flow on the edge-churn chain (30.69
+   while expiry forgot conntrack by a rebuilt tuple, passed it in an
+   option, tore down through [List.iter] closures and probed Monitor's and
+   the DoS guard's entries through options). *)
+let expiry_budget_words = 16.
 
 (* The benchmark's edge-churn chain: the registry's [edge] NFs with
    Gateway last. *)
@@ -260,25 +290,88 @@ let test_wave_fast_path_budget () =
     Alcotest.failf "wave fast path allocates %.2f words/packet, budget %.1f" words
       wave_budget_words
 
-let test_slow_path_budget () =
-  let r = setup ~chain:edge_churn_chain ~packets:(slow_trace ()) () in
-  let fast = ref 0 and consolidated = ref 0 in
+let is_syn p = P.tcp_flag_bits p land Sb_packet.Tcp.syn_bit <> 0
+
+let consolidates (out : Runtime.output) =
+  List.exists
+    (fun (st : Sb_sim.Cost_profile.stage) ->
+      String.equal st.Sb_sim.Cost_profile.label "Consolidate")
+    out.Runtime.profile
+
+(* Words per packet of a replay of [packets] after an unmeasured replay of
+   [warm], on a fresh runtime of [chain]; [count] sees every measured
+   output.  No measured packet may reach a rule. *)
+let slow_words ~chain ?(warm = [||]) packets count =
+  let r = setup ~chain ~packets:warm () in
+  ignore (replay r (fun _ _ -> ()));
+  let r = { r with packets } in
+  let fast = ref 0 in
   let words =
     per_packet r
       (replay r (fun _ out ->
            if out.Runtime.path = Runtime.Fast_path then incr fast;
-           if
-             List.exists
-               (fun (st : Sb_sim.Cost_profile.stage) ->
-                 String.equal st.Sb_sim.Cost_profile.label "Consolidate")
-               out.Runtime.profile
-           then incr consolidated))
+           count out))
   in
   Alcotest.(check int) "no packet reaches a rule" 0 !fast;
+  words
+
+let check_slow_budget what budget words =
+  if words > budget then
+    Alcotest.failf "%s allocates %.2f words/packet, budget %.1f" what words budget
+
+(* Every slow-path packet of the trace, half SYN walks and half recording
+   walks, on [chain]. *)
+let check_slow_path chain budget () =
+  let consolidated = ref 0 in
+  let words =
+    slow_words ~chain (slow_trace ()) (fun out -> if consolidates out then incr consolidated)
+  in
   Alcotest.(check bool) "data packets record" true (!consolidated > 0);
-  if words > slow_budget_words then
-    Alcotest.failf "slow path allocates %.2f words/packet, budget %.1f" words
-      slow_budget_words
+  check_slow_budget ("slow path on " ^ chain) budget words
+
+(* The SYNs alone: each walks the chain without recording, as the flow has
+   no handshake yet, so no NF builds a recording-only value. *)
+let test_syn_walk_budget () =
+  let syns = Array.of_list (List.filter is_syn (Array.to_list (slow_trace ()))) in
+  let words =
+    slow_words ~chain:edge_churn_chain syns (fun out ->
+        if consolidates out then Alcotest.fail "a SYN walk consolidated")
+  in
+  check_slow_budget "SYN walk" syn_walk_budget_words words
+
+(* The data packets after their SYNs: each records and consolidates. *)
+let test_recording_walk_budget () =
+  let trace = Array.to_list (slow_trace ()) in
+  let syns, data = List.partition is_syn trace in
+  let words =
+    slow_words ~chain:edge_churn_chain ~warm:(Array.of_list syns) (Array.of_list data)
+      (fun out -> if not (consolidates out) then Alcotest.fail "a data packet did not record")
+  in
+  check_slow_budget "recording walk" recording_walk_budget_words words
+
+(* Idle expiry: the slow trace records every flow on a runtime with an
+   idle timeout, all at cycle 0; one packet far past the timeout then
+   advances the wheel, which expires them all.  Its words are charged to
+   the flows it expired. *)
+let test_expiry_budget () =
+  let timeout = 10_000 in
+  let packets = slow_trace () in
+  let rt =
+    Runtime.create (Runtime.config ~idle_timeout_cycles:timeout ()) (build edge_churn_chain)
+  in
+  Array.iter (fun p -> ignore (Runtime.process_packet rt (P.copy p))) packets;
+  Alcotest.(check int) "nothing expires at cycle 0" 0 (Runtime.expired_flows rt);
+  let late = P.copy packets.(0) in
+  late.P.ingress_cycle <- 100 * timeout;
+  let w0 = Gc.minor_words () in
+  ignore (Runtime.process_packet rt late);
+  let words = Gc.minor_words () -. w0 in
+  let expired = Runtime.expired_flows rt in
+  Alcotest.(check int) "every recorded flow expires" (Array.length packets / 2) expired;
+  let per_flow = words /. float_of_int expired in
+  if per_flow > expiry_budget_words then
+    Alcotest.failf "idle expiry allocates %.2f words per expired flow, budget %.1f" per_flow
+      expiry_budget_words
 
 let check_consume_budget ?(min_profiles = 0) r () =
   ignore (replay r (fun _ _ -> ()));
@@ -406,7 +499,13 @@ let suite =
     Alcotest.test_case "Acc.consume budget (waves)" `Quick test_consume_wave_budget;
     Alcotest.test_case "Acc.consume budget (tally flushes)" `Quick test_consume_flush_budget;
     Alcotest.test_case "wave fast-path budget" `Quick test_wave_fast_path_budget;
-    Alcotest.test_case "slow-path allocation budget" `Quick test_slow_path_budget;
+    Alcotest.test_case "slow-path allocation budget" `Quick
+      (check_slow_path edge_churn_chain slow_budget_words);
+    Alcotest.test_case "SYN-walk allocation budget" `Quick test_syn_walk_budget;
+    Alcotest.test_case "recording-walk allocation budget" `Quick test_recording_walk_budget;
+    Alcotest.test_case "slow-path allocation budget (chain1)" `Quick
+      (check_slow_path "chain1" slow_chain1_budget_words);
+    Alcotest.test_case "idle-expiry allocation budget" `Quick test_expiry_budget;
     Alcotest.test_case "consolidate allocation budget (edge-churn chain)" `Quick
       (check_consolidate_budget edge_churn_chain consolidate_edge_budget_words);
     Alcotest.test_case "consolidate allocation budget (chain1)" `Quick

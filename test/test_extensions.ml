@@ -58,6 +58,7 @@ let test_gateway_pass_through () =
   let out = Speedybox.Runtime.process_packet rt (Packet.copy p) in
   Alcotest.(check string) "unknown port untouched" before
     (Packet.wire out.Speedybox.Runtime.packet);
+  Alcotest.(check int) "unknown port not assigned" 0 (Sb_nf.Gateway.flows_assigned gateway);
   Alcotest.(check bool) "empty pool rejected" true
     (try
        ignore (Sb_nf.Gateway.service ~public_port:80 ~internal_port:80 []);
@@ -73,6 +74,107 @@ let test_gateway_equivalence () =
     Sb_trace.Workload.fixed_trace ~n_flows:12 ~packets_per_flow:5 ~payload_len:30 ()
   in
   Test_util.check_equivalent "gateway chain" (Speedybox.Equivalence.check ~build_chain trace)
+
+(* Flows pinned to one server record one shared [Modify]: the gateway
+   builds a server's rewrite once, not per packet. *)
+let test_gateway_shared_action () =
+  let gateway = gw () in
+  let chain = Speedybox.Chain.create ~name:"gw" [ Sb_nf.Gateway.nf gateway ] in
+  let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) chain in
+  let fids = Hashtbl.create 8 in
+  let packets =
+    List.concat_map (fun i -> Test_util.tcp_flow ~sport:(41000 + i) ~fin:false 2) [ 0; 1; 2; 3 ]
+  in
+  let _ =
+    Speedybox.Runtime.run_trace
+      ~on_output:(fun input out ->
+        Hashtbl.replace fids (Packet.src_port input) out.Speedybox.Runtime.packet.Packet.fid)
+      rt packets
+  in
+  let mat = List.hd (Speedybox.Chain.local_mats chain) in
+  let action i =
+    match
+      Sb_mat.Local_mat.rule_actions (Sb_mat.Local_mat.lookup mat (Hashtbl.find fids (41000 + i)))
+    with
+    | [ (Sb_mat.Header_action.Modify _ as a) ] -> a
+    | _ -> Alcotest.fail "expected one recorded Modify"
+  in
+  Alcotest.(check bool) "same server, same action" true (action 0 == action 3);
+  Alcotest.(check bool) "next server, another action" false (action 0 == action 1);
+  Alcotest.(check bool) "actions are equal by value" true
+    (Sb_mat.Header_action.equal (action 0) (action 3))
+
+(* Assignments and the state digest on a DCN trace through two services,
+   against a model of the round-robin pin: each service hands its servers
+   out in turn, in the order its flows are first seen, and the digest
+   lists "tuple => server:port" sorted.  Other ports are never assigned. *)
+let test_gateway_assignments_model () =
+  let web = servers and tls = List.init 2 (fun i -> Ipv4_addr.of_octets 10 10 1 (40 + i)) in
+  let gateway =
+    Sb_nf.Gateway.create
+      ~services:
+        [
+          Sb_nf.Gateway.service ~public_port:80 ~internal_port:8080 web;
+          Sb_nf.Gateway.service ~public_port:443 ~internal_port:8443 tls;
+        ]
+      ()
+  in
+  let nf = Sb_nf.Gateway.nf gateway in
+  let chain = Speedybox.Chain.create ~name:"gw" [ nf ] in
+  let trace =
+    Sb_trace.Workload.dcn_trace
+      {
+        Sb_trace.Workload.seed = 3;
+        n_flows = 80;
+        mean_flow_packets = 4.;
+        payload_len = (16, 128);
+        udp_fraction = 0.2;
+        malicious_fraction = 0.;
+        tokens = [];
+      }
+  in
+  let _ = run_chain chain trace in
+  let pools = [ (80, (Array.of_list web, 8080, ref 0)); (443, (Array.of_list tls, 8443, ref 0)) ] in
+  let model = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun p ->
+      let tuple = Sb_flow.Five_tuple.of_packet p in
+      if not (Hashtbl.mem model tuple) then begin
+        order := tuple :: !order;
+        Hashtbl.replace model tuple
+          (match List.assoc_opt tuple.Sb_flow.Five_tuple.dst_port pools with
+          | Some (servers, port, next) ->
+              let server = servers.(!next mod Array.length servers) in
+              incr next;
+              Some (server, port)
+          | None -> None)
+      end)
+    trace;
+  let assigned = ref 0 in
+  List.iter
+    (fun tuple ->
+      let expected = Hashtbl.find model tuple in
+      if expected <> None then incr assigned;
+      Alcotest.(check bool)
+        (Format.asprintf "assignment of %a" Sb_flow.Five_tuple.pp tuple)
+        true
+        (Sb_nf.Gateway.assignment gateway tuple = expected))
+    !order;
+  Alcotest.(check bool) "both services and other ports appear" true
+    (!assigned > 0 && !assigned < List.length !order);
+  Alcotest.(check int) "flows assigned" !assigned (Sb_nf.Gateway.flows_assigned gateway);
+  let digest =
+    Hashtbl.fold
+      (fun tuple a acc ->
+        match a with
+        | Some (server, port) ->
+            Format.asprintf "%a => %a:%d" Sb_flow.Five_tuple.pp tuple Ipv4_addr.pp server port
+            :: acc
+        | None -> acc)
+      model []
+    |> List.sort String.compare |> String.concat "\n"
+  in
+  Alcotest.(check string) "state digest" digest (nf.Speedybox.Nf.state_digest ())
 
 (* --- stateful firewall --------------------------------------------------- *)
 
@@ -200,6 +302,8 @@ let suite =
     Alcotest.test_case "gateway round robin" `Quick test_gateway_round_robin;
     Alcotest.test_case "gateway pass-through" `Quick test_gateway_pass_through;
     Alcotest.test_case "gateway equivalence" `Quick test_gateway_equivalence;
+    Alcotest.test_case "gateway shares a server's action" `Quick test_gateway_shared_action;
+    Alcotest.test_case "gateway assignments and digest" `Quick test_gateway_assignments_model;
     Alcotest.test_case "stateful firewall gating" `Quick test_stateful_firewall_gates;
     Alcotest.test_case "stateful firewall equivalence" `Quick test_stateful_firewall_equivalence;
     Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;

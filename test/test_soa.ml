@@ -245,7 +245,9 @@ let prop_live_table_model =
                  s >= 0
                  && Live_table.last_seen_at t s = last_seen
                  && Live_table.epoch_at t s = epoch
-                 && Five_tuple.equal (Live_table.tuple_at t s) tuple)
+                 && Five_tuple.equal
+                      (Five_tuple.of_packed (Live_table.pack1_at t s) (Live_table.pack2_at t s))
+                      tuple)
            (List.init 48 Fun.id))
 
 (* --- Lru arena -------------------------------------------------------- *)
