@@ -348,8 +348,8 @@ let shard_deterministic_4_state =
       Sb_shard.Sharded.run_trace ~burst:burst_size sh trace)
 
 let shard_parallel_4 =
-  (* 4 worker domains spawned per run, each steering its own trace slice
-     and exchanging misdirected batches over the SPSC mesh: on a
+  (* 4 worker domains spawned per run after one serial steering pass,
+     each taking its own packets straight from the steering lane: on a
      single-core box this measures pure overhead; with >= 4 cores it
      should beat deterministic-4 by the guarded factor.  Measured in its
      own group after everything else — the first Domain.spawn degrades
@@ -369,8 +369,8 @@ let shard_parallel_4 =
 
 let shard_parallel_4_armed =
   (* The same parallel run with a metrics-armed sink: per-domain child
-     registries on the hot path, merge + mesh-telemetry fold at end of
-     run.  The gate holds this within 1.10x of the unarmed parallel
+     registries on the hot path, end-of-run gauges and the merge at end
+     of run.  The gate holds this within 1.10x of the unarmed parallel
      bench above.  Metrics pillar only — tracing records
      several spans per packet and measures ring capacity, not the armed
      branch. *)

@@ -41,15 +41,13 @@ let create ?(name = "ipfilter") ?(default = Permit) ?(engine = Linear) ~rules ()
 
 let name t = t.name
 
-let linear_lookup t tuple =
-  let n = Array.length t.rules in
-  let rec scan i =
-    if i >= n then None else if Ipfilter_rule.matches t.rules.(i) tuple then Some i else scan (i + 1)
-  in
-  scan 0
+let rec linear_scan rules tuple i =
+  if i >= Array.length rules then None
+  else if Ipfilter_rule.matches rules.(i) tuple then Some i
+  else linear_scan rules tuple (i + 1)
 
 let lookup_index t tuple =
-  match t.engine with Linear -> linear_lookup t tuple | Trie -> Acl_trie.lookup t.trie tuple
+  match t.engine with Linear -> linear_scan t.rules tuple 0 | Trie -> Acl_trie.lookup t.trie tuple
 
 let lookup t tuple =
   match lookup_index t tuple with Some i -> t.rules.(i).acl_action | None -> t.default
@@ -65,25 +63,30 @@ let flows_cached t = Tuple_map.length t.cache
 
 let denied_count t = t.denied
 
-let process t ctx packet =
-  let tuple = Five_tuple.of_packet packet in
-  let verdict, lookup_cost =
-    match Tuple_map.find_opt t.cache tuple with
-    | Some v -> (v, Sb_sim.Cycles.acl_established)
-    | None ->
-        let v = lookup t tuple in
-        Tuple_map.replace t.cache tuple v;
-        (v, lookup_cycles t tuple)
-  in
-  let base = Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + lookup_cost in
-  match verdict with
+(* The verdict's header action, charged [lookup_cost] on top of the rest. *)
+let verdict_result t ctx lookup_cost = function
   | Permit ->
       Speedybox.Api.localmat_add_ha ctx Sb_mat.Header_action.Forward;
-      Speedybox.Nf.forwarded (base + Sb_sim.Cycles.ha_forward)
+      Speedybox.Nf.forwarded (Sb_sim.Cycles.(parse + classify + ha_forward) + lookup_cost)
   | Deny ->
       t.denied <- t.denied + 1;
       Speedybox.Api.localmat_add_ha ctx Sb_mat.Header_action.Drop;
-      Speedybox.Nf.dropped (base + Sb_sim.Cycles.ha_drop)
+      Speedybox.Nf.dropped (Sb_sim.Cycles.(parse + classify + ha_drop) + lookup_cost)
+
+(* Keyed by the packet's bytes, as the stateful firewall is: only a flow's
+   first packet builds a tuple, for the ACL lookup. *)
+let process t ctx packet =
+  let k1 = Five_tuple.packet_pack1 packet and k2 = Five_tuple.packet_pack2 packet in
+  let hash = Five_tuple.hash_packed k1 k2 in
+  let s = Tuple_map.find_slot_packed t.cache ~hash k1 k2 in
+  if s >= 0 then
+    verdict_result t ctx Sb_sim.Cycles.acl_established (Tuple_map.value_at t.cache s)
+  else begin
+    let tuple = Five_tuple.of_packet packet in
+    let v = lookup t tuple in
+    Tuple_map.replace_packed t.cache ~hash k1 k2 v;
+    verdict_result t ctx (lookup_cycles t tuple) v
+  end
 
 let nf t =
   Speedybox.Nf.make ~name:t.name

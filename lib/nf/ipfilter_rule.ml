@@ -21,22 +21,27 @@ let make ?src ?dst ?proto ?src_ports ?dst_ports acl_action =
     dst_ports;
   }
 
-let in_range (lo, hi) p = p >= lo && p <= hi
-
+(* Each optional field is pattern-matched, so a rule check builds no
+   closure over the tuple. *)
 let matches_except_src r (tuple : Sb_flow.Five_tuple.t) =
-  Option.fold ~none:true
-    ~some:(fun p -> Ipv4_addr.Prefix.matches p tuple.Sb_flow.Five_tuple.dst_ip)
-    r.dst
-  && Option.fold ~none:true ~some:(fun p -> p = tuple.Sb_flow.Five_tuple.proto) r.proto
-  && Option.fold ~none:true
-       ~some:(fun range -> in_range range tuple.Sb_flow.Five_tuple.src_port)
-       r.src_ports
-  && Option.fold ~none:true
-       ~some:(fun range -> in_range range tuple.Sb_flow.Five_tuple.dst_port)
-       r.dst_ports
+  (match r.dst with
+  | None -> true
+  | Some p -> Ipv4_addr.Prefix.matches p tuple.Sb_flow.Five_tuple.dst_ip)
+  && (match r.proto with None -> true | Some p -> p = tuple.Sb_flow.Five_tuple.proto)
+  && (match r.src_ports with
+     | None -> true
+     | Some (lo, hi) ->
+         let p = tuple.Sb_flow.Five_tuple.src_port in
+         p >= lo && p <= hi)
+  &&
+  match r.dst_ports with
+  | None -> true
+  | Some (lo, hi) ->
+      let p = tuple.Sb_flow.Five_tuple.dst_port in
+      p >= lo && p <= hi
 
 let matches r tuple =
-  Option.fold ~none:true
-    ~some:(fun p -> Ipv4_addr.Prefix.matches p tuple.Sb_flow.Five_tuple.src_ip)
-    r.src
+  (match r.src with
+  | None -> true
+  | Some p -> Ipv4_addr.Prefix.matches p tuple.Sb_flow.Five_tuple.src_ip)
   && matches_except_src r tuple

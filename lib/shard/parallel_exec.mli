@@ -1,17 +1,17 @@
 (** The Domain-parallel executor over a {!Sharded.t} plan.
 
-    Feederless: after one serial {!Sharded.run_steered} pass (ints only, no
-    packet copied), the trace is split into one contiguous slice per
-    shard, and each domain batches its own slice by lane — home-shard
-    packets and misdirected ones alike travel as
-    pointer batches over an N x N mesh of lock-free SPSC rings
-    ({!Shard_ring}), with empty batches recycling back over return rings
-    so the steady state allocates nothing per batch.  The receiving shard
-    copies originals into its own scratch pool ({!Sb_packet.Packet.copy_into})
-    and processes them with {!Speedybox.Runtime.process_burst_into}; it
-    drains sources in slice order, so a flow's packets keep their global
-    trace order and per-flow results stay bit-exact with the deterministic
-    executor.
+    Lane dispatch: one serial {!Sharded.run_steered} pass (ints only, no
+    packet copied) writes every packet's shard into the lane, then one
+    domain per shard walks the whole lane in trace order and takes the
+    entries that name it.  It copies those packets into its own scratch
+    pool ({!Sb_packet.Packet.copy_into}), [burst] at a time, and
+    processes them with {!Speedybox.Runtime.process_burst_into}.  Each
+    shard therefore sees its packets in global trace order, so per-flow
+    results stay bit-exact with the deterministic executor, and nothing
+    crosses domains but {!Control} messages.  (An earlier design shipped
+    packet batches between domains over an N x N mesh of lock-free SPSC
+    rings; the lane made that second mechanism redundant, and with it
+    went a spin/park protocol in which two deadlocks were found by hand.)
 
     Aggregates equal the deterministic executor's whenever processing is
     order-independent across shards (per-flow chains, no faults); health
@@ -30,14 +30,10 @@
     Armed observability runs domain-local: the plan's sink was
     {!Sb_obs.Sink.split} into per-shard children at {!Sharded.create}, each
     domain records only into its own child (no atomics on the hot path —
-    the single-branch unarmed contract holds per domain), and after the
-    join the executor folds mesh telemetry into the children
-    ([speedybox_mesh_*] steering-prescan time, misdirected src→dst
-    counters, queueing-delay and batch-fill histograms; [speedybox_ring_*]
-    push/pop/spin/park counts and occupancy high-water from
-    {!Shard_ring.stats}) and recomputes the parent via
-    {!Sharded.merge_obs} — merged counters are bit-identical to the
-    deterministic executor's, modulo those parallel-only families. *)
+    the single-branch unarmed contract holds per domain), and the run ends
+    as the deterministic executor's does: {!Sharded.finish_obs} writes the
+    end-of-run gauges and {!Sharded.merge_obs} recomputes the parent, so
+    the merged exports equal the deterministic executor's. *)
 
 val run_trace :
   ?burst:int ->

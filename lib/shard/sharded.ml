@@ -85,8 +85,6 @@ let runtime t i = t.runtimes.(i)
 
 let config t = t.cfg
 
-let obs_child t i = t.obs_children.(i)
-
 (* Recompute the parent sink from the per-shard children (a no-op when the
    children alias the parent — disarmed, or a single shard).  Idempotent:
    the merge clears the parent first, so calling it after every run, or
@@ -311,36 +309,39 @@ let rebalance t =
    become per-shard contributions under the same (chain-labelled) series,
    summed by the merge — so a merged sharded export totals exactly what the
    unsharded run reports.  The whole-run figures (the non-flow bucket and
-   the state store) land on child 0. *)
+   the state store) land on child 0.  With no registry to write (an
+   unarmed run) the directory fold is skipped. *)
 let finish_obs t (result : Runtime.run_result) =
-  let flows = ownership_counts t in
-  Array.iteri
-    (fun i rt ->
-      match Sb_obs.Sink.metrics t.obs_children.(i) with
-      | None -> ()
-      | Some m ->
-          let chain_label = ("chain", Chain.name (Runtime.chain rt)) in
-          let g name help v =
-            Sb_obs.Metrics.Gauge.set
-              (Sb_obs.Metrics.gauge m ~help
-                 ~labels:[ chain_label; ("shard", string_of_int i) ]
-                 name)
-              (float_of_int v)
-          in
-          g "speedybox_shard_packets" "Packets steered to this shard" t.steered.(i);
-          g "speedybox_shard_flows" "Flows owned by this shard" flows.(i);
-          g "speedybox_shard_rules" "Consolidated rules installed on this shard"
-            (Sb_mat.Global_mat.flow_count (Runtime.global_mat rt));
-          let st = t.cfg.Runtime.state in
-          if
-            Sb_state.Store.cell_count st > 0
-            && Sb_state.Store.shards st = Array.length t.runtimes
-          then
-            g "speedybox_state_flow_entries"
-              "Live per-flow state-store entries on this shard"
-              (Sb_state.Store.flow_entries (Sb_state.Store.replica st i));
-          Runtime.record_run_gauges rt ~whole_run:(i = 0) result)
-    t.runtimes
+  if Array.exists (fun c -> Option.is_some (Sb_obs.Sink.metrics c)) t.obs_children then begin
+    let flows = ownership_counts t in
+    Array.iteri
+      (fun i rt ->
+        match Sb_obs.Sink.metrics t.obs_children.(i) with
+        | None -> ()
+        | Some m ->
+            let chain_label = ("chain", Chain.name (Runtime.chain rt)) in
+            let g name help v =
+              Sb_obs.Metrics.Gauge.set
+                (Sb_obs.Metrics.gauge m ~help
+                   ~labels:[ chain_label; ("shard", string_of_int i) ]
+                   name)
+                (float_of_int v)
+            in
+            g "speedybox_shard_packets" "Packets steered to this shard" t.steered.(i);
+            g "speedybox_shard_flows" "Flows owned by this shard" flows.(i);
+            g "speedybox_shard_rules" "Consolidated rules installed on this shard"
+              (Sb_mat.Global_mat.flow_count (Runtime.global_mat rt));
+            let st = t.cfg.Runtime.state in
+            if
+              Sb_state.Store.cell_count st > 0
+              && Sb_state.Store.shards st = Array.length t.runtimes
+            then
+              g "speedybox_state_flow_entries"
+                "Live per-flow state-store entries on this shard"
+                (Sb_state.Store.flow_entries (Sb_state.Store.replica st i));
+            Runtime.record_run_gauges rt ~whole_run:(i = 0) result)
+      t.runtimes
+  end
 
 let run_trace ?on_output ?(burst = Runtime.default_burst) t packets =
   if burst < 1 then invalid_arg "Sharded.run_trace: burst must be positive";

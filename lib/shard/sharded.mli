@@ -113,11 +113,6 @@ val stats : t -> Speedybox.Report.shard_row list
 
 val config : t -> Speedybox.Runtime.config
 
-val obs_child : t -> int -> Sb_obs.Sink.t
-(** Shard [i]'s child sink (the parent itself when the plan is single-shard
-    or disarmed).  The parallel executor folds its post-join mesh/ring
-    telemetry into these before merging. *)
-
 val merge_obs : t -> unit
 (** Recompute the parent sink ([config t].obs) from the per-shard children
     ({!Sb_obs.Sink.merge}): call after a run — both executors already do —
@@ -128,7 +123,9 @@ val merge_obs : t -> unit
 val finish_obs : t -> Speedybox.Runtime.run_result -> unit
 (** Write the end-of-run gauges (per-shard packets/flows/rules, plus each
     shard's contribution to the run-level rules/events/non-flow series)
-    into the child registries.  Executors call this before {!merge_obs}. *)
+    into the child registries; with no child registry (an unarmed run) it
+    does nothing.  Both executors call this, then {!merge_obs}, at the end
+    of every run. *)
 
 val drain_control : t -> int -> unit
 (** Absorb every control message queued for shard [i]. *)

@@ -31,7 +31,9 @@
    records and consolidates.  That figure is also split in two: the SYN
    walks alone, which record nothing and so build no state function,
    event closure or context, and the recording walks alone, after their
-   SYNs.  The same slow-path trace is gated on [chain1] too.  Every path
+   SYNs.  The same slow-path trace is gated on [chain1] too, and its SYN
+   walks through IPFilter alone, whose ACL check builds no closure and
+   whose verdict cache is probed by the packed key.  Every path
    writes its costs into the runtime's int cost vector and shares an
    interned profile, so none of these figures contains a cost-profile
    list.
@@ -96,16 +98,20 @@ let consume_budget_words = 0.
    one context served every NF call, the NFs guarded their
    recording-only values and Gateway and Maglev shared one rewrite per
    server, these read 138.03 (211.13 with boxed addresses, 299.36 before
-   that), 100.69 and 175.38.  [chain1]'s slow path: 159.24 (232.74). *)
+   that), 100.69 and 175.38.  [chain1]'s slow path: 120.24 (159.24 while
+   IPFilter built a closure per rule field and a tuple per packet; 232.74
+   before that).  A SYN walk through IPFilter alone: 16.28 (86.28 then). *)
 let wave_budget_words = 10.
 
 let slow_budget_words = 87.
 
 let syn_walk_budget_words = 29.
 
+let ipfilter_syn_walk_budget_words = 17.5
+
 let recording_walk_budget_words = 145.
 
-let slow_chain1_budget_words = 175.
+let slow_chain1_budget_words = 132.
 
 (* Measured: 14.58 words per expired flow on the edge-churn chain (30.69
    while expiry forgot conntrack by a rebuilt tuple, passed it in an
@@ -331,13 +337,13 @@ let check_slow_path chain budget () =
 
 (* The SYNs alone: each walks the chain without recording, as the flow has
    no handshake yet, so no NF builds a recording-only value. *)
-let test_syn_walk_budget () =
+let check_syn_walk chain budget () =
   let syns = Array.of_list (List.filter is_syn (Array.to_list (slow_trace ()))) in
   let words =
-    slow_words ~chain:edge_churn_chain syns (fun out ->
+    slow_words ~chain syns (fun out ->
         if consolidates out then Alcotest.fail "a SYN walk consolidated")
   in
-  check_slow_budget "SYN walk" syn_walk_budget_words words
+  check_slow_budget ("SYN walk on " ^ chain) budget words
 
 (* The data packets after their SYNs: each records and consolidates. *)
 let test_recording_walk_budget () =
@@ -501,7 +507,10 @@ let suite =
     Alcotest.test_case "wave fast-path budget" `Quick test_wave_fast_path_budget;
     Alcotest.test_case "slow-path allocation budget" `Quick
       (check_slow_path edge_churn_chain slow_budget_words);
-    Alcotest.test_case "SYN-walk allocation budget" `Quick test_syn_walk_budget;
+    Alcotest.test_case "SYN-walk allocation budget" `Quick
+      (check_syn_walk edge_churn_chain syn_walk_budget_words);
+    Alcotest.test_case "SYN-walk allocation budget (ipfilter)" `Quick
+      (check_syn_walk "ipfilter" ipfilter_syn_walk_budget_words);
     Alcotest.test_case "recording-walk allocation budget" `Quick test_recording_walk_budget;
     Alcotest.test_case "slow-path allocation budget (chain1)" `Quick
       (check_slow_path "chain1" slow_chain1_budget_words);

@@ -736,18 +736,6 @@ let test_parallel_guards () =
 
 (* --- armed observability under the parallel executor --- *)
 
-(* Mesh and ring telemetry only exists in a parallel run (the
-   deterministic executor never touches the SPSC mesh): strip those
-   families before comparing exports across executors. *)
-let strip_parallel_only prom =
-  String.concat "\n"
-    (List.filter
-       (fun line ->
-         not
-           (Sb_nf.Str_search.occurs ~pattern:"speedybox_mesh_" line
-           || Sb_nf.Str_search.occurs ~pattern:"speedybox_ring_" line))
-       (String.split_on_char '\n' prom))
-
 let run_armed ~shards ~snapshot_every exec trace =
   let build = builder "monitor,dosguard:5" in
   let obs =
@@ -763,9 +751,9 @@ let test_parallel_armed_matches_deterministic () =
   (* The headline differential: a metrics+trace+timeline sink armed on the
      parallel 4-shard executor must merge to the exact exports the
      deterministic 4-shard executor produces — counter for counter,
-     bucket for bucket, span for span, snapshot for snapshot — modulo the
-     parallel-only mesh/ring families.  Holds because each shard observes
-     its packets in global trace order under both executors. *)
+     bucket for bucket, span for span, snapshot for snapshot, with no
+     family left out.  Holds because each shard observes its packets in
+     global trace order under both executors. *)
   let trace = Test_burst.random_trace 23 in
   let det = run_armed ~shards:4 ~snapshot_every:64 (Sb_shard.Sharded.run_trace ~burst:16) trace in
   let par =
@@ -773,8 +761,8 @@ let test_parallel_armed_matches_deterministic () =
   in
   let metrics o = Option.get (Sb_obs.Sink.metrics o) in
   Alcotest.(check string) "merged Prometheus export identical"
-    (strip_parallel_only (Sb_obs.Metrics.to_prometheus (metrics det)))
-    (strip_parallel_only (Sb_obs.Metrics.to_prometheus (metrics par)));
+    (Sb_obs.Metrics.to_prometheus (metrics det))
+    (Sb_obs.Metrics.to_prometheus (metrics par));
   Alcotest.(check string) "merged Chrome trace identical"
     (Sb_obs.Tracer.to_chrome_json (Option.get (Sb_obs.Sink.tracer det)))
     (Sb_obs.Tracer.to_chrome_json (Option.get (Sb_obs.Sink.tracer par)));
