@@ -15,9 +15,10 @@ let localmat_add_ha ctx action =
 let localmat_add_sf ctx sf =
   if ctx.recording then Sb_mat.Local_mat.add_state_function ctx.local_mat ctx.fid sf
 
-let register_event ctx ?one_shot ?global_state ~condition ?new_actions
-    ?new_state_functions ?update_fn () =
-  if ctx.recording then
-    Sb_mat.Event_table.register ctx.events ~fid:ctx.fid
-      ~nf:(Sb_mat.Local_mat.nf_name ctx.local_mat)
-      ?one_shot ?global_state ~condition ?new_actions ?new_state_functions ?update_fn ()
+let register_event ctx ~condition (update : Sb_mat.Event_table.update) =
+  if ctx.recording then begin
+    (* Fired updates find the Local MAT to rewrite by NF name. *)
+    if not (String.equal update.Sb_mat.Event_table.nf (Sb_mat.Local_mat.nf_name ctx.local_mat))
+    then invalid_arg "Api.register_event: the update names another NF";
+    Sb_mat.Event_table.register ctx.events ~fid:ctx.fid ~condition update
+  end

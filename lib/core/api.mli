@@ -41,18 +41,15 @@ val localmat_add_sf : nf_context -> Sb_mat.State_function.t -> unit
 (** Records a state-function handler for the context's flow. *)
 
 val register_event :
-  nf_context ->
-  ?one_shot:bool ->
-  ?global_state:bool ->
-  condition:(unit -> bool) ->
-  ?new_actions:(unit -> Sb_mat.Header_action.t list) ->
-  ?new_state_functions:(unit -> Sb_mat.State_function.t list) ->
-  ?update_fn:(unit -> unit) ->
-  unit ->
-  unit
+  nf_context -> condition:(unit -> bool) -> Sb_mat.Event_table.update -> unit
 (** Registers a runtime event for the flow: when [condition] becomes true
-    the NF's recorded header actions (and, when given, state functions) are
-    replaced with the freshly computed lists and [update_fn] runs, after
-    which the Global MAT re-consolidates.  Pass [~global_state:true] when
-    the condition reads global-scope state-store cells (so it can become
-    true through another shard's contribution at a merge point). *)
+    the update fires — the NF's recorded header actions (and, when given,
+    state functions) are replaced with the freshly computed lists and its
+    [update_fn] runs, after which the Global MAT re-consolidates.  Build
+    the update with {!Sb_mat.Event_table.update}, naming this NF; pass
+    [~global_state:true] there when the condition reads global-scope
+    state-store cells (so it can become true through another shard's
+    contribution at a merge point).  An update that depends on nothing
+    per flow is best built once per NF instance and passed to every
+    registration: only the condition is then built per flow.
+    @raise Invalid_argument when the update names another NF. *)

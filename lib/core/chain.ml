@@ -43,18 +43,18 @@ let state_digest t =
     (List.map (fun nf -> Printf.sprintf "%s: %s" nf.Nf.name (nf.Nf.state_digest ())) t.nfs)
 
 (* Top-level loops rather than [List.iter] over closures capturing [fid]
-   and [tuple]: expiry runs these once per idle flow. *)
+   and the key: expiry runs these once per idle flow. *)
 let rec remove_records fid = function
   | [] -> ()
   | mat :: mats ->
       Sb_mat.Local_mat.remove_flow mat fid;
       remove_records fid mats
 
-let rec remove_nf_state tuple = function
+let rec remove_nf_state k1 k2 = function
   | [] -> ()
   | nf :: nfs ->
-      nf.Nf.remove_flow tuple;
-      remove_nf_state tuple nfs
+      nf.Nf.remove_flow k1 k2;
+      remove_nf_state k1 k2 nfs
 
 let remove_flow t fid =
   remove_records fid t.local_mats;
@@ -64,6 +64,6 @@ let remove_flow t fid =
    and rule eviction leave it alone (counters outliving their connection
    is what the original NF code does, and the equivalence checker compares
    against that). *)
-let expire_flow t fid ~tuple =
+let expire_flow t fid k1 k2 =
   remove_flow t fid;
-  remove_nf_state tuple t.nfs
+  remove_nf_state k1 k2 t.nfs

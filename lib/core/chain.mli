@@ -34,7 +34,8 @@ val remove_flow : t -> Sb_flow.Fid.t -> unit
     and leaves the NFs' own state alone (FIN cleanup, quarantine, rule
     eviction, migration). *)
 
-val expire_flow : t -> Sb_flow.Fid.t -> tuple:Sb_flow.Five_tuple.t -> unit
-(** {!remove_flow}, then each NF's {!Nf.t.remove_flow} hook with the
-    flow's ingress [tuple], so conntrack-style per-flow NF state is
-    reclaimed when a flow goes idle.  Only the idle-expiry path calls it. *)
+val expire_flow : t -> Sb_flow.Fid.t -> int -> int -> unit
+(** [expire_flow t fid k1 k2] is {!remove_flow}, then each NF's
+    {!Nf.t.remove_flow} hook with the flow's packed ingress key [k1 k2],
+    so conntrack-style per-flow NF state is reclaimed when a flow goes
+    idle.  Only the idle-expiry path calls it. *)

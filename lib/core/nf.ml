@@ -5,7 +5,7 @@ type t = {
   name : string;
   process : Api.nf_context -> Sb_packet.Packet.t -> result;
   state_digest : unit -> string;
-  remove_flow : Sb_flow.Five_tuple.t -> unit;
+  remove_flow : int -> int -> unit;
   consolidable : bool;
 }
 
@@ -18,6 +18,6 @@ let verdict r =
 
 let cycles r = r asr 1
 
-let make ~name ?(state_digest = fun () -> "") ?(remove_flow = fun _ -> ())
+let make ~name ?(state_digest = fun () -> "") ?(remove_flow = fun _ _ -> ())
     ?(consolidable = true) process =
   { name; process; state_digest; remove_flow; consolidable }

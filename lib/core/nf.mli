@@ -22,13 +22,17 @@ type t = {
       (** A stable rendering of the NF's internal state (counters, logs,
           mappings), compared by the equivalence checker; [""] for
           stateless NFs. *)
-  remove_flow : Sb_flow.Five_tuple.t -> unit;
-      (** Drops any per-flow state the NF holds for the given ingress
-          tuple.  Called when the runtime's idle timer expires a flow, so
-          stateful NFs (conntrack-style counters) stay bounded under flow
-          churn.  Best-effort: an NF that keys its state by a tuple some
-          upstream NF rewrote will not find the ingress tuple and keeps
-          the entry.  Defaults to a no-op. *)
+  remove_flow : int -> int -> unit;
+      (** [remove_flow k1 k2] drops any per-flow state the NF holds for
+          the ingress tuple packed as [k1 = Five_tuple.pack1 tuple] and
+          [k2 = Five_tuple.pack2 tuple] — the key the runtime's liveness
+          table holds, so expiry builds no tuple; probe with
+          [Five_tuple.hash_packed k1 k2].  Called when the runtime's idle
+          timer expires a flow, so stateful NFs (conntrack-style
+          counters) stay bounded under flow churn.  Best-effort: an NF
+          that keys its state by a tuple some upstream NF rewrote will not
+          find the ingress tuple and keeps the entry.  Defaults to a
+          no-op. *)
   consolidable : bool;
       (** The paper's applicable-scope boundary (§IV-A3): an NF whose
           per-packet behaviour is not determined per flow — buffering NFs,
@@ -51,7 +55,7 @@ val cycles : result -> int
 val make :
   name:string ->
   ?state_digest:(unit -> string) ->
-  ?remove_flow:(Sb_flow.Five_tuple.t -> unit) ->
+  ?remove_flow:(int -> int -> unit) ->
   ?consolidable:bool ->
   (Api.nf_context -> Sb_packet.Packet.t -> result) ->
   t

@@ -335,9 +335,9 @@ let cleanup t cls =
   Sb_flow.Live_table.remove t.live cls.Classifier.fid
 
 (* [k1]/[k2] are the flow's packed ingress tuple from [t.live]: conntrack
-   forgets by them, and the tuple is built once, for the NFs' hooks. *)
+   and the NFs' hooks forget by them, and no tuple is built. *)
 let expire_flow t fid k1 k2 now =
-  Chain.expire_flow t.chain fid ~tuple:(Sb_flow.Five_tuple.of_packed k1 k2);
+  Chain.expire_flow t.chain fid k1 k2;
   Sb_mat.Global_mat.remove_flow t.global fid;
   Classifier.forget_packed t.classifier k1 k2;
   Sb_flow.Live_table.remove t.live fid;

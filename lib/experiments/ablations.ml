@@ -52,13 +52,12 @@ let event_table_overhead () =
       (* A monitor-like NF that registers [n_events] never-firing events. *)
       let monitor = Sb_nf.Monitor.create () in
       let base = Sb_nf.Monitor.nf monitor in
+      let quiet = Sb_mat.Event_table.update ~nf:"monitor" ~one_shot:false () in
       let nf =
         Speedybox.Nf.make ~name:"monitor" (fun ctx packet ->
             let result = base.Speedybox.Nf.process ctx packet in
             for _ = 1 to n_events do
-              Speedybox.Api.register_event ctx ~one_shot:false
-                ~condition:(fun () -> false)
-                ()
+              Speedybox.Api.register_event ctx ~condition:(fun () -> false) quiet
             done;
             result)
       in

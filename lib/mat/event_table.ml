@@ -1,24 +1,26 @@
 type update = {
   nf : string;
-  new_actions : (unit -> Header_action.t list) option;
-  new_state_functions : (unit -> State_function.t list) option;
-  update_fn : (unit -> unit) option;
-}
-
-type event = {
   one_shot : bool;
   (* The condition reads global-scope state (lib/state): it depends on
      other shards' contributions, so it must only be trusted at merge
      points.  Purely diagnostic here — the executors use the count to
      decide whether merge rounds are worth running. *)
   global_state : bool;
-  condition : unit -> bool;
-  update : update;
-  mutable armed : bool;
+  new_actions : (unit -> Header_action.t list) option;
+  new_state_functions : (unit -> State_function.t list) option;
+  update_fn : (unit -> unit) option;
 }
 
+let update ~nf ?(one_shot = true) ?(global_state = false) ?new_actions ?new_state_functions
+    ?update_fn () =
+  { nf; one_shot; global_state; new_actions; new_state_functions; update_fn }
+
+(* What a flow's registration allocates: the event and its list cell.
+   The update is the registering NF's, often shared by every flow. *)
+type event = { condition : unit -> bool; update : update; mutable armed : bool }
+
 type t = {
-  flows : event list ref Sb_flow.Flat_table.t;
+  flows : event list Sb_flow.Flat_table.t;
   mutable fired : update list;  (* the last [poll_armed]'s firings *)
   mutable condition_faults : int;
   mutable on_fault : string -> exn -> unit;
@@ -52,25 +54,16 @@ let obs_count t name ~nf =
 
 let condition_faults t = t.condition_faults
 
-let register t ~fid ~nf ?(one_shot = true) ?(global_state = false) ~condition ?new_actions
-    ?new_state_functions ?update_fn () =
-  let event =
-    {
-      one_shot;
-      global_state;
-      condition;
-      update = { nf; new_actions; new_state_functions; update_fn };
-      armed = true;
-    }
-  in
-  match Sb_flow.Flat_table.find t.flows fid with
-  | Some events -> events := !events @ [ event ]
-  | None -> Sb_flow.Flat_table.set t.flows fid (ref [ event ])
+let register t ~fid ~condition update =
+  let event = { condition; update; armed = true } in
+  let s = Sb_flow.Flat_table.find_slot t.flows fid in
+  if s < 0 then Sb_flow.Flat_table.set t.flows fid [ event ]
+  else
+    Sb_flow.Flat_table.set_value_at t.flows s (Sb_flow.Flat_table.value_at t.flows s @ [ event ])
 
 let armed_list t fid =
-  match Sb_flow.Flat_table.find t.flows fid with
-  | None -> []
-  | Some events -> List.filter (fun e -> e.armed) !events
+  let s = Sb_flow.Flat_table.find_slot t.flows fid in
+  if s < 0 then [] else List.filter (fun e -> e.armed) (Sb_flow.Flat_table.value_at t.flows s)
 
 let armed_count t fid = List.length (armed_list t fid)
 
@@ -81,7 +74,7 @@ let armed_count t fid = List.length (armed_list t fid)
 let fire_one t e =
   match e.condition () with
   | true ->
-      if e.one_shot then e.armed <- false;
+      if e.update.one_shot then e.armed <- false;
       obs_count t "speedybox_events_fired_total" ~nf:e.update.nf;
       Some e.update
   | false -> None
@@ -117,7 +110,7 @@ let poll_armed t fid =
     t.fired <- [];
     0
   end
-  else poll_events t 0 [] !(Sb_flow.Flat_table.value_at t.flows s)
+  else poll_events t 0 [] (Sb_flow.Flat_table.value_at t.flows s)
 
 let last_fired t = t.fired
 
@@ -125,11 +118,11 @@ let remove_flow t fid = Sb_flow.Flat_table.remove t.flows fid
 
 let total_armed t =
   Sb_flow.Flat_table.fold
-    (fun _ events acc -> acc + List.length (List.filter (fun e -> e.armed) !events))
+    (fun _ events acc -> acc + List.length (List.filter (fun e -> e.armed) events))
     t.flows 0
 
 let total_global_armed t =
   Sb_flow.Flat_table.fold
     (fun _ events acc ->
-      acc + List.length (List.filter (fun e -> e.armed && e.global_state) !events))
+      acc + List.length (List.filter (fun e -> e.armed && e.update.global_state) events))
     t.flows 0

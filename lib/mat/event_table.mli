@@ -7,12 +7,21 @@
     [register_event] (Fig. 2): a condition handler closed over the NF's
     state, plus the update to perform when it fires (a replacement header
     action list for the NF's Local MAT record and/or an arbitrary update
-    function).  The Global MAT checks a flow's armed events before using
-    the flow's consolidated rule, so updates take effect immediately on the
-    packet that finds the condition true. *)
+    function).  The update describes behaviour, not the flow, so an NF
+    whose update depends on nothing per flow (the DoS guard's cut-off)
+    builds it once and hands the same value to every registration; only
+    the condition, and the event that carries it, is per flow.  The
+    Global MAT checks a flow's armed events before using the flow's
+    consolidated rule, so updates take effect immediately on the packet
+    that finds the condition true. *)
 
-type update = {
+type update = private {
   nf : string;  (** the NF whose recorded behaviour is rewritten *)
+  one_shot : bool;  (** disarm the event after it fires *)
+  global_state : bool;
+      (** the condition reads global-scope cells of the state store, i.e.
+          it can only become true through other shards' contributions
+          arriving at a merge point — see {!total_global_armed} *)
   new_actions : (unit -> Header_action.t list) option;
       (** computes the replacement for the NF's header-action list at fire
           time, when the NF's state (e.g. the surviving Maglev backend) is
@@ -23,28 +32,26 @@ type update = {
   update_fn : (unit -> unit) option;  (** NF-state fix-up to run on fire *)
 }
 
-type t
-
-val create : unit -> t
-
-val register :
-  t ->
-  fid:Sb_flow.Fid.t ->
+val update :
   nf:string ->
   ?one_shot:bool ->
   ?global_state:bool ->
-  condition:(unit -> bool) ->
   ?new_actions:(unit -> Header_action.t list) ->
   ?new_state_functions:(unit -> State_function.t list) ->
   ?update_fn:(unit -> unit) ->
   unit ->
-  unit
-(** Arms an event for the flow.  [one_shot] (default [true]) disarms the
-    event after it fires; recurring events re-evaluate on every packet.
-    [global_state] (default [false]) declares that the condition reads
-    global-scope cells of the state store, i.e. it can only become true
-    through other shards' contributions arriving at a merge point —
-    see {!total_global_armed}. *)
+  update
+(** [one_shot] defaults to [true] (recurring events re-evaluate on every
+    packet) and [global_state] to [false]. *)
+
+type t
+
+val create : unit -> t
+
+val register : t -> fid:Sb_flow.Fid.t -> condition:(unit -> bool) -> update -> unit
+(** Arms an event for the flow, after any it already has: when
+    [condition] holds, [update] fires.  Allocates the event and one list
+    cell; the update is shared as given. *)
 
 val armed_count : t -> Sb_flow.Fid.t -> int
 (** Number of conditions the fast path must evaluate for this flow — each

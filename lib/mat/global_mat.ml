@@ -104,13 +104,9 @@ type t = {
       (* where [execute_rule] writes the GlobalMAT stage: the owning
          runtime's per-packet cost vector *)
   mutable fired : int;  (* events fired by the last [execute_rule] *)
-  (* Free list of scrubbed rule records: rules churn at flow rate under
-     LRU and idle eviction, and recycling the (boxed) record keeps
-     steady-state consolidation from allocating one per flow and from
-     handing the major GC a dead record per eviction.  Bounded so a mass
-     flush cannot pin an arbitrarily large arena. *)
-  mutable spare : rule list;
-  mutable spare_len : int;
+  spare : rule Free_stack.t;
+      (* scrubbed rule husks: rules churn at flow rate under LRU and idle
+         eviction, as Local MAT records do *)
   pass : pass;
 }
 
@@ -129,6 +125,29 @@ and pass = {
 
 (* Fillers for the pass buffers' unused slots. *)
 let no_step = C_wave [||]
+
+let empty_program = { code = [||]; static_head = 0 }
+
+(* The answer [lookup] gives on a miss, so per-packet resolution carries
+   no option, and the filler of the husk stack.  Never installed in a
+   table.  Its node is a handle allocated from a throwaway list, and
+   handles are plain ints, so it names a live slot in any real table's
+   LRU: [execute_rule] refuses the sentinel rather than touch that
+   slot. *)
+let no_rule =
+  {
+    program = empty_program;
+    n_source_actions = 0;
+    node = Sb_flow.Lru.add (Sb_flow.Lru.create ()) (-1);
+  }
+
+(* As many husks as a Local MAT keeps records. *)
+let spare_cap = 64
+
+(* A kept husk drops its program, which embeds NF closures. *)
+let scrub_rule r =
+  r.program <- empty_program;
+  r.n_source_actions <- 0
 
 let no_batch = State_function.Batch.make ~nf:"" []
 
@@ -158,8 +177,7 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
     aux = Bytes.create 256;
     costs;
     fired = 0;
-    spare = [];
-    spare_len = 0;
+    spare = Free_stack.create ~cap:spare_cap ~scrub:scrub_rule no_rule;
     pass =
       {
         run = Consolidate.run ();
@@ -179,20 +197,9 @@ let exec_mode t = t.exec
 
 let evictions t = t.evicted
 
-let spare_cap = 1024
-
-let empty_program = { code = [||]; static_head = 0 }
-
-(* Scrub a dead rule of everything it retains (the program embeds NF
-   closures) and keep the husk for reuse.  Callers must have already
-   dropped the fid binding's LRU node — the handle may be reallocated. *)
-let recycle t (r : rule) =
-  if t.spare_len < spare_cap then begin
-    r.program <- empty_program;
-    r.n_source_actions <- 0;
-    t.spare <- r :: t.spare;
-    t.spare_len <- t.spare_len + 1
-  end
+(* Keep a dead rule's husk for reuse.  Callers must have already dropped
+   the fid binding's LRU node — the handle may be reallocated. *)
+let recycle t (r : rule) = Free_stack.push t.spare r
 
 (* Make room for one rule when the table sits at its cap: drop the flow at
    the cold end of the recency list, telling the owner so Local MATs
@@ -219,14 +226,13 @@ let install t fid program n_source_actions =
   | Some _ | None -> ());
   let node = Sb_flow.Lru.add t.lru fid in
   let r =
-    match t.spare with
-    | r :: rest ->
-        t.spare <- rest;
-        t.spare_len <- t.spare_len - 1;
-        refill r program n_source_actions;
-        r.node <- node;
-        r
-    | [] -> { program; n_source_actions; node }
+    if Free_stack.is_empty t.spare then { program; n_source_actions; node }
+    else begin
+      let r = Free_stack.pop t.spare in
+      refill r program n_source_actions;
+      r.node <- node;
+      r
+    end
   in
   Sb_flow.Flat_table.set t.rules fid r
 
@@ -287,32 +293,28 @@ let add_batch policy p (b : State_function.Batch.t) =
   p.width <- p.width + 1;
   if mode = State_function.Write then p.written <- true
 
-(* Local MATs store actions newest first: recurse before adding. *)
-let rec add_actions run = function
-  | [] -> ()
-  | a :: older ->
-      add_actions run older;
-      Consolidate.add run a
+let rec add_actions run r i =
+  if i < Local_mat.action_count r then begin
+    Consolidate.add run (Local_mat.action r i);
+    add_actions run r (i + 1)
+  end
 
 (* Returns the number of source actions, dead code after a drop included. *)
 let rec add_nfs policy p fid n = function
   | [] -> n
   | local :: rest ->
       let r = Local_mat.lookup local fid in
-      let actions = Local_mat.rev_actions r in
       if not p.stopped then begin
-        add_actions p.run actions;
+        add_actions p.run r 0;
         (* HAs precede SFs within an NF, so a drop in this NF's own
            actions also silences its batch. *)
         if Consolidate.run_drops p.run then close_run p;
         if not p.stopped then
-          match Local_mat.rev_state_functions r with
+          match Local_mat.rule_state_functions r with
           | [] -> ()
-          | sfs ->
-              add_batch policy p
-                (State_function.Batch.make ~nf:(Local_mat.nf_name local) (List.rev sfs))
+          | sfs -> add_batch policy p (State_function.Batch.make ~nf:(Local_mat.nf_name local) sfs)
       end;
-      add_nfs policy p fid (n + List.length actions) rest
+      add_nfs policy p fid (n + Local_mat.action_count r) rest
 
 let consolidate t fid locals =
   let p = t.pass in
@@ -353,18 +355,6 @@ let consolidate t fid locals =
   List.length locals * Sb_sim.Cycles.global_consolidate_per_nf
 
 let find t fid = Sb_flow.Flat_table.find t.rules fid
-
-(* The answer [lookup] gives on a miss, so per-packet resolution carries
-   no option.  Never installed in a table.  Its node is a handle allocated
-   from a throwaway list, and handles are plain ints, so it names a live
-   slot in any real table's LRU: [execute_rule] refuses the sentinel rather
-   than touch that slot. *)
-let no_rule =
-  {
-    program = empty_program;
-    n_source_actions = 0;
-    node = Sb_flow.Lru.add (Sb_flow.Lru.create ()) (-1);
-  }
 
 let lookup t fid =
   let s = Sb_flow.Flat_table.find_slot t.rules fid in

@@ -7,18 +7,24 @@
     equivalent, §IV-B). *)
 
 type rule
+(** One flow's record.  A record from {!find} or {!lookup} is valid only
+    until its flow is removed: {!remove_flow} scrubs it and keeps it for
+    the next flow the table records, which refills it in place.  Read
+    what you need from it before the flow can go. *)
 
 val rule_actions : rule -> Header_action.t list
-(** Header actions in the order the NF added them. *)
+(** Header actions in the order the NF added them (a fresh list). *)
 
 val rule_state_functions : rule -> State_function.t list
-(** State functions in the order the NF added them (the queue of §IV-B). *)
+(** State functions in the order the NF added them (the queue of §IV-B),
+    as a fresh list. *)
 
-val rev_actions : rule -> Header_action.t list
-(** {!rule_actions} newest first, as stored: no copy. *)
+val action_count : rule -> int
 
-val rev_state_functions : rule -> State_function.t list
-(** {!rule_state_functions} newest first, as stored: no copy. *)
+val action : rule -> int -> Header_action.t
+(** [action r i] is the [i]th action the NF added, from 0: consolidation
+    reads a record by index and copies nothing.
+    @raise Invalid_argument unless [0 <= i < action_count r]. *)
 
 type t
 
@@ -48,8 +54,11 @@ val lookup : t -> Sb_flow.Fid.t -> rule
 val mem : t -> Sb_flow.Fid.t -> bool
 
 val remove_flow : t -> Sb_flow.Fid.t -> unit
+(** Unbinds the flow's record and keeps it, scrubbed of its actions and
+    state functions, on a small bounded stack for reuse. *)
 
 val clear : t -> unit
+(** Unbinds every record; none is kept for reuse. *)
 
 val flow_count : t -> int
 

@@ -17,6 +17,9 @@ type t = {
      contributions instead of silently partitioning them. *)
   flows : Store.flow_cell;
   total : Store.handle;
+  cut_off : Sb_mat.Event_table.update;
+      (* what every flow's threshold event does: the same for all flows,
+         so built once *)
 }
 
 let create ?(name = "dosguard") ?(mode = All_packets) ?global_budget ?cells ~threshold () =
@@ -32,6 +35,12 @@ let create ?(name = "dosguard") ?(mode = All_packets) ?global_budget ?cells ~thr
     budget = global_budget;
     flows = Store.flow cells ~name:(name ^ ".flows");
     total = Store.global cells ~name:(name ^ ".total") Sb_state.Kind.G_counter;
+    cut_off =
+      Sb_mat.Event_table.update ~nf:name ~global_state:(global_budget <> None)
+        ~new_actions:(fun () -> [ Sb_mat.Header_action.Drop ])
+          (* once the flow is cut off the original NF stops counting too *)
+        ~new_state_functions:(fun () -> [])
+        ();
   }
 
 let name t = t.name
@@ -105,12 +114,8 @@ let process t ctx packet =
            ~mode:Sb_mat.State_function.Ignore
            (fun pkt -> bump t cell pkt));
       Speedybox.Api.register_event ctx
-        ~global_state:(t.budget <> None)
         ~condition:(fun () -> cell.Store.x >= t.threshold || over_budget t)
-        ~new_actions:(fun () -> [ Sb_mat.Header_action.Drop ])
-          (* once the flow is cut off the original NF stops counting too *)
-        ~new_state_functions:(fun () -> [])
-        ()
+        t.cut_off
     end;
     Speedybox.Nf.forwarded (base + count_cycles + Sb_sim.Cycles.ha_forward)
   end
@@ -118,8 +123,7 @@ let process t ctx packet =
 (* Idle teardown reclaims counters below the threshold; a flow that earned
    a block keeps it even through a quiet spell.  Probed by packed key
    against a sentinel, so an expired flow builds no option. *)
-let remove_flow t tuple =
-  let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
+let remove_flow t k1 k2 =
   let hash = Five_tuple.hash_packed k1 k2 in
   let e = Store.flow_find_or_packed t.flows ~hash k1 k2 ~default:Store.no_entry in
   if e != Store.no_entry && e.Store.x < t.threshold then
@@ -128,5 +132,5 @@ let remove_flow t tuple =
 let nf t =
   Speedybox.Nf.make ~name:t.name
     ~state_digest:(fun () -> dump t)
-    ~remove_flow:(fun tuple -> remove_flow t tuple)
+    ~remove_flow:(fun k1 k2 -> remove_flow t k1 k2)
     (fun ctx packet -> process t ctx packet)

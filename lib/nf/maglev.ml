@@ -265,13 +265,14 @@ let reroute_actions t tuple () =
 let register_reroute t ctx tuple =
   let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
   let hash = Five_tuple.hash_packed k1 k2 in
-  Speedybox.Api.register_event ctx ~one_shot:false
+  Speedybox.Api.register_event ctx
     ~condition:(fun () ->
       let i = tracked_backend t ~hash k1 k2 in
       if i >= 0 then not t.backends.(i).alive else Array.exists (fun b -> b.alive) t.backends)
-    ~new_actions:(reroute_actions t tuple)
-    ~update_fn:(fun () -> ignore (current_backend t tuple))
-    ()
+    (Sb_mat.Event_table.update ~nf:t.name ~one_shot:false
+       ~new_actions:(reroute_actions t tuple)
+       ~update_fn:(fun () -> ignore (current_backend t tuple))
+       ())
 
 let process t ctx packet =
   let tuple = Five_tuple.of_packet packet in

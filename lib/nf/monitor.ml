@@ -81,21 +81,18 @@ let count t packet =
   Store.add t.shard_packets 1;
   Sb_sim.Cycles.monitor_count
 
-let process t ctx packet =
+(* [count_sf] keys its entry from the packet, so it captures nothing of
+   the flow: one value, built with the NF, serves every flow it records. *)
+let process t count_sf ctx packet =
   let count_cycles = count t packet in
   Speedybox.Api.localmat_add_ha ctx Sb_mat.Header_action.Forward;
-  if ctx.Speedybox.Api.recording then
-    Speedybox.Api.localmat_add_sf ctx
-      (Sb_mat.State_function.make ~nf:t.name ~label:"monitor.count"
-         ~mode:Sb_mat.State_function.Ignore
-         (fun pkt -> count t pkt));
+  Speedybox.Api.localmat_add_sf ctx count_sf;
   Speedybox.Nf.forwarded
     (Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + count_cycles + Sb_sim.Cycles.ha_forward)
 
 (* Idle expiry, once per expired flow: probed by packed key against a
    sentinel, so no option is built. *)
-let remove_flow t tuple =
-  let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
+let remove_flow t k1 k2 =
   let hash = Five_tuple.hash_packed k1 k2 in
   let e = Store.flow_find_or_packed t.flows ~hash k1 k2 ~default:Store.no_entry in
   if e != Store.no_entry then begin
@@ -104,7 +101,12 @@ let remove_flow t tuple =
   end
 
 let nf t =
+  let count_sf =
+    Sb_mat.State_function.make ~nf:t.name ~label:"monitor.count"
+      ~mode:Sb_mat.State_function.Ignore
+      (fun pkt -> count t pkt)
+  in
   Speedybox.Nf.make ~name:t.name
     ~state_digest:(fun () -> dump t)
-    ~remove_flow:(fun tuple -> remove_flow t tuple)
-    (fun ctx packet -> process t ctx packet)
+    ~remove_flow:(fun k1 k2 -> remove_flow t k1 k2)
+    (fun ctx packet -> process t count_sf ctx packet)

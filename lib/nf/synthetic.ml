@@ -41,16 +41,19 @@ let work t packet =
       if len > 0 then Bytes.set buf off (Char.chr (!sum land 0x7f)));
   t.cost_cycles
 
-let process t ctx packet =
+(* [work_sf] captures nothing of the flow, so one value serves every flow
+   the NF records. *)
+let process t work_sf ctx packet =
   let work_cycles = work t packet in
-  if ctx.Speedybox.Api.recording then
-    Speedybox.Api.localmat_add_sf ctx
-      (Sb_mat.State_function.make ~nf:t.name ~label:(t.name ^ ".work") ~mode:t.mode
-         (fun pkt -> work t pkt));
+  Speedybox.Api.localmat_add_sf ctx work_sf;
   Speedybox.Nf.forwarded (Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + work_cycles)
 
 let nf t =
+  let work_sf =
+    Sb_mat.State_function.make ~nf:t.name ~label:(t.name ^ ".work") ~mode:t.mode (fun pkt ->
+        work t pkt)
+  in
   Speedybox.Nf.make ~name:t.name
     ~state_digest:(fun () ->
       Printf.sprintf "invocations=%d checksum=%06x" t.invocations t.payload_checksum)
-    (fun ctx packet -> process t ctx packet)
+    (fun ctx packet -> process t work_sf ctx packet)

@@ -31,7 +31,10 @@
    records and consolidates.  That figure is also split in two: the SYN
    walks alone, which record nothing and so build no state function,
    event closure or context, and the recording walks alone, after their
-   SYNs.  The same slow-path trace is gated on [chain1] too, and its SYN
+   SYNs.  A third figure re-records flows that idle expiry tore down, so
+   each recording walk refills the Local MAT records and the Global MAT
+   rule husk the expired flow left on the tables' free stacks.  The same
+   slow-path trace is gated on [chain1] too, and its SYN
    walks through IPFilter alone, whose ACL check builds no closure and
    whose verdict cache is probed by the packed key.  Every path
    writes its costs into the runtime's int cost vector and shares an
@@ -40,11 +43,11 @@
 
    Idle expiry is gated in words per expired flow: the slow-path trace
    records every flow under an idle timeout, and one packet far past it
-   expires them all.  An expired flow builds its ingress tuple once, for
-   the NFs' [remove_flow] hooks, and nothing else: conntrack forgets by
-   the packed key the liveness table holds, the chain's teardown loops
-   build no closure, and Monitor and the DoS guard probe their entries
-   with no option.
+   expires them all.  An expired flow builds no tuple: conntrack and the
+   NFs' [remove_flow] hooks forget by the packed key the liveness table
+   holds, the chain's teardown loops build no closure, Monitor and the
+   DoS guard probe their entries with no option, and a scrubbed record
+   or rule husk goes back on a fixed-size stack with no list cell.
 
    A further figure covers consolidation alone: words per
    [Global_mat.consolidate] call, re-consolidating every recorded flow of
@@ -91,33 +94,40 @@ let consume_budget_words = 0.
    fast-path packet, the output record as on [chain1] (57.19 with boxed
    addresses, a classifier tuple and two per-packet closures — the
    wave's byte compare and the DoS guard's counter — and 122.19 when each
-   packet also built its cost-profile lists), and 79.31 per slow-path
+   packet also built its cost-profile lists), and 66.31 per slow-path
    packet, half SYN walks and half recording walks with their
    consolidation.  Split: 26.78 per SYN walk — the output record and the
-   per-flow state the NFs keep — and 131.85 per recording walk.  Before
-   one context served every NF call, the NFs guarded their
-   recording-only values and Gateway and Maglev shared one rewrite per
-   server, these read 138.03 (211.13 with boxed addresses, 299.36 before
-   that), 100.69 and 175.38.  [chain1]'s slow path: 120.24 (159.24 while
-   IPFilter built a closure per rule field and a tuple per packet; 232.74
-   before that).  A SYN walk through IPFilter alone: 16.28 (86.28 then). *)
+   per-flow state the NFs keep — and 105.85 per recording walk, 65.58
+   when it refills an expired flow's pooled records.  Before Local MAT
+   records were pooled arrays, Monitor built its state function per flow
+   and the DoS guard its event update, these read 79.31 combined, 131.85
+   and 123.58.  Before one context served every NF call, the NFs guarded
+   their recording-only values and Gateway and Maglev shared one rewrite
+   per server, they read 138.03 (211.13 with boxed addresses, 299.36
+   before that), 100.69 and 175.38.  [chain1]'s slow path: 115.24
+   (120.24 with list-built Local MAT records; 159.24 while IPFilter built
+   a closure per rule field and a tuple per packet; 232.74 before that).
+   A SYN walk through IPFilter alone: 16.28 (86.28 then). *)
 let wave_budget_words = 10.
 
-let slow_budget_words = 87.
+let slow_budget_words = 72.
 
 let syn_walk_budget_words = 29.
 
 let ipfilter_syn_walk_budget_words = 17.5
 
-let recording_walk_budget_words = 145.
+let recording_walk_budget_words = 116.
 
-let slow_chain1_budget_words = 132.
+let slow_chain1_budget_words = 126.
 
-(* Measured: 14.58 words per expired flow on the edge-churn chain (30.69
-   while expiry forgot conntrack by a rebuilt tuple, passed it in an
-   option, tore down through [List.iter] closures and probed Monitor's and
-   the DoS guard's entries through options). *)
-let expiry_budget_words = 16.
+let recycled_recording_walk_budget_words = 72.
+
+(* Measured: 5.49 words per expired flow on the edge-churn chain (14.58
+   while the NF hooks took a rebuilt tuple and each kept rule husk took a
+   list cell; 30.69 while expiry forgot conntrack by a rebuilt tuple,
+   passed it in an option, tore down through [List.iter] closures and
+   probed Monitor's and the DoS guard's entries through options). *)
+let expiry_budget_words = 6.
 
 (* The benchmark's edge-churn chain: the registry's [edge] NFs with
    Gateway last. *)
@@ -132,8 +142,9 @@ let consolidate_chain1_budget_words = 55.
 
 (* Measured on a 200-flow DCN trace through Monitor at burst 32: 0 words
    per packet for [Steer.shard_of_packet] (14.00 while it built a tuple
-   option and the reverse tuple), and 15.44 per packet for a whole 2-shard
-   deterministic [run_trace] against 16.39 unsharded — each shard's tables
+   option and the reverse tuple), and 13.43 per packet for a whole 2-shard
+   deterministic [run_trace] against 14.37 unsharded (14.21 and 15.16
+   while Monitor built a state function per flow) — each shard's tables
    grow for half the flows, which repays the run's 1-word steering lane
    (82.40 while the executor re-parsed every packet's tuple four or five
    times into boxed tables). *)
@@ -355,6 +366,44 @@ let test_recording_walk_budget () =
   in
   check_slow_budget "recording walk" recording_walk_budget_words words
 
+(* Recording walks that refill pooled records: the first [recycled_flows]
+   flows of the slow trace record on a runtime with an idle timeout, one
+   packet of another flow far past the timeout expires them all, and the
+   same flows then record again, their data packets measured.  Fewer
+   flows than a table keeps scrubbed records, so every re-recording walk
+   refills a Local MAT record and a Global MAT rule husk. *)
+let recycled_flows = 48
+
+let test_recycled_recording_walk_budget () =
+  let timeout = 10_000 in
+  let syns, data = List.partition is_syn (Array.to_list (slow_trace ())) in
+  let first l = Array.of_list (List.filteri (fun i _ -> i < recycled_flows) l) in
+  let late p =
+    let p = P.copy p in
+    p.P.ingress_cycle <- 100 * timeout;
+    p
+  in
+  let r =
+    {
+      packets = Array.append (first syns) (first data);
+      rt =
+        Runtime.create (Runtime.config ~idle_timeout_cycles:timeout ()) (build edge_churn_chain);
+      pool = Array.init Runtime.default_burst (fun _ -> P.scratch ());
+    }
+  in
+  ignore (replay r (fun _ _ -> ()));
+  ignore (Runtime.process_packet r.rt (late (List.nth syns recycled_flows)));
+  Alcotest.(check int) "every recorded flow expires" recycled_flows (Runtime.expired_flows r.rt);
+  ignore (replay { r with packets = Array.map late (first syns) } (fun _ _ -> ()));
+  let r = { r with packets = Array.map late (first data) } in
+  let words =
+    per_packet r
+      (replay r (fun _ out ->
+           if not (consolidates out) then Alcotest.fail "a data packet did not record"))
+  in
+  check_slow_budget "recording walk on a recycled flow" recycled_recording_walk_budget_words
+    words
+
 (* Idle expiry: the slow trace records every flow on a runtime with an
    idle timeout, all at cycle 0; one packet far past the timeout then
    advances the wheel, which expires them all.  Its words are charged to
@@ -512,6 +561,8 @@ let suite =
     Alcotest.test_case "SYN-walk allocation budget (ipfilter)" `Quick
       (check_syn_walk "ipfilter" ipfilter_syn_walk_budget_words);
     Alcotest.test_case "recording-walk allocation budget" `Quick test_recording_walk_budget;
+    Alcotest.test_case "recycled recording walk allocation budget" `Quick
+      test_recycled_recording_walk_budget;
     Alcotest.test_case "slow-path allocation budget (chain1)" `Quick
       (check_slow_path "chain1" slow_chain1_budget_words);
     Alcotest.test_case "idle-expiry allocation budget" `Quick test_expiry_budget;

@@ -25,11 +25,11 @@ let bomber ?(raise_in_process = fun _ -> false) ?(sf_armed = ref false)
            ~mode:Sb_mat.State_function.Ignore (fun _ ->
              if !sf_armed then failwith "bomber: state-function crash";
              5));
-      Speedybox.Api.register_event ctx ~one_shot:false
+      Speedybox.Api.register_event ctx
         ~condition:(fun () ->
           if !event_armed then failwith "bomber: condition crash";
           false)
-        ();
+        (Sb_mat.Event_table.update ~nf:"bomber" ~one_shot:false ());
       ignore packet;
       Speedybox.Nf.forwarded 100)
 

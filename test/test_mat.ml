@@ -143,10 +143,9 @@ let test_local_mat_recording () =
 let test_event_registration_and_fire () =
   let events = Event_table.create () in
   let armed = ref false in
-  Event_table.register events ~fid:7 ~nf:"lb"
+  Event_table.register events ~fid:7
     ~condition:(fun () -> !armed)
-    ~new_actions:(fun () -> [ Header_action.Drop ])
-    ();
+    (Event_table.update ~nf:"lb" ~new_actions:(fun () -> [ Header_action.Drop ]) ());
   Alcotest.(check int) "armed count" 1 (Event_table.armed_count events 7);
   Alcotest.(check int) "other flows unaffected" 0 (Event_table.armed_count events 8);
   Alcotest.(check int) "condition false: no fire" 0 (List.length (Event_table.check events 7));
@@ -160,9 +159,9 @@ let test_event_registration_and_fire () =
 let test_recurring_event () =
   let events = Event_table.create () in
   let hot = ref true in
-  Event_table.register events ~fid:1 ~nf:"x" ~one_shot:false
+  Event_table.register events ~fid:1
     ~condition:(fun () -> !hot)
-    ();
+    (Event_table.update ~nf:"x" ~one_shot:false ());
   Alcotest.(check int) "fires" 1 (List.length (Event_table.check events 1));
   Alcotest.(check int) "still armed" 1 (Event_table.armed_count events 1);
   hot := false;
@@ -175,8 +174,10 @@ let test_recurring_event () =
 
 let test_event_order () =
   let events = Event_table.create () in
-  Event_table.register events ~fid:1 ~nf:"first" ~condition:(fun () -> true) ();
-  Event_table.register events ~fid:1 ~nf:"second" ~condition:(fun () -> true) ();
+  Event_table.register events ~fid:1 ~condition:(fun () -> true)
+    (Event_table.update ~nf:"first" ());
+  Event_table.register events ~fid:1 ~condition:(fun () -> true)
+    (Event_table.update ~nf:"second" ());
   let fired = Event_table.check events 1 in
   Alcotest.(check (list string)) "registration order" [ "first"; "second" ]
     (List.map (fun (u : Event_table.update) -> u.Event_table.nf) fired)
@@ -288,10 +289,9 @@ let test_execute_event_rewrites_rule () =
   Local_mat.add_header_action a 1 Header_action.Forward;
   let global = Global_mat.create () in
   let events = Event_table.create () in
-  Event_table.register events ~fid:1 ~nf:"a"
+  Event_table.register events ~fid:1
     ~condition:(fun () -> !threshold_hit)
-    ~new_actions:(fun () -> [ Header_action.Drop ])
-    ();
+    (Event_table.update ~nf:"a" ~new_actions:(fun () -> [ Header_action.Drop ]) ());
   ignore (Global_mat.consolidate global 1 mats);
   let p = Test_util.tcp_packet () in
   let v1 = Option.get (Global_mat.execute global events mats 1 p) in
@@ -352,6 +352,149 @@ let test_global_mat_removal () =
   Global_mat.clear global;
   Alcotest.(check int) "cleared" 0 (Global_mat.flow_count global)
 
+(* --- Pooled Local MAT records -------------------------------------------
+
+   Random calls over a 4-bit FID space against a [Hashtbl] of lists: after
+   every call the table must read as the model does, so a record that
+   [remove_flow] scrubbed and a later flow refilled never shows an earlier
+   flow's entries. *)
+
+type pool_op =
+  | Add_ha of int * int
+  | Add_sf of int * int
+  | Replace_ha of int * int list
+  | Replace_sf of int * int list
+  | Remove of int
+  | Clear
+
+let pool_action k =
+  match k mod 3 with
+  | 0 -> Header_action.Forward
+  | 1 -> Header_action.Drop
+  | _ -> Header_action.Modify [ (Sb_packet.Field.Dst_port, Sb_packet.Field.Port k) ]
+
+let pool_op_print = function
+  | Add_ha (fid, k) -> Printf.sprintf "add_ha %d %d" fid k
+  | Add_sf (fid, k) -> Printf.sprintf "add_sf %d %d" fid k
+  | Replace_ha (fid, ks) ->
+      Printf.sprintf "replace_ha %d [%s]" fid (String.concat ";" (List.map string_of_int ks))
+  | Replace_sf (fid, ks) ->
+      Printf.sprintf "replace_sf %d [%s]" fid (String.concat ";" (List.map string_of_int ks))
+  | Remove fid -> Printf.sprintf "remove %d" fid
+  | Clear -> "clear"
+
+let pool_op_gen =
+  let open QCheck.Gen in
+  let fid = int_bound 15 and k = int_bound 99 in
+  let ks = list_size (int_bound 4) k in
+  frequency
+    [
+      (6, map2 (fun f k -> Add_ha (f, k)) fid k);
+      (6, map2 (fun f k -> Add_sf (f, k)) fid k);
+      (2, map2 (fun f ks -> Replace_ha (f, ks)) fid ks);
+      (2, map2 (fun f ks -> Replace_sf (f, ks)) fid ks);
+      (4, map (fun f -> Remove f) fid);
+      (1, return Clear);
+    ]
+
+let prop_pooled_records =
+  QCheck.Test.make ~count:300 ~name:"pooled Local MAT records match a list model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pool_op_print ops))
+       QCheck.Gen.(list_size (int_range 1 120) pool_op_gen))
+    (fun ops ->
+      let mat = Local_mat.create ~nf:"nf" in
+      let model : (int, Header_action.t list * string list) Hashtbl.t = Hashtbl.create 16 in
+      let get fid = Option.value (Hashtbl.find_opt model fid) ~default:([], []) in
+      let label k = "sf" ^ string_of_int k in
+      let apply = function
+        | Add_ha (fid, k) ->
+            Local_mat.add_header_action mat fid (pool_action k);
+            let has, sfs = get fid in
+            Hashtbl.replace model fid (has @ [ pool_action k ], sfs)
+        | Add_sf (fid, k) ->
+            Local_mat.add_state_function mat fid (sf ~label:(label k) ());
+            let has, sfs = get fid in
+            Hashtbl.replace model fid (has, sfs @ [ label k ])
+        | Replace_ha (fid, ks) ->
+            Local_mat.replace_actions mat fid (List.map pool_action ks);
+            Hashtbl.replace model fid (List.map pool_action ks, snd (get fid))
+        | Replace_sf (fid, ks) ->
+            Local_mat.replace_state_functions mat fid
+              (List.map (fun k -> sf ~label:(label k) ()) ks);
+            Hashtbl.replace model fid (fst (get fid), List.map label ks)
+        | Remove fid ->
+            Local_mat.remove_flow mat fid;
+            Hashtbl.remove model fid
+        | Clear ->
+            Local_mat.clear mat;
+            Hashtbl.reset model
+      in
+      let agrees fid =
+        let has, sfs = get fid in
+        let r = Local_mat.lookup mat fid in
+        Local_mat.mem mat fid = Hashtbl.mem model fid
+        && List.equal Header_action.equal (Local_mat.rule_actions r) has
+        && Local_mat.action_count r = List.length has
+        && List.equal String.equal
+             (List.map
+                (fun (s : State_function.t) -> s.State_function.label)
+                (Local_mat.rule_state_functions r))
+             sfs
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          Local_mat.flow_count mat = Hashtbl.length model && List.for_all agrees (List.init 16 Fun.id))
+        ops)
+
+(* An expired flow's state function must be collectable once idle expiry
+   has torn the flow down, although its Local MAT records and its Global
+   MAT rule husk are kept for reuse: both must be scrubbed.  The DoS guard
+   records a per-flow function (it captures the flow's counter entry), so
+   a surviving one can only be held by a record or a husk. *)
+let dos_sf_weak_refs rt chain =
+  let gm = Speedybox.Runtime.global_mat rt in
+  let fids = Global_mat.fold (fun fid _ acc -> fid :: acc) gm [] in
+  let mat = List.hd (Speedybox.Chain.local_mats chain) in
+  let w = Weak.create (List.length fids) in
+  List.iteri
+    (fun i fid ->
+      match Local_mat.rule_state_functions (Local_mat.lookup mat fid) with
+      | [ sf ] -> Weak.set w i (Some sf)
+      | _ -> Alcotest.fail "the DoS guard records one state function per flow")
+    fids;
+  w
+
+let test_expired_state_function_collected () =
+  let timeout = 10_000 in
+  let chain =
+    Speedybox.Chain.create ~name:"dos"
+      [ Sb_nf.Dos_guard.nf (Sb_nf.Dos_guard.create ~threshold:100 ()) ]
+  in
+  let rt =
+    Speedybox.Runtime.create (Speedybox.Runtime.config ~idle_timeout_cycles:timeout ()) chain
+  in
+  let flows = 4 in
+  for i = 0 to flows - 1 do
+    ignore (Speedybox.Runtime.process_packet rt (Test_util.udp_packet ~sport:(41000 + i) ()))
+  done;
+  let w = dos_sf_weak_refs rt chain in
+  Alcotest.(check int) "one recorded function per flow" flows (Weak.length w);
+  let late = Test_util.udp_packet ~sport:42000 () in
+  late.Sb_packet.Packet.ingress_cycle <- 100 * timeout;
+  ignore (Speedybox.Runtime.process_packet rt late);
+  Alcotest.(check int) "every flow expires" flows (Speedybox.Runtime.expired_flows rt);
+  Gc.full_major ();
+  for i = 0 to flows - 1 do
+    if Weak.check w i then
+      Alcotest.failf "flow %d's state function outlived its expiry" i
+  done;
+  (* The runtime, and the records and husks it keeps, must outlive the
+     collection: a dead runtime would pass for a scrubbed one. *)
+  Alcotest.(check int) "the late flow's rule stays" 1
+    (Global_mat.flow_count (Speedybox.Runtime.global_mat rt))
+
 let suite =
   [
     Alcotest.test_case "batch mode priority" `Quick test_batch_mode_priority;
@@ -370,5 +513,7 @@ let suite =
     Alcotest.test_case "event rewrites rule mid-stream" `Quick test_execute_event_rewrites_rule;
     Alcotest.test_case "wave snapshot semantics" `Quick test_wave_snapshot_semantics;
     Alcotest.test_case "global mat removal" `Quick test_global_mat_removal;
+    Alcotest.test_case "expired state function is collected" `Quick
+      test_expired_state_function_collected;
   ]
-  @ Test_util.qcheck_cases [ prop_plan_partitions ]
+  @ Test_util.qcheck_cases [ prop_plan_partitions; prop_pooled_records ]
