@@ -9,23 +9,12 @@ type job = {
   flow_key : int;
   mutable recording : bool;
   mutable cleanup_after : bool;
-  mutable tuple : Sb_flow.Five_tuple.t option;
+  mutable pack1 : int;
+  mutable pack2 : int;
+      (** the ingress tuple's packed key, set when the classifier admits
+          the packet: only an admitted packet reaches an NF or the Global
+          MAT, so only its flow is ever cleaned up *)
 }
-
-(* Completions sort before enqueues at the same instant (a departure frees
-   its ring slot for a simultaneous arrival). *)
-type event_kind = Complete of string | Enqueue of (job * route)
-
-let kind_rank = function Complete _ -> 0 | Enqueue _ -> 1
-
-type event = { at : int; seq : int; kind : event_kind }
-
-let compare_events a b =
-  let c = Int.compare a.at b.at in
-  if c <> 0 then c
-  else
-    let c = Int.compare (kind_rank a.kind) (kind_rank b.kind) in
-    if c <> 0 then c else Int.compare a.seq b.seq
 
 type outcome =
   | Next of route
@@ -34,17 +23,6 @@ type outcome =
       (* the walk's last stage for a recording packet: the rule installs at
          completion (when the chain has finished with the packet, §III),
          not at service start *)
-
-type stage = {
-  ring : (job * route) Sb_sim.Ring.t;
-  pending : (job * route) Queue.t;
-      (* burst mode: jobs drained from the ring in one access, awaiting
-         service.  Empty when burst = 1 (the job then stays in the ring
-         until its completion, as the unbatched model always did). *)
-  mutable serving : (job * route) option;  (* burst mode: the in-service job *)
-  mutable busy : bool;
-  mutable outcome : outcome option;  (** of the in-service job *)
-}
 
 type result = {
   forwarded : int;
@@ -62,7 +40,6 @@ type result = {
 let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one) ?injector
     ?(fault_policy = Sb_fault.Health.default_policy) ?(obs = Sb_obs.Sink.null) chain
     trace =
-  if burst < 1 then invalid_arg "Staged_runtime.run: burst must be positive";
   let nfs = Array.of_list (Chain.nfs chain) in
   let mats = Array.of_list (Chain.local_mats chain) in
   let nf_names = Array.map (fun nf -> nf.Nf.name) nfs in
@@ -99,34 +76,10 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
   in
   let recording_in_flight : (int, unit) Hashtbl.t = Hashtbl.create 64 in
 
-  let heap = Sb_sim.Min_heap.create ~cmp:compare_events in
-  let seq = ref 0 in
-  let schedule at kind =
-    incr seq;
-    Sb_sim.Min_heap.push heap { at; seq = !seq; kind }
-  in
-
   let stage_of_route = function
     | To_classifier -> "Classifier"
     | To_nf i -> nfs.(i).Nf.name
     | To_global_mat -> "GlobalMAT"
-  in
-  let stages : (string, stage) Hashtbl.t = Hashtbl.create 16 in
-  let stage label =
-    match Hashtbl.find_opt stages label with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            ring = Sb_sim.Ring.create ~capacity:ring_capacity;
-            pending = Queue.create ();
-            serving = None;
-            busy = false;
-            outcome = None;
-          }
-        in
-        Hashtbl.replace stages label s;
-        s
   in
 
   let forwarded = ref 0
@@ -164,12 +117,9 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
   in
 
   let flow_cleanup job =
-    Option.iter
-      (fun tuple ->
-        Chain.remove_flow chain job.packet.Packet.fid;
-        Sb_mat.Global_mat.remove_flow global job.packet.Packet.fid;
-        Classifier.forget classifier tuple)
-      job.tuple
+    Chain.remove_flow chain job.packet.Packet.fid;
+    Sb_mat.Global_mat.remove_flow global job.packet.Packet.fid;
+    Classifier.forget_packed classifier job.pack1 job.pack2
   in
 
   (* Containment inside a stage, once the fault is charged: the job's flow
@@ -226,8 +176,8 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
              the packet leaves the classifier stage dropped. *)
           (cls.Classifier.cycles, Done Sb_mat.Header_action.Dropped)
         else begin
-          job.tuple <-
-            Some (Sb_flow.Five_tuple.of_packed cls.Classifier.pack1 cls.Classifier.pack2);
+          job.pack1 <- cls.Classifier.pack1;
+          job.pack2 <- cls.Classifier.pack2;
           job.cleanup_after <- cls.Classifier.final;
           if Sb_mat.Global_mat.mem global cls.Classifier.fid then begin
             incr fast;
@@ -299,137 +249,73 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
                   Done verdict )))
   in
 
-  let start_service label state (job, route) ~hop now =
-    state.busy <- true;
-    let service, outcome = serve job route now in
-    let service = service + hop in
-    (if Sb_obs.Sink.armed obs then
-       (* One span per stage service, on the event clock: ring waits
-          show up as gaps between a flow's spans. *)
-       match Sb_obs.Sink.tracer obs with
-       | Some tr ->
-           Sb_obs.Tracer.record tr ~name:label ~cat:"stage"
-             ~ts_us:(Sb_sim.Cycles.to_microseconds now)
-             ~dur_us:(Sb_sim.Cycles.to_microseconds service)
-             ~tid:job.packet.Packet.fid []
-       | None -> ());
-    state.outcome <- Some outcome;
-    schedule (now + service) (Complete label)
-  in
-  (* Unbatched (burst = 1): the stage serves the ring head in place — the
-     job keeps its slot until completion, and the sending stage paid the
-     per-job [ring_hop_onvm] when it forwarded.  Burst mode: the stage
-     drains up to [burst] jobs from the ring with ONE ring access — the
-     hop is charged once, to the first job of the drain — and serves the
-     drained batch back to back; forwarding between stages is then free
-     (the receiving stage's drain carries the ring-access cost), which is
-     exactly OpenNetVM's rte_ring dequeue-burst amortization. *)
-  let maybe_start label state now =
-    if not state.busy then
-      if burst = 1 then begin
-        match Sb_sim.Ring.peek state.ring with
-        | None -> ()
-        | Some entry -> start_service label state entry ~hop:0 now
-      end
-      else begin
-        let hop =
-          if Queue.is_empty state.pending then begin
-            let rec drain k =
-              if k >= burst then ()
-              else
-                match Sb_sim.Ring.pop state.ring with
-                | None -> ()
-                | Some entry ->
-                    Queue.add entry state.pending;
-                    drain (k + 1)
-            in
-            drain 0;
-            if Queue.is_empty state.pending then 0 else Sb_sim.Cycles.ring_hop_onvm
-          end
-          else 0
-        in
-        match Queue.take_opt state.pending with
-        | None -> ()
-        | Some entry ->
-            state.serving <- Some entry;
-            start_service label state entry ~hop now
-      end
-  in
-
-  let handle event =
-    match event.kind with
-    | Enqueue ((job, route) as entry) ->
-        let label = stage_of_route route in
-        let state = stage label in
-        if Sb_sim.Ring.push state.ring entry then maybe_start label state event.at
-        else begin
+  let work =
+    {
+      Sb_sim.Stages.serve =
+        (fun label (job, route) ~now ~hop ->
+          let service, outcome = serve job route now in
+          let service = service + hop in
+          (if Sb_obs.Sink.armed obs then
+             (* One span per stage service, on the event clock: ring waits
+                show up as gaps between a flow's spans. *)
+             match Sb_obs.Sink.tracer obs with
+             | Some tr ->
+                 Sb_obs.Tracer.record tr ~name:label ~cat:"stage"
+                   ~ts_us:(Sb_sim.Cycles.to_microseconds now)
+                   ~dur_us:(Sb_sim.Cycles.to_microseconds service)
+                   ~tid:job.packet.Packet.fid []
+             | None -> ());
+          (service, outcome));
+      complete =
+        (fun (job, _) outcome ~now ->
+          match outcome with
+          | Next next -> Sb_sim.Stages.Forward (stage_of_route next, (job, next))
+          | Done verdict ->
+              finish job now verdict;
+              Sb_sim.Stages.Depart
+          | Done_after_consolidate verdict ->
+              consolidate_at_completion job;
+              finish job now verdict;
+              Sb_sim.Stages.Depart);
+      overflow =
+        (fun (job, _) ->
           incr dropped_overflow;
           (if Sb_obs.Sink.armed obs then
              match ins with
              | Some (_, _, c_overflow, _) -> Sb_obs.Metrics.Counter.incr c_overflow
              | None -> ());
           stop_recording job;
-          retire job
-        end
-    | Complete label -> (
-        let state = stage label in
-        state.busy <- false;
-        let served =
-          if burst = 1 then Sb_sim.Ring.pop state.ring
-          else begin
-            let e = state.serving in
-            state.serving <- None;
-            e
-          end
-        in
-        match (served, state.outcome) with
-        | Some (job, _), Some outcome ->
-            state.outcome <- None;
-            (match outcome with
-            | Next next ->
-                (* In burst mode the transfer itself is free; the next
-                   stage's drain pays the (amortized) ring access. *)
-                let hop = if burst = 1 then Sb_sim.Cycles.ring_hop_onvm else 0 in
-                schedule (event.at + hop) (Enqueue (job, next))
-            | Done verdict -> finish job event.at verdict
-            | Done_after_consolidate verdict ->
-                consolidate_at_completion job;
-                finish job event.at verdict);
-            maybe_start label state event.at
-        | _ -> assert false (* a completion implies a served head *))
+          retire job);
+    }
   in
 
-  List.iteri
-    (fun submit_idx original ->
-      let packet = Packet.copy original in
-      (* A packet with no 5-tuple keys under the runtime's non-flow
-         sentinel; its classifier stage rejects it as malformed. *)
-      let flow_key =
-        if Sb_flow.Five_tuple.admits original then Sb_flow.Fid.of_packet original
-        else Runtime.no_flow_fid
-      in
-      let job =
-        {
-          packet;
-          arrival = packet.Packet.ingress_cycle;
-          submit_idx;
-          flow_key;
-          recording = false;
-          cleanup_after = false;
-          tuple = None;
-        }
-      in
-      Hashtbl.replace (live_set flow_key) submit_idx ();
-      schedule job.arrival (Enqueue (job, To_classifier)))
-    trace;
-  let rec drain () =
-    match Sb_sim.Min_heap.pop_min heap with
-    | None -> ()
-    | Some event ->
-        handle event;
-        drain ()
+  let arrivals =
+    List.mapi
+      (fun submit_idx original ->
+        let packet = Packet.copy original in
+        (* A packet with no 5-tuple keys under the runtime's non-flow
+           sentinel; its classifier stage rejects it as malformed. *)
+        let flow_key =
+          if Sb_flow.Five_tuple.admits original then Sb_flow.Fid.of_packet original
+          else Runtime.no_flow_fid
+        in
+        let job =
+          {
+            packet;
+            arrival = packet.Packet.ingress_cycle;
+            submit_idx;
+            flow_key;
+            recording = false;
+            cleanup_after = false;
+            pack1 = 0;
+            pack2 = 0;
+          }
+        in
+        Hashtbl.replace (live_set flow_key) submit_idx ();
+        (job.arrival, stage_of_route To_classifier, (job, To_classifier)))
+      trace
   in
-  drain ();
+  Sb_sim.Stages.run ~ring_capacity ~burst work arrivals;
   {
     forwarded = !forwarded;
     dropped_by_chain = !dropped_by_chain;

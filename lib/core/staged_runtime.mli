@@ -2,8 +2,12 @@
 
     {!Runtime} processes packets one at a time and prices the platform
     analytically; this executor instead runs the classifier and every NF
-    as pipeline stages connected by finite rings under a discrete-event
-    heap.  All processing is the real thing — NF closures run when their
+    as pipeline stages connected by finite rings, on the discrete-event
+    stage engine {!Sb_sim.Stages} (the load sweep replays cost profiles
+    through the same engine).  This module supplies each stage's work —
+    classify, walk an NF, execute a Global MAT rule, consolidate at
+    completion — and the engine supplies the heap, the rings, the
+    same-cycle tie rule and burst drains.  All processing is the real thing — NF closures run when their
     stage serves the packet, recording and consolidation happen exactly
     where they would on the wire — so the execution exhibits effects the
     closed-form model cannot:
@@ -47,6 +51,7 @@ val run :
   result
 (** [run chain trace] — the trace must be in non-decreasing arrival order.
     Default ring capacity: 64 slots per stage.
+    @raise Invalid_argument when it is not, or when [ring_capacity < 1].
 
     [burst] (default 1) sets the ring dequeue burst: with [burst > 1] a
     stage drains up to that many jobs from its ring in one access,

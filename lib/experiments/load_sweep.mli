@@ -2,7 +2,8 @@
 
     The paper reports latency at low load; this experiment feeds the
     Snort + Monitor chain Poisson arrivals at increasing offered rates
-    through the discrete-event queueing engine and reports achieved
+    through the discrete-event stage engine ({!Sb_sim.Stages}, the one
+    the staged executor runs on) and reports achieved
     throughput, sojourn-time percentiles and ingress-ring loss.  The
     expected shape: the original chain's latency knee and loss cliff sit
     at a lower offered rate than SpeedyBox's — the throughput headroom the
@@ -15,6 +16,27 @@ type point = {
   p99_us : float;
   loss_pct : float;
 }
+
+type replay = {
+  completed : int;
+  dropped : int;  (** ring-overflow tail drops *)
+  sojourn_us : Sb_sim.Stats.t;  (** arrival to departure, completed packets *)
+  makespan_cycles : int;  (** first arrival to last departure, at least 1 *)
+}
+
+val replay :
+  platform:Sb_sim.Platform.t ->
+  ring_capacity:int ->
+  (int * Sb_sim.Cost_profile.t) list ->
+  replay
+(** [replay ~platform ~ring_capacity arrivals] runs [(arrival cycle,
+    profile)] packets through {!Sb_sim.Stages} with [ring_capacity]-slot
+    rings.  On BESS the whole profile ({!Sb_sim.Platform.latency_cycles})
+    is served on one ["core"] stage; on OpenNetVM each stage label is its
+    own stage, visited in profile order with
+    {!Sb_sim.Cycles.ring_hop_onvm} between stages, and a profile with no
+    stages departs on arrival.
+    @raise Invalid_argument when the arrivals are not time-ordered. *)
 
 val sweep :
   platform:Sb_sim.Platform.t ->

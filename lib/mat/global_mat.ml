@@ -78,8 +78,8 @@ let rule_static_head r = r.program.static_head
 let rule_n_source_actions r = r.n_source_actions
 
 (* How the fast path executes a consolidated rule: [Compiled] (the flat
-   program) is the production path; [Interpreted] walks the program's
-   positional step list exactly as the pre-compilation executor did, and
+   program) is the production path; [Interpreted] rebuilds the positional
+   step list from the compiled program and walks it step by step, and
    exists so the differential tests can prove the two produce
    bit-identical outputs. *)
 type exec_mode = Compiled | Interpreted
@@ -488,7 +488,7 @@ let run_program t code packet =
   done;
   !verdict
 
-(* ---- Reference interpreter (the pre-compilation executor) ---- *)
+(* ---- Reference interpreter (the step list rebuilt from the program) ---- *)
 
 let payload_region packet =
   let off = Packet.payload_offset packet in

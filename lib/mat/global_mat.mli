@@ -80,8 +80,8 @@ val rule_transform_count : rule -> int
 
 (** How [execute] runs a consolidated rule.  [Compiled] (the default) runs
     the flat program; [Interpreted] rebuilds the program's positional step
-    list (transforms and wave groups with their plans) and walks it exactly
-    as the pre-compilation executor did.  Both produce bit-identical verdicts,
+    list (transforms and wave groups with their plans) and walks it step
+    by step.  Both produce bit-identical verdicts,
     packet bytes and cost vectors — the [Interpreted] mode exists as the
     reference the differential tests compare the compiler against. *)
 type exec_mode = Compiled | Interpreted

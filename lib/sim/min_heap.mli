@@ -1,4 +1,4 @@
-(** A binary min-heap, the event queue of the discrete-event executor. *)
+(** A binary min-heap, the event queue of the stage engine ({!Stages}). *)
 
 type 'a t
 

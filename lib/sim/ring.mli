@@ -1,9 +1,9 @@
 (** Bounded single-producer single-consumer ring buffer.
 
     OpenNetVM interconnects NF cores with shared-memory rings carrying
-    packet descriptors; the functional ONVM pipeline in the test suite uses
-    this structure to move packets between simulated stages, and the
-    property tests check FIFO order and capacity behaviour. *)
+    packet descriptors; the stage engine ({!Stages}) feeds each simulated
+    stage from one of these, and the property tests check FIFO order and
+    capacity behaviour. *)
 
 type 'a t
 

@@ -79,16 +79,18 @@ let round_robin flows =
   in
   go [] flows
 
-let with_poisson_times ~seed ~rate_mpps packets =
-  if rate_mpps <= 0. then invalid_arg "Workload.with_poisson_times: rate must be positive";
+let poisson_cycles ~seed ~rate_mpps n =
+  if rate_mpps <= 0. then invalid_arg "Workload.poisson_cycles: rate must be positive";
   let rng = Rng.create seed in
   let mean_gap = 2000. /. rate_mpps (* cycles at 2 GHz per packet *) in
   let now = ref 0. in
-  List.iter
-    (fun p ->
+  Array.init n (fun _ ->
       now := !now +. Dist.exponential rng ~mean:mean_gap;
-      p.Packet.ingress_cycle <- int_of_float !now)
-    packets;
+      int_of_float !now)
+
+let with_poisson_times ~seed ~rate_mpps packets =
+  let cycles = poisson_cycles ~seed ~rate_mpps (List.length packets) in
+  List.iteri (fun i p -> p.Packet.ingress_cycle <- cycles.(i)) packets;
   packets
 
 let printable rng = Char.chr (32 + Rng.int rng 95)

@@ -33,13 +33,18 @@ val round_robin : 'a list list -> 'a list
 
 (** {1 Arrival timing} *)
 
+val poisson_cycles : seed:int -> rate_mpps:float -> int -> int array
+(** [poisson_cycles ~seed ~rate_mpps n] draws [n] arrival cycles (at the
+    simulated 2 GHz clock) with cumulative exponential inter-arrival gaps
+    at the given offered rate: the one Poisson arrival process behind
+    {!with_poisson_times} and the load sweep.
+    @raise Invalid_argument when [rate_mpps <= 0]. *)
+
 val with_poisson_times :
   seed:int -> rate_mpps:float -> Sb_packet.Packet.t list -> Sb_packet.Packet.t list
-(** Stamps each packet's [ingress_cycle] with cumulative exponential
-    inter-arrival gaps at the given offered rate (cycles at the simulated
-    2 GHz clock).  Mutates and returns the same packets, in order.  Timed
-    traces enable the runtime's idle-expiry extension and the queueing
-    experiments. *)
+(** Stamps each packet's [ingress_cycle] with {!poisson_cycles}.  Mutates
+    and returns the same packets, in order.  Timed traces enable the
+    runtime's idle-expiry extension and the staged executor. *)
 
 (** {1 Payload synthesis} *)
 

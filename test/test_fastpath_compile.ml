@@ -2,8 +2,9 @@
    reference step-list interpreter.
 
    [Global_mat] executes consolidated rules either as the flat compiled
-   program (the production path) or by walking the source [step list]
-   exactly as the pre-compilation executor did ([Interpreted]).  The two
+   program (the production path) or by rebuilding the positional
+   [step list] from that program and walking it step by step
+   ([Interpreted]).  The two
    must be indistinguishable: same verdicts, same wire bytes, same cost
    profiles stage by stage and item by item, same fired events, same final
    NF state — on every chain the registry can compose and under eviction,

@@ -129,6 +129,66 @@ let test_non_tcp_udp_drops_at_classifier () =
     staged.Speedybox.Staged_runtime.dropped_by_chain;
   Alcotest.(check int) "UDP packets forwarded" 2 staged.Speedybox.Staged_runtime.forwarded
 
+(* Figures recorded from the staged executor before its event loop moved
+   into the shared stage engine ({!Sb_sim.Stages}); exact floats, so a
+   change to ring, hop or tie semantics shows. *)
+
+(* Staged_pipeline.measure: (gap, slow %, reordered, overflow, p50 us,
+   p99 us) at each of its five arrival gaps. *)
+let measure_pins =
+  [
+    (10000, 0x1.b1e5f75270d04p+2, 0, 0, 0x1.9ef9db22d0e56p-1, 0x1.f5f99c38b04acp+0);
+    (3000, 0x1.c797dd49c3411p+2, 0, 0, 0x1.9ef9db22d0e56p-1, 0x1.f5f99c38b04acp+0);
+    (1500, 0x1.0f2fba9386823p+3, 3, 0, 0x1.a10624dd2f1aap-1, 0x1.57b2e9ccb7d44p+4);
+    (800, 0x1.e56c797dd49c3p+3, 41, 62, 0x1.00e28f5c28f5cp+6, 0x1.5acc1205bc01ap+7);
+    (400, 0x1.086822b63cbefp+5, 247, 196, 0x1.9f353f7ced916p+6, 0x1.98bc0c1fc8f32p+7);
+  ]
+
+let test_staged_pipeline_pinned () =
+  let gaps = List.map (fun (gap, _, _, _, _, _) -> gap) measure_pins in
+  List.iter2
+    (fun (gap, slow, reordered, overflow, p50, p99) p ->
+      let open Sb_experiments.Staged_pipeline in
+      let what s = Printf.sprintf "gap %d: %s" gap s in
+      Alcotest.(check int) (what "gap") gap p.gap_cycles;
+      Alcotest.(check (float 0.)) (what "slow %") slow p.slow_pct;
+      Alcotest.(check int) (what "reordered") reordered p.reordered;
+      Alcotest.(check int) (what "overflow") overflow p.overflow;
+      Alcotest.(check (float 0.)) (what "p50") p50 p.p50_us;
+      Alcotest.(check (float 0.)) (what "p99") p99 p.p99_us)
+    measure_pins
+    (Sb_experiments.Staged_pipeline.measure ~gaps)
+
+let test_burst_run_pinned () =
+  (* Snort + Monitor at 3 Mpps, dequeue bursts of 8, Snort stalling on 10%
+     of its calls: every result field. *)
+  let injector = Sb_fault.Injector.create ~seed:1 () in
+  Sb_fault.Injector.set_rate injector ~nf:"snort" Sb_fault.Injector.Stall 0.1;
+  let trace =
+    Sb_trace.Workload.with_poisson_times ~seed:97 ~rate_mpps:3.0
+      (Sb_experiments.Fig6.chain_trace ())
+  in
+  let r =
+    Speedybox.Staged_runtime.run ~burst:8 ~injector (Sb_experiments.Fig6.build_chain ()) trace
+  in
+  let open Speedybox.Staged_runtime in
+  Alcotest.(check int) "forwarded" 204 r.forwarded;
+  Alcotest.(check int) "dropped by chain" 0 r.dropped_by_chain;
+  Alcotest.(check int) "dropped overflow" 976 r.dropped_overflow;
+  Alcotest.(check int) "slow path" 1097 r.slow_path;
+  Alcotest.(check int) "fast path" 83 r.fast_path;
+  Alcotest.(check int) "reordered" 20 r.reordered;
+  Alcotest.(check int) "sojourn samples" 204 (Sb_sim.Stats.count r.sojourn_us);
+  Alcotest.(check int) "events fired" 0 r.events_fired;
+  Alcotest.(check int) "faults" 17 r.faults;
+  Alcotest.(check int) "quarantines" 0 r.quarantines;
+  Alcotest.(check (float 0.))
+    "p50" 0x1.5f9cac083126ep+7
+    (Sb_sim.Stats.percentile r.sojourn_us 50.);
+  Alcotest.(check (float 0.))
+    "p99" 0x1.7ad95e4a38328p+8
+    (Sb_sim.Stats.percentile r.sojourn_us 99.)
+
 let suite =
   [
     Alcotest.test_case "low load matches analytic model" `Quick test_low_load_matches_analytic;
@@ -140,4 +200,6 @@ let suite =
       test_chain_drops_and_events_still_work;
     Alcotest.test_case "non-TCP/UDP packet drops at the classifier" `Quick
       test_non_tcp_udp_drops_at_classifier;
+    Alcotest.test_case "staged pipeline pinned" `Quick test_staged_pipeline_pinned;
+    Alcotest.test_case "burst run pinned" `Quick test_burst_run_pinned;
   ]
