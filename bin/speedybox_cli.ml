@@ -92,7 +92,8 @@ let show_stages_arg =
 let staged_rate_arg =
   let doc =
     "Run on the staged ONVM executor with Poisson arrivals at $(docv) Mpps \
-     (real queueing: consolidation races, reordering, ring loss)."
+     (real queueing: consolidation races, reordering, ring loss).  Takes \
+     every other run option; needs $(b,-p onvm) and SpeedyBox mode."
   in
   Arg.(value & opt (some float) None & info [ "staged-rate" ] ~docv:"MPPS" ~doc)
 
@@ -265,9 +266,9 @@ let build_injector ~fault_seed specs =
 
 (* run ------------------------------------------------------------------ *)
 
-let staged_run build ?injector ~obs ~burst trace rate =
+let staged_run cfg chain ~burst trace rate =
   let trace = Sb_trace.Workload.with_poisson_times ~seed:97 ~rate_mpps:rate trace in
-  let r = Speedybox.Staged_runtime.run ~burst ?injector ~obs (build ()) trace in
+  let r = Speedybox.Staged_runtime.run ~burst cfg chain trace in
   Printf.printf "staged ONVM executor at %.2f Mpps offered:\n" rate;
   Printf.printf "  verdicts   : %d forwarded, %d dropped by NFs, %d ring overflow\n"
     r.Speedybox.Staged_runtime.forwarded r.Speedybox.Staged_runtime.dropped_by_chain
@@ -299,6 +300,15 @@ let run_cmd_impl chain platform mode seed flows mean_packets trace_file show_sta
   end;
   if shards > 1 && staged_rate <> None then begin
     prerr_endline "speedybox: --shards and --staged-rate are mutually exclusive";
+    exit 2
+  end;
+  if
+    staged_rate <> None
+    && (platform <> Sb_sim.Platform.Onvm || mode <> Speedybox.Runtime.Speedybox)
+  then begin
+    prerr_endline
+      "speedybox: --staged-rate runs the SpeedyBox chain as an OpenNetVM pipeline: it needs \
+       -p onvm and --mode speedybox";
     exit 2
   end;
   if shard_parallel then begin
@@ -365,12 +375,7 @@ let run_cmd_impl chain platform mode seed flows mean_packets trace_file show_sta
             ( impaired,
               List.exists (function Sb_impair.Impair.Corrupt _ -> true | _ -> false) spec )
       in
-      if staged_rate <> None then begin
-        let obs = build_sink ~metrics_out ~trace_out ~trace_flows ~metrics_interval in
-        finish_with_exports obs
-          (staged_run build ?injector ~obs ~burst trace (Option.get staged_rate))
-      end
-      else if shards > 1 then begin
+      if shards > 1 then begin
         let obs = build_sink ~metrics_out ~trace_out ~trace_flows ~metrics_interval in
         (* One state store across the shard chains: each shard's NFs build
            against their replica, so global-scope cells (chain-wide DoS
@@ -431,30 +436,32 @@ let run_cmd_impl chain platform mode seed flows mean_packets trace_file show_sta
           | Ok b -> b 0
           | Error _ -> build ()
         in
-        let rt =
-          Speedybox.Runtime.create
-            (Speedybox.Runtime.config ~platform ~mode ~verify_checksums
-               ~fault_policy:(Sb_fault.Health.policy ~on_failure ())
-               ?injector ~obs ~state:store ())
-            built
+        let cfg =
+          Speedybox.Runtime.config ~platform ~mode ~verify_checksums
+            ~fault_policy:(Sb_fault.Health.policy ~on_failure ())
+            ?injector ~obs ~state:store ()
         in
-        let result = Speedybox.Runtime.run_trace ~burst rt trace in
-        print_string
-          (Speedybox.Report.run_summary
-             ~label:
-               (Printf.sprintf "%s on %s (%s)" chain
-                  (Sb_sim.Platform.name platform)
-                  (match mode with
-                  | Speedybox.Runtime.Original -> "original"
-                  | Speedybox.Runtime.Speedybox -> "speedybox"))
-             rt result);
-        if show_stages then print_string (Speedybox.Report.stage_breakdown result);
-        if show_state then print_string (Speedybox.Report.chain_state built);
-        if show_rules > 0 then begin
-          print_endline "consolidated rules:";
-          print_string (Speedybox.Report.flow_rules rt ~limit:show_rules)
-        end;
-        finish_with_exports obs 0
+        match staged_rate with
+        | Some rate -> finish_with_exports obs (staged_run cfg built ~burst trace rate)
+        | None ->
+            let rt = Speedybox.Runtime.create cfg built in
+            let result = Speedybox.Runtime.run_trace ~burst rt trace in
+            print_string
+              (Speedybox.Report.run_summary
+                 ~label:
+                   (Printf.sprintf "%s on %s (%s)" chain
+                      (Sb_sim.Platform.name platform)
+                      (match mode with
+                      | Speedybox.Runtime.Original -> "original"
+                      | Speedybox.Runtime.Speedybox -> "speedybox"))
+                 rt result);
+            if show_stages then print_string (Speedybox.Report.stage_breakdown result);
+            if show_state then print_string (Speedybox.Report.chain_state built);
+            if show_rules > 0 then begin
+              print_endline "consolidated rules:";
+              print_string (Speedybox.Report.flow_rules rt ~limit:show_rules)
+            end;
+            finish_with_exports obs 0
       end
 
 let run_cmd =

@@ -77,7 +77,10 @@ type t = {
   global : Sb_mat.Global_mat.t;
   classifier : Classifier.t;
   sup : Sb_fault.Supervisor.t;
-  step : Nf_step.t;  (* the NF call and fault handling, shared with [Staged_runtime] *)
+  ctx : Api.nf_context;  (* the NFs' one context, rewritten before each call *)
+  mutable listener : (string -> unit) option;  (* told of every fault charged here *)
+  nfs : Nf.t array;
+  mats : Sb_mat.Local_mat.t array;  (* same order as [nfs] *)
   nf_names : string array;
   live : Sb_flow.Live_table.t;
       (* idle-expiry bookkeeping, SoA: the per-packet liveness touch is
@@ -95,9 +98,12 @@ type t = {
          [Cost_vec.labels] over [nf_names]); every path writes here and
          [finish] interns the result *)
   profiles : Sb_sim.Cost_vec.intern;
-  (* What the last [walk_chain] charged besides its verdict. *)
-  mutable walk_faults : int;
-  mutable walk_contained : bool;  (* a raise was contained: quarantine the flow *)
+  (* What the last stage function left besides its verdict. *)
+  mutable faults : int;  (* charged to the packet so far *)
+  mutable contained : bool;  (* it quarantined, or the caller must *)
+  mutable corrupts : int;  (* the fast path's injector draws, by kind *)
+  mutable stalls : int;
+  mutable raised : int;  (* the first NF drawn to raise, or -1 *)
   (* [process_packet]'s burst of one: the packet slot, and the emit that
      stores the packet's output, both built once. *)
   one : Sb_packet.Packet.t array;
@@ -105,13 +111,37 @@ type t = {
   one_emit : int -> output -> unit;
 }
 
-let set_fault_listener t f = Nf_step.set_listener t.step f
+let set_fault_listener t f = t.listener <- Some f
+
+(* A Failed NF invalidates every consolidated rule embedding its closures:
+   tear the whole fast path down (flows re-record under the failure
+   policy).  Local MAT records and events go with each rule so no stale
+   per-NF state survives the failure. *)
+let on_transition t = function
+  | Sb_fault.Health.To_failed ->
+      Sb_mat.Global_mat.fold (fun fid _ acc -> fid :: acc) t.global []
+      |> List.iter (fun fid ->
+             Chain.remove_flow t.chain fid;
+             Sb_mat.Global_mat.remove_flow t.global fid)
+  | Sb_fault.Health.To_degraded | Sb_fault.Health.No_change -> ()
+
+(* Charges a fault to [nf], then notifies the listener. *)
+let note_fault t ~nf =
+  on_transition t (Sb_fault.Supervisor.record_fault t.sup ~nf);
+  match t.listener with Some f -> f nf | None -> ()
+
+(* [note_fault] for a contained raise whose packet is dropped. *)
+let contain t ~nf =
+  note_fault t ~nf;
+  Sb_fault.Supervisor.record_contained t.sup;
+  Sb_fault.Supervisor.record_faulted_packet t.sup
 
 (* A fault another shard recorded (and already counted): keep this
    runtime's view of the NF's health in lock-step without re-emitting
    metrics or re-notifying the listener (which would echo the broadcast
    forever). *)
-let absorb_remote_fault t ~nf = Nf_step.absorb_remote_fault t.step ~nf
+let absorb_remote_fault t ~nf =
+  on_transition t (Sb_fault.Supervisor.absorb_fault t.sup ~nf)
 
 (* Flow-timeline hook.  Callers on the per-packet path guard with
    [Sb_obs.Sink.armed] first; every call site is on the slow path or a
@@ -215,7 +245,16 @@ let create cfg chain =
       classifier =
         Classifier.create ~fid_bits:cfg.fid_bits ~verify_checksums:cfg.verify_checksums ();
       sup;
-      step = Nf_step.create sup chain global;
+      ctx =
+        {
+          Api.fid = -1;
+          local_mat = List.hd (Chain.local_mats chain);
+          events = Chain.events chain;
+          recording = false;
+        };
+      listener = None;
+      nfs = Array.of_list (Chain.nfs chain);
+      mats = Array.of_list (Chain.local_mats chain);
       nf_names;
       live = Sb_flow.Live_table.create ();
       wheel =
@@ -232,13 +271,21 @@ let create cfg chain =
       cls_scratch = [||];
       costs;
       profiles = Sb_sim.Cost_vec.intern_create cfg.platform (Sb_sim.Cost_vec.labels nf_names);
-      walk_faults = 0;
-      walk_contained = false;
+      faults = 0;
+      contained = false;
+      corrupts = 0;
+      stalls = 0;
+      raised = -1;
       one;
       one_out;
       one_emit = (fun _ out -> one_out := out);
     }
   in
+  (* Raising event conditions are contained inside the Event Table; route
+     them here so they still advance the registering NF's health. *)
+  Sb_mat.Event_table.set_fault_hook (Chain.events chain) (fun nf _exn ->
+      Sb_fault.Supervisor.record_contained sup;
+      note_fault t ~nf);
   if Sb_obs.Sink.armed cfg.obs then begin
     Sb_mat.Event_table.set_obs (Chain.events chain) cfg.obs;
     evict_hook := fun fid -> obs_timeline t ~fid ~ts_us:t.obs_now_us Sb_obs.Timeline.Evicted
@@ -263,42 +310,6 @@ let flip_verdict = function
   | Sb_mat.Header_action.Forwarded -> Sb_mat.Header_action.Dropped
   | Sb_mat.Header_action.Dropped -> Sb_mat.Header_action.Forwarded
 
-(* Walk the original chain from NF [i], writing one stage per NF visited
-   and returning the verdict ([t.walk_faults] and [t.walk_contained] carry
-   the rest).  [recording] instruments the walk with Local MAT recording;
-   a contained raise drops the packet and tells the caller to quarantine
-   the flow's recorded state. *)
-let rec walk t ~recording ~fid packet nfs mats i faults =
-  match (nfs, mats) with
-  | [], [] ->
-      t.walk_faults <- faults;
-      Sb_mat.Header_action.Forwarded
-  | nf :: nfs, local_mat :: mats -> (
-      let step = t.step in
-      let outcome = Nf_step.run step nf ~fid ~local_mat ~recording packet in
-      let faults = if Nf_step.faulted step then faults + 1 else faults in
-      Sb_sim.Cost_vec.serial_stage t.costs (Sb_sim.Cost_vec.nf i) (Nf_step.cycles step);
-      match outcome with
-      | Nf_step.Forwarded -> walk t ~recording ~fid packet nfs mats (i + 1) faults
-      | Nf_step.Bypassed ->
-          if Sb_obs.Sink.armed t.cfg.obs then
-            obs_timeline t ~fid
-              ~ts_us:(Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle)
-              ~detail:nf.Nf.name Sb_obs.Timeline.Degraded_bypass;
-          walk t ~recording ~fid packet nfs mats (i + 1) faults
-      | Nf_step.Dropped ->
-          t.walk_faults <- faults;
-          Sb_mat.Header_action.Dropped
-      | Nf_step.Contained ->
-          t.walk_faults <- faults;
-          t.walk_contained <- true;
-          Sb_mat.Header_action.Dropped)
-  | _ -> assert false (* nfs and local_mats have equal length *)
-
-let walk_chain t ~recording ~fid packet =
-  t.walk_contained <- false;
-  walk t ~recording ~fid packet (Chain.nfs t.chain) (Chain.local_mats t.chain) 0 0
-
 (* The output for the costs in [t.costs]: the interned profile and its
    platform figures, shared with every earlier packet that cost the same. *)
 let finish t verdict packet path events_fired faults =
@@ -313,17 +324,6 @@ let finish t verdict packet path events_fired faults =
     events_fired;
     faults;
   }
-
-(* A frame cut short of its headers never reaches an NF: the NFs would
-   read past its end.  It drops at ingress and costs nothing, as no stage
-   ran.  Any other frame walks the chain, a non-TCP/UDP one included. *)
-let process_original t packet =
-  Sb_sim.Cost_vec.reset t.costs;
-  if not (Sb_packet.Packet.headers_fit packet) then
-    finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
-  else
-    let verdict = walk_chain t ~recording:false ~fid:(-1) packet in
-    finish t verdict packet Slow_path 0 t.walk_faults
 
 let cleanup t cls =
   Chain.remove_flow t.chain cls.Classifier.fid;
@@ -406,156 +406,338 @@ let touch t cls now =
       end
       else Sb_flow.Live_table.set_last_seen_at live s now
 
-(* Forwarded packets pay the metadata detach at egress; a dropped packet's
-   descriptor is simply released.  Preallocated for the optional argument,
-   which would otherwise box a [Some] per packet. *)
-let detach = Some Sb_sim.Cycles.meta_detach
-
 (* Quarantine after a contained fault: the flow's consolidated state
    (Global MAT rule, Local MAT records, events, classifier mapping) goes,
    so its next packet re-records from scratch — or runs Original when
    recording is no longer allowed. *)
-let quarantine t cls ~detail ~now =
+let quarantine_flow t cls ~detail ~now =
   cleanup t cls;
   Sb_fault.Supervisor.record_quarantine t.sup;
   if Sb_obs.Sink.armed t.cfg.obs then
     obs_timeline t ~fid:cls.Classifier.fid ~ts_us:(Sb_sim.Cycles.to_microseconds now) ~detail
       Sb_obs.Timeline.Quarantined
 
-(* A fast-path packet whose rule execution faulted drops, charged the
-   lookup and the containment in place of the GlobalMAT stage. *)
-let drop_fast_path_fault t packet cls ~nf ~now faults =
-  quarantine t cls ~detail:nf ~now;
-  Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.global_mat
-    (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain);
-  finish t Sb_mat.Header_action.Dropped packet Fast_path 0 faults
+(* ---- Stages ----
 
-(* What the fault injector drew for one fast-path packet. *)
-type injection = {
-  injected : int;
-  corrupts : int;
-  stalls : int;
-  raised : string option;  (* the first NF whose draw was a raise *)
-}
+   One packet's semantics, as the functions both executors run: the burst
+   loop below calls them back to back, and [Staged_runtime] calls each
+   from the pipeline stage that serves it.  Each writes its stage to
+   [t.costs] after a mark, so [charged] reads what the last one cost, and
+   leaves in [t.contained] whether it dropped the packet for a fault. *)
 
-let no_injection = { injected = 0; corrupts = 0; stalls = 0; raised = None }
+type classification = Classifier.classification
 
-(* Mirror the slow path's per-NF injector consultation — one draw per NF
-   per packet — so a fault schedule is path-independent.  Only called
-   while the supervisor is active, so a fault-free run never pays for the
-   refs and closure. *)
-let draw_injections t =
-  let corrupts = ref 0 and stalls = ref 0 and raised = ref None in
-  let injected = ref 0 in
-  Array.iter
-    (fun name ->
-      match Sb_fault.Supervisor.draw t.sup ~nf:name with
-      | None -> ()
-      | Some kind -> (
-          incr injected;
-          Nf_step.note_fault t.step ~nf:name;
-          match kind with
-          | Sb_fault.Injector.Raise ->
-              Sb_fault.Supervisor.record_contained t.sup;
-              if !raised = None then raised := Some name
-          | Sb_fault.Injector.Corrupt_verdict ->
-              Sb_fault.Supervisor.record_corrupted t.sup;
-              incr corrupts
-          | Sb_fault.Injector.Stall ->
-              Sb_fault.Supervisor.record_stalled t.sup;
-              incr stalls))
-    t.nf_names;
-  { injected = !injected; corrupts = !corrupts; stalls = !stalls; raised = !raised }
+let classification = Classifier.scratch
 
-(* One packet's execution: [cls] has been classified (and [touch]ed) by
-   the burst loop, and [rule] is its Global MAT resolution, with
-   [Global_mat.no_rule] sending the packet down the slow path. *)
-let process_with_rule t packet cls rule =
-  let now = packet.Sb_packet.Packet.ingress_cycle in
-  let fid = cls.Classifier.fid in
-  let costs = t.costs in
-  Sb_sim.Cost_vec.reset costs;
-  Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.classifier cls.Classifier.cycles;
-  if rule != Sb_mat.Global_mat.no_rule then (
-    let inj =
-      if Sb_fault.Supervisor.active t.sup then draw_injections t else no_injection
-    in
-    let n_injected = inj.injected in
-    match inj.raised with
-    | Some nf ->
-        (* The injected crash aborts the rule execution. *)
-        Sb_fault.Supervisor.record_faulted_packet t.sup;
-        drop_fast_path_fault t packet cls ~nf ~now n_injected
-    | None -> (
-        Sb_sim.Cost_vec.mark costs;
-        match
-          Sb_mat.Global_mat.execute_rule ?egress:detach t.global (Chain.events t.chain)
-            (Chain.local_mats t.chain) fid rule packet
-        with
-        | exception exn ->
-            (* An organic fast-path fault — a raising state function or
-               event update — attributed to its NF when known.  The
-               half-written GlobalMAT stage gives way to the containment
-               charge. *)
-            let nf =
-              match exn with
-              | Sb_fault.Fault.Nf_fault (nf, _, _) -> nf
-              | _ -> "GlobalMAT"
-            in
-            Sb_sim.Cost_vec.rewind costs;
-            Nf_step.contain t.step ~nf;
-            drop_fast_path_fault t packet cls ~nf ~now (n_injected + 1)
-        | verdict ->
-            let verdict = if inj.corrupts land 1 = 1 then flip_verdict verdict else verdict in
-            if inj.corrupts > 0 then Sb_fault.Supervisor.record_faulted_packet t.sup;
-            if cls.Classifier.final then cleanup t cls;
-            if inj.stalls > 0 then
-              Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.injected_stall
-                (inj.stalls * Sb_fault.Supervisor.stall_cycles t.sup);
-            finish t verdict packet Fast_path
-              (Sb_mat.Global_mat.events_fired t.global)
-              n_injected))
-  else begin
-    (* Slow path; the flow's establishing packet also records — unless an
-       NF opted out of consolidation (§IV-A3) or the fault layer no longer
-       trusts the chain (a Degraded NF, or a Failed one pinned to the slow
-       path), in which case no fast path is built. *)
-    if Sb_obs.Sink.armed t.cfg.obs then begin
-      (* Keep the hook clock current before consolidation can LRU-evict. *)
-      t.obs_now_us <- Sb_sim.Cycles.to_microseconds now;
-      (match Sb_obs.Sink.timeline t.cfg.obs with
-      | Some tl when not (Sb_obs.Timeline.known tl fid) ->
-          obs_timeline t ~fid ~ts_us:t.obs_now_us ~detail:(Chain.name t.chain)
-            Sb_obs.Timeline.First_packet
-      | Some _ | None -> ())
-    end;
-    let recording =
-      cls.Classifier.established && Chain.consolidable t.chain
-      && ((not (Sb_fault.Supervisor.active t.sup))
-         || Sb_fault.Supervisor.allow_recording t.sup t.nf_names)
-    in
-    let verdict = walk_chain t ~recording ~fid packet in
-    let contained = t.walk_contained in
-    (* The walk's partial Local MAT records and events must not leak into
-       a rule. *)
-    if contained then quarantine t cls ~detail:"slow-path walk" ~now;
-    if recording && not contained then begin
-      let cost = Sb_mat.Global_mat.consolidate t.global fid (Chain.local_mats t.chain) in
-      if Sb_obs.Sink.armed t.cfg.obs then
-        obs_timeline t ~fid ~ts_us:t.obs_now_us Sb_obs.Timeline.Consolidated;
-      Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.consolidate cost
-    end;
-    if cls.Classifier.final && not contained then cleanup t cls;
-    finish t verdict packet Slow_path 0 t.walk_faults
+let charged t = Sb_sim.Cost_vec.cycles_since_mark t.costs
+
+let contained t = t.contained
+
+(* Admission, phase one: a pure function of the packet bytes (tuple, one
+   FNV hash, FID) that issues prefetch hints for the three tables the
+   packet will probe — conntrack, the Global MAT rule slot and, with idle
+   expiry on, its liveness slot.  It reads no table. *)
+let prepare t packet cls =
+  Classifier.prepare_into t.classifier packet cls;
+  if not cls.Classifier.malformed then begin
+    Sb_mat.Global_mat.prefetch t.global cls.Classifier.fid;
+    match t.wheel with
+    | Some _ -> Sb_flow.Live_table.prefetch t.live cls.Classifier.fid
+    | None -> ()
   end
 
-(* A malformed packet (no 5-tuple, or stale checksums under
-   [verify_checksums]) is rejected at the classifier: it never reaches an
-   NF and never touches conntrack or the liveness tables. *)
-let process_malformed t packet cls =
+(* Admission, phase two, per packet in order: conntrack observe, the
+   idle-expiry touch and the Global MAT lookup, charged as the Classifier
+   stage.  [Global_mat.no_rule] sends the packet down the slow path.  A
+   malformed packet (no 5-tuple, or stale checksums under
+   [verify_checksums]) never touches conntrack or the liveness tables:
+   the caller drops it. *)
+let admit t packet cls =
+  let rule =
+    if cls.Classifier.malformed then Sb_mat.Global_mat.no_rule
+    else begin
+      Classifier.observe_into t.classifier packet cls;
+      touch t cls packet.Sb_packet.Packet.ingress_cycle;
+      Sb_mat.Global_mat.lookup t.global cls.Classifier.fid
+    end
+  in
   Sb_sim.Cost_vec.reset t.costs;
   Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.classifier cls.Classifier.cycles;
-  finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
+  rule
+
+(* The start of a slow-path walk: whether it records.  The flow's
+   establishing packet records — unless an NF opted out of consolidation
+   (§IV-A3) or the fault layer no longer trusts the chain (a Degraded NF,
+   or a Failed one pinned to the slow path), in which case no fast path is
+   built. *)
+let start_walk t packet cls =
+  if Sb_obs.Sink.armed t.cfg.obs then begin
+    (* Keep the hook clock current before consolidation can LRU-evict. *)
+    t.obs_now_us <- Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle;
+    match Sb_obs.Sink.timeline t.cfg.obs with
+    | Some tl when not (Sb_obs.Timeline.known tl cls.Classifier.fid) ->
+        obs_timeline t ~fid:cls.Classifier.fid ~ts_us:t.obs_now_us ~detail:(Chain.name t.chain)
+          Sb_obs.Timeline.First_packet
+    | Some _ | None -> ()
+  end;
+  cls.Classifier.established && Chain.consolidable t.chain
+  && ((not (Sb_fault.Supervisor.active t.sup))
+     || Sb_fault.Supervisor.allow_recording t.sup t.nf_names)
+
+let charge t i cycles =
+  Sb_sim.Cost_vec.mark t.costs;
+  Sb_sim.Cost_vec.serial_stage t.costs (Sb_sim.Cost_vec.nf i) cycles
+
+(* A raise (injected or organic) in the NF's call: the fault is the NF's,
+   the packet drops and the caller quarantines the flow. *)
+let contained_raise t i name overhead =
+  contain t ~nf:name;
+  t.faults <- t.faults + 1;
+  t.contained <- true;
+  charge t i (overhead + Sb_sim.Cycles.fault_contain);
+  Sb_mat.Header_action.Dropped
+
+(* The one context, pointed at this call's flow and NF. *)
+let context t ~fid ~local_mat ~recording =
+  let ctx = t.ctx in
+  ctx.Api.fid <- fid;
+  ctx.Api.local_mat <- local_mat;
+  ctx.Api.recording <- recording;
+  ctx
+
+(* NF [i]'s stage: the supervisor's gate, the injector's draw, [process]
+   under containment, then the corrupt or stall adjustment.  [recording]
+   instruments the call with Local MAT recording (the SpeedyBox
+   initial-packet traversal), charged to the NF's cycles. *)
+let nf_step t packet ~fid ~recording i =
+  let sup = t.sup in
+  let nf = Array.unsafe_get t.nfs i in
+  let local_mat = Array.unsafe_get t.mats i in
+  let name = nf.Nf.name in
+  let gate =
+    if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.gate sup ~nf:name
+    else Sb_fault.Supervisor.Run
+  in
+  t.contained <- false;
+  match gate with
+  | Sb_fault.Supervisor.Bypass_nf ->
+      (* Failed NF elided from the chain: the packet only transits the
+         port; nothing records, so rebuilt fast paths omit the NF. *)
+      charge t i Sb_sim.Cycles.nf_rx_tx;
+      if Sb_obs.Sink.armed t.cfg.obs then
+        obs_timeline t ~fid
+          ~ts_us:(Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle)
+          ~detail:name Sb_obs.Timeline.Degraded_bypass;
+      Sb_mat.Header_action.Forwarded
+  | Sb_fault.Supervisor.Drop_packet ->
+      (* Failed NF under Drop_flow: the drop records like an ordinary
+         verdict, so the flow's fast path early-drops. *)
+      Api.localmat_add_ha (context t ~fid ~local_mat ~recording) Sb_mat.Header_action.Drop;
+      charge t i (Sb_sim.Cycles.nf_rx_tx + Sb_sim.Cycles.ha_drop);
+      Sb_mat.Header_action.Dropped
+  | Sb_fault.Supervisor.Run -> (
+      let overhead =
+        Sb_sim.Cycles.nf_rx_tx + if recording then Sb_sim.Cycles.local_mat_record else 0
+      in
+      let injected =
+        if Sb_fault.Supervisor.active sup then Sb_fault.Supervisor.draw sup ~nf:name else None
+      in
+      match injected with
+      | Some Sb_fault.Injector.Raise -> contained_raise t i name overhead
+      | Some Sb_fault.Injector.Corrupt_verdict | Some Sb_fault.Injector.Stall | None -> (
+          match nf.Nf.process (context t ~fid ~local_mat ~recording) packet with
+          | exception _exn -> contained_raise t i name overhead
+          | r -> (
+              let cycles = Nf.cycles r + overhead in
+              match injected with
+              | Some Sb_fault.Injector.Corrupt_verdict ->
+                  note_fault t ~nf:name;
+                  Sb_fault.Supervisor.record_corrupted sup;
+                  Sb_fault.Supervisor.record_faulted_packet sup;
+                  t.faults <- t.faults + 1;
+                  charge t i cycles;
+                  flip_verdict (Nf.verdict r)
+              | Some Sb_fault.Injector.Stall ->
+                  note_fault t ~nf:name;
+                  Sb_fault.Supervisor.record_stalled sup;
+                  t.faults <- t.faults + 1;
+                  charge t i (cycles + Sb_fault.Supervisor.stall_cycles sup);
+                  Nf.verdict r
+              | Some Sb_fault.Injector.Raise | None ->
+                  charge t i cycles;
+                  Nf.verdict r)))
+
+let rec walk t packet ~fid ~recording i =
+  if i = Array.length t.nfs then Sb_mat.Header_action.Forwarded
+  else
+    match nf_step t packet ~fid ~recording i with
+    | Sb_mat.Header_action.Forwarded -> walk t packet ~fid ~recording (i + 1)
+    | Sb_mat.Header_action.Dropped -> Sb_mat.Header_action.Dropped
+
+(* Walk the original chain, one stage per NF visited; [t.faults] counts
+   the faults charged. *)
+let walk_chain t packet ~fid ~recording =
+  t.faults <- 0;
+  walk t packet ~fid ~recording 0
+
+(* A slow-path walk's contained raise: its partial Local MAT records and
+   events must not leak into a rule. *)
+let quarantine t packet cls =
+  quarantine_flow t cls ~detail:"slow-path walk" ~now:packet.Sb_packet.Packet.ingress_cycle
+
+(* A fast-path packet whose rule execution faulted drops, charged the
+   lookup and the containment in place of the GlobalMAT stage. *)
+let fast_path_fault t packet cls ~nf =
+  quarantine_flow t cls ~detail:nf ~now:packet.Sb_packet.Packet.ingress_cycle;
+  Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.global_mat
+    (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain);
+  t.contained <- true;
+  Sb_mat.Header_action.Dropped
+
+(* Mirror the slow path's per-NF injector consultation — one draw per NF
+   per packet — so a fault schedule is path-independent, tallying into
+   [t.faults], [t.corrupts], [t.stalls] and [t.raised] (the first NF whose
+   draw was a raise). *)
+let rec draw_injections t i =
+  if i < Array.length t.nf_names then begin
+    let name = Array.unsafe_get t.nf_names i in
+    (match Sb_fault.Supervisor.draw t.sup ~nf:name with
+    | None -> ()
+    | Some kind -> (
+        t.faults <- t.faults + 1;
+        note_fault t ~nf:name;
+        match kind with
+        | Sb_fault.Injector.Raise ->
+            Sb_fault.Supervisor.record_contained t.sup;
+            if t.raised < 0 then t.raised <- i
+        | Sb_fault.Injector.Corrupt_verdict ->
+            Sb_fault.Supervisor.record_corrupted t.sup;
+            t.corrupts <- t.corrupts + 1
+        | Sb_fault.Injector.Stall ->
+            Sb_fault.Supervisor.record_stalled t.sup;
+            t.stalls <- t.stalls + 1));
+    draw_injections t (i + 1)
+  end
+
+(* Forwarded packets pay the metadata detach at egress; a dropped packet's
+   descriptor is simply released.  Preallocated for the optional argument,
+   which would otherwise box a [Some] per packet. *)
+let detach = Some Sb_sim.Cycles.meta_detach
+
+(* The fast path: the injector's draws, the rule's execution, then an odd
+   number of corrupt draws flips the verdict and stalls add their own
+   stage.  A drawn raise or an organic fault quarantines the flow. *)
+let execute t packet cls rule =
+  let costs = t.costs in
+  Sb_sim.Cost_vec.mark costs;
+  t.contained <- false;
+  t.faults <- 0;
+  t.corrupts <- 0;
+  t.stalls <- 0;
+  t.raised <- -1;
+  if Sb_fault.Supervisor.active t.sup then draw_injections t 0;
+  if t.raised >= 0 then begin
+    (* The injected crash aborts the rule execution. *)
+    Sb_fault.Supervisor.record_faulted_packet t.sup;
+    fast_path_fault t packet cls ~nf:(Array.unsafe_get t.nf_names t.raised)
+  end
+  else
+    match
+      Sb_mat.Global_mat.execute_rule ?egress:detach t.global (Chain.events t.chain)
+        (Chain.local_mats t.chain) cls.Classifier.fid rule packet
+    with
+    | exception exn ->
+        (* An organic fast-path fault — a raising state function or event
+           update — attributed to its NF when known.  The half-written
+           GlobalMAT stage gives way to the containment charge. *)
+        let nf =
+          match exn with Sb_fault.Fault.Nf_fault (nf, _, _) -> nf | _ -> "GlobalMAT"
+        in
+        Sb_sim.Cost_vec.rewind costs;
+        contain t ~nf;
+        t.faults <- t.faults + 1;
+        fast_path_fault t packet cls ~nf
+    | verdict ->
+        if t.stalls > 0 then
+          Sb_sim.Cost_vec.serial_stage costs Sb_sim.Cost_vec.injected_stall
+            (t.stalls * Sb_fault.Supervisor.stall_cycles t.sup);
+        if t.corrupts = 0 then verdict
+        else begin
+          Sb_fault.Supervisor.record_faulted_packet t.sup;
+          if t.corrupts land 1 = 1 then flip_verdict verdict else verdict
+        end
+
+(* The end of a recording walk that was not contained: the flow's Local
+   MAT records become its Global MAT rule. *)
+let consolidate t packet cls =
+  if Sb_obs.Sink.armed t.cfg.obs then
+    t.obs_now_us <- Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle;
+  let cost =
+    Sb_mat.Global_mat.consolidate t.global cls.Classifier.fid (Chain.local_mats t.chain)
+  in
+  if Sb_obs.Sink.armed t.cfg.obs then
+    obs_timeline t ~fid:cls.Classifier.fid ~ts_us:t.obs_now_us Sb_obs.Timeline.Consolidated;
+  Sb_sim.Cost_vec.serial_stage t.costs Sb_sim.Cost_vec.consolidate cost
+
+(* A packet that was not contained leaves: a final one (FIN/RST) takes
+   its flow's rules with it. *)
+let retire t cls = if cls.Classifier.final then cleanup t cls
+
+(* One admitted packet's execution, [rule] its Global MAT resolution. *)
+let process_with_rule t packet cls rule =
+  if rule != Sb_mat.Global_mat.no_rule then begin
+    let verdict = execute t packet cls rule in
+    if t.contained then finish t verdict packet Fast_path 0 t.faults
+    else begin
+      retire t cls;
+      finish t verdict packet Fast_path (Sb_mat.Global_mat.events_fired t.global) t.faults
+    end
+  end
+  else begin
+    let recording = start_walk t packet cls in
+    let verdict = walk_chain t packet ~fid:cls.Classifier.fid ~recording in
+    if t.contained then quarantine t packet cls
+    else begin
+      if recording then consolidate t packet cls;
+      retire t cls
+    end;
+    finish t verdict packet Slow_path 0 t.faults
+  end
+
+(* A frame cut short of its headers never reaches an NF: the NFs would
+   read past its end.  It drops at ingress and costs nothing, as no stage
+   ran.  Any other frame walks the chain, a non-TCP/UDP one included. *)
+let process_original t packet =
+  Sb_sim.Cost_vec.reset t.costs;
+  if not (Sb_packet.Packet.headers_fit packet) then
+    finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
+  else
+    let verdict = walk_chain t packet ~fid:(-1) ~recording:false in
+    finish t verdict packet Slow_path 0 t.faults
+
+(* The per-packet metrics: path and verdict counters, the latency
+   histogram, a sharded run's sojourn, and the snapshot tick. *)
+let count t path verdict ~latency_cycles ~now_us =
+  (match t.ins with
+  | Some ins ->
+      let latency_us = Sb_sim.Cycles.to_microseconds latency_cycles in
+      (match path with
+      | Slow_path ->
+          Sb_obs.Metrics.Counter.incr ins.c_slow;
+          Sb_obs.Histogram.observe ins.h_latency_slow latency_us
+      | Fast_path ->
+          Sb_obs.Metrics.Counter.incr ins.c_fast;
+          Sb_obs.Histogram.observe ins.h_latency_fast latency_us);
+      (match verdict with
+      | Sb_mat.Header_action.Forwarded -> Sb_obs.Metrics.Counter.incr ins.c_forwarded
+      | Sb_mat.Header_action.Dropped -> Sb_obs.Metrics.Counter.incr ins.c_dropped);
+      (match ins.h_sojourn with
+      | Some h -> Sb_obs.Histogram.observe h latency_us
+      | None -> ())
+  | None -> ());
+  (* Snapshot cadence rides the same armed branch; derives from the
+     simulated clock, so snapshot series are deterministic. *)
+  Sb_obs.Sink.packet_tick t.cfg.obs ~now_us
 
 (* Everything observability learns per packet derives from the [output]
    the executor produced anyway, so one armed-sink branch after processing
@@ -566,26 +748,7 @@ let instrument t packet out =
   let fid = out.packet.Sb_packet.Packet.fid in
   let ts0 = Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle in
   t.obs_now_us <- ts0;
-  (match t.ins with
-  | Some ins ->
-      let latency_us = Sb_sim.Cycles.to_microseconds out.latency_cycles in
-      (match out.path with
-      | Slow_path ->
-          Sb_obs.Metrics.Counter.incr ins.c_slow;
-          Sb_obs.Histogram.observe ins.h_latency_slow latency_us
-      | Fast_path ->
-          Sb_obs.Metrics.Counter.incr ins.c_fast;
-          Sb_obs.Histogram.observe ins.h_latency_fast latency_us);
-      (match out.verdict with
-      | Sb_mat.Header_action.Forwarded -> Sb_obs.Metrics.Counter.incr ins.c_forwarded
-      | Sb_mat.Header_action.Dropped -> Sb_obs.Metrics.Counter.incr ins.c_dropped);
-      (match ins.h_sojourn with
-      | Some h -> Sb_obs.Histogram.observe h latency_us
-      | None -> ())
-  | None -> ());
-  (* Snapshot cadence rides the same armed branch; derives from the
-     simulated clock, so snapshot series are deterministic. *)
-  Sb_obs.Sink.packet_tick obs ~now_us:ts0;
+  count t out.path out.verdict ~latency_cycles:out.latency_cycles ~now_us:ts0;
   match Sb_obs.Sink.tracer obs with
   | Some tr when Sb_obs.Tracer.sampled tr fid ->
       (* One span per visited stage: per-NF spans on the slow path, one
@@ -622,14 +785,13 @@ let ensure_cls_scratch t n =
 (* Process [packets.(off .. off+len-1)] as one burst, calling [emit k out]
    for each packet in order ([k] relative to [off]).
 
-   Phase one ([Classifier.prepare_into], the whole burst) is a pure
-   function of the packet bytes — tuple, one FNV hash, FID — and issues
-   prefetch hints for the three tables each packet will probe (conntrack
-   slot, Global MAT rule slot, liveness slot), so the line fills for
+   Phase one ([prepare], the whole burst) is a pure function of the
+   packet bytes and issues the prefetch hints, so the line fills for
    packet [k]'s probes are in flight while packets [k+1 .. n-1] are still
-   being parsed.  Then each packet in order is observed, touched,
-   resolved and executed — exactly what a burst of one does, so no packet
-   reads state an earlier packet of the burst has yet to write. *)
+   being parsed.  Then each packet in order is admitted (observed,
+   touched, resolved) and executed — exactly what a burst of one does,
+   so no packet reads state an earlier packet of the burst has yet to
+   write. *)
 let process_burst_into t packets ~off ~len:n emit =
   match t.cfg.mode with
   | Original ->
@@ -641,25 +803,17 @@ let process_burst_into t packets ~off ~len:n emit =
       done
   | Speedybox ->
       let cls_arr = ensure_cls_scratch t n in
-      let track_live = t.wheel <> None in
       for k = 0 to n - 1 do
-        let cls = Array.unsafe_get cls_arr k in
-        Classifier.prepare_into t.classifier packets.(off + k) cls;
-        if not cls.Classifier.malformed then begin
-          Sb_mat.Global_mat.prefetch t.global cls.Classifier.fid;
-          if track_live then Sb_flow.Live_table.prefetch t.live cls.Classifier.fid
-        end
+        prepare t packets.(off + k) (Array.unsafe_get cls_arr k)
       done;
       for k = 0 to n - 1 do
         let packet = packets.(off + k) in
         let cls = Array.unsafe_get cls_arr k in
+        let rule = admit t packet cls in
         let out =
-          if cls.Classifier.malformed then process_malformed t packet cls
-          else begin
-            Classifier.observe_into t.classifier packet cls;
-            touch t cls packet.Sb_packet.Packet.ingress_cycle;
-            process_with_rule t packet cls (Sb_mat.Global_mat.lookup t.global cls.Classifier.fid)
-          end
+          if cls.Classifier.malformed then
+            finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
+          else process_with_rule t packet cls rule
         in
         if Sb_obs.Sink.armed t.cfg.obs then instrument t packet out;
         emit k out

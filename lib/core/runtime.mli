@@ -189,6 +189,75 @@ val process_burst_into :
     on, exposed for executors (the sharded runtime) that interleave bursts
     across several runtimes. *)
 
+(** {2 Stages}
+
+    One packet's semantics as separate steps, so an executor holding
+    packets in flight between them ({!Staged_runtime}) runs exactly what
+    {!process_burst_into} runs back to back: {!prepare} and {!admit};
+    then {!execute} when a rule was found, or else {!start_walk}, {!nf_step}
+    per NF and {!consolidate} when the walk records; then {!retire}, or
+    {!quarantine} after a contained walk.  None allocates.  After each,
+    {!charged} reads the cycles it wrote to the cost vector and
+    {!contained} whether it dropped the packet for a fault ({!execute}
+    then quarantined the flow itself; after {!nf_step} the caller must). *)
+
+type classification = Classifier.classification
+
+val classification : unit -> classification
+(** A blank record: an executor keeps one per packet in flight. *)
+
+val prepare : t -> Sb_packet.Packet.t -> classification -> unit
+(** Parse, hash and FID, plus prefetch hints for the conntrack, Global MAT
+    and liveness slots the packet will probe.  Reads no table. *)
+
+val admit : t -> Sb_packet.Packet.t -> classification -> Sb_mat.Global_mat.rule
+(** Conntrack observe, idle-expiry touch and Global MAT lookup, charged as
+    the Classifier stage; {!Sb_mat.Global_mat.no_rule} means the slow
+    path.  A [malformed] packet touches no table: the caller drops it. *)
+
+val start_walk : t -> Sb_packet.Packet.t -> classification -> bool
+(** Whether the walk may record (established, consolidable, allowed by the
+    fault layer); a flow's first walk lands on its timeline. *)
+
+val nf_step :
+  t ->
+  Sb_packet.Packet.t ->
+  fid:Sb_flow.Fid.t ->
+  recording:bool ->
+  int ->
+  Sb_mat.Header_action.verdict
+(** [nf_step t packet ~fid ~recording i] calls the chain's [i]-th NF (from
+    0) under the supervisor's gate, the injector's draw and containment.
+    A Failed NF under [Bypass] forwards and logs a degraded bypass. *)
+
+val quarantine : t -> Sb_packet.Packet.t -> classification -> unit
+(** Tears the flow's state down after a contained walk. *)
+
+val execute :
+  t ->
+  Sb_packet.Packet.t ->
+  classification ->
+  Sb_mat.Global_mat.rule ->
+  Sb_mat.Header_action.verdict
+(** The fast path: one injector draw per NF, as on a walk, then the rule,
+    with egress charged to a forwarded packet only.  An odd number of
+    corrupt draws flips the verdict; stalls add an [InjectedStall] stage. *)
+
+val consolidate : t -> Sb_packet.Packet.t -> classification -> unit
+(** Builds the flow's Global MAT rule from its Local MAT records. *)
+
+val retire : t -> classification -> unit
+(** A final packet (FIN/RST) that was not contained tears its flow down. *)
+
+val charged : t -> int
+
+val contained : t -> bool
+
+val count :
+  t -> path -> Sb_mat.Header_action.verdict -> latency_cycles:int -> now_us:float -> unit
+(** One packet into the metrics registry's path, verdict and latency
+    series, and the snapshot cadence. *)
+
 (** A stage label's totals over a run: [visits] packets visited it and
     spent [cycles] there in all.  Integer sums are exact, so
     [float cycles /. float visits] is the mean a float accumulator over

@@ -1,28 +1,21 @@
 open Sb_packet
+module Int_set = Set.Make (Int)
 
 type route = To_classifier | To_nf of int | To_global_mat
 
 type job = {
   packet : Packet.t;
+  cls : Runtime.classification;
   arrival : int;
   submit_idx : int;  (** submission order, for reordering detection *)
   flow_key : int;
+  mutable path : Runtime.path;
   mutable recording : bool;
-  mutable cleanup_after : bool;
-  mutable pack1 : int;
-  mutable pack2 : int;
-      (** the ingress tuple's packed key, set when the classifier admits
-          the packet: only an admitted packet reaches an NF or the Global
-          MAT, so only its flow is ever cleaned up *)
+  mutable contained : bool;  (** quarantined: its flow is already gone *)
+  mutable busy : int;  (** service cycles so far, ring hops included *)
 }
 
-type outcome =
-  | Next of route
-  | Done of Sb_mat.Header_action.verdict
-  | Done_after_consolidate of Sb_mat.Header_action.verdict
-      (* the walk's last stage for a recording packet: the rule installs at
-         completion (when the chain has finished with the packet, §III),
-         not at service start *)
+type outcome = Next of route | Done of Sb_mat.Header_action.verdict
 
 type result = {
   forwarded : int;
@@ -37,258 +30,158 @@ type result = {
   quarantines : int;
 }
 
-let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one) ?injector
-    ?(fault_policy = Sb_fault.Health.default_policy) ?(obs = Sb_obs.Sink.null) chain
-    trace =
+let run ?(ring_capacity = 64) ?(burst = 1) ?on_departure (cfg : Runtime.config) chain trace =
+  if cfg.Runtime.mode <> Runtime.Speedybox then
+    invalid_arg "Staged_runtime.run: Original mode has no classifier stage to stage";
+  if cfg.Runtime.platform <> Sb_sim.Platform.Onvm then
+    invalid_arg "Staged_runtime.run: the staged pipeline models OpenNetVM (platform onvm)";
+  let rt = Runtime.create cfg chain in
+  let obs = cfg.Runtime.obs in
   let nfs = Array.of_list (Chain.nfs chain) in
-  let mats = Array.of_list (Chain.local_mats chain) in
-  let nf_names = Array.map (fun nf -> nf.Nf.name) nfs in
-  let classifier = Classifier.create () in
-  let costs = Sb_sim.Cost_vec.create () in
-  let labels = Sb_sim.Cost_vec.labels nf_names in
-  let global = Sb_mat.Global_mat.create ~policy ~obs ~costs () in
-  let sup = Sb_fault.Supervisor.create ?injector ~obs fault_policy in
-  let step = Nf_step.create sup chain global in
-  let cls = Classifier.scratch () in
-  if Sb_obs.Sink.armed obs then Sb_mat.Event_table.set_obs (Chain.events chain) obs;
-  (* Instruments resolved once up front; per-event recording is then field
-     updates only (see {!Runtime}). *)
   let ins =
-    match Sb_obs.Sink.metrics obs with
-    | None -> None
-    | Some m ->
-        let chain_label = ("chain", Chain.name chain) in
-        let verdicts v =
-          Sb_obs.Metrics.counter m
-            ~help:"Packet verdicts leaving the staged pipeline"
-            ~labels:[ chain_label; ("verdict", v) ]
-            "speedybox_staged_verdicts_total"
-        in
-        Some
-          ( verdicts "forwarded",
-            verdicts "dropped",
-            Sb_obs.Metrics.counter m
-              ~help:"Packets tail-dropped by a full stage ring"
-              ~labels:[ chain_label ] "speedybox_staged_overflow_total",
-            Sb_obs.Metrics.histogram m
-              ~help:"Arrival-to-departure sojourn in microseconds"
-              ~labels:[ chain_label ] "speedybox_staged_sojourn_us" )
+    Option.map
+      (fun m ->
+        let labels = [ ("chain", Chain.name chain) ] in
+        ( Sb_obs.Metrics.counter m ~help:"Packets tail-dropped by a full stage ring" ~labels
+            "speedybox_staged_overflow_total",
+          Sb_obs.Metrics.histogram m ~help:"Arrival-to-departure sojourn in microseconds" ~labels
+            "speedybox_staged_sojourn_us" ))
+      (Sb_obs.Sink.metrics obs)
   in
+  (* Only one packet of a flow records at a time: packets arriving while
+     the recording packet is still mid-chain walk uninstrumented — the
+     consolidation race real deployments have. *)
   let recording_in_flight : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-
   let stage_of_route = function
     | To_classifier -> "Classifier"
     | To_nf i -> nfs.(i).Nf.name
     | To_global_mat -> "GlobalMAT"
   in
-
-  let forwarded = ref 0
-  and dropped_by_chain = ref 0
-  and dropped_overflow = ref 0
-  and slow = ref 0
-  and fast = ref 0
-  and reordered = ref 0
-  and fired = ref 0 in
+  let forwarded = ref 0 and dropped_by_chain = ref 0 and dropped_overflow = ref 0 in
+  let slow = ref 0 and fast = ref 0 and reordered = ref 0 and fired = ref 0 in
   let sojourn_us = Sb_sim.Stats.create () in
-
   (* Live submission indices per flow; a departure with a smaller live
      index still present has overtaken it. *)
-  let live : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let live_set flow_key =
-    match Hashtbl.find_opt live flow_key with
-    | Some set -> set
-    | None ->
-        let set = Hashtbl.create 4 in
-        Hashtbl.replace live flow_key set;
-        set
+  let live : (int, Int_set.t) Hashtbl.t = Hashtbl.create 64 in
+  let leave ?(check = false) job =
+    let set = Hashtbl.find live job.flow_key in
+    if check && Int_set.min_elt set < job.submit_idx then incr reordered;
+    Hashtbl.replace live job.flow_key (Int_set.remove job.submit_idx set)
   in
-  let retire ?(check = false) job =
-    let set = live_set job.flow_key in
-    if check && Hashtbl.fold (fun idx () acc -> acc || idx < job.submit_idx) set false then
-      incr reordered;
-    Hashtbl.remove set job.submit_idx
-  in
-
   let stop_recording job =
-    if job.recording then begin
-      Hashtbl.remove recording_in_flight job.packet.Packet.fid;
-      job.recording <- false
-    end
+    if job.recording then Hashtbl.remove recording_in_flight job.cls.fid;
+    job.recording <- false
   in
-
-  let flow_cleanup job =
-    Chain.remove_flow chain job.packet.Packet.fid;
-    Sb_mat.Global_mat.remove_flow global job.packet.Packet.fid;
-    Classifier.forget_packed classifier job.pack1 job.pack2
-  in
-
-  (* Containment inside a stage, once the fault is charged: the job's flow
-     state is quarantined and the packet leaves the chain dropped. *)
-  let quarantine job ~nf ~now cycles =
-    stop_recording job;
-    flow_cleanup job;
-    Sb_fault.Supervisor.record_quarantine sup;
-    if Sb_obs.Sink.armed obs then begin
-      match Sb_obs.Sink.timeline obs with
-      | Some tl when job.packet.Packet.fid >= 0 ->
-          Sb_obs.Timeline.record tl ~fid:job.packet.Packet.fid
-            ~ts_us:(Sb_sim.Cycles.to_microseconds now)
-            ~detail:nf Sb_obs.Timeline.Quarantined
-      | Some _ | None -> ()
-    end;
-    job.cleanup_after <- false;
-    (cycles, Done Sb_mat.Header_action.Dropped)
-  in
-
-  let finish job at verdict =
-    (match verdict with
-    | Sb_mat.Header_action.Forwarded -> incr forwarded
-    | Sb_mat.Header_action.Dropped -> incr dropped_by_chain);
+  let depart job at verdict =
+    incr
+      (match verdict with
+      | Sb_mat.Header_action.Forwarded -> forwarded
+      | Sb_mat.Header_action.Dropped -> dropped_by_chain);
     let us = Sb_sim.Cycles.to_microseconds (at - job.arrival) in
     Sb_sim.Stats.add sojourn_us us;
-    (if Sb_obs.Sink.armed obs then
-       match ins with
-       | Some (c_fwd, c_drop, _, h) ->
-           (match verdict with
-           | Sb_mat.Header_action.Forwarded -> Sb_obs.Metrics.Counter.incr c_fwd
-           | Sb_mat.Header_action.Dropped -> Sb_obs.Metrics.Counter.incr c_drop);
-           Sb_obs.Histogram.observe h us
-       | None -> ());
-    retire ~check:true job;
-    if job.cleanup_after then flow_cleanup job
+    (match ins with
+    | Some (_, h) ->
+        Runtime.count rt job.path verdict ~latency_cycles:job.busy
+          ~now_us:(Sb_sim.Cycles.to_microseconds at);
+        Sb_obs.Histogram.observe h us
+    | None -> ());
+    leave ~check:true job;
+    (* Final-packet cleanup waits for the departure: packets of the flow
+       still in flight behind it keep the state they were admitted with. *)
+    if not job.contained then Runtime.retire rt job.cls;
+    match on_departure with Some f -> f job.submit_idx verdict job.packet | None -> ()
   in
-
-  (* Consolidation cost is deterministic, so the service time can charge
-     it up front while the table write itself happens at completion. *)
-  let consolidate_cost = List.length (Chain.local_mats chain) * Sb_sim.Cycles.global_consolidate_per_nf in
-  let consolidate_at_completion job =
-    ignore (Sb_mat.Global_mat.consolidate global job.packet.Packet.fid (Chain.local_mats chain));
-    stop_recording job
+  (* Consolidation cost is deterministic, so the service time charges it
+     up front while the table write itself happens at completion. *)
+  let consolidate_cost = Chain.length chain * Sb_sim.Cycles.global_consolidate_per_nf in
+  let contain job =
+    stop_recording job;
+    job.contained <- true;
+    Done Sb_mat.Header_action.Dropped
   in
-
-  (* The actual work a stage performs when it starts serving a job. *)
-  let serve job route now =
+  (* The work a stage performs when it starts serving a job: the
+     runtime's own stage, with the cycles it charged as the service. *)
+  let serve job route =
     match route with
     | To_classifier ->
-        Classifier.classify_into classifier job.packet cls;
-        if cls.Classifier.malformed then
-          (* Rejected at admission: no tuple, no conntrack state, no NF —
-             the packet leaves the classifier stage dropped. *)
-          (cls.Classifier.cycles, Done Sb_mat.Header_action.Dropped)
+        Runtime.prepare rt job.packet job.cls;
+        let rule = Runtime.admit rt job.packet job.cls in
+        let cycles = Runtime.charged rt in
+        if job.cls.malformed then (cycles, Done Sb_mat.Header_action.Dropped)
+        else if rule != Sb_mat.Global_mat.no_rule then (
+          incr fast;
+          job.path <- Runtime.Fast_path;
+          (cycles, Next To_global_mat))
         else begin
-          job.pack1 <- cls.Classifier.pack1;
-          job.pack2 <- cls.Classifier.pack2;
-          job.cleanup_after <- cls.Classifier.final;
-          if Sb_mat.Global_mat.mem global cls.Classifier.fid then begin
-            incr fast;
-            (cls.Classifier.cycles, Next To_global_mat)
-          end
-          else begin
-            incr slow;
-            (* Only one packet of a flow records at a time: packets arriving
-               while the initial packet is still mid-chain walk uninstrumented
-               — the consolidation race real deployments have. *)
-            if
-              cls.Classifier.established
-              && Chain.consolidable chain
-              && not (Hashtbl.mem recording_in_flight cls.Classifier.fid)
-              && ((not (Sb_fault.Supervisor.active sup))
-                 || Sb_fault.Supervisor.allow_recording sup nf_names)
-            then begin
-              Hashtbl.replace recording_in_flight cls.Classifier.fid ();
-              job.recording <- true
-            end;
-            (cls.Classifier.cycles, Next (To_nf 0))
-          end
+          incr slow;
+          job.recording <-
+            Runtime.start_walk rt job.packet job.cls
+            && not (Hashtbl.mem recording_in_flight job.cls.fid);
+          if job.recording then Hashtbl.replace recording_in_flight job.cls.fid ();
+          (cycles, Next (To_nf 0))
         end
     | To_nf i -> (
-        let finish_walk cycles verdict =
-          if job.recording then (cycles + consolidate_cost, Done_after_consolidate verdict)
-          else (cycles, Done verdict)
+        let verdict =
+          Runtime.nf_step rt job.packet ~fid:job.cls.fid ~recording:job.recording i
         in
-        let nf = nfs.(i) in
-        let outcome =
-          Nf_step.run step nf ~fid:job.packet.Packet.fid ~local_mat:mats.(i)
-            ~recording:job.recording job.packet
-        in
-        let cycles = Nf_step.cycles step in
-        match outcome with
-        | Nf_step.Forwarded | Nf_step.Bypassed ->
-            if i + 1 < Array.length nfs then (cycles, Next (To_nf (i + 1)))
-            else finish_walk cycles Sb_mat.Header_action.Forwarded
-        | Nf_step.Dropped ->
-            (* The walk ends here; a recording walk still consolidates so
-               subsequent packets early-drop. *)
-            finish_walk cycles Sb_mat.Header_action.Dropped
-        | Nf_step.Contained -> quarantine job ~nf:nf.Nf.name ~now cycles)
-    | To_global_mat -> (
-        match Sb_mat.Global_mat.find global job.packet.Packet.fid with
-        | None ->
-            (* The rule vanished between classify and service (FIN cleanup
-               raced ahead); fall back to the original path. *)
-            (Sb_sim.Cycles.fast_path_lookup, Next (To_nf 0))
-        | Some rule -> (
-            Sb_sim.Cost_vec.reset costs;
-            match
-              Sb_mat.Global_mat.execute_rule global (Chain.events chain)
-                (Chain.local_mats chain) job.packet.Packet.fid rule job.packet
-            with
-            | exception exn ->
-                let nf =
-                  match exn with
-                  | Sb_fault.Fault.Nf_fault (nf, _, _) -> nf
-                  | _ -> "GlobalMAT"
-                in
-                Nf_step.contain step ~nf;
-                quarantine job ~nf ~now
-                  (Sb_sim.Cycles.fast_path_lookup + Sb_sim.Cycles.fault_contain)
-            | verdict ->
-                fired := !fired + Sb_mat.Global_mat.events_fired global;
-                ( Sb_sim.Cost_profile.total_cycles (Sb_sim.Cost_vec.to_profile labels costs)
-                  + Sb_sim.Cycles.meta_detach,
-                  Done verdict )))
+        let cycles = Runtime.charged rt in
+        if Runtime.contained rt then (
+          Runtime.quarantine rt job.packet job.cls;
+          (cycles, contain job))
+        else
+          match verdict with
+          | Sb_mat.Header_action.Forwarded when i + 1 < Array.length nfs ->
+              (cycles, Next (To_nf (i + 1)))
+          | verdict ->
+              (* A recording walk (a dropping one too) pays for consolidation
+                 here and installs the rule once the chain is done (§III). *)
+              ((if job.recording then cycles + consolidate_cost else cycles), Done verdict))
+    | To_global_mat ->
+        let rule = Sb_mat.Global_mat.lookup (Runtime.global_mat rt) job.cls.fid in
+        if rule == Sb_mat.Global_mat.no_rule then
+          (* The rule vanished after admission (a FIN, an eviction or a
+             quarantine raced ahead): fall back to the walk. *)
+          (Sb_sim.Cycles.fast_path_lookup, Next (To_nf 0))
+        else
+          let verdict = Runtime.execute rt job.packet job.cls rule in
+          if Runtime.contained rt then (Runtime.charged rt, contain job)
+          else (
+            fired := !fired + Sb_mat.Global_mat.events_fired (Runtime.global_mat rt);
+            (Runtime.charged rt, Done verdict))
   in
-
   let work =
     {
       Sb_sim.Stages.serve =
         (fun label (job, route) ~now ~hop ->
-          let service, outcome = serve job route now in
+          let service, outcome = serve job route in
           let service = service + hop in
-          (if Sb_obs.Sink.armed obs then
-             (* One span per stage service, on the event clock: ring waits
-                show up as gaps between a flow's spans. *)
-             match Sb_obs.Sink.tracer obs with
-             | Some tr ->
-                 Sb_obs.Tracer.record tr ~name:label ~cat:"stage"
-                   ~ts_us:(Sb_sim.Cycles.to_microseconds now)
-                   ~dur_us:(Sb_sim.Cycles.to_microseconds service)
-                   ~tid:job.packet.Packet.fid []
-             | None -> ());
+          job.busy <- job.busy + service;
+          (* One span per stage service, on the event clock: ring waits
+             show up as gaps between a flow's spans. *)
+          (match Sb_obs.Sink.tracer obs with
+          | Some tr ->
+              Sb_obs.Tracer.record tr ~name:label ~cat:"stage"
+                ~ts_us:(Sb_sim.Cycles.to_microseconds now)
+                ~dur_us:(Sb_sim.Cycles.to_microseconds service) ~tid:job.cls.fid []
+          | None -> ());
           (service, outcome));
       complete =
         (fun (job, _) outcome ~now ->
           match outcome with
           | Next next -> Sb_sim.Stages.Forward (stage_of_route next, (job, next))
           | Done verdict ->
-              finish job now verdict;
-              Sb_sim.Stages.Depart
-          | Done_after_consolidate verdict ->
-              consolidate_at_completion job;
-              finish job now verdict;
+              if job.recording then Runtime.consolidate rt job.packet job.cls;
+              stop_recording job;
+              depart job now verdict;
               Sb_sim.Stages.Depart);
       overflow =
         (fun (job, _) ->
           incr dropped_overflow;
-          (if Sb_obs.Sink.armed obs then
-             match ins with
-             | Some (_, _, c_overflow, _) -> Sb_obs.Metrics.Counter.incr c_overflow
-             | None -> ());
+          (match ins with Some (c, _) -> Sb_obs.Metrics.Counter.incr c | None -> ());
           stop_recording job;
-          retire job);
+          leave job);
     }
   in
-
   let arrivals =
     List.mapi
       (fun submit_idx original ->
@@ -300,22 +193,18 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?(policy = Sb_mat.Parallel.Table_one)
           else Runtime.no_flow_fid
         in
         let job =
-          {
-            packet;
-            arrival = packet.Packet.ingress_cycle;
-            submit_idx;
-            flow_key;
-            recording = false;
-            cleanup_after = false;
-            pack1 = 0;
-            pack2 = 0;
-          }
+          { packet; cls = Runtime.classification (); arrival = packet.Packet.ingress_cycle;
+            submit_idx; flow_key; path = Runtime.Slow_path; recording = false;
+            contained = false; busy = 0 }
         in
-        Hashtbl.replace (live_set flow_key) submit_idx ();
+        Hashtbl.replace live flow_key
+          (Int_set.add submit_idx
+             (Option.value ~default:Int_set.empty (Hashtbl.find_opt live flow_key)));
         (job.arrival, stage_of_route To_classifier, (job, To_classifier)))
       trace
   in
   Sb_sim.Stages.run ~ring_capacity ~burst work arrivals;
+  let sup = Runtime.supervisor rt in
   {
     forwarded = !forwarded;
     dropped_by_chain = !dropped_by_chain;

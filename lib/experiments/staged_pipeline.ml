@@ -16,7 +16,9 @@ let measure ~gaps =
   List.map
     (fun gap ->
       let chain = Fig6.build_chain () in
-      let r = Speedybox.Staged_runtime.run ~ring_capacity:256 chain (trace gap) in
+      let r = Speedybox.Staged_runtime.run ~ring_capacity:256
+          (Speedybox.Runtime.config ~platform:Sb_sim.Platform.Onvm ())
+          chain (trace gap) in
       let routed = r.Speedybox.Staged_runtime.slow_path + r.Speedybox.Staged_runtime.fast_path in
       {
         gap_cycles = gap;

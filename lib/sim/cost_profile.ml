@@ -17,16 +17,16 @@ let rec longest acc = function
   | [] -> acc
   | c :: rest -> longest (if c > acc then c else acc) rest
 
+(* Imperfect overlap: a slice of the off-critical-path work still
+   serialises (contention, skew). *)
+let parallel_cycles ~total ~longest =
+  Cycles.parallel_sync + longest + ((total - longest) * Cycles.parallel_overlap_pct / 100)
+
 let item_cycles = function
   | Serial c -> c
   | Parallel [] -> 0
   | Parallel [ c ] -> c
-  | Parallel costs ->
-      let total = sum 0 costs and longest = longest 0 costs in
-      (* Imperfect overlap: a slice of the off-critical-path work still
-         serialises (contention, skew). *)
-      Cycles.parallel_sync + longest
-      + ((total - longest) * Cycles.parallel_overlap_pct / 100)
+  | Parallel costs -> parallel_cycles ~total:(sum 0 costs) ~longest:(longest 0 costs)
 
 let item_core_work = function Serial c -> c | Parallel costs -> sum 0 costs
 

@@ -22,6 +22,10 @@ val stage : string -> item list -> stage
 
 val serial_stage : string -> int -> stage
 
+val parallel_cycles : total:int -> longest:int -> int
+(** What a [Parallel] group of two or more costs occupies, given their sum
+    and the longest. *)
+
 val stage_cycles : stage -> int
 (** Wall-clock cycles the stage occupies: serial items summed, each parallel
     group charged [Cycles.parallel_sync + max]. *)

@@ -83,6 +83,29 @@ let nf i = 4 + i
 let labels nf_names =
   Array.append [| "Classifier"; "Consolidate"; "GlobalMAT"; "InjectedStall" |] nf_names
 
+(* The stages written since the mark, in cycles: {!Cost_profile.total_cycles}
+   of their decoding, read off the tokens with no list built. *)
+let rec cycles_from b len i acc =
+  if i >= len then acc
+  else
+    let x = Array.unsafe_get b i in
+    if x <= -2 then cycles_from b len (i + 1) acc
+    else if x = serial_tag then cycles_from b len (i + 2) (acc + Array.unsafe_get b (i + 1))
+    else begin
+      let total = ref 0 and longest = ref 0 in
+      for j = i + 1 to i + x do
+        let c = Array.unsafe_get b j in
+        total := !total + c;
+        if c > !longest then longest := c
+      done;
+      let c =
+        if x <= 1 then !total else Cost_profile.parallel_cycles ~total:!total ~longest:!longest
+      in
+      cycles_from b len (i + 1 + x) (acc + c)
+    end
+
+let cycles_since_mark v = cycles_from v.buf v.len v.mark 0
+
 (* ---- Decoding ----
 
    Non-tail recursion builds each list front to back with no reversal and

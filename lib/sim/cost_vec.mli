@@ -25,6 +25,11 @@ val rewind : t -> unit
     writer replaces a stage instead of appending another, and how a
     caller discards a stage an aborted execution half wrote. *)
 
+val cycles_since_mark : t -> int
+(** The cycles of the stages written since the last {!mark} (or {!reset}):
+    {!Cost_profile.total_cycles} of their decoding, computed without
+    decoding. *)
+
 val stage : t -> int -> unit
 (** [stage v label] opens a stage; the items written next belong to it. *)
 

@@ -615,7 +615,13 @@ let test_truncated_frames () =
     outputs (fun on_output ->
         Sb_shard.Sharded.run_trace ~burst:4 sh ~on_output (List.map Packet.copy trace))
   in
-  let staged = Speedybox.Staged_runtime.run (build_chain "chain1") (List.map Packet.copy trace) in
+  let staged_outs = Array.make (List.length trace) None in
+  let staged =
+    Speedybox.Staged_runtime.run
+      ~on_departure:(fun i verdict packet -> staged_outs.(i) <- Some (verdict, Packet.wire packet))
+      (Speedybox.Runtime.config ~platform:Sb_sim.Platform.Onvm ())
+      (build_chain "chain1") (List.map Packet.copy trace)
+  in
   let n = List.length trace in
   Alcotest.(check int) "every cut frame rejected" n_cut
     (Speedybox.Runtime.rejected_malformed sp_rt);
@@ -635,7 +641,9 @@ let test_truncated_frames () =
   Alcotest.(check int) "staged: forwarded" forwarded staged.Speedybox.Staged_runtime.forwarded;
   Alcotest.(check int) "staged: dropped" n_cut
     (staged.Speedybox.Staged_runtime.dropped_by_chain
-    + staged.Speedybox.Staged_runtime.dropped_overflow)
+    + staged.Speedybox.Staged_runtime.dropped_overflow);
+  Alcotest.(check bool) "staged: departures = burst-32" true
+    (Array.to_list staged_outs = List.map Option.some burst_outs)
 
 let test_run_trace_rejects_bad_burst () =
   let chain = build_chain "mazunat,monitor" in

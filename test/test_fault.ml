@@ -308,7 +308,9 @@ let test_staged_containment () =
       }
   in
   let trace = Sb_trace.Workload.with_poisson_times ~seed:77 ~rate_mpps:0.5 trace in
-  let r = Speedybox.Staged_runtime.run ~injector:inj (lb_chain ()) trace in
+  let r = Speedybox.Staged_runtime.run
+      (Speedybox.Runtime.config ~platform:Sb_sim.Platform.Onvm ~injector:inj ())
+      (lb_chain ()) trace in
   Alcotest.(check bool) "faults injected and contained" true
     (r.Speedybox.Staged_runtime.faults > 0
     && r.Speedybox.Staged_runtime.faults = Injector.total_injected inj);
@@ -317,7 +319,9 @@ let test_staged_containment () =
      + r.Speedybox.Staged_runtime.dropped_by_chain
      + r.Speedybox.Staged_runtime.dropped_overflow
     = List.length trace);
-  let clean = Speedybox.Staged_runtime.run (lb_chain ()) trace in
+  let clean = Speedybox.Staged_runtime.run
+      (Speedybox.Runtime.config ~platform:Sb_sim.Platform.Onvm ())
+      (lb_chain ()) trace in
   Alcotest.(check int) "no faults without an injector" 0
     clean.Speedybox.Staged_runtime.faults
 

@@ -302,15 +302,19 @@ let test_staged_runtime_obs () =
     Sb_trace.Workload.with_poisson_times ~seed:7 ~rate_mpps:0.5
       (Test_util.tcp_flow ~fin:false 9)
   in
-  let r = Speedybox.Staged_runtime.run ~obs (nat_monitor_chain ()) trace in
-  let m = Option.get (Sink.metrics obs) in
-  let fwd =
-    Metrics.Counter.value
-      (Metrics.counter m
-         ~labels:[ ("chain", "obs-chain"); ("verdict", "forwarded") ]
-         "speedybox_staged_verdicts_total")
+  let r =
+    Speedybox.Staged_runtime.run
+      (Speedybox.Runtime.config ~platform:Sb_sim.Platform.Onvm ~obs ())
+      (nat_monitor_chain ()) trace
   in
-  Alcotest.(check int) "staged forwarded counter" r.Speedybox.Staged_runtime.forwarded fwd;
+  let m = Option.get (Sink.metrics obs) in
+  let counter labels name = Metrics.Counter.value (Metrics.counter m ~labels name) in
+  let chain = ("chain", "obs-chain") in
+  (* Departures feed the runtime's own verdict and path series. *)
+  Alcotest.(check int) "staged forwarded counter" r.Speedybox.Staged_runtime.forwarded
+    (counter [ chain; ("verdict", "forwarded") ] "speedybox_verdicts_total");
+  Alcotest.(check int) "staged fast-path counter" r.Speedybox.Staged_runtime.fast_path
+    (counter [ chain; ("path", "fast") ] "speedybox_packets_total");
   let h =
     Metrics.histogram m ~labels:[ ("chain", "obs-chain") ] "speedybox_staged_sojourn_us"
   in
@@ -322,9 +326,8 @@ let test_staged_runtime_obs () =
 
 let test_degraded_bypass_timeline () =
   (* Monitor fails on its first call (the SYN) under [Bypass]: later
-     packets only transit its port.  Both executors run the same NF step;
-     the runtime logs each bypass on the flow's timeline and the staged
-     executor logs none. *)
+     packets only transit its port.  Both executors run the runtime's NF
+     stage, so both log the same bypasses on the flow's timeline. *)
   let setup () =
     let inj = Sb_fault.Injector.create ~seed:3 () in
     Sb_fault.Injector.script inj ~nf:"monitor" ~at:1 Sb_fault.Injector.Raise;
@@ -332,6 +335,7 @@ let test_degraded_bypass_timeline () =
       Sb_fault.Health.policy ~degraded_after:1 ~failed_after:1
         ~on_failure:Sb_fault.Health.Bypass (),
       Sink.create ~timeline:true (),
+      Sb_sim.Platform.Onvm,
       Sb_trace.Workload.with_poisson_times ~seed:7 ~rate_mpps:0.5
         (Test_util.tcp_flow ~fin:false 4) )
   in
@@ -346,24 +350,27 @@ let test_degraded_bypass_timeline () =
           (Timeline.events tl fid))
       (Timeline.flows tl)
   in
-  let injector, fault_policy, obs, trace = setup () in
+  let injector, fault_policy, obs, platform, trace = setup () in
   let rt =
     Speedybox.Runtime.create
-      (Speedybox.Runtime.config ~obs ~injector ~fault_policy ())
+      (Speedybox.Runtime.config ~platform ~obs ~injector ~fault_policy ())
       (nat_monitor_chain ())
   in
   let result = Speedybox.Runtime.run_trace rt trace in
   Alcotest.(check int) "runtime forwards past the failed NF" 4
     result.Speedybox.Runtime.forwarded;
+  let logged = bypasses obs in
   Alcotest.(check bool) "runtime logs the bypass" true
-    (bypasses obs <> [] && List.for_all (String.equal "monitor") (bypasses obs));
-  let injector, fault_policy, obs, trace = setup () in
+    (logged <> [] && List.for_all (String.equal "monitor") logged);
+  let injector, fault_policy, obs, platform, trace = setup () in
   let staged =
-    Speedybox.Staged_runtime.run ~injector ~fault_policy ~obs (nat_monitor_chain ()) trace
+    Speedybox.Staged_runtime.run
+      (Speedybox.Runtime.config ~platform ~injector ~fault_policy ~obs ())
+      (nat_monitor_chain ()) trace
   in
   Alcotest.(check int) "staged forwards past the failed NF" 4
     staged.Speedybox.Staged_runtime.forwarded;
-  Alcotest.(check int) "staged logs no bypass" 0 (List.length (bypasses obs))
+  Alcotest.(check (list string)) "staged logs the same bypasses" logged (bypasses obs)
 
 (* ------------------------------------------------------------------ *)
 (* Report satellites *)
