@@ -49,7 +49,12 @@ val register_event :
     the update with {!Sb_mat.Event_table.update}, naming this NF; pass
     [~global_state:true] there when the condition reads global-scope
     state-store cells (so it can become true through another shard's
-    contribution at a merge point).  An update that depends on nothing
-    per flow is best built once per NF instance and passed to every
-    registration: only the condition is then built per flow.
+    contribution at a merge point), and [~trigger:e], [e] an NF-wide
+    {!Sb_mat.Event_table.epoch} built once, when every write of the state
+    the condition reads either bumps [e] or happens only while the
+    condition holds (the fast path then skips a condition found [false]
+    until [e] moves; the default [Per_packet] evaluates it on every
+    packet).  An update that depends
+    on nothing per flow is best built once per NF instance and passed to
+    every registration: only the condition is then built per flow.
     @raise Invalid_argument when the update names another NF. *)

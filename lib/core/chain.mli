@@ -30,9 +30,10 @@ val state_digest : t -> string
 (** Concatenated per-NF state digests, for equivalence comparison. *)
 
 val remove_flow : t -> Sb_flow.Fid.t -> unit
-(** Deletes the flow's record from every Local MAT and the Event Table,
-    and leaves the NFs' own state alone (FIN cleanup, quarantine, rule
-    eviction, migration). *)
+(** Deletes the flow's record from every Local MAT and the events its
+    in-flight recording walk registered, and leaves the NFs' own state
+    alone (FIN cleanup, quarantine, rule eviction, migration).  Events
+    already consolidated leave with the flow's Global MAT rule. *)
 
 val expire_flow : t -> Sb_flow.Fid.t -> int -> int -> unit
 (** [expire_flow t fid k1 k2] is {!remove_flow}, then each NF's

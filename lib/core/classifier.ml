@@ -98,10 +98,6 @@ let observe_into t packet cls =
   cls.final <- verdict.Sb_flow.Conntrack.final;
   if cls.final then cls.tuple <- Sb_flow.Five_tuple.of_packed cls.pack1 cls.pack2
 
-let classify_into t packet cls =
-  prepare_into t packet cls;
-  if not cls.malformed then observe_into t packet cls
-
 let export_flow t tuple = Sb_flow.Conntrack.state t.conntrack tuple
 
 let adopt_flow t tuple st = Sb_flow.Conntrack.adopt t.conntrack tuple st

@@ -38,7 +38,8 @@ type classification = {
   mutable cycles : int;  (** classifier work for this packet *)
 }
 (** Fields are mutable: callers classify into reusable scratch records
-    ({!classify_into}), so classification allocates no record. *)
+    ({!prepare_into}, then {!observe_into}), so classification allocates
+    no record. *)
 
 type t
 
@@ -55,12 +56,7 @@ val rejected : t -> int
 (** Packets marked [malformed] by this classifier so far. *)
 
 val scratch : unit -> classification
-(** A blank classification for use with {!classify_into}. *)
-
-val classify_into : t -> Sb_packet.Packet.t -> classification -> unit
-(** Assigns the FID (writing it into the packet metadata) and advances the
-    flow's connection state, filling a caller-owned scratch record in
-    place.  Equivalent to {!prepare_into} followed (when not malformed) by
+(** A blank classification for use with {!prepare_into} and
     {!observe_into}. *)
 
 val prepare_into : t -> Sb_packet.Packet.t -> classification -> unit

@@ -78,6 +78,9 @@ type t = {
   classifier : Classifier.t;
   sup : Sb_fault.Supervisor.t;
   ctx : Api.nf_context;  (* the NFs' one context, rewritten before each call *)
+  walk_events : Sb_mat.Event_table.t option;
+      (* [Some] the chain's Event Table, built once: consolidation's
+         optional argument would otherwise box one per recording walk *)
   mutable listener : (string -> unit) option;  (* told of every fault charged here *)
   nfs : Nf.t array;
   mats : Sb_mat.Local_mat.t array;  (* same order as [nfs] *)
@@ -252,6 +255,7 @@ let create cfg chain =
           events = Chain.events chain;
           recording = false;
         };
+      walk_events = Some (Chain.events chain);
       listener = None;
       nfs = Array.of_list (Chain.nfs chain);
       mats = Array.of_list (Chain.local_mats chain);
@@ -286,6 +290,11 @@ let create cfg chain =
   Sb_mat.Event_table.set_fault_hook (Chain.events chain) (fun nf _exn ->
       Sb_fault.Supervisor.record_contained sup;
       note_fault t ~nf);
+  (* Consolidated flows keep their events in their rules. *)
+  Sb_mat.Event_table.set_residents (Chain.events chain) (fun f acc ->
+      Sb_mat.Global_mat.fold
+        (fun fid rule acc -> f fid (Sb_mat.Global_mat.rule_events rule) acc)
+        global acc);
   if Sb_obs.Sink.armed cfg.obs then begin
     Sb_mat.Event_table.set_obs (Chain.events chain) cfg.obs;
     evict_hook := fun fid -> obs_timeline t ~fid ~ts_us:t.obs_now_us Sb_obs.Timeline.Evicted
@@ -668,12 +677,14 @@ let execute t packet cls rule =
         end
 
 (* The end of a recording walk that was not contained: the flow's Local
-   MAT records become its Global MAT rule. *)
+   MAT records become its Global MAT rule, and the events the walk
+   registered move into it. *)
 let consolidate t packet cls =
   if Sb_obs.Sink.armed t.cfg.obs then
     t.obs_now_us <- Sb_sim.Cycles.to_microseconds packet.Sb_packet.Packet.ingress_cycle;
   let cost =
-    Sb_mat.Global_mat.consolidate t.global cls.Classifier.fid (Chain.local_mats t.chain)
+    Sb_mat.Global_mat.consolidate ?events:t.walk_events t.global cls.Classifier.fid
+      (Chain.local_mats t.chain)
   in
   if Sb_obs.Sink.armed t.cfg.obs then
     obs_timeline t ~fid:cls.Classifier.fid ~ts_us:t.obs_now_us Sb_obs.Timeline.Consolidated;

@@ -24,8 +24,10 @@ type program = {
 
 type rule = {
   mutable program : program;
-  mutable n_source_actions : int;
-  mutable node : Sb_flow.Lru.node;  (* position in the eviction order *)
+  mutable node : Sb_flow.Lru.node;  (* position in the eviction order, under a cap *)
+  mutable events : Event_table.event list;
+      (* the flow's events, moved here from the Event Table when its
+         recording walk consolidated; they leave with the rule *)
 }
 
 (* The positional form of a program, for introspection and the reference
@@ -75,7 +77,7 @@ let rule_code r = r.program.code
 
 let rule_static_head r = r.program.static_head
 
-let rule_n_source_actions r = r.n_source_actions
+let rule_events r = r.events
 
 (* How the fast path executes a consolidated rule: [Compiled] (the flat
    program) is the production path; [Interpreted] rebuilds the positional
@@ -88,8 +90,7 @@ type t = {
   policy : Parallel.policy;
   exec : exec_mode;
   rules : rule Sb_flow.Flat_table.t;
-  lru : Sb_flow.Lru.t;  (* recency order over [rules], O(1) touch/evict *)
-  max_rules : int option;
+  cap : cap option;
   on_evict : Sb_flow.Fid.t -> unit;
   obs : Sb_obs.Sink.t;
   obs_consolidations : Sb_obs.Metrics.Counter.t option;  (* resolved once *)
@@ -110,6 +111,11 @@ type t = {
   pass : pass;
 }
 
+(* A capped table's bound and the recency order over its rules, O(1)
+   touch/evict.  Only eviction reads the order, so an uncapped table
+   keeps none. *)
+and cap = { max_rules : int; lru : Sb_flow.Lru.t }
+
 (* Scratch state of a consolidation pass, reset by every call.  The code
    and wave buffers grow to the longest program and widest wave seen. *)
 and pass = {
@@ -128,26 +134,24 @@ let no_step = C_wave [||]
 
 let empty_program = { code = [||]; static_head = 0 }
 
+(* The node of a rule in a table without a cap, which keeps no recency
+   list.  A handle allocated from a throwaway list, and handles are plain
+   ints, so it names a live slot in any real list: only uncapped tables
+   and [no_rule] hold it. *)
+let no_node = Sb_flow.Lru.add (Sb_flow.Lru.create ()) (-1)
+
 (* The answer [lookup] gives on a miss, so per-packet resolution carries
    no option, and the filler of the husk stack.  Never installed in a
-   table.  Its node is a handle allocated from a throwaway list, and
-   handles are plain ints, so it names a live slot in any real table's
-   LRU: [execute_rule] refuses the sentinel rather than touch that
-   slot. *)
-let no_rule =
-  {
-    program = empty_program;
-    n_source_actions = 0;
-    node = Sb_flow.Lru.add (Sb_flow.Lru.create ()) (-1);
-  }
+   table; [execute_rule] refuses it rather than touch its node. *)
+let no_rule = { program = empty_program; node = no_node; events = [] }
 
 (* As many husks as a Local MAT keeps records. *)
 let spare_cap = 64
 
-(* A kept husk drops its program, which embeds NF closures. *)
+(* A kept husk drops its program and events, which embed NF closures. *)
 let scrub_rule r =
   r.program <- empty_program;
-  r.n_source_actions <- 0
+  r.events <- []
 
 let no_batch = State_function.Batch.make ~nf:"" []
 
@@ -160,8 +164,7 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
     policy;
     exec;
     rules = Sb_flow.Flat_table.create ();
-    lru = Sb_flow.Lru.create ();
-    max_rules;
+    cap = Option.map (fun max_rules -> { max_rules; lru = Sb_flow.Lru.create () }) max_rules;
     on_evict;
     obs;
     obs_consolidations =
@@ -204,8 +207,8 @@ let recycle t (r : rule) = Free_stack.push t.spare r
 (* Make room for one rule when the table sits at its cap: drop the flow at
    the cold end of the recency list, telling the owner so Local MATs
    follow.  O(1), where the fold-based predecessor scanned every rule. *)
-let evict_lru t =
-  match Sb_flow.Lru.pop_coldest t.lru with
+let evict_lru t lru =
+  match Sb_flow.Lru.pop_coldest lru with
   | None -> ()
   | Some fid ->
       (match Sb_flow.Flat_table.find t.rules fid with
@@ -215,29 +218,32 @@ let evict_lru t =
       t.evicted <- t.evicted + 1;
       t.on_evict fid
 
-let refill r program n_source_actions =
-  r.program <- program;
-  r.n_source_actions <- n_source_actions
+let touch t r = match t.cap with Some c -> Sb_flow.Lru.touch c.lru r.node | None -> ()
 
-(* Bind [fid] to a fresh or recycled rule, making room under the cap. *)
-let install t fid program n_source_actions =
-  (match t.max_rules with
-  | Some cap when Sb_flow.Flat_table.length t.rules >= cap -> evict_lru t
-  | Some _ | None -> ());
-  let node = Sb_flow.Lru.add t.lru fid in
+(* Bind [fid] to a fresh or recycled rule, with no events, making room
+   under the cap. *)
+let install t fid program =
+  let node =
+    match t.cap with
+    | Some c ->
+        if Sb_flow.Flat_table.length t.rules >= c.max_rules then evict_lru t c.lru;
+        Sb_flow.Lru.add c.lru fid
+    | None -> no_node
+  in
   let r =
-    if Free_stack.is_empty t.spare then { program; n_source_actions; node }
+    if Free_stack.is_empty t.spare then { program; node; events = [] }
     else begin
       let r = Free_stack.pop t.spare in
-      refill r program n_source_actions;
+      r.program <- program;
       r.node <- node;
       r
     end
   in
-  Sb_flow.Flat_table.set t.rules fid r
+  Sb_flow.Flat_table.set t.rules fid r;
+  r
 
 let unbind t fid r =
-  Sb_flow.Lru.remove t.lru r.node;
+  (match t.cap with Some c -> Sb_flow.Lru.remove c.lru r.node | None -> ());
   Sb_flow.Flat_table.remove t.rules fid;
   recycle t r
 
@@ -316,7 +322,7 @@ let rec add_nfs policy p fid n = function
       end;
       add_nfs policy p fid (n + Local_mat.action_count r) rest
 
-let consolidate t fid locals =
+let consolidate ?events t fid locals =
   let p = t.pass in
   Consolidate.reset p.run;
   p.len <- 0;
@@ -339,15 +345,24 @@ let consolidate t fid locals =
     }
   in
   let slot = Sb_flow.Flat_table.find_slot t.rules fid in
-  (if slot < 0 then install t fid program n_source_actions
-   else begin
-     (* Re-consolidation (event fire, repeated recording): update in
-        place, so an executor holding the rule sees the fresh program
-        without a second table lookup. *)
-     let r = Sb_flow.Flat_table.value_at t.rules slot in
-     refill r program n_source_actions;
-     Sb_flow.Lru.touch t.lru r.node
-   end);
+  let r =
+    if slot < 0 then install t fid program
+    else begin
+      (* Re-consolidation (event fire, repeated recording): update in
+         place, so an executor holding the rule sees the fresh program
+         without a second table lookup. *)
+      let r = Sb_flow.Flat_table.value_at t.rules slot in
+      r.program <- program;
+      touch t r;
+      r
+    end
+  in
+  (match events with
+  | Some events -> (
+      match Event_table.take events fid with
+      | [] -> ()
+      | taken -> r.events <- r.events @ taken)
+  | None -> ());
   t.consolidations <- t.consolidations + 1;
   (match t.obs_consolidations with
   | Some c -> Sb_obs.Metrics.Counter.incr c
@@ -379,11 +394,11 @@ let remove_flow t fid =
    immutable, so the copy shares the source's. *)
 let adopt t fid (src : rule) =
   remove_flow t fid;
-  install t fid src.program src.n_source_actions
+  ignore (install t fid src.program)
 
 let clear t =
   Sb_flow.Flat_table.clear t.rules;
-  Sb_flow.Lru.clear t.lru
+  Option.iter (fun c -> Sb_flow.Lru.clear c.lru) t.cap
 
 let flow_count t = Sb_flow.Flat_table.length t.rules
 
@@ -588,12 +603,14 @@ let apply_fired t locals fid packet fired =
 
 let execute_rule ?egress t events locals fid rule packet =
   if rule == no_rule then invalid_arg "Global_mat.execute_rule: no_rule";
-  let armed = Event_table.poll_armed events fid in
-  let fired = Event_table.last_fired events in
-  let event_cycles = armed * Sb_sim.Cycles.event_check in
+  (* The rule's own events: no table probe, and none at all for a flow
+     that registered none.  Nothing fires unless one is armed. *)
+  let armed = match rule.events with [] -> 0 | evs -> Event_table.poll events evs in
+  let fired = if armed = 0 then [] else Event_table.last_fired events in
   let fire_cycles = match fired with [] -> 0 | _ -> apply_fired t locals fid packet fired in
   t.fired <- List.length fired;
-  Sb_flow.Lru.touch t.lru rule.node;
+  let event_cycles = armed * Sb_sim.Cycles.event_check in
+  touch t rule;
   let program = rule.program in
   Sb_sim.Cost_vec.rewind t.costs;
   Sb_sim.Cost_vec.stage t.costs Sb_sim.Cost_vec.global_mat;

@@ -11,7 +11,8 @@
     observes the packet exactly as it did on the original path (headers
     are rewritten by the transform that follows it, not before it).
     [execute] then processes a subsequent packet entirely inside the
-    Global MAT: check armed events, then interleave transforms and waves.
+    Global MAT: poll the rule's armed events, then interleave transforms
+    and waves.
 
     Wave execution models parallel cores deterministically with snapshot
     semantics: every batch of a wave reads the payload as it was when the
@@ -30,10 +31,14 @@
     allocation (wave snapshot/merge reuses grow-only scratch buffers owned
     by the table).  The program is the rule: the batches, the wave plan,
     the printed form and the position-insensitive merge are all derived
-    from it on demand.  Event firing reconsolidates the flow's program in
-    place, preserving Event Table semantics exactly.  Rule recency is tracked in an intrusive
-    doubly-linked list ({!Sb_flow.Lru}), making both the per-packet touch
-    and the at-capacity eviction O(1). *)
+    from it on demand.  A flow's events live in its rule: consolidation
+    after a recording walk moves them out of the Event Table, the fast path
+    polls the rule's own list, and teardown drops them with the rule.
+    Event firing reconsolidates the flow's program in place, preserving
+    Event Table semantics exactly.  Under a [max_rules] cap, rule recency
+    is tracked in an intrusive doubly-linked list ({!Sb_flow.Lru}), making
+    both the per-packet touch and the at-capacity eviction O(1); an
+    uncapped table keeps no recency list. *)
 
 type rule
 
@@ -58,8 +63,9 @@ val rule_static_head : rule -> int
     lookup, the per-source-action walk and, without a transform, one base
     forward. *)
 
-val rule_n_source_actions : rule -> int
-(** Header actions the Local MATs held for the flow at consolidation. *)
+val rule_events : rule -> Event_table.event list
+(** The flow's events, in registration order (disarmed ones included),
+    moved into the rule when its recording walk consolidated. *)
 
 val rule_action : rule -> Consolidate.t
 (** The position-insensitive merge of every action the rule recorded
@@ -100,7 +106,7 @@ val create :
 (** [max_rules] caps the consolidated-rule table (unbounded by default):
     inserting beyond the cap evicts the least-recently-used flow's rule —
     the evicted flow's next packet simply re-records, like a megaflow
-    cache miss.  [on_evict] lets the runtime tear down the flow's Local
+    cache miss.  Only a capped table keeps the recency order.  [on_evict] lets the runtime tear down the flow's Local
     MAT records alongside.  [obs] (default {!Sb_obs.Sink.null}) receives
     [speedybox_consolidations_total] and, on Event Table firings,
     [speedybox_event_rewrites_total{nf}] plus an ["event-rewrite"] trace
@@ -116,10 +122,13 @@ val exec_mode : t -> exec_mode
 val evictions : t -> int
 (** Rules evicted by the LRU cap so far. *)
 
-val consolidate : t -> Sb_flow.Fid.t -> Local_mat.t list -> int
+val consolidate : ?events:Event_table.t -> t -> Sb_flow.Fid.t -> Local_mat.t list -> int
 (** [consolidate t fid locals] (re)builds the flow's consolidated rule from
     the chain's Local MATs (in chain order) and returns the cycle cost of
-    the consolidation work (charged to the initial packet's walk).
+    the consolidation work (charged to the initial packet's walk).  With
+    [events] (the end of a recording walk), the flow's in-flight events
+    move from that table into the rule, after any it holds; without it
+    (an event's re-consolidation) the rule keeps its events.
     @raise Invalid_argument when a recorded decap does not match the
     encap pending before it; the flow's rule is then left as it was. *)
 
@@ -149,7 +158,8 @@ val adopt : t -> Sb_flow.Fid.t -> rule -> unit
     half of a flow-migration handoff.  The source record is left untouched
     (its intrusive LRU node belongs to the source table); the caller is
     expected to [remove_flow] it from the source afterwards.  Replaces any
-    existing binding and honours this table's [max_rules] cap. *)
+    existing binding and honours this table's [max_rules] cap.  The copy
+    carries no events: the source's are bound to the source chain. *)
 
 val clear : t -> unit
 
@@ -184,10 +194,12 @@ val execute_rule :
   Header_action.verdict
 (** [execute_rule t events locals fid rule p] processes a subsequent packet
     on the fast path using an already-looked-up [rule], so a caller that
-    routed on {!find} pays exactly one table access per packet.  Fired
-    events rewrite the Local MATs and trigger re-consolidation (updating
-    [rule] in place) before the packet is processed, so the update takes
-    effect immediately (§III).
+    routed on {!find} pays exactly one table access per packet.  The
+    rule's events are polled through [events] (the chain's Event Table,
+    which counts evaluations and reports firings and condition faults)
+    without a table probe.  Fired events rewrite the Local MATs and
+    trigger re-consolidation (updating [rule] in place) before the packet
+    is processed, so the update takes effect immediately (§III).
 
     The packet's GlobalMAT stage is written to {!costs} after its mark
     ({!Sb_sim.Cost_vec.rewind} first, so repeated calls replace the stage

@@ -25,6 +25,7 @@ type t = {
   conns : Store.handle array;  (* by backend index *)
   health : Store.handle array;  (* by backend index *)
   mutable stamp : int;
+  alive_epoch : Sb_mat.Event_table.trigger;  (* bumped by [set_alive], the writer of [alive] *)
 }
 
 let is_prime n =
@@ -115,10 +116,11 @@ let track t tuple i =
       Store.add t.conns.(i) 1
 
 (* The tracked backend index, or [-1]: [tracked] without the options, for
-   the reroute condition every fast-path packet of the flow evaluates —
-   keyed by the packed tuple and hash the condition captured, so the poll
-   neither builds nor rehashes a tuple. *)
-let tracked_backend t ~hash k1 k2 =
+   the reroute condition — keyed by the packed tuple it captured, so it
+   builds no tuple.  It runs only after the alive epoch moves, so it
+   hashes the key here rather than keep the hash in its closure. *)
+let tracked_backend t k1 k2 =
+  let hash = Five_tuple.hash_packed k1 k2 in
   let e = Store.flow_find_or_packed t.assignments ~hash k1 k2 ~default:Store.no_entry in
   if e.Store.set then e.Store.x else -1
 
@@ -172,6 +174,7 @@ let create ?(name = "maglev") ?(table_size = 251) ?(algorithm = Consistent) ?cel
             Store.global cells ~name:(name ^ ".alive." ^ b.bname) Sb_state.Kind.Lww_register)
           backends;
       stamp = 0;
+      alive_epoch = Sb_mat.Event_table.epoch ();
     }
   in
   Array.iteri (fun i _ -> mark_health t i true) t.backends;
@@ -185,17 +188,17 @@ let backend_index t bname =
   if !found < 0 then invalid_arg (Printf.sprintf "Maglev: unknown backend %s" bname);
   !found
 
-let fail_backend t bname =
+(* Backend health changes: the reroute conditions' epoch moves. *)
+let set_alive t bname alive =
   let i = backend_index t bname in
-  t.backends.(i).alive <- false;
-  mark_health t i false;
+  t.backends.(i).alive <- alive;
+  Sb_mat.Event_table.bump t.alive_epoch;
+  mark_health t i alive;
   t.table <- populate t.algorithm t.table_size t.backends
 
-let restore_backend t bname =
-  let i = backend_index t bname in
-  t.backends.(i).alive <- true;
-  mark_health t i true;
-  t.table <- populate t.algorithm t.table_size t.backends
+let fail_backend t bname = set_alive t bname false
+
+let restore_backend t bname = set_alive t bname true
 
 let alive_backends t =
   Array.to_list t.backends |> List.filter (fun b -> b.alive) |> List.map (fun b -> b.bname)
@@ -260,16 +263,15 @@ let reroute_actions t tuple () =
 
 (* Recurring: fires when the tracked backend dies, and again (for a flow
    parked on a drop by total backend failure) when any backend comes back.
-   Runs within [process] and keeps nothing of [ctx]; the condition polls
-   the packed key it captures here. *)
+   Runs within [process] and keeps nothing of [ctx].  Polled only once
+   the alive epoch moves: DESIGN.md §7 argues why that is exact. *)
 let register_reroute t ctx tuple =
   let k1 = Five_tuple.pack1 tuple and k2 = Five_tuple.pack2 tuple in
-  let hash = Five_tuple.hash_packed k1 k2 in
   Speedybox.Api.register_event ctx
     ~condition:(fun () ->
-      let i = tracked_backend t ~hash k1 k2 in
+      let i = tracked_backend t k1 k2 in
       if i >= 0 then not t.backends.(i).alive else Array.exists (fun b -> b.alive) t.backends)
-    (Sb_mat.Event_table.update ~nf:t.name ~one_shot:false
+    (Sb_mat.Event_table.update ~nf:t.name ~one_shot:false ~trigger:t.alive_epoch
        ~new_actions:(reroute_actions t tuple)
        ~update_fn:(fun () -> ignore (current_backend t tuple))
        ())

@@ -178,8 +178,8 @@ let obs_migrated t fid src dest =
     | None -> ()
 
 (* Move one direction's state.  Conntrack always moves; the consolidated
-   rule transplants only when the flow has no armed events (the Event
-   Table's registrations and closures live in the source chain and cannot
+   rule transplants only when the flow has no armed events (the rule's
+   events and their closures belong to the source chain and cannot
    follow), otherwise it tears down and the flow re-records on [dest]; a
    flow with no rule at all — quarantined, or not yet consolidated — moves
    by steering alone, deliberately NOT resurrecting anything. *)
@@ -201,9 +201,7 @@ let migrate_direction t ~src ~dest tuple fid =
   | None -> ());
   (match Sb_mat.Global_mat.find (Runtime.global_mat src_rt) fid with
   | Some rule ->
-      let armed =
-        Sb_mat.Event_table.armed_count (Chain.events (Runtime.chain src_rt)) fid
-      in
+      let armed = Sb_mat.Event_table.armed (Sb_mat.Global_mat.rule_events rule) in
       (* A consolidated rule's state-function closures are bound to the
          SOURCE shard's NF instances.  With instance-local NF state that
          was harmless (the state stayed put and kept accruing at the

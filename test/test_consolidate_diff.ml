@@ -59,7 +59,6 @@ let rule_diffs policy fid locals rule =
   if Array.length code <> Array.length want.code then
     differ (Printf.sprintf "%d steps, oracle %d" (Array.length code) (Array.length want.code))
   else Array.iteri (fun i s -> Option.iter differ (step_diff i s want.code.(i))) code;
-  if Global_mat.rule_n_source_actions rule <> want.n_source_actions then differ "n_source_actions";
   if Global_mat.rule_static_head rule <> want.static_head then differ "static_head";
   if Global_mat.rule_transform_count rule <> want.transforms then differ "transform count";
   if not (Consolidate.equal (Global_mat.rule_action rule) want.overall) then differ "rule_action";

@@ -140,6 +140,12 @@ let test_local_mat_recording () =
 
 (* --- Event Table ------------------------------------------------------- *)
 
+(* A consolidation takes the flow's in-flight events; the fast path then
+   polls the list. *)
+let fire events evs =
+  ignore (Event_table.poll events evs);
+  Event_table.last_fired events
+
 let test_event_registration_and_fire () =
   let events = Event_table.create () in
   let armed = ref false in
@@ -148,13 +154,15 @@ let test_event_registration_and_fire () =
     (Event_table.update ~nf:"lb" ~new_actions:(fun () -> [ Header_action.Drop ]) ());
   Alcotest.(check int) "armed count" 1 (Event_table.armed_count events 7);
   Alcotest.(check int) "other flows unaffected" 0 (Event_table.armed_count events 8);
-  Alcotest.(check int) "condition false: no fire" 0 (List.length (Event_table.check events 7));
+  let evs = Event_table.take events 7 in
+  Alcotest.(check int) "taken out of the table" 0 (Event_table.armed_count events 7);
+  Alcotest.(check int) "condition false: no fire" 0 (List.length (fire events evs));
   armed := true;
-  let fired = Event_table.check events 7 in
+  let fired = fire events evs in
   Alcotest.(check int) "fires once armed" 1 (List.length fired);
   Alcotest.(check string) "update names the NF" "lb" (List.hd fired).Event_table.nf;
-  Alcotest.(check int) "one-shot disarms" 0 (Event_table.armed_count events 7);
-  Alcotest.(check int) "no refire" 0 (List.length (Event_table.check events 7))
+  Alcotest.(check int) "one-shot disarms" 0 (Event_table.armed evs);
+  Alcotest.(check int) "no refire" 0 (List.length (fire events evs))
 
 let test_recurring_event () =
   let events = Event_table.create () in
@@ -162,12 +170,15 @@ let test_recurring_event () =
   Event_table.register events ~fid:1
     ~condition:(fun () -> !hot)
     (Event_table.update ~nf:"x" ~one_shot:false ());
-  Alcotest.(check int) "fires" 1 (List.length (Event_table.check events 1));
-  Alcotest.(check int) "still armed" 1 (Event_table.armed_count events 1);
+  let evs = Event_table.take events 1 in
+  Alcotest.(check int) "fires" 1 (List.length (fire events evs));
+  Alcotest.(check int) "still armed" 1 (Event_table.armed evs);
   hot := false;
-  Alcotest.(check int) "quiet when condition false" 0 (List.length (Event_table.check events 1));
+  Alcotest.(check int) "quiet when condition false" 0 (List.length (fire events evs));
   hot := true;
-  Alcotest.(check int) "re-fires" 1 (List.length (Event_table.check events 1));
+  Alcotest.(check int) "re-fires" 1 (List.length (fire events evs));
+  Alcotest.(check int) "per-packet: every poll evaluates" 3 (Event_table.evaluations events);
+  Event_table.register events ~fid:1 ~condition:(fun () -> true) (Event_table.update ~nf:"x" ());
   Event_table.remove_flow events 1;
   Alcotest.(check int) "flow removal disarms" 0 (Event_table.armed_count events 1);
   Alcotest.(check int) "total armed" 0 (Event_table.total_armed events)
@@ -178,9 +189,60 @@ let test_event_order () =
     (Event_table.update ~nf:"first" ());
   Event_table.register events ~fid:1 ~condition:(fun () -> true)
     (Event_table.update ~nf:"second" ());
-  let fired = Event_table.check events 1 in
+  let fired = fire events (Event_table.take events 1) in
   Alcotest.(check (list string)) "registration order" [ "first"; "second" ]
     (List.map (fun (u : Event_table.update) -> u.Event_table.nf) fired)
+
+(* An [Epoch] condition found false is skipped until its epoch moves; a
+   recurring one that fired is due again.  So a write that does not bump
+   the epoch stays unseen: the declaring NF must bump on every write that
+   could make the condition true. *)
+let test_epoch_trigger () =
+  let events = Event_table.create () in
+  let epoch = Event_table.epoch () in
+  let hot = ref false and calls = ref 0 in
+  Event_table.register events ~fid:1
+    ~condition:(fun () ->
+      incr calls;
+      !hot)
+    (Event_table.update ~nf:"x" ~one_shot:false ~trigger:epoch ());
+  let evs = Event_table.take events 1 in
+  let poll () =
+    let armed = Event_table.poll events evs in
+    (armed, List.length (Event_table.last_fired events), !calls)
+  in
+  let check what expected = Alcotest.(check (triple int int int)) what expected (poll ()) in
+  check "fresh: evaluated" (1, 0, 1);
+  check "false, epoch still: skipped but armed" (1, 0, 1);
+  Alcotest.(check bool) "not due" false (Event_table.is_due (List.hd evs));
+  hot := true;
+  check "unbumped write: unseen" (1, 0, 1);
+  Event_table.bump epoch;
+  check "bumped: evaluated, fires" (1, 1, 2);
+  check "fired: due again" (1, 1, 3);
+  hot := false;
+  check "false again" (1, 0, 4);
+  check "skipped" (1, 0, 4);
+  Alcotest.(check int) "evaluations counted" 4 (Event_table.evaluations events)
+
+(* Walks interleave in the staged executor: another flow's registration
+   parks the slot's events, and each flow takes back exactly its own. *)
+let test_interleaved_walks () =
+  let events = Event_table.create () in
+  let reg fid nf = Event_table.register events ~fid ~condition:(fun () -> true) (Event_table.update ~nf ()) in
+  reg 1 "a";
+  reg 2 "b";
+  reg 1 "c";
+  reg 3 "d";
+  Alcotest.(check int) "all in flight" 4 (Event_table.total_armed events);
+  let names fid =
+    List.map (fun (u : Event_table.update) -> u.Event_table.nf) (fire events (Event_table.take events fid))
+  in
+  Alcotest.(check (list string)) "flow 1, in order" [ "a"; "c" ] (names 1);
+  Alcotest.(check (list string)) "flow 2" [ "b" ] (names 2);
+  Event_table.remove_flow events 3;
+  Alcotest.(check (list string)) "flow 3 removed" [] (names 3);
+  Alcotest.(check int) "none left" 0 (Event_table.total_armed events)
 
 (* --- Global MAT -------------------------------------------------------- *)
 
@@ -292,7 +354,10 @@ let test_execute_event_rewrites_rule () =
   Event_table.register events ~fid:1
     ~condition:(fun () -> !threshold_hit)
     (Event_table.update ~nf:"a" ~new_actions:(fun () -> [ Header_action.Drop ]) ());
-  ignore (Global_mat.consolidate global 1 mats);
+  (* The recording walk's consolidation moves the event into the rule. *)
+  ignore (Global_mat.consolidate ~events global 1 mats);
+  Alcotest.(check int) "event moved into the rule" 1
+    (Event_table.armed (Global_mat.rule_events (Option.get (Global_mat.find global 1))));
   let p = Test_util.tcp_packet () in
   let v1 = Option.get (Global_mat.execute global events mats 1 p) in
   Alcotest.(check bool) "forwards before event" true (v1 = Header_action.Forwarded);
@@ -505,6 +570,8 @@ let suite =
     Alcotest.test_case "event registration and fire" `Quick test_event_registration_and_fire;
     Alcotest.test_case "recurring events" `Quick test_recurring_event;
     Alcotest.test_case "event ordering" `Quick test_event_order;
+    Alcotest.test_case "epoch trigger skips until bumped" `Quick test_epoch_trigger;
+    Alcotest.test_case "interleaved walks keep their events" `Quick test_interleaved_walks;
     Alcotest.test_case "consolidation merges locals" `Quick test_consolidation_merges_locals;
     Alcotest.test_case "drop keeps upstream batches" `Quick test_drop_rule_keeps_upstream_batches;
     Alcotest.test_case "execute runs batches" `Quick test_execute_runs_batches_and_counts;

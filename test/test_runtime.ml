@@ -8,7 +8,8 @@ let test_classifier_phases () =
   let classifier = Speedybox.Classifier.create () in
   let classify p =
     let c = Speedybox.Classifier.scratch () in
-    Speedybox.Classifier.classify_into classifier p c;
+    Speedybox.Classifier.prepare_into classifier p c;
+    Speedybox.Classifier.observe_into classifier p c;
     c
   in
   let syn = Test_util.tcp_packet ~flags:Tcp.Flags.syn ~payload:"" () in
@@ -29,7 +30,9 @@ let test_classifier_phases () =
 let test_classifier_fid_width () =
   let classifier = Speedybox.Classifier.create ~fid_bits:8 () in
   let c = Speedybox.Classifier.scratch () in
-  Speedybox.Classifier.classify_into classifier (Test_util.udp_packet ()) c;
+  let p = Test_util.udp_packet () in
+  Speedybox.Classifier.prepare_into classifier p c;
+  Speedybox.Classifier.observe_into classifier p c;
   Alcotest.(check bool) "narrow fid" true (c.Speedybox.Classifier.fid < 256);
   Alcotest.(check int) "width exposed" 8 (Speedybox.Classifier.fid_bits classifier)
 
