@@ -183,7 +183,6 @@ type shard_row = {
   packets : int;
   flows : int;
   rules : int;
-  control_msgs : int;
   migrated_in : int;
   migrated_out : int;
   state_entries : int;
@@ -203,14 +202,11 @@ let shard_summary rows =
         if r.migrated_in = 0 && r.migrated_out = 0 then ""
         else Printf.sprintf "  migr +%d/-%d" r.migrated_in r.migrated_out
       in
-      let ctrl =
-        if r.control_msgs = 0 then "" else Printf.sprintf "  ctrl %d" r.control_msgs
-      in
       let st =
         if r.state_entries = 0 then "" else Printf.sprintf "  state %d" r.state_entries
       in
-      line "  shard %-3d: %7d pkts  %5d flows  %5d rules%s%s%s" r.shard r.packets r.flows
-        r.rules ctrl migr st)
+      line "  shard %-3d: %7d pkts  %5d flows  %5d rules%s%s" r.shard r.packets r.flows
+        r.rules migr st)
     rows;
   (let total = List.fold_left (fun acc r -> acc + r.packets) 0 rows in
    let peak = List.fold_left (fun acc r -> max acc r.packets) 0 rows in

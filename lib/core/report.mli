@@ -27,7 +27,6 @@ type shard_row = {
   packets : int;  (** packets steered to this shard *)
   flows : int;  (** flows the shard's directory owned at end of run *)
   rules : int;  (** consolidated rules installed at end of run *)
-  control_msgs : int;  (** broadcast control messages absorbed *)
   migrated_in : int;
   migrated_out : int;
   state_entries : int;

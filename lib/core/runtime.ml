@@ -81,7 +81,6 @@ type t = {
   walk_events : Sb_mat.Event_table.t option;
       (* [Some] the chain's Event Table, built once: consolidation's
          optional argument would otherwise box one per recording walk *)
-  mutable listener : (string -> unit) option;  (* told of every fault charged here *)
   nfs : Nf.t array;
   mats : Sb_mat.Local_mat.t array;  (* same order as [nfs] *)
   nf_names : string array;
@@ -114,8 +113,6 @@ type t = {
   one_emit : int -> output -> unit;
 }
 
-let set_fault_listener t f = t.listener <- Some f
-
 (* A Failed NF invalidates every consolidated rule embedding its closures:
    tear the whole fast path down (flows re-record under the failure
    policy).  Local MAT records and events go with each rule so no stale
@@ -128,10 +125,8 @@ let on_transition t = function
              Sb_mat.Global_mat.remove_flow t.global fid)
   | Sb_fault.Health.To_degraded | Sb_fault.Health.No_change -> ()
 
-(* Charges a fault to [nf], then notifies the listener. *)
-let note_fault t ~nf =
-  on_transition t (Sb_fault.Supervisor.record_fault t.sup ~nf);
-  match t.listener with Some f -> f nf | None -> ()
+(* Charges a fault to [nf]. *)
+let note_fault t ~nf = on_transition t (Sb_fault.Supervisor.record_fault t.sup ~nf)
 
 (* [note_fault] for a contained raise whose packet is dropped. *)
 let contain t ~nf =
@@ -139,12 +134,13 @@ let contain t ~nf =
   Sb_fault.Supervisor.record_contained t.sup;
   Sb_fault.Supervisor.record_faulted_packet t.sup
 
-(* A fault another shard recorded (and already counted): keep this
-   runtime's view of the NF's health in lock-step without re-emitting
-   metrics or re-notifying the listener (which would echo the broadcast
-   forever). *)
-let absorb_remote_fault t ~nf =
-  on_transition t (Sb_fault.Supervisor.absorb_fault t.sup ~nf)
+(* Another shard sharing this runtime's health table failed an NF since
+   this runtime last looked: flush as if the failure were its own. *)
+let sync_health t =
+  if Sb_fault.Supervisor.sync t.sup then on_transition t Sb_fault.Health.To_failed
+
+(* Where a fault no chain NF can be charged with is recorded. *)
+let unattributed = "GlobalMAT"
 
 (* Flow-timeline hook.  Callers on the per-packet path guard with
    [Sb_obs.Sink.armed] first; every call site is on the slow path or a
@@ -225,7 +221,10 @@ let create cfg chain =
         !evict_hook fid)
       ()
   in
-  let sup = Sb_fault.Supervisor.create ?injector:cfg.injector ~obs:cfg.obs cfg.fault_policy in
+  let sup =
+    Sb_fault.Supervisor.create ?injector:cfg.injector ~obs:cfg.obs
+      (Sb_fault.Health.create cfg.fault_policy (unattributed :: Array.to_list nf_names))
+  in
   let one = [| Sb_packet.Packet.scratch () |] in
   let one_out =
     ref
@@ -256,7 +255,6 @@ let create cfg chain =
           recording = false;
         };
       walk_events = Some (Chain.events chain);
-      listener = None;
       nfs = Array.of_list (Chain.nfs chain);
       mats = Array.of_list (Chain.local_mats chain);
       nf_names;
@@ -660,7 +658,9 @@ let execute t packet cls rule =
            update — attributed to its NF when known.  The half-written
            GlobalMAT stage gives way to the containment charge. *)
         let nf =
-          match exn with Sb_fault.Fault.Nf_fault (nf, _, _) -> nf | _ -> "GlobalMAT"
+          match exn with
+          | Sb_fault.Fault.Nf_fault (nf, _, _) when Array.mem nf t.nf_names -> nf
+          | _ -> unattributed
         in
         Sb_sim.Cost_vec.rewind costs;
         contain t ~nf;

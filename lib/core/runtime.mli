@@ -105,20 +105,15 @@ val supervisor : t -> Sb_fault.Supervisor.t
 (** The fault-containment state: per-NF health records and the
     contained/corrupted/stalled/quarantine counters. *)
 
-val set_fault_listener : t -> (string -> unit) -> unit
-(** [set_fault_listener t f] calls [f nf] after every fault this runtime
-    records against NF [nf] (on either path, including event-update
-    faults).  The sharded runtime uses this to broadcast NF health changes
-    to sibling shards; the listener fires after local containment (health
-    advance, fast-path flush on failure) has completed. *)
-
-val absorb_remote_fault : t -> nf:string -> unit
-(** [absorb_remote_fault t ~nf] advances [nf]'s health as if a fault had
-    been recorded here — including tearing the fast path down when the NF
-    crosses into [Failed] — without counting it in metrics or notifying
-    the fault listener.  This is the receiving side of a sharded
-    runtime's fault broadcast: the shard that owned the faulting packet
-    already counted it. *)
+val sync_health : t -> unit
+(** A sharded plan's shards share one health table
+    ({!Sb_fault.Supervisor.share_health}).  [sync_health t] catches this
+    runtime up with what the other shards recorded there: any fault wakes
+    its supervisor, and an NF that another shard pushed into [Failed]
+    since the last sync tears this runtime's fast path down, as its own
+    failure would have.  Both sharded executors call it before each
+    stretch or batch of a shard's packets and once per shard at the end
+    of a run. *)
 
 val expired_flows : t -> int
 (** Flows evicted by the idle timeout so far. *)

@@ -35,79 +35,69 @@ let policy ?(degraded_after = 3) ?(failed_after = 8) ?(on_failure = Slow_path_on
 
 let default_policy = policy ()
 
-type record = {
-  name : string;
-  on_fail : on_failure;
-  mutable faults : int;
-  mutable state : state;
+let policy_for pol nf =
+  match List.assoc_opt nf pol.overrides with Some p -> p | None -> pol.on_failure
+
+(* Counts are atomics and the table is filled once, at [create]: shards
+   sharing one table record into it concurrently and only read the
+   [Hashtbl]. *)
+type record = { name : string; on_fail : on_failure; faults : int Atomic.t }
+
+type t = {
+  pol : policy;
+  table : (string, record) Hashtbl.t;
+  total : int Atomic.t;  (* faults recorded against every NF *)
+  failures : int Atomic.t;  (* NFs that have reached [Failed] *)
 }
 
-type t = { pol : policy; table : (string, record) Hashtbl.t }
+let create pol names =
+  let table = Hashtbl.create 8 in
+  List.iter
+    (fun nf ->
+      if not (Hashtbl.mem table nf) then
+        Hashtbl.replace table nf
+          { name = nf; on_fail = policy_for pol nf; faults = Atomic.make 0 })
+    names;
+  { pol; table; total = Atomic.make 0; failures = Atomic.make 0 }
 
-let create pol = { pol; table = Hashtbl.create 8 }
-
-let get t nf =
-  match Hashtbl.find_opt t.table nf with
-  | Some r -> r
-  | None ->
-      let r =
-        {
-          name = nf;
-          on_fail =
-            (match List.assoc_opt nf t.pol.overrides with
-            | Some p -> p
-            | None -> t.pol.on_failure);
-          faults = 0;
-          state = Healthy;
-        }
-      in
-      Hashtbl.replace t.table nf r;
-      r
+let state_of pol n =
+  if n >= pol.failed_after then Failed else if n >= pol.degraded_after then Degraded
+  else Healthy
 
 type transition = No_change | To_degraded | To_failed
 
+(* The fault that brings the count to a threshold crosses it, so exactly
+   one recorder sees each transition however many shards record. *)
 let record_fault t nf =
-  let r = get t nf in
-  r.faults <- r.faults + 1;
-  let next =
-    if r.faults >= t.pol.failed_after then Failed
-    else if r.faults >= t.pol.degraded_after then Degraded
-    else Healthy
-  in
-  if next = r.state then No_change
-  else begin
-    r.state <- next;
-    match next with
-    | Failed -> To_failed
-    | Degraded -> To_degraded
-    | Healthy -> No_change
-  end
+  match Hashtbl.find_opt t.table nf with
+  | None -> invalid_arg (Printf.sprintf "Health.record_fault: %s is not in the table" nf)
+  | Some r ->
+      Atomic.incr t.total;
+      let n = 1 + Atomic.fetch_and_add r.faults 1 in
+      if n = t.pol.failed_after then begin
+        Atomic.incr t.failures;
+        To_failed
+      end
+      else if n = t.pol.degraded_after then To_degraded
+      else No_change
 
-let state t nf =
-  match Hashtbl.find_opt t.table nf with Some r -> r.state | None -> Healthy
+let faults t nf =
+  match Hashtbl.find_opt t.table nf with Some r -> Atomic.get r.faults | None -> 0
 
-let faults t nf = match Hashtbl.find_opt t.table nf with Some r -> r.faults | None -> 0
+let state t nf = state_of t.pol (faults t nf)
 
 let on_failure t nf =
-  match Hashtbl.find_opt t.table nf with
-  | Some r -> r.on_fail
-  | None -> (
-      match List.assoc_opt nf t.pol.overrides with
-      | Some p -> p
-      | None -> t.pol.on_failure)
+  match Hashtbl.find_opt t.table nf with Some r -> r.on_fail | None -> policy_for t.pol nf
 
-let reset t nf =
-  match Hashtbl.find_opt t.table nf with
-  | Some r ->
-      r.faults <- 0;
-      r.state <- Healthy
-  | None -> ()
+let total_faults t = Atomic.get t.total
 
-let all_healthy t =
-  Hashtbl.fold (fun _ r acc -> acc && r.state = Healthy) t.table true
-
-let total_faults t = Hashtbl.fold (fun _ r acc -> acc + r.faults) t.table 0
+let failures t = Atomic.get t.failures
 
 let snapshot t =
-  Hashtbl.fold (fun _ r acc -> (r.name, r.state, r.faults) :: acc) t.table []
+  Hashtbl.fold
+    (fun _ r acc ->
+      match Atomic.get r.faults with
+      | 0 -> acc
+      | n -> (r.name, state_of t.pol n, n) :: acc)
+    t.table []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)

@@ -2,9 +2,12 @@
     machine the containment layer advances on every attributed fault, and
     the per-NF policy that decides what a [Failed] NF's flows do.
 
-    The thresholds are cumulative fault counts; states never regress on
-    their own ([reset] is the operator's restart knob).  What each state
-    means to the executors:
+    The thresholds are cumulative fault counts and an NF's state is worked
+    out from its count, so states never regress.  One table can serve
+    several runtimes at once: a sharded plan gives every shard's
+    supervisor the same table, counts are atomics, and the NF set is fixed
+    at {!create}, so concurrent shards record into it and only read its
+    index.  What each state means to the executors:
 
     - [Healthy] — normal processing.
     - [Degraded] — the NF still runs everywhere, but the runtime stops
@@ -48,27 +51,34 @@ val default_policy : policy
 
 type t
 
-val create : policy -> t
+val create : policy -> string list -> t
+(** [create policy nfs] tracks the NFs named in [nfs] (duplicates count
+    once), each healthy with no faults. *)
 
 type transition = No_change | To_degraded | To_failed
 
 val record_fault : t -> string -> transition
 (** Counts one fault against the NF and advances its state machine,
     reporting a threshold crossing so the owner can react (e.g. flush
-    consolidated rules on [To_failed]). *)
+    consolidated rules on [To_failed]).  Safe from several domains at
+    once: each crossing is reported to exactly one caller.
+    @raise Invalid_argument when [nf] is not one of the table's NFs. *)
 
 val state : t -> string -> state
+(** [Healthy] for an NF the table does not track. *)
 
 val faults : t -> string -> int
 
 val on_failure : t -> string -> on_failure
 
-val reset : t -> string -> unit
-(** Returns the NF to [Healthy] with a zero fault count. *)
-
-val all_healthy : t -> bool
-
 val total_faults : t -> int
+(** Faults recorded against every NF. *)
+
+val failures : t -> int
+(** How many NFs have reached [Failed]: a runtime sharing the table
+    compares it with the last value it acted on to learn that another
+    runtime failed an NF. *)
 
 val snapshot : t -> (string * state * int) list
-(** Per-NF (name, state, faults), sorted by name. *)
+(** Per-NF (name, state, faults) for every NF with at least one fault,
+    sorted by name. *)

@@ -1,5 +1,6 @@
 type t = {
-  health : Health.t;
+  mutable health : Health.t;
+  mutable seen : int;  (* [Health.failures] when this supervisor last acted on it *)
   injector : Injector.t option;
   obs : Sb_obs.Sink.t;
   mutable contained : int;
@@ -10,9 +11,10 @@ type t = {
   mutable active : bool;
 }
 
-let create ?injector ?(obs = Sb_obs.Sink.null) policy =
+let create ?injector ?(obs = Sb_obs.Sink.null) health =
   {
-    health = Health.create policy;
+    health;
+    seen = Health.failures health;
     injector;
     obs;
     contained = 0;
@@ -49,14 +51,27 @@ let stall_cycles t =
 let record_fault t ~nf =
   t.active <- true;
   obs_count t "speedybox_faults_total" [ ("nf", nf) ];
-  Health.record_fault t.health nf
+  let transition = Health.record_fault t.health nf in
+  (* The owner flushes on this failure, which covers any failure another
+     sharer recorded before it. *)
+  if transition = Health.To_failed then t.seen <- Health.failures t.health;
+  transition
 
-(* A fault that happened on another shard: advance health and wake, but do
-   NOT count it — the shard that owned the packet already emitted the
-   metric, and double-counting would skew the run totals. *)
-let absorb_fault t ~nf =
-  t.active <- true;
-  Health.record_fault t.health nf
+let share_health t health =
+  t.health <- health;
+  t.seen <- Health.failures health
+
+(* Another supervisor sharing the table may have recorded since this one
+   last looked: any fault wakes this one, as its own would have, and a new
+   failure tells the owner to flush. *)
+let sync t =
+  if Health.total_faults t.health > 0 then t.active <- true;
+  let failures = Health.failures t.health in
+  failures <> t.seen
+  && begin
+       t.seen <- failures;
+       true
+     end
 
 let record_contained t =
   t.contained <- t.contained + 1;

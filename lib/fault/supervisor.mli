@@ -17,8 +17,9 @@
 
 type t
 
-val create : ?injector:Injector.t -> ?obs:Sb_obs.Sink.t -> Health.policy -> t
-(** [obs] (default {!Sb_obs.Sink.null}) receives fault metrics
+val create : ?injector:Injector.t -> ?obs:Sb_obs.Sink.t -> Health.t -> t
+(** A supervisor over the given health table.  [obs] (default
+    {!Sb_obs.Sink.null}) receives fault metrics
     ([speedybox_faults_total{nf}], [speedybox_fault_kinds_total{kind}],
     [speedybox_quarantines_total], [speedybox_faulted_packets_total]) when
     armed with a metrics registry; the counters only cost a registry
@@ -37,11 +38,17 @@ val record_fault : t -> nf:string -> Health.transition
 (** Attributes one fault and advances the NF's health; also wakes the
     supervisor ({!active} becomes true). *)
 
-val absorb_fault : t -> nf:string -> Health.transition
-(** Like {!record_fault}, but for a fault another supervisor already
-    counted (a sharded runtime's broadcast): advances health and wakes the
-    supervisor without emitting metrics, so run totals count each fault
-    once. *)
+val share_health : t -> Health.t -> unit
+(** Point the supervisor at a table other supervisors record into too (a
+    sharded plan's one table), before any packet.  The table must track
+    every NF this supervisor records faults against. *)
+
+val sync : t -> bool
+(** Catch up with what other supervisors recorded into the shared table:
+    wakes this supervisor ({!active}) once the table holds any fault, and
+    returns true when an NF reached [Failed] since this supervisor last
+    synced or saw its own {!record_fault} return [To_failed] — the owner
+    must then flush its consolidated rules. *)
 
 val record_contained : t -> unit
 (** A raise (injected or organic) was caught and contained. *)

@@ -21,7 +21,8 @@ let run_trace ?(burst = Runtime.default_burst) t packets =
     (* Worker [d] walks the whole lane in trace order and takes the
        entries equal to [d], so each shard processes its packets in
        global trace order — the order the deterministic executor gives
-       them — with nothing passed between domains but control messages.
+       them — with nothing passed between domains during the run but the
+       shared health table's counts and the state store's flushes.
        An armed sink was split per shard at plan creation, so each worker
        records into its own child only. *)
     let worker d =
@@ -36,14 +37,15 @@ let run_trace ?(burst = Runtime.default_burst) t packets =
       let index = Array.make burst 0 in
       let emit k out = Runtime.Acc.consume acc originals.(index.(k)) out in
       let process len =
-        (* Health broadcasts from sibling shards converge at batch
-           boundaries; so do global state-cell contributions.  Mid-batch,
-           a global read is a locally-consistent lower bound (own live
-           contribution plus the others as of this flush): a cross-shard
-           threshold fires within a batch of where the deterministic
-           executor fires it, still exactly once per flow, and the
-           post-join merge makes the final merged values exact. *)
-        Sharded.drain_control t d;
+        (* Sibling shards' faults reach this shard's supervisor and fast
+           path at batch boundaries; so do global state-cell
+           contributions.  Mid-batch, a global read is a
+           locally-consistent lower bound (own live contribution plus the
+           others as of this flush): a cross-shard threshold fires within
+           a batch of where the deterministic executor fires it, still
+           exactly once per flow, and the post-join merge makes the final
+           merged values exact. *)
+        Runtime.sync_health rt;
         (match state_replica with Some r -> Sb_state.Store.flush r | None -> ());
         Runtime.process_burst_into rt scratch ~off:0 ~len emit
       in
@@ -60,17 +62,17 @@ let run_trace ?(burst = Runtime.default_burst) t packets =
         end
       done;
       if !len > 0 then process !len;
-      Sharded.drain_control t d
+      Runtime.sync_health rt
     in
     (* Shard 0 runs on the calling thread: n shards cost n domains, not
        n + 1. *)
     let domains = Array.init (n - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1))) in
     worker 0;
     Array.iter Domain.join domains;
-    (* Workers have stopped: absorb any broadcast still queued (a fault on
-       one shard's final batch), so health converges across shards. *)
+    (* Workers have stopped: catch every shard up with faults recorded on
+       another shard's final batch, so all shards end converged. *)
     for s = 0 to n - 1 do
-      Sharded.drain_control t s
+      Runtime.sync_health (Sharded.runtime t s)
     done;
     (* Join gives the happens-before edge that makes every worker's
        accumulator safely readable here.  One final merge round converges

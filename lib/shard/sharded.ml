@@ -12,8 +12,6 @@ type t = {
      executors recompute the parent from the children at end of run
      ([merge_obs]). *)
   obs_children : Sb_obs.Sink.t array;
-  control : Control.t;
-  absorbers : (Control.msg -> unit) array;  (* inbox handlers, built once *)
   (* The steering books, one entry per FID: the packed key of the flow's
      first packet and the shard it steered to (the directory migration
      reads), and the override that redirects a migrated flow.  Owner and
@@ -28,7 +26,6 @@ type t = {
 
 let create ?(shards = 1) cfg build_chain =
   if shards < 1 then invalid_arg "Sharded.create: shards must be positive";
-  let control = Control.create ~shards in
   let obs_children =
     if shards > 1 && Sb_obs.Sink.armed cfg.Runtime.obs then
       Sb_obs.Sink.split cfg.Runtime.obs shards
@@ -51,26 +48,16 @@ let create ?(shards = 1) cfg build_chain =
          "Sharded.create: state store sized for %d shard(s) but the deployment has %d \
           — create it with Store.create ~shards:%d"
          (Sb_state.Store.shards st) shards shards);
-  (* Faults are chain-wide: whatever shard records one, every other shard
-     must advance the NF's health before its next packet. *)
-  Array.iteri
-    (fun i rt ->
-      Runtime.set_fault_listener rt (fun nf ->
-          Control.broadcast control ~from:i (Control.Nf_fault nf)))
+  (* NF health is chain-wide: every shard records into shard 0's table,
+     whose NF set every shard's chain shares. *)
+  let health = Sb_fault.Supervisor.health (Runtime.supervisor runtimes.(0)) in
+  Array.iter
+    (fun rt -> Sb_fault.Supervisor.share_health (Runtime.supervisor rt) health)
     runtimes;
-  let absorbers =
-    Array.mapi
-      (fun s rt -> function
-        | Control.Nf_fault nf -> Runtime.absorb_remote_fault rt ~nf
-        | Control.Apply f -> f s rt)
-      runtimes
-  in
   {
     cfg;
     runtimes;
     obs_children;
-    control;
-    absorbers;
     books = Flat_table.create ~initial_size:256 ~cells:4 ();
     steered = Array.make shards 0;
     migrated_in = Array.make shards 0;
@@ -107,12 +94,6 @@ let shard_of_packet t packet =
     let k1 = Five_tuple.packet_pack1 packet and k2 = Five_tuple.packet_pack2 packet in
     steer_at t (Flat_table.find_slot t.books (fid_of t k1 k2)) k1 k2
   end
-
-(* ---- Control plane ---- *)
-
-let drain_control t s = ignore (Control.drain t.control ~shard:s t.absorbers.(s))
-
-let broadcast t f = Control.broadcast t.control (Control.Apply f)
 
 (* ---- The steering pass ----
 
@@ -345,11 +326,8 @@ let run_trace ?on_output ?(burst = Runtime.default_burst) t packets =
   if burst < 1 then invalid_arg "Sharded.run_trace: burst must be positive";
   if Array.length t.runtimes = 1 then begin
     (* One shard: the plan degenerates to the plain burst path. *)
-    drain_control t 0;
     t.steered.(0) <- t.steered.(0) + List.length packets;
-    let result = Runtime.run_trace ?on_output ~burst t.runtimes.(0) packets in
-    drain_control t 0;
-    result
+    Runtime.run_trace ?on_output ~burst t.runtimes.(0) packets
   end
   else begin
     let acc = Runtime.Acc.create ~fid_bits:t.cfg.Runtime.fid_bits () in
@@ -385,10 +363,10 @@ let run_trace ?on_output ?(burst = Runtime.default_burst) t packets =
         incr j
       done;
       let len = !j - i in
-      (* Absorb what other shards broadcast since this shard last ran —
-         before the next packet touches its state, which is exactly the
-         point the unsharded runtime would have seen the same fault. *)
-      drain_control t s;
+      (* Catch up with the faults other shards recorded since this shard
+         last ran — before the next packet touches its state, which is
+         exactly the point the unsharded runtime would have seen them. *)
+      Runtime.sync_health t.runtimes.(s);
       let seg =
         if on_output = None then begin
           for k = 0 to len - 1 do
@@ -406,14 +384,12 @@ let run_trace ?on_output ?(burst = Runtime.default_burst) t packets =
       if merging && !j < total then Sb_state.Store.hand_off store ~from:s;
       base := !j
     done;
-    (* Converge at end of run: a shard that received no packet after the
-       last broadcast still absorbs it, so every shard's health table ends
-       identical to the unsharded run's. *)
-    for s = 0 to Array.length t.runtimes - 1 do
-      drain_control t s
-    done;
-    (* The closing round publishes the last stretch and whatever those
-       drains wrote, so every replica reads exact values after the run. *)
+    (* Converge at end of run: a shard that received no packet after
+       another shard's last fault still wakes and flushes, so every shard
+       ends as the unsharded run would. *)
+    Array.iter Runtime.sync_health t.runtimes;
+    (* The closing round publishes the last stretch, so every replica
+       reads exact values after the run. *)
     if merging then Sb_state.Store.merge_round store;
     let result = Runtime.Acc.result acc in
     finish_obs t result;
@@ -431,7 +407,6 @@ let stats t =
         packets = t.steered.(i);
         flows = flows.(i);
         rules = Sb_mat.Global_mat.flow_count (Runtime.global_mat t.runtimes.(i));
-        control_msgs = Control.absorbed t.control ~shard:i;
         migrated_in = t.migrated_in.(i);
         migrated_out = t.migrated_out.(i);
         state_entries =

@@ -4,17 +4,18 @@
     Each shard owns a full runtime — its own Global/Local MATs, conntrack,
     Event Table, fault supervisor — over its own chain instance, so
     per-flow state needs no locking: steering ({!Steer}) sends both
-    directions of a connection to one shard.  The two genuinely global
-    concerns travel over the {!Control} inboxes: NF health (faults
-    broadcast so chain-wide thresholds keep meaning chain-wide) and
-    operator control events ({!broadcast}).
+    directions of a connection to one shard.  NF health is chain-wide, so
+    the plan keeps one {!Sb_fault.Health} table that every shard's
+    supervisor records into and reads; a shard learns of another shard's
+    faults through {!Speedybox.Runtime.sync_health}, which wakes its
+    supervisor and, after a new [Failed], flushes its fast path.
 
     Two executors share one plan, and dispatch from one lane of shard
     indices that {!run_steered} fills per run.  {!run_trace} here is the
     {e deterministic} one: single-threaded, packets processed in global
     arrival order with maximal same-shard stretches of the lane batched
-    through the burst path, control messages absorbed before every
-    stretch.  Its results are bit-exact with an unsharded
+    through the burst path, every shard synced with the health table
+    before each of its stretches.  Its results are bit-exact with an unsharded
     {!Speedybox.Runtime.run_trace} over the same trace (same per-packet
     outputs, aggregates, NF state and fault attribution) whenever the
     chain's cross-flow state is per-flow — the property the differential
@@ -38,11 +39,13 @@ val create : ?shards:int -> Speedybox.Runtime.config -> (int -> Speedybox.Chain.
 (** [create ~shards cfg build_chain] builds [shards] (default 1) runtimes,
     each over its own [build_chain i].  The config is shared — including
     the injector (one global fault schedule, drawn in arrival order by the
-    deterministic executor).  An armed observability sink on a multi-shard
-    plan is {!Sb_obs.Sink.split} into per-shard children — shard [i]
-    records into its own registry/tracer/timeline, and both executors
-    recompute the parent sink from the children at end of run
-    ({!merge_obs}), so reading [cfg.obs] after a run sees merged totals.
+    deterministic executor) — and so is one health table, shard 0's, so
+    every shard's chain must name the same NFs.  An armed observability
+    sink on a multi-shard plan is {!Sb_obs.Sink.split} into per-shard
+    children — shard [i] records into its own registry/tracer/timeline,
+    and both executors recompute the parent sink from the children at end
+    of run ({!merge_obs}), so reading [cfg.obs] after a run sees merged
+    totals.
     @raise Invalid_argument when [shards < 1]. *)
 
 val shard_count : t -> int
@@ -64,23 +67,15 @@ val run_trace :
   Speedybox.Runtime.run_result
 (** The deterministic executor: global arrival order, same-shard stretches
     (capped at [burst], default {!Speedybox.Runtime.default_burst}) batched
-    through {!Speedybox.Runtime.process_burst_into}, control inboxes
-    drained before each stretch and once more at end of run (so every
-    shard's health table converges).  A multi-shard state store merges at
-    every stretch boundary, and in full as the run opens and, after the
-    final drain, as it closes.  [on_output] fires per packet in global
+    through {!Speedybox.Runtime.process_burst_into}, the shard's runtime
+    synced with the shared health table before each stretch and every
+    shard once more at end of run (so every shard's supervisor and fast
+    path end as the unsharded run's).  A multi-shard state store merges at
+    every stretch boundary, and in full as the run opens and as it
+    closes.  [on_output] fires per packet in global
     order.  With one shard this delegates to the unsharded burst path.
     @raise Invalid_argument when [burst < 1], or when a multi-shard plan
     is already running (a run started from [on_output]). *)
-
-val broadcast : t -> (int -> Speedybox.Runtime.t -> unit) -> unit
-(** Queue a control closure to every shard (applied to each shard's
-    runtime at its next drain — before its next stretch under the
-    deterministic executor).  The carrier for chain-wide NF control
-    events: backend death/revival, threshold changes.  The closure must
-    not raise (nor migrate, which raises during a run): under
-    {!Parallel_exec} it runs on a worker domain whose peers would wait
-    for it forever. *)
 
 val migrate_flow : t -> fid:Sb_flow.Fid.t -> dest:int -> bool
 (** [migrate_flow t ~fid ~dest] hands the flow — and its reverse
@@ -126,9 +121,6 @@ val finish_obs : t -> Speedybox.Runtime.run_result -> unit
     into the child registries; with no child registry (an unarmed run) it
     does nothing.  Both executors call this, then {!merge_obs}, at the end
     of every run. *)
-
-val drain_control : t -> int -> unit
-(** Absorb every control message queued for shard [i]. *)
 
 val run_steered : t -> Sb_packet.Packet.t array -> (int array -> 'a) -> 'a
 (** [run_steered t packets f] steers each packet once, in order, from the

@@ -177,7 +177,7 @@ let build_chain spec =
 (* Runs [trace] through a freshly built chain (and, when given, a freshly
    armed injector — runs must not share mutable state) and returns the
    per-packet observations plus everything aggregate. *)
-let observe_run ?arm_injector ?idle_timeout_cycles ~chain_spec ~burst trace =
+let observe_run ?arm_injector ?idle_timeout_cycles ?fault_policy ~chain_spec ~burst trace =
   let chain = build_chain chain_spec in
   let injector =
     Option.map
@@ -188,7 +188,9 @@ let observe_run ?arm_injector ?idle_timeout_cycles ~chain_spec ~burst trace =
       arm_injector
   in
   let rt =
-    Speedybox.Runtime.create (Speedybox.Runtime.config ?injector ?idle_timeout_cycles ()) chain
+    Speedybox.Runtime.create
+      (Speedybox.Runtime.config ?injector ?idle_timeout_cycles ?fault_policy ())
+      chain
   in
   let obs = ref [] in
   let result =

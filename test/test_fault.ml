@@ -86,7 +86,7 @@ let test_injector_validation () =
 (* Health *)
 
 let test_health_transitions () =
-  let h = Health.create (Health.policy ~degraded_after:2 ~failed_after:4 ()) in
+  let h = Health.create (Health.policy ~degraded_after:2 ~failed_after:4 ()) [ "nf" ] in
   Alcotest.(check bool) "starts healthy" true (Health.state h "nf" = Health.Healthy);
   Alcotest.(check bool) "first fault: no crossing" true
     (Health.record_fault h "nf" = Health.No_change);
@@ -98,15 +98,43 @@ let test_health_transitions () =
     (Health.record_fault h "nf" = Health.To_failed);
   Alcotest.(check bool) "stays failed" true
     (Health.record_fault h "nf" = Health.No_change && Health.state h "nf" = Health.Failed);
-  Health.reset h "nf";
-  Alcotest.(check bool) "reset restores healthy" true
-    (Health.state h "nf" = Health.Healthy && Health.faults h "nf" = 0)
+  Alcotest.(check bool) "an NF the table does not track is refused" true
+    (match Health.record_fault h "other" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* Two supervisors over one table, as a sharded plan's shards: each sees
+   the other's faults at once, and [sync] reports a failure recorded
+   elsewhere exactly once, and never the supervisor's own. *)
+let test_health_shared () =
+  let h = Health.create (Health.policy ~degraded_after:1 ~failed_after:2 ()) [ "nf" ] in
+  let a = Supervisor.create h in
+  let b = Supervisor.create (Health.create Health.default_policy []) in
+  Supervisor.share_health b h;
+  Alcotest.(check bool) "nothing to catch up on" false
+    (Supervisor.sync b || Supervisor.active b);
+  ignore (Supervisor.record_fault a ~nf:"nf");
+  Alcotest.(check bool) "b reads a's fault" true
+    (Health.state (Supervisor.health b) "nf" = Health.Degraded);
+  Alcotest.(check bool) "a fault wakes b, no flush" true
+    ((not (Supervisor.sync b)) && Supervisor.active b);
+  Alcotest.(check bool) "b's own failure" true
+    (Supervisor.record_fault b ~nf:"nf" = Health.To_failed);
+  Alcotest.(check bool) "b already flushed for it" false (Supervisor.sync b);
+  Alcotest.(check bool) "a flushes once" true
+    (Supervisor.sync a && not (Supervisor.sync a));
+  Alcotest.(check (list (triple string string int))) "one count"
+    [ ("nf", "Failed", 2) ]
+    (List.map
+       (fun (nf, st, n) -> (nf, Format.asprintf "%a" Health.pp_state st, n))
+       (Health.snapshot h))
 
 let test_health_policy_overrides () =
   let h =
     Health.create
       (Health.policy ~on_failure:Health.Slow_path_only
          ~overrides:[ ("lb", Health.Bypass) ] ())
+      [ "lb"; "fw" ]
   in
   Alcotest.(check bool) "override applies" true (Health.on_failure h "lb" = Health.Bypass);
   Alcotest.(check bool) "default elsewhere" true
@@ -434,6 +462,7 @@ let suite =
     Alcotest.test_case "injector validation" `Quick test_injector_validation;
     Alcotest.test_case "health transitions" `Quick test_health_transitions;
     Alcotest.test_case "health policy overrides" `Quick test_health_policy_overrides;
+    Alcotest.test_case "one health table, two supervisors" `Quick test_health_shared;
     Alcotest.test_case "slow-path containment" `Quick test_slow_path_containment;
     Alcotest.test_case "fast-path state-function containment" `Quick
       test_fast_path_sf_containment;

@@ -2,8 +2,9 @@
    identical to the unsharded burst path: same per-packet verdicts, paths,
    bytes and stage visits, same aggregates, flow times, NF state and fault
    attribution — for any shard count, over randomized traces with armed
-   events and injected faults.  Plus direct coverage of steering symmetry,
-   the control broadcast plane, flow migration (rule transplant,
+   events and injected faults under every failure policy.  Plus direct
+   coverage of steering symmetry, one shared health table under the
+   parallel executor, flow migration (rule transplant,
    event-armed teardown, quarantine preservation, timeline logging,
    drain/rebalance), placement across runs (a migrated flow reopening
    within one run, a drain between two halves of a trace) under every
@@ -37,7 +38,7 @@ let obs_of (out : Speedybox.Runtime.output) =
    when given, a freshly armed injector — shared by every shard, as one
    global fault schedule) and runs the trace on the deterministic
    executor. *)
-let observe_sharded ?arm_injector ~chain_spec ~shards ~burst trace =
+let observe_sharded ?arm_injector ?fault_policy ~chain_spec ~shards ~burst trace =
   let build = builder chain_spec in
   let chains = Array.init shards (fun _ -> build ()) in
   let injector =
@@ -50,7 +51,7 @@ let observe_sharded ?arm_injector ~chain_spec ~shards ~burst trace =
   in
   let sh =
     Sb_shard.Sharded.create ~shards
-      (Speedybox.Runtime.config ?injector ())
+      (Speedybox.Runtime.config ?injector ?fault_policy ())
       (fun i -> chains.(i))
   in
   let obs = ref [] in
@@ -131,8 +132,8 @@ let check_sharded_matches label (obs_u, res_u, rt_u, chain_u) (obs_s, res_s, rts
   Alcotest.(check bool)
     (label ^ ": fault attribution (summed)") true
     (supervisor_sum [ rt_u ] = supervisor_sum rts_s);
-  (* Every shard absorbs every broadcast fault, so each shard's per-NF
-     health table must equal the unsharded one exactly. *)
+  (* Every shard reads the plan's one health table, which must equal the
+     unsharded one exactly. *)
   List.iteri
     (fun i rt ->
       if health_snapshot rt <> health_snapshot rt_u then
@@ -143,14 +144,14 @@ let check_sharded_matches label (obs_u, res_u, rt_u, chain_u) (obs_s, res_s, rts
     (merged_digests [ chain_u ]
     = merged_digests (List.map Speedybox.Runtime.chain rts_s))
 
-let differential ?arm_injector ~chain_spec ~label trace =
+let differential ?arm_injector ?fault_policy ~chain_spec ~label trace =
   let reference =
-    Test_burst.observe_run ?arm_injector ~chain_spec ~burst:1 trace
+    Test_burst.observe_run ?arm_injector ?fault_policy ~chain_spec ~burst:1 trace
   in
   List.iter
     (fun (shards, burst) ->
       let _, obs, result, rts =
-        observe_sharded ?arm_injector ~chain_spec ~shards ~burst trace
+        observe_sharded ?arm_injector ?fault_policy ~chain_spec ~shards ~burst trace
       in
       check_sharded_matches
         (Printf.sprintf "%s, %d shards, burst %d" label shards burst)
@@ -188,12 +189,35 @@ let test_differential_faults () =
   in
   (* One injector shared by every shard: the deterministic executor's
      global arrival order keeps the draw schedule identical to unsharded,
-     and fault broadcasts keep every shard's health in lockstep. *)
+     and the shared health table keeps every shard's view of it exact.
+     Thresholds low enough that an NF fails within the trace's first half,
+     under each failure policy, so the cross-shard flush and the failure
+     gate run at every shard count and burst size. *)
+  let chain_spec = "monitor,dosguard:5" in
   List.iter
-    (fun seed ->
-      differential ~arm_injector ~chain_spec:"monitor,dosguard:5" ~label:"injected faults"
-        (Test_burst.random_trace seed))
-    [ 5; 63 ]
+    (fun on_failure ->
+      let fault_policy =
+        Sb_fault.Health.policy ~degraded_after:2 ~failed_after:4 ~on_failure ()
+      in
+      let label =
+        Format.asprintf "injected faults, %a" Sb_fault.Health.pp_on_failure on_failure
+      in
+      List.iter
+        (fun seed ->
+          let trace = Test_burst.random_trace seed in
+          let half = List.filteri (fun i _ -> 2 * i < List.length trace) trace in
+          let _, _, rt, _ =
+            Test_burst.observe_run ~arm_injector ~fault_policy ~chain_spec ~burst:1 half
+          in
+          if
+            not
+              (List.exists
+                 (fun (_, st, _) -> st = Sb_fault.Health.Failed)
+                 (health_snapshot rt))
+          then Alcotest.failf "%s, seed %d: no NF failed in the first half" label seed;
+          differential ~arm_injector ~fault_policy ~chain_spec ~label trace)
+        [ 5; 63 ])
+    Sb_fault.Health.[ Bypass; Drop_flow; Slow_path_only ]
 
 let test_differential_fin_midburst () =
   let trace =
@@ -280,43 +304,6 @@ let test_steer_spreads () =
   Array.iteri
     (fun i c -> if c = 0 then Alcotest.failf "shard %d received no flows" i)
     counts
-
-(* --- control plane --- *)
-
-let test_control_broadcast () =
-  let c = Sb_shard.Control.create ~shards:3 in
-  Sb_shard.Control.broadcast c ~from:1 (Sb_shard.Control.Nf_fault "monitor");
-  Sb_shard.Control.post c ~shard:1 (Sb_shard.Control.Nf_fault "snort");
-  let seen s =
-    let names = ref [] in
-    ignore
-      (Sb_shard.Control.drain c ~shard:s (function
-        | Sb_shard.Control.Nf_fault nf -> names := nf :: !names
-        | Sb_shard.Control.Apply _ -> ()));
-    List.rev !names
-  in
-  Alcotest.(check (list string)) "shard 0 got the broadcast" [ "monitor" ] (seen 0);
-  Alcotest.(check (list string)) "sender excluded, direct post kept" [ "snort" ] (seen 1);
-  Alcotest.(check (list string)) "shard 2 got the broadcast" [ "monitor" ] (seen 2);
-  Alcotest.(check (list string)) "drained inboxes are empty" [] (seen 0);
-  Alcotest.(check int) "absorbed counts persist" 1 (Sb_shard.Control.absorbed c ~shard:2)
-
-let test_sharded_broadcast_applies () =
-  let sh, _, _, _ =
-    observe_sharded ~chain_spec:"monitor" ~shards:2 ~burst:4 []
-  in
-  let hit = Array.make 2 false in
-  Sb_shard.Sharded.broadcast sh (fun i _rt -> hit.(i) <- true);
-  (* Queued, not yet applied: closures run at each shard's next drain. *)
-  Alcotest.(check bool) "deferred until drain" false (hit.(0) || hit.(1));
-  ignore
-    (Sb_shard.Sharded.run_trace sh
-       (Test_util.tcp_flow ~sport:40000 2 @ Test_util.tcp_flow ~sport:40007 2));
-  (* Two flows are enough only if they land on different shards; drain
-     explicitly so the assertion is placement-independent. *)
-  Sb_shard.Sharded.drain_control sh 0;
-  Sb_shard.Sharded.drain_control sh 1;
-  Alcotest.(check bool) "applied on every shard" true (hit.(0) && hit.(1))
 
 (* --- migration --- *)
 
@@ -734,6 +721,100 @@ let test_parallel_guards () =
   | _ -> Alcotest.fail "burst 0 must be rejected"
   | exception Invalid_argument _ -> ())
 
+(* --- one health table under the parallel executor --- *)
+
+(* An NF that raises on every packet whose payload reads "boom": an
+   organic fault, which the parallel executor accepts where it refuses an
+   injector.  Before its first raise it spins for [stall] seconds of CPU
+   time. *)
+let boom_nf ?(stall = 0.) () =
+  let stalled = ref false in
+  Speedybox.Nf.make ~name:"bomber" (fun _ctx packet ->
+      if Packet.payload packet = "boom" then begin
+        if not !stalled then begin
+          stalled := true;
+          let t0 = Sys.time () in
+          while Sys.time () -. t0 < stall do
+            Domain.cpu_relax ()
+          done
+        end;
+        failwith "bomber: boom"
+      end;
+      Speedybox.Nf.forwarded 100)
+
+let health_lines rt =
+  List.filter
+    (fun l -> String.starts_with ~prefix:"health" l)
+    (Sb_fault.Supervisor.summary (Speedybox.Runtime.supervisor rt))
+
+(* The bomber fails on shard 0's flows only.  Shard 1, which records no
+   fault of its own, still ends reading the same health, woken, and with
+   the rules it built before the failure flushed — under par-2 as under
+   det-2 and unsharded.  Under par-2 the bomber stalls before its first
+   raise, so shard 1 most likely finishes its one batch before the
+   failure and only the end-of-run sync can flush it. *)
+let test_parallel_organic_fault () =
+  let fault_policy =
+    Sb_fault.Health.policy ~degraded_after:2 ~failed_after:3
+      ~on_failure:Sb_fault.Health.Slow_path_only ()
+  in
+  let chain ?stall () =
+    Speedybox.Chain.create ~name:"boom"
+      [ boom_nf ?stall (); Sb_nf.Monitor.nf (Sb_nf.Monitor.create ()) ]
+  in
+  let plan ?stall () =
+    Sb_shard.Sharded.create ~shards:2
+      (Speedybox.Runtime.config ~fault_policy ())
+      (fun _ -> chain ?stall ())
+  in
+  let probe = plan () in
+  let sports shard n =
+    List.init 64 (fun i -> 42000 + i)
+    |> List.filter (fun sport ->
+           Sb_shard.Sharded.shard_of_packet probe (Test_util.tcp_packet ~sport ()) = shard)
+    |> List.filteri (fun i _ -> i < n)
+  in
+  let quiet k =
+    List.concat_map (fun sport -> Test_util.tcp_flow ~sport ~fin:false k) (sports 1 4)
+  in
+  let loud =
+    List.concat_map
+      (fun sport -> Test_util.tcp_flow ~sport ~payload:"boom" ~fin:false 2)
+      (sports 0 3)
+  in
+  (* Shard 1's flows consolidate, shard 0's fail the bomber, then shard
+     1's flows go on. *)
+  let trace = quiet 3 @ loud @ quiet 2 in
+  let rt_u = Speedybox.Runtime.create (Speedybox.Runtime.config ~fault_policy ()) (chain ()) in
+  ignore (Speedybox.Runtime.run_trace rt_u trace);
+  let expected = health_snapshot rt_u in
+  Alcotest.(check bool) "the bomber failed" true
+    (List.exists (fun (nf, st, _) -> nf = "bomber" && st = Sb_fault.Health.Failed) expected);
+  let det = plan () in
+  ignore (Sb_shard.Sharded.run_trace det trace);
+  let par = plan ~stall:0.05 () in
+  ignore (Sb_shard.Parallel_exec.run_trace par trace);
+  List.iter
+    (fun (label, sh) ->
+      List.iter
+        (fun i ->
+          let rt = Sb_shard.Sharded.runtime sh i in
+          let what = Printf.sprintf "%s shard %d" label i in
+          if health_snapshot rt <> expected then Alcotest.failf "%s: health diverges" what;
+          Alcotest.(check (list string)) (what ^ ": health lines") (health_lines rt_u)
+            (health_lines rt))
+        [ 0; 1 ];
+      let rt1 = Sb_shard.Sharded.runtime sh 1 in
+      let sup1 = Speedybox.Runtime.supervisor rt1 in
+      Alcotest.(check int) (label ^ ": shard 1 recorded no fault") 0
+        (Sb_fault.Supervisor.total_faults sup1);
+      Alcotest.(check bool) (label ^ ": shard 1 woke") true (Sb_fault.Supervisor.active sup1);
+      Alcotest.(check int) (label ^ ": shard 1 holds no rule") 0
+        (Sb_mat.Global_mat.flow_count (Speedybox.Runtime.global_mat rt1)))
+    [ ("det-2", det); ("par-2", par) ];
+  Alcotest.(check int) "unsharded holds no rule" 0
+    (Sb_mat.Global_mat.flow_count (Speedybox.Runtime.global_mat rt_u))
+
 (* --- armed observability under the parallel executor --- *)
 
 let run_armed ~shards ~snapshot_every exec trace =
@@ -849,8 +930,6 @@ let suite =
       test_non_flow_steers_to_shard_zero;
     Alcotest.test_case "steering is direction-symmetric" `Quick test_steer_symmetric;
     Alcotest.test_case "steering spreads flows" `Quick test_steer_spreads;
-    Alcotest.test_case "control broadcast excludes sender" `Quick test_control_broadcast;
-    Alcotest.test_case "sharded broadcast applies at drain" `Quick test_sharded_broadcast_applies;
     Alcotest.test_case "migration transplants rule and conntrack" `Quick test_migrate_moves_state;
     Alcotest.test_case "migration tears down event-armed rules" `Quick
       test_migrate_event_armed_tears_down;
@@ -863,6 +942,8 @@ let suite =
     Alcotest.test_case "parallel directory under fid collisions" `Quick
       test_parallel_dir_collisions;
     Alcotest.test_case "parallel executor guards" `Quick test_parallel_guards;
+    Alcotest.test_case "par-2 organic fault: one health table" `Quick
+      test_parallel_organic_fault;
     Alcotest.test_case "armed parallel = armed deterministic (merged exports)" `Quick
       test_parallel_armed_matches_deterministic;
     Alcotest.test_case "armed parallel = armed unsharded (counters)" `Quick
