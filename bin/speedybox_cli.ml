@@ -353,8 +353,13 @@ let run_cmd_impl chain platform mode seed flows mean_packets trace_file show_sta
           ~error:(fun msg -> Error ("speedybox: --impair: " ^ msg))
           (Sb_impair.Impair.parse_spec spec)
   in
+  (* One state store across the shard chains: each shard's NFs build
+     against their replica, so global-scope cells (chain-wide DoS budgets,
+     monitor totals, backend health) span the deployment and the report's
+     global-state section reads the same for any shard count. *)
+  let store = Sb_state.Store.create ~shards () in
   match
-    ( Sb_experiments.Chain_registry.build chain,
+    ( Sb_experiments.Chain_registry.build_sharded ~store chain,
       load_or_make_trace ~trace_file ~seed ~flows ~mean_packets,
       build_injector ~fault_seed inject,
       impair_spec )
@@ -362,7 +367,7 @@ let run_cmd_impl chain platform mode seed flows mean_packets trace_file show_sta
   | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _ | _, _, _, Error msg ->
       prerr_endline msg;
       1
-  | Ok build, Ok trace, Ok injector, Ok impair_spec ->
+  | Ok build_shard, Ok trace, Ok injector, Ok impair_spec -> (
       (* Impair before any executor sees the trace; corrupting mutators arm
          checksum verification at the classifier so damaged headers are
          rejected rather than consolidated. *)
@@ -375,94 +380,55 @@ let run_cmd_impl chain platform mode seed flows mean_packets trace_file show_sta
             ( impaired,
               List.exists (function Sb_impair.Impair.Corrupt _ -> true | _ -> false) spec )
       in
-      if shards > 1 then begin
-        let obs = build_sink ~metrics_out ~trace_out ~trace_flows ~metrics_interval in
-        (* One state store across the shard chains: each shard's NFs build
-           against their replica, so global-scope cells (chain-wide DoS
-           budgets, monitor totals, backend health) span the deployment
-           and the report's global-state section matches the unsharded
-           run byte for byte. *)
-        let store = Sb_state.Store.create ~shards () in
-        let cfg =
-          Speedybox.Runtime.config ~platform ~mode ~verify_checksums
-            ~fault_policy:(Sb_fault.Health.policy ~on_failure ())
-            ?injector ~obs ~state:store ()
-        in
-        let build_shard =
-          match Sb_experiments.Chain_registry.build_sharded ~store chain with
-          | Ok b -> b
-          | Error msg ->
-              (* unreachable: [build] already validated the same spec *)
-              invalid_arg msg
-        in
-        let sh = Sb_shard.Sharded.create ~shards cfg build_shard in
-        let result =
-          if shard_parallel then Sb_shard.Parallel_exec.run_trace ~burst sh trace
-          else Sb_shard.Sharded.run_trace ~burst sh trace
-        in
-        let rts = List.init shards (Sb_shard.Sharded.runtime sh) in
-        print_string
-          (Speedybox.Report.sharded_run_summary
-             ~label:
-               (Printf.sprintf "%s on %s (%s, %d shards, %s)" chain
-                  (Sb_sim.Platform.name platform)
-                  (match mode with
-                  | Speedybox.Runtime.Original -> "original"
-                  | Speedybox.Runtime.Speedybox -> "speedybox")
-                  shards
-                  (if shard_parallel then "parallel" else "deterministic"))
-             rts result);
-        print_string (Speedybox.Report.shard_summary (Sb_shard.Sharded.stats sh));
-        if show_stages then print_string (Speedybox.Report.stage_breakdown result);
-        if show_state then
-          List.iteri
-            (fun i rt ->
-              Printf.printf "shard %d " i;
-              print_string (Speedybox.Report.chain_state (Speedybox.Runtime.chain rt)))
-            rts;
-        if show_rules > 0 then
-          List.iteri
-            (fun i rt ->
-              Printf.printf "shard %d consolidated rules:\n" i;
-              print_string (Speedybox.Report.flow_rules rt ~limit:show_rules))
-            rts;
-        finish_with_exports obs 0
-      end
-      else begin
-        let obs = build_sink ~metrics_out ~trace_out ~trace_flows ~metrics_interval in
-        let store = Sb_state.Store.create ~shards:1 () in
-        let built =
-          match Sb_experiments.Chain_registry.build_sharded ~store chain with
-          | Ok b -> b 0
-          | Error _ -> build ()
-        in
-        let cfg =
-          Speedybox.Runtime.config ~platform ~mode ~verify_checksums
-            ~fault_policy:(Sb_fault.Health.policy ~on_failure ())
-            ?injector ~obs ~state:store ()
-        in
-        match staged_rate with
-        | Some rate -> finish_with_exports obs (staged_run cfg built ~burst trace rate)
-        | None ->
-            let rt = Speedybox.Runtime.create cfg built in
-            let result = Speedybox.Runtime.run_trace ~burst rt trace in
-            print_string
-              (Speedybox.Report.run_summary
-                 ~label:
-                   (Printf.sprintf "%s on %s (%s)" chain
-                      (Sb_sim.Platform.name platform)
-                      (match mode with
-                      | Speedybox.Runtime.Original -> "original"
-                      | Speedybox.Runtime.Speedybox -> "speedybox"))
-                 rt result);
-            if show_stages then print_string (Speedybox.Report.stage_breakdown result);
-            if show_state then print_string (Speedybox.Report.chain_state built);
-            if show_rules > 0 then begin
-              print_endline "consolidated rules:";
-              print_string (Speedybox.Report.flow_rules rt ~limit:show_rules)
-            end;
-            finish_with_exports obs 0
-      end
+      let obs = build_sink ~metrics_out ~trace_out ~trace_flows ~metrics_interval in
+      let cfg =
+        Speedybox.Runtime.config ~platform ~mode ~verify_checksums
+          ~fault_policy:(Sb_fault.Health.policy ~on_failure ())
+          ?injector ~obs ~state:store ()
+      in
+      match staged_rate with
+      | Some rate -> finish_with_exports obs (staged_run cfg (build_shard 0) ~burst trace rate)
+      | None ->
+          (* An unsharded run is a plan of one shard. *)
+          let sharded = shards > 1 in
+          let sh = Sb_shard.Sharded.create ~shards cfg build_shard in
+          let result =
+            if shard_parallel then Sb_shard.Parallel_exec.run_trace ~burst sh trace
+            else Sb_shard.Sharded.run_trace ~burst sh trace
+          in
+          let rts = List.init shards (Sb_shard.Sharded.runtime sh) in
+          let mode_name =
+            match mode with
+            | Speedybox.Runtime.Original -> "original"
+            | Speedybox.Runtime.Speedybox -> "speedybox"
+          in
+          print_string
+            (Speedybox.Report.run_summary
+               ~label:
+                 (Printf.sprintf "%s on %s (%s%s)" chain (Sb_sim.Platform.name platform)
+                    mode_name
+                    (if sharded then
+                       Printf.sprintf ", %d shards, %s" shards
+                         (if shard_parallel then "parallel" else "deterministic")
+                     else ""))
+               rts result);
+          if sharded then
+            print_string (Speedybox.Report.shard_summary (Sb_shard.Sharded.stats sh));
+          if show_stages then print_string (Speedybox.Report.stage_breakdown result);
+          let prefix i = if sharded then Printf.sprintf "shard %d " i else "" in
+          if show_state then
+            List.iteri
+              (fun i rt ->
+                print_string (prefix i);
+                print_string (Speedybox.Report.chain_state (Speedybox.Runtime.chain rt)))
+              rts;
+          if show_rules > 0 then
+            List.iteri
+              (fun i rt ->
+                Printf.printf "%sconsolidated rules:\n" (prefix i);
+                print_string (Speedybox.Report.flow_rules rt ~limit:show_rules))
+              rts;
+          finish_with_exports obs 0)
 
 let run_cmd =
   let doc = "Run a workload through a chain and report statistics." in
@@ -549,7 +515,7 @@ let deploy_cmd_impl path show_stages =
           print_string
             (Speedybox.Report.run_summary
                ~label:(Printf.sprintf "deployment %s" (Filename.basename path))
-               rt result);
+               [ rt ] result);
           if show_stages then print_string (Speedybox.Report.stage_breakdown result);
           0)
 

@@ -44,9 +44,9 @@ val register_event :
   nf_context -> condition:(unit -> bool) -> Sb_mat.Event_table.update -> unit
 (** Registers a runtime event for the flow: when [condition] becomes true
     the update fires — the NF's recorded header actions (and, when given,
-    state functions) are replaced with the freshly computed lists and its
-    [update_fn] runs, after which the Global MAT re-consolidates.  Build
-    the update with {!Sb_mat.Event_table.update}, naming this NF; pass
+    state functions) are replaced with the freshly computed lists, after
+    which the Global MAT re-consolidates.  Build the update with
+    {!Sb_mat.Event_table.update}, naming this NF; pass
     [~global_state:true] there when the condition reads global-scope
     state-store cells (so it can become true through another shard's
     contribution at a merge point), and [~trigger:e], [e] an NF-wide

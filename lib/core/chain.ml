@@ -25,15 +25,6 @@ let length t = List.length t.nfs
 
 let local_mats t = t.local_mats
 
-let local_mat_for t nf =
-  match
-    List.find_opt
-      (fun mat -> String.equal (Sb_mat.Local_mat.nf_name mat) nf.Nf.name)
-      t.local_mats
-  with
-  | Some mat -> mat
-  | None -> invalid_arg (Printf.sprintf "Chain.local_mat_for: NF %s not in chain" nf.Nf.name)
-
 let events t = t.events
 
 let consolidable t = List.for_all (fun nf -> nf.Nf.consolidable) t.nfs

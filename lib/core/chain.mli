@@ -18,8 +18,6 @@ val length : t -> int
 val local_mats : t -> Sb_mat.Local_mat.t list
 (** Same order as [nfs]. *)
 
-val local_mat_for : t -> Nf.t -> Sb_mat.Local_mat.t
-
 val events : t -> Sb_mat.Event_table.t
 
 val consolidable : t -> bool

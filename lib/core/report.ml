@@ -2,10 +2,8 @@ let pct part whole = if whole = 0 then 0. else 100. *. float_of_int part /. floa
 
 let stat v = Format.asprintf "%a" Sb_sim.Stats.pp_stat v
 
-(* The result-only lines shared by the unsharded and sharded summaries:
-   verdicts, paths, latency, model throughput and flow processing times —
-   with the sentinel bucket (packets that have no 5-tuple) reported by
-   name, so the raw sentinel FID never leaks into output. *)
+(* The result-only lines: verdicts, paths, latency and model
+   throughput. *)
 let core_lines buf label (result : Runtime.run_result) =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let summary = Sb_sim.Stats.summarize result.Runtime.latency_us in
@@ -24,6 +22,9 @@ let core_lines buf label (result : Runtime.run_result) =
    if Float.is_nan mpps then line "  throughput : - (no packets)"
    else line "  throughput : %.3f Mpps (model)" mpps)
 
+(* Flow processing times, with the sentinel bucket (packets that have no
+   5-tuple) reported by name, so the raw sentinel FID never leaks into
+   output. *)
 let flow_time_lines buf (result : Runtime.run_result) =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let flow_stats = Sb_sim.Stats.create () in
@@ -43,8 +44,8 @@ let flow_time_lines buf (result : Runtime.run_result) =
   | Some us -> line "  non-flow   : %.2fus (packets with no 5-tuple)" us
   | None -> ()
 
-(* The state-store section, shared verbatim by the unsharded and sharded
-   summaries so the two reports diff clean: declared-cell counts per scope
+(* The state-store section, which reads the same for any shard count so
+   sharded and unsharded reports diff clean: declared-cell counts per scope
    and every global cell's merged value (sorted by name).  Executor-
    dependent figures like merge rounds stay out of here. *)
 let state_lines buf store =
@@ -63,72 +64,49 @@ let state_lines buf store =
           values
   end
 
-let run_summary ?(label = "run") rt (result : Runtime.run_result) =
+(* One summary for a plan of any size: an unsharded run is a plan of one
+   shard.  Table occupancy and the per-shard counters sum over the shards;
+   distinct actions are per-shard distinct, so their sum is an upper bound
+   when shards share actions.  The shards' supervisors share one health
+   table and one injector, so the fault block prints once. *)
+let run_summary ?(label = "run") rts (result : Runtime.run_result) =
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  let n = List.length rts in
+  let sum f = List.fold_left (fun acc rt -> acc + f rt) 0 rts in
+  let mems = List.map (fun rt -> Sb_mat.Global_mat.memory_stats (Runtime.global_mat rt)) rts in
+  let mem f = List.fold_left (fun acc m -> acc + f m) 0 mems in
   core_lines buf label result;
-  let mat = Runtime.global_mat rt in
-  let mem = Sb_mat.Global_mat.memory_stats mat in
-  line "  global mat : %d rules, %d distinct actions, %d batches"
-    mem.Sb_mat.Global_mat.rules mem.Sb_mat.Global_mat.distinct_actions
-    mem.Sb_mat.Global_mat.batches;
-  flow_time_lines buf result;
-  if result.Runtime.events_fired > 0 then
-    line "  events     : %d fired" result.Runtime.events_fired;
-  if Sb_mat.Global_mat.evictions mat > 0 then
-    line "  evictions  : %d (LRU rule cap)" (Sb_mat.Global_mat.evictions mat);
-  if Runtime.expired_flows rt > 0 then
-    line "  expiry     : %d idle flows" (Runtime.expired_flows rt);
-  if Runtime.rejected_malformed rt > 0 then
-    line "  malformed  : %d packets rejected at the classifier"
-      (Runtime.rejected_malformed rt);
-  List.iter (fun s -> line "  %s" s) (Sb_fault.Supervisor.summary (Runtime.supervisor rt));
-  let cond_faults = Sb_mat.Event_table.condition_faults (Chain.events (Runtime.chain rt)) in
-  if cond_faults > 0 then line "  events     : %d raising conditions disarmed" cond_faults;
-  state_lines buf (Runtime.state rt);
-  Buffer.contents buf
-
-let sharded_run_summary ?(label = "run") rts (result : Runtime.run_result) =
-  let buf = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  core_lines buf label result;
-  (* Table occupancy summed across shards; distinct actions are per-shard
-     distinct, so the sum is an upper bound when shards share actions. *)
-  let rules, actions, batches, evictions =
-    List.fold_left
-      (fun (r, a, b, e) rt ->
-        let mat = Runtime.global_mat rt in
-        let mem = Sb_mat.Global_mat.memory_stats mat in
-        ( r + mem.Sb_mat.Global_mat.rules,
-          a + mem.Sb_mat.Global_mat.distinct_actions,
-          b + mem.Sb_mat.Global_mat.batches,
-          e + Sb_mat.Global_mat.evictions mat ))
-      (0, 0, 0, 0) rts
-  in
-  line "  global mat : %d rules, %d distinct actions, %d batches (summed over %d shards)"
-    rules actions batches (List.length rts);
+  line "  global mat : %d rules, %d distinct actions, %d batches%s"
+    (mem (fun m -> m.Sb_mat.Global_mat.rules))
+    (mem (fun m -> m.Sb_mat.Global_mat.distinct_actions))
+    (mem (fun m -> m.Sb_mat.Global_mat.batches))
+    (if n > 1 then Printf.sprintf " (summed over %d shards)" n else "");
   (* Parallel execution is only as good as the cores backing the shards;
      print what this machine offers so a disappointing speedup is
      explainable from the report alone. *)
-  line "  cores      : %d available for Domain-parallel execution"
-    (Domain.recommended_domain_count ());
+  if n > 1 then
+    line "  cores      : %d available for Domain-parallel execution"
+      (Domain.recommended_domain_count ());
   flow_time_lines buf result;
   if result.Runtime.events_fired > 0 then
     line "  events     : %d fired" result.Runtime.events_fired;
-  if evictions > 0 then line "  evictions  : %d (LRU rule cap)" evictions;
-  (let expired = List.fold_left (fun acc rt -> acc + Runtime.expired_flows rt) 0 rts in
+  (let evictions = sum (fun rt -> Sb_mat.Global_mat.evictions (Runtime.global_mat rt)) in
+   if evictions > 0 then line "  evictions  : %d (LRU rule cap)" evictions);
+  (let expired = sum Runtime.expired_flows in
    if expired > 0 then line "  expiry     : %d idle flows" expired);
-  (let rejected = List.fold_left (fun acc rt -> acc + Runtime.rejected_malformed rt) 0 rts in
+  (let rejected = sum Runtime.rejected_malformed in
    if rejected > 0 then line "  malformed  : %d packets rejected at the classifier" rejected);
-  List.iteri
-    (fun i rt ->
-      let sup = Runtime.supervisor rt in
-      if Sb_fault.Supervisor.active sup then
-        List.iter (fun s -> line "  shard %d: %s" i s) (Sb_fault.Supervisor.summary sup))
-    rts;
-  (* Every shard runtime carries the same (shared) store: report it once,
-     identically to the unsharded summary; the merge-round count is the
-     one executor-specific line and stays outside the diffable section. *)
+  List.iter
+    (fun s -> line "  %s" s)
+    (Sb_fault.Supervisor.summary (List.map Runtime.supervisor rts));
+  (let cond_faults =
+     sum (fun rt -> Sb_mat.Event_table.condition_faults (Chain.events (Runtime.chain rt)))
+   in
+   if cond_faults > 0 then line "  events     : %d raising conditions disarmed" cond_faults);
+  (* Every shard runtime carries the same (shared) store: report it once;
+     the merge-round count is the one executor-specific line and stays
+     outside the diffable section. *)
   (match rts with
   | rt :: _ ->
       state_lines buf (Runtime.state rt);
@@ -187,6 +165,7 @@ type shard_row = {
   migrated_out : int;
   state_entries : int;
       (* live per-flow state-store entries held by this shard's replica *)
+  faults : int;  (* faults this shard's supervisor contained, corrupted or stalled *)
 }
 
 (* Report depends only on this row type, not on the shard library (which
@@ -205,8 +184,9 @@ let shard_summary rows =
       let st =
         if r.state_entries = 0 then "" else Printf.sprintf "  state %d" r.state_entries
       in
-      line "  shard %-3d: %7d pkts  %5d flows  %5d rules%s%s" r.shard r.packets r.flows
-        r.rules migr st)
+      let faults = if r.faults = 0 then "" else Printf.sprintf "  faults %d" r.faults in
+      line "  shard %-3d: %7d pkts  %5d flows  %5d rules%s%s%s" r.shard r.packets r.flows
+        r.rules migr st faults)
     rows;
   (let total = List.fold_left (fun acc r -> acc + r.packets) 0 rows in
    let peak = List.fold_left (fun acc r -> max acc r.packets) 0 rows in

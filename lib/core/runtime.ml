@@ -1,8 +1,5 @@
 type mode = Original | Speedybox
 
-let pp_mode fmt m =
-  Format.pp_print_string fmt (match m with Original -> "Original" | Speedybox -> "SpeedyBox")
-
 type config = {
   platform : Sb_sim.Platform.t;
   mode : mode;
@@ -342,16 +339,17 @@ let cleanup t cls =
   Sb_flow.Live_table.remove t.live cls.Classifier.fid
 
 (* [k1]/[k2] are the flow's packed ingress tuple from [t.live]: conntrack
-   and the NFs' hooks forget by them, and no tuple is built. *)
-let expire_flow t fid k1 k2 now =
+   and the NFs' hooks forget by them, and no tuple is built.  [detail]
+   says which check found the flow idle. *)
+let expire_flow t fid k1 k2 now ~detail =
   Chain.expire_flow t.chain fid k1 k2;
   Sb_mat.Global_mat.remove_flow t.global fid;
   Classifier.forget_packed t.classifier k1 k2;
   Sb_flow.Live_table.remove t.live fid;
   t.expired <- t.expired + 1;
   if Sb_obs.Sink.armed t.cfg.obs then
-    obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now)
-      ~detail:"idle timer" Sb_obs.Timeline.Idle_expired
+    obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now) ~detail
+      Sb_obs.Timeline.Idle_expired
 
 (* Idle expiry: evict flows whose last packet arrived more than the
    configured timeout ago (arrival clock = packet ingress timestamps).
@@ -370,7 +368,7 @@ let expire_idle_flows t wheel timeout now =
           expire_flow t fid
             (Sb_flow.Live_table.pack1_at live s)
             (Sb_flow.Live_table.pack2_at live s)
-            now;
+            now ~detail:"idle timer";
           Sb_flow.Timer_wheel.Expire
         end
         else Sb_flow.Timer_wheel.Rearm (last_seen + timeout)
@@ -403,12 +401,10 @@ let touch t cls now =
       else if now - Sb_flow.Live_table.last_seen_at live s > timeout then begin
         (* Only reachable when arrivals outrun the wheel's tick
            quantisation: treat exactly like a wheel-fired expiry. *)
-        cleanup t cls;
-        t.expired <- t.expired + 1;
-        if Sb_obs.Sink.armed t.cfg.obs then
-          obs_timeline t ~fid:cls.Classifier.fid
-            ~ts_us:(Sb_sim.Cycles.to_microseconds now)
-            ~detail:"expired on arrival" Sb_obs.Timeline.Idle_expired;
+        expire_flow t cls.Classifier.fid
+          (Sb_flow.Live_table.pack1_at live s)
+          (Sb_flow.Live_table.pack2_at live s)
+          now ~detail:"expired on arrival";
         record_arrival t wheel timeout cls now
       end
       else Sb_flow.Live_table.set_last_seen_at live s now
@@ -602,28 +598,35 @@ let fast_path_fault t packet cls ~nf =
   Sb_mat.Header_action.Dropped
 
 (* Mirror the slow path's per-NF injector consultation — one draw per NF
-   per packet — so a fault schedule is path-independent, tallying into
-   [t.faults], [t.corrupts], [t.stalls] and [t.raised] (the first NF whose
-   draw was a raise). *)
-let rec draw_injections t i =
-  if i < Array.length t.nf_names then begin
+   the walk would run, behind the same gate, up to the rule's [reach] — so
+   a fault schedule is path-independent, tallying into [t.faults],
+   [t.corrupts], [t.stalls] and [t.raised] (the NF whose draw was a
+   raise).  A bypassed NF is not drawn, and a walk ends at a dropping NF
+   and at a raise. *)
+let rec draw_injections t i reach =
+  if i < reach then begin
     let name = Array.unsafe_get t.nf_names i in
-    (match Sb_fault.Supervisor.draw t.sup ~nf:name with
-    | None -> ()
-    | Some kind -> (
-        t.faults <- t.faults + 1;
-        note_fault t ~nf:name;
-        match kind with
-        | Sb_fault.Injector.Raise ->
-            Sb_fault.Supervisor.record_contained t.sup;
-            if t.raised < 0 then t.raised <- i
-        | Sb_fault.Injector.Corrupt_verdict ->
-            Sb_fault.Supervisor.record_corrupted t.sup;
-            t.corrupts <- t.corrupts + 1
-        | Sb_fault.Injector.Stall ->
-            Sb_fault.Supervisor.record_stalled t.sup;
-            t.stalls <- t.stalls + 1));
-    draw_injections t (i + 1)
+    match Sb_fault.Supervisor.gate t.sup ~nf:name with
+    | Sb_fault.Supervisor.Drop_packet -> ()
+    | Sb_fault.Supervisor.Bypass_nf -> draw_injections t (i + 1) reach
+    | Sb_fault.Supervisor.Run -> (
+        match Sb_fault.Supervisor.draw t.sup ~nf:name with
+        | None -> draw_injections t (i + 1) reach
+        | Some kind -> (
+            t.faults <- t.faults + 1;
+            note_fault t ~nf:name;
+            match kind with
+            | Sb_fault.Injector.Raise ->
+                Sb_fault.Supervisor.record_contained t.sup;
+                t.raised <- i
+            | Sb_fault.Injector.Corrupt_verdict ->
+                Sb_fault.Supervisor.record_corrupted t.sup;
+                t.corrupts <- t.corrupts + 1;
+                draw_injections t (i + 1) reach
+            | Sb_fault.Injector.Stall ->
+                Sb_fault.Supervisor.record_stalled t.sup;
+                t.stalls <- t.stalls + 1;
+                draw_injections t (i + 1) reach))
   end
 
 (* Forwarded packets pay the metadata detach at egress; a dropped packet's
@@ -642,7 +645,8 @@ let execute t packet cls rule =
   t.corrupts <- 0;
   t.stalls <- 0;
   t.raised <- -1;
-  if Sb_fault.Supervisor.active t.sup then draw_injections t 0;
+  if Sb_fault.Supervisor.active t.sup then
+    draw_injections t 0 (Sb_mat.Global_mat.rule_reach rule);
   if t.raised >= 0 then begin
     (* The injected crash aborts the rule execution. *)
     Sb_fault.Supervisor.record_faulted_packet t.sup;

@@ -6,8 +6,6 @@
 
 type mode = Original | Speedybox
 
-val pp_mode : Format.formatter -> mode -> unit
-
 type config = {
   platform : Sb_sim.Platform.t;
   mode : mode;

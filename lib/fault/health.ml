@@ -13,12 +13,6 @@ let pp_on_failure fmt p =
     | Drop_flow -> "drop-flow"
     | Slow_path_only -> "slow-path-only")
 
-let on_failure_of_string = function
-  | "bypass" -> Some Bypass
-  | "drop-flow" | "drop_flow" | "drop" -> Some Drop_flow
-  | "slow-path-only" | "slow_path_only" | "slow-path" -> Some Slow_path_only
-  | _ -> None
-
 type policy = {
   degraded_after : int;
   failed_after : int;

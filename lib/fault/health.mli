@@ -28,8 +28,6 @@ type on_failure = Bypass | Drop_flow | Slow_path_only
 
 val pp_on_failure : Format.formatter -> on_failure -> unit
 
-val on_failure_of_string : string -> on_failure option
-
 type policy = {
   degraded_after : int;  (** faults at which an NF enters [Degraded] *)
   failed_after : int;  (** faults at which an NF enters [Failed] *)

@@ -134,25 +134,28 @@ let faulted_packets t = t.faulted_packets
 
 let total_faults t = t.contained + t.corrupted + t.stalled
 
-let injected t =
-  match t.injector with None -> 0 | Some inj -> Injector.total_injected inj
-
-let summary t =
-  if not t.active then []
-  else begin
-    let lines = ref [] in
-    let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-    add "faults     : %d contained (%d injected), %d corrupted, %d stalled" t.contained
-      (injected t) t.corrupted t.stalled;
-    add "quarantine : %d flows torn down, %d packets dropped by containment" t.quarantines
-      t.faulted_packets;
-    List.iter
-      (fun (nf, state, faults) ->
-        if faults > 0 then
-          add "health     : %-12s %s (%d faults, on-failure %s)" nf
-            (Format.asprintf "%a" Health.pp_state state)
-            faults
-            (Format.asprintf "%a" Health.pp_on_failure (Health.on_failure t.health nf)))
-      (Health.snapshot t.health);
-    List.rev !lines
-  end
+(* A plan's supervisors share one health table and one injector: the
+   counters sum, the table and the injector's total read once. *)
+let summary sups =
+  match sups with
+  | first :: _ when List.exists active sups ->
+      let lines = ref [] in
+      let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
+      let sum f = List.fold_left (fun n t -> n + f t) 0 sups in
+      let injected =
+        match first.injector with None -> 0 | Some inj -> Injector.total_injected inj
+      in
+      add "faults     : %d contained (%d injected), %d corrupted, %d stalled" (sum contained)
+        injected (sum corrupted) (sum stalled);
+      add "quarantine : %d flows torn down, %d packets dropped by containment" (sum quarantines)
+        (sum faulted_packets);
+      List.iter
+        (fun (nf, state, faults) ->
+          if faults > 0 then
+            add "health     : %-12s %s (%d faults, on-failure %s)" nf
+              (Format.asprintf "%a" Health.pp_state state)
+              faults
+              (Format.asprintf "%a" Health.pp_on_failure (Health.on_failure first.health nf)))
+        (Health.snapshot first.health);
+      List.rev !lines
+  | _ -> []

@@ -85,9 +85,11 @@ val faulted_packets : t -> int
 
 val total_faults : t -> int
 (** [contained + corrupted + stalled] — with an injector and no organic
-    faults this equals {!injected}. *)
+    faults, summed over a plan's supervisors this equals the injector's
+    {!Injector.total_injected}. *)
 
-val injected : t -> int
-
-val summary : t -> string list
-(** Report lines (empty when the supervisor never activated). *)
+val summary : t list -> string list
+(** Report lines for a plan's supervisors, which share one health table
+    and one injector: the containment counters summed over them, the
+    injector's total and the health table once.  Empty when none of them
+    activated. *)

@@ -15,12 +15,11 @@ type update = {
   trigger : trigger;
   new_actions : (unit -> Header_action.t list) option;
   new_state_functions : (unit -> State_function.t list) option;
-  update_fn : (unit -> unit) option;
 }
 
 let update ~nf ?(one_shot = true) ?(global_state = false) ?(trigger = Per_packet) ?new_actions
-    ?new_state_functions ?update_fn () =
-  { nf; one_shot; global_state; trigger; new_actions; new_state_functions; update_fn }
+    ?new_state_functions () =
+  { nf; one_shot; global_state; trigger; new_actions; new_state_functions }
 
 (* What a flow's registration allocates: the event and its list cell.
    The update is the registering NF's, often shared by every flow.

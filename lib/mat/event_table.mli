@@ -59,7 +59,6 @@ type update = private {
   new_state_functions : (unit -> State_function.t list) option;
       (** computes the replacement for the NF's recorded state functions
           (e.g. an NF that flips to drop stops counting) *)
-  update_fn : (unit -> unit) option;  (** NF-state fix-up to run on fire *)
 }
 
 val update :
@@ -69,7 +68,6 @@ val update :
   ?trigger:trigger ->
   ?new_actions:(unit -> Header_action.t list) ->
   ?new_state_functions:(unit -> State_function.t list) ->
-  ?update_fn:(unit -> unit) ->
   unit ->
   update
 (** [one_shot] defaults to [true] (a recurring event stays armed after

@@ -20,6 +20,7 @@ type program = {
   static_head : int;
       (* the per-packet serial cycles that do not depend on events:
          fast-path lookup + per-source-action walk + base forward *)
+  reach : int;  (* NFs the program spans, the dropping NF included *)
 }
 
 type rule = {
@@ -77,6 +78,8 @@ let rule_code r = r.program.code
 
 let rule_static_head r = r.program.static_head
 
+let rule_reach r = r.program.reach
+
 let rule_events r = r.events
 
 (* How the fast path executes a consolidated rule: [Compiled] (the flat
@@ -127,12 +130,13 @@ and pass = {
   mutable wave_mode : State_function.payload_mode;
   mutable written : bool;  (* a Write-mode batch precedes the next transform *)
   mutable stopped : bool;  (* a dropping transform ended the program *)
+  mutable reached : int;  (* NFs added before the program stopped *)
 }
 
 (* Fillers for the pass buffers' unused slots. *)
 let no_step = C_wave [||]
 
-let empty_program = { code = [||]; static_head = 0 }
+let empty_program = { code = [||]; static_head = 0; reach = 0 }
 
 (* The node of a rule in a table without a cap, which keeps no recency
    list.  A handle allocated from a throwaway list, and handles are plain
@@ -191,12 +195,9 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
         wave_mode = State_function.Ignore;
         written = false;
         stopped = false;
+        reached = 0;
       };
   }
-
-let policy t = t.policy
-
-let exec_mode t = t.exec
 
 let evictions t = t.evicted
 
@@ -311,6 +312,7 @@ let rec add_nfs policy p fid n = function
   | local :: rest ->
       let r = Local_mat.lookup local fid in
       if not p.stopped then begin
+        p.reached <- p.reached + 1;
         add_actions p.run r 0;
         (* HAs precede SFs within an NF, so a drop in this NF's own
            actions also silences its batch. *)
@@ -329,6 +331,7 @@ let consolidate ?events t fid locals =
   p.width <- 0;
   p.written <- false;
   p.stopped <- false;
+  p.reached <- 0;
   let n_source_actions = add_nfs t.policy p fid 0 locals in
   if not p.stopped then close_run p;
   close_wave p;
@@ -342,6 +345,7 @@ let consolidate ?events t fid locals =
         + (n_source_actions * Sb_sim.Cycles.fast_path_per_action)
         (* Rules with no surviving transform still do one base forward. *)
         + if transform_count code = 0 then Sb_sim.Cycles.ha_forward else 0);
+      reach = p.reached;
     }
   in
   let slot = Sb_flow.Flat_table.find_slot t.rules fid in
@@ -586,7 +590,6 @@ let apply_fired t locals fid packet fired =
       (* An update's closures belong to the registering NF; a raise here is
          that NF's fault and must carry its name out to the supervisor. *)
       try
-        Option.iter (fun f -> f ()) u.Event_table.update_fn;
         (match List.find_opt (fun l -> Local_mat.nf_name l = u.Event_table.nf) locals with
         | Some local ->
             Option.iter (fun f -> Local_mat.replace_actions local fid (f ())) u.new_actions;

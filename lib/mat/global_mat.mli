@@ -63,6 +63,12 @@ val rule_static_head : rule -> int
     lookup, the per-source-action walk and, without a transform, one base
     forward. *)
 
+val rule_reach : rule -> int
+(** How many NFs, in chain order, the rule's program spans: up to and
+    including the NF whose recorded drop ends it, else the whole chain.
+    The fast path consults the fault injector for these NFs only, as a
+    walk would. *)
+
 val rule_events : rule -> Event_table.event list
 (** The flow's events, in registration order (disarmed ones included),
     moved into the rule when its recording walk consolidated. *)
@@ -114,10 +120,6 @@ val create :
     [costs] is the vector {!execute_rule} writes each packet's GlobalMAT
     stage into — the owning runtime's (a fresh one by default).
     @raise Invalid_argument when [max_rules < 1]. *)
-
-val policy : t -> Parallel.policy
-
-val exec_mode : t -> exec_mode
 
 val evictions : t -> int
 (** Rules evicted by the LRU cap so far. *)

@@ -273,7 +273,6 @@ let register_reroute t ctx tuple =
       if i >= 0 then not t.backends.(i).alive else Array.exists (fun b -> b.alive) t.backends)
     (Sb_mat.Event_table.update ~nf:t.name ~one_shot:false ~trigger:t.alive_epoch
        ~new_actions:(reroute_actions t tuple)
-       ~update_fn:(fun () -> ignore (current_backend t tuple))
        ())
 
 let process t ctx packet =

@@ -402,13 +402,15 @@ let stats t =
   let st = t.cfg.Runtime.state in
   let shared = Sb_state.Store.shards st = Array.length t.runtimes in
   List.init (Array.length t.runtimes) (fun i ->
+      let rt = t.runtimes.(i) in
       {
         Report.shard = i;
         packets = t.steered.(i);
         flows = flows.(i);
-        rules = Sb_mat.Global_mat.flow_count (Runtime.global_mat t.runtimes.(i));
+        rules = Sb_mat.Global_mat.flow_count (Runtime.global_mat rt);
         migrated_in = t.migrated_in.(i);
         migrated_out = t.migrated_out.(i);
         state_entries =
           (if shared then Sb_state.Store.flow_entries (Sb_state.Store.replica st i) else 0);
+        faults = Sb_fault.Supervisor.total_faults (Runtime.supervisor rt);
       })

@@ -33,8 +33,6 @@
 
 type scope = Per_flow | Per_shard | Global
 
-val scope_to_string : scope -> string
-
 type t
 
 type replica

@@ -94,18 +94,20 @@ let consume_budget_words = 0.
    fast-path packet, the output record as on [chain1] (57.19 with boxed
    addresses, a classifier tuple and two per-packet closures — the
    wave's byte compare and the DoS guard's counter — and 122.19 when each
-   packet also built its cost-profile lists), and 66.31 per slow-path
+   packet also built its cost-profile lists), and 65.58 per slow-path
    packet, half SYN walks and half recording walks with their
    consolidation.  Split: 26.78 per SYN walk — the output record and the
-   per-flow state the NFs keep — and 105.85 per recording walk, 65.58
-   when it refills an expired flow's pooled records.  Before Local MAT
+   per-flow state the NFs keep — and 104.37 per recording walk, 66.58
+   when it refills an expired flow's pooled records (each one word more
+   since a rule keeps how many NFs its walk reached).  Before Local MAT
    records were pooled arrays, Monitor built its state function per flow
    and the DoS guard its event update, these read 79.31 combined, 131.85
    and 123.58.  Before one context served every NF call, the NFs guarded
    their recording-only values and Gateway and Maglev shared one rewrite
    per server, they read 138.03 (211.13 with boxed addresses, 299.36
-   before that), 100.69 and 175.38.  [chain1]'s slow path: 115.24
-   (120.24 with list-built Local MAT records; 159.24 while IPFilter built
+   before that), 100.69 and 175.38.  [chain1]'s slow path: 110.51
+   (114.01 while Maglev built a redundant event closure per flow; 120.24
+   with list-built Local MAT records; 159.24 while IPFilter built
    a closure per rule field and a tuple per packet; 232.74 before that).
    A SYN walk through IPFilter alone: 16.28 (86.28 then). *)
 let wave_budget_words = 10.
@@ -133,8 +135,9 @@ let expiry_budget_words = 6.
    Gateway last. *)
 let edge_churn_chain = "statefulfw,monitor,dosguard:200,gateway"
 
-(* Measured: 14.19 words per call on the edge-churn chain and 50.02 on
-   [chain1] (the list-staged consolidation this pass replaced: 220.63 and
+(* Measured: 15.19 words per call on the edge-churn chain and 51.02 on
+   [chain1], one word of which is the NF count the rule's draws stop at
+   (the list-staged consolidation this pass replaced: 220.63 and
    601.02). *)
 let consolidate_edge_budget_words = 15.5
 

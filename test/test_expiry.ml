@@ -102,6 +102,36 @@ let test_expiry_reclaims_nf_state () =
   Alcotest.(check int) "abandoned flow swept" 1 (Speedybox.Runtime.expired_flows rt);
   Alcotest.(check int) "monitor state reclaimed" 1 (Sb_nf.Monitor.flow_count mon)
 
+let test_expiry_on_arrival_reclaims_nf_state () =
+  (* Flow A's deadline (100_100) lies inside the wheel's 256-cycle tick
+     that B's arrival at 100_098 leaves unfired, so A's packet at 100_101
+     finds its own flow past the timeout before the wheel does.  That
+     expiry must reach the NFs' remove_flow hooks like a wheel-fired one,
+     with the flow's packed ingress key. *)
+  let removed = ref [] in
+  let nf =
+    Speedybox.Nf.make ~name:"hooks"
+      ~remove_flow:(fun k1 k2 -> removed := (k1, k2) :: !removed)
+      (fun _ _ -> Speedybox.Nf.forwarded 10)
+  in
+  let rt =
+    Speedybox.Runtime.create
+      (Speedybox.Runtime.config ~idle_timeout_cycles:100_000 ())
+      (Speedybox.Chain.create ~name:"hooks" [ nf ])
+  in
+  let flow_b ~at =
+    let p = Test_util.udp_packet ~sport:49000 ~dport:53 () in
+    p.Packet.ingress_cycle <- at;
+    p
+  in
+  ignore (Speedybox.Runtime.process_packet rt (timed_packet ~at:100));
+  ignore (Speedybox.Runtime.process_packet rt (flow_b ~at:100_098));
+  let a = timed_packet ~at:100_101 in
+  let key = Sb_flow.Five_tuple.(packet_pack1 a, packet_pack2 a) in
+  ignore (Speedybox.Runtime.process_packet rt a);
+  Alcotest.(check int) "A expired on arrival" 1 (Speedybox.Runtime.expired_flows rt);
+  Alcotest.(check (list (pair int int))) "A's remove_flow hook ran" [ key ] !removed
+
 let test_expiry_preserves_equivalence () =
   (* With aggressive expiry, outputs and state still match the original
      chain: expiry only forces re-recording. *)
@@ -134,5 +164,7 @@ let suite =
     Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
     Alcotest.test_case "poisson stamping" `Quick test_poisson_stamping;
     Alcotest.test_case "expiry reclaims NF state" `Quick test_expiry_reclaims_nf_state;
+    Alcotest.test_case "expiry on arrival reclaims NF state" `Quick
+      test_expiry_on_arrival_reclaims_nf_state;
     Alcotest.test_case "expiry preserves equivalence" `Quick test_expiry_preserves_equivalence;
   ]

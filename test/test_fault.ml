@@ -317,6 +317,101 @@ let test_failed_nf_flushes_rules () =
   ignore (Speedybox.Runtime.process_packet rt (flow 0));
   Alcotest.(check bool) "flush on failure" true (flow_state_empty rt)
 
+let registry_chain spec =
+  match Sb_experiments.Chain_registry.build spec with
+  | Ok build -> build
+  | Error msg -> Alcotest.fail msg
+
+(* Once an NF is [Failed] under [Bypass] or [Drop_flow], the gate stops
+   every walk before the NF's draw.  The fast path must stop there too, or
+   the injector keeps faulting, and containment keeps dropping, packets
+   the NF never processes. *)
+let test_failed_nf_never_drawn () =
+  let trace = Sb_trace.Workload.dcn_trace Sb_trace.Workload.default_dcn in
+  List.iter
+    (fun (mode, on_failure) ->
+      let label =
+        Printf.sprintf "%s, %s"
+          (match mode with
+          | Speedybox.Runtime.Original -> "original"
+          | Speedybox.Runtime.Speedybox -> "speedybox")
+          (Format.asprintf "%a" Health.pp_on_failure on_failure)
+      in
+      let inj = Injector.create ~seed:1 () in
+      Injector.set_rate inj ~nf:"monitor" Injector.Raise 0.2;
+      let rt =
+        Speedybox.Runtime.create
+          (Speedybox.Runtime.config ~mode ~fault_policy:(Health.policy ~on_failure ())
+             ~injector:inj ())
+          (registry_chain "mazunat,monitor" ())
+      in
+      let sup = Speedybox.Runtime.supervisor rt in
+      let charged () =
+        (Injector.calls inj ~nf:"monitor", Supervisor.contained sup, Supervisor.faulted_packets sup)
+      in
+      let at_failure = ref None in
+      List.iteri
+        (fun i p ->
+          ignore (Speedybox.Runtime.process_packet rt p);
+          match !at_failure with
+          | None ->
+              if Health.state (Supervisor.health sup) "monitor" = Health.Failed then
+                at_failure := Some (charged ())
+          | Some figures ->
+              if charged () <> figures then
+                Alcotest.failf "%s: packet %d charged the failed monitor" label i)
+        trace;
+      Alcotest.(check bool) (label ^ ": monitor failed") true (!at_failure <> None);
+      Alcotest.(check int) (label ^ ": contained up to failure") 8 (Supervisor.contained sup))
+    [
+      (Speedybox.Runtime.Original, Health.Bypass);
+      (Speedybox.Runtime.Original, Health.Drop_flow);
+      (Speedybox.Runtime.Speedybox, Health.Bypass);
+      (Speedybox.Runtime.Speedybox, Health.Drop_flow);
+    ]
+
+(* A walk ends at a drop and at a raise, so it never reaches the NFs
+   behind them: behind a rule's static drop at the IP filter, and behind
+   an injected raise in the NAT.  The fast path must not draw for those
+   NFs either: the two paths see one fault schedule, NF by NF and packet
+   by packet. *)
+let test_draws_match_walk () =
+  let trace =
+    Sb_trace.Workload.dcn_trace
+      { Sb_trace.Workload.default_dcn with Sb_trace.Workload.mean_flow_packets = 12. }
+  in
+  let check (spec, raising) =
+    let build = registry_chain spec in
+    let names = List.map (fun nf -> nf.Speedybox.Nf.name) (Speedybox.Chain.nfs (build ())) in
+    let run mode =
+      let inj = Injector.create ~seed:1 () in
+      Option.iter (fun nf -> Injector.set_rate inj ~nf Injector.Raise 0.05) raising;
+      Injector.set_rate inj ~nf:"monitor" Injector.Stall 0.1;
+      let rt =
+        Speedybox.Runtime.create
+          (Speedybox.Runtime.config ~mode
+             ~fault_policy:(Health.policy ~degraded_after:max_int ~failed_after:max_int ())
+             ~injector:inj ())
+          (build ())
+      in
+      let faults = ref [] in
+      ignore
+        (Speedybox.Runtime.run_trace
+           ~on_output:(fun _ out -> faults := out.Speedybox.Runtime.faults :: !faults)
+           rt trace);
+      ( List.map (fun nf -> (nf, (Injector.calls inj ~nf, Injector.injected inj ~nf))) names,
+        List.rev !faults )
+    in
+    let draws_o, faults_o = run Speedybox.Runtime.Original in
+    let draws_s, faults_s = run Speedybox.Runtime.Speedybox in
+    Alcotest.(check bool) (spec ^ ": the monitor stalled") true
+      (snd (List.assoc "monitor" draws_o) > 0);
+    Alcotest.(check (list (pair string (pair int int))))
+      (spec ^ ": per-NF calls and injections") draws_o draws_s;
+    Alcotest.(check (list int)) (spec ^ ": per-packet faults") faults_o faults_s
+  in
+  List.iter check [ ("ipfilter:80,monitor", None); ("mazunat,monitor", Some "mazunat") ]
+
 (* ------------------------------------------------------------------ *)
 (* Staged executor *)
 
@@ -471,6 +566,8 @@ let suite =
     Alcotest.test_case "drop-flow policy" `Quick test_drop_flow_policy;
     Alcotest.test_case "slow-path-only policy" `Quick test_slow_path_only_policy;
     Alcotest.test_case "failed NF flushes all rules" `Quick test_failed_nf_flushes_rules;
+    Alcotest.test_case "failed NF is never drawn" `Quick test_failed_nf_never_drawn;
+    Alcotest.test_case "fast path draws what the walk draws" `Quick test_draws_match_walk;
     Alcotest.test_case "staged executor containment" `Quick test_staged_containment;
     Alcotest.test_case "injection soak" `Slow test_injection_soak;
   ]

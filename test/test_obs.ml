@@ -390,7 +390,7 @@ let test_stats_summary_no_nan () =
 let test_report_zero_packet_run () =
   let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ()) (nat_monitor_chain ()) in
   let result = Speedybox.Runtime.run_trace rt [] in
-  let summary = Speedybox.Report.run_summary ~label:"empty" rt result in
+  let summary = Speedybox.Report.run_summary ~label:"empty" [ rt ] result in
   Alcotest.(check bool) "no nan anywhere" false (occurs "nan" summary);
   Alcotest.(check bool) "latency dashes" true (occurs "mean -us" summary);
   Alcotest.(check bool) "throughput placeholder" true (occurs "- (no packets)" summary)

@@ -13,7 +13,7 @@ let setup () =
 
 let test_run_summary () =
   let _, rt, result = setup () in
-  let summary = Speedybox.Report.run_summary ~label:"unit" rt result in
+  let summary = Speedybox.Report.run_summary ~label:"unit" [ rt ] result in
   Alcotest.(check bool) "label" true (occurs "unit: 5 packets" summary);
   Alcotest.(check bool) "paths line" true (occurs "slow 2" summary);
   Alcotest.(check bool) "latency line" true (occurs "p99" summary);
@@ -59,11 +59,55 @@ let test_eviction_and_expiry_lines () =
              ~payloads:(Array.make 3 "x") ()))
   in
   let result = Speedybox.Runtime.run_trace rt (Sb_trace.Workload.round_robin flows) in
-  let summary = Speedybox.Report.run_summary rt result in
+  let summary = Speedybox.Report.run_summary [ rt ] result in
   Alcotest.(check bool) "eviction line shown" true (occurs "evictions" summary)
+
+(* A plan prints one fault block.  det-4 runs what the unsharded run
+   runs, so its block, summed over the shards, reads the same; each
+   shard's own fault count sits in the [shards:] table. *)
+let test_plan_fault_block () =
+  let trace = Sb_trace.Workload.dcn_trace Sb_trace.Workload.default_dcn in
+  let run shards =
+    let inj = Sb_fault.Injector.create ~seed:1 () in
+    Sb_fault.Injector.set_rate inj ~nf:"monitor" Sb_fault.Injector.Raise 0.2;
+    let store = Sb_state.Store.create ~shards () in
+    let build =
+      match Sb_experiments.Chain_registry.build_sharded ~store "mazunat,monitor" with
+      | Ok build -> build
+      | Error msg -> Alcotest.fail msg
+    in
+    let cfg =
+      Speedybox.Runtime.config
+        ~fault_policy:(Sb_fault.Health.policy ~on_failure:Sb_fault.Health.Bypass ())
+        ~injector:inj ~state:store ()
+    in
+    let sh = Sb_shard.Sharded.create ~shards cfg build in
+    let result = Sb_shard.Sharded.run_trace sh trace in
+    let rts = List.init shards (Sb_shard.Sharded.runtime sh) in
+    (Speedybox.Report.run_summary rts result, Sb_shard.Sharded.stats sh, inj)
+  in
+  let fault_block summary =
+    List.filter
+      (fun l ->
+        List.exists
+          (fun prefix -> String.starts_with ~prefix l)
+          [ "  faults "; "  quarantine "; "  health " ])
+      (String.split_on_char '\n' summary)
+  in
+  let s1, _, _ = run 1 in
+  let s4, rows, inj = run 4 in
+  Alcotest.(check int) "one block: faults, quarantine, health" 3 (List.length (fault_block s4));
+  Alcotest.(check (list string)) "det-4 block = unsharded block" (fault_block s1)
+    (fault_block s4);
+  Alcotest.(check int) "shard rows sum to the injected faults"
+    (Sb_fault.Injector.total_injected inj)
+    (List.fold_left (fun n r -> n + r.Speedybox.Report.faults) 0 rows);
+  Alcotest.(check bool) "shards table shows them" true
+    (occurs "  faults " (Speedybox.Report.shard_summary rows))
 
 let suite =
   [
+    Alcotest.test_case "plan fault block" `Quick test_plan_fault_block;
     Alcotest.test_case "run summary" `Quick test_run_summary;
     Alcotest.test_case "stage breakdown" `Quick test_stage_breakdown;
     Alcotest.test_case "eviction line" `Quick test_eviction_and_expiry_lines;

@@ -745,7 +745,7 @@ let boom_nf ?(stall = 0.) () =
 let health_lines rt =
   List.filter
     (fun l -> String.starts_with ~prefix:"health" l)
-    (Sb_fault.Supervisor.summary (Speedybox.Runtime.supervisor rt))
+    (Sb_fault.Supervisor.summary [ Speedybox.Runtime.supervisor rt ])
 
 (* The bomber fails on shard 0's flows only.  Shard 1, which records no
    fault of its own, still ends reading the same health, woken, and with

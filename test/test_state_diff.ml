@@ -93,8 +93,9 @@ let merged_digests chains =
         (Speedybox.Chain.nfs first)
 
 (* The "state cells / global state" report section, which must diff clean
-   between [run_summary] and [sharded_run_summary].  The sharded report's
-   executor-specific "state merge: N rounds" line sits outside it. *)
+   between [run_summary] over one runtime and over a plan's shards.  The
+   sharded report's executor-specific "state merge: N rounds" line sits
+   outside it. *)
 let state_section summary =
   let rec skip = function
     | [] -> []
@@ -120,8 +121,8 @@ let check_match ~label ~shards (rt_u, (res_u : Runtime.run_result), store_u)
     = merged_digests (List.map Runtime.chain rts));
   if Store.merged_values store_u <> Store.merged_values store_s then
     Alcotest.failf "%s: merged global state diverges" label;
-  let section_u = state_section (Report.run_summary rt_u res_u) in
-  let section_s = state_section (Report.sharded_run_summary rts res_s) in
+  let section_u = state_section (Report.run_summary [ rt_u ] res_u) in
+  let section_s = state_section (Report.run_summary rts res_s) in
   Alcotest.(check bool)
     (label ^ ": report has a global state section") true
     (String.length section_u > 0
