@@ -268,23 +268,8 @@ let build_injector ~fault_seed specs =
 
 let staged_run cfg chain ~burst trace rate =
   let trace = Sb_trace.Workload.with_poisson_times ~seed:97 ~rate_mpps:rate trace in
-  let r = Speedybox.Staged_runtime.run ~burst cfg chain trace in
-  Printf.printf "staged ONVM executor at %.2f Mpps offered:\n" rate;
-  Printf.printf "  verdicts   : %d forwarded, %d dropped by NFs, %d ring overflow\n"
-    r.Speedybox.Staged_runtime.forwarded r.Speedybox.Staged_runtime.dropped_by_chain
-    r.Speedybox.Staged_runtime.dropped_overflow;
-  Printf.printf "  paths      : slow %d, fast %d\n" r.Speedybox.Staged_runtime.slow_path
-    r.Speedybox.Staged_runtime.fast_path;
-  Printf.printf "  reordered  : %d packets overtook their flow\n"
-    r.Speedybox.Staged_runtime.reordered;
-  Printf.printf "  sojourn    : p50 %.2fus p99 %.2fus\n"
-    (Sb_sim.Stats.percentile r.Speedybox.Staged_runtime.sojourn_us 50.)
-    (Sb_sim.Stats.percentile r.Speedybox.Staged_runtime.sojourn_us 99.);
-  if r.Speedybox.Staged_runtime.events_fired > 0 then
-    Printf.printf "  events     : %d fired\n" r.Speedybox.Staged_runtime.events_fired;
-  if r.Speedybox.Staged_runtime.faults > 0 then
-    Printf.printf "  faults     : %d contained/corrupted/stalled, %d flows quarantined\n"
-      r.Speedybox.Staged_runtime.faults r.Speedybox.Staged_runtime.quarantines;
+  print_string
+    (Speedybox.Report.staged_summary ~rate (Speedybox.Staged_runtime.run ~burst cfg chain trace));
   0
 
 let run_cmd_impl chain platform mode seed flows mean_packets trace_file show_state show_rules

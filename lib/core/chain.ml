@@ -13,7 +13,7 @@ let create ~name nfs =
   {
     name;
     nfs;
-    local_mats = List.map (fun nf -> Sb_mat.Local_mat.create ~nf:nf.Nf.name) nfs;
+    local_mats = Sb_mat.Local_mat.chain names;
     events = Sb_mat.Event_table.create ();
   }
 
@@ -33,23 +33,15 @@ let state_digest t =
   String.concat "\n"
     (List.map (fun nf -> Printf.sprintf "%s: %s" nf.Nf.name (nf.Nf.state_digest ())) t.nfs)
 
-(* Top-level loops rather than [List.iter] over closures capturing [fid]
-   and the key: expiry runs these once per idle flow. *)
-let rec remove_records fid = function
-  | [] -> ()
-  | mat :: mats ->
-      Sb_mat.Local_mat.remove_flow mat fid;
-      remove_records fid mats
-
+(* A top-level loop rather than [List.iter] over a closure capturing the
+   key: expiry runs it once per idle flow. *)
 let rec remove_nf_state k1 k2 = function
   | [] -> ()
   | nf :: nfs ->
       nf.Nf.remove_flow k1 k2;
       remove_nf_state k1 k2 nfs
 
-let remove_flow t fid =
-  remove_records fid t.local_mats;
-  Sb_mat.Event_table.remove_flow t.events fid
+let remove_flow t fid = Sb_mat.Event_table.remove_flow t.events fid
 
 (* Only idle expiry reaches into the NFs' own per-flow state: FIN cleanup
    and rule eviction leave it alone (counters outliving their connection

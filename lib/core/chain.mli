@@ -4,8 +4,9 @@
 type t
 
 val create : name:string -> Nf.t list -> t
-(** Builds a chain, instantiating one Local MAT per NF (in chain order) and
-    one Event Table for the chain.
+(** Builds a chain, instantiating one Local MAT per NF (in chain order),
+    all views of one {!Sb_mat.Flow_table}, and one Event Table for the
+    chain.
     @raise Invalid_argument on an empty NF list or duplicate NF names
     (event updates address Local MATs by NF name). *)
 
@@ -28,10 +29,12 @@ val state_digest : t -> string
 (** Concatenated per-NF state digests, for equivalence comparison. *)
 
 val remove_flow : t -> Sb_flow.Fid.t -> unit
-(** Deletes the flow's record from every Local MAT and the events its
-    in-flight recording walk registered, and leaves the NFs' own state
-    alone (FIN cleanup, quarantine, rule eviction, migration).  Events
-    already consolidated leave with the flow's Global MAT rule. *)
+(** Drops the events the flow's in-flight recording walk registered, and
+    leaves the NFs' own state alone (FIN cleanup, quarantine, rule
+    eviction, migration).  The flow's Local MAT records share its slot of
+    the runtime's flow table and leave with it
+    ({!Sb_mat.Global_mat.remove_flow}, {!Sb_mat.Global_mat.drop_rule}),
+    as do events already consolidated into its rule. *)
 
 val expire_flow : t -> Sb_flow.Fid.t -> int -> int -> unit
 (** [expire_flow t fid k1 k2] is {!remove_flow}, then each NF's

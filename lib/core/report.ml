@@ -64,6 +64,21 @@ let state_lines buf store =
           values
   end
 
+(* Classifier rejections, the plan's one fault block and disarmed event
+   conditions: what every executor's report says about faults. *)
+let fault_lines buf rts =
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  let sum f = List.fold_left (fun acc rt -> acc + f rt) 0 rts in
+  (let rejected = sum Runtime.rejected_malformed in
+   if rejected > 0 then line "  malformed  : %d packets rejected at the classifier" rejected);
+  List.iter
+    (fun s -> line "  %s" s)
+    (Sb_fault.Supervisor.summary (List.map Runtime.supervisor rts));
+  let cond_faults =
+    sum (fun rt -> Sb_mat.Event_table.condition_faults (Chain.events (Runtime.chain rt)))
+  in
+  if cond_faults > 0 then line "  events     : %d raising conditions disarmed" cond_faults
+
 (* One summary for a plan of any size: an unsharded run is a plan of one
    shard.  Table occupancy and the per-shard counters sum over the shards;
    distinct actions are per-shard distinct, so their sum is an upper bound
@@ -95,15 +110,7 @@ let run_summary ?(label = "run") rts (result : Runtime.run_result) =
    if evictions > 0 then line "  evictions  : %d (LRU rule cap)" evictions);
   (let expired = sum Runtime.expired_flows in
    if expired > 0 then line "  expiry     : %d idle flows" expired);
-  (let rejected = sum Runtime.rejected_malformed in
-   if rejected > 0 then line "  malformed  : %d packets rejected at the classifier" rejected);
-  List.iter
-    (fun s -> line "  %s" s)
-    (Sb_fault.Supervisor.summary (List.map Runtime.supervisor rts));
-  (let cond_faults =
-     sum (fun rt -> Sb_mat.Event_table.condition_faults (Chain.events (Runtime.chain rt)))
-   in
-   if cond_faults > 0 then line "  events     : %d raising conditions disarmed" cond_faults);
+  fault_lines buf rts;
   (* Every shard runtime carries the same (shared) store: report it once;
      the merge-round count is the one executor-specific line and stays
      outside the diffable section. *)
@@ -113,6 +120,21 @@ let run_summary ?(label = "run") rts (result : Runtime.run_result) =
       let rounds = Sb_state.Store.merge_rounds (Runtime.state rt) in
       if rounds > 0 then line "  state merge: %d rounds" rounds
   | [] -> ());
+  Buffer.contents buf
+
+let staged_summary ~rate (r : Staged_runtime.result) =
+  let buf = Buffer.create 512 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  line "staged ONVM executor at %.2f Mpps offered:" rate;
+  line "  verdicts   : %d forwarded, %d dropped by NFs, %d ring overflow" r.forwarded
+    r.dropped_by_chain r.dropped_overflow;
+  line "  paths      : slow %d, fast %d" r.slow_path r.fast_path;
+  line "  reordered  : %d packets overtook their flow" r.reordered;
+  line "  sojourn    : p50 %.2fus p99 %.2fus"
+    (Sb_sim.Stats.percentile r.sojourn_us 50.)
+    (Sb_sim.Stats.percentile r.sojourn_us 99.);
+  if r.events_fired > 0 then line "  events     : %d fired" r.events_fired;
+  fault_lines buf [ r.runtime ];
   Buffer.contents buf
 
 let chain_state chain =

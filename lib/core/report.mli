@@ -38,6 +38,12 @@ val shard_summary : shard_row list -> string
 (** A per-shard table plus a peak/mean balance figure (for >1 shard).
     Migrations, state entries and faults show only when nonzero. *)
 
+val staged_summary : rate:float -> Staged_runtime.result -> string
+(** The staged executor's summary at [rate] Mpps offered: verdicts (the
+    classifier's rejections apart from the NFs' drops), paths,
+    reordering, sojourn and events, then the fault block of
+    {!run_summary}. *)
+
 val chain_state : Chain.t -> string
 (** Per-NF state digests, indented under the chain name. *)
 

@@ -81,12 +81,13 @@ type t = {
   nfs : Nf.t array;
   mats : Sb_mat.Local_mat.t array;  (* same order as [nfs] *)
   nf_names : string array;
-  live : Sb_flow.Live_table.t;
-      (* idle-expiry bookkeeping, SoA: the per-packet liveness touch is
-         one probe plus one int-lane store, no boxed record per flow *)
+  flows : Sb_mat.Flow_table.t;
+      (* the Global MAT's table, shared with the chain's Local MATs: a
+         flow's liveness cells, rule and records in one slot *)
   wheel : Sb_flow.Timer_wheel.t option;  (* Some iff idle expiry is on *)
   mutable expired : int;
-  mutable live_epoch : int;  (* next incarnation tag for [live] entries *)
+  mutable live_epoch : int;
+      (* next incarnation tag for a flow's liveness; 0 marks none *)
   ins : instruments option;  (* Some iff cfg.obs carries a metrics registry *)
   mutable obs_now_us : float;  (* simulated clock for hooks without a packet
                                   in hand (the LRU-eviction callback) *)
@@ -113,13 +114,13 @@ type t = {
 (* A Failed NF invalidates every consolidated rule embedding its closures:
    tear the whole fast path down (flows re-record under the failure
    policy).  Local MAT records and events go with each rule so no stale
-   per-NF state survives the failure. *)
+   per-NF state survives the failure; liveness stays. *)
 let on_transition t = function
   | Sb_fault.Health.To_failed ->
       Sb_mat.Global_mat.fold (fun fid _ acc -> fid :: acc) t.global []
       |> List.iter (fun fid ->
              Chain.remove_flow t.chain fid;
-             Sb_mat.Global_mat.remove_flow t.global fid)
+             Sb_mat.Global_mat.drop_rule t.global fid)
   | Sb_fault.Health.To_degraded | Sb_fault.Health.No_change -> ()
 
 (* Charges a fault to [nf]. *)
@@ -211,13 +212,14 @@ let create cfg chain =
   let global =
     Sb_mat.Global_mat.create ~policy:cfg.policy ?max_rules:cfg.max_rules ~exec:cfg.fastpath
       ~obs:cfg.obs ~costs
-      (* an LRU-evicted flow loses its Local MAT records too, so its next
-         packet re-records from scratch *)
+      (* an LRU-evicted flow loses its Local MAT records with its rule, so
+         its next packet re-records from scratch *)
       ~on_evict:(fun fid ->
         Chain.remove_flow chain fid;
         !evict_hook fid)
       ()
   in
+  Sb_mat.Global_mat.share global (Chain.local_mats chain);
   let sup =
     Sb_fault.Supervisor.create ?injector:cfg.injector ~obs:cfg.obs
       (Sb_fault.Health.create cfg.fault_policy (unattributed :: Array.to_list nf_names))
@@ -255,7 +257,7 @@ let create cfg chain =
       nfs = Array.of_list (Chain.nfs chain);
       mats = Array.of_list (Chain.local_mats chain);
       nf_names;
-      live = Sb_flow.Live_table.create ();
+      flows = Sb_mat.Global_mat.flows global;
       wheel =
         (match cfg.idle_timeout_cycles with
         | None -> None
@@ -264,7 +266,7 @@ let create cfg chain =
               (Sb_flow.Timer_wheel.create
                  ~tick_shift:(Sb_flow.Timer_wheel.tick_shift_for_timeout timeout)));
       expired = 0;
-      live_epoch = 0;
+      live_epoch = 1;
       ins;
       obs_now_us = 0.;
       cls_scratch = [||];
@@ -329,23 +331,23 @@ let finish t verdict packet path events_fired faults =
     faults;
   }
 
+(* The flow leaves: its slot (rule, records, liveness) in one probe, its
+   in-flight events and its conntrack entry.  Any timer-wheel entry for
+   the flow dangles until it fires, where its stale epoch identifies it as
+   dead — O(1) now beats finding it in its slot. *)
 let cleanup t cls =
-  Chain.remove_flow t.chain cls.Classifier.fid;
   Sb_mat.Global_mat.remove_flow t.global cls.Classifier.fid;
-  Classifier.forget_flow t.classifier cls;
-  (* Any timer-wheel entry for the flow dangles until it fires, where its
-     stale epoch identifies it as dead — O(1) now beats finding it in its
-     slot. *)
-  Sb_flow.Live_table.remove t.live cls.Classifier.fid
+  Chain.remove_flow t.chain cls.Classifier.fid;
+  Classifier.forget_flow t.classifier cls
 
-(* [k1]/[k2] are the flow's packed ingress tuple from [t.live]: conntrack
-   and the NFs' hooks forget by them, and no tuple is built.  [detail]
-   says which check found the flow idle. *)
-let expire_flow t fid k1 k2 now ~detail =
+(* The flow in slot [s] expired.  Conntrack and the NFs' hooks forget it
+   by the packed ingress tuple its liveness cells hold, and no tuple is
+   built.  [detail] says which check found the flow idle. *)
+let expire_at t fid s now ~detail =
+  let k1 = Sb_mat.Flow_table.pack1_at t.flows s and k2 = Sb_mat.Flow_table.pack2_at t.flows s in
+  Sb_mat.Global_mat.remove_at t.global s;
   Chain.expire_flow t.chain fid k1 k2;
-  Sb_mat.Global_mat.remove_flow t.global fid;
   Classifier.forget_packed t.classifier k1 k2;
-  Sb_flow.Live_table.remove t.live fid;
   t.expired <- t.expired + 1;
   if Sb_obs.Sink.armed t.cfg.obs then
     obs_timeline t ~fid ~ts_us:(Sb_sim.Cycles.to_microseconds now) ~detail
@@ -353,22 +355,20 @@ let expire_flow t fid k1 k2 now ~detail =
 
 (* Idle expiry: evict flows whose last packet arrived more than the
    configured timeout ago (arrival clock = packet ingress timestamps).
-   Each recorded flow arms a one-shot timer-wheel entry; a packet for a
+   Each tracked flow arms a one-shot timer-wheel entry; a packet for a
    live flow only rewrites [last_seen] (no wheel operation), and a firing
    timer either expires the flow or lazily re-arms at [last_seen +
    timeout].  Advancing past quiet stretches is O(ticks), not O(flows), so
-   the cost stays flat at a million tracked flows. *)
+   the cost stays flat at a million tracked flows.  A firing checks the
+   epoch in the slot it then removes: one probe. *)
 let expire_idle_flows t wheel timeout now =
   Sb_flow.Timer_wheel.advance wheel ~now (fun fid stamp ->
-      let live = t.live in
-      let s = Sb_flow.Live_table.probe live fid in
-      if s >= 0 && Sb_flow.Live_table.epoch_at live s = stamp then begin
-        let last_seen = Sb_flow.Live_table.last_seen_at live s in
+      let flows = t.flows in
+      let s = Sb_mat.Flow_table.find_slot flows fid in
+      if s >= 0 && Sb_mat.Flow_table.epoch_at flows s = stamp then begin
+        let last_seen = Sb_mat.Flow_table.last_seen_at flows s in
         if now - last_seen > timeout then begin
-          expire_flow t fid
-            (Sb_flow.Live_table.pack1_at live s)
-            (Sb_flow.Live_table.pack2_at live s)
-            now ~detail:"idle timer";
+          expire_at t fid s now ~detail:"idle timer";
           Sb_flow.Timer_wheel.Expire
         end
         else Sb_flow.Timer_wheel.Rearm (last_seen + timeout)
@@ -378,36 +378,40 @@ let expire_idle_flows t wheel timeout now =
            re-recorded with a fresh stamp) since this timer was armed. *)
         Sb_flow.Timer_wheel.Expire)
 
-let record_arrival t wheel timeout cls now =
+(* Start tracking the flow in slot [s], which has no liveness yet. *)
+let record_arrival t wheel timeout cls now s =
   let epoch = t.live_epoch in
   t.live_epoch <- epoch + 1;
-  Sb_flow.Live_table.set t.live cls.Classifier.fid ~last_seen:now ~epoch
-    ~pack1:cls.Classifier.pack1 ~pack2:cls.Classifier.pack2;
-  Sb_flow.Timer_wheel.add wheel ~key:cls.Classifier.fid ~stamp:epoch
-    ~deadline:(now + timeout)
+  Sb_mat.Flow_table.set_live t.flows s ~last_seen:now ~epoch ~pack1:cls.Classifier.pack1
+    ~pack2:cls.Classifier.pack2;
+  Sb_flow.Timer_wheel.add wheel ~key:cls.Classifier.fid ~stamp:epoch ~deadline:(now + timeout)
 
-let touch t cls now =
-  match (t.cfg.idle_timeout_cycles, t.wheel) with
-  | None, _ | _, None -> ()
-  | Some timeout, Some wheel ->
-      (* Fire due timers first: if the arriving flow itself idled out, the
-         wheel tears it down here and the packet re-records below like a
-         fresh flow.  Most arrivals share the previous one's tick, where
-         advancing is a no-op: skip it and the callback it would build. *)
-      if Sb_flow.Timer_wheel.behind wheel ~now then expire_idle_flows t wheel timeout now;
-      let live = t.live in
-      let s = Sb_flow.Live_table.probe live cls.Classifier.fid in
-      if s < 0 then record_arrival t wheel timeout cls now
-      else if now - Sb_flow.Live_table.last_seen_at live s > timeout then begin
-        (* Only reachable when arrivals outrun the wheel's tick
-           quantisation: treat exactly like a wheel-fired expiry. *)
-        expire_flow t cls.Classifier.fid
-          (Sb_flow.Live_table.pack1_at live s)
-          (Sb_flow.Live_table.pack2_at live s)
-          now ~detail:"expired on arrival";
-        record_arrival t wheel timeout cls now
-      end
-      else Sb_flow.Live_table.set_last_seen_at live s now
+(* The idle-expiry touch, which returns the flow's rule from the slot it
+   claimed: one probe for both. *)
+let touch t wheel timeout cls now =
+  (* Fire due timers first: if the arriving flow itself idled out, the
+     wheel tears it down here and the packet re-records below like a
+     fresh flow.  Most arrivals share the previous one's tick, where
+     advancing is a no-op: skip it and the callback it would build. *)
+  if Sb_flow.Timer_wheel.behind wheel ~now then expire_idle_flows t wheel timeout now;
+  let flows = t.flows and fid = cls.Classifier.fid in
+  let s = Sb_mat.Flow_table.claim flows fid in
+  if Sb_mat.Flow_table.epoch_at flows s = 0 then begin
+    (* New here, or holding only an adopted rule. *)
+    record_arrival t wheel timeout cls now s;
+    Sb_mat.Global_mat.rule_at t.global s
+  end
+  else if now - Sb_mat.Flow_table.last_seen_at flows s > timeout then begin
+    (* Only reachable when arrivals outrun the wheel's tick
+       quantisation: treat exactly like a wheel-fired expiry. *)
+    expire_at t fid s now ~detail:"expired on arrival";
+    record_arrival t wheel timeout cls now (Sb_mat.Flow_table.claim flows fid);
+    Sb_mat.Global_mat.no_rule
+  end
+  else begin
+    Sb_mat.Flow_table.set_last_seen_at flows s now;
+    Sb_mat.Global_mat.rule_at t.global s
+  end
 
 (* Quarantine after a contained fault: the flow's consolidated state
    (Global MAT rule, Local MAT records, events, classifier mapping) goes,
@@ -437,17 +441,13 @@ let charged t = Sb_sim.Cost_vec.cycles_since_mark t.costs
 let contained t = t.contained
 
 (* Admission, phase one: a pure function of the packet bytes (tuple, one
-   FNV hash, FID) that issues prefetch hints for the three tables the
-   packet will probe — conntrack, the Global MAT rule slot and, with idle
-   expiry on, its liveness slot.  It reads no table. *)
+   FNV hash, FID) that issues prefetch hints for the two tables the
+   packet will probe — conntrack and the flow slot, whose liveness cells
+   only idle expiry reads.  It reads no table. *)
 let prepare t packet cls =
   Classifier.prepare_into t.classifier packet cls;
-  if not cls.Classifier.malformed then begin
-    Sb_mat.Global_mat.prefetch t.global cls.Classifier.fid;
-    match t.wheel with
-    | Some _ -> Sb_flow.Live_table.prefetch t.live cls.Classifier.fid
-    | None -> ()
-  end
+  if not cls.Classifier.malformed then
+    Sb_mat.Global_mat.prefetch t.global cls.Classifier.fid ~live:(Option.is_some t.wheel)
 
 (* Admission, phase two, per packet in order: conntrack observe, the
    idle-expiry touch and the Global MAT lookup, charged as the Classifier
@@ -460,8 +460,9 @@ let admit t packet cls =
     if cls.Classifier.malformed then Sb_mat.Global_mat.no_rule
     else begin
       Classifier.observe_into t.classifier packet cls;
-      touch t cls packet.Sb_packet.Packet.ingress_cycle;
-      Sb_mat.Global_mat.lookup t.global cls.Classifier.fid
+      match (t.cfg.idle_timeout_cycles, t.wheel) with
+      | Some timeout, Some wheel -> touch t wheel timeout cls packet.Sb_packet.Packet.ingress_cycle
+      | None, _ | _, None -> Sb_mat.Global_mat.lookup t.global cls.Classifier.fid
     end
   in
   Sb_sim.Cost_vec.reset t.costs;

@@ -20,6 +20,7 @@ type outcome = Next of route | Done of Sb_mat.Header_action.verdict
 type result = {
   forwarded : int;
   dropped_by_chain : int;
+  malformed : int;
   dropped_overflow : int;
   slow_path : int;
   fast_path : int;
@@ -28,6 +29,7 @@ type result = {
   events_fired : int;
   faults : int;
   quarantines : int;
+  runtime : Runtime.t;
 }
 
 let run ?(ring_capacity = 64) ?(burst = 1) ?on_departure (cfg : Runtime.config) chain trace =
@@ -58,6 +60,7 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?on_departure (cfg : Runtime.config) 
     | To_global_mat -> "GlobalMAT"
   in
   let forwarded = ref 0 and dropped_by_chain = ref 0 and dropped_overflow = ref 0 in
+  let malformed = ref 0 in
   let slow = ref 0 and fast = ref 0 and reordered = ref 0 and fired = ref 0 in
   let sojourn_us = Sb_sim.Stats.create () in
   (* Live submission indices per flow; a departure with a smaller live
@@ -76,7 +79,8 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?on_departure (cfg : Runtime.config) 
     incr
       (match verdict with
       | Sb_mat.Header_action.Forwarded -> forwarded
-      | Sb_mat.Header_action.Dropped -> dropped_by_chain);
+      | Sb_mat.Header_action.Dropped ->
+          if job.cls.malformed then malformed else dropped_by_chain);
     let us = Sb_sim.Cycles.to_microseconds (at - job.arrival) in
     Sb_sim.Stats.add sojourn_us us;
     (match ins with
@@ -208,6 +212,7 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?on_departure (cfg : Runtime.config) 
   {
     forwarded = !forwarded;
     dropped_by_chain = !dropped_by_chain;
+    malformed = !malformed;
     dropped_overflow = !dropped_overflow;
     slow_path = !slow;
     fast_path = !fast;
@@ -216,4 +221,5 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?on_departure (cfg : Runtime.config) 
     events_fired = !fired;
     faults = Sb_fault.Supervisor.total_faults sup;
     quarantines = Sb_fault.Supervisor.quarantines sup;
+    runtime = rt;
   }

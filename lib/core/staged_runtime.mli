@@ -27,7 +27,8 @@
 
 type result = {
   forwarded : int;
-  dropped_by_chain : int;  (** NF verdicts *)
+  dropped_by_chain : int;  (** NF verdicts and containment drops *)
+  malformed : int;  (** packets the classifier rejected *)
   dropped_overflow : int;  (** ring tail drops *)
   slow_path : int;
   fast_path : int;
@@ -38,6 +39,9 @@ type result = {
   events_fired : int;
   faults : int;  (** contained + corrupted + stalled faults over the run *)
   quarantines : int;  (** flows whose consolidated state a fault tore down *)
+  runtime : Runtime.t;
+      (** the runtime the stages ran on, whose tables, supervisor and
+          classifier {!Report.staged_summary} reads *)
 }
 
 val run :

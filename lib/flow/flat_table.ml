@@ -8,10 +8,10 @@
    hash, int compares, and (almost always) zero pointer chases before the
    value array is touched.
 
-   FID-keyed tables use the key and the value.  {!Tuple_map} keys on the
-   tuple hash and keeps the packed tuple in cells 0-1 (distinct tuples can
-   share a hash, so its probe also matches the cells); {!Live_table} keeps
-   its liveness fields in cells and has no value lane at all.
+   FID-keyed tables use the key and the value, and a runtime's flow table
+   keeps a flow's liveness in four cells beside it.  {!Tuple_map} keys on
+   the tuple hash and keeps the packed tuple in cells 0-1 (distinct tuples
+   can share a hash, so its probe also matches the cells).
 
    Deletion uses backward-shift (no tombstones): removing an entry
    re-packs the cluster behind it, so probe lengths never degrade under
@@ -127,6 +127,15 @@ let prefetch t key =
   if t.width > 0 then Prefetch.field t.cells (t.width * s)
   else if Array.length t.vals > 0 then Prefetch.field t.vals s
 
+(* As [prefetch], for a probe that reads the value, and cell 0 only when
+   [cells]: a hint for a lane the probe skips costs a line fill that
+   evicts one it needs. *)
+let prefetch_value t key ~cells =
+  let s = slot_of_key t.mask key in
+  Prefetch.field t.keys s;
+  if cells then Prefetch.field t.cells (t.width * s);
+  if Array.length t.vals > 0 then Prefetch.field t.vals s
+
 let find_exn t key =
   let s = slot t key in
   if s >= 0 then Array.unsafe_get t.vals s else raise Not_found
@@ -144,6 +153,11 @@ let set_value_at t s v =
     t.filler <- Some v
   end;
   Array.unsafe_set t.vals s v
+
+let set_default t v =
+  if t.size > 0 || Array.length t.vals > 0 then invalid_arg "Flat_table.set_default: table in use";
+  t.vals <- Array.make (Array.length t.keys) v;
+  t.filler <- Some v
 
 (* Slot moves copy cells with a plain loop: [Array.blit] is a C call even
    at width 0. *)

@@ -1,7 +1,6 @@
 (** The flow layer's open-addressing (linear-probe) hash table, keyed by
-    ints: the per-flow tables of the Local MATs, Global MAT, Event Table
-    and runtime key it on the FID, and {!Tuple_map} and {!Live_table} are
-    views over it.
+    ints: a runtime's flow table and the Event Table key it on the FID,
+    and {!Tuple_map} is a view over it.
 
     A slot is an int key, a fixed number of int {e cells} (0 for FID
     tables) and an optional value, in plain arrays, so a hit costs one
@@ -45,6 +44,15 @@ val prefetch : 'a t -> int -> unit
     key lane, plus its cell 0 in a table with cells, else its value) is
     about to be probed.  Semantically a no-op; see {!Prefetch}. *)
 
+val prefetch_value : 'a t -> int -> cells:bool -> unit
+(** As {!prefetch} for a probe that reads the value: the key lane and the
+    value lane, and cell 0 only when [cells]. *)
+
+val set_default : 'a t -> 'a -> unit
+(** [set_default t v] makes [v] the value of every slot no value was
+    stored in: {!claim}'s new slots read it, and removal puts it back.
+    @raise Invalid_argument once a value was stored. *)
+
 val set : 'a t -> int -> 'a -> unit
 (** Insert or overwrite the binding for a key. *)
 
@@ -60,7 +68,7 @@ val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
 (** {2 Slots and cells}
 
-    The interface {!Tuple_map} and {!Live_table} are built on.  Slot
+    The interface {!Tuple_map} and the flow table are built on.  Slot
     arguments must come from {!find_slot}, {!find_slot2}, {!claim} or
     {!claim2} with no insert or removal since, and cell indices must be
     below the table's [cells]; neither is checked. *)
@@ -77,7 +85,8 @@ val reserve : 'a t -> unit
 
 val claim : 'a t -> int -> int
 (** [claim t key] is [key]'s slot, added with zeroed cells when absent.
-    Store a value with {!set_value_at} before reading one. *)
+    Store a value with {!set_value_at} before reading one, unless the
+    table has a {!set_default}. *)
 
 val claim2 : 'a t -> int -> int -> int -> int
 (** As {!claim}, for the entry {!find_slot2} matches; a new entry gets

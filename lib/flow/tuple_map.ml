@@ -34,6 +34,8 @@ let find_or_add_packed t ~hash k1 k2 ~default =
     v
   end
 
+let remove_at = Flat_table.remove_at
+
 let remove_packed t ~hash k1 k2 =
   let s = Flat_table.find_slot2 t hash k1 k2 in
   if s >= 0 then Flat_table.remove_at t s

@@ -34,6 +34,9 @@ val find_slot_packed : 'a t -> hash:int -> int -> int -> int
 val value_at : 'a t -> int -> 'a
 (** The value in a slot {!find_slot_packed} returned. *)
 
+val remove_at : 'a t -> int -> unit
+(** Removes the entry in a slot {!find_slot_packed} returned. *)
+
 val prefetch : 'a t -> int -> unit
 (** [prefetch t (Five_tuple.hash key)] hints that [key]'s probe window is
     about to be probed.  Semantically a no-op; see {!Prefetch}. *)

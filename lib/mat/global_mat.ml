@@ -3,33 +3,20 @@ open Sb_packet
 (* The fast path of one flow: a flat instruction array walked in chain
    order.  A [C_transform] is one merged header-action run with its cycle
    cost computed once; a [C_wave] is one wave of state-function batches,
-   and consecutive waves form one wave group. *)
-type cstep =
-  | C_transform of {
-      c : Consolidate.t;
-      cost : int;
-      incr_ok : bool;
-          (* no Write-mode batch runs before this transform, so the stored
-             L4 checksum still matches the bytes and the RFC 1624
-             incremental fix-up is byte-identical to the full recompute *)
-    }
+   and consecutive waves form one wave group.  A [C_transform]'s [incr_ok]
+   says no Write-mode batch runs before it, so the stored L4 checksum
+   still matches the bytes and the RFC 1624 incremental fix-up is
+   byte-identical to the full recompute. *)
+type cstep = Flow_table.cstep =
+  | C_transform of { c : Consolidate.t; cost : int; incr_ok : bool }
   | C_wave of State_function.Batch.t array
 
-type program = {
-  code : cstep array;
-  static_head : int;
-      (* the per-packet serial cycles that do not depend on events:
-         fast-path lookup + per-source-action walk + base forward *)
-  reach : int;  (* NFs the program spans, the dropping NF included *)
-}
+(* A rule is its flow's slot value in the flow table: the program, the
+   LRU node and the events the recording walk moved in, beside the
+   flow's Local MAT records. *)
+type rule = Flow_table.flow
 
-type rule = {
-  mutable program : program;
-  mutable node : Sb_flow.Lru.node;  (* position in the eviction order, under a cap *)
-  mutable events : Event_table.event list;
-      (* the flow's events, moved here from the Event Table when its
-         recording walk consolidated; they leave with the rule *)
-}
+let has_rule (r : rule) = r.program != Flow_table.no_program
 
 (* The positional form of a program, for introspection and the reference
    walker.  Consolidation closes a wave group only to emit a transform, so
@@ -59,28 +46,28 @@ let plan_of_waves ws =
 (* The position-insensitive merge of every recorded action: the
    transforms are the merged runs in chain order and identity runs merge
    to nothing, so sequencing the transforms is merging the actions. *)
-let rule_action r =
+let rule_action (r : rule) =
   Consolidate.seq
     (List.filter_map
        (function Transform c -> Some c | Waves _ -> None)
        (steps_of_code r.program.code))
 
-let rule_batches r = List.concat_map Array.to_list (waves r.program.code)
+let rule_batches (r : rule) = List.concat_map Array.to_list (waves r.program.code)
 
-let rule_plan r = plan_of_waves (waves r.program.code)
+let rule_plan (r : rule) = plan_of_waves (waves r.program.code)
 
 let transform_count code =
   Array.fold_left (fun n s -> match s with C_transform _ -> n + 1 | C_wave _ -> n) 0 code
 
-let rule_transform_count r = transform_count r.program.code
+let rule_transform_count (r : rule) = transform_count r.program.code
 
-let rule_code r = r.program.code
+let rule_code (r : rule) = r.program.code
 
-let rule_static_head r = r.program.static_head
+let rule_static_head (r : rule) = r.program.static_head
 
-let rule_reach r = r.program.reach
+let rule_reach (r : rule) = r.program.reach
 
-let rule_events r = r.events
+let rule_events (r : rule) = r.events
 
 (* How the fast path executes a consolidated rule: [Compiled] (the flat
    program) is the production path; [Interpreted] rebuilds the positional
@@ -92,7 +79,8 @@ type exec_mode = Compiled | Interpreted
 type t = {
   policy : Parallel.policy;
   exec : exec_mode;
-  rules : rule Sb_flow.Flat_table.t;
+  mutable flows : Flow_table.t;  (* its own, or the chain's once [share]d *)
+  mutable rules : int;  (* flows holding a program *)
   cap : cap option;
   on_evict : Sb_flow.Fid.t -> unit;
   obs : Sb_obs.Sink.t;
@@ -108,9 +96,6 @@ type t = {
       (* where [execute_rule] writes the GlobalMAT stage: the owning
          runtime's per-packet cost vector *)
   mutable fired : int;  (* events fired by the last [execute_rule] *)
-  spare : rule Free_stack.t;
-      (* scrubbed rule husks: rules churn at flow rate under LRU and idle
-         eviction, as Local MAT records do *)
   pass : pass;
 }
 
@@ -136,26 +121,10 @@ and pass = {
 (* Fillers for the pass buffers' unused slots. *)
 let no_step = C_wave [||]
 
-let empty_program = { code = [||]; static_head = 0; reach = 0 }
-
-(* The node of a rule in a table without a cap, which keeps no recency
-   list.  A handle allocated from a throwaway list, and handles are plain
-   ints, so it names a live slot in any real list: only uncapped tables
-   and [no_rule] hold it. *)
-let no_node = Sb_flow.Lru.add (Sb_flow.Lru.create ()) (-1)
-
 (* The answer [lookup] gives on a miss, so per-packet resolution carries
-   no option, and the filler of the husk stack.  Never installed in a
-   table; [execute_rule] refuses it rather than touch its node. *)
-let no_rule = { program = empty_program; node = no_node; events = [] }
-
-(* As many husks as a Local MAT keeps records. *)
-let spare_cap = 64
-
-(* A kept husk drops its program and events, which embed NF closures. *)
-let scrub_rule r =
-  r.program <- empty_program;
-  r.events <- []
+   no option: the flow table's vacant flow, never written.
+   [execute_rule] refuses it rather than touch its node. *)
+let no_rule = Flow_table.vacant
 
 let no_batch = State_function.Batch.make ~nf:"" []
 
@@ -167,7 +136,8 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
   {
     policy;
     exec;
-    rules = Sb_flow.Flat_table.create ();
+    flows = Flow_table.create ~width:0 ();
+    rules = 0;
     cap = Option.map (fun max_rules -> { max_rules; lru = Sb_flow.Lru.create () }) max_rules;
     on_evict;
     obs;
@@ -184,7 +154,6 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
     aux = Bytes.create 256;
     costs;
     fired = 0;
-    spare = Free_stack.create ~cap:spare_cap ~scrub:scrub_rule no_rule;
     pass =
       {
         run = Consolidate.run ();
@@ -201,52 +170,76 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
 
 let evictions t = t.evicted
 
-(* Keep a dead rule's husk for reuse.  Callers must have already dropped
-   the fid binding's LRU node — the handle may be reallocated. *)
-let recycle t (r : rule) = Free_stack.push t.spare r
+let flows t = t.flows
 
-(* Make room for one rule when the table sits at its cap: drop the flow at
-   the cold end of the recency list, telling the owner so Local MATs
-   follow.  O(1), where the fold-based predecessor scanned every rule. *)
+let share t locals =
+  match locals with
+  | [] -> ()
+  | l :: rest ->
+      let flows = Local_mat.table l in
+      if List.exists (fun l -> Local_mat.table l != flows) rest then
+        invalid_arg "Global_mat.share: the Local MATs keep separate tables";
+      if Flow_table.length t.flows > 0 || Flow_table.length flows > 0 then
+        invalid_arg "Global_mat.share: a table already holds flows";
+      t.flows <- flows
+
+(* The rule in slot [s] gives up its program and its place in the recency
+   order, before the flow table releases the husk. *)
+let unrule t s =
+  let r = Flow_table.flow_at t.flows s in
+  if has_rule r then begin
+    (match t.cap with Some c -> Sb_flow.Lru.remove c.lru r.node | None -> ());
+    t.rules <- t.rules - 1
+  end
+
+let remove_at t s =
+  unrule t s;
+  Flow_table.remove_at t.flows s
+
+let remove_flow t fid =
+  let s = Flow_table.find_slot t.flows fid in
+  if s >= 0 then remove_at t s
+
+let drop_rule t fid =
+  let s = Flow_table.find_slot t.flows fid in
+  if s >= 0 then begin
+    unrule t s;
+    Flow_table.vacate_at t.flows s
+  end
+
+(* Make room for one rule when the table sits at its cap: the flow at the
+   cold end of the recency list loses its rule and records, and the owner
+   hears of it.  Its liveness stays, so idle expiry still reclaims the
+   NFs' state for it. *)
 let evict_lru t lru =
   match Sb_flow.Lru.pop_coldest lru with
   | None -> ()
   | Some fid ->
-      (match Sb_flow.Flat_table.find t.rules fid with
-      | Some r -> recycle t r
-      | None -> ());
-      Sb_flow.Flat_table.remove t.rules fid;
+      let s = Flow_table.find_slot t.flows fid in
+      if s >= 0 then begin
+        t.rules <- t.rules - 1;
+        Flow_table.vacate_at t.flows s
+      end;
       t.evicted <- t.evicted + 1;
       t.on_evict fid
 
-let touch t r = match t.cap with Some c -> Sb_flow.Lru.touch c.lru r.node | None -> ()
+let touch t (r : rule) = match t.cap with Some c -> Sb_flow.Lru.touch c.lru r.node | None -> ()
 
-(* Bind [fid] to a fresh or recycled rule, with no events, making room
-   under the cap. *)
+(* Install [program] in the flow's husk, making room under the cap for a
+   flow that held no rule. *)
 let install t fid program =
-  let node =
-    match t.cap with
+  let r = Flow_table.flow_for t.flows fid in
+  if has_rule r then touch t r
+  else begin
+    (match t.cap with
     | Some c ->
-        if Sb_flow.Flat_table.length t.rules >= c.max_rules then evict_lru t c.lru;
-        Sb_flow.Lru.add c.lru fid
-    | None -> no_node
-  in
-  let r =
-    if Free_stack.is_empty t.spare then { program; node; events = [] }
-    else begin
-      let r = Free_stack.pop t.spare in
-      r.program <- program;
-      r.node <- node;
-      r
-    end
-  in
-  Sb_flow.Flat_table.set t.rules fid r;
+        if t.rules >= c.max_rules then evict_lru t c.lru;
+        r.node <- Sb_flow.Lru.add c.lru fid
+    | None -> ());
+    t.rules <- t.rules + 1
+  end;
+  r.program <- program;
   r
-
-let unbind t fid r =
-  (match t.cap with Some c -> Sb_flow.Lru.remove c.lru r.node | None -> ());
-  Sb_flow.Flat_table.remove t.rules fid;
-  recycle t r
 
 (* ---- Consolidation: one pass over the Local MAT records ----
 
@@ -339,7 +332,7 @@ let consolidate ?events t fid locals =
   Array.fill p.code 0 p.len no_step;
   let program =
     {
-      code;
+      Flow_table.code;
       static_head =
         (Sb_sim.Cycles.fast_path_lookup
         + (n_source_actions * Sb_sim.Cycles.fast_path_per_action)
@@ -348,19 +341,10 @@ let consolidate ?events t fid locals =
       reach = p.reached;
     }
   in
-  let slot = Sb_flow.Flat_table.find_slot t.rules fid in
-  let r =
-    if slot < 0 then install t fid program
-    else begin
-      (* Re-consolidation (event fire, repeated recording): update in
-         place, so an executor holding the rule sees the fresh program
-         without a second table lookup. *)
-      let r = Sb_flow.Flat_table.value_at t.rules slot in
-      r.program <- program;
-      touch t r;
-      r
-    end
-  in
+  (* A re-consolidation (event fire, repeated recording) updates the
+     rule in place, so an executor holding it sees the fresh program
+     without a second table lookup. *)
+  let r = install t fid program in
   (match events with
   | Some events -> (
       match Event_table.take events fid with
@@ -373,40 +357,41 @@ let consolidate ?events t fid locals =
   | None -> ());
   List.length locals * Sb_sim.Cycles.global_consolidate_per_nf
 
-let find t fid = Sb_flow.Flat_table.find t.rules fid
+let rule_at t s =
+  let r = Flow_table.flow_at t.flows s in
+  if has_rule r then r else no_rule
 
 let lookup t fid =
-  let s = Sb_flow.Flat_table.find_slot t.rules fid in
-  if s < 0 then no_rule else Sb_flow.Flat_table.value_at t.rules s
+  let s = Flow_table.find_slot t.flows fid in
+  if s < 0 then no_rule else rule_at t s
 
-(* Burst-prescan hint: start the line fill for the fid's rule-table probe
-   window while the prescan still has the rest of the burst to chew on. *)
-let prefetch t fid = Sb_flow.Flat_table.prefetch t.rules fid
+let find t fid =
+  let r = lookup t fid in
+  if r == no_rule then None else Some r
 
-let mem t fid = Sb_flow.Flat_table.mem t.rules fid
+(* Burst-prescan hint: start the line fills for the fid's probe while the
+   prescan still has the rest of the burst to chew on. *)
+let prefetch t fid ~live = Flow_table.prefetch t.flows fid ~live
 
-(* By slot, not [find]: FIN cleanup and idle expiry build no option. *)
-let remove_flow t fid =
-  let s = Sb_flow.Flat_table.find_slot t.rules fid in
-  if s >= 0 then unbind t fid (Sb_flow.Flat_table.value_at t.rules s)
+let mem t fid = lookup t fid != no_rule
 
 (* Flow-migration handoff: install a copy of a rule exported from another
    table.  The source record's intrusive LRU node belongs to the source
-   table's recency list, so adoption binds a record (and node) of this
-   table's own and leaves the source untouched — the caller tears the
-   source binding down with [remove_flow] afterwards.  Programs are
-   immutable, so the copy shares the source's. *)
-let adopt t fid (src : rule) =
-  remove_flow t fid;
-  ignore (install t fid src.program)
+   table's recency list, so adoption binds this table's own husk (and
+   node) and leaves the source untouched — the caller tears the source
+   binding down afterwards.  Programs are immutable, so the copy shares
+   the source's. *)
+let adopt t fid (src : rule) = (install t fid src.program).events <- []
 
 let clear t =
-  Sb_flow.Flat_table.clear t.rules;
+  Flow_table.clear t.flows;
+  t.rules <- 0;
   Option.iter (fun c -> Sb_flow.Lru.clear c.lru) t.cap
 
-let flow_count t = Sb_flow.Flat_table.length t.rules
+let flow_count t = t.rules
 
-let fold f t init = Sb_flow.Flat_table.fold f t.rules init
+let fold f t init =
+  Flow_table.fold (fun fid r acc -> if has_rule r then f fid r acc else acc) t.flows init
 
 let consolidation_count t = t.consolidations
 
@@ -420,15 +405,15 @@ type memory_stats = {
 let memory_stats (t : t) =
   let keys = Hashtbl.create 64 in
   let field_writes = ref 0 and batches = ref 0 in
-  Sb_flow.Flat_table.iter
-    (fun _ rule ->
+  fold
+    (fun _ (rule : rule) () ->
       let overall = rule_action rule in
       Hashtbl.replace keys (Format.asprintf "%a" Consolidate.pp overall) ();
       field_writes := !field_writes + List.length overall.Consolidate.sets;
       List.iter (fun w -> batches := !batches + Array.length w) (waves rule.program.code))
-    t.rules;
+    t ();
   {
-    rules = Sb_flow.Flat_table.length t.rules;
+    rules = t.rules;
     distinct_actions = Hashtbl.length keys;
     field_writes = !field_writes;
     batches = !batches;
@@ -540,7 +525,7 @@ let run_wave_interp t batches packet =
       Sb_sim.Cost_vec.parallel t.costs (List.length costs);
       List.iter (Sb_sim.Cost_vec.cost t.costs) costs
 
-let run_steps_interp t rule packet =
+let run_steps_interp t (rule : rule) packet =
   List.fold_left
     (fun verdict step ->
       match step with
@@ -604,7 +589,7 @@ let apply_fired t locals fid packet fired =
     fired;
   !fire_cycles + consolidate t fid locals
 
-let execute_rule ?egress t events locals fid rule packet =
+let execute_rule ?egress t events locals fid (rule : rule) packet =
   if rule == no_rule then invalid_arg "Global_mat.execute_rule: no_rule";
   (* The rule's own events: no table probe, and none at all for a flow
      that registered none.  Nothing fires unless one is armed. *)
@@ -649,7 +634,7 @@ let pp_step fmt = function
         (String.concat "; " (List.map (Format.asprintf "%a" State_function.Batch.pp) batches))
         Parallel.pp_plan (plan_of_waves ws)
 
-let pp_rule fmt r =
+let pp_rule fmt (r : rule) =
   Format.fprintf fmt "@[<h>%a@]"
     (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " -> ") pp_step)
     (steps_of_code r.program.code)

@@ -40,10 +40,12 @@
     both the per-packet touch and the at-capacity eviction O(1); an
     uncapped table keeps no recency list. *)
 
-type rule
+type rule = Flow_table.flow
+(** The flow's slot value; it is a rule once consolidation installed a
+    program in it. *)
 
 (** One instruction of a rule's program. *)
-type cstep =
+type cstep = Flow_table.cstep =
   | C_transform of {
       c : Consolidate.t;  (** one merged run of header actions, never the identity *)
       cost : int;  (** [Consolidate.cost c] *)
@@ -112,8 +114,9 @@ val create :
 (** [max_rules] caps the consolidated-rule table (unbounded by default):
     inserting beyond the cap evicts the least-recently-used flow's rule —
     the evicted flow's next packet simply re-records, like a megaflow
-    cache miss.  Only a capped table keeps the recency order.  [on_evict] lets the runtime tear down the flow's Local
-    MAT records alongside.  [obs] (default {!Sb_obs.Sink.null}) receives
+    cache miss.  Only a capped table keeps the recency order.  Eviction
+    drops the flow's rule and Local MAT records and keeps its liveness;
+    [on_evict] tells the runtime.  [obs] (default {!Sb_obs.Sink.null}) receives
     [speedybox_consolidations_total] and, on Event Table firings,
     [speedybox_event_rewrites_total{nf}] plus an ["event-rewrite"] trace
     span and a flow-timeline entry; nothing is recorded per packet.
@@ -123,6 +126,16 @@ val create :
 
 val evictions : t -> int
 (** Rules evicted by the LRU cap so far. *)
+
+val share : t -> Local_mat.t list -> unit
+(** [share t locals] makes the table the Local MATs record into (one
+    table for all of them: {!Local_mat.chain}) the one [t] keeps its rules
+    in, so a flow's records and rule share its slot.
+    @raise Invalid_argument when the Local MATs keep separate tables or
+    either table already holds a flow. *)
+
+val flows : t -> Flow_table.t
+(** The table the rules live in, for the runtime's liveness cells. *)
 
 val consolidate : ?events:Event_table.t -> t -> Sb_flow.Fid.t -> Local_mat.t list -> int
 (** [consolidate t fid locals] (re)builds the flow's consolidated rule from
@@ -145,22 +158,35 @@ val lookup : t -> Sb_flow.Fid.t -> rule
 (** {!find} without the option: the flow's rule, or {!no_rule}.  The
     per-packet form. *)
 
-val prefetch : t -> Sb_flow.Fid.t -> unit
-(** [prefetch t fid] hints that [fid]'s rule-table probe window is about
-    to be probed (the burst prescan issues one per packet, a burst ahead
-    of the lookups).  Semantically a no-op. *)
+val rule_at : t -> int -> rule
+(** {!lookup} for a slot of {!flows} the caller already probed. *)
+
+val prefetch : t -> Sb_flow.Fid.t -> live:bool -> unit
+(** [prefetch t fid ~live] hints that [fid]'s slot is about to be probed
+    (the burst prescan issues one per packet, a burst ahead of the
+    lookups): its key and value, and its liveness cells when [live].
+    Semantically a no-op. *)
 
 val mem : t -> Sb_flow.Fid.t -> bool
 
 val remove_flow : t -> Sb_flow.Fid.t -> unit
+(** The flow leaves the table: its rule, its Local MAT records and its
+    liveness, in one probe. *)
+
+val remove_at : t -> int -> unit
+(** {!remove_flow} for a slot of {!flows} the caller already probed. *)
+
+val drop_rule : t -> Sb_flow.Fid.t -> unit
+(** The flow's rule and Local MAT records go, as under LRU eviction, and
+    its liveness stays. *)
 
 val adopt : t -> Sb_flow.Fid.t -> rule -> unit
 (** [adopt t fid src] installs a copy of [src] — a rule exported (via
     {!find}) from {e another} table — as [fid]'s rule here: the Global-MAT
     half of a flow-migration handoff.  The source record is left untouched
     (its intrusive LRU node belongs to the source table); the caller is
-    expected to [remove_flow] it from the source afterwards.  Replaces any
-    existing binding and honours this table's [max_rules] cap.  The copy
+    expected to [drop_rule] it from the source afterwards.  Replaces any
+    existing rule and honours this table's [max_rules] cap.  The copy
     carries no events: the source's are bound to the source chain. *)
 
 val clear : t -> unit

@@ -4,9 +4,13 @@
     SpeedyBox APIs, which append the header actions and state functions it
     performed for that flow to its Local MAT record, in execution order
     (order preservation is what keeps the consolidated path logically
-    equivalent, §IV-B). *)
+    equivalent, §IV-B).
 
-type rule
+    A Local MAT is the NF's view of its chain position in a
+    {!Flow_table}: the records of one flow, one per NF, share the flow's
+    slot with its liveness and its Global MAT rule. *)
+
+type rule = Flow_table.record
 (** One flow's record.  A record from {!find} or {!lookup} is valid only
     until its flow is removed: {!remove_flow} scrubs it and keeps it for
     the next flow the table records, which refills it in place.  Read
@@ -29,8 +33,14 @@ val action : rule -> int -> Header_action.t
 type t
 
 val create : nf:string -> t
+(** A standalone Local MAT, in a table of its own. *)
+
+val chain : string list -> t list
+(** One Local MAT per NF name, in order, over one shared table. *)
 
 val nf_name : t -> string
+
+val table : t -> Flow_table.t
 
 val add_header_action : t -> Sb_flow.Fid.t -> Header_action.t -> unit
 
@@ -54,11 +64,11 @@ val lookup : t -> Sb_flow.Fid.t -> rule
 val mem : t -> Sb_flow.Fid.t -> bool
 
 val remove_flow : t -> Sb_flow.Fid.t -> unit
-(** Unbinds the flow's record and keeps it, scrubbed of its actions and
-    state functions, on a small bounded stack for reuse. *)
+(** Unbinds the flow's record, scrubbed of its actions and state
+    functions; the flow's husk keeps it for reuse. *)
 
 val clear : t -> unit
-(** Unbinds every record; none is kept for reuse. *)
+(** Unbinds every record. *)
 
 val flow_count : t -> int
 

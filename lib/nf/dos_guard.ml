@@ -121,13 +121,12 @@ let process t ctx packet =
   end
 
 (* Idle teardown reclaims counters below the threshold; a flow that earned
-   a block keeps it even through a quiet spell.  Probed by packed key
-   against a sentinel, so an expired flow builds no option. *)
+   a block keeps it even through a quiet spell.  One probe by packed key
+   finds the slot the counter is read and removed through. *)
 let remove_flow t k1 k2 =
-  let hash = Five_tuple.hash_packed k1 k2 in
-  let e = Store.flow_find_or_packed t.flows ~hash k1 k2 ~default:Store.no_entry in
-  if e != Store.no_entry && e.Store.x < t.threshold then
-    Store.flow_remove_packed t.flows ~hash k1 k2
+  let s = Store.flow_slot_packed t.flows ~hash:(Five_tuple.hash_packed k1 k2) k1 k2 in
+  if s >= 0 && (Store.flow_entry_at t.flows s).Store.x < t.threshold then
+    Store.flow_remove_at t.flows s
 
 let nf t =
   Speedybox.Nf.make ~name:t.name

@@ -90,14 +90,13 @@ let process t count_sf ctx packet =
   Speedybox.Nf.forwarded
     (Sb_sim.Cycles.parse + Sb_sim.Cycles.classify + count_cycles + Sb_sim.Cycles.ha_forward)
 
-(* Idle expiry, once per expired flow: probed by packed key against a
-   sentinel, so no option is built. *)
+(* Idle expiry, once per expired flow: one probe by packed key finds the
+   slot the entry is then read and removed through. *)
 let remove_flow t k1 k2 =
-  let hash = Five_tuple.hash_packed k1 k2 in
-  let e = Store.flow_find_or_packed t.flows ~hash k1 k2 ~default:Store.no_entry in
-  if e != Store.no_entry then begin
-    if e.Store.set then Store.sub t.active 1;
-    Store.flow_remove_packed t.flows ~hash k1 k2
+  let s = Store.flow_slot_packed t.flows ~hash:(Five_tuple.hash_packed k1 k2) k1 k2 in
+  if s >= 0 then begin
+    if (Store.flow_entry_at t.flows s).Store.set then Store.sub t.active 1;
+    Store.flow_remove_at t.flows s
   end
 
 let nf t =

@@ -199,7 +199,7 @@ let migrate_direction t ~src ~dest tuple fid =
       if armed = 0 && portable then
         Sb_mat.Global_mat.adopt (Runtime.global_mat dst_rt) fid rule;
       Chain.remove_flow (Runtime.chain src_rt) fid;
-      Sb_mat.Global_mat.remove_flow (Runtime.global_mat src_rt) fid
+      Sb_mat.Global_mat.drop_rule (Runtime.global_mat src_rt) fid
   | None -> ());
   let slot = Flat_table.claim t.books fid in
   Flat_table.set_cell t.books slot override (dest + 1);

@@ -7,13 +7,24 @@
    differential tests that compare accumulators sample-for-sample. *)
 let reservoir_cap = 1 lsl 16
 
+(* The reservoir is stored in chunks of [chunk] samples, allocated as the
+   reservoir fills and never copied: a doubling array would allocate and
+   copy about twice the cap on its way there, per accumulator.  Chunk 0
+   starts at 64 samples and doubles up to [chunk], so a small accumulator
+   stays small; only then does chunk 1 exist, so sample [i] is always at
+   [i / chunk], [i mod chunk]. *)
+let chunk_bits = 12
+
+let chunk = 1 lsl chunk_bits
+
 (* The exact aggregates live in an all-float record, which OCaml stores
    flat: updating them writes raw doubles.  As mutable float fields of [t]
    (a mixed record) every update would box a fresh float. *)
 type agg = { mutable sum : float; mutable lo : float; mutable hi : float }
 
 type t = {
-  mutable data : float array;
+  chunks : float array array;  (* [reservoir_cap / chunk], [||] until reached *)
+  mutable fill : float array;  (* the chunk [len] falls in while not full *)
   mutable len : int;  (* filled reservoir slots, <= reservoir_cap *)
   mutable seen : int;  (* samples offered over the accumulator's life *)
   agg : agg;
@@ -22,8 +33,12 @@ type t = {
 }
 
 let create () =
+  let first = Array.make 64 0. in
+  let chunks = Array.make (reservoir_cap / chunk) [||] in
+  chunks.(0) <- first;
   {
-    data = Array.make 64 0.;
+    chunks;
+    fill = first;
     len = 0;
     seen = 0;
     agg = { sum = 0.; lo = infinity; hi = neg_infinity };
@@ -41,10 +56,31 @@ let draw t bound =
   t.rng <- x land max_int;
   t.rng mod bound
 
+let get t i = Array.unsafe_get (Array.unsafe_get t.chunks (i lsr chunk_bits)) (i land (chunk - 1))
+
+let set t i x = Array.unsafe_set (Array.unsafe_get t.chunks (i lsr chunk_bits)) (i land (chunk - 1)) x
+
+(* [t.len] reached the end of [t.fill]: double chunk 0 while it is short
+   of [chunk], else start the next chunk. *)
 let grow t =
-  let bigger = Array.make (min reservoir_cap (2 * t.len)) 0. in
-  Array.blit t.data 0 bigger 0 t.len;
-  t.data <- bigger
+  let k = t.len lsr chunk_bits in
+  let next =
+    if k = 0 then begin
+      let bigger = Array.make (2 * t.len) 0. in
+      Array.blit t.fill 0 bigger 0 t.len;
+      bigger
+    end
+    else Array.make chunk 0.
+  in
+  t.chunks.(k) <- next;
+  t.fill <- next
+
+(* Append below the cap. *)
+let[@inline] push t x =
+  let i = t.len land (chunk - 1) in
+  if i = Array.length t.fill || (i = 0 && t.len > 0) then grow t;
+  Array.unsafe_set t.fill i x;
+  t.len <- t.len + 1
 
 (* Inlined into every caller, so the sample reaches the float array and
    the aggregates without ever being boxed. *)
@@ -55,15 +91,13 @@ let[@inline] add t x =
   if x < a.lo then a.lo <- x;
   if x > a.hi then a.hi <- x;
   if t.len < reservoir_cap then begin
-    if t.len = Array.length t.data then grow t;
-    Array.unsafe_set t.data t.len x;
-    t.len <- t.len + 1;
+    push t x;
     t.sorted <- false
   end
   else begin
     let j = draw t t.seen in
     if j < reservoir_cap then begin
-      t.data.(j) <- x;
+      set t j x;
       t.sorted <- false
     end
   end
@@ -76,9 +110,9 @@ let count t = t.seen
 
 let ensure_sorted t =
   if not t.sorted then begin
-    let live = Array.sub t.data 0 t.len in
+    let live = Array.init t.len (get t) in
     Array.sort Float.compare live;
-    Array.blit live 0 t.data 0 t.len;
+    Array.iteri (set t) live;
     t.sorted <- true
   end
 
@@ -96,10 +130,10 @@ let percentile t p =
     let rank = p /. 100. *. float_of_int (t.len - 1) in
     let lo = int_of_float (Float.floor rank) in
     let hi = int_of_float (Float.ceil rank) in
-    if lo = hi then t.data.(lo)
+    if lo = hi then get t lo
     else begin
       let frac = rank -. float_of_int lo in
-      ((1. -. frac) *. t.data.(lo)) +. (frac *. t.data.(hi))
+      ((1. -. frac) *. get t lo) +. (frac *. get t hi)
     end
   end
 
@@ -118,19 +152,11 @@ let absorb dst src =
   if s.hi > d.hi then d.hi <- s.hi;
   if src.len > 0 then begin
     let fits = min src.len (reservoir_cap - dst.len) in
-    if fits > 0 then begin
-      let need = dst.len + fits in
-      if need > Array.length dst.data then begin
-        let rec cap n = if n >= need then n else cap (2 * n) in
-        let bigger = Array.make (min reservoir_cap (cap (Array.length dst.data))) 0. in
-        Array.blit dst.data 0 bigger 0 dst.len;
-        dst.data <- bigger
-      end;
-      Array.blit src.data 0 dst.data dst.len fits;
-      dst.len <- need
-    end;
+    for i = 0 to fits - 1 do
+      push dst (get src i)
+    done;
     for i = fits to src.len - 1 do
-      dst.data.(draw dst reservoir_cap) <- src.data.(i)
+      set dst (draw dst reservoir_cap) (get src i)
     done;
     dst.sorted <- false
   end
@@ -142,12 +168,12 @@ let cdf t ~points =
     List.init points (fun i ->
         let prob = float_of_int (i + 1) /. float_of_int points in
         let idx = min (t.len - 1) (int_of_float (Float.ceil (prob *. float_of_int t.len)) - 1) in
-        (t.data.(max 0 idx), prob))
+        (get t (max 0 idx), prob))
   end
 
 let values t =
   ensure_sorted t;
-  Array.sub t.data 0 t.len
+  Array.init t.len (get t)
 
 type summary = {
   n : int;

@@ -203,7 +203,11 @@ let flow_find_or_packed fc ~hash k1 k2 ~default =
 
 let flow_remove fc tuple = Tuple_map.remove fc.entries tuple
 
-let flow_remove_packed fc ~hash k1 k2 = Tuple_map.remove_packed fc.entries ~hash k1 k2
+let flow_slot_packed fc ~hash k1 k2 = Tuple_map.find_slot_packed fc.entries ~hash k1 k2
+
+let flow_entry_at fc s = Tuple_map.value_at fc.entries s
+
+let flow_remove_at fc s = Tuple_map.remove_at fc.entries s
 
 let flow_fold f fc acc = Tuple_map.fold f fc.entries acc
 

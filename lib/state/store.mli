@@ -129,8 +129,15 @@ val no_entry : entry
 
 val flow_remove : flow_cell -> Sb_flow.Five_tuple.t -> unit
 
-val flow_remove_packed : flow_cell -> hash:int -> int -> int -> unit
-(** {!flow_remove} by packed key, as {!flow_find_or_packed} takes it. *)
+val flow_slot_packed : flow_cell -> hash:int -> int -> int -> int
+(** The slot of the entry {!flow_find_or_packed} finds, or [-1]; valid
+    until the next insert or removal.  Idle expiry reads and removes an
+    entry through it with one probe. *)
+
+val flow_entry_at : flow_cell -> int -> entry
+
+val flow_remove_at : flow_cell -> int -> unit
+(** Removes the entry in a {!flow_slot_packed} slot. *)
 
 val flow_fold : (Sb_flow.Five_tuple.t -> entry -> 'a -> 'a) -> flow_cell -> 'a -> 'a
 

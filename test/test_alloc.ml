@@ -32,8 +32,8 @@
    walks alone, which record nothing and so build no state function,
    event closure or context, and the recording walks alone, after their
    SYNs.  A third figure re-records flows that idle expiry tore down, so
-   each recording walk refills the Local MAT records and the Global MAT
-   rule husk the expired flow left on the tables' free stacks.  The same
+   each recording walk refills the husk — rule and Local MAT records —
+   the expired flow left on the flow table's free stack.  The same
    slow-path trace is gated on [chain1] too, and its SYN
    walks through IPFilter alone, whose ACL check builds no closure and
    whose verdict cache is probed by the packed key.  Every path
@@ -44,10 +44,10 @@
    Idle expiry is gated in words per expired flow: the slow-path trace
    records every flow under an idle timeout, and one packet far past it
    expires them all.  An expired flow builds no tuple: conntrack and the
-   NFs' [remove_flow] hooks forget by the packed key the liveness table
-   holds, the chain's teardown loops build no closure, Monitor and the
-   DoS guard probe their entries with no option, and a scrubbed record
-   or rule husk goes back on a fixed-size stack with no list cell.
+   NFs' [remove_flow] hooks forget by the packed key the flow slot's
+   liveness cells hold, the chain's teardown loop builds no closure,
+   Monitor and the DoS guard find their entries with no option, and a
+   scrubbed husk goes back on a fixed-size stack with no list cell.
 
    A further figure covers consolidation alone: words per
    [Global_mat.consolidate] call, re-consolidating every recorded flow of
@@ -94,19 +94,24 @@ let consume_budget_words = 0.
    fast-path packet, the output record as on [chain1] (57.19 with boxed
    addresses, a classifier tuple and two per-packet closures — the
    wave's byte compare and the DoS guard's counter — and 122.19 when each
-   packet also built its cost-profile lists), and 65.58 per slow-path
+   packet also built its cost-profile lists), and 70.57 per slow-path
    packet, half SYN walks and half recording walks with their
    consolidation.  Split: 26.78 per SYN walk — the output record and the
-   per-flow state the NFs keep — and 104.37 per recording walk, 66.58
-   when it refills an expired flow's pooled records (each one word more
+   per-flow state the NFs keep — and 114.36 per recording walk, 66.58
+   when it refills an expired flow's pooled records.  A fresh flow's
+   rule and records are one block in its flow slot: its husk, an array
+   of its NFs' records and one word per record saying whether the NF
+   recorded, 10 words more than the rule and the per-NF records the
+   separate tables held (104.37 and 65.58 then, each one word more
    since a rule keeps how many NFs its walk reached).  Before Local MAT
    records were pooled arrays, Monitor built its state function per flow
    and the DoS guard its event update, these read 79.31 combined, 131.85
    and 123.58.  Before one context served every NF call, the NFs guarded
    their recording-only values and Gateway and Maglev shared one rewrite
    per server, they read 138.03 (211.13 with boxed addresses, 299.36
-   before that), 100.69 and 175.38.  [chain1]'s slow path: 110.51
-   (114.01 while Maglev built a redundant event closure per flow; 120.24
+   before that), 100.69 and 175.38.  [chain1]'s slow path: 115.50
+   (110.51 with separate rule and Local MAT tables; 114.01 while Maglev
+   built a redundant event closure per flow; 120.24
    with list-built Local MAT records; 159.24 while IPFilter built
    a closure per rule field and a tuple per packet; 232.74 before that).
    A SYN walk through IPFilter alone: 16.28 (86.28 then). *)
@@ -124,7 +129,8 @@ let slow_chain1_budget_words = 126.
 
 let recycled_recording_walk_budget_words = 72.
 
-(* Measured: 5.49 words per expired flow on the edge-churn chain (14.58
+(* Measured: 5.49 words per expired flow on the edge-churn chain, one
+   flow-slot removal each (14.58
    while the NF hooks took a rebuilt tuple and each kept rule husk took a
    list cell; 30.69 while expiry forgot conntrack by a rebuilt tuple,
    passed it in an option, tore down through [List.iter] closures and
@@ -145,9 +151,10 @@ let consolidate_chain1_budget_words = 55.
 
 (* Measured on a 200-flow DCN trace through Monitor at burst 32: 0 words
    per packet for [Steer.shard_of_packet] (14.00 while it built a tuple
-   option and the reverse tuple), and 13.43 per packet for a whole 2-shard
-   deterministic [run_trace] against 14.37 unsharded (14.21 and 15.16
-   while Monitor built a state function per flow) — each shard's tables
+   option and the reverse tuple), and 13.29 per packet for a whole 2-shard
+   deterministic [run_trace] against 14.21 unsharded (13.11 and 14.04
+   with separate rule and Local MAT tables; 14.21 and 15.16 while
+   Monitor built a state function per flow) — each shard's tables
    grow for half the flows, which repays the run's 1-word steering lane
    (82.40 while the executor re-parsed every packet's tuple four or five
    times into boxed tables). *)
@@ -373,8 +380,8 @@ let test_recording_walk_budget () =
    flows of the slow trace record on a runtime with an idle timeout, one
    packet of another flow far past the timeout expires them all, and the
    same flows then record again, their data packets measured.  Fewer
-   flows than a table keeps scrubbed records, so every re-recording walk
-   refills a Local MAT record and a Global MAT rule husk. *)
+   flows than the flow table keeps scrubbed husks, so every re-recording
+   walk refills a husk: its Local MAT records and its rule. *)
 let recycled_flows = 48
 
 let test_recycled_recording_walk_budget () =

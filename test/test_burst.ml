@@ -641,7 +641,8 @@ let test_truncated_frames () =
       ("det-2", det_result, det_outs);
     ];
   Alcotest.(check int) "staged: forwarded" forwarded staged.Speedybox.Staged_runtime.forwarded;
-  Alcotest.(check int) "staged: dropped" n_cut
+  Alcotest.(check int) "staged: rejected" n_cut staged.Speedybox.Staged_runtime.malformed;
+  Alcotest.(check int) "staged: no other drop" 0
     (staged.Speedybox.Staged_runtime.dropped_by_chain
     + staged.Speedybox.Staged_runtime.dropped_overflow);
   Alcotest.(check bool) "staged: departures = burst-32" true

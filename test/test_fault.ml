@@ -440,6 +440,7 @@ let test_staged_containment () =
   Alcotest.(check bool) "pipeline completed the trace" true
     (r.Speedybox.Staged_runtime.forwarded
      + r.Speedybox.Staged_runtime.dropped_by_chain
+     + r.Speedybox.Staged_runtime.malformed
      + r.Speedybox.Staged_runtime.dropped_overflow
     = List.length trace);
   let clean = Speedybox.Staged_runtime.run

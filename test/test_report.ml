@@ -105,8 +105,61 @@ let test_plan_fault_block () =
   Alcotest.(check bool) "shards table shows them" true
     (occurs "  faults " (Speedybox.Report.shard_summary rows))
 
+(* The staged executor reports through the same fault block: the
+   run [run -c monitor -f 200 -p onvm --staged-rate 1 --impair corrupt:0.5
+   --inject monitor:raise:0.05 --on-failure bypass], built as the CLI
+   builds it.  The classifier's rejections are not NF drops, and the
+   block matches the unstaged run's (malformed 1712, 8 faults, monitor
+   Failed). *)
+let test_staged_summary () =
+  let store = Sb_state.Store.create ~shards:1 () in
+  let build =
+    match Sb_experiments.Chain_registry.build_sharded ~store "monitor" with
+    | Ok build -> build
+    | Error msg -> Alcotest.fail msg
+  in
+  let trace =
+    Sb_trace.Workload.dcn_trace
+      {
+        Sb_trace.Workload.seed = 42;
+        n_flows = 200;
+        mean_flow_packets = 12.;
+        payload_len = (16, 512);
+        udp_fraction = 0.1;
+        malicious_fraction = 0.05;
+        tokens = [ "attack"; "exploit"; "beacon" ];
+      }
+  in
+  let spec = Result.get_ok (Sb_impair.Impair.parse_spec "corrupt:0.5") in
+  let trace, _ = Sb_impair.Impair.apply ~seed:1 spec trace in
+  let inj = Sb_fault.Injector.create ~seed:1 () in
+  Sb_fault.Injector.set_rate inj ~nf:"monitor" Sb_fault.Injector.Raise 0.05;
+  let cfg =
+    Speedybox.Runtime.config ~platform:Sb_sim.Platform.Onvm ~verify_checksums:true
+      ~fault_policy:(Sb_fault.Health.policy ~on_failure:Sb_fault.Health.Bypass ())
+      ~injector:inj ~state:store ()
+  in
+  let trace = Sb_trace.Workload.with_poisson_times ~seed:97 ~rate_mpps:1. trace in
+  let r = Speedybox.Staged_runtime.run ~burst:1 cfg (build 0) trace in
+  Alcotest.(check string) "staged summary"
+    (String.concat "\n"
+       [
+         "staged ONVM executor at 1.00 Mpps offered:";
+         "  verdicts   : 1662 forwarded, 8 dropped by NFs, 0 ring overflow";
+         "  paths      : slow 345, fast 1325";
+         "  reordered  : 16 packets overtook their flow";
+         "  sojourn    : p50 0.15us p99 0.49us";
+         "  malformed  : 1712 packets rejected at the classifier";
+         "  faults     : 8 contained (8 injected), 0 corrupted, 0 stalled";
+         "  quarantine : 8 flows torn down, 8 packets dropped by containment";
+         "  health     : monitor      Failed (8 faults, on-failure bypass)";
+         "";
+       ])
+    (Speedybox.Report.staged_summary ~rate:1. r)
+
 let suite =
   [
+    Alcotest.test_case "staged summary" `Quick test_staged_summary;
     Alcotest.test_case "plan fault block" `Quick test_plan_fault_block;
     Alcotest.test_case "run summary" `Quick test_run_summary;
     Alcotest.test_case "stage breakdown" `Quick test_stage_breakdown;

@@ -202,13 +202,13 @@ let prop_tuple_map_shared_hash =
       && List.length pairs = Hashtbl.length model
       && List.for_all (fun (k, v) -> Hashtbl.find_opt model k = Some v) pairs)
 
-(* --- Live_table ------------------------------------------------------- *)
+(* --- Flow table liveness ----------------------------------------------- *)
 
-let prop_live_table_model =
-  seeded ~name:"Live_table: probe/set/remove agree with Hashtbl model" ~count:60
+let prop_flow_table_liveness_model =
+  seeded ~name:"Flow_table liveness: probe/set/remove agree with Hashtbl model" ~count:60
     QCheck.Gen.(int_range 50 300) (fun (seed, n) ->
       let st = Random.State.make [| seed; 0x11fe |] in
-      let t = Live_table.create ~initial_size:8 () in
+      let t = Sb_mat.Flow_table.create ~initial_size:8 ~width:2 () in
       let model = Hashtbl.create 64 in
       for _ = 1 to n do
         let fid = Random.State.int st 48 in
@@ -217,36 +217,38 @@ let prop_live_table_model =
             let last_seen = Random.State.int st 1_000_000 in
             let epoch = Random.State.int st 1000 in
             let tuple = random_tuple st in
-            Live_table.set t fid ~last_seen ~epoch ~pack1:(Five_tuple.pack1 tuple)
-              ~pack2:(Five_tuple.pack2 tuple);
+            Sb_mat.Flow_table.set_live t (Sb_mat.Flow_table.claim t fid) ~last_seen ~epoch
+              ~pack1:(Five_tuple.pack1 tuple) ~pack2:(Five_tuple.pack2 tuple);
             Hashtbl.replace model fid (last_seen, epoch, tuple)
         | 2 -> (
             (* The per-packet touch: bump last_seen through the slot. *)
-            let s = Live_table.probe t fid in
+            let s = Sb_mat.Flow_table.find_slot t fid in
             match Hashtbl.find_opt model fid with
             | Some (_, epoch, tuple) ->
                 if s < 0 then failwith "tracked fid not found";
                 let now = Random.State.int st 1_000_000 in
-                Live_table.set_last_seen_at t s now;
+                Sb_mat.Flow_table.set_last_seen_at t s now;
                 Hashtbl.replace model fid (now, epoch, tuple)
             | None -> if s >= 0 then failwith "untracked fid found")
         | _ ->
-            Live_table.remove t fid;
+            let s = Sb_mat.Flow_table.find_slot t fid in
+            if s >= 0 then Sb_mat.Flow_table.remove_at t s;
             Hashtbl.remove model fid
       done;
-      Live_table.length t = Hashtbl.length model
+      Sb_mat.Flow_table.length t = Hashtbl.length model
       && List.for_all
            (fun fid ->
-             Live_table.prefetch t fid;
-             let s = Live_table.probe t fid in
+             Sb_mat.Flow_table.prefetch t fid ~live:true;
+             let s = Sb_mat.Flow_table.find_slot t fid in
              match Hashtbl.find_opt model fid with
              | None -> s < 0
              | Some (last_seen, epoch, tuple) ->
                  s >= 0
-                 && Live_table.last_seen_at t s = last_seen
-                 && Live_table.epoch_at t s = epoch
+                 && Sb_mat.Flow_table.last_seen_at t s = last_seen
+                 && Sb_mat.Flow_table.epoch_at t s = epoch
                  && Five_tuple.equal
-                      (Five_tuple.of_packed (Live_table.pack1_at t s) (Live_table.pack2_at t s))
+                      (Five_tuple.of_packed (Sb_mat.Flow_table.pack1_at t s)
+                         (Sb_mat.Flow_table.pack2_at t s))
                       tuple)
            (List.init 48 Fun.id))
 
@@ -312,7 +314,7 @@ let suite =
         prop_pack_roundtrip;
         prop_flat_table_model;
         prop_tuple_map_model;
-        prop_live_table_model;
+        prop_flow_table_liveness_model;
         prop_lru_model;
         prop_tuple_map_shared_hash;
       ]

@@ -135,8 +135,8 @@ let test_non_tcp_udp_drops_at_classifier () =
   Bytes.set icmp.Sb_packet.Packet.buf (Sb_packet.Packet.l3_offset icmp + 9) (Char.chr 1);
   let trace = timed 20_000 [ Test_util.udp_packet (); icmp; Test_util.udp_packet () ] in
   let staged = Speedybox.Staged_runtime.run (onvm ()) (monitor_chain ()) trace in
-  Alcotest.(check int) "malformed packet dropped" 1
-    staged.Speedybox.Staged_runtime.dropped_by_chain;
+  Alcotest.(check int) "malformed packet dropped" 1 staged.Speedybox.Staged_runtime.malformed;
+  Alcotest.(check int) "no NF dropped" 0 staged.Speedybox.Staged_runtime.dropped_by_chain;
   Alcotest.(check int) "UDP packets forwarded" 2 staged.Speedybox.Staged_runtime.forwarded
 
 (* Figures recorded from the staged executor before its event loop moved
