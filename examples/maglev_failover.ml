@@ -47,7 +47,8 @@ let () =
     Printf.printf "%3d  %-4s  %-13s  %d\n" i
       (match out.Speedybox.Runtime.path with
       | Speedybox.Runtime.Slow_path -> "slow"
-      | Speedybox.Runtime.Fast_path -> "fast")
+      | Speedybox.Runtime.Fast_path -> "fast"
+      | Speedybox.Runtime.Rejected -> "rejected")
       (Ipv4_addr.to_string (Packet.dst_ip out.Speedybox.Runtime.packet))
       out.Speedybox.Runtime.events_fired
   done;

@@ -59,7 +59,8 @@ let () =
       Format.printf "%3d  %-4s  %5.2fus   %a@." i
         (match out.Speedybox.Runtime.path with
         | Speedybox.Runtime.Slow_path -> "slow"
-        | Speedybox.Runtime.Fast_path -> "fast")
+        | Speedybox.Runtime.Fast_path -> "fast"
+        | Speedybox.Runtime.Rejected -> "rejected")
         (Sb_sim.Cycles.to_microseconds out.Speedybox.Runtime.latency_cycles)
         Packet.pp out.Speedybox.Runtime.packet)
     packets;

@@ -7,7 +7,6 @@ type config = {
   fid_bits : int;
   idle_timeout_cycles : int option;
   max_rules : int option;
-  fastpath : Sb_mat.Global_mat.exec_mode;
   fault_policy : Sb_fault.Health.policy;
   injector : Sb_fault.Injector.t option;
   obs : Sb_obs.Sink.t;
@@ -19,8 +18,7 @@ type config = {
 
 let config ?(platform = Sb_sim.Platform.Bess) ?(mode = Speedybox)
     ?(policy = Sb_mat.Parallel.Table_one) ?(fid_bits = Sb_flow.Fid.default_bits)
-    ?idle_timeout_cycles ?max_rules ?(fastpath = Sb_mat.Global_mat.Compiled)
-    ?(fault_policy = Sb_fault.Health.default_policy) ?injector
+    ?idle_timeout_cycles ?max_rules ?(fault_policy = Sb_fault.Health.default_policy) ?injector
     ?(obs = Sb_obs.Sink.null) ?(verify_checksums = false) ?state () =
   let state =
     match state with Some s -> s | None -> Sb_state.Store.create ~shards:1 ()
@@ -32,7 +30,6 @@ let config ?(platform = Sb_sim.Platform.Bess) ?(mode = Speedybox)
     fid_bits;
     idle_timeout_cycles;
     max_rules;
-    fastpath;
     fault_policy;
     injector;
     obs;
@@ -55,7 +52,7 @@ type instruments = {
          split child (carries a shard index) *)
 }
 
-type path = Slow_path | Fast_path
+type path = Slow_path | Fast_path | Rejected
 
 type output = {
   verdict : Sb_mat.Header_action.verdict;
@@ -86,6 +83,7 @@ type t = {
          flow's liveness cells, rule and records in one slot *)
   wheel : Sb_flow.Timer_wheel.t option;  (* Some iff idle expiry is on *)
   mutable expired : int;
+  mutable cut : int;  (* Original mode's frames cut short of their headers *)
   mutable live_epoch : int;
       (* next incarnation tag for a flow's liveness; 0 marks none *)
   ins : instruments option;  (* Some iff cfg.obs carries a metrics registry *)
@@ -210,16 +208,15 @@ let create cfg chain =
   let nf_names = Array.of_list (List.map (fun nf -> nf.Nf.name) (Chain.nfs chain)) in
   let costs = Sb_sim.Cost_vec.create () in
   let global =
-    Sb_mat.Global_mat.create ~policy:cfg.policy ?max_rules:cfg.max_rules ~exec:cfg.fastpath
-      ~obs:cfg.obs ~costs
+    Sb_mat.Global_mat.create ~policy:cfg.policy ?max_rules:cfg.max_rules ~obs:cfg.obs ~costs
       (* an LRU-evicted flow loses its Local MAT records with its rule, so
          its next packet re-records from scratch *)
       ~on_evict:(fun fid ->
         Chain.remove_flow chain fid;
         !evict_hook fid)
-      ()
+      (* the one table the chain's Local MATs record into *)
+      (Sb_mat.Local_mat.table (List.hd (Chain.local_mats chain)))
   in
-  Sb_mat.Global_mat.share global (Chain.local_mats chain);
   let sup =
     Sb_fault.Supervisor.create ?injector:cfg.injector ~obs:cfg.obs
       (Sb_fault.Health.create cfg.fault_policy (unattributed :: Array.to_list nf_names))
@@ -266,6 +263,7 @@ let create cfg chain =
               (Sb_flow.Timer_wheel.create
                  ~tick_shift:(Sb_flow.Timer_wheel.tick_shift_for_timeout timeout)));
       expired = 0;
+      cut = 0;
       live_epoch = 1;
       ins;
       obs_now_us = 0.;
@@ -310,7 +308,7 @@ let supervisor t = t.sup
 
 let expired_flows t = t.expired
 
-let rejected_malformed t = Classifier.rejected t.classifier
+let rejected_malformed t = Classifier.rejected t.classifier + t.cut
 
 let flip_verdict = function
   | Sb_mat.Header_action.Forwarded -> Sb_mat.Header_action.Dropped
@@ -721,18 +719,22 @@ let process_with_rule t packet cls rule =
   end
 
 (* A frame cut short of its headers never reaches an NF: the NFs would
-   read past its end.  It drops at ingress and costs nothing, as no stage
-   ran.  Any other frame walks the chain, a non-TCP/UDP one included. *)
+   read past its end.  It is rejected at ingress and costs nothing, as no
+   stage ran.  Any other frame walks the chain, a non-TCP/UDP one
+   included. *)
 let process_original t packet =
   Sb_sim.Cost_vec.reset t.costs;
-  if not (Sb_packet.Packet.headers_fit packet) then
-    finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
+  if not (Sb_packet.Packet.headers_fit packet) then begin
+    t.cut <- t.cut + 1;
+    finish t Sb_mat.Header_action.Dropped packet Rejected 0 0
+  end
   else
     let verdict = walk_chain t packet ~fid:(-1) ~recording:false in
     finish t verdict packet Slow_path 0 t.faults
 
 (* The per-packet metrics: path and verdict counters, the latency
-   histogram, a sharded run's sojourn, and the snapshot tick. *)
+   histogram, a sharded run's sojourn, and the snapshot tick.  A rejected
+   packet took neither path, so it counts in no path's series. *)
 let count t path verdict ~latency_cycles ~now_us =
   (match t.ins with
   | Some ins ->
@@ -743,7 +745,8 @@ let count t path verdict ~latency_cycles ~now_us =
           Sb_obs.Histogram.observe ins.h_latency_slow latency_us
       | Fast_path ->
           Sb_obs.Metrics.Counter.incr ins.c_fast;
-          Sb_obs.Histogram.observe ins.h_latency_fast latency_us);
+          Sb_obs.Histogram.observe ins.h_latency_fast latency_us
+      | Rejected -> ());
       (match verdict with
       | Sb_mat.Header_action.Forwarded -> Sb_obs.Metrics.Counter.incr ins.c_forwarded
       | Sb_mat.Header_action.Dropped -> Sb_obs.Metrics.Counter.incr ins.c_dropped);
@@ -771,7 +774,9 @@ let instrument t packet out =
          compiled-program (GlobalMAT) span on the fast path, plus the
          Classifier and Consolidate stages.  Span times tile the packet's
          stage sequence starting at its ingress timestamp. *)
-      let cat = match out.path with Slow_path -> "slow" | Fast_path -> "fast" in
+      let cat =
+        match out.path with Slow_path -> "slow" | Fast_path -> "fast" | Rejected -> "rejected"
+      in
       let ts = ref ts0 in
       List.iter
         (fun (stage : Sb_sim.Cost_profile.stage) ->
@@ -828,7 +833,7 @@ let process_burst_into t packets ~off ~len:n emit =
         let rule = admit t packet cls in
         let out =
           if cls.Classifier.malformed then
-            finish t Sb_mat.Header_action.Dropped packet Slow_path 0 0
+            finish t Sb_mat.Header_action.Dropped packet Rejected 0 0
           else process_with_rule t packet cls rule
         in
         if Sb_obs.Sink.armed t.cfg.obs then instrument t packet out;
@@ -997,7 +1002,8 @@ module Acc = struct
     | Sb_mat.Header_action.Dropped -> acc.dropped <- acc.dropped + 1);
     (match out.path with
     | Slow_path -> acc.slow <- acc.slow + 1
-    | Fast_path -> acc.fast <- acc.fast + 1);
+    | Fast_path -> acc.fast <- acc.fast + 1
+    | Rejected -> ());
     acc.fired <- acc.fired + out.events_fired;
     if out.faults > 0 then acc.faulted <- acc.faulted + 1;
     tally acc out.profile;

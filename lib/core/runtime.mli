@@ -23,10 +23,6 @@ type config = {
       (** Cap on the Global MAT rule table (LRU eviction beyond it, like a
           megaflow cache); an evicted flow's next packet re-records.
           [None] (default) leaves the table unbounded. *)
-  fastpath : Sb_mat.Global_mat.exec_mode;
-      (** How the Global MAT executes consolidated rules: [Compiled] (the
-          default flat-program fast path) or [Interpreted] (the reference
-          step-list walker the differential tests compare against). *)
   fault_policy : Sb_fault.Health.policy;
       (** Health thresholds and per-NF failure handling (see
           {!Sb_fault.Health}).  Only consulted once a fault occurs or an
@@ -69,7 +65,6 @@ val config :
   ?fid_bits:int ->
   ?idle_timeout_cycles:int ->
   ?max_rules:int ->
-  ?fastpath:Sb_mat.Global_mat.exec_mode ->
   ?fault_policy:Sb_fault.Health.policy ->
   ?injector:Sb_fault.Injector.t ->
   ?obs:Sb_obs.Sink.t ->
@@ -78,9 +73,9 @@ val config :
   unit ->
   config
 (** Defaults: BESS, SpeedyBox mode, Table I policy, 20-bit FIDs, no
-    expiry, unbounded rule table, compiled fast path, default fault
-    policy, no injector, disarmed observability sink, no checksum
-    verification, private single-shard state store. *)
+    expiry, unbounded rule table, default fault policy, no injector,
+    disarmed observability sink, no checksum verification, private
+    single-shard state store. *)
 
 type t
 
@@ -117,12 +112,16 @@ val expired_flows : t -> int
 (** Flows evicted by the idle timeout so far. *)
 
 val rejected_malformed : t -> int
-(** Packets rejected at the classifier so far — no parseable 5-tuple, or
-    stale checksums under [verify_checksums].  Rejected packets drop with
-    only the classifier stage charged and never touch conntrack, the
-    MATs, or any NF. *)
+(** Packets rejected at ingress so far: by the classifier — no parseable
+    5-tuple, or stale checksums under [verify_checksums] — and, in
+    [Original] mode, frames cut short of their headers.  Rejected packets
+    drop with at most the classifier stage charged and never touch
+    conntrack, the MATs, or any NF. *)
 
-type path = Slow_path | Fast_path
+(** How a packet left: it walked the chain, ran its flow's Global MAT
+    rule, or was [Rejected] at ingress (see {!rejected_malformed}) and
+    took neither path.  Over a run, slow + fast + rejected = packets. *)
+type path = Slow_path | Fast_path | Rejected
 
 type output = {
   verdict : Sb_mat.Header_action.verdict;

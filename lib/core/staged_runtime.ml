@@ -111,7 +111,9 @@ let run ?(ring_capacity = 64) ?(burst = 1) ?on_departure (cfg : Runtime.config) 
         Runtime.prepare rt job.packet job.cls;
         let rule = Runtime.admit rt job.packet job.cls in
         let cycles = Runtime.charged rt in
-        if job.cls.malformed then (cycles, Done Sb_mat.Header_action.Dropped)
+        if job.cls.malformed then (
+          job.path <- Runtime.Rejected;
+          (cycles, Done Sb_mat.Header_action.Dropped))
         else if rule != Sb_mat.Global_mat.no_rule then (
           incr fast;
           job.path <- Runtime.Fast_path;

@@ -1,7 +1,5 @@
 exception Nf_fault of string * string * exn
 
-let nf_fault ~nf ~origin exn = Nf_fault (nf, origin, exn)
-
 let attribute ~nf ~origin = function
   | Nf_fault _ as e -> e
   | exn -> Nf_fault (nf, origin, exn)

@@ -9,8 +9,6 @@ exception Nf_fault of string * string * exn
 (** [Nf_fault (nf, origin, exn)] — [origin] names the closure class that
     raised ("state-function", "event-update", "process", ...). *)
 
-val nf_fault : nf:string -> origin:string -> exn -> exn
-
 val attribute : nf:string -> origin:string -> exn -> exn
 (** Wraps [exn] in {!Nf_fault} unless it already carries an attribution
     (re-wrapping would lose the innermost — most precise — NF name). *)

@@ -1,9 +1,5 @@
 type kind = Raise | Corrupt_verdict | Stall
 
-let pp_kind fmt k =
-  Format.pp_print_string fmt
-    (match k with Raise -> "raise" | Corrupt_verdict -> "corrupt-verdict" | Stall -> "stall")
-
 let kind_of_string = function
   | "raise" -> Some Raise
   | "corrupt" | "corrupt-verdict" -> Some Corrupt_verdict
@@ -123,7 +119,3 @@ let injected t ~nf =
   match Hashtbl.find_opt t.per_nf nf with Some s -> s.injected | None -> 0
 
 let total_injected t = t.total
-
-let by_nf t =
-  Hashtbl.fold (fun nf s acc -> (nf, s.injected) :: acc) t.per_nf []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -20,8 +20,6 @@
 
 type kind = Raise | Corrupt_verdict | Stall
 
-val pp_kind : Format.formatter -> kind -> unit
-
 val kind_of_string : string -> kind option
 (** ["raise"], ["corrupt"] / ["corrupt-verdict"], ["stall"]. *)
 
@@ -51,6 +49,3 @@ val calls : t -> nf:string -> int
 val injected : t -> nf:string -> int
 
 val total_injected : t -> int
-
-val by_nf : t -> (string * int) list
-(** Injection counts per NF, sorted by name. *)

@@ -119,8 +119,8 @@ let set_cell0 t s v = Array.unsafe_set t.cells (t.width * s) v
 
 (* Start the cache-line fills for [key]'s probe window: its ideal slot in
    the key lane, plus the first cell a hit reads — cell 0 when the table
-   has cells, else the value.  Purely a hint — behavior is identical (and
-   the call free) under the no-op fallback. *)
+   has cells, else the value.  Purely a hint: behaviour never depends on
+   it. *)
 let prefetch t key =
   let s = slot_of_key t.mask key in
   Prefetch.field t.keys s;

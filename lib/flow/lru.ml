@@ -129,15 +129,6 @@ let pop_coldest t =
     Some k
   end
 
-let sweep t f =
-  let rec go n =
-    if n <> 0 then begin
-      let warmer = t.prev.(n) in
-      if f t.keys.(n) then go warmer
-    end
-  in
-  go t.prev.(0)
-
 let clear t =
   let rec go n =
     if n <> 0 then begin

@@ -40,11 +40,5 @@ val coldest : t -> Fid.t option
 val pop_coldest : t -> Fid.t option
 (** Removes and returns the least recently used key. *)
 
-val sweep : t -> (Fid.t -> bool) -> unit
-(** [sweep t f] visits keys coldest-first, stopping at the first key for
-    which [f] returns [false].  [f] may remove the visited node (the
-    iterator advances before calling it), which is how idle-expiry evicts
-    stale flows without scanning live ones. *)
-
 val clear : t -> unit
 (** Unlinks every node (nodes still held by callers become inert). *)

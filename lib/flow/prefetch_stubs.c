@@ -3,8 +3,8 @@
  * The primitive computes an address and issues a non-faulting prefetch
  * hint; it neither reads nor writes OCaml heap memory, so it is a
  * [@@noalloc] external with no GC interaction.  On compilers without
- * __builtin_prefetch they compile to nothing, matching the pure-OCaml
- * no-op fallback selected at build time (see lib/flow/dune).
+ * __builtin_prefetch it compiles to nothing: a hint is never needed for
+ * correctness, so every build links this one stub.
  */
 
 #include <caml/mlvalues.h>

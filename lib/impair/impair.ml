@@ -26,16 +26,6 @@ let mutator_name = function
   | Delay _ -> "delay"
   | Blackhole _ -> "blackhole"
 
-let mutator_rate = function
-  | Reorder r | Loss r | Dup r | Corrupt { rate = r; _ } | Retrans r | Delay r | Blackhole r
-    -> r
-
-let pp_spec fmt spec =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-    (fun fmt m -> Format.fprintf fmt "%s:%g" (mutator_name m) (mutator_rate m))
-    fmt spec
-
 let known_names =
   "reorder, loss, dup, corrupt, corrupt-fix, retrans, delay, blackhole"
 

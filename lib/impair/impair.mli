@@ -59,8 +59,6 @@ val parse_spec : string -> (spec, string) result
     [retrans], [delay], [blackhole] and [rate] a probability in [0,1].
     Returns a one-line error message on malformed input. *)
 
-val pp_spec : Format.formatter -> spec -> unit
-
 (** Per-mutator effect counts for one {!apply} run. *)
 type summary = {
   input_packets : int;

@@ -18,9 +18,9 @@ type rule = Flow_table.flow
 
 let has_rule (r : rule) = r.program != Flow_table.no_program
 
-(* The positional form of a program, for introspection and the reference
-   walker.  Consolidation closes a wave group only to emit a transform, so
-   every maximal run of consecutive waves is one group. *)
+(* The positional form of a program, for introspection.  Consolidation
+   closes a wave group only to emit a transform, so every maximal run of
+   consecutive waves is one group. *)
 type step = Transform of Consolidate.t | Waves of State_function.Batch.t array list
 
 let steps_of_code code =
@@ -69,17 +69,9 @@ let rule_reach (r : rule) = r.program.reach
 
 let rule_events (r : rule) = r.events
 
-(* How the fast path executes a consolidated rule: [Compiled] (the flat
-   program) is the production path; [Interpreted] rebuilds the positional
-   step list from the compiled program and walks it step by step, and
-   exists so the differential tests can prove the two produce
-   bit-identical outputs. *)
-type exec_mode = Compiled | Interpreted
-
 type t = {
   policy : Parallel.policy;
-  exec : exec_mode;
-  mutable flows : Flow_table.t;  (* its own, or the chain's once [share]d *)
+  flows : Flow_table.t;  (* the chain's, shared with its Local MATs *)
   mutable rules : int;  (* flows holding a program *)
   cap : cap option;
   on_evict : Sb_flow.Fid.t -> unit;
@@ -128,15 +120,14 @@ let no_rule = Flow_table.vacant
 
 let no_batch = State_function.Batch.make ~nf:"" []
 
-let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
-    ?(on_evict = fun _ -> ()) ?(obs = Sb_obs.Sink.null) ?(costs = Sb_sim.Cost_vec.create ()) () =
+let create ?(policy = Parallel.Table_one) ?max_rules ?(on_evict = fun _ -> ())
+    ?(obs = Sb_obs.Sink.null) ?(costs = Sb_sim.Cost_vec.create ()) flows =
   (match max_rules with
   | Some n when n < 1 -> invalid_arg "Global_mat.create: max_rules must be positive"
   | Some _ | None -> ());
   {
     policy;
-    exec;
-    flows = Flow_table.create ~width:0 ();
+    flows;
     rules = 0;
     cap = Option.map (fun max_rules -> { max_rules; lru = Sb_flow.Lru.create () }) max_rules;
     on_evict;
@@ -171,17 +162,6 @@ let create ?(policy = Parallel.Table_one) ?max_rules ?(exec = Compiled)
 let evictions t = t.evicted
 
 let flows t = t.flows
-
-let share t locals =
-  match locals with
-  | [] -> ()
-  | l :: rest ->
-      let flows = Local_mat.table l in
-      if List.exists (fun l -> Local_mat.table l != flows) rest then
-        invalid_arg "Global_mat.share: the Local MATs keep separate tables";
-      if Flow_table.length t.flows > 0 || Flow_table.length flows > 0 then
-        invalid_arg "Global_mat.share: a table already holds flows";
-      t.flows <- flows
 
 (* The rule in slot [s] gives up its program and its place in the recency
    order, before the flow table releases the husk. *)
@@ -419,7 +399,7 @@ let memory_stats (t : t) =
     batches = !batches;
   }
 
-(* ---- Compiled wave execution (zero-allocation snapshot/merge) ---- *)
+(* ---- Wave execution (zero-allocation snapshot/merge) ---- *)
 
 (* A top-level loop: a local [go] closing over the five arguments would
    be a heap closure per call, and this runs per batch of every wave. *)
@@ -439,7 +419,7 @@ let ensure_capacity buf len =
    would exhibit.  The snapshot and the merge candidate live in [t]'s
    grow-only scratch buffers, and the wave's cost item goes straight into
    the cost vector, so steady-state execution allocates nothing. *)
-let run_wave_compiled t batches packet =
+let run_wave t batches packet =
   match Array.length batches with
   | 0 -> Sb_sim.Cost_vec.serial t.costs 0
   | 1 -> Sb_sim.Cost_vec.serial t.costs (State_function.Batch.run batches.(0) packet)
@@ -488,56 +468,9 @@ let run_program t code packet =
         | Header_action.Dropped -> verdict := Header_action.Dropped
         | Header_action.Forwarded -> ());
         Sb_sim.Cost_vec.serial t.costs cost
-    | C_wave batches -> run_wave_compiled t batches packet
+    | C_wave batches -> run_wave t batches packet
   done;
   !verdict
-
-(* ---- Reference interpreter (the step list rebuilt from the program) ---- *)
-
-let payload_region packet =
-  let off = Packet.payload_offset packet in
-  Bytes.sub packet.Packet.buf off (packet.Packet.len - off)
-
-let restore_payload packet saved =
-  let off = Packet.payload_offset packet in
-  Bytes.blit saved 0 packet.Packet.buf off (Bytes.length saved)
-
-let run_wave_interp t batches packet =
-  match batches with
-  | [] -> Sb_sim.Cost_vec.serial t.costs 0
-  | [ batch ] -> Sb_sim.Cost_vec.serial t.costs (State_function.Batch.run batch packet)
-  | _ ->
-      let snapshot = payload_region packet in
-      let merged = ref None in
-      let costs =
-        List.map
-          (fun batch ->
-            restore_payload packet snapshot;
-            let cost = State_function.Batch.run batch packet in
-            let after = payload_region packet in
-            if not (Bytes.equal after snapshot) then merged := Some after;
-            cost)
-          batches
-      in
-      (match !merged with
-      | Some final -> restore_payload packet final
-      | None -> restore_payload packet snapshot);
-      Sb_sim.Cost_vec.parallel t.costs (List.length costs);
-      List.iter (Sb_sim.Cost_vec.cost t.costs) costs
-
-let run_steps_interp t (rule : rule) packet =
-  List.fold_left
-    (fun verdict step ->
-      match step with
-      | Transform c ->
-          let v = Consolidate.apply c packet in
-          Sb_sim.Cost_vec.serial t.costs (Consolidate.cost c);
-          (match v with Header_action.Dropped -> v | Header_action.Forwarded -> verdict)
-      | Waves ws ->
-          List.iter (fun w -> run_wave_interp t (Array.to_list w) packet) ws;
-          verdict)
-    Header_action.Forwarded
-    (steps_of_code rule.program.code)
 
 (* ---- Fast-path entry points ---- *)
 
@@ -603,11 +536,7 @@ let execute_rule ?egress t events locals fid (rule : rule) packet =
   Sb_sim.Cost_vec.rewind t.costs;
   Sb_sim.Cost_vec.stage t.costs Sb_sim.Cost_vec.global_mat;
   Sb_sim.Cost_vec.serial t.costs (program.static_head + event_cycles + fire_cycles);
-  let verdict =
-    match t.exec with
-    | Compiled -> run_program t program.code packet
-    | Interpreted -> run_steps_interp t rule packet
-  in
+  let verdict = run_program t program.code packet in
   (* Forwarded packets may pay an egress item (e.g. metadata detach); a
      dropped packet's descriptor is simply released. *)
   (match (egress, verdict) with

@@ -92,27 +92,21 @@ val rule_plan : rule -> int list list
 val rule_transform_count : rule -> int
 (** Number of non-identity transforms the fast path applies. *)
 
-(** How [execute] runs a consolidated rule.  [Compiled] (the default) runs
-    the flat program; [Interpreted] rebuilds the program's positional step
-    list (transforms and wave groups with their plans) and walks it step
-    by step.  Both produce bit-identical verdicts,
-    packet bytes and cost vectors — the [Interpreted] mode exists as the
-    reference the differential tests compare the compiler against. *)
-type exec_mode = Compiled | Interpreted
-
 type t
 
 val create :
   ?policy:Parallel.policy ->
   ?max_rules:int ->
-  ?exec:exec_mode ->
   ?on_evict:(Sb_flow.Fid.t -> unit) ->
   ?obs:Sb_obs.Sink.t ->
   ?costs:Sb_sim.Cost_vec.t ->
-  unit ->
+  Flow_table.t ->
   t
-(** [max_rules] caps the consolidated-rule table (unbounded by default):
-    inserting beyond the cap evicts the least-recently-used flow's rule —
+(** [create flows] keeps its rules in [flows], the table the chain's
+    Local MATs record into ({!Local_mat.chain}, {!Local_mat.table}), so a
+    flow's rule and records share its slot.  [max_rules] caps the
+    consolidated-rule table (unbounded by default): inserting beyond the
+    cap evicts the least-recently-used flow's rule —
     the evicted flow's next packet simply re-records, like a megaflow
     cache miss.  Only a capped table keeps the recency order.  Eviction
     drops the flow's rule and Local MAT records and keeps its liveness;
@@ -127,15 +121,8 @@ val create :
 val evictions : t -> int
 (** Rules evicted by the LRU cap so far. *)
 
-val share : t -> Local_mat.t list -> unit
-(** [share t locals] makes the table the Local MATs record into (one
-    table for all of them: {!Local_mat.chain}) the one [t] keeps its rules
-    in, so a flow's records and rule share its slot.
-    @raise Invalid_argument when the Local MATs keep separate tables or
-    either table already holds a flow. *)
-
 val flows : t -> Flow_table.t
-(** The table the rules live in, for the runtime's liveness cells. *)
+(** The table {!create} was given, for the runtime's liveness cells. *)
 
 val consolidate : ?events:Event_table.t -> t -> Sb_flow.Fid.t -> Local_mat.t list -> int
 (** [consolidate t fid locals] (re)builds the flow's consolidated rule from

@@ -1,11 +1,8 @@
 (* The NF's view of one chain position of a {!Flow_table}: its records are
-   the flow slots' records at that position.  A standalone Local MAT is a
-   table of one position. *)
+   the flow slots' records at that position. *)
 type rule = Flow_table.record
 
 type t = { nf : string; pos : int; table : Flow_table.t }
-
-let create ~nf = { nf; pos = 0; table = Flow_table.create ~width:1 () }
 
 let chain nfs =
   let table = Flow_table.create ~width:(List.length nfs) () in

@@ -32,15 +32,16 @@ val action : rule -> int -> Header_action.t
 
 type t
 
-val create : nf:string -> t
-(** A standalone Local MAT, in a table of its own. *)
-
 val chain : string list -> t list
-(** One Local MAT per NF name, in order, over one shared table. *)
+(** One Local MAT per NF name, in order, over one shared table: the only
+    way to build one, so every Local MAT of a chain records into the table
+    its Global MAT keeps rules in. *)
 
 val nf_name : t -> string
 
 val table : t -> Flow_table.t
+(** The table shared by the Local MATs of one {!chain}; hand it to
+    {!Global_mat.create}. *)
 
 val add_header_action : t -> Sb_flow.Fid.t -> Header_action.t -> unit
 

@@ -34,8 +34,6 @@ let plan policy modes =
   in
   go 0 [] State_function.Ignore [] modes
 
-let wave_count = List.length
-
 let pp_plan fmt plan =
   Format.pp_print_string fmt
     (String.concat " ; "

@@ -43,6 +43,4 @@ val join_mode :
 (** The wave's aggregate mode once a batch of the second mode joins it: the
     higher-priority of the two. *)
 
-val wave_count : int list list -> int
-
 val pp_plan : Format.formatter -> int list list -> unit

@@ -45,8 +45,6 @@ let create ?(name = "dosguard") ?(mode = All_packets) ?global_budget ?cells ~thr
 
 let name t = t.name
 
-let global_total t = Store.read_merged t.total
-
 let over_budget t =
   match t.budget with Some b -> Store.read_merged t.total >= b | None -> false
 

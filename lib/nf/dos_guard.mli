@@ -36,10 +36,6 @@ val create :
     fields.
     @raise Invalid_argument when [threshold < 1] or [global_budget < 1]. *)
 
-val global_total : t -> int
-(** Packets counted against the global budget so far — merged across
-    shards when the instance was created over a shared store. *)
-
 val name : t -> string
 
 val nf : t -> Speedybox.Nf.t

@@ -43,14 +43,6 @@ let flow_count t = Store.flow_count t.flows
 
 let total_packets t = Store.flow_fold (fun _ e acc -> acc + e.Store.x) t.flows 0
 
-let global_packets t = Store.read_merged t.packets
-
-let global_bytes t = Store.read_merged t.bytes
-
-let global_flows t = Store.read_merged t.active
-
-let global_max_len t = Store.read_merged t.max_len
-
 let dump t =
   Store.flow_fold
     (fun tuple e acc ->

@@ -32,17 +32,5 @@ val flow_count : t -> int
 val total_packets : t -> int
 (** Sum over this instance's per-flow counters (removal forgets). *)
 
-val global_packets : t -> int
-(** Chain-wide packets counted, merged across shards — unlike
-    {!total_packets} this survives flow teardown. *)
-
-val global_bytes : t -> int
-
-val global_flows : t -> int
-(** Live flows merged across shards (PN-counter: teardown retracts). *)
-
-val global_max_len : t -> int
-(** Largest frame observed anywhere (max-register), [0] before traffic. *)
-
 val dump : t -> string
 (** Sorted, human-readable counter table (the state digest). *)

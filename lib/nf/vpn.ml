@@ -25,8 +25,6 @@ let decapsulator ?(name = "vpn-out") () =
 
 let name t = t.name
 
-let flows_keyed t = Tuple_map.length t.spis
-
 let auth_failures t = t.auth_failures
 
 let process_encap t ctx packet =

@@ -23,7 +23,5 @@ val name : t -> string
 
 val nf : t -> Speedybox.Nf.t
 
-val flows_keyed : t -> int
-
 val auth_failures : t -> int
 (** Packets a decapsulator dropped for lacking a valid header. *)

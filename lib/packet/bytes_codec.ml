@@ -14,13 +14,3 @@ let set_u32 buf off v =
   Bytes.set_uint16_be buf (off + 2) (v land 0xffff)
 
 let blit_string s buf off = Bytes.blit_string s 0 buf off (String.length s)
-
-let hex_dump ?(max_bytes = 64) buf len =
-  let n = min len max_bytes in
-  let b = Buffer.create (n * 3) in
-  for i = 0 to n - 1 do
-    if i > 0 then Buffer.add_char b ' ';
-    Buffer.add_string b (Printf.sprintf "%02x" (get_u8 buf i))
-  done;
-  if len > n then Buffer.add_string b " ...";
-  Buffer.contents b

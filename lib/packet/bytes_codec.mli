@@ -25,7 +25,3 @@ val set_u32 : bytes -> int -> int -> unit
 
 val blit_string : string -> bytes -> int -> unit
 (** [blit_string s buf off] copies all of [s] into [buf] starting at [off]. *)
-
-val hex_dump : ?max_bytes:int -> bytes -> int -> string
-(** [hex_dump buf len] renders the first [len] bytes as groups of hex octets,
-    truncated to [max_bytes] (default 64) for log-friendly output. *)

@@ -16,10 +16,6 @@ type value =
 
 let all = [ Src_ip; Dst_ip; Src_port; Dst_port; Ttl; Tos; Src_mac; Dst_mac ]
 
-let is_auxiliary = function
-  | Ttl | Tos | Src_mac | Dst_mac -> true
-  | Src_ip | Dst_ip | Src_port | Dst_port -> false
-
 let value_compatible field value =
   match (field, value) with
   | (Src_ip | Dst_ip), Ip _ -> true

@@ -23,9 +23,6 @@ type value =
 
 val all : t list
 
-val is_auxiliary : t -> bool
-(** True for TTL, ToS and MAC fields: applied after the main merge. *)
-
 val value_compatible : t -> value -> bool
 (** Whether [value] carries the right payload for the field, e.g. [Ip _]
     for [Src_ip] and [Port _] for [Dst_port]. *)

@@ -35,11 +35,3 @@ let bool t p = float t < p
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -28,6 +28,3 @@ val bool : t -> float -> bool
 
 val choice : t -> 'a array -> 'a
 (** @raise Invalid_argument on an empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

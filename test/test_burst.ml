@@ -608,7 +608,7 @@ let test_truncated_frames () =
   in
   let sp_rt, burst_result, burst_outs = runtime Speedybox.Runtime.Speedybox 32 in
   let _, per_packet_result, per_packet_outs = runtime Speedybox.Runtime.Speedybox 1 in
-  let _, original_result, original_outs = runtime Speedybox.Runtime.Original 8 in
+  let original_rt, original_result, original_outs = runtime Speedybox.Runtime.Original 8 in
   let det_result, det_outs =
     let sh =
       Sb_shard.Sharded.create ~shards:2 (Speedybox.Runtime.config ()) (fun _ ->
@@ -627,6 +627,8 @@ let test_truncated_frames () =
   let n = List.length trace in
   Alcotest.(check int) "every cut frame rejected" n_cut
     (Speedybox.Runtime.rejected_malformed sp_rt);
+  Alcotest.(check int) "original: every cut frame rejected" n_cut
+    (Speedybox.Runtime.rejected_malformed original_rt);
   let forwarded = burst_result.Speedybox.Runtime.forwarded in
   Alcotest.(check int) "valid packets forwarded" (n - n_cut) forwarded;
   List.iter
@@ -634,6 +636,8 @@ let test_truncated_frames () =
       Alcotest.(check int) (name ^ ": packets") n r.Speedybox.Runtime.packets;
       Alcotest.(check int) (name ^ ": forwarded") forwarded r.Speedybox.Runtime.forwarded;
       Alcotest.(check int) (name ^ ": dropped") n_cut r.Speedybox.Runtime.dropped;
+      Alcotest.(check int) (name ^ ": slow + fast + rejected") n
+        (r.Speedybox.Runtime.slow_path + r.Speedybox.Runtime.fast_path + n_cut);
       Alcotest.(check bool) (name ^ ": outputs = burst-32") true (outs = burst_outs))
     [
       ("per-packet", per_packet_result, per_packet_outs);

@@ -251,26 +251,42 @@ let arbitrary_records = QCheck.make gen_records ~print:print_records
 
 let fid = 1
 
-let locals_of records =
+(* Each record's state functions, made once: tables filled from the same
+   records then share every function physically, as the comparison wants. *)
+let with_functions records =
   List.mapi
     (fun i record ->
       let nf = Printf.sprintf "nf%d" i in
-      let local = Local_mat.create ~nf in
-      Option.iter
+      Option.map
         (fun (actions, modes) ->
-          (* [add_*] creates the record even when both lists are empty. *)
-          Local_mat.replace_actions local fid actions;
-          List.iteri
-            (fun k mode ->
-              Local_mat.add_state_function local fid
-                (State_function.make ~nf ~label:(Printf.sprintf "%s.sf%d" nf k) ~mode (fun _ -> k)))
-            modes)
-        record;
-      local)
+          ( actions,
+            List.mapi
+              (fun k mode ->
+                State_function.make ~nf ~label:(Printf.sprintf "%s.sf%d" nf k) ~mode (fun _ -> k))
+              modes ))
+        record)
     records
 
-let consolidated policy locals =
-  let gm = Global_mat.create ~policy () in
+(* One Local MAT per record, over one table, as a chain builds them. *)
+let locals_of records =
+  let locals = Local_mat.chain (List.mapi (fun i _ -> Printf.sprintf "nf%d" i) records) in
+  List.iter2
+    (fun local record ->
+      Option.iter
+        (fun (actions, sfs) ->
+          (* [replace_actions] creates the record even when both lists are
+             empty. *)
+          Local_mat.replace_actions local fid actions;
+          List.iter (Local_mat.add_state_function local fid) sfs)
+        record)
+    locals records;
+  locals
+
+(* Each Global MAT keeps its rules in a table of its own, built from
+   [records], so comparing policies never shares a flow's slot. *)
+let consolidated policy records =
+  let locals = locals_of records in
+  let gm = Global_mat.create ~policy (Local_mat.table (List.hd locals)) in
   match Global_mat.consolidate gm fid locals with
   | _ -> Ok (Option.get (Global_mat.find gm fid))
   | exception Invalid_argument msg -> Error msg
@@ -278,24 +294,26 @@ let consolidated policy locals =
 let prop_rule_action =
   QCheck.Test.make ~count:1000 ~name:"rule_action = of_actions over the source actions"
     arbitrary_records (fun records ->
+      let records = with_functions records in
       let locals = locals_of records in
       let actions = Consolidate_oracle.source_actions fid locals in
-      match (Consolidate.of_actions actions, consolidated Parallel.Table_one locals) with
+      match (Consolidate.of_actions actions, consolidated Parallel.Table_one records) with
       | want, Ok rule -> Consolidate.equal (Global_mat.rule_action rule) want
       | _, Error msg -> QCheck.Test.fail_reportf "consolidate raised %s" msg
       | exception Invalid_argument _ -> (
-          match consolidated Parallel.Table_one locals with
+          match consolidated Parallel.Table_one records with
           | Error _ -> true
           | Ok _ -> QCheck.Test.fail_report "of_actions raises, consolidate did not"))
 
 let prop_program =
   QCheck.Test.make ~count:1000 ~name:"single pass = list-staged oracle on random records"
     arbitrary_records (fun records ->
+      let records = with_functions records in
       let locals = locals_of records in
       List.for_all
         (fun (pname, policy) ->
           match
-            (Consolidate_oracle.consolidate policy fid locals, consolidated policy locals)
+            (Consolidate_oracle.consolidate policy fid locals, consolidated policy records)
           with
           | _, Error msg -> QCheck.Test.fail_reportf "%s: consolidate raised %s" pname msg
           | _, Ok rule -> (
@@ -303,25 +321,25 @@ let prop_program =
               | [] -> true
               | diffs -> QCheck.Test.fail_reportf "%s: %s" pname (String.concat "; " diffs))
           | exception Invalid_argument _ -> (
-              match consolidated policy locals with
+              match consolidated policy records with
               | Error _ -> true
               | Ok _ ->
                   QCheck.Test.fail_reportf "%s: the oracle raises, consolidate did not" pname))
         policies)
 
 let test_mismatch_raises () =
-  let locals =
-    locals_of
+  let mismatched =
+    with_functions
       [
         Some ([ Header_action.Encap (ah 1) ], [ State_function.Read ]);
         Some ([ Header_action.Decap (ah 2) ], []);
       ]
   in
-  (match consolidated Parallel.Table_one locals with
+  (match consolidated Parallel.Table_one mismatched with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a decap of another header than the pending encap consolidated");
   let matching =
-    locals_of
+    with_functions
       [
         Some ([ Header_action.Encap (ah 1) ], [ State_function.Read ]);
         Some ([ Header_action.Decap (ah 1) ], []);

@@ -272,6 +272,49 @@ let test_runtime_rejects_malformed () =
     (2, 1, 1) (run ~burst:1);
   Alcotest.(check (triple int int int)) "burst: same rejection" (2, 1, 1) (run ~burst:8)
 
+(* A rejected packet takes neither path: over a half-corrupted trace
+   (checksums verified, as the CLI arms them) every executor's slow and
+   fast counts plus the classifier's rejections make up the trace. *)
+let test_paths_add_up () =
+  let trace, _ = Impair.apply ~seed:1 (spec_of "corrupt:0.5") (small_trace ()) in
+  let n = List.length trace in
+  let cfg () = Speedybox.Runtime.config ~verify_checksums:true () in
+  let build _ = Speedybox.Chain.create ~name:"mon" [ Sb_nf.Monitor.nf (Sb_nf.Monitor.create ()) ] in
+  let check name rejected (r : Speedybox.Runtime.run_result) =
+    Alcotest.(check bool) (name ^ ": some packets rejected") true (rejected > 0);
+    Alcotest.(check int) (name ^ ": slow + fast + rejected = packets") n
+      (r.Speedybox.Runtime.slow_path + r.Speedybox.Runtime.fast_path + rejected)
+  in
+  List.iter
+    (fun burst ->
+      let rt = Speedybox.Runtime.create (cfg ()) (build 0) in
+      let r = Speedybox.Runtime.run_trace ~burst rt trace in
+      check (Printf.sprintf "burst %d" burst) (Speedybox.Runtime.rejected_malformed rt) r)
+    [ 1; 32 ];
+  let plan () = Sb_shard.Sharded.create ~shards:2 (cfg ()) build in
+  let rejected sh =
+    List.init 2 (Sb_shard.Sharded.runtime sh)
+    |> List.fold_left (fun acc rt -> acc + Speedybox.Runtime.rejected_malformed rt) 0
+  in
+  (let sh = plan () in
+   let r = Sb_shard.Sharded.run_trace sh trace in
+   check "det-2" (rejected sh) r);
+  (let sh = plan () in
+   let r = Sb_shard.Parallel_exec.run_trace sh trace in
+   check "par-2" (rejected sh) r);
+  let staged =
+    Speedybox.Staged_runtime.run
+      (Speedybox.Runtime.config ~platform:Sb_sim.Platform.Onvm ~verify_checksums:true ())
+      (build 0)
+      (Sb_trace.Workload.with_poisson_times ~seed:97 ~rate_mpps:0.5 trace)
+  in
+  Alcotest.(check int) "staged: malformed = the runtime's rejections"
+    (Speedybox.Runtime.rejected_malformed staged.Speedybox.Staged_runtime.runtime)
+    staged.Speedybox.Staged_runtime.malformed;
+  Alcotest.(check int) "staged: slow + fast + rejected + overflow = packets" n
+    (staged.Speedybox.Staged_runtime.slow_path + staged.Speedybox.Staged_runtime.fast_path
+    + staged.Speedybox.Staged_runtime.malformed + staged.Speedybox.Staged_runtime.dropped_overflow)
+
 let test_checksum_verification () =
   let damaged =
     let p = Packet.copy (Test_util.tcp_packet ~payload:"corrupt me" ()) in
@@ -435,6 +478,7 @@ let suite =
     Alcotest.test_case "conntrack: data after FIN" `Quick test_data_after_fin;
     Alcotest.test_case "runtime rejects malformed" `Quick test_runtime_rejects_malformed;
     Alcotest.test_case "checksum verification" `Quick test_checksum_verification;
+    Alcotest.test_case "paths add up under corruption" `Quick test_paths_add_up;
     Alcotest.test_case "dos duplicate dedup" `Quick test_dos_dedup;
     Alcotest.test_case "impaired executors agree" `Quick test_impaired_executors_agree;
   ]

@@ -110,7 +110,7 @@ let prop_plan_partitions =
 (* --- Local MAT --------------------------------------------------------- *)
 
 let test_local_mat_recording () =
-  let mat = Local_mat.create ~nf:"nat" in
+  let mat = List.hd (Local_mat.chain [ "nat" ]) in
   Alcotest.(check string) "name" "nat" (Local_mat.nf_name mat);
   Alcotest.(check bool) "empty" true (Local_mat.find mat 1 = None);
   Local_mat.add_header_action mat 1 Header_action.Forward;
@@ -246,9 +246,14 @@ let test_interleaved_walks () =
 
 (* --- Global MAT -------------------------------------------------------- *)
 
+(* Two Local MATs over one table, and a Global MAT keeping its rules there,
+   as [Runtime.create] builds them. *)
 let chain_mats () =
-  let a = Local_mat.create ~nf:"a" and b = Local_mat.create ~nf:"b" in
-  (a, b, [ a; b ])
+  match Local_mat.chain [ "a"; "b" ] with
+  | [ a; b ] -> (a, b, [ a; b ])
+  | _ -> assert false
+
+let global_of ?policy mats = Global_mat.create ?policy (Local_mat.table (List.hd mats))
 
 let test_consolidation_merges_locals () =
   let a, b, mats = chain_mats () in
@@ -257,7 +262,7 @@ let test_consolidation_merges_locals () =
   Local_mat.add_state_function a 1 (sf ~nf:"a" ~mode:State_function.Read ());
   Local_mat.add_header_action b 1 Header_action.Forward;
   Local_mat.add_state_function b 1 (sf ~nf:"b" ~mode:State_function.Ignore ());
-  let global = Global_mat.create () in
+  let global = global_of mats in
   let cost = Global_mat.consolidate global 1 mats in
   Alcotest.(check int) "consolidation cost scales with locals"
     (2 * Sb_sim.Cycles.global_consolidate_per_nf) cost;
@@ -274,7 +279,7 @@ let test_drop_rule_keeps_upstream_batches () =
   Local_mat.add_header_action a 1 Header_action.Forward;
   Local_mat.add_state_function a 1 (sf ~nf:"a" ());
   Local_mat.add_header_action b 1 Header_action.Drop;
-  let global = Global_mat.create () in
+  let global = global_of mats in
   ignore (Global_mat.consolidate global 1 mats);
   let rule = Option.get (Global_mat.find global 1) in
   Alcotest.(check bool) "rule drops" true (Consolidate.is_drop (Global_mat.rule_action rule));
@@ -288,7 +293,7 @@ let test_execute_runs_batches_and_counts () =
   Local_mat.add_state_function a 1 (counting_sf ~nf:"a" counter_a);
   Local_mat.add_header_action b 1 Header_action.Forward;
   Local_mat.add_state_function b 1 (counting_sf ~nf:"b" counter_b);
-  let global = Global_mat.create () in
+  let global = global_of mats in
   let events = Event_table.create () in
   ignore (Global_mat.consolidate global 1 mats);
   let p = Test_util.tcp_packet () in
@@ -304,7 +309,7 @@ let test_execute_runs_batches_and_counts () =
 let test_execute_rule_rejects_no_rule () =
   let a, _, mats = chain_mats () in
   Local_mat.add_header_action a 1 Header_action.Forward;
-  let global = Global_mat.create () in
+  let global = global_of mats in
   ignore (Global_mat.consolidate global 1 mats);
   let p = Test_util.tcp_packet () in
   Alcotest.(check bool) "lookup misses to the sentinel" true
@@ -324,7 +329,7 @@ let test_execute_writes_stage () =
   Local_mat.add_header_action a 2 Header_action.Forward;
   Local_mat.add_state_function a 2 (sf ~nf:"a" ~mode:State_function.Read ());
   Local_mat.add_state_function b 2 (sf ~nf:"b" ());
-  let global = Global_mat.create () in
+  let global = global_of mats in
   let events = Event_table.create () in
   ignore (Global_mat.consolidate global 1 [ a ]);
   ignore (Global_mat.consolidate global 2 mats);
@@ -349,7 +354,7 @@ let test_execute_event_rewrites_rule () =
   let a, _, mats = chain_mats () in
   let threshold_hit = ref false in
   Local_mat.add_header_action a 1 Header_action.Forward;
-  let global = Global_mat.create () in
+  let global = global_of mats in
   let events = Event_table.create () in
   Event_table.register events ~fid:1
     ~condition:(fun () -> !threshold_hit)
@@ -388,7 +393,7 @@ let test_wave_snapshot_semantics () =
   in
   Local_mat.add_state_function a 1 writer;
   Local_mat.add_state_function b 1 reader;
-  let global = Global_mat.create ~policy:Parallel.Always_parallel () in
+  let global = global_of ~policy:Parallel.Always_parallel mats in
   let events = Event_table.create () in
   ignore (Global_mat.consolidate global 1 mats);
   let p = Test_util.tcp_packet ~payload:"orig" () in
@@ -400,7 +405,7 @@ let test_wave_snapshot_semantics () =
   let a2, b2, mats2 = chain_mats () in
   Local_mat.add_state_function a2 1 writer;
   Local_mat.add_state_function b2 1 reader;
-  let global2 = Global_mat.create ~policy:Parallel.Table_one () in
+  let global2 = global_of ~policy:Parallel.Table_one mats2 in
   ignore (Global_mat.consolidate global2 1 mats2);
   ignore (Global_mat.execute global2 events mats2 1 (Test_util.tcp_packet ~payload:"orig" ()));
   Alcotest.(check string) "table-I reader sees writer output" "WWWW" !seen_by_reader
@@ -408,11 +413,12 @@ let test_wave_snapshot_semantics () =
 let test_global_mat_removal () =
   let a, _, mats = chain_mats () in
   Local_mat.add_header_action a 3 Header_action.Forward;
-  let global = Global_mat.create () in
+  let global = global_of mats in
   ignore (Global_mat.consolidate global 3 mats);
   Alcotest.(check bool) "rule present" true (Global_mat.mem global 3);
   Global_mat.remove_flow global 3;
   Alcotest.(check bool) "rule removed" false (Global_mat.mem global 3);
+  Alcotest.(check bool) "its records share the slot and go with it" false (Local_mat.mem a 3);
   ignore (Global_mat.consolidate global 4 mats);
   Global_mat.clear global;
   Alcotest.(check int) "cleared" 0 (Global_mat.flow_count global)
@@ -468,7 +474,7 @@ let prop_pooled_records =
        ~print:(fun ops -> String.concat "; " (List.map pool_op_print ops))
        QCheck.Gen.(list_size (int_range 1 120) pool_op_gen))
     (fun ops ->
-      let mat = Local_mat.create ~nf:"nf" in
+      let mat = List.hd (Local_mat.chain [ "nf" ]) in
       let model : (int, Header_action.t list * string list) Hashtbl.t = Hashtbl.create 16 in
       let get fid = Option.value (Hashtbl.find_opt model fid) ~default:([], []) in
       let label k = "sf" ^ string_of_int k in

@@ -1,17 +1,14 @@
 (* Tests for the LRU rule cap and memory statistics of the Global MAT. *)
 open Sb_mat
 
-let local_with_action fid action =
-  let mat = Local_mat.create ~nf:"nf" in
-  Local_mat.add_header_action mat fid action;
-  mat
+(* A one-NF chain's Local MAT, and its Global MAT over the same table. *)
+let one_nf ?max_rules ?on_evict () =
+  let mat = List.hd (Local_mat.chain [ "nf" ]) in
+  (mat, Global_mat.create ?max_rules ?on_evict (Local_mat.table mat))
 
 let test_lru_eviction_order () =
   let evicted = ref [] in
-  let global =
-    Global_mat.create ~max_rules:2 ~on_evict:(fun fid -> evicted := fid :: !evicted) ()
-  in
-  let mat = Local_mat.create ~nf:"nf" in
+  let mat, global = one_nf ~max_rules:2 ~on_evict:(fun fid -> evicted := fid :: !evicted) () in
   List.iter (fun fid -> Local_mat.add_header_action mat fid Header_action.Forward) [ 1; 2; 3 ];
   ignore (Global_mat.consolidate global 1 [ mat ]);
   ignore (Global_mat.consolidate global 2 [ mat ]);
@@ -23,11 +20,14 @@ let test_lru_eviction_order () =
   Alcotest.(check (list int)) "least-recently-used evicted" [ 2 ] !evicted;
   Alcotest.(check bool) "hot rule kept" true (Global_mat.mem global 1);
   Alcotest.(check bool) "new rule present" true (Global_mat.mem global 3);
-  Alcotest.(check int) "eviction counter" 1 (Global_mat.evictions global)
+  Alcotest.(check int) "eviction counter" 1 (Global_mat.evictions global);
+  Alcotest.(check bool) "the evicted flow's record goes with its rule" false
+    (Local_mat.mem mat 2);
+  Alcotest.(check bool) "the kept flows' records stay" true
+    (Local_mat.mem mat 1 && Local_mat.mem mat 3)
 
 let test_reconsolidation_does_not_evict () =
-  let global = Global_mat.create ~max_rules:2 () in
-  let mat = Local_mat.create ~nf:"nf" in
+  let mat, global = one_nf ~max_rules:2 () in
   List.iter (fun fid -> Local_mat.add_header_action mat fid Header_action.Forward) [ 1; 2 ];
   ignore (Global_mat.consolidate global 1 [ mat ]);
   ignore (Global_mat.consolidate global 2 [ mat ]);
@@ -39,7 +39,7 @@ let test_reconsolidation_does_not_evict () =
 let test_cap_validation () =
   Alcotest.(check bool) "zero cap rejected" true
     (try
-       ignore (Global_mat.create ~max_rules:0 ());
+       ignore (one_nf ~max_rules:0 ());
        false
      with Invalid_argument _ -> true)
 
@@ -85,8 +85,7 @@ let test_eviction_preserves_equivalence () =
   Test_util.check_equivalent "tiny cache equivalence" report
 
 let test_memory_stats () =
-  let global = Global_mat.create () in
-  let fwd_mat = Local_mat.create ~nf:"nf" in
+  let fwd_mat, global = one_nf () in
   Local_mat.add_header_action fwd_mat 1 Header_action.Forward;
   Local_mat.add_header_action fwd_mat 2 Header_action.Forward;
   Local_mat.add_header_action fwd_mat 3

@@ -121,7 +121,8 @@ let observe m ~cap ~phase rt packet (out : Runtime.output) =
     else begin
       (match out.Runtime.path with
       | Runtime.Fast_path -> touch m fid
-      | Runtime.Slow_path -> if consolidations > m.consolidations then install m ~cap fid);
+      | Runtime.Slow_path -> if consolidations > m.consolidations then install m ~cap fid
+      | Runtime.Rejected -> ());
       if final packet then forget m fid
     end
   end;
